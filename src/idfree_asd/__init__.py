@@ -11,10 +11,8 @@ from .io import TOOL_VERSION as __version__
 from .metrics import (
     AVERAGING_MODES,
     IdAccuracy,
-    LabeledScores,
     MetricError,
     MetricPair,
-    NormalizedDegradation,
     aggregate,
     auc,
     delta_norm,
@@ -33,13 +31,10 @@ from .protocol import (
     ProtocolError,
     Recording,
     ScoreMatrix,
-    aggregate_score,
     evaluate_known,
     evaluate_unknown,
     full_report,
-    identify,
     merge_test_sets,
-    misid_probability,
 )
 from .scorers import (
     NormalizerSpec,
@@ -69,10 +64,8 @@ __all__ = [
     "__version__",
     "AVERAGING_MODES",
     "IdAccuracy",
-    "LabeledScores",
     "MetricError",
     "MetricPair",
-    "NormalizedDegradation",
     "aggregate",
     "auc",
     "delta_norm",
@@ -89,13 +82,10 @@ __all__ = [
     "ProtocolError",
     "Recording",
     "ScoreMatrix",
-    "aggregate_score",
     "evaluate_known",
     "evaluate_unknown",
     "full_report",
-    "identify",
     "merge_test_sets",
-    "misid_probability",
     "NormalizerSpec",
     "ReferenceSet",
     "ScorerError",

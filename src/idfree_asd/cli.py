@@ -80,6 +80,13 @@ def _resolve_orientation(flag: str | None, header: str | None) -> bool:
     return True
 
 
+def _check_out_dirs(args) -> None:
+    # fail before any computation rather than when the report is written
+    for path in (getattr(args, "out", None), getattr(args, "svg", None)):
+        if path is not None and not Path(path).parent.is_dir():
+            raise UsageError(f"output directory {str(Path(path).parent)!r} does not exist")
+
+
 def _check_pauc_p(p: float) -> None:
     if not 0.0 < p <= 1.0:
         raise UsageError(f"--pauc-p must lie in (0, 1], got {p}")
@@ -123,7 +130,7 @@ def _cmd_evaluate(args) -> int:
             formats.file_digest(args.scores, "scores"),
             formats.file_digest(args.labels, "labels"),
         ]
-        specs = None
+        matrix = ScoreMatrix(list(machines), rows)
     else:
         if args.higher_is_anomalous is not None:
             raise UsageError("--higher-is-anomalous applies to --scores files only")
@@ -153,17 +160,12 @@ def _cmd_evaluate(args) -> int:
             formats.file_digest(manifest.references[m], f"reference:{m}")
             for m in sorted(manifest.references)
         ]
+        matrix = build_score_matrix(specs, recordings)
 
-    reports = {}
-    for split, split_recordings in sorted(_group_by_split(recordings).items()):
-        merged = _merge_split(split_recordings)
-        if specs is None:
-            matrix = ScoreMatrix(
-                list(machines), {rec.id: rows[rec.id] for rec in split_recordings}
-            )
-        else:
-            matrix = build_score_matrix(specs, merged)
-        reports[split] = full_report(matrix, merged, config)
+    reports = {
+        split: full_report(matrix, _merge_split(split_recordings), config)
+        for split, split_recordings in sorted(_group_by_split(recordings).items())
+    }
     _emit(formats.evaluation_document(reports, inputs, config, higher), args.out)
     return EXIT_OK
 
@@ -362,6 +364,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_out_dirs(args)
         return args.handler(args)
     except UsageError as exc:
         return _fail(EXIT_USAGE, "usage", str(exc))

@@ -74,7 +74,8 @@ def _split_file(path: Path) -> tuple[list[tuple[int, str]], list[tuple[int, list
     Returns (comments, rows) where each entry carries its 1-based physical
     line number. The first line must be the format comment.
     """
-    lines = path.read_text(encoding="utf-8").splitlines()
+    # utf-8-sig drops a leading byte-order mark that some editors write
+    lines = path.read_text(encoding="utf-8-sig").splitlines()
     if not lines or lines[0].strip() != FORMAT_LINE:
         raise FormatError(f"{path.name}: first line must be {FORMAT_LINE!r}")
     comments: list[tuple[int, str]] = [(1, lines[0])]

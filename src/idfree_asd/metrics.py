@@ -15,9 +15,7 @@ import numpy as np
 
 __all__ = [
     "MetricError",
-    "LabeledScores",
     "MetricPair",
-    "NormalizedDegradation",
     "IdAccuracy",
     "auc",
     "pauc",
@@ -53,29 +51,6 @@ def _as_score_arrays(scores, labels) -> tuple[np.ndarray, np.ndarray]:
             "degenerate labels: need at least one normal and one anomalous recording"
         )
     return s, y
-
-
-@dataclass(frozen=True)
-class LabeledScores:
-    """Anomaly scores with parallel binary labels (True = anomalous)."""
-
-    scores: Sequence[float]
-    labels: Sequence[bool]
-
-    def __post_init__(self) -> None:
-        if len(self.scores) != len(self.labels):
-            raise MetricError(
-                f"scores and labels differ in length "
-                f"({len(self.scores)} vs {len(self.labels)})"
-            )
-        if len(self.scores) == 0:
-            raise MetricError("empty score list")
-
-    def auc(self) -> float:
-        return auc(self.scores, self.labels)
-
-    def pauc(self, p: float = 0.1) -> float:
-        return pauc(self.scores, self.labels, p)
 
 
 @dataclass(frozen=True)
@@ -181,19 +156,6 @@ def delta_norm(a_known: float, a_unknown: float) -> float | None:
     if a_known <= 0.5:
         return None
     return 1.0 - (a_unknown - 0.5) / (a_known - 0.5)
-
-
-@dataclass(frozen=True)
-class NormalizedDegradation:
-    """Known/unknown-identity aggregates with their normalized degradation."""
-
-    a_known: float
-    a_unknown: float
-    delta: float | None
-
-    @classmethod
-    def compute(cls, a_known: float, a_unknown: float) -> "NormalizedDegradation":
-        return cls(a_known, a_unknown, delta_norm(a_known, a_unknown))
 
 
 def normalize_id_accuracy(raw: float, k: int) -> float:

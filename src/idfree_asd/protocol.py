@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -24,16 +24,12 @@ __all__ = [
     "Recording",
     "ScoreMatrix",
     "MergedTestSet",
-    "AggregatedScore",
     "MachineMetrics",
     "ModeResult",
     "IdentificationStats",
     "EvalConfig",
     "EvalReport",
     "merge_test_sets",
-    "aggregate_score",
-    "identify",
-    "misid_probability",
     "evaluate_known",
     "evaluate_unknown",
     "full_report",
@@ -69,52 +65,45 @@ class Recording:
             raise ProtocolError(f"recording {self.id!r}: unknown domain {self.domain!r}")
 
 
-@dataclass
+@dataclass(eq=False)
 class ScoreMatrix:
-    """Per-recording vectors of machine-specific anomaly scores.
+    """Machine-specific anomaly scores of every recording, one dense table.
 
-    Column order in `machines` is the fixed machine ordering used for argmin
-    tie-breaking; every row holds exactly one finite score per machine.
+    `values[i, j]` is recording `ids[i]` scored by machine `machines[j]`.
+    Column order is the fixed machine ordering used for argmin tie-breaking;
+    every row holds exactly one finite score per machine.
     """
 
     machines: list[str]
-    rows: dict[str, np.ndarray]
+    rows: InitVar[Mapping[str, Sequence[float]]]
+    ids: list[str] = field(init=False)
+    values: np.ndarray = field(init=False, repr=False)
+    _index: dict[str, int] = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, rows: Mapping[str, Sequence[float]]) -> None:
         if not self.machines:
             raise ProtocolError("score matrix needs at least one machine")
         if len(set(self.machines)) != len(self.machines):
             raise ProtocolError("duplicate machine names in score matrix")
         k = len(self.machines)
-        converted = {}
-        for rec_id, row in self.rows.items():
+        self.ids = list(rows)
+        self.values = np.empty((len(self.ids), k))
+        for i, (rec_id, row) in enumerate(rows.items()):
             vec = np.asarray(row, dtype=float)
             if vec.shape != (k,):
                 raise ProtocolError(
                     f"row {rec_id!r} has {vec.size} entries, expected {k}"
                 )
-            if not np.isfinite(vec).all():
-                raise ProtocolError(f"row {rec_id!r} contains non-finite scores")
-            converted[rec_id] = vec
-        self.rows = converted
+            self.values[i] = vec
+        finite = np.isfinite(self.values).all(axis=1)
+        if not finite.all():
+            bad = self.ids[int(np.argmin(finite))]
+            raise ProtocolError(f"row {bad!r} contains non-finite scores")
+        self._index = {rec_id: i for i, rec_id in enumerate(self.ids)}
 
     @property
     def k(self) -> int:
         return len(self.machines)
-
-    def column_index(self, machine: str) -> int:
-        try:
-            return self.machines.index(machine)
-        except ValueError:
-            raise ProtocolError(f"machine {machine!r} not in score matrix") from None
-
-    def row(self, recording_id: str) -> np.ndarray:
-        try:
-            return self.rows[recording_id]
-        except KeyError:
-            raise ProtocolError(
-                f"score matrix has no row for recording {recording_id!r}"
-            ) from None
 
 
 @dataclass
@@ -143,15 +132,6 @@ class MergedTestSet:
     def machines(self) -> list[str]:
         return sorted({r.true_machine for r in self.recordings})
 
-    def by_machine(self) -> dict[str, list[Recording]]:
-        groups: dict[str, list[Recording]] = {}
-        for rec in self.recordings:
-            groups.setdefault(rec.true_machine, []).append(rec)
-        return groups
-
-    def true_labels(self) -> dict[str, str]:
-        return {r.id: r.true_machine for r in self.recordings}
-
 
 def merge_test_sets(per_machine_sets: Mapping[str, Sequence[Recording]]) -> MergedTestSet:
     """Pool per-machine test sets into one identity-free set.
@@ -178,56 +158,6 @@ def merge_test_sets(per_machine_sets: Mapping[str, Sequence[Recording]]) -> Merg
         raise ProtocolError(f"duplicate recording ids across machines: {duplicates}")
     pooled.sort(key=lambda r: r.id)
     return MergedTestSet(pooled)
-
-
-@dataclass(frozen=True)
-class AggregatedScore:
-    """Minimum of one score row with the selected machine index.
-
-    `tie` flags rows where several machines attain the minimum; the lowest
-    index wins deterministically.
-    """
-
-    score: float
-    index: int
-    tie: bool
-
-
-def aggregate_score(row: Sequence[float]) -> AggregatedScore:
-    """Collapse one machine-score row to its minimum and argmin machine."""
-    vec = np.asarray(row, dtype=float)
-    if vec.ndim != 1 or vec.size == 0:
-        raise ProtocolError("score row must be a nonempty vector")
-    if not np.isfinite(vec).all():
-        raise ProtocolError("score row contains non-finite entries")
-    index = int(np.argmin(vec))
-    minimum = float(vec[index])
-    tie = int((vec == minimum).sum()) > 1
-    return AggregatedScore(minimum, index, tie)
-
-
-def identify(matrix: ScoreMatrix, merged: MergedTestSet) -> dict[str, str]:
-    """Implicitly identify each recording as its argmin machine."""
-    assignments: dict[str, str] = {}
-    for rec in merged.recordings:
-        best = aggregate_score(matrix.row(rec.id))
-        assignments[rec.id] = matrix.machines[best.index]
-    return assignments
-
-
-def misid_probability(identified: Mapping[str, str], truth: Mapping[str, str]) -> float:
-    """Empirical fraction of recordings assigned to the wrong machine."""
-    if set(identified) != set(truth):
-        only_identified = sorted(set(identified) - set(truth))
-        only_truth = sorted(set(truth) - set(identified))
-        raise ProtocolError(
-            f"identification/truth coverage mismatch: "
-            f"only identified {only_identified}, only truth {only_truth}"
-        )
-    if not truth:
-        raise ProtocolError("empty identification map")
-    wrong = sum(1 for rec_id, machine in identified.items() if machine != truth[rec_id])
-    return wrong / len(truth)
 
 
 @dataclass(frozen=True)
@@ -304,9 +234,9 @@ class EvalReport:
 
 
 def _slice_metrics(
-    machine: str, scores: list[float], labels: list[bool], pauc_p: float
+    machine: str, scores: np.ndarray, labels: np.ndarray, pauc_p: float
 ) -> MachineMetrics:
-    n_anomalous = sum(labels)
+    n_anomalous = int(labels.sum())
     n_normal = len(labels) - n_anomalous
     if n_normal == 0 or n_anomalous == 0:
         warnings.warn(
@@ -325,13 +255,20 @@ def _slice_metrics(
 
 
 def _mode_result(
-    per_machine_scores: dict[str, tuple[list[float], list[bool]]],
+    machines: list[str],
+    scores: np.ndarray,
+    true_cols: np.ndarray,
+    labels: np.ndarray,
     pauc_p: float,
     average: str,
 ) -> ModeResult:
+    # machines pool in order of first appearance; slices keep recording order
+    codes, first = np.unique(true_cols, return_index=True)
     per_machine: dict[str, MachineMetrics] = {}
-    for machine, (scores, labels) in per_machine_scores.items():
-        per_machine[machine] = _slice_metrics(machine, scores, labels, pauc_p)
+    for code in codes[np.argsort(first)]:
+        mask = true_cols == code
+        machine = machines[code]
+        per_machine[machine] = _slice_metrics(machine, scores[mask], labels[mask], pauc_p)
     defined = [m for m in per_machine.values() if m.defined]
     if not defined:
         raise ProtocolError("no machine has both normal and anomalous recordings")
@@ -340,10 +277,24 @@ def _mode_result(
     return ModeResult(per_machine, pooled, average, pauc_p, excluded)
 
 
-def _check_coverage(matrix: ScoreMatrix, merged: MergedTestSet) -> None:
-    missing = [m for m in merged.machines() if m not in matrix.machines]
+def _align(
+    matrix: ScoreMatrix, merged: MergedTestSet
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Matrix row, true-machine column and label of each merged recording."""
+    column = {machine: j for j, machine in enumerate(matrix.machines)}
+    missing = [m for m in merged.machines() if m not in column]
     if missing:
         raise ProtocolError(f"score matrix is missing machine columns {missing}")
+    recordings = merged.recordings
+    try:
+        rows = np.array([matrix._index[rec.id] for rec in recordings], dtype=np.intp)
+    except KeyError as exc:
+        raise ProtocolError(
+            f"score matrix has no row for recording {exc.args[0]!r}"
+        ) from None
+    true_cols = np.array([column[rec.true_machine] for rec in recordings], dtype=np.intp)
+    labels = np.array([rec.is_anomaly for rec in recordings], dtype=bool)
+    return rows, true_cols, labels
 
 
 def evaluate_known(
@@ -353,14 +304,9 @@ def evaluate_known(
     average: str = "harmonic",
 ) -> ModeResult:
     """Standard protocol: score each recording with its true machine's column."""
-    _check_coverage(matrix, merged)
-    slices: dict[str, tuple[list[float], list[bool]]] = {}
-    for machine, recordings in merged.by_machine().items():
-        col = matrix.column_index(machine)
-        scores = [float(matrix.row(r.id)[col]) for r in recordings]
-        labels = [r.is_anomaly for r in recordings]
-        slices[machine] = (scores, labels)
-    return _mode_result(slices, pauc_p, average)
+    rows, true_cols, labels = _align(matrix, merged)
+    scores = matrix.values[rows, true_cols]
+    return _mode_result(matrix.machines, scores, true_cols, labels, pauc_p, average)
 
 
 def evaluate_unknown(
@@ -372,24 +318,17 @@ def evaluate_unknown(
     """Identity-free protocol: min-aggregate rows, partition post hoc.
 
     Per-machine partitioning uses the hidden true machine; the argmin machine
-    enters only the identification statistics returned alongside.
+    (lowest column on ties) enters only the identification statistics
+    returned alongside.
     """
-    _check_coverage(matrix, merged)
-    slices: dict[str, tuple[list[float], list[bool]]] = {
-        machine: ([], []) for machine in merged.by_machine()
-    }
-    n_correct = 0
-    tie_count = 0
-    for rec in merged.recordings:
-        best = aggregate_score(matrix.row(rec.id))
-        if matrix.machines[best.index] == rec.true_machine:
-            n_correct += 1
-        tie_count += best.tie
-        scores, labels = slices[rec.true_machine]
-        scores.append(best.score)
-        labels.append(rec.is_anomaly)
-    stats = IdentificationStats(matrix.k, len(merged.recordings), n_correct, tie_count)
-    return _mode_result(slices, pauc_p, average), stats
+    rows, true_cols, labels = _align(matrix, merged)
+    table = matrix.values[rows]
+    picked = table.argmin(axis=1)
+    scores = np.take_along_axis(table, picked[:, None], axis=1)[:, 0]
+    n_correct = int((picked == true_cols).sum())
+    tie_count = int(((table == scores[:, None]).sum(axis=1) > 1).sum())
+    stats = IdentificationStats(matrix.k, len(rows), n_correct, tie_count)
+    return _mode_result(matrix.machines, scores, true_cols, labels, pauc_p, average), stats
 
 
 def full_report(

@@ -9,13 +9,13 @@ vectors only, so they remain applicable when test identities are unknown.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.spatial.distance import cdist
 
-from .protocol import MergedTestSet, ScoreMatrix
+from .protocol import Recording, ScoreMatrix
 
 __all__ = [
     "ScorerError",
@@ -267,26 +267,26 @@ def scoring_function(
 
 
 def build_score_matrix(
-    specs: Mapping[str, tuple[ScorerSpec, ReferenceSet]], merged: MergedTestSet
+    specs: Mapping[str, tuple[ScorerSpec, ReferenceSet]], recordings: Sequence[Recording]
 ) -> ScoreMatrix:
-    """Score every merged recording against every machine.
+    """Score every recording against every machine.
 
     Reads only recording ids and features; true machine labels stay hidden
     from the scoring stage. Column order is sorted machine name.
     """
     if not specs:
         raise ScorerError("no machine scorers configured")
+    if not recordings:
+        raise ScorerError("no recordings to score")
     machines = sorted(specs)
-    missing = [rec.id for rec in merged.recordings if rec.features is None]
+    missing = [rec.id for rec in recordings if rec.features is None]
     if missing:
         raise ScorerError(f"recordings without features: {missing}")
-    ids = [rec.id for rec in merged.recordings]
-    dims = {np.asarray(rec.features).shape for rec in merged.recordings}
+    dims = {np.asarray(rec.features).shape for rec in recordings}
     if len(dims) > 1 or any(len(shape) != 1 for shape in dims):
         raise ScorerError(f"inconsistent feature shapes across recordings: {sorted(dims)}")
-    features = np.stack([np.asarray(rec.features, dtype=float) for rec in merged.recordings])
+    features = np.stack([np.asarray(rec.features, dtype=float) for rec in recordings])
     columns = [scoring_function(spec, ref)(features) for spec, ref in
                (specs[machine] for machine in machines)]
     matrix = np.column_stack(columns)
-    rows = {rec_id: matrix[i] for i, rec_id in enumerate(ids)}
-    return ScoreMatrix(machines, rows)
+    return ScoreMatrix(machines, dict(zip((rec.id for rec in recordings), matrix)))

@@ -190,7 +190,7 @@ def run_point(
     """Generate one dataset, score it, and condense the report to a point."""
     references, merged = generate(config)
     specs = {machine: (scorer, ref) for machine, ref in references.items()}
-    matrix = build_score_matrix(specs, merged)
+    matrix = build_score_matrix(specs, merged.recordings)
     report = full_report(matrix, merged, eval_config)
     return SweepPoint(
         separation=config.separation,

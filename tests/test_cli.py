@@ -260,7 +260,7 @@ def test_evaluate_manifest_matches_library_pipeline(tmp_path, capsys):
     spec = ScorerSpec("nearest_reference", k=2)
     # reference vectors round-trip through CSV exactly, so scores agree too
     specs = {m: (spec, ReferenceSet(m, ref.vectors)) for m, ref in references.items()}
-    matrix = build_score_matrix(specs, merged)
+    matrix = build_score_matrix(specs, merged.recordings)
     known = evaluate_known(matrix, merged)
     section = doc["splits"]["dev"]["known"]
     assert section["aggregate"] == known.aggregate
@@ -467,6 +467,22 @@ def test_sweep_rejects_empty_separations(tmp_path, capsys):
     code, _, _ = run(capsys, "sweep", "--separations", ",", *SMALL_SIM,
                      "--out", str(tmp_path / "s.json"))
     assert code == EXIT_USAGE
+
+
+def test_sweep_missing_out_directory_fails_before_running(tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("computation started before the output path was checked")
+
+    monkeypatch.setattr(cli, "sweep", never)
+    monkeypatch.setattr(cli, "run_point", never)
+    code, _, err = run(capsys, "sweep", *SMALL_SIM,
+                       "--out", str(tmp_path / "missing" / "s.json"))
+    assert code == EXIT_USAGE
+    assert "does not exist" in stderr_json(err)["message"]
+    code, _, _ = run(capsys, "simulate", *SMALL_SIM, "--out", str(tmp_path / "s.json"),
+                     "--svg", str(tmp_path / "missing" / "s.svg"))
+    assert code == EXIT_USAGE
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_svg_skips_failed_points(tmp_path, capsys):

@@ -139,6 +139,22 @@ def test_labels_accepts_wordy_booleans(tmp_path):
     assert [r.is_anomaly for r in back] == [True, False]
 
 
+def test_labels_accept_utf8_byte_order_mark(tmp_path):
+    plain = tmp_path / "plain.csv"
+    write_labels(plain, [Recording("r1", "fan", True, "eval", "target"),
+                         Recording("r2", "pump", False, "dev", "source")])
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+
+    def fields(path):
+        return [(r.id, r.true_machine, r.is_anomaly, r.split, r.domain)
+                for r in read_labels(path)]
+
+    assert fields(bom) == fields(plain)
+    # digests hash the bytes as stored, mark included
+    assert file_digest(bom, "labels")["sha256"] != file_digest(plain, "labels")["sha256"]
+
+
 def test_labels_rejects_bad_is_anomaly(tmp_path):
     path = tmp_path / "labels.csv"
     path.write_text(

@@ -2,16 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from idfree_asd.metrics import (
     AVERAGING_MODES,
     IdAccuracy,
-    LabeledScores,
     MetricError,
     MetricPair,
-    NormalizedDegradation,
     aggregate,
     auc,
     delta_norm,
@@ -93,9 +91,18 @@ def test_auc_invariant_under_increasing_affine_map(data, scale, shift):
 
 
 @given(labeled_scores(score_strategy=st.floats(min_value=-20.0, max_value=20.0)))
+@example(([-20.0, -19.999999999999996], [True, False]))
 def test_auc_invariant_under_strictly_increasing_nonlinear_map(data):
     scores, labels = data
     mapped = [math.expm1(s / 4.0) for s in scores]
+    keeps_order = all(
+        (a < b) == (ma < mb) for a, ma in zip(scores, mapped) for b, mb in zip(scores, mapped)
+    )
+    if not keeps_order:
+        # in floating point the map can send neighbouring scores to one double
+        # (the explicit example: AUC 0 becomes 1/2); a new tie, never an inversion
+        assert len(set(mapped)) < len(set(scores))
+    assume(keeps_order)
     assert auc(mapped, labels) == auc(scores, labels)
 
 
@@ -128,16 +135,6 @@ def test_auc_rejects_nan_and_mismatched_lengths():
         auc([1.0, float("nan")], [True, False])
     with pytest.raises(MetricError):
         auc([1.0, 2.0, 3.0], [True, False])
-
-
-def test_labeled_scores_wrapper_delegates():
-    ls = LabeledScores([1.0, 2.0, 3.0, 4.0], [False, True, False, True])
-    assert ls.auc() == 0.75
-    assert ls.pauc(1.0) == pauc([1.0, 2.0, 3.0, 4.0], [False, True, False, True], 1.0)
-    with pytest.raises(MetricError):
-        LabeledScores([1.0], [True, False])
-    with pytest.raises(MetricError):
-        LabeledScores([], [])
 
 
 # ---------------------------------------------------------------------------
@@ -277,13 +274,6 @@ def test_delta_norm_negative_when_unknown_wins():
 def test_delta_norm_rejects_out_of_range(known, unknown):
     with pytest.raises(MetricError):
         delta_norm(known, unknown)
-
-
-def test_normalized_degradation_wrapper():
-    nd = NormalizedDegradation.compute(0.8, 0.65)
-    assert nd.a_known == 0.8
-    assert nd.delta == pytest.approx(0.5, abs=1e-12)
-    assert NormalizedDegradation.compute(0.5, 0.5).delta is None
 
 
 # ---------------------------------------------------------------------------

@@ -3,22 +3,18 @@ import pytest
 
 from idfree_asd import metrics
 from idfree_asd.protocol import (
-    AggregatedScore,
     EvalConfig,
     IdentificationStats,
     MergedTestSet,
     ProtocolError,
     Recording,
     ScoreMatrix,
-    aggregate_score,
     evaluate_known,
     evaluate_unknown,
     full_report,
-    identify,
     merge_test_sets,
-    misid_probability,
 )
-from oracles import brute_force_argmin
+from oracles import brute_force_argmin, brute_force_auc
 
 # ---------------------------------------------------------------------------
 # helpers
@@ -34,15 +30,33 @@ def make_recordings(machine, n_normal, n_anomalous, split="dev"):
     return recs
 
 
-def random_matrix(rng, merged, machines, strict_true_min=False):
+def random_matrix(rng, merged, machines, strict_true_min=False, integers=False):
+    """Random scores; integers=True draws from 0..4 so rows tie often."""
     rows = {}
-    truth = merged.true_labels()
-    for rec_id in truth:
-        row = rng.uniform(1.0, 9.0, size=len(machines))
+    for rec in merged.recordings:
+        if integers:
+            row = rng.integers(0, 5, size=len(machines)).astype(float)
+        else:
+            row = rng.uniform(1.0, 9.0, size=len(machines))
         if strict_true_min:
-            row[machines.index(truth[rec_id])] = row.min() - rng.uniform(0.5, 1.0)
-        rows[rec_id] = row
+            offset = 1.0 if integers else rng.uniform(0.5, 1.0)
+            row[machines.index(rec.true_machine)] = row.min() - offset
+        rows[rec.id] = row
     return ScoreMatrix(list(machines), rows)
+
+
+def tie_heavy_fixture(rng, strict_true_min=False):
+    """1 to 5 machines, each with both classes, integer scores in 0..4."""
+    machines = [f"m{i}" for i in range(int(rng.integers(1, 6)))]
+    merged = merge_test_sets({
+        m: make_recordings(m, int(rng.integers(1, 6)), int(rng.integers(1, 5)))
+        for m in machines
+    })
+    return random_matrix(rng, merged, machines, strict_true_min, integers=True), merged
+
+
+def matrix_row(matrix, rec_id):
+    return [float(v) for v in matrix.values[matrix.ids.index(rec_id)]]
 
 
 def golden_style_fixture():
@@ -94,9 +108,8 @@ def test_merge_preserves_every_recording():
     sets = {m: make_recordings(m, n, a) for m, (n, a) in sizes.items()}
     merged = merge_test_sets(sets)
     assert len(merged.recordings) == sum(n + a for n, a in sizes.values())
-    groups = merged.by_machine()
-    for machine, (n, a) in sizes.items():
-        ids = {r.id for r in groups[machine]}
+    for machine in sizes:
+        ids = {r.id for r in merged.recordings if r.true_machine == machine}
         assert ids == {r.id for r in sets[machine]}
     # ids sorted for reproducibility
     ordered = [r.id for r in merged.recordings]
@@ -151,128 +164,126 @@ def test_score_matrix_validation():
 
 
 def test_score_matrix_lookup_errors():
-    matrix = ScoreMatrix(["fan"], {"r": [1.0]})
-    assert matrix.k == 1
-    assert matrix.column_index("fan") == 0
-    with pytest.raises(ProtocolError):
-        matrix.column_index("pump")
-    with pytest.raises(ProtocolError):
-        matrix.row("missing")
+    matrix = ScoreMatrix(["fan", "pump"], {"r": [1.0, 2.0], "s": [3.0, 4.0]})
+    assert matrix.k == 2
+    assert matrix.ids == ["r", "s"]
+    assert matrix.values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    merged = merge_test_sets({"fan": make_recordings("fan", 1, 1)})
+    for evaluate in (evaluate_known, evaluate_unknown):
+        with pytest.raises(ProtocolError, match="no row for recording 'fan-a0'"):
+            evaluate(matrix, merged)
 
 
 # ---------------------------------------------------------------------------
-# row aggregation and identification
-
-
-def test_aggregate_score_single_machine():
-    out = aggregate_score([0.42])
-    assert out == AggregatedScore(0.42, 0, False)
-
-
-def test_aggregate_score_picks_minimum():
-    assert aggregate_score([0.9, 0.3, 0.5]) == AggregatedScore(0.3, 1, False)
+# min aggregation and implicit identification (evaluate_unknown)
 
 
 def test_aggregate_score_tie_takes_lowest_index_and_flags():
-    out = aggregate_score([0.3, 0.3])
-    assert out.score == 0.3 and out.index == 0 and out.tie is True
-
-
-def test_aggregate_score_rejects_bad_rows():
-    with pytest.raises(ProtocolError):
-        aggregate_score([])
-    with pytest.raises(ProtocolError):
-        aggregate_score([1.0, float("nan")])
+    # b-n0 ties both columns at 0.3: column a wins, so b-n0 counts as misidentified
+    merged = merge_test_sets({"a": make_recordings("a", 1, 1),
+                              "b": make_recordings("b", 1, 1)})
+    rows = {"a-n0": [0.1, 0.9], "a-a0": [5.0, 9.0],
+            "b-n0": [0.3, 0.3], "b-a0": [9.0, 5.0]}
+    _, stats = evaluate_unknown(ScoreMatrix(["a", "b"], rows), merged)
+    assert (stats.n_correct, stats.tie_count) == (3, 1)
 
 
 def test_aggregate_score_matches_brute_force():
+    # per-machine unknown-ID AUC equals the pairwise oracle on plain-loop row minima
     rng = np.random.default_rng(7)
     for _ in range(200):
-        row = rng.integers(0, 5, size=rng.integers(1, 8)).astype(float)
-        got = aggregate_score(row)
-        index, tie = brute_force_argmin(list(row))
-        assert (got.index, got.tie, got.score) == (index, tie, row[index])
+        matrix, merged = tie_heavy_fixture(rng)
+        unknown, _ = evaluate_unknown(matrix, merged, average="arithmetic")
+        for machine in matrix.machines:
+            recs = [r for r in merged.recordings if r.true_machine == machine]
+            minima = []
+            for rec in recs:
+                row = matrix_row(matrix, rec.id)
+                minima.append(row[brute_force_argmin(row)[0]])
+            labels = [r.is_anomaly for r in recs]
+            assert unknown.per_machine[machine].auc == brute_force_auc(minima, labels)
 
 
-def test_aggregate_score_is_local():
-    # perturbing a non-minimal entry upward never changes the outcome
-    rng = np.random.default_rng(3)
+def test_identify_matches_argmin_oracle():
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        matrix, merged = tie_heavy_fixture(rng)
+        _, stats = evaluate_unknown(matrix, merged, average="arithmetic")
+        n_correct = 0
+        tie_count = 0
+        for rec in merged.recordings:
+            index, tie = brute_force_argmin(matrix_row(matrix, rec.id))
+            n_correct += matrix.machines[index] == rec.true_machine
+            tie_count += tie
+        assert (stats.n_correct, stats.tie_count) == (n_correct, tie_count)
+        assert stats.n_recordings == len(merged.recordings)
+
+
+def test_identify_strict_minimum_recovers_truth():
+    rng = np.random.default_rng(11)
     for _ in range(100):
-        row = rng.uniform(0.0, 1.0, size=5)
-        base = aggregate_score(row)
-        bumped = row.copy()
-        j = (base.index + 1) % 5
-        bumped[j] += rng.uniform(0.1, 2.0)
-        assert aggregate_score(bumped) == base
-        # lowering the current minimum keeps the same machine selected
-        lowered = row.copy()
-        lowered[base.index] -= 1.0
-        assert aggregate_score(lowered).index == base.index
+        matrix, merged = tie_heavy_fixture(rng, strict_true_min=True)
+        _, stats = evaluate_unknown(matrix, merged, average="arithmetic")
+        assert stats.n_correct == len(merged.recordings)
+        assert stats.tie_count == 0
 
 
 def test_identify_single_machine_maps_everything_to_it():
     merged = merge_test_sets({"fan": make_recordings("fan", 2, 2)})
     matrix = ScoreMatrix(["fan"], {r.id: [1.0] for r in merged.recordings})
-    assert set(identify(matrix, merged).values()) == {"fan"}
+    _, stats = evaluate_unknown(matrix, merged)
+    assert (stats.n_correct, stats.tie_count) == (4, 0)
 
 
-def test_identify_strict_minimum_recovers_truth():
-    rng = np.random.default_rng(11)
-    machines = ["m1", "m2", "m3"]
-    merged = merge_test_sets({m: make_recordings(m, 4, 2) for m in machines})
-    matrix = random_matrix(rng, merged, machines, strict_true_min=True)
-    assert identify(matrix, merged) == merged.true_labels()
-
-
-def test_identify_matches_argmin_oracle():
-    rng = np.random.default_rng(23)
+def test_aggregate_score_is_local():
+    # raising a non-minimal entry, or lowering the minimum, changes no argmin
+    rng = np.random.default_rng(3)
     machines = [f"m{i}" for i in range(5)]
-    merged = merge_test_sets({m: make_recordings(m, 2, 2) for m in machines})
-    matrix = random_matrix(rng, merged, machines)
-    assigned = identify(matrix, merged)
-    for rec in merged.recordings:
-        index, _ = brute_force_argmin(list(matrix.row(rec.id)))
-        assert assigned[rec.id] == machines[index]
+    merged = merge_test_sets({m: make_recordings(m, 3, 2) for m in machines})
+    ids = [r.id for r in merged.recordings]
+    rows = np.arange(len(ids))
 
+    def unknown(values):
+        matrix = ScoreMatrix(machines, dict(zip(ids, values)))
+        return evaluate_unknown(matrix, merged, average="arithmetic")
 
-def test_identify_never_reads_true_machine():
-    rng = np.random.default_rng(5)
-    machines = ["m1", "m2"]
-    merged = merge_test_sets({m: make_recordings(m, 2, 1) for m in machines})
-    matrix = random_matrix(rng, merged, machines)
-
-    class OnlyId:
-        def __init__(self, rec_id):
-            self.id = rec_id
-
-        @property
-        def true_machine(self):
-            raise AssertionError("identification peeked at the hidden label")
-
-    class Bag:
-        recordings = [OnlyId(r.id) for r in merged.recordings]
-
-    assert identify(matrix, Bag()) == identify(matrix, merged)
+    for _ in range(20):
+        base = rng.uniform(0.0, 1.0, size=(len(ids), 5))
+        picked = base.argmin(axis=1)
+        bumped = base.copy()
+        others = (picked + rng.integers(1, 5, size=len(ids))) % 5
+        bumped[rows, others] += rng.uniform(0.1, 2.0, size=len(ids))
+        lowered = base.copy()
+        lowered[rows, picked] -= 1.0
+        base_unknown, base_stats = unknown(base)
+        bumped_unknown, bumped_stats = unknown(bumped)
+        assert bumped_stats == base_stats
+        assert bumped_unknown.per_machine == base_unknown.per_machine
+        assert unknown(lowered)[1].n_correct == base_stats.n_correct
 
 
 def test_misid_probability_values():
-    truth = {f"r{i}": "fan" for i in range(12)}
-    assert misid_probability(truth, truth) == 0.0
-    all_wrong = {k: "pump" for k in truth}
-    assert misid_probability(all_wrong, truth) == 1.0
-    three_wrong = dict(truth)
-    for k in ["r0", "r5", "r9"]:
-        three_wrong[k] = "pump"
-    assert misid_probability(three_wrong, truth) == 0.25
+    merged = merge_test_sets({"fan": make_recordings("fan", 6, 6)})
+    fan_wins = {r.id: [0.0, 1.0] for r in merged.recordings}
+    _, stats = evaluate_unknown(ScoreMatrix(["fan", "pump"], fan_wins), merged)
+    assert stats.misid_probability == 0.0
+    pump_wins = {r.id: [1.0, 0.0] for r in merged.recordings}
+    _, stats = evaluate_unknown(ScoreMatrix(["fan", "pump"], pump_wins), merged)
+    assert stats.misid_probability == 1.0
+    three_wrong = dict(fan_wins)
+    for rec_id in ["fan-n0", "fan-n5", "fan-a3"]:
+        three_wrong[rec_id] = [1.0, 0.0]
+    _, stats = evaluate_unknown(ScoreMatrix(["fan", "pump"], three_wrong), merged)
+    assert stats.misid_probability == 0.25
 
 
 def test_misid_probability_coverage_check():
-    with pytest.raises(ProtocolError, match="coverage"):
-        misid_probability({"a": "fan"}, {"a": "fan", "b": "fan"})
-    with pytest.raises(ProtocolError, match="coverage"):
-        misid_probability({"a": "fan", "b": "fan"}, {"a": "fan"})
-    with pytest.raises(ProtocolError):
-        misid_probability({}, {})
+    merged = merge_test_sets({"fan": make_recordings("fan", 1, 1)})
+    partial = ScoreMatrix(["fan"], {"fan-n0": [1.0]})
+    with pytest.raises(ProtocolError, match="no row"):
+        evaluate_unknown(partial, merged)
+    with pytest.raises(ProtocolError, match="missing machine columns"):
+        evaluate_unknown(ScoreMatrix(["pump"], {"fan-n0": [1.0], "fan-a0": [2.0]}), merged)
 
 
 # ---------------------------------------------------------------------------
@@ -307,9 +318,9 @@ def test_evaluate_known_matches_slice_oracle():
     merged = merge_test_sets({m: make_recordings(m, 6, 4) for m in machines})
     matrix = random_matrix(rng, merged, machines)
     result = evaluate_known(matrix, merged, pauc_p=0.3)
-    for machine, recs in merged.by_machine().items():
-        col = machines.index(machine)
-        scores = [float(matrix.row(r.id)[col]) for r in recs]
+    for col, machine in enumerate(machines):
+        recs = [r for r in merged.recordings if r.true_machine == machine]
+        scores = [matrix_row(matrix, r.id)[col] for r in recs]
         labels = [r.is_anomaly for r in recs]
         assert result.per_machine[machine].auc == metrics.auc(scores, labels)
         assert result.per_machine[machine].pauc == metrics.pauc(scores, labels, 0.3)
@@ -423,10 +434,7 @@ def test_evaluation_invariant_under_exact_monotone_rescaling():
     machines = ["m1", "m2", "m3"]
     merged = merge_test_sets({m: make_recordings(m, 5, 3) for m in machines})
     matrix = random_matrix(rng, merged, machines)
-    scaled = ScoreMatrix(
-        list(machines), {rid: row * 4.0 for rid, row in matrix.rows.items()}
-    )
-    assert identify(scaled, merged) == identify(matrix, merged)
+    scaled = ScoreMatrix(list(machines), dict(zip(matrix.ids, matrix.values * 4.0)))
     base_known = evaluate_known(matrix, merged)
     base_unknown, base_stats = evaluate_unknown(matrix, merged)
     scaled_known = evaluate_known(scaled, merged)

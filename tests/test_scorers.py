@@ -308,11 +308,12 @@ def test_build_score_matrix_single_machine():
     rng = np.random.default_rng(19)
     ref = ReferenceSet("fan", rng.normal(size=(8, 3)))
     merged = make_merged(rng, ["fan"], 6, 3)
-    matrix = build_score_matrix({"fan": (NN1, ref)}, merged)
+    matrix = build_score_matrix({"fan": (NN1, ref)}, merged.recordings)
     assert matrix.machines == ["fan"]
+    assert matrix.ids == [rec.id for rec in merged.recordings]
     fn = scoring_function(NN1, ref)
-    for rec in merged.recordings:
-        assert matrix.row(rec.id)[0] == fn(rec.features[None, :])[0]
+    for rec, row in zip(merged.recordings, matrix.values):
+        assert row[0] == fn(rec.features[None, :])[0]
 
 
 def test_build_score_matrix_columns_sorted_and_per_cell_exact():
@@ -321,13 +322,13 @@ def test_build_score_matrix_columns_sorted_and_per_cell_exact():
     refs = {m: ReferenceSet(m, rng.normal(size=(10, 4))) for m in machines}
     specs = {m: (ScorerSpec("mahalanobis"), refs[m]) for m in machines}
     merged = make_merged(rng, machines, 4, 4)
-    matrix = build_score_matrix(specs, merged)
+    matrix = build_score_matrix(specs, merged.recordings)
     assert matrix.machines == ["fan", "pump", "valve"]
-    for rec in merged.recordings:
+    for rec, row in zip(merged.recordings, matrix.values):
         for m in machines:
-            col = matrix.column_index(m)
+            col = matrix.machines.index(m)
             expected = score(ScorerSpec("mahalanobis"), refs[m], rec.features)
-            assert matrix.row(rec.id)[col] == expected
+            assert row[col] == expected
 
 
 def test_identical_reference_sets_give_identical_columns():
@@ -338,10 +339,8 @@ def test_identical_reference_sets_give_identical_columns():
         "b": (NN1, ReferenceSet("b", vecs.copy())),
     }
     merged = make_merged(rng, ["a", "b"], 5, 2)
-    matrix = build_score_matrix(specs, merged)
-    for rec in merged.recordings:
-        row = matrix.row(rec.id)
-        assert row[0] == row[1]
+    matrix = build_score_matrix(specs, merged.recordings)
+    assert np.array_equal(matrix.values[:, 0], matrix.values[:, 1])
 
 
 def test_build_score_matrix_is_deterministic():
@@ -349,10 +348,10 @@ def test_build_score_matrix_is_deterministic():
     refs = {m: ReferenceSet(m, rng.normal(size=(7, 3))) for m in ["a", "b"]}
     specs = {m: (ScorerSpec("nearest_reference", k=2), refs[m]) for m in refs}
     merged = make_merged(rng, ["a", "b"], 4, 3)
-    first = build_score_matrix(specs, merged)
-    second = build_score_matrix(specs, merged)
-    for rec_id, row in first.rows.items():
-        assert np.array_equal(row, second.rows[rec_id])
+    first = build_score_matrix(specs, merged.recordings)
+    second = build_score_matrix(specs, merged.recordings)
+    assert first.ids == second.ids
+    assert np.array_equal(first.values, second.values)
 
 
 def test_build_score_matrix_reports_missing_features():
@@ -366,7 +365,7 @@ def test_build_score_matrix_reports_missing_features():
     )
     specs = {"fan": (NN1, ReferenceSet("fan", np.zeros((2, 2))))}
     with pytest.raises(ScorerError, match="fan-bad"):
-        build_score_matrix(specs, merged)
+        build_score_matrix(specs, merged.recordings)
 
 
 def test_build_score_matrix_rejects_inconsistent_dimensions():
@@ -380,14 +379,16 @@ def test_build_score_matrix_rejects_inconsistent_dimensions():
     )
     specs = {"fan": (NN1, ReferenceSet("fan", np.zeros((2, 2))))}
     with pytest.raises(ScorerError, match="inconsistent"):
-        build_score_matrix(specs, merged)
+        build_score_matrix(specs, merged.recordings)
 
 
 def test_build_score_matrix_rejects_empty_config():
     rng = np.random.default_rng(2)
     merged = make_merged(rng, ["fan"], 2, 2)
     with pytest.raises(ScorerError):
-        build_score_matrix({}, merged)
+        build_score_matrix({}, merged.recordings)
+    with pytest.raises(ScorerError, match="no recordings"):
+        build_score_matrix({"fan": (NN1, ReferenceSet("fan", np.zeros((2, 2))))}, [])
 
 
 def test_scoring_never_reads_hidden_labels():
@@ -402,12 +403,8 @@ def test_scoring_never_reads_hidden_labels():
         def __getattr__(self, name):
             raise AssertionError(f"scoring read hidden attribute {name!r}")
 
-    class Bag:
-        recordings = [
-            BlindRecording(f"r{i}", rng.normal(size=3)) for i in range(6)
-        ]
-
+    recordings = [BlindRecording(f"r{i}", rng.normal(size=3)) for i in range(6)]
     refs = {m: ReferenceSet(m, rng.normal(size=(5, 3))) for m in ["a", "b"]}
     specs = {m: (NN1, refs[m]) for m in refs}
-    matrix = build_score_matrix(specs, Bag())
-    assert sorted(matrix.rows) == [f"r{i}" for i in range(6)]
+    matrix = build_score_matrix(specs, recordings)
+    assert matrix.ids == [f"r{i}" for i in range(6)]

@@ -82,8 +82,8 @@ def test_generate_counts_and_shapes():
     for ref in references.values():
         assert ref.vectors.shape == (5, 4)
     assert len(merged.recordings) == 3 * (6 + 2)
-    groups = merged.by_machine()
-    for machine, recs in groups.items():
+    for machine in merged.machines():
+        recs = [r for r in merged.recordings if r.true_machine == machine]
         assert sum(not r.is_anomaly for r in recs) == 6
         assert sum(r.is_anomaly for r in recs) == 2
         for rec in recs:
