@@ -42,8 +42,6 @@ from .scorers import (
     ScorerError,
     ScorerSpec,
     build_score_matrix,
-    normalize,
-    score,
     scoring_function,
 )
 from .simulate import (
@@ -91,8 +89,6 @@ __all__ = [
     "ScorerError",
     "ScorerSpec",
     "build_score_matrix",
-    "normalize",
-    "score",
     "scoring_function",
     "DEFAULT_REPEATS",
     "DEFAULT_SCORER",

@@ -388,12 +388,12 @@ def read_check_table(path) -> list[CheckRow]:
 
 
 def file_digest(path, role: str) -> dict:
-    data = Path(path).read_bytes()
-    return {
-        "role": role,
-        "path": Path(path).name,
-        "sha256": hashlib.sha256(data).hexdigest(),
-    }
+    # hashed in 1 MiB blocks so a large input is never held whole
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        for block in iter(lambda: handle.read(1 << 20), b""):
+            digest.update(block)
+    return {"role": role, "path": Path(path).name, "sha256": digest.hexdigest()}
 
 
 def percent_text(fraction: float | None) -> str | None:

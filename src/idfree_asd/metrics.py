@@ -191,8 +191,9 @@ def aggregate(per_machine: Sequence[MetricPair], mode: str = "harmonic") -> floa
     """Pool per-machine AUC and pAUC values into one benchmark score.
 
     "arithmetic" is the plain mean over all pooled values; "harmonic" is the
-    harmonic mean over the same pool (official-score convention) and requires
-    strictly positive values.
+    harmonic mean over the same pool (official-score convention). A pooled
+    value of exactly 0 (say, a perfectly inverted scorer) makes the harmonic
+    mean 0.0, its limit; negative values are rejected.
     """
     if not per_machine:
         raise MetricError("nothing to aggregate: empty metric list")
@@ -200,7 +201,9 @@ def aggregate(per_machine: Sequence[MetricPair], mode: str = "harmonic") -> floa
     if mode == "arithmetic":
         return sum(values) / len(values)
     if mode == "harmonic":
-        if min(values) <= 0.0:
-            raise MetricError("harmonic aggregation needs strictly positive values")
+        if min(values) < 0.0:
+            raise MetricError("harmonic aggregation needs nonnegative values")
+        if min(values) == 0.0:
+            return 0.0
         return len(values) / sum(1.0 / v for v in values)
     raise MetricError(f"unknown averaging mode {mode!r}; use one of {AVERAGING_MODES}")

@@ -24,8 +24,6 @@ __all__ = [
     "ReferenceSet",
     "ScorerSpec",
     "NormalizerSpec",
-    "score",
-    "normalize",
     "scoring_function",
     "build_score_matrix",
 ]
@@ -41,6 +39,13 @@ EPSILON_FLOOR = 1e-12
 
 class ScorerError(ValueError):
     """Raised on invalid scorer configuration or incompatible vectors."""
+
+
+def _moments(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # mean and population covariance of a nonempty (n, d) array
+    # (one vector: its deviation from its own mean is exactly 0, so all zeros)
+    d = vectors.shape[1]
+    return vectors.mean(axis=0), np.cov(vectors, rowvar=False, ddof=0).reshape(d, d)
 
 
 @dataclass
@@ -62,13 +67,7 @@ class ReferenceSet:
         if not np.isfinite(vecs).all():
             raise ScorerError(f"reference set for {self.machine!r} has non-finite values")
         self.vectors = vecs
-        self.mean = vecs.mean(axis=0)
-        if vecs.shape[0] == 1:
-            self.covariance = np.zeros((vecs.shape[1], vecs.shape[1]))
-        else:
-            self.covariance = np.cov(vecs, rowvar=False, ddof=0).reshape(
-                vecs.shape[1], vecs.shape[1]
-            )
+        self.mean, self.covariance = _moments(vecs)
 
     @property
     def n(self) -> int:
@@ -77,15 +76,6 @@ class ReferenceSet:
     @property
     def d(self) -> int:
         return self.vectors.shape[1]
-
-    def drop(self, index: int) -> "ReferenceSet":
-        """Copy of the set without one vector (for leave-one-out scoring)."""
-        if self.n < 2:
-            raise ScorerError(
-                f"cannot hold out from a single-vector reference set ({self.machine!r})"
-            )
-        kept = np.delete(self.vectors, index, axis=0)
-        return ReferenceSet(self.machine, kept)
 
 
 @dataclass(frozen=True)
@@ -140,52 +130,50 @@ def _as_batch(x, d: int, machine: str) -> np.ndarray:
     return batch
 
 
-def _raw_batch(spec: ScorerSpec, ref: ReferenceSet, batch: np.ndarray) -> np.ndarray:
-    if spec.kind == "nearest_reference":
-        if spec.k > ref.n:
-            raise ScorerError(
-                f"k={spec.k} exceeds reference size {ref.n} for {ref.machine!r}"
-            )
-        distances = cdist(batch, ref.vectors)
-        if spec.k == ref.n:
-            nearest = distances
-        else:
-            nearest = np.partition(distances, spec.k - 1, axis=1)[:, : spec.k]
-        return nearest.mean(axis=1)
+def _mahalanobis(
+    spec: ScorerSpec, mean: np.ndarray, covariance: np.ndarray, batch: np.ndarray
+) -> np.ndarray:
+    d = covariance.shape[0]
     epsilon = spec.epsilon
     if epsilon is None:
-        epsilon = max(
-            EPSILON_RELATIVE * float(np.trace(ref.covariance)) / ref.d, EPSILON_FLOOR
-        )
-    regularized = ref.covariance + epsilon * np.eye(ref.d)
-    factor = cho_factor(regularized)
-    delta = batch - ref.mean
+        epsilon = max(EPSILON_RELATIVE * float(np.trace(covariance)) / d, EPSILON_FLOOR)
+    factor = cho_factor(covariance + epsilon * np.eye(d))
+    delta = batch - mean
     squared = np.einsum("ij,ji->i", delta, cho_solve(factor, delta.T))
     return np.sqrt(np.maximum(squared, 0.0))
 
 
-def score(spec: ScorerSpec, ref: ReferenceSet, x) -> float:
-    """Raw anomaly score of one vector against one machine's references.
-
-    nearest_reference: mean Euclidean distance to the k nearest reference
-    vectors. mahalanobis: distance to the reference mean under the
-    epsilon-regularized reference covariance. Both are nonnegative and any
-    configured normalizer is not applied here.
-    """
-    batch = _as_batch(x, ref.d, ref.machine)
-    if batch.shape[0] != 1:
-        raise ScorerError("score() takes a single vector; use scoring_function for batches")
-    return float(_raw_batch(spec, ref, batch)[0])
+def _k_nearest_mean(distances: np.ndarray, k: int) -> np.ndarray:
+    # mean of each row's k smallest entries; partitions `distances` in place
+    if k < distances.shape[1]:
+        distances.partition(k - 1, axis=1)
+    return distances[:, :k].mean(axis=1)
 
 
-RawFn = Callable[[ReferenceSet, np.ndarray], float]
+def _self_distances(ref: ReferenceSet) -> np.ndarray:
+    # ref x ref distances with the diagonal masked, so no vector is its own peer
+    pairwise = cdist(ref.vectors, ref.vectors)
+    np.fill_diagonal(pairwise, np.inf)
+    return pairwise
 
 
-def _loo_stats(ref: ReferenceSet, raw_fn: RawFn) -> tuple[float, float]:
-    held_out = np.array(
-        [raw_fn(ref.drop(i), ref.vectors[i]) for i in range(ref.n)], dtype=float
-    )
-    return float(held_out.mean()), float(held_out.std())
+def _held_out(spec: ScorerSpec, ref: ReferenceSet) -> np.ndarray:
+    # raw score of each reference vector against the set without it
+    if ref.n < 2:
+        raise ScorerError(
+            f"cannot hold out from a single-vector reference set ({ref.machine!r})"
+        )
+    if spec.kind == "nearest_reference":
+        if spec.k > ref.n - 1:
+            raise ScorerError(
+                f"k={spec.k} exceeds held-out reference size {ref.n - 1} for {ref.machine!r}"
+            )
+        return _k_nearest_mean(_self_distances(ref), spec.k)
+    held_out = np.empty(ref.n)
+    for i in range(ref.n):
+        mean, covariance = _moments(np.delete(ref.vectors, i, axis=0))
+        held_out[i] = _mahalanobis(spec, mean, covariance, ref.vectors[i : i + 1])[0]
+    return held_out
 
 
 def _local_spacings(ref: ReferenceSet, k_norm: int) -> np.ndarray:
@@ -195,9 +183,7 @@ def _local_spacings(ref: ReferenceSet, k_norm: int) -> np.ndarray:
             f"local_density needs at least k_norm+1={k_norm + 1} reference "
             f"vectors, {ref.machine!r} has {ref.n}"
         )
-    pairwise = cdist(ref.vectors, ref.vectors)
-    np.fill_diagonal(pairwise, np.inf)
-    nearest = np.sort(pairwise, axis=1)[:, :k_norm]
+    nearest = np.sort(_self_distances(ref), axis=1)[:, :k_norm]
     spacings = nearest.mean(axis=1)
     if np.any(spacings == 0.0):
         raise ScorerError(
@@ -206,45 +192,27 @@ def _local_spacings(ref: ReferenceSet, k_norm: int) -> np.ndarray:
     return spacings
 
 
-def normalize(
-    spec: NormalizerSpec, ref: ReferenceSet, raw_fn: RawFn
-) -> Callable[[np.ndarray], float]:
-    """Wrap a raw scoring function with reference-based normalization.
-
-    zscore_reference standardizes by the mean and population stddev of
-    leave-one-out raw scores of the reference vectors themselves (holding
-    each vector out avoids zero self-distances deflating the mean).
-    local_density divides the raw score by the mean local spacing of the
-    k_norm reference vectors nearest to the query. none is the identity.
-    """
-    if spec.kind == "none":
-        return lambda x: raw_fn(ref, x)
-    if spec.kind == "zscore_reference":
-        mu, sigma = _loo_stats(ref, raw_fn)
-        if sigma == 0.0:
-            raise ScorerError(
-                f"constant held-out reference scores for {ref.machine!r}; "
-                f"zscore_reference is undefined"
-            )
-        return lambda x: (raw_fn(ref, x) - mu) / sigma
-    spacings = _local_spacings(ref, spec.k_norm)
-
-    def _local(x: np.ndarray) -> float:
-        batch = _as_batch(x, ref.d, ref.machine)
-        distances = cdist(batch, ref.vectors)[0]
-        nearest = np.argpartition(distances, spec.k_norm - 1)[: spec.k_norm]
-        return raw_fn(ref, x) / float(spacings[nearest].mean())
-
-    return _local
-
-
 def scoring_function(
     spec: ScorerSpec, ref: ReferenceSet
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """Batch scorer for one machine: (n, d) features to n normalized scores."""
+    """Batch scorer for one machine: (n, d) features to n normalized scores.
+
+    Raw scores: nearest_reference is the mean Euclidean distance to the k
+    nearest reference vectors; mahalanobis is the distance to the reference
+    mean under the epsilon-regularized reference covariance. Both are
+    nonnegative. Normalizers then rescale them using reference vectors only:
+    zscore_reference standardizes by the mean and population stddev of the
+    held-out raw scores of the reference vectors themselves (each vector
+    scored against the set without it, so zero self-distances cannot deflate
+    the mean); local_density divides the raw score by the mean local spacing
+    of the k_norm reference vectors nearest to the query; none is the identity.
+    """
     norm = spec.normalizer
+    if spec.kind == "nearest_reference" and spec.k > ref.n:
+        raise ScorerError(f"k={spec.k} exceeds reference size {ref.n} for {ref.machine!r}")
     if norm.kind == "zscore_reference":
-        mu, sigma = _loo_stats(ref, lambda r, x: score(spec, r, x))
+        held_out = _held_out(spec, ref)
+        mu, sigma = float(held_out.mean()), float(held_out.std())
         if sigma == 0.0:
             raise ScorerError(
                 f"constant held-out reference scores for {ref.machine!r}; "
@@ -254,13 +222,19 @@ def scoring_function(
 
     def _batch(x: np.ndarray) -> np.ndarray:
         batch = _as_batch(x, ref.d, ref.machine)
-        raw = _raw_batch(spec, ref, batch)
+        if spec.kind == "nearest_reference" or spacings is not None:
+            distances = cdist(batch, ref.vectors)
+        if spacings is not None:
+            # indices first: the k-nearest scorer partitions `distances` in place
+            nearest = np.argpartition(distances, norm.k_norm - 1, axis=1)[:, : norm.k_norm]
+        if spec.kind == "nearest_reference":
+            raw = _k_nearest_mean(distances, spec.k)
+        else:
+            raw = _mahalanobis(spec, ref.mean, ref.covariance, batch)
         if norm.kind == "zscore_reference":
             return (raw - mu) / sigma
-        if norm.kind == "local_density":
-            distances = cdist(batch, ref.vectors)
-            order = np.argpartition(distances, norm.k_norm - 1, axis=1)[:, : norm.k_norm]
-            return raw / spacings[order].mean(axis=1)
+        if spacings is not None:
+            return raw / spacings[nearest].mean(axis=1)
         return raw
 
     return _batch

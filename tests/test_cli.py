@@ -135,6 +135,29 @@ def test_evaluate_splits_are_separated(tmp_path, capsys):
     assert doc["splits"]["eval"]["known"]["per_machine"]["fan"]["auc"] == 0.5
 
 
+def test_evaluate_harmonic_pooling_with_inverted_scorer_is_zero(tmp_path, capsys):
+    # pump's scorer ranks every anomaly below every normal: AUC and pAUC are
+    # exactly 0, so the harmonic pool is 0 instead of an aborted run
+    scores = tmp_path / "scores.csv"
+    labels = tmp_path / "labels.csv"
+    recs = [Recording(f"{m}-{i}", m, i % 2 == 1) for m in ("fan", "pump") for i in range(6)]
+    write_labels(labels, recs)
+    rows = {}
+    for i, rec in enumerate(recs):
+        own = float(i) + (100.0 if rec.is_anomaly else 0.0)
+        if rec.true_machine == "pump":
+            own = -own
+        rows[rec.id] = [own, 1000.0] if rec.true_machine == "fan" else [1000.0, own]
+    write_scores(scores, ["fan", "pump"], rows)
+    code, out, err = run(capsys, "evaluate", "--scores", str(scores),
+                         "--labels", str(labels), "--avg", "harmonic")
+    assert code == EXIT_OK and err == ""
+    known = json.loads(out)["splits"]["dev"]["known"]
+    assert known["per_machine"]["pump"]["auc"] == 0.0
+    assert known["per_machine"]["fan"]["auc"] == 1.0
+    assert known["aggregate"] == 0.0
+
+
 def test_evaluate_missing_machine_column(tmp_path, capsys):
     scores = tmp_path / "scores.csv"
     labels = tmp_path / "labels.csv"

@@ -339,6 +339,10 @@ def test_file_digest_matches_hashlib(tmp_path):
         "path": "file.txt",  # basename only, no absolute paths in reports
         "sha256": hashlib.sha256(b"hello").hexdigest(),
     }
+    # larger than one read block, ending mid-block
+    data = bytes(range(256)) * 9000
+    path.write_bytes(data)
+    assert file_digest(path, "scores")["sha256"] == hashlib.sha256(data).hexdigest()
 
 
 def make_report():

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -344,9 +345,13 @@ def test_aggregate_harmonic_never_exceeds_arithmetic(values):
         assert harm < arith
 
 
-def test_aggregate_harmonic_rejects_nonpositive_values():
-    with pytest.raises(MetricError):
-        aggregate([MetricPair(0.0, 0.5)], "harmonic")
+def test_aggregate_harmonic_is_zero_at_zero_and_rejects_negatives():
+    # the harmonic mean tends to 0 as any pooled value does
+    assert aggregate([MetricPair(0.0, 0.5)], "harmonic") == 0.0
+    assert aggregate([MetricPair(0.9, 0.8), MetricPair(0.7, 0.0)], "harmonic") == 0.0
+    # MetricPair itself rejects values below 0, so pass an unchecked pair
+    with pytest.raises(MetricError, match="nonnegative"):
+        aggregate([SimpleNamespace(auc=-0.25, pauc=0.5)], "harmonic")
 
 
 def test_aggregate_rejects_empty_and_unknown_mode():

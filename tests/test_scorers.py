@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from idfree_asd import scorers
 from idfree_asd.protocol import Recording, merge_test_sets
 from idfree_asd.scorers import (
     NORMALIZER_KINDS,
@@ -12,13 +13,17 @@ from idfree_asd.scorers import (
     ScorerError,
     ScorerSpec,
     build_score_matrix,
-    normalize,
-    score,
     scoring_function,
 )
-from oracles import euclidean
+from oracles import euclidean, held_out_scores
 
 NN1 = ScorerSpec("nearest_reference", k=1)
+ZSCORE = NormalizerSpec("zscore_reference")
+
+
+def score_one(spec, ref, x):
+    """One vector's score through the batch path."""
+    return scoring_function(spec, ref)(np.asarray(x, dtype=float)[None])[0]
 
 
 def column(refs):
@@ -52,14 +57,6 @@ def test_reference_set_validation():
         ReferenceSet("m", [[1.0], [float("nan")]])
 
 
-def test_reference_set_drop():
-    ref = ReferenceSet("m", [[0.0], [1.0], [2.0]])
-    held_out = ref.drop(1)
-    assert np.array_equal(held_out.vectors, [[0.0], [2.0]])
-    with pytest.raises(ScorerError):
-        ReferenceSet("m", [[0.0]]).drop(0)
-
-
 # ---------------------------------------------------------------------------
 # spec validation
 
@@ -87,13 +84,13 @@ def test_spec_validation():
 
 def test_nearest_reference_is_zero_on_a_reference_vector():
     ref = ReferenceSet("m", [[0.0, 0.0], [3.0, 4.0]])
-    assert score(NN1, ref, [3.0, 4.0]) == 0.0
+    assert score_one(NN1, ref, [3.0, 4.0]) == 0.0
 
 
 def test_nearest_reference_hand_value_k2():
     ref = ReferenceSet("m", [[0.0, 0.0], [2.0, 0.0]])
     spec = ScorerSpec("nearest_reference", k=2)
-    assert score(spec, ref, [1.0, 0.0]) == 1.0
+    assert score_one(spec, ref, [1.0, 0.0]) == 1.0
 
 
 def test_nearest_reference_k1_matches_plain_distance():
@@ -102,13 +99,13 @@ def test_nearest_reference_k1_matches_plain_distance():
     ref = ReferenceSet("m", vecs)
     for x in rng.normal(size=(10, 3)):
         expected = min(euclidean(x, v) for v in vecs)
-        assert score(NN1, ref, x) == pytest.approx(expected, rel=1e-12)
+        assert score_one(NN1, ref, x) == pytest.approx(expected, rel=1e-12)
 
 
 def test_nearest_reference_k_exceeding_n_is_an_error():
     ref = ReferenceSet("m", [[0.0], [1.0]])
     with pytest.raises(ScorerError, match="exceeds"):
-        score(ScorerSpec("nearest_reference", k=3), ref, [0.5])
+        score_one(ScorerSpec("nearest_reference", k=3), ref, [0.5])
 
 
 def test_nearest_reference_translation_invariance():
@@ -116,8 +113,8 @@ def test_nearest_reference_translation_invariance():
     vecs = rng.normal(size=(15, 4))
     shift = rng.normal(size=4)
     x = rng.normal(size=4)
-    before = score(ScorerSpec("nearest_reference", k=3), ReferenceSet("m", vecs), x)
-    after = score(
+    before = score_one(ScorerSpec("nearest_reference", k=3), ReferenceSet("m", vecs), x)
+    after = score_one(
         ScorerSpec("nearest_reference", k=3),
         ReferenceSet("m", vecs + shift),
         x + shift,
@@ -128,14 +125,14 @@ def test_nearest_reference_translation_invariance():
 def test_mahalanobis_is_zero_at_the_mean():
     rng = np.random.default_rng(5)
     ref = ReferenceSet("m", rng.normal(size=(30, 3)))
-    assert score(ScorerSpec("mahalanobis"), ref, ref.mean) == pytest.approx(0.0, abs=1e-9)
+    assert score_one(ScorerSpec("mahalanobis"), ref, ref.mean) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_mahalanobis_hand_value():
     # isotropic covariance 0.5 I: distance of (1, 0) from the origin is sqrt(2)
     ref = ReferenceSet("m", [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
     spec = ScorerSpec("mahalanobis", epsilon=1e-12)
-    assert score(spec, ref, [1.0, 0.0]) == pytest.approx(math.sqrt(2.0), abs=1e-6)
+    assert score_one(spec, ref, [1.0, 0.0]) == pytest.approx(math.sqrt(2.0), abs=1e-6)
 
 
 def test_mahalanobis_default_epsilon_handles_singular_covariance():
@@ -143,8 +140,8 @@ def test_mahalanobis_default_epsilon_handles_singular_covariance():
     # regularized instead of crashing, and produces a very large score
     ref = ReferenceSet("m", [[0.0, 0.0], [0.0, 2.0]])
     spec = ScorerSpec("mahalanobis")
-    along = score(spec, ref, [0.0, 3.0])
-    across = score(spec, ref, [1.0, 1.0])
+    along = score_one(spec, ref, [0.0, 3.0])
+    across = score_one(spec, ref, [1.0, 1.0])
     assert along == pytest.approx(2.0, abs=1e-5)
     assert across > 100.0
 
@@ -156,8 +153,8 @@ def test_mahalanobis_affine_invariance():
     transform = rng.normal(size=(3, 3)) + 3.0 * np.eye(3)
     offset = rng.normal(size=3)
     spec = ScorerSpec("mahalanobis", epsilon=1e-12)
-    before = score(spec, ReferenceSet("m", vecs), x)
-    after = score(
+    before = score_one(spec, ReferenceSet("m", vecs), x)
+    after = score_one(
         spec, ReferenceSet("m", vecs @ transform.T + offset), transform @ x + offset
     )
     assert after == pytest.approx(before, abs=1e-6)
@@ -166,11 +163,11 @@ def test_mahalanobis_affine_invariance():
 def test_score_rejects_bad_vectors():
     ref = ReferenceSet("m", [[0.0, 0.0], [1.0, 1.0]])
     with pytest.raises(ScorerError, match="dimension"):
-        score(NN1, ref, [1.0, 2.0, 3.0])
+        score_one(NN1, ref, [1.0, 2.0, 3.0])
     with pytest.raises(ScorerError, match="non-finite"):
-        score(NN1, ref, [1.0, float("nan")])
-    with pytest.raises(ScorerError, match="single vector"):
-        score(NN1, ref, [[1.0, 2.0], [3.0, 4.0]])
+        score_one(NN1, ref, [1.0, float("nan")])
+    with pytest.raises(ScorerError, match="dimension"):
+        scoring_function(NN1, ref)(np.zeros((2, 2, 1)))
 
 
 def test_scores_are_nonnegative():
@@ -187,30 +184,88 @@ def test_scores_are_nonnegative():
 
 def test_normalize_none_is_identity():
     ref = ReferenceSet("m", [[0.0], [1.0], [3.0]])
-    raw_fn = lambda r, x: score(NN1, r, x)
-    fn = normalize(NormalizerSpec("none"), ref, raw_fn)
-    assert fn([2.0]) == score(NN1, ref, [2.0])
+    spec = ScorerSpec("nearest_reference", normalizer=NormalizerSpec("none"))
+    assert score_one(spec, ref, [2.0]) == score_one(NN1, ref, [2.0]) == 1.0
 
 
 def test_zscore_reference_hand_value():
     # held-out raw scores of {0, 1, 3} with k=1 are [1, 1, 2]:
     # mean 4/3, population stddev sqrt(2)/3, so raw 1 maps to -1/sqrt(2)
     ref = ReferenceSet("m", column([0.0, 1.0, 3.0]))
-    raw_fn = lambda r, x: score(NN1, r, x)
-    fn = normalize(NormalizerSpec("zscore_reference"), ref, raw_fn)
-    assert fn([2.0]) == pytest.approx(-1.0 / math.sqrt(2.0), abs=1e-12)
+    spec = ScorerSpec("nearest_reference", k=1, normalizer=ZSCORE)
+    assert score_one(spec, ref, [2.0]) == pytest.approx(-1.0 / math.sqrt(2.0), abs=1e-12)
 
 
 def test_zscore_reference_rejects_constant_holdout_scores():
     # evenly spaced grid: every held-out vector sits 1 away from a neighbor
-    ref = ReferenceSet("m", column([0.0, 1.0, 2.0]))
-    raw_fn = lambda r, x: score(NN1, r, x)
+    spec = ScorerSpec("nearest_reference", k=1, normalizer=ZSCORE)
     with pytest.raises(ScorerError, match="constant"):
-        normalize(NormalizerSpec("zscore_reference"), ref, raw_fn)
-    spec = ScorerSpec("nearest_reference", k=1,
-                      normalizer=NormalizerSpec("zscore_reference"))
-    with pytest.raises(ScorerError, match="constant"):
-        scoring_function(spec, ref)
+        scoring_function(spec, ReferenceSet("m", column([0.0, 1.0, 2.0])))
+    # with two vectors each is scored against the other alone, so the two
+    # held-out scores always agree
+    for kind in SCORER_KINDS:
+        with pytest.raises(ScorerError, match="constant"):
+            scoring_function(ScorerSpec(kind, k=1, normalizer=ZSCORE),
+                             ReferenceSet("m", [[0.0, 3.0], [1.0, -2.0]]))
+
+
+def test_zscore_reference_holdout_limits():
+    with pytest.raises(ScorerError, match="cannot hold out"):
+        scoring_function(ScorerSpec("mahalanobis", normalizer=ZSCORE),
+                         ReferenceSet("m", [[0.0, 1.0]]))
+    ref = ReferenceSet("m", column([0.0, 1.0, 3.0]))
+    with pytest.raises(ScorerError, match="exceeds"):
+        scoring_function(ScorerSpec("nearest_reference", k=3, normalizer=ZSCORE), ref)
+    # k = n - 1 is the largest held-out neighbor count
+    spec = ScorerSpec("nearest_reference", k=2, normalizer=ZSCORE)
+    assert np.isfinite(scoring_function(spec, ref)(column([2.0]))).all()
+
+
+@pytest.mark.parametrize(
+    "kind, k, epsilon, n, d",
+    [
+        pytest.param("nearest_reference", 1, None, 12, 2, id="nearest-k1"),
+        pytest.param("nearest_reference", 3, None, 9, 4, id="nearest-k3"),
+        pytest.param("nearest_reference", 4, None, 5, 3, id="nearest-k=n-1"),
+        pytest.param("nearest_reference", 2, None, 3, 5, id="nearest-n<=d+1-k=n-1"),
+        pytest.param("mahalanobis", 1, None, 12, 2, id="mahalanobis"),
+        pytest.param("mahalanobis", 1, 1e-3, 10, 3, id="mahalanobis-epsilon"),
+        # held-out covariances are singular, so only the loading keeps them invertible
+        pytest.param("mahalanobis", 1, None, 4, 3, id="mahalanobis-n=d+1"),
+        pytest.param("mahalanobis", 1, None, 3, 5, id="mahalanobis-n<d+1"),
+    ],
+)
+def test_zscore_reference_matches_held_out_oracle(kind, k, epsilon, n, d):
+    rng = np.random.default_rng(1000 * n + d)
+    vectors = rng.normal(size=(n, d))
+    ref = ReferenceSet("m", vectors)
+    plain = ScorerSpec(kind, k=k, epsilon=epsilon)
+    standardized = ScorerSpec(kind, k=k, epsilon=epsilon, normalizer=ZSCORE)
+    held_out = np.array(held_out_scores(kind, k, epsilon, vectors))
+    # queries well outside the references keep every z-score far from zero,
+    # so a relative tolerance bounds the error of the held-out mean and stddev
+    batch = 20.0 + rng.normal(size=(6, d))
+    raw = scoring_function(plain, ref)(batch)
+    expected = (raw - held_out.mean()) / held_out.std()
+    rtol = 1e-12 if kind == "nearest_reference" else 1e-9
+    np.testing.assert_allclose(scoring_function(standardized, ref)(batch), expected,
+                               rtol=rtol, atol=0.0)
+
+
+@pytest.mark.parametrize("kind", SCORER_KINDS)
+def test_zscore_reference_builds_no_reference_sets(kind, monkeypatch):
+    rng = np.random.default_rng(89)
+    ref = ReferenceSet("m", rng.normal(size=(10, 3)))
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return ReferenceSet(*args, **kwargs)
+
+    monkeypatch.setattr(scorers, "ReferenceSet", counting)
+    fn = scoring_function(ScorerSpec(kind, k=2, normalizer=ZSCORE), ref)
+    fn(rng.normal(size=(4, 3)))
+    assert built == []
 
 
 def test_zscore_reference_preserves_score_order():
@@ -265,32 +320,19 @@ def test_local_density_rejects_duplicate_references():
         )
 
 
-def test_normalize_wrapper_matches_batch_path():
-    rng = np.random.default_rng(83)
-    ref = ReferenceSet("m", rng.normal(size=(10, 2)))
-    raw_fn = lambda r, x: score(ScorerSpec("mahalanobis"), r, x)
-    wrapped = normalize(NormalizerSpec("zscore_reference"), ref, raw_fn)
-    spec = ScorerSpec("mahalanobis", normalizer=NormalizerSpec("zscore_reference"))
-    batch_fn = scoring_function(spec, ref)
-    batch = rng.normal(size=(6, 2))
-    got = batch_fn(batch)
-    for i, x in enumerate(batch):
-        assert got[i] == pytest.approx(wrapped(x), abs=1e-12)
-
-
 # ---------------------------------------------------------------------------
 # batch scoring and matrix construction
 
 
 @pytest.mark.parametrize("kind", SCORER_KINDS)
 def test_batch_scores_match_single_vector_scores(kind):
-    # score() delegates to the batch path, so agreement is exact
+    # each row is scored on its own, so batch and one-row calls agree exactly
     rng = np.random.default_rng(7)
     ref = ReferenceSet("m", rng.normal(size=(18, 5)))
     spec = ScorerSpec(kind, k=3)
     batch = rng.normal(size=(25, 5))
     got = scoring_function(spec, ref)(batch)
-    expected = np.array([score(spec, ref, x) for x in batch])
+    expected = np.array([score_one(spec, ref, x) for x in batch])
     assert np.array_equal(got, expected)
 
 
@@ -327,7 +369,7 @@ def test_build_score_matrix_columns_sorted_and_per_cell_exact():
     for rec, row in zip(merged.recordings, matrix.values):
         for m in machines:
             col = matrix.machines.index(m)
-            expected = score(ScorerSpec("mahalanobis"), refs[m], rec.features)
+            expected = score_one(ScorerSpec("mahalanobis"), refs[m], rec.features)
             assert row[col] == expected
 
 
