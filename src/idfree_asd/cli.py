@@ -174,7 +174,10 @@ def _cmd_check_table(args) -> int:
     rows = formats.read_check_table(args.table)
     doc_rows = []
     for row in rows:
-        computed = delta_norm(row.a_known, row.a_unknown)
+        try:
+            computed = delta_norm(row.a_known, row.a_unknown)
+        except MetricError as exc:
+            raise MetricError(f"{Path(args.table).name}:{row.line}: {exc}") from None
         if computed is None:
             ok = row.expected_percent is None
         elif row.expected_percent is None:

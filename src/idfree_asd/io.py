@@ -14,7 +14,7 @@ import os
 import re
 import tempfile
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from io import StringIO
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -71,11 +71,12 @@ class FormatError(ValueError):
 def _split_file(path: Path) -> tuple[list[tuple[int, str]], list[tuple[int, list[str]]]]:
     """Split a versioned CSV file into comment lines and parsed rows.
 
-    Returns (comments, rows) where each entry carries its 1-based physical
-    line number. The first line must be the format comment.
+    Returns (comments, rows) where each entry carries the 1-based physical
+    line it starts on. The first line must be the format comment. Only LF,
+    CRLF and CR end a line, and a quoted field may span lines.
     """
     # utf-8-sig drops a leading byte-order mark that some editors write
-    lines = path.read_text(encoding="utf-8-sig").splitlines()
+    lines = StringIO(path.read_text(encoding="utf-8-sig"), newline="").readlines()
     if not lines or lines[0].strip() != FORMAT_LINE:
         raise FormatError(f"{path.name}: first line must be {FORMAT_LINE!r}")
     comments: list[tuple[int, str]] = [(1, lines[0])]
@@ -84,9 +85,12 @@ def _split_file(path: Path) -> tuple[list[tuple[int, str]], list[tuple[int, list
         comments.append((index + 1, lines[index]))
         index += 1
     rows: list[tuple[int, list[str]]] = []
-    for offset, parsed in enumerate(csv.reader(lines[index:])):
+    reader = csv.reader(lines[index:])
+    start = index + 1
+    for parsed in reader:
         if parsed:
-            rows.append((index + 1 + offset, parsed))
+            rows.append((start, parsed))
+        start = index + 1 + reader.line_num
     if not rows:
         raise FormatError(f"{path.name}: no header row found")
     return comments, rows
@@ -118,6 +122,66 @@ def _parse_float(path: Path, line_no: int, column: str, text: str) -> float:
     return value
 
 
+def _keyed_ids(path: Path, rows: list[tuple[int, list[str]]], what: str) -> list[str]:
+    """Check the data rows of a table keyed by recording id; return the ids.
+
+    Every row needs one field per header column and a nonempty id that no
+    other row has; ``what`` names the rows when there are none.
+    """
+    width = len(rows[0][1])
+    ids: list[str] = []
+    seen: set[str] = set()
+    for line_no, row in rows[1:]:
+        if len(row) != width:
+            raise FormatError(f"{path.name}:{line_no}: expected {width} fields, got {len(row)}")
+        rec_id = row[0]
+        if not rec_id:
+            raise FormatError(f"{path.name}:{line_no}: empty recording id")
+        if rec_id in seen:
+            raise FormatError(f"{path.name}:{line_no}: duplicate recording id {rec_id!r}")
+        seen.add(rec_id)
+        ids.append(rec_id)
+    if not ids:
+        raise FormatError(f"{path.name}: no {what} rows")
+    return ids
+
+
+def _float_block(path: Path, rows: list[tuple[int, list[str]]]) -> np.ndarray:
+    """Every cell after the id of rows checked by _keyed_ids, as an (n, d) array.
+
+    Converts one column at a time. If that fails or meets a non-finite
+    value, the cell-by-cell pass reruns, naming the first bad cell and its
+    line (and giving float()'s values should numpy turn down a spelling
+    float() accepts).
+    """
+    header, body = rows[0][1], rows[1:]
+    try:
+        block = np.column_stack(
+            [np.array([row[j] for _, row in body], dtype=float) for j in range(1, len(header))]
+        )
+    except ValueError:
+        block = None
+    if block is not None and np.isfinite(block).all():
+        return block
+    return np.array([
+        [_parse_float(path, line_no, column, cell) for column, cell in zip(header[1:], row[1:])]
+        for line_no, row in body
+    ])
+
+
+def _table_text(header: Sequence[str], rows: Iterable[Sequence[str]],
+                comments: Sequence[str] = ()) -> str:
+    """A versioned CSV file: format line, comment lines, header, rows."""
+    buf = StringIO()
+    buf.write(FORMAT_LINE + "\n")
+    for line in comments:
+        buf.write(line + "\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def read_scores(path) -> tuple[list[str], dict[str, np.ndarray], str | None]:
     """Read a wide per-machine score table.
 
@@ -136,38 +200,19 @@ def read_scores(path) -> tuple[list[str], dict[str, np.ndarray], str | None]:
     machines = header[1:]
     if len(set(machines)) != len(machines) or any(not m for m in machines):
         raise FormatError(f"{path.name}:{header_no}: machine columns must be unique and nonempty")
-    table: dict[str, np.ndarray] = {}
-    for line_no, row in rows[1:]:
-        if len(row) != len(header):
-            raise FormatError(
-                f"{path.name}:{line_no}: expected {len(header)} fields, got {len(row)}"
-            )
-        rec_id = row[0]
-        if not rec_id:
-            raise FormatError(f"{path.name}:{line_no}: empty recording id")
-        if rec_id in table:
-            raise FormatError(f"{path.name}:{line_no}: duplicate recording id {rec_id!r}")
-        table[rec_id] = np.array(
-            [_parse_float(path, line_no, machine, cell) for machine, cell in zip(machines, row[1:])]
-        )
-    if not table:
-        raise FormatError(f"{path.name}: no score rows")
-    return machines, table, orientation
+    ids = _keyed_ids(path, rows, "score")
+    return machines, dict(zip(ids, _float_block(path, rows))), orientation
 
 
 def write_scores(path, machines: Sequence[str], rows: Mapping[str, Sequence[float]],
                  orientation: str | None = None) -> None:
-    buf = StringIO()
-    buf.write(FORMAT_LINE + "\n")
+    comments = []
     if orientation is not None:
         if orientation not in ORIENTATIONS:
             raise FormatError(f"orientation must be one of {ORIENTATIONS}, got {orientation!r}")
-        buf.write(f"# orientation: {orientation}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["recording_id", *machines])
-    for rec_id in rows:
-        writer.writerow([rec_id, *(repr(float(v)) for v in rows[rec_id])])
-    atomic_write_text(path, buf.getvalue())
+        comments.append(f"# orientation: {orientation}")
+    body = ([rec_id, *(repr(float(v)) for v in rows[rec_id])] for rec_id in rows)
+    atomic_write_text(path, _table_text(["recording_id", *machines], body, comments))
 
 
 _LABEL_COLUMNS = ("recording_id", "true_machine", "is_anomaly", "split")
@@ -187,19 +232,12 @@ def read_labels(path) -> list[Recording]:
     extras = header[known_width:]
     if extras:
         warnings.warn(f"{path.name}: ignoring unknown label columns {extras}", stacklevel=2)
+    _keyed_ids(path, rows, "label")
     recordings: list[Recording] = []
-    seen: set[str] = set()
     for line_no, row in rows[1:]:
-        if len(row) != len(header):
-            raise FormatError(
-                f"{path.name}:{line_no}: expected {len(header)} fields, got {len(row)}"
-            )
         rec_id, machine, anomaly_text, split = row[:4]
-        if not rec_id or not machine:
+        if not machine:
             raise FormatError(f"{path.name}:{line_no}: empty recording id or machine")
-        if rec_id in seen:
-            raise FormatError(f"{path.name}:{line_no}: duplicate recording id {rec_id!r}")
-        seen.add(rec_id)
         if anomaly_text not in _TRUTH:
             raise FormatError(
                 f"{path.name}:{line_no}: is_anomaly must be one of "
@@ -212,24 +250,18 @@ def read_labels(path) -> list[Recording]:
             )
         except ValueError as exc:
             raise FormatError(f"{path.name}:{line_no}: {exc}") from None
-    if not recordings:
-        raise FormatError(f"{path.name}: no label rows")
     return recordings
 
 
 def write_labels(path, recordings: Sequence[Recording]) -> None:
-    buf = StringIO()
-    buf.write(FORMAT_LINE + "\n")
-    writer = csv.writer(buf, lineterminator="\n")
     with_domain = any(rec.domain is not None for rec in recordings)
     header = list(_LABEL_COLUMNS) + (["domain"] if with_domain else [])
-    writer.writerow(header)
-    for rec in recordings:
-        row = [rec.id, rec.true_machine, "1" if rec.is_anomaly else "0", rec.split]
-        if with_domain:
-            row.append(rec.domain or "")
-        writer.writerow(row)
-    atomic_write_text(path, buf.getvalue())
+    body = (
+        [rec.id, rec.true_machine, "1" if rec.is_anomaly else "0", rec.split]
+        + ([rec.domain or ""] if with_domain else [])
+        for rec in recordings
+    )
+    atomic_write_text(path, _table_text(header, body))
 
 
 def read_features(path) -> tuple[list[str], np.ndarray]:
@@ -243,38 +275,16 @@ def read_features(path) -> tuple[list[str], np.ndarray]:
         raise FormatError(
             f"{path.name}:{header_no}: header must be recording_id,f_0,...,f_{{d-1}}"
         )
-    ids: list[str] = []
-    seen: set[str] = set()
-    vectors: list[list[float]] = []
-    for line_no, row in rows[1:]:
-        if len(row) != len(header):
-            raise FormatError(
-                f"{path.name}:{line_no}: expected {len(header)} fields, got {len(row)}"
-            )
-        if not row[0]:
-            raise FormatError(f"{path.name}:{line_no}: empty recording id")
-        if row[0] in seen:
-            raise FormatError(f"{path.name}:{line_no}: duplicate recording id {row[0]!r}")
-        seen.add(row[0])
-        ids.append(row[0])
-        vectors.append([_parse_float(path, line_no, name, cell)
-                        for name, cell in zip(header[1:], row[1:])])
-    if not ids:
-        raise FormatError(f"{path.name}: no feature rows")
-    return ids, np.array(vectors)
+    return _keyed_ids(path, rows, "feature"), _float_block(path, rows)
 
 
 def write_features(path, ids: Sequence[str], vectors) -> None:
     matrix = np.asarray(vectors, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != len(ids):
         raise FormatError("feature matrix must be 2-D with one row per id")
-    buf = StringIO()
-    buf.write(FORMAT_LINE + "\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["recording_id"] + [f"f_{i}" for i in range(matrix.shape[1])])
-    for rec_id, row in zip(ids, matrix):
-        writer.writerow([rec_id, *(repr(float(v)) for v in row)])
-    atomic_write_text(path, buf.getvalue())
+    header = ["recording_id"] + [f"f_{i}" for i in range(matrix.shape[1])]
+    body = ([rec_id, *map(repr, row)] for rec_id, row in zip(ids, matrix.tolist()))
+    atomic_write_text(path, _table_text(header, body))
 
 
 @dataclass(frozen=True)
@@ -476,51 +486,14 @@ def evaluation_document(
     return doc
 
 
-def _config_section(config: SimConfig) -> dict:
-    return {
-        "k": config.k,
-        "d": config.d,
-        "n_ref": config.n_ref,
-        "n_norm": config.n_norm,
-        "n_anom": config.n_anom,
-        "separation": config.separation,
-        "spread": config.spread,
-        "anomaly_offset": config.anomaly_offset,
-        "seed": config.seed,
-    }
-
-
-def _scorer_section(scorer: ScorerSpec) -> dict:
-    return {
-        "kind": scorer.kind,
-        "k": scorer.k,
-        "epsilon": scorer.epsilon,
-        "normalizer": {"kind": scorer.normalizer.kind, "k_norm": scorer.normalizer.k_norm},
-    }
-
-
-def _point_section(point: SweepPoint) -> dict:
-    return {
-        "separation": point.separation,
-        "repeat": point.repeat,
-        "seed": point.seed,
-        "id_accuracy_normalized": point.id_accuracy_normalized,
-        "delta_norm": point.delta_norm,
-        "a_known": point.a_known,
-        "a_unknown": point.a_unknown,
-        "misid_probability": point.misid_probability,
-        "error": point.error,
-    }
-
-
 def simulate_document(
     point: SweepPoint, config: SimConfig, scorer: ScorerSpec, eval_config: EvalConfig
 ) -> dict:
     doc = _document_head("simulate", [])
-    doc["config"] = _config_section(config)
-    doc["scorer"] = _scorer_section(scorer)
+    doc["config"] = asdict(config)
+    doc["scorer"] = asdict(scorer)
     doc["evaluation"] = {"pauc_p": eval_config.pauc_p, "average": eval_config.average}
-    doc["point"] = _point_section(point)
+    doc["point"] = asdict(point)
     return doc
 
 
@@ -528,12 +501,12 @@ def sweep_document(
     result: SweepResult, scorer: ScorerSpec, eval_config: EvalConfig
 ) -> dict:
     doc = _document_head("sweep", [])
-    doc["config"] = _config_section(result.base)
-    doc["scorer"] = _scorer_section(scorer)
+    doc["config"] = asdict(result.base)
+    doc["scorer"] = asdict(scorer)
     doc["evaluation"] = {"pauc_p": eval_config.pauc_p, "average": eval_config.average}
     doc["separations"] = list(result.separations)
     doc["repeats"] = result.repeats
-    doc["points"] = [_point_section(p) for p in result.points]
+    doc["points"] = [asdict(p) for p in result.points]
     return doc
 
 
@@ -549,19 +522,6 @@ def document_text(doc: dict) -> str:
     return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
-_SWEEP_COLUMNS = (
-    "separation",
-    "repeat",
-    "seed",
-    "id_accuracy_normalized",
-    "delta_norm",
-    "a_known",
-    "a_unknown",
-    "misid_probability",
-    "error",
-)
-
-
 def _csv_cell(value) -> str:
     if value is None:
         return ""
@@ -572,13 +532,9 @@ def _csv_cell(value) -> str:
 
 def sweep_csv_text(result: SweepResult) -> str:
     """Scatter table for external plotting; one row per sweep point."""
-    buf = StringIO()
-    buf.write(FORMAT_LINE + "\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_SWEEP_COLUMNS)
-    for point in result.points:
-        writer.writerow([_csv_cell(getattr(point, column)) for column in _SWEEP_COLUMNS])
-    return buf.getvalue()
+    columns = [field.name for field in fields(SweepPoint)]
+    body = ([_csv_cell(getattr(point, column)) for column in columns] for point in result.points)
+    return _table_text(columns, body)
 
 
 def scatter_svg_text(points: Sequence[tuple[float, float]]) -> str:

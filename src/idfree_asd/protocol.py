@@ -217,7 +217,6 @@ class EvalConfig:
 
     pauc_p: float = 0.1
     average: str = "harmonic"
-    seed: int | None = None
 
 
 @dataclass

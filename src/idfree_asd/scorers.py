@@ -8,7 +8,9 @@ vectors only, so they remain applicable when test identities are unknown.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -78,6 +80,18 @@ class ReferenceSet:
         return self.vectors.shape[1]
 
 
+def _finite_number(value) -> bool:
+    # bools are ints to Python, but true/false in a manifest is no number
+    return isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _positive_count(name: str, value) -> int:
+    """value as an int when it is a whole number of at least 1 (2.0 passes)."""
+    if not (_finite_number(value) and int(value) == value and value >= 1):
+        raise ScorerError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class NormalizerSpec:
     """Choice of score normalization backed by the reference set."""
@@ -90,8 +104,7 @@ class NormalizerSpec:
             raise ScorerError(
                 f"unknown normalizer {self.kind!r}; use one of {NORMALIZER_KINDS}"
             )
-        if int(self.k_norm) != self.k_norm or self.k_norm < 1:
-            raise ScorerError(f"k_norm must be a positive integer, got {self.k_norm}")
+        object.__setattr__(self, "k_norm", _positive_count("k_norm", self.k_norm))
 
 
 @dataclass(frozen=True)
@@ -99,7 +112,7 @@ class ScorerSpec:
     """Choice of raw scorer plus optional normalization.
 
     epsilon=None selects the relative default at scoring time; an explicit
-    value must be positive.
+    value must be a finite positive number.
     """
 
     kind: str = "nearest_reference"
@@ -110,10 +123,9 @@ class ScorerSpec:
     def __post_init__(self) -> None:
         if self.kind not in SCORER_KINDS:
             raise ScorerError(f"unknown scorer {self.kind!r}; use one of {SCORER_KINDS}")
-        if int(self.k) != self.k or self.k < 1:
-            raise ScorerError(f"neighbor count k must be a positive integer, got {self.k}")
-        if self.epsilon is not None and not self.epsilon > 0.0:
-            raise ScorerError(f"epsilon must be positive, got {self.epsilon}")
+        object.__setattr__(self, "k", _positive_count("neighbor count k", self.k))
+        if self.epsilon is not None and not (_finite_number(self.epsilon) and self.epsilon > 0.0):
+            raise ScorerError(f"epsilon must be a finite positive number, got {self.epsilon!r}")
 
 
 def _as_batch(x, d: int, machine: str) -> np.ndarray:

@@ -311,6 +311,34 @@ def test_evaluate_manifest_feature_mismatch(tmp_path, capsys):
     assert "ghost" in stderr_json(err)["message"]
 
 
+@pytest.mark.parametrize("field, value", [("epsilon", "0.1"), ("epsilon", 1e999),
+                                          ("k", 1e999), ("k", None), ("k", True)])
+def test_evaluate_manifest_wrongly_typed_field_is_data_error(tmp_path, capsys, field, value):
+    manifest, labels, _, _ = build_manifest_fixture(tmp_path)
+    doc = json.loads(manifest.read_text())
+    doc["scorer"] = {"kind": "mahalanobis", field: value}
+    manifest.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "evaluate", "--manifest", str(manifest), "--labels", str(labels))
+    assert code == EXIT_DATA
+    name = "epsilon" if field == "epsilon" else "neighbor count k"
+    assert stderr_json(err)["message"].startswith(f"manifest.json: {name} must be")
+
+
+def test_evaluate_manifest_integral_float_counts_score_as_ints(tmp_path, capsys):
+    manifest, labels, _, _ = build_manifest_fixture(tmp_path)
+    doc = json.loads(manifest.read_text())
+    splits = []
+    for k in (2.0, 2):
+        doc["scorer"] = {"kind": "nearest_reference", "k": k,
+                         "normalizer": {"kind": "local_density", "k_norm": k}}
+        manifest.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "evaluate", "--manifest", str(manifest),
+                           "--labels", str(labels))
+        assert code == EXIT_OK
+        splits.append(json.loads(out)["splits"])
+    assert splits[0] == splits[1]
+
+
 # ---------------------------------------------------------------------------
 # evaluate: usage errors
 
@@ -408,6 +436,18 @@ def test_check_table_undefined_rules(tmp_path, capsys):
         f"bad-undefined,0.7031,0.6966,undefined\n"
     )
     assert run(capsys, "check-table", "--table", str(table))[0] == EXIT_DATA
+
+
+def test_check_table_range_error_names_its_line(tmp_path, capsys):
+    table = tmp_path / "table.csv"
+    table.write_text(
+        f"{FORMAT_LINE}\nlabel,a_known,a_unknown,expected\n"
+        f"fine,0.7,0.6,14.29\nout-of-range,1.5,0.6,1.0\n"
+    )
+    code, out, err = run(capsys, "check-table", "--table", str(table))
+    assert code == EXIT_DATA and out == ""
+    assert stderr_json(err) == {
+        "error": "data", "message": "table.csv:4: a_known must lie in [0, 1], got 1.5"}
 
 
 def test_check_table_written_report(tmp_path, capsys):

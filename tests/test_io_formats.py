@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import idfree_asd.io as io_module
 from idfree_asd.io import (
     FORMAT_LINE,
     FORMAT_VERSION,
@@ -82,6 +83,14 @@ def test_scores_rejects_bad_orientation(tmp_path):
     [
         ("recording_id,fan\nr1,abc\n", "not a number"),
         ("recording_id,fan\nr1,inf\n", "not finite"),
+        ("recording_id,fan\nr1,nan\n", r"^scores\.csv:3: fan value 'nan' is not finite$"),
+        ("recording_id,fan\nr1,-Infinity\n",
+         r"^scores\.csv:3: fan value '-Infinity' is not finite$"),
+        ("recording_id,fan\nr1,0x10\n", r"^scores\.csv:3: fan value '0x10' is not a number$"),
+        ("recording_id,fan\nr1,1e400\n", r"^scores\.csv:3: fan value '1e400' is not finite$"),
+        ("recording_id,fan\nr1,\n", r"^scores\.csv:3: fan value '' is not a number$"),
+        # row structure is checked over the whole file before any cell value
+        ("recording_id,fan\nr1,oops\nr1,2.0\n", r"^scores\.csv:4: duplicate recording id 'r1'$"),
         ("recording_id,fan\nr1,1.0,2.0\n", "expected 2 fields"),
         ("recording_id,fan\nr1,1.0\nr1,2.0\n", "duplicate"),
         ("recording_id,fan,fan\nr1,1.0,2.0\n", "unique"),
@@ -102,6 +111,101 @@ def test_scores_errors_carry_line_numbers(tmp_path):
     path.write_text(f"{FORMAT_LINE}\nrecording_id,fan\nr1,1.0\nr2,oops\n")
     with pytest.raises(FormatError, match=r"scores\.csv:4"):
         read_scores(path)
+
+
+@pytest.mark.parametrize("text, value", [("1_000", 1000.0), (" 1.5 ", 1.5),
+                                         ("\uff11\uff12", 12.0), ("\xa01\xa0", 1.0),
+                                         ("1e-400", 0.0), ("+.5", 0.5)])
+def test_scores_accept_what_float_accepts(tmp_path, text, value):
+    path = tmp_path / "scores.csv"
+    path.write_text(f"{FORMAT_LINE}\nrecording_id,fan,pump\nr1,{text},2\n", encoding="utf-8")
+    assert read_scores(path)[1]["r1"].tolist() == [value, 2.0]
+
+
+def _write_table(kind, path, ids, matrix):
+    if kind == "scores":
+        write_scores(path, [f"m{j}" for j in range(matrix.shape[1])], dict(zip(ids, matrix)))
+    else:
+        write_features(path, ids, matrix)
+
+
+def _read_table(kind, path):
+    if kind == "features":
+        return read_features(path)
+    _, rows, _ = read_scores(path)
+    return list(rows), np.array(list(rows.values()))
+
+
+@pytest.mark.parametrize("kind", ["scores", "features"])
+def test_clean_table_converts_by_column_without_cell_pass(tmp_path, monkeypatch, kind):
+    ids = [f"r{i}" for i in range(50)]
+    matrix = np.random.default_rng(1).standard_normal((50, 3))
+    path = tmp_path / f"{kind}.csv"
+    _write_table(kind, path, ids, matrix)
+    calls = []
+    original = io_module._parse_float
+    monkeypatch.setattr(io_module, "_parse_float",
+                        lambda *args: calls.append(args) or original(*args))
+    back_ids, back = _read_table(kind, path)
+    assert calls == []
+    assert back_ids == ids and np.array_equal(back, matrix)
+
+
+@pytest.mark.parametrize("kind", ["scores", "features"])
+@pytest.mark.parametrize("text, message", [("oops", "is not a number"),
+                                           ("-inf", "is not finite")])
+def test_bad_cell_deep_in_table_names_its_line(tmp_path, kind, text, message):
+    path = tmp_path / f"{kind}.csv"
+    _write_table(kind, path, [f"r{i}" for i in range(10_000)], np.ones((10_000, 4)))
+    lines = path.read_text().split("\n")
+    # line 1 is the format line and line 2 the header, so data row 5,000 is line 5,002
+    cells = lines[5_001].split(",")
+    cells[3] = text
+    lines[5_001] = ",".join(cells)
+    path.write_text("\n".join(lines))
+    column = "m2" if kind == "scores" else "f_2"
+    with pytest.raises(FormatError) as err:
+        _read_table(kind, path)
+    assert str(err.value) == f"{path.name}:5002: {column} value {text!r} {message}"
+
+
+@pytest.mark.parametrize("kind", ["scores", "features"])
+def test_random_doubles_roundtrip_bit_for_bit(tmp_path, kind):
+    bits = np.random.default_rng(2024).integers(0, 2**64, size=(2_000, 3), dtype=np.uint64)
+    matrix = bits.view(np.float64)
+    matrix[~np.isfinite(matrix)] = -0.0
+    path = tmp_path / f"{kind}.csv"
+    _write_table(kind, path, [f"r{i}" for i in range(len(matrix))], matrix)
+    _, back = _read_table(kind, path)
+    assert np.array_equal(back.view(np.uint64), matrix.view(np.uint64))
+
+
+@pytest.mark.parametrize("odd_id", ["a\x0cb", "a\x1cb", "a\x1db", "a\x1eb", "a\x85b",
+                                    "a\u2028b", "a\u2029b", "a\x0bb"])
+def test_ids_with_unicode_line_breaks_roundtrip(tmp_path, odd_id):
+    # only LF, CRLF and CR end a line; str.splitlines would also break at these
+    labels = tmp_path / "labels.csv"
+    write_labels(labels, [Recording(odd_id, "fan", True, "dev"), Recording("z", "fan", False, "dev")])
+    assert [r.id for r in read_labels(labels)] == [odd_id, "z"]
+    scores = tmp_path / "scores.csv"
+    write_scores(scores, ["fan"], {odd_id: [1.0], "z": [2.0]})
+    assert list(read_scores(scores)[1]) == [odd_id, "z"]
+
+
+def test_quoted_field_spans_lines_and_later_errors_name_the_physical_line(tmp_path):
+    labels = tmp_path / "labels.csv"
+    write_labels(labels, [Recording("a\nb", "fan", True, "dev"), Recording("c", "fan", False, "dev")])
+    assert [r.id for r in read_labels(labels)] == ["a\nb", "c"]
+    labels.write_text(
+        f'{FORMAT_LINE}\nrecording_id,true_machine,is_anomaly,split\n'
+        f'"a\nb",fan,1,dev\nc,fan,1,dev\nd,fan,yes,dev\n'
+    )
+    with pytest.raises(FormatError, match=r"^labels\.csv:6: is_anomaly"):
+        read_labels(labels)
+    scores = tmp_path / "scores.csv"
+    scores.write_text(f'{FORMAT_LINE}\nrecording_id,fan\n"a\n\nb",1.0\nc,oops\n')
+    with pytest.raises(FormatError, match=r"^scores\.csv:6: fan value 'oops'"):
+        read_scores(scores)
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +364,14 @@ def test_manifest_parses_and_resolves_paths(tmp_path):
     assert manifest.references["pump"] == tmp_path / "refs" / "pump.csv"
 
 
+def test_manifest_takes_integral_float_counts_as_ints(tmp_path):
+    scorer = read_manifest(good_manifest(tmp_path, scorer={
+        "kind": "nearest_reference", "k": 2.0,
+        "normalizer": {"kind": "local_density", "k_norm": 3.0}})).scorer
+    assert (scorer.k, scorer.normalizer.k_norm) == (2, 3)
+    assert type(scorer.k) is int and type(scorer.normalizer.k_norm) is int
+
+
 def test_manifest_rejects_bad_json(tmp_path):
     path = tmp_path / "manifest.json"
     path.write_text("{not json")
@@ -282,6 +394,26 @@ def test_manifest_rejects_bad_json(tmp_path):
                           {"name": "fan", "reference": "b.csv"}]},
             "duplicate",
         ),
+        # wrongly typed values are data errors, not internal ones
+        ({"scorer": {"kind": "nearest_reference", "k": None}}, "k must be a positive integer"),
+        ({"scorer": {"kind": "nearest_reference", "k": True}}, "k must be a positive integer"),
+        ({"scorer": {"kind": "nearest_reference", "k": "2"}}, "k must be a positive integer"),
+        ({"scorer": {"kind": "nearest_reference", "k": 1.5}}, "k must be a positive integer"),
+        ({"scorer": {"kind": "nearest_reference", "k": float("inf")}},
+         "k must be a positive integer"),
+        ({"scorer": {"kind": "nearest_reference", "k": float("nan")}},
+         "k must be a positive integer"),
+        ({"scorer": {"kind": "nearest_reference",
+                     "normalizer": {"kind": "local_density", "k_norm": [2]}}},
+         "k_norm must be a positive integer"),
+        ({"scorer": {"kind": "nearest_reference",
+                     "normalizer": {"kind": "local_density", "k_norm": False}}},
+         "k_norm must be a positive integer"),
+        ({"scorer": {"kind": "mahalanobis", "epsilon": "0.1"}}, "epsilon must be a finite"),
+        ({"scorer": {"kind": "mahalanobis", "epsilon": True}}, "epsilon must be a finite"),
+        ({"scorer": {"kind": "mahalanobis", "epsilon": float("inf")}},
+         "epsilon must be a finite"),
+        ({"scorer": {"kind": "mahalanobis", "epsilon": 0}}, "epsilon must be a finite"),
     ],
 )
 def test_manifest_validation(tmp_path, overrides, message):

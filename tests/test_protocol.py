@@ -478,7 +478,7 @@ def test_degradation_nonnegative_in_expectation_over_seeds():
 
 def test_full_report_wiring():
     matrix, merged = golden_style_fixture()
-    config = EvalConfig(pauc_p=0.1, average="harmonic", seed=3)
+    config = EvalConfig(pauc_p=0.1, average="harmonic")
     report = full_report(matrix, merged, config)
     assert report.machines == ["fan", "valve"]
     assert report.n_recordings == 16
