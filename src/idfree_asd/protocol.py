@@ -87,14 +87,21 @@ class ScoreMatrix:
             raise ProtocolError("duplicate machine names in score matrix")
         k = len(self.machines)
         self.ids = list(rows)
-        self.values = np.empty((len(self.ids), k))
-        for i, (rec_id, row) in enumerate(rows.items()):
-            vec = np.asarray(row, dtype=float)
-            if vec.shape != (k,):
-                raise ProtocolError(
-                    f"row {rec_id!r} has {vec.size} entries, expected {k}"
-                )
-            self.values[i] = vec
+        try:
+            values = np.array(list(rows.values()), dtype=float)
+        except (TypeError, ValueError):
+            values = None
+        if values is None or values.shape != (len(self.ids), k):
+            # row by row, to name the first row that does not fit
+            values = np.empty((len(self.ids), k))
+            for i, (rec_id, row) in enumerate(rows.items()):
+                vec = np.asarray(row, dtype=float)
+                if vec.shape != (k,):
+                    raise ProtocolError(
+                        f"row {rec_id!r} has {vec.size} entries, expected {k}"
+                    )
+                values[i] = vec
+        self.values = values
         finite = np.isfinite(self.values).all(axis=1)
         if not finite.all():
             bad = self.ids[int(np.argmin(finite))]

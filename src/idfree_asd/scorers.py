@@ -15,7 +15,6 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.spatial.distance import cdist
 
 from .protocol import Recording, ScoreMatrix
 
@@ -37,6 +36,11 @@ NORMALIZER_KINDS = ("none", "zscore_reference", "local_density")
 # absolute floor covers the all-identical-vectors case where trace is zero
 EPSILON_RELATIVE = 1e-6
 EPSILON_FLOOR = 1e-12
+
+# query rows go through the distance kernel in blocks whose distances to every
+# reference fit in this many bytes, so memory per machine stays bounded as
+# the number of scored recordings grows
+_BLOCK_BYTES = 16 * 2**20
 
 
 class ScorerError(ValueError):
@@ -155,18 +159,48 @@ def _mahalanobis(
     return np.sqrt(np.maximum(squared, 0.0))
 
 
-def _k_nearest_mean(distances: np.ndarray, k: int) -> np.ndarray:
-    # mean of each row's k smallest entries; partitions `distances` in place
-    if k < distances.shape[1]:
-        distances.partition(k - 1, axis=1)
-    return distances[:, :k].mean(axis=1)
+def _nearest(
+    queries: np.ndarray, ref: ReferenceSet, m: int, exclude_self: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """Distances to the m nearest reference vectors of each query, and their indices.
 
-
-def _self_distances(ref: ReferenceSet) -> np.ndarray:
-    # ref x ref distances with the diagonal masked, so no vector is its own peer
-    pairwise = cdist(ref.vectors, ref.vectors)
-    np.fill_diagonal(pairwise, np.inf)
-    return pairwise
+    Both are (n, m), each row sorted by ascending distance. Candidates are
+    chosen from squared distances computed as one matrix product per block of
+    query rows, with queries and references centred at the reference mean so
+    features far from the origin do not cancel. The chosen distances are then
+    recomputed from direct differences, so a query equal to a reference scores
+    exactly 0. With exclude_self the queries are the reference vectors
+    themselves and no vector counts as its own neighbour.
+    """
+    centred = ref.vectors - ref.mean
+    scaled = -2.0 * centred.T
+    norms = np.einsum("ij,ij->i", centred, centred)
+    n = queries.shape[0]
+    distances = np.empty((n, m))
+    indices = np.empty((n, m), dtype=np.intp)
+    # a block holds its n_ref squared distances and its m x d differences
+    rows = max(1, _BLOCK_BYTES // (8 * max(ref.n, m * ref.d)))
+    for start in range(0, n, rows):
+        block = queries[start : start + rows]
+        # squared distances less each row's own constant |x - mean|^2
+        squared = (block - ref.mean) @ scaled
+        squared += norms
+        if exclude_self:
+            own = np.arange(len(block))
+            squared[own, start + own] = np.inf
+        if m == 1:
+            nearest = squared.argmin(axis=1)[:, None]
+        else:
+            nearest = np.argpartition(squared, m - 1, axis=1)[:, :m]
+        diff = block[:, None, :] - ref.vectors[nearest]
+        exact = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+        if m > 1:
+            order = exact.argsort(axis=1)
+            exact = np.take_along_axis(exact, order, axis=1)
+            nearest = np.take_along_axis(nearest, order, axis=1)
+        distances[start : start + rows] = exact
+        indices[start : start + rows] = nearest
+    return distances, indices
 
 
 def _held_out(spec: ScorerSpec, ref: ReferenceSet) -> np.ndarray:
@@ -180,7 +214,7 @@ def _held_out(spec: ScorerSpec, ref: ReferenceSet) -> np.ndarray:
             raise ScorerError(
                 f"k={spec.k} exceeds held-out reference size {ref.n - 1} for {ref.machine!r}"
             )
-        return _k_nearest_mean(_self_distances(ref), spec.k)
+        return _nearest(ref.vectors, ref, spec.k, exclude_self=True)[0].mean(axis=1)
     held_out = np.empty(ref.n)
     for i in range(ref.n):
         mean, covariance = _moments(np.delete(ref.vectors, i, axis=0))
@@ -195,8 +229,7 @@ def _local_spacings(ref: ReferenceSet, k_norm: int) -> np.ndarray:
             f"local_density needs at least k_norm+1={k_norm + 1} reference "
             f"vectors, {ref.machine!r} has {ref.n}"
         )
-    nearest = np.sort(_self_distances(ref), axis=1)[:, :k_norm]
-    spacings = nearest.mean(axis=1)
+    spacings = _nearest(ref.vectors, ref, k_norm, exclude_self=True)[0].mean(axis=1)
     if np.any(spacings == 0.0):
         raise ScorerError(
             f"duplicate reference vectors give {ref.machine!r} zero local spacing"
@@ -231,22 +264,23 @@ def scoring_function(
                 f"zscore_reference is undefined"
             )
     spacings = _local_spacings(ref, norm.k_norm) if norm.kind == "local_density" else None
+    # one nearest-reference lookup serves the k-nearest scorer and local_density
+    m = spec.k if spec.kind == "nearest_reference" else 0
+    if spacings is not None:
+        m = max(m, norm.k_norm)
 
     def _batch(x: np.ndarray) -> np.ndarray:
         batch = _as_batch(x, ref.d, ref.machine)
-        if spec.kind == "nearest_reference" or spacings is not None:
-            distances = cdist(batch, ref.vectors)
-        if spacings is not None:
-            # indices first: the k-nearest scorer partitions `distances` in place
-            nearest = np.argpartition(distances, norm.k_norm - 1, axis=1)[:, : norm.k_norm]
+        if m:
+            distances, nearest = _nearest(batch, ref, m)
         if spec.kind == "nearest_reference":
-            raw = _k_nearest_mean(distances, spec.k)
+            raw = distances[:, : spec.k].mean(axis=1)
         else:
             raw = _mahalanobis(spec, ref.mean, ref.covariance, batch)
         if norm.kind == "zscore_reference":
             return (raw - mu) / sigma
         if spacings is not None:
-            return raw / spacings[nearest].mean(axis=1)
+            return raw / spacings[nearest[:, : norm.k_norm]].mean(axis=1)
         return raw
 
     return _batch

@@ -39,6 +39,11 @@ def euclidean(a, b):
     return sum((x - y) ** 2 for x, y in zip(a, b)) ** 0.5
 
 
+def k_nearest_mean(x, vectors, k):
+    """Mean of the k smallest Euclidean distances from x to the vectors."""
+    return sum(sorted(euclidean(x, v) for v in vectors)[:k]) / k
+
+
 def held_out_scores(kind, k, epsilon, vectors):
     """Raw score of each reference vector against the set rebuilt without it.
 
@@ -52,7 +57,7 @@ def held_out_scores(kind, k, epsilon, vectors):
     for i, x in enumerate(rows):
         rest = rows[:i] + rows[i + 1:]
         if kind == "nearest_reference":
-            scores.append(sum(sorted(euclidean(x, r) for r in rest)[:k]) / k)
+            scores.append(k_nearest_mean(x, rest, k))
             continue
         n, d = len(rest), len(x)
         mean = [sum(r[j] for r in rest) / n for j in range(d)]

@@ -159,8 +159,12 @@ def test_score_matrix_validation():
         ScoreMatrix(["fan", "fan"], {"r": [1.0, 2.0]})
     with pytest.raises(ProtocolError, match="entries"):
         ScoreMatrix(["fan", "pump"], {"r": [1.0]})
+    # ragged rows fail the one-shot conversion; the error still names the row
+    with pytest.raises(ProtocolError, match="row 's' has 3 entries, expected 2"):
+        ScoreMatrix(["fan", "pump"], {"r": [1.0, 2.0], "s": [1.0, 2.0, 3.0]})
     with pytest.raises(ProtocolError, match="non-finite"):
         ScoreMatrix(["fan"], {"r": [float("inf")]})
+    assert ScoreMatrix(["fan", "pump"], {}).values.shape == (0, 2)
 
 
 def test_score_matrix_lookup_errors():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from idfree_asd.scorers import (
     build_score_matrix,
     scoring_function,
 )
-from oracles import euclidean, held_out_scores
+from oracles import euclidean, held_out_scores, k_nearest_mean
 
 NN1 = ScorerSpec("nearest_reference", k=1)
 ZSCORE = NormalizerSpec("zscore_reference")
@@ -29,6 +30,14 @@ def score_one(spec, ref, x):
 def column(refs):
     """1-D points as an (n, 1) reference array."""
     return np.asarray(refs, dtype=float).reshape(-1, 1)
+
+
+BLOCK = 4
+
+
+def use_blocks(monkeypatch, rows, ref, m):
+    """Make the kernel take `rows` query rows per block for m neighbors of ref."""
+    monkeypatch.setattr(scorers, "_BLOCK_BYTES", rows * 8 * max(ref.n, m * ref.d))
 
 
 # ---------------------------------------------------------------------------
@@ -235,10 +244,12 @@ def test_zscore_reference_holdout_limits():
         pytest.param("mahalanobis", 1, None, 3, 5, id="mahalanobis-n<d+1"),
     ],
 )
-def test_zscore_reference_matches_held_out_oracle(kind, k, epsilon, n, d):
+def test_zscore_reference_matches_held_out_oracle(kind, k, epsilon, n, d, monkeypatch):
     rng = np.random.default_rng(1000 * n + d)
     vectors = rng.normal(size=(n, d))
     ref = ReferenceSet("m", vectors)
+    # held-out nearest distances run in several blocks, each masking its own rows
+    use_blocks(monkeypatch, BLOCK, ref, k)
     plain = ScorerSpec(kind, k=k, epsilon=epsilon)
     standardized = ScorerSpec(kind, k=k, epsilon=epsilon, normalizer=ZSCORE)
     held_out = np.array(held_out_scores(kind, k, epsilon, vectors))
@@ -318,6 +329,88 @@ def test_local_density_rejects_duplicate_references():
                        normalizer=NormalizerSpec("local_density", k_norm=1)),
             ref,
         )
+
+
+# ---------------------------------------------------------------------------
+# the blocked nearest-reference kernel
+
+
+@pytest.mark.parametrize("n_rows", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 2])
+@pytest.mark.parametrize("k", [1, 3, 10], ids=["k=1", "k=3", "k=n"])
+def test_nearest_reference_matches_oracle_across_blocks(n_rows, k, monkeypatch):
+    rng = np.random.default_rng(100 * n_rows + k)
+    vectors = rng.normal(size=(10, 3))
+    ref = ReferenceSet("m", vectors)
+    use_blocks(monkeypatch, BLOCK, ref, k)
+    batch = rng.normal(size=(n_rows, 3))
+    got = scoring_function(ScorerSpec("nearest_reference", k=k), ref)(batch)
+    expected = [k_nearest_mean(x, vectors, k) for x in batch]
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
+
+
+def test_local_density_matches_oracle_with_k_norm_above_k(monkeypatch):
+    rng = np.random.default_rng(61)
+    vectors = rng.normal(size=(3 * BLOCK, 2))
+    ref = ReferenceSet("m", vectors)
+    k, k_norm = 1, 4
+    # reference spacings and queries both run in several blocks
+    use_blocks(monkeypatch, BLOCK, ref, k_norm)
+    spec = ScorerSpec("nearest_reference", k=k,
+                      normalizer=NormalizerSpec("local_density", k_norm=k_norm))
+    batch = rng.normal(size=(2 * BLOCK + 1, 2))
+    spacings = [k_nearest_mean(v, np.delete(vectors, i, axis=0), k_norm)
+                for i, v in enumerate(vectors)]
+    expected = []
+    for x in batch:
+        nearest = sorted(range(len(vectors)), key=lambda j: euclidean(x, vectors[j]))
+        density = sum(spacings[j] for j in nearest[:k_norm]) / k_norm
+        expected.append(k_nearest_mean(x, vectors, k) / density)
+    np.testing.assert_allclose(scoring_function(spec, ref)(batch), expected,
+                               rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_nearest_reference_far_from_origin(k):
+    # at offset 1e6 an uncentred product |r|^2 - 2 x.r rounds each squared
+    # distance by ~1e-3 and picks a wrong neighbor for a few of these queries
+    rng = np.random.default_rng(0)
+    vectors = 1e6 + rng.normal(size=(100, 2))
+    ref = ReferenceSet("m", vectors)
+    batch = 1e6 + rng.normal(size=(500, 2))
+    got = scoring_function(ScorerSpec("nearest_reference", k=k), ref)(batch)
+    expected = [k_nearest_mean(x, vectors, k) for x in batch]
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
+
+
+def test_query_equal_to_a_far_reference_scores_exactly_zero():
+    rng = np.random.default_rng(5)
+    vectors = 1e6 + rng.normal(size=(100, 2))
+    ref = ReferenceSet("m", vectors)
+    assert (scoring_function(NN1, ref)(vectors[::7]) == 0.0).all()
+
+
+@pytest.mark.parametrize("normalizer", NORMALIZER_KINDS)
+@pytest.mark.parametrize("kind", SCORER_KINDS)
+def test_empty_batch_gives_empty_scores(kind, normalizer):
+    rng = np.random.default_rng(13)
+    ref = ReferenceSet("m", rng.normal(size=(8, 3)))
+    spec = ScorerSpec(kind, k=2, normalizer=NormalizerSpec(normalizer, k_norm=2))
+    assert scoring_function(spec, ref)(np.empty((0, 3))).shape == (0,)
+
+
+def test_batch_memory_is_bounded_per_block():
+    # all 20,000 x 2,000 float64 distances at once would take 320 MB
+    rng = np.random.default_rng(3)
+    ref = ReferenceSet("m", rng.normal(size=(2_000, 16)))
+    batch = rng.normal(size=(20_000, 16))
+    fn = scoring_function(NN1, ref)
+    tracemalloc.start()
+    try:
+        fn(batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 # ---------------------------------------------------------------------------
