@@ -8,20 +8,23 @@ failure. Errors print one JSON object to stderr.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import io as formats
 from .metrics import AVERAGING_MODES, MetricError, delta_norm
 from .protocol import (
+    SPLITS,
     EvalConfig,
     MergedTestSet,
     ProtocolError,
     ScoreMatrix,
+    _find_rows,
     full_report,
-    merge_test_sets,
+    merge_test_sets,  # noqa: F401 -- unused here; bench/spans.py traces through this name
 )
 from .scorers import ReferenceSet, ScorerError, build_score_matrix
 from .simulate import (
@@ -92,62 +95,58 @@ def _check_pauc_p(p: float) -> None:
         raise UsageError(f"--pauc-p must lie in (0, 1], got {p}")
 
 
-def _group_by_split(recordings) -> dict[str, list]:
-    splits: dict[str, list] = {}
-    for rec in recordings:
-        splits.setdefault(rec.split, []).append(rec)
-    return splits
+def _unmatched(ids: list[str], wanted: list[str]) -> list[str]:
+    """The wanted ids missing from ids, sorted."""
+    return sorted(np.array(wanted, dtype=object)[~_find_rows(ids, wanted)[1]])
 
 
-def _merge_split(split_recordings) -> MergedTestSet:
-    per_machine: dict[str, list] = {}
-    for rec in split_recordings:
-        per_machine.setdefault(rec.true_machine, []).append(rec)
-    return merge_test_sets(per_machine)
+def _split_sets(labels: formats.LabelTable) -> dict[str, MergedTestSet]:
+    """One test set per split present in the labels."""
+    ids = np.array(labels.ids, dtype=object)
+    sets = {}
+    for code, split in enumerate(SPLITS):
+        rows = np.flatnonzero(labels.split == code)
+        if rows.size:
+            sets[split] = MergedTestSet(ids[rows], labels.machines, labels.true_machine[rows],
+                                        labels.is_anomaly[rows], split)
+    return sets
 
 
 def _cmd_evaluate(args) -> int:
     if (args.scores is None) == (args.manifest is None):
         raise UsageError("provide exactly one of --scores and --manifest")
     _check_pauc_p(args.pauc_p)
-    recordings = formats.read_labels(args.labels)
-    label_ids = {rec.id for rec in recordings}
+    labels = formats.read_labels(args.labels)
     config = EvalConfig(pauc_p=args.pauc_p, average=args.avg)
 
     if args.scores is not None:
-        machines, rows, header_orientation = formats.read_scores(args.scores)
+        machines, ids, values, header_orientation = formats.read_scores(args.scores)
         higher = _resolve_orientation(args.higher_is_anomalous, header_orientation)
         if not higher:
-            rows = {rec_id: -vec for rec_id, vec in rows.items()}
-        unlabeled = sorted(set(rows) - label_ids)
-        unscored = sorted(label_ids - set(rows))
-        if unlabeled or unscored:
+            np.negative(values, out=values)
+        if sorted(ids) != sorted(labels.ids):
             raise ProtocolError(
                 f"scores/labels cross-reference mismatch: score rows without "
-                f"labels {unlabeled}, labeled recordings without scores {unscored}"
+                f"labels {_unmatched(labels.ids, ids)}, labeled recordings without "
+                f"scores {_unmatched(ids, labels.ids)}"
             )
         inputs = [
             formats.file_digest(args.scores, "scores"),
             formats.file_digest(args.labels, "labels"),
         ]
-        matrix = ScoreMatrix(list(machines), rows)
+        matrix = ScoreMatrix(machines, ids, values)
     else:
         if args.higher_is_anomalous is not None:
             raise UsageError("--higher-is-anomalous applies to --scores files only")
         higher = True
         manifest = formats.read_manifest(args.manifest)
         ids, vectors = formats.read_features(manifest.features)
-        by_id = dict(zip(ids, vectors))
-        missing = sorted(label_ids - set(ids))
-        unlabeled = sorted(set(ids) - label_ids)
-        if missing or unlabeled:
+        if sorted(ids) != sorted(labels.ids):
             raise ProtocolError(
                 f"features/labels cross-reference mismatch: labeled recordings "
-                f"without features {missing}, feature rows without labels {unlabeled}"
+                f"without features {_unmatched(ids, labels.ids)}, feature rows "
+                f"without labels {_unmatched(labels.ids, ids)}"
             )
-        recordings = [
-            dataclasses.replace(rec, features=by_id[rec.id]) for rec in recordings
-        ]
         specs = {}
         for machine in sorted(manifest.references):
             _, ref_vectors = formats.read_features(manifest.references[machine])
@@ -160,11 +159,11 @@ def _cmd_evaluate(args) -> int:
             formats.file_digest(manifest.references[m], f"reference:{m}")
             for m in sorted(manifest.references)
         ]
-        matrix = build_score_matrix(specs, recordings)
+        matrix = build_score_matrix(specs, ids, vectors)
 
     reports = {
-        split: full_report(matrix, _merge_split(split_recordings), config)
-        for split, split_recordings in sorted(_group_by_split(recordings).items())
+        split: full_report(matrix, merged, config)
+        for split, merged in _split_sets(labels).items()
     }
     _emit(formats.evaluation_document(reports, inputs, config, higher), args.out)
     return EXIT_OK

@@ -16,12 +16,13 @@ import tempfile
 import warnings
 from dataclasses import asdict, dataclass, fields
 from io import StringIO
+from itertools import chain
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .protocol import EvalConfig, EvalReport, ModeResult, Recording
+from .protocol import DOMAINS, SPLITS, EvalConfig, EvalReport, ModeResult
 from .scorers import NormalizerSpec, ScorerSpec
 from .simulate import SimConfig, SweepPoint, SweepResult
 
@@ -34,12 +35,10 @@ __all__ = [
     "ORIENTATIONS",
     "Manifest",
     "CheckRow",
+    "LabelTable",
     "read_scores",
-    "write_scores",
     "read_labels",
-    "write_labels",
     "read_features",
-    "write_features",
     "read_manifest",
     "read_check_table",
     "file_digest",
@@ -68,37 +67,40 @@ class FormatError(ValueError):
     """Raised on malformed or wrongly versioned input files."""
 
 
-def _split_file(path: Path) -> tuple[list[tuple[int, str]], list[tuple[int, list[str]]]]:
-    """Split a versioned CSV file into comment lines and parsed rows.
+def _rows(
+    path: Path, comments: list[tuple[int, str]] | None = None
+) -> Iterator[tuple[int, list[str]]]:
+    """Stream the header and data rows of a versioned CSV file.
 
-    Returns (comments, rows) where each entry carries the 1-based physical
-    line it starts on. The first line must be the format comment. Only LF,
-    CRLF and CR end a line, and a quoted field may span lines.
+    Each row carries the 1-based physical line it starts on; comment lines
+    after the format line go into ``comments``. Rows come from one csv.reader
+    fed straight from the file handle, so the file is never held whole. Only
+    LF, CRLF and CR end a line, a quoted field may span lines, and blank
+    lines are skipped.
     """
     # utf-8-sig drops a leading byte-order mark that some editors write
-    lines = StringIO(path.read_text(encoding="utf-8-sig"), newline="").readlines()
-    if not lines or lines[0].strip() != FORMAT_LINE:
-        raise FormatError(f"{path.name}: first line must be {FORMAT_LINE!r}")
-    comments: list[tuple[int, str]] = [(1, lines[0])]
-    index = 1
-    while index < len(lines) and lines[index].lstrip().startswith("#"):
-        comments.append((index + 1, lines[index]))
-        index += 1
-    rows: list[tuple[int, list[str]]] = []
-    reader = csv.reader(lines[index:])
-    start = index + 1
-    for parsed in reader:
-        if parsed:
-            rows.append((start, parsed))
-        start = index + 1 + reader.line_num
-    if not rows:
-        raise FormatError(f"{path.name}: no header row found")
-    return comments, rows
+    with open(path, encoding="utf-8-sig", newline="") as handle:
+        if handle.readline().strip() != FORMAT_LINE:
+            raise FormatError(f"{path.name}: first line must be {FORMAT_LINE!r}")
+        skipped = 1
+        while (line := handle.readline()).lstrip().startswith("#"):
+            skipped += 1
+            if comments is not None:
+                comments.append((skipped, line))
+        reader = csv.reader(chain([line], handle))
+        start, found = skipped + 1, False
+        for fields in reader:
+            if fields:
+                found = True
+                yield start, fields
+            start = skipped + 1 + reader.line_num
+        if not found:
+            raise FormatError(f"{path.name}: no header row found")
 
 
 def _parse_orientation(path: Path, comments: list[tuple[int, str]]) -> str | None:
     orientation = None
-    for line_no, text in comments[1:]:
+    for line_no, text in comments:
         match = _ORIENTATION_RE.match(text.strip())
         if match:
             if match.group(1) not in ORIENTATIONS:
@@ -122,16 +124,15 @@ def _parse_float(path: Path, line_no: int, column: str, text: str) -> float:
     return value
 
 
-def _keyed_ids(path: Path, rows: list[tuple[int, list[str]]], what: str) -> list[str]:
-    """Check the data rows of a table keyed by recording id; return the ids.
+def _keyed_rows(path: Path, rows: Iterator[tuple[int, list[str]]], width: int,
+                what: str) -> Iterator[tuple[int, list[str]]]:
+    """Check the data rows of a table keyed by recording id as they stream by.
 
     Every row needs one field per header column and a nonempty id that no
     other row has; ``what`` names the rows when there are none.
     """
-    width = len(rows[0][1])
-    ids: list[str] = []
     seen: set[str] = set()
-    for line_no, row in rows[1:]:
+    for line_no, row in rows:
         if len(row) != width:
             raise FormatError(f"{path.name}:{line_no}: expected {width} fields, got {len(row)}")
         rec_id = row[0]
@@ -140,33 +141,36 @@ def _keyed_ids(path: Path, rows: list[tuple[int, list[str]]], what: str) -> list
         if rec_id in seen:
             raise FormatError(f"{path.name}:{line_no}: duplicate recording id {rec_id!r}")
         seen.add(rec_id)
-        ids.append(rec_id)
-    if not ids:
+        yield line_no, row
+    if not seen:
         raise FormatError(f"{path.name}: no {what} rows")
-    return ids
 
 
-def _float_block(path: Path, rows: list[tuple[int, list[str]]]) -> np.ndarray:
-    """Every cell after the id of rows checked by _keyed_ids, as an (n, d) array.
+def _float_rows(path: Path, rows: Iterator[tuple[int, list[str]]], header: list[str],
+                what: str) -> tuple[list[str], np.ndarray]:
+    """Ids, and every cell after the id as an (n, d) array, of keyed data rows.
 
-    Converts one column at a time. If that fails or meets a non-finite
-    value, the cell-by-cell pass reruns, naming the first bad cell and its
-    line (and giving float()'s values should numpy turn down a spelling
-    float() accepts).
+    All rows are checked first, then every cell is converted in one go. If
+    that fails or meets a non-finite value, a cell-by-cell pass names the
+    first bad cell and its line (and takes float()'s value should numpy turn
+    down a spelling float() accepts).
     """
-    header, body = rows[0][1], rows[1:]
+    ids: list[str] = []
+    lines: list[int] = []
+    cells: list[str] = []
+    for line_no, row in _keyed_rows(path, rows, len(header), what):
+        ids.append(row[0])
+        lines.append(line_no)
+        cells += row[1:]
     try:
-        block = np.column_stack(
-            [np.array([row[j] for _, row in body], dtype=float) for j in range(1, len(header))]
-        )
+        block = np.array(cells, dtype=float)
     except ValueError:
         block = None
-    if block is not None and np.isfinite(block).all():
-        return block
-    return np.array([
-        [_parse_float(path, line_no, column, cell) for column, cell in zip(header[1:], row[1:])]
-        for line_no, row in body
-    ])
+    if block is None or not np.isfinite(block).all():
+        width = len(header) - 1
+        block = np.array([_parse_float(path, lines[i // width], header[1 + i % width], cell)
+                          for i, cell in enumerate(cells)])
+    return ids, block.reshape(len(ids), -1)
 
 
 def _table_text(header: Sequence[str], rows: Iterable[Sequence[str]],
@@ -182,17 +186,18 @@ def _table_text(header: Sequence[str], rows: Iterable[Sequence[str]],
     return buf.getvalue()
 
 
-def read_scores(path) -> tuple[list[str], dict[str, np.ndarray], str | None]:
+def read_scores(path) -> tuple[list[str], list[str], np.ndarray, str | None]:
     """Read a wide per-machine score table.
 
-    Returns (machine column names, rows keyed by recording id, declared
-    orientation or None). Scores are returned as stored; callers negate when
-    the orientation says lower means more anomalous.
+    Returns (machine column names, recording ids, (n, k) scores with row i
+    for ids[i], declared orientation or None). Scores are returned as stored;
+    callers negate when the orientation says lower means more anomalous.
     """
     path = Path(path)
-    comments, rows = _split_file(path)
+    comments: list[tuple[int, str]] = []
+    rows = _rows(path, comments)
+    header_no, header = next(rows)
     orientation = _parse_orientation(path, comments)
-    header_no, header = rows[0]
     if header[0] != "recording_id" or len(header) < 2:
         raise FormatError(
             f"{path.name}:{header_no}: header must be recording_id,<machine>,..."
@@ -200,91 +205,89 @@ def read_scores(path) -> tuple[list[str], dict[str, np.ndarray], str | None]:
     machines = header[1:]
     if len(set(machines)) != len(machines) or any(not m for m in machines):
         raise FormatError(f"{path.name}:{header_no}: machine columns must be unique and nonempty")
-    ids = _keyed_ids(path, rows, "score")
-    return machines, dict(zip(ids, _float_block(path, rows))), orientation
-
-
-def write_scores(path, machines: Sequence[str], rows: Mapping[str, Sequence[float]],
-                 orientation: str | None = None) -> None:
-    comments = []
-    if orientation is not None:
-        if orientation not in ORIENTATIONS:
-            raise FormatError(f"orientation must be one of {ORIENTATIONS}, got {orientation!r}")
-        comments.append(f"# orientation: {orientation}")
-    body = ([rec_id, *(repr(float(v)) for v in rows[rec_id])] for rec_id in rows)
-    atomic_write_text(path, _table_text(["recording_id", *machines], body, comments))
+    return (machines, *_float_rows(path, rows, header, "score"), orientation)
 
 
 _LABEL_COLUMNS = ("recording_id", "true_machine", "is_anomaly", "split")
+_SPLIT_CODES = {split: code for code, split in enumerate(SPLITS)}
+_DOMAIN_CODES = {"": -1, **{domain: code for code, domain in enumerate(DOMAINS)}}
 
 
-def read_labels(path) -> list[Recording]:
-    """Read recording labels; recordings come back without features."""
+@dataclass(frozen=True, eq=False)
+class LabelTable:
+    """The columns of a labels file; entry i comes from data row i.
+
+    Codes index `machines` (in order of first appearance), protocol.SPLITS
+    and protocol.DOMAINS; domain is -1 where the cell or the column is absent.
+    """
+
+    ids: list[str]
+    machines: list[str]
+    true_machine: np.ndarray
+    is_anomaly: np.ndarray
+    split: np.ndarray
+    domain: np.ndarray
+
+
+def _label_problem(row: list[str], has_domain: bool) -> str | None:
+    rec_id, machine, anomaly_text, split = row[:4]
+    if not machine:
+        return "empty recording id or machine"
+    if anomaly_text not in _TRUTH:
+        return f"is_anomaly must be one of {sorted(_TRUTH)}, got {anomaly_text!r}"
+    if split not in _SPLIT_CODES:
+        return f"recording {rec_id!r}: unknown split {split!r}"
+    if has_domain and row[4] not in _DOMAIN_CODES:
+        return f"recording {rec_id!r}: unknown domain {row[4]!r}"
+    return None
+
+
+def read_labels(path) -> LabelTable:
+    """Read recording labels as columns.
+
+    Row structure (field count, empty or duplicate id) is checked over the
+    whole file before the first bad label value is reported.
+    """
     path = Path(path)
-    _, rows = _split_file(path)
-    header_no, header = rows[0]
+    rows = _rows(path)
+    header_no, header = next(rows)
     if tuple(header[:4]) != _LABEL_COLUMNS:
         raise FormatError(
             f"{path.name}:{header_no}: header must start with {','.join(_LABEL_COLUMNS)}"
         )
     has_domain = len(header) > 4 and header[4] == "domain"
-    known_width = 5 if has_domain else 4
-    extras = header[known_width:]
+    extras = header[5 if has_domain else 4:]
     if extras:
         warnings.warn(f"{path.name}: ignoring unknown label columns {extras}", stacklevel=2)
-    _keyed_ids(path, rows, "label")
-    recordings: list[Recording] = []
-    for line_no, row in rows[1:]:
-        rec_id, machine, anomaly_text, split = row[:4]
-        if not machine:
-            raise FormatError(f"{path.name}:{line_no}: empty recording id or machine")
-        if anomaly_text not in _TRUTH:
-            raise FormatError(
-                f"{path.name}:{line_no}: is_anomaly must be one of "
-                f"{sorted(_TRUTH)}, got {anomaly_text!r}"
-            )
-        domain = row[4] if has_domain else ""
-        try:
-            recordings.append(
-                Recording(rec_id, machine, _TRUTH[anomaly_text], split, domain or None)
-            )
-        except ValueError as exc:
-            raise FormatError(f"{path.name}:{line_no}: {exc}") from None
-    return recordings
-
-
-def write_labels(path, recordings: Sequence[Recording]) -> None:
-    with_domain = any(rec.domain is not None for rec in recordings)
-    header = list(_LABEL_COLUMNS) + (["domain"] if with_domain else [])
-    body = (
-        [rec.id, rec.true_machine, "1" if rec.is_anomaly else "0", rec.split]
-        + ([rec.domain or ""] if with_domain else [])
-        for rec in recordings
-    )
-    atomic_write_text(path, _table_text(header, body))
+    codes: dict[str, int] = {}  # machine name -> code, in order of first appearance
+    ids, machine, anomalous, split, domain = [], [], [], [], []
+    problem = None
+    for line_no, row in _keyed_rows(path, rows, len(header), "label"):
+        if problem is None and (message := _label_problem(row, has_domain)):
+            problem = f"{path.name}:{line_no}: {message}"
+        ids.append(row[0])
+        machine.append(codes.setdefault(row[1], len(codes)))
+        anomalous.append(_TRUTH.get(row[2], False))
+        split.append(_SPLIT_CODES.get(row[3], -1))
+        domain.append(_DOMAIN_CODES.get(row[4], -1) if has_domain else -1)
+    if problem is not None:
+        raise FormatError(problem)
+    return LabelTable(ids, list(codes), np.array(machine, dtype=np.intp), np.array(anomalous),
+                      np.array(split, dtype=np.int8), np.array(domain, dtype=np.int8))
 
 
 def read_features(path) -> tuple[list[str], np.ndarray]:
     """Read per-recording feature vectors as (ids, (n, d) array)."""
     path = Path(path)
-    _, rows = _split_file(path)
-    header_no, header = rows[0]
+    rows = _rows(path)
+    header_no, header = next(rows)
     d = len(header) - 1
     expected = ["recording_id"] + [f"f_{i}" for i in range(d)]
     if header != expected or d < 1:
         raise FormatError(
             f"{path.name}:{header_no}: header must be recording_id,f_0,...,f_{{d-1}}"
         )
-    return _keyed_ids(path, rows, "feature"), _float_block(path, rows)
-
-
-def write_features(path, ids: Sequence[str], vectors) -> None:
-    matrix = np.asarray(vectors, dtype=float)
-    if matrix.ndim != 2 or matrix.shape[0] != len(ids):
-        raise FormatError("feature matrix must be 2-D with one row per id")
-    header = ["recording_id"] + [f"f_{i}" for i in range(matrix.shape[1])]
-    body = ([rec_id, *map(repr, row)] for rec_id, row in zip(ids, matrix.tolist()))
-    atomic_write_text(path, _table_text(header, body))
+    return _float_rows(path, rows, header, "feature")
 
 
 @dataclass(frozen=True)
@@ -363,14 +366,14 @@ class CheckRow:
 
 def read_check_table(path) -> list[CheckRow]:
     path = Path(path)
-    _, rows = _split_file(path)
-    header_no, header = rows[0]
+    rows = _rows(path)
+    header_no, header = next(rows)
     if header != ["label", "a_known", "a_unknown", "expected"]:
         raise FormatError(
             f"{path.name}:{header_no}: header must be label,a_known,a_unknown,expected"
         )
     out: list[CheckRow] = []
-    for line_no, row in rows[1:]:
+    for line_no, row in rows:
         if len(row) != 4:
             raise FormatError(f"{path.name}:{line_no}: expected 4 fields, got {len(row)}")
         label, known_text, unknown_text, expected_text = row

@@ -85,26 +85,26 @@ def auc(scores, labels) -> float:
     return (wins + 0.5 * ties) / pairs
 
 
+def _roc(s: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # FPR and TPR of each empirical ROC vertex, starting at (0, 0): one
+    # vertex per distinct score value, taken at the last of its tied scores
+    order = np.argsort(-s, kind="stable")
+    s_desc = s[order]
+    y_desc = y[order]
+    group_ends = np.append(np.flatnonzero(np.diff(s_desc) != 0.0), s_desc.size - 1)
+    tp = np.cumsum(y_desc)[group_ends]
+    fp = np.cumsum(~y_desc)[group_ends]
+    return np.append(0.0, fp / fp[-1]), np.append(0.0, tp / tp[-1])
+
+
 def roc_points(scores, labels) -> list[tuple[float, float]]:
     """Empirical ROC vertices as (FPR, TPR) pairs, starting at (0, 0).
 
     One vertex per distinct score value; joining consecutive vertices with
     straight lines renders tied scores as diagonal segments.
     """
-    s, y = _as_score_arrays(scores, labels)
-    order = np.argsort(-s, kind="stable")
-    s_desc = s[order]
-    y_desc = y[order]
-    # last index of each group of equal scores
-    group_ends = np.flatnonzero(np.diff(s_desc) != 0.0)
-    group_ends = np.append(group_ends, s_desc.size - 1)
-    tp = np.cumsum(y_desc)[group_ends].tolist()
-    fp = np.cumsum(~y_desc)[group_ends].tolist()
-    n_pos = tp[-1]
-    n_neg = fp[-1]
-    points = [(0.0, 0.0)]
-    points.extend((fp_i / n_neg, tp_i / n_pos) for fp_i, tp_i in zip(fp, tp))
-    return points
+    fpr, tpr = _roc(*_as_score_arrays(scores, labels))
+    return list(zip(fpr.tolist(), tpr.tolist()))
 
 
 def _check_p(p: float) -> None:
@@ -119,18 +119,17 @@ def pauc_raw(scores, labels, p: float = 0.1) -> float:
     the final segment at FPR = p by linear interpolation.
     """
     _check_p(p)
-    points = roc_points(scores, labels)
-    area = 0.0
-    for (x0, y0), (x1, y1) in zip(points, points[1:]):
-        if x1 <= p:
-            area += (x1 - x0) * (y0 + y1) * 0.5
-        elif x0 < p:
-            y_at_p = y0 + (y1 - y0) * (p - x0) / (x1 - x0)
-            area += (p - x0) * (y0 + y_at_p) * 0.5
-            break
-        else:
-            break
-    return area
+    x, y = _roc(*_as_score_arrays(scores, labels))
+    # FPR never decreases, so the segments wholly inside [0, p] come first;
+    # the next one, if it starts below p, is cut at p
+    inside = int(np.searchsorted(x[1:], p, side="right"))
+    terms = (x[1:inside + 1] - x[:inside]) * (y[:inside] + y[1:inside + 1]) * 0.5
+    if inside < len(x) - 1 and x[inside] < p:
+        x0, x1, y0, y1 = x[inside], x[inside + 1], y[inside], y[inside + 1]
+        y_at_p = y0 + (y1 - y0) * (p - x0) / (x1 - x0)
+        terms = np.append(terms, (p - x0) * (y0 + y_at_p) * 0.5)
+    # cumsum adds in order, as a running sum would; np.sum adds pairwise
+    return float(np.cumsum(np.concatenate(([0.0], terms)))[-1])
 
 
 def pauc(scores, labels, p: float = 0.1) -> float:

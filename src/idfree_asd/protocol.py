@@ -9,8 +9,9 @@ per machine and to grade the implicit identification.
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_left
 from collections import Counter
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -75,76 +76,98 @@ class ScoreMatrix:
     """
 
     machines: list[str]
-    rows: InitVar[Mapping[str, Sequence[float]]]
-    ids: list[str] = field(init=False)
-    values: np.ndarray = field(init=False, repr=False)
-    _index: dict[str, int] = field(init=False, repr=False)
+    ids: list[str]
+    values: np.ndarray = field(repr=False)
 
-    def __post_init__(self, rows: Mapping[str, Sequence[float]]) -> None:
+    def __post_init__(self) -> None:
         if not self.machines:
             raise ProtocolError("score matrix needs at least one machine")
         if len(set(self.machines)) != len(self.machines):
             raise ProtocolError("duplicate machine names in score matrix")
-        k = len(self.machines)
-        self.ids = list(rows)
-        try:
-            values = np.array(list(rows.values()), dtype=float)
-        except (TypeError, ValueError):
-            values = None
-        if values is None or values.shape != (len(self.ids), k):
-            # row by row, to name the first row that does not fit
-            values = np.empty((len(self.ids), k))
-            for i, (rec_id, row) in enumerate(rows.items()):
-                vec = np.asarray(row, dtype=float)
-                if vec.shape != (k,):
-                    raise ProtocolError(
-                        f"row {rec_id!r} has {vec.size} entries, expected {k}"
-                    )
-                values[i] = vec
-        self.values = values
+        self.ids = list(self.ids)
+        if len(set(self.ids)) != len(self.ids):
+            raise ProtocolError("duplicate recording ids in score matrix")
+        self.values = np.asarray(self.values, dtype=float)
+        expected = (len(self.ids), len(self.machines))
+        if self.values.shape != expected:
+            raise ProtocolError(
+                f"score values have shape {self.values.shape}, expected {expected}"
+            )
         finite = np.isfinite(self.values).all(axis=1)
         if not finite.all():
             bad = self.ids[int(np.argmin(finite))]
             raise ProtocolError(f"row {bad!r} contains non-finite scores")
-        self._index = {rec_id: i for i, rec_id in enumerate(self.ids)}
 
     @property
     def k(self) -> int:
         return len(self.machines)
 
 
-@dataclass
-class MergedTestSet:
-    """Test recordings of several machines pooled within one split.
+def _find_rows(ids: Sequence[str], wanted: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Position in `ids` (unique) of each wanted id, and whether it is there.
 
-    The per-machine grouping survives only as the hidden true_machine labels;
-    scoring code consumes ids and features, evaluation code the labels.
+    One sorted join on Python strings: numpy "<U" arrays would merge ids
+    that differ by trailing NULs, and Python's sort and bisect beat numpy's
+    on object arrays.
+    """
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    sorted_ids = [ids[i] for i in order]
+    pos = np.array([bisect_left(sorted_ids, rec_id) for rec_id in wanted], dtype=np.intp)
+    # a sentinel past the end, where ids above every stored one land
+    found = np.array(sorted_ids + [None], dtype=object)[pos] == np.array(wanted, dtype=object)
+    return np.array(order + [0], dtype=np.intp)[pos], found
+
+
+@dataclass(eq=False)
+class MergedTestSet:
+    """Test recordings of several machines pooled within one split, as columns.
+
+    Row i is recording `ids[i]`, its hidden `true_machine` code into
+    `machines`, its `is_anomaly` label and optionally `features[i]`. The rows
+    are sorted by id on construction, so downstream runs are reproducible.
+    Scoring code consumes ids and features, evaluation code the labels.
     """
 
-    recordings: list[Recording]
+    ids: list[str]
+    machines: list[str]
+    true_machine: np.ndarray
+    is_anomaly: np.ndarray
+    split: str = "dev"
+    features: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        if not self.recordings:
+        if not len(self.ids):
             raise ProtocolError("merged test set is empty")
-        splits = {r.split for r in self.recordings}
-        if len(splits) > 1:
-            raise ProtocolError(
-                f"merged test set mixes splits {sorted(splits)}; merge per split"
-            )
+        if not len(self.ids) == len(self.true_machine) == len(self.is_anomaly):
+            raise ProtocolError("need one true machine and one label per id")
+        if self.split not in SPLITS:
+            raise ProtocolError(f"unknown split {self.split!r}")
+        order = sorted(range(len(self.ids)), key=self.ids.__getitem__)
+        self.ids = [self.ids[i] for i in order]
+        if any(a == b for a, b in zip(self.ids, self.ids[1:])):
+            raise ProtocolError("duplicate recording ids in merged test set")
+        self.true_machine = np.asarray(self.true_machine, dtype=np.intp)[order]
+        self.is_anomaly = np.asarray(self.is_anomaly, dtype=bool)[order]
+        if self.features is not None:
+            self.features = np.asarray(self.features, dtype=float)[order]
 
     @property
-    def split(self) -> str:
-        return self.recordings[0].split
-
-    def machines(self) -> list[str]:
-        return sorted({r.true_machine for r in self.recordings})
+    def recordings(self) -> list[Recording]:
+        """Row view: one Recording per id, built on each access."""
+        features = [None] * len(self.ids) if self.features is None else self.features
+        return [
+            Recording(rec_id, self.machines[code], anomalous, self.split, features=vector)
+            for rec_id, code, anomalous, vector in zip(
+                self.ids, self.true_machine.tolist(), self.is_anomaly.tolist(), features
+            )
+        ]
 
 
 def merge_test_sets(per_machine_sets: Mapping[str, Sequence[Recording]]) -> MergedTestSet:
-    """Pool per-machine test sets into one identity-free set.
+    """Pool per-machine test sets of Recordings into one identity-free set.
 
-    Keeps every recording and its labels; ordering is deterministic (sorted
-    by recording id) so downstream runs are reproducible.
+    Keeps every recording and its labels (not its domain), and its features
+    when every recording has them.
     """
     if not per_machine_sets:
         raise ProtocolError("no machines to merge")
@@ -163,8 +186,27 @@ def merge_test_sets(per_machine_sets: Mapping[str, Sequence[Recording]]) -> Merg
     duplicates = sorted(rec_id for rec_id, n in counts.items() if n > 1)
     if duplicates:
         raise ProtocolError(f"duplicate recording ids across machines: {duplicates}")
-    pooled.sort(key=lambda r: r.id)
-    return MergedTestSet(pooled)
+    splits = {r.split for r in pooled}
+    if len(splits) > 1:
+        raise ProtocolError(f"merged test set mixes splits {sorted(splits)}; merge per split")
+    features = None
+    missing = [r.id for r in pooled if r.features is None]
+    if 0 < len(missing) < len(pooled):
+        raise ProtocolError(f"recordings without features: {missing}")
+    if not missing:
+        shapes = {np.shape(r.features) for r in pooled}
+        if len(shapes) > 1:
+            raise ProtocolError(f"inconsistent feature shapes across recordings: {sorted(shapes)}")
+        features = np.stack([r.features for r in pooled])
+    machines = sorted(per_machine_sets)
+    return MergedTestSet(
+        [r.id for r in pooled],
+        machines,
+        [machines.index(r.true_machine) for r in pooled],
+        [r.is_anomaly for r in pooled],
+        pooled[0].split,
+        features,
+    )
 
 
 @dataclass(frozen=True)
@@ -239,42 +281,22 @@ class EvalReport:
     config: EvalConfig
 
 
-def _slice_metrics(
-    machine: str, scores: np.ndarray, labels: np.ndarray, pauc_p: float
-) -> MachineMetrics:
-    n_anomalous = int(labels.sum())
-    n_normal = len(labels) - n_anomalous
-    if n_normal == 0 or n_anomalous == 0:
-        warnings.warn(
-            f"machine {machine!r} has single-class test labels; "
-            f"its metrics are undefined and excluded from aggregation",
-            stacklevel=3,
-        )
-        return MachineMetrics(machine, n_normal, n_anomalous, None, None)
-    return MachineMetrics(
-        machine,
-        n_normal,
-        n_anomalous,
-        auc(scores, labels),
-        pauc(scores, labels, pauc_p),
-    )
-
-
 def _mode_result(
-    machines: list[str],
+    merged: MergedTestSet,
+    counts: list[tuple[int, int, int]],
     scores: np.ndarray,
-    true_cols: np.ndarray,
-    labels: np.ndarray,
     pauc_p: float,
     average: str,
 ) -> ModeResult:
     # machines pool in order of first appearance; slices keep recording order
-    codes, first = np.unique(true_cols, return_index=True)
     per_machine: dict[str, MachineMetrics] = {}
-    for code in codes[np.argsort(first)]:
-        mask = true_cols == code
-        machine = machines[code]
-        per_machine[machine] = _slice_metrics(machine, scores[mask], labels[mask], pauc_p)
+    for code, n_normal, n_anomalous in counts:
+        machine, mask = merged.machines[code], merged.true_machine == code
+        pair = (None, None)
+        if n_normal and n_anomalous:
+            slice_scores, labels = scores[mask], merged.is_anomaly[mask]
+            pair = (auc(slice_scores, labels), pauc(slice_scores, labels, pauc_p))
+        per_machine[machine] = MachineMetrics(machine, n_normal, n_anomalous, *pair)
     defined = [m for m in per_machine.values() if m.defined]
     if not defined:
         raise ProtocolError("no machine has both normal and anomalous recordings")
@@ -285,22 +307,35 @@ def _mode_result(
 
 def _align(
     matrix: ScoreMatrix, merged: MergedTestSet
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Matrix row, true-machine column and label of each merged recording."""
+) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int, int]]]:
+    """Matrix row and true-machine column of each merged recording, and
+    (code, n_normal, n_anomalous) per machine in order of first appearance.
+    Warns once per single-class machine, attributed to the public caller.
+    """
     column = {machine: j for j, machine in enumerate(matrix.machines)}
-    missing = [m for m in merged.machines() if m not in column]
+    codes, first = np.unique(merged.true_machine, return_index=True)
+    missing = sorted(m for m in (merged.machines[c] for c in codes) if m not in column)
     if missing:
         raise ProtocolError(f"score matrix is missing machine columns {missing}")
-    recordings = merged.recordings
-    try:
-        rows = np.array([matrix._index[rec.id] for rec in recordings], dtype=np.intp)
-    except KeyError as exc:
+    rows, found = _find_rows(matrix.ids, merged.ids)
+    if not found.all():
         raise ProtocolError(
-            f"score matrix has no row for recording {exc.args[0]!r}"
-        ) from None
-    true_cols = np.array([column[rec.true_machine] for rec in recordings], dtype=np.intp)
-    labels = np.array([rec.is_anomaly for rec in recordings], dtype=bool)
-    return rows, true_cols, labels
+            f"score matrix has no row for recording {merged.ids[int(np.argmin(found))]!r}"
+        )
+    true_cols = np.array([column.get(m, -1) for m in merged.machines], dtype=np.intp)
+    total = np.bincount(merged.true_machine, minlength=len(merged.machines))
+    anomalous = np.bincount(merged.true_machine[merged.is_anomaly], minlength=len(total))
+    counts = []
+    for code in codes[np.argsort(first)].tolist():
+        n_normal, n_anomalous = int(total[code] - anomalous[code]), int(anomalous[code])
+        if not (n_normal and n_anomalous):
+            warnings.warn(
+                f"machine {merged.machines[code]!r} has single-class test labels; "
+                f"its metrics are undefined and excluded from aggregation",
+                stacklevel=3,
+            )
+        counts.append((code, n_normal, n_anomalous))
+    return rows, true_cols[merged.true_machine], counts
 
 
 def evaluate_known(
@@ -310,9 +345,21 @@ def evaluate_known(
     average: str = "harmonic",
 ) -> ModeResult:
     """Standard protocol: score each recording with its true machine's column."""
-    rows, true_cols, labels = _align(matrix, merged)
-    scores = matrix.values[rows, true_cols]
-    return _mode_result(matrix.machines, scores, true_cols, labels, pauc_p, average)
+    rows, true_cols, counts = _align(matrix, merged)
+    return _mode_result(merged, counts, matrix.values[rows, true_cols], pauc_p, average)
+
+
+def _unknown(
+    matrix: ScoreMatrix, merged: MergedTestSet, aligned: tuple, pauc_p: float, average: str
+) -> tuple[ModeResult, IdentificationStats]:
+    rows, true_cols, counts = aligned
+    table = matrix.values[rows]
+    picked = table.argmin(axis=1)
+    scores = np.take_along_axis(table, picked[:, None], axis=1)[:, 0]
+    n_correct = int((picked == true_cols).sum())
+    tie_count = int(((table == scores[:, None]).sum(axis=1) > 1).sum())
+    stats = IdentificationStats(matrix.k, len(rows), n_correct, tie_count)
+    return _mode_result(merged, counts, scores, pauc_p, average), stats
 
 
 def evaluate_unknown(
@@ -327,14 +374,7 @@ def evaluate_unknown(
     (lowest column on ties) enters only the identification statistics
     returned alongside.
     """
-    rows, true_cols, labels = _align(matrix, merged)
-    table = matrix.values[rows]
-    picked = table.argmin(axis=1)
-    scores = np.take_along_axis(table, picked[:, None], axis=1)[:, 0]
-    n_correct = int((picked == true_cols).sum())
-    tie_count = int(((table == scores[:, None]).sum(axis=1) > 1).sum())
-    stats = IdentificationStats(matrix.k, len(rows), n_correct, tie_count)
-    return _mode_result(matrix.machines, scores, true_cols, labels, pauc_p, average), stats
+    return _unknown(matrix, merged, _align(matrix, merged), pauc_p, average)
 
 
 def full_report(
@@ -343,13 +383,14 @@ def full_report(
     config: EvalConfig = EvalConfig(),
 ) -> EvalReport:
     """Run both protocols and combine them into one report."""
-    known = evaluate_known(matrix, merged, config.pauc_p, config.average)
-    unknown, identification = evaluate_unknown(
-        matrix, merged, config.pauc_p, config.average
+    aligned = rows, true_cols, counts = _align(matrix, merged)
+    known = _mode_result(
+        merged, counts, matrix.values[rows, true_cols], config.pauc_p, config.average
     )
+    unknown, identification = _unknown(matrix, merged, aligned, config.pauc_p, config.average)
     return EvalReport(
         machines=list(matrix.machines),
-        n_recordings=len(merged.recordings),
+        n_recordings=len(merged.ids),
         known=known,
         unknown=unknown,
         identification=identification,

@@ -16,7 +16,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .protocol import Recording, ScoreMatrix
+from .protocol import ScoreMatrix
 
 __all__ = [
     "ScorerError",
@@ -287,26 +287,17 @@ def scoring_function(
 
 
 def build_score_matrix(
-    specs: Mapping[str, tuple[ScorerSpec, ReferenceSet]], recordings: Sequence[Recording]
+    specs: Mapping[str, tuple[ScorerSpec, ReferenceSet]], ids: Sequence[str], features
 ) -> ScoreMatrix:
     """Score every recording against every machine.
 
-    Reads only recording ids and features; true machine labels stay hidden
-    from the scoring stage. Column order is sorted machine name.
+    `features` is an (n, d) array with row i for ids[i]; true machine labels
+    never reach the scoring stage. Column order is sorted machine name.
     """
     if not specs:
         raise ScorerError("no machine scorers configured")
-    if not recordings:
+    if not len(ids):
         raise ScorerError("no recordings to score")
     machines = sorted(specs)
-    missing = [rec.id for rec in recordings if rec.features is None]
-    if missing:
-        raise ScorerError(f"recordings without features: {missing}")
-    dims = {np.asarray(rec.features).shape for rec in recordings}
-    if len(dims) > 1 or any(len(shape) != 1 for shape in dims):
-        raise ScorerError(f"inconsistent feature shapes across recordings: {sorted(dims)}")
-    features = np.stack([np.asarray(rec.features, dtype=float) for rec in recordings])
-    columns = [scoring_function(spec, ref)(features) for spec, ref in
-               (specs[machine] for machine in machines)]
-    matrix = np.column_stack(columns)
-    return ScoreMatrix(machines, dict(zip((rec.id for rec in recordings), matrix)))
+    columns = [scoring_function(*specs[machine])(features) for machine in machines]
+    return ScoreMatrix(machines, ids, np.column_stack(columns))

@@ -15,7 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .protocol import EvalConfig, MergedTestSet, Recording, full_report, merge_test_sets
+from .protocol import EvalConfig, MergedTestSet, full_report
+from .protocol import merge_test_sets  # noqa: F401 -- bench/spans.py traces through this name
 from .scorers import ReferenceSet, ScorerSpec, build_score_matrix
 
 __all__ = [
@@ -123,7 +124,8 @@ def generate(config: SimConfig) -> tuple[dict[str, ReferenceSet], MergedTestSet]
     centers = simplex_centers(config.k, config.d, config.separation)
     children = np.random.SeedSequence(config.seed).spawn(config.k)
     references: dict[str, ReferenceSet] = {}
-    test_sets: dict[str, list[Recording]] = {}
+    ids: list[str] = []
+    blocks: list[np.ndarray] = []
     for index in range(config.k):
         machine = _machine_name(index)
         rng = np.random.default_rng(children[index])
@@ -139,16 +141,19 @@ def generate(config: SimConfig) -> tuple[dict[str, ReferenceSet], MergedTestSet]
             + config.spread * rng.standard_normal((config.n_anom, config.d))
         )
         references[machine] = ReferenceSet(machine, refs)
-        recordings = [
-            Recording(f"{machine}-n{j:04d}", machine, False, features=normals[j])
-            for j in range(config.n_norm)
-        ]
-        recordings += [
-            Recording(f"{machine}-a{j:04d}", machine, True, features=anomalies[j])
-            for j in range(config.n_anom)
-        ]
-        test_sets[machine] = recordings
-    return references, merge_test_sets(test_sets)
+        ids += [f"{machine}-n{j:04d}" for j in range(config.n_norm)]
+        ids += [f"{machine}-a{j:04d}" for j in range(config.n_anom)]
+        blocks += [normals, anomalies]
+    # rows run machine by machine, normals first
+    per_machine = config.n_norm + config.n_anom
+    merged = MergedTestSet(
+        ids,
+        list(references),
+        np.arange(len(ids)) // per_machine,
+        np.tile(np.arange(per_machine) >= config.n_norm, config.k),
+        features=np.concatenate(blocks),
+    )
+    return references, merged
 
 
 @dataclass(frozen=True)
@@ -190,7 +195,7 @@ def run_point(
     """Generate one dataset, score it, and condense the report to a point."""
     references, merged = generate(config)
     specs = {machine: (scorer, ref) for machine, ref in references.items()}
-    matrix = build_score_matrix(specs, merged.recordings)
+    matrix = build_score_matrix(specs, merged.ids, merged.features)
     report = full_report(matrix, merged, eval_config)
     return SweepPoint(
         separation=config.separation,

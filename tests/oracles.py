@@ -72,3 +72,22 @@ def held_out_scores(kind, k, epsilon, vectors):
         solved = np.linalg.solve(np.array(cov), np.array(delta))
         scores.append(max(sum(a * float(b) for a, b in zip(delta, solved)), 0.0) ** 0.5)
     return scores
+
+
+def trapezoid_pauc_raw(points, p):
+    """Area under the ROC vertex list over FPR in [0, p], one segment at a time.
+
+    Adds each whole segment's trapezoid in order and cuts the first segment
+    that crosses p by linear interpolation.
+    """
+    area = 0.0
+    for (x0, y0), (x1, y1) in zip(points, points[1:]):
+        if x1 <= p:
+            area += (x1 - x0) * (y0 + y1) * 0.5
+        elif x0 < p:
+            y_at_p = y0 + (y1 - y0) * (p - x0) / (x1 - x0)
+            area += (p - x0) * (y0 + y_at_p) * 0.5
+            break
+        else:
+            break
+    return area

@@ -70,7 +70,7 @@ def test_criterion_2_strict_minimum_equivalence(capsys):
             col = machines.index(rec.true_machine)
             row[col] = row.min() - rng.uniform(0.01, 1.0)
             rows[rec.id] = row
-        matrix = ScoreMatrix(machines, rows)
+        matrix = ScoreMatrix(machines, list(rows), np.array(list(rows.values())))
         # arithmetic pooling stays defined even when a random slice hits AUC 0
         known = evaluate_known(matrix, merged, average="arithmetic")
         unknown, stats = evaluate_unknown(matrix, merged, average="arithmetic")

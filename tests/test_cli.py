@@ -6,18 +6,11 @@ import pytest
 
 import idfree_asd.cli as cli
 from idfree_asd.cli import EXIT_DATA, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
-from idfree_asd.io import (
-    FORMAT_LINE,
-    FORMAT_VERSION,
-    read_labels,
-    read_scores,
-    write_features,
-    write_labels,
-    write_scores,
-)
+from idfree_asd.io import FORMAT_LINE, FORMAT_VERSION, read_labels, read_scores
 from idfree_asd.protocol import Recording, ScoreMatrix, evaluate_known, merge_test_sets
 from idfree_asd.scorers import ReferenceSet, ScorerSpec, build_score_matrix
 from idfree_asd.simulate import SimConfig, generate
+from tables import label_rows, write_features, write_labels, write_scores
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
@@ -78,13 +71,12 @@ def test_evaluate_cli_matches_library_known_mode(capsys):
     )
     assert code == EXIT_OK
     doc = json.loads(out)
-    machines, rows, _ = read_scores(GOLDEN / "scores.csv")
-    recordings = read_labels(GOLDEN / "labels.csv")
+    machines, ids, values, _ = read_scores(GOLDEN / "scores.csv")
     per_machine = {}
-    for rec in recordings:
-        per_machine.setdefault(rec.true_machine, []).append(rec)
+    for rec_id, machine, anomalous, split, _ in label_rows(read_labels(GOLDEN / "labels.csv")):
+        per_machine.setdefault(machine, []).append(Recording(rec_id, machine, anomalous, split))
     merged = merge_test_sets(per_machine)
-    known = evaluate_known(ScoreMatrix(machines, rows), merged)
+    known = evaluate_known(ScoreMatrix(machines, ids, values), merged)
     section = doc["splits"]["dev"]["known"]
     assert section["aggregate"] == known.aggregate
     for machine, metrics in known.per_machine.items():
@@ -133,6 +125,41 @@ def test_evaluate_splits_are_separated(tmp_path, capsys):
     # the dev scorer is perfect, the eval scorer is uninformative
     assert doc["splits"]["dev"]["known"]["per_machine"]["fan"]["auc"] == 1.0
     assert doc["splits"]["eval"]["known"]["per_machine"]["fan"]["auc"] == 0.5
+
+
+def test_evaluate_ids_differing_by_trailing_nul_stay_apart(tmp_path, capsys):
+    # "x\x00" and "x" are two recordings on two machines; a numpy "<U" array
+    # would compare them equal and merge them
+    scores = tmp_path / "scores.csv"
+    labels = tmp_path / "labels.csv"
+    write_labels(labels, [Recording("x\x00", "fan", False), Recording("x", "pump", False),
+                          Recording("a", "fan", True), Recording("b", "pump", True)])
+    write_scores(scores, ["fan", "pump"], {"x\x00": [0.1, 0.9], "x": [0.8, 0.2],
+                                           "a": [0.7, 0.6], "b": [0.5, 0.4]})
+    code, out, _ = run(capsys, "evaluate", "--scores", str(scores), "--labels", str(labels))
+    assert code == EXIT_OK
+    dev = json.loads(out)["splits"]["dev"]
+    assert dev["n_recordings"] == 4
+    for machine in ("fan", "pump"):
+        counts = dev["known"]["per_machine"][machine]
+        assert (counts["n_normal"], counts["n_anomalous"], counts["auc"]) == (1, 1, 1.0)
+    # only "a" is claimed by the other machine
+    assert dev["identification"]["n_correct"] == 3
+
+
+@pytest.mark.parametrize("source", ["scores", "manifest"])
+def test_evaluate_builds_no_recordings(tmp_path, capsys, monkeypatch, source):
+    manifest, labels, _, _ = build_manifest_fixture(tmp_path)
+    scores = tmp_path / "scores.csv"
+    write_scores(scores, ["machine01", "machine02"],
+                 {rec_id: [float(i), 1.0] for i, rec_id in enumerate(read_labels(labels).ids)})
+    built = []
+    post_init = Recording.__post_init__
+    monkeypatch.setattr(Recording, "__post_init__", lambda rec: built.append(rec) or post_init(rec))
+    path = scores if source == "scores" else manifest
+    code, _, _ = run(capsys, "evaluate", f"--{source}", str(path), "--labels", str(labels))
+    assert code == EXIT_OK
+    assert built == []
 
 
 def test_evaluate_harmonic_pooling_with_inverted_scorer_is_zero(tmp_path, capsys):
@@ -195,9 +222,9 @@ def golden_splits(capsys):
 
 def test_evaluate_orientation_flag_negates(tmp_path, capsys):
     reference = golden_splits(capsys)
-    machines, rows, _ = read_scores(GOLDEN / "scores.csv")
+    machines, ids, values, _ = read_scores(GOLDEN / "scores.csv")
     negated = tmp_path / "scores.csv"
-    write_scores(negated, machines, {rid: list(-vec) for rid, vec in rows.items()})
+    write_scores(negated, machines, dict(zip(ids, -values)))
     code, out, _ = run(
         capsys, "evaluate", "--scores", str(negated),
         "--labels", str(GOLDEN / "labels.csv"),
@@ -211,10 +238,9 @@ def test_evaluate_orientation_flag_negates(tmp_path, capsys):
 
 def test_evaluate_orientation_header_negates(tmp_path, capsys):
     reference = golden_splits(capsys)
-    machines, rows, _ = read_scores(GOLDEN / "scores.csv")
+    machines, ids, values, _ = read_scores(GOLDEN / "scores.csv")
     negated = tmp_path / "scores.csv"
-    write_scores(negated, machines, {rid: list(-vec) for rid, vec in rows.items()},
-                 orientation="lower")
+    write_scores(negated, machines, dict(zip(ids, -values)), orientation="lower")
     code, out, _ = run(capsys, "evaluate", "--scores", str(negated),
                        "--labels", str(GOLDEN / "labels.csv"))
     assert code == EXIT_OK
@@ -224,10 +250,9 @@ def test_evaluate_orientation_header_negates(tmp_path, capsys):
 def test_evaluate_orientation_flag_overrides_header(tmp_path, capsys):
     # header says lower, flag insists higher: values stay as stored
     reference = golden_splits(capsys)
-    machines, rows, _ = read_scores(GOLDEN / "scores.csv")
+    machines, ids, values, _ = read_scores(GOLDEN / "scores.csv")
     mislabeled = tmp_path / "scores.csv"
-    write_scores(mislabeled, machines, {rid: list(vec) for rid, vec in rows.items()},
-                 orientation="lower")
+    write_scores(mislabeled, machines, dict(zip(ids, values)), orientation="lower")
     code, out, _ = run(
         capsys, "evaluate", "--scores", str(mislabeled),
         "--labels", str(GOLDEN / "labels.csv"),
@@ -250,11 +275,7 @@ def build_manifest_fixture(tmp_path):
         Recording(r.id, r.true_machine, r.is_anomaly, r.split)
         for r in merged.recordings
     ])
-    write_features(
-        tmp_path / "features.csv",
-        [r.id for r in merged.recordings],
-        np.stack([r.features for r in merged.recordings]),
-    )
+    write_features(tmp_path / "features.csv", merged.ids, merged.features)
     for machine, ref in references.items():
         write_features(
             tmp_path / f"ref_{machine}.csv",
@@ -283,7 +304,7 @@ def test_evaluate_manifest_matches_library_pipeline(tmp_path, capsys):
     spec = ScorerSpec("nearest_reference", k=2)
     # reference vectors round-trip through CSV exactly, so scores agree too
     specs = {m: (spec, ReferenceSet(m, ref.vectors)) for m, ref in references.items()}
-    matrix = build_score_matrix(specs, merged.recordings)
+    matrix = build_score_matrix(specs, merged.ids, merged.features)
     known = evaluate_known(matrix, merged)
     section = doc["splits"]["dev"]["known"]
     assert section["aggregate"] == known.aggregate
@@ -303,7 +324,7 @@ def test_evaluate_manifest_rejects_orientation_flag(tmp_path, capsys):
 
 def test_evaluate_manifest_feature_mismatch(tmp_path, capsys):
     manifest, labels, _, merged = build_manifest_fixture(tmp_path)
-    kept = read_labels(labels)
+    kept = [Recording(*row) for row in label_rows(read_labels(labels))]
     write_labels(labels, kept + [Recording("ghost", "machine01", False)])
     code, _, err = run(capsys, "evaluate", "--manifest", str(manifest),
                        "--labels", str(labels))

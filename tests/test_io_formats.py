@@ -25,13 +25,11 @@ from idfree_asd.io import (
     simulate_document,
     sweep_csv_text,
     sweep_document,
-    write_features,
-    write_labels,
-    write_scores,
 )
 from idfree_asd.protocol import EvalConfig, Recording, full_report
 from idfree_asd.scorers import ScorerSpec
 from idfree_asd.simulate import SimConfig, SweepPoint, SweepResult, run_point, sweep
+from tables import label_rows, write_features, write_labels, write_scores
 
 # ---------------------------------------------------------------------------
 # score tables
@@ -41,18 +39,17 @@ def test_scores_roundtrip(tmp_path):
     path = tmp_path / "scores.csv"
     rows = {"r1": [0.1, 2.5], "r2": [1.0 / 3.0, -4.25]}
     write_scores(path, ["fan", "pump"], rows, orientation="higher")
-    machines, table, orientation = read_scores(path)
+    machines, ids, table, orientation = read_scores(path)
     assert machines == ["fan", "pump"]
     assert orientation == "higher"
-    for rec_id, values in rows.items():
-        assert np.array_equal(table[rec_id], values)  # repr round-trips exactly
+    assert ids == list(rows)
+    assert np.array_equal(table, list(rows.values()))  # repr round-trips exactly
 
 
 def test_scores_orientation_optional(tmp_path):
     path = tmp_path / "scores.csv"
     write_scores(path, ["fan"], {"r1": [1.0]})
-    _, _, orientation = read_scores(path)
-    assert orientation is None
+    assert read_scores(path)[3] is None
 
 
 def test_scores_rejects_unversioned_file(tmp_path):
@@ -119,7 +116,7 @@ def test_scores_errors_carry_line_numbers(tmp_path):
 def test_scores_accept_what_float_accepts(tmp_path, text, value):
     path = tmp_path / "scores.csv"
     path.write_text(f"{FORMAT_LINE}\nrecording_id,fan,pump\nr1,{text},2\n", encoding="utf-8")
-    assert read_scores(path)[1]["r1"].tolist() == [value, 2.0]
+    assert read_scores(path)[2].tolist() == [[value, 2.0]]
 
 
 def _write_table(kind, path, ids, matrix):
@@ -132,8 +129,8 @@ def _write_table(kind, path, ids, matrix):
 def _read_table(kind, path):
     if kind == "features":
         return read_features(path)
-    _, rows, _ = read_scores(path)
-    return list(rows), np.array(list(rows.values()))
+    _, ids, values, _ = read_scores(path)
+    return ids, values
 
 
 @pytest.mark.parametrize("kind", ["scores", "features"])
@@ -186,16 +183,16 @@ def test_ids_with_unicode_line_breaks_roundtrip(tmp_path, odd_id):
     # only LF, CRLF and CR end a line; str.splitlines would also break at these
     labels = tmp_path / "labels.csv"
     write_labels(labels, [Recording(odd_id, "fan", True, "dev"), Recording("z", "fan", False, "dev")])
-    assert [r.id for r in read_labels(labels)] == [odd_id, "z"]
+    assert read_labels(labels).ids == [odd_id, "z"]
     scores = tmp_path / "scores.csv"
     write_scores(scores, ["fan"], {odd_id: [1.0], "z": [2.0]})
-    assert list(read_scores(scores)[1]) == [odd_id, "z"]
+    assert read_scores(scores)[1] == [odd_id, "z"]
 
 
 def test_quoted_field_spans_lines_and_later_errors_name_the_physical_line(tmp_path):
     labels = tmp_path / "labels.csv"
     write_labels(labels, [Recording("a\nb", "fan", True, "dev"), Recording("c", "fan", False, "dev")])
-    assert [r.id for r in read_labels(labels)] == ["a\nb", "c"]
+    assert read_labels(labels).ids == ["a\nb", "c"]
     labels.write_text(
         f'{FORMAT_LINE}\nrecording_id,true_machine,is_anomaly,split\n'
         f'"a\nb",fan,1,dev\nc,fan,1,dev\nd,fan,yes,dev\n'
@@ -219,8 +216,7 @@ def test_labels_roundtrip_with_domain(tmp_path):
         Recording("r2", "fan", True, "dev", "target"),
     ]
     write_labels(path, recordings)
-    back = read_labels(path)
-    assert [(r.id, r.true_machine, r.is_anomaly, r.split, r.domain) for r in back] == [
+    assert label_rows(read_labels(path)) == [
         ("r1", "fan", False, "dev", "source"),
         ("r2", "fan", True, "dev", "target"),
     ]
@@ -229,8 +225,7 @@ def test_labels_roundtrip_with_domain(tmp_path):
 def test_labels_roundtrip_without_domain(tmp_path):
     path = tmp_path / "labels.csv"
     write_labels(path, [Recording("r1", "fan", True, "eval")])
-    back = read_labels(path)
-    assert back[0].domain is None and back[0].split == "eval"
+    assert label_rows(read_labels(path)) == [("r1", "fan", True, "eval", None)]
 
 
 def test_labels_accepts_wordy_booleans(tmp_path):
@@ -239,8 +234,7 @@ def test_labels_accepts_wordy_booleans(tmp_path):
         f"{FORMAT_LINE}\nrecording_id,true_machine,is_anomaly,split\n"
         f"r1,fan,true,dev\nr2,fan,false,dev\n"
     )
-    back = read_labels(path)
-    assert [r.is_anomaly for r in back] == [True, False]
+    assert read_labels(path).is_anomaly.tolist() == [True, False]
 
 
 def test_labels_accept_utf8_byte_order_mark(tmp_path):
@@ -250,11 +244,7 @@ def test_labels_accept_utf8_byte_order_mark(tmp_path):
     bom = tmp_path / "bom.csv"
     bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
 
-    def fields(path):
-        return [(r.id, r.true_machine, r.is_anomaly, r.split, r.domain)
-                for r in read_labels(path)]
-
-    assert fields(bom) == fields(plain)
+    assert label_rows(read_labels(bom)) == label_rows(read_labels(plain))
     # digests hash the bytes as stored, mark included
     assert file_digest(bom, "labels")["sha256"] != file_digest(plain, "labels")["sha256"]
 
@@ -285,7 +275,7 @@ def test_labels_warns_on_unknown_columns(tmp_path):
     )
     with pytest.warns(UserWarning, match="notes"):
         back = read_labels(path)
-    assert back[0].domain == "source"
+    assert label_rows(back) == [("r1", "fan", False, "dev", "source")]
 
 
 def test_labels_rejects_duplicates_and_empties(tmp_path):
@@ -300,6 +290,23 @@ def test_labels_rejects_duplicates_and_empties(tmp_path):
         f"{FORMAT_LINE}\nrecording_id,true_machine,is_anomaly,split\n,fan,0,dev\n"
     )
     with pytest.raises(FormatError, match="empty"):
+        read_labels(path)
+
+
+def test_labels_report_row_structure_before_values(tmp_path):
+    # the whole file streams through the row checks before a bad value is reported
+    path = tmp_path / "labels.csv"
+    path.write_text(
+        f"{FORMAT_LINE}\nrecording_id,true_machine,is_anomaly,split\n"
+        f"r1,fan,yes,dev\nr2,fan,0,test\nr1,fan,0,dev\n"
+    )
+    with pytest.raises(FormatError, match=r"^labels\.csv:5: duplicate recording id 'r1'$"):
+        read_labels(path)
+    path.write_text(
+        f"{FORMAT_LINE}\nrecording_id,true_machine,is_anomaly,split,domain\n"
+        f"r1,fan,0,dev,\nr2,fan,0,test,indoor\nr3,fan,0,dev,indoor\n"
+    )
+    with pytest.raises(FormatError, match=r"^labels\.csv:4: recording 'r2': unknown split 'test'$"):
         read_labels(path)
 
 
@@ -478,16 +485,12 @@ def test_file_digest_matches_hashlib(tmp_path):
 
 
 def make_report():
-    recordings = [
-        Recording("n1", "fan", False), Recording("n2", "fan", False),
-        Recording("a1", "fan", True), Recording("a2", "fan", True),
-    ]
     from idfree_asd.protocol import MergedTestSet, ScoreMatrix
 
-    matrix = ScoreMatrix(
-        ["fan"], {"n1": [0.0], "n2": [0.5], "a1": [2.0], "a2": [3.0]}
-    )
-    return full_report(matrix, MergedTestSet(recordings))
+    matrix = ScoreMatrix(["fan"], ["n1", "n2", "a1", "a2"], [[0.0], [0.5], [2.0], [3.0]])
+    merged = MergedTestSet(["a1", "a2", "n1", "n2"], ["fan"], [0, 0, 0, 0],
+                           [True, True, False, False])
+    return full_report(matrix, merged)
 
 
 def test_evaluation_document_shape():

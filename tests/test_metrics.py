@@ -19,7 +19,7 @@ from idfree_asd.metrics import (
     pauc_raw,
     roc_points,
 )
-from oracles import brute_force_auc
+from oracles import brute_force_auc, trapezoid_pauc_raw
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -220,6 +220,22 @@ def test_pauc_interpolates_partial_segments():
     # interior cap cutting a diagonal tie segment: all scores equal
     raw = pauc_raw([1.0, 1.0], [False, True], 0.4)
     assert raw == pytest.approx(0.4 * 0.4 * 0.5, abs=1e-15)
+
+
+@pytest.mark.parametrize("p", [0.1, 0.5, 1.0, 0.013])
+def test_pauc_raw_matches_trapezoid_loop_bit_for_bit(p):
+    # the vectorized sum must add the same terms in the same order as the loop
+    rng = np.random.default_rng(int(p * 1000))
+    for _ in range(400):
+        n = int(rng.integers(2, 120))
+        scores = rng.integers(0, int(rng.integers(1, 12)), size=n).astype(float)
+        if rng.random() < 0.3:
+            scores = scores / 7.0 + rng.normal(size=n) * (rng.random() < 0.5)
+        labels = rng.random(n) < rng.uniform(0.05, 0.95)
+        labels[rng.integers(n)] = True
+        labels[(labels.argmax() + 1 + rng.integers(n - 1)) % n] = False
+        expected = trapezoid_pauc_raw(roc_points(scores, labels), p)
+        assert pauc_raw(scores, labels, p) == expected
 
 
 @pytest.mark.parametrize("p", [0.0, -0.1, 1.0001, 2.0])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,6 @@ from idfree_asd import metrics
 from idfree_asd.protocol import (
     EvalConfig,
     IdentificationStats,
-    MergedTestSet,
     ProtocolError,
     Recording,
     ScoreMatrix,
@@ -30,6 +31,12 @@ def make_recordings(machine, n_normal, n_anomalous, split="dev"):
     return recs
 
 
+def matrix_from_rows(machines, rows):
+    """Score matrix from a mapping of recording id to its row of scores."""
+    values = np.reshape(list(rows.values()), (len(rows), len(machines)))
+    return ScoreMatrix(list(machines), list(rows), values)
+
+
 def random_matrix(rng, merged, machines, strict_true_min=False, integers=False):
     """Random scores; integers=True draws from 0..4 so rows tie often."""
     rows = {}
@@ -42,7 +49,7 @@ def random_matrix(rng, merged, machines, strict_true_min=False, integers=False):
             offset = 1.0 if integers else rng.uniform(0.5, 1.0)
             row[machines.index(rec.true_machine)] = row.min() - offset
         rows[rec.id] = row
-    return ScoreMatrix(list(machines), rows)
+    return matrix_from_rows(list(machines), rows)
 
 
 def tie_heavy_fixture(rng, strict_true_min=False):
@@ -81,7 +88,7 @@ def golden_style_fixture():
         "valve-a0": [9.0, 5.0], "valve-a1": [9.0, 6.0],
         "valve-a2": [9.0, 7.0], "valve-a3": [9.0, 8.0],
     }
-    return ScoreMatrix(["fan", "valve"], rows), merged
+    return matrix_from_rows(["fan", "valve"], rows), merged
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +107,7 @@ def test_merge_single_machine_is_identity():
     recs = make_recordings("fan", 3, 1)
     merged = merge_test_sets({"fan": recs})
     assert sorted(r.id for r in merged.recordings) == sorted(r.id for r in recs)
-    assert merged.machines() == ["fan"]
+    assert merged.machines == ["fan"]
 
 
 def test_merge_preserves_every_recording():
@@ -140,7 +147,7 @@ def test_merge_rejects_empty_inputs():
 def test_merged_set_rejects_mixed_splits():
     recs = [Recording("a", "fan", False, "dev"), Recording("b", "fan", False, "eval")]
     with pytest.raises(ProtocolError, match="splits"):
-        MergedTestSet(recs)
+        merge_test_sets({"fan": recs})
 
 
 def test_merged_set_split_property():
@@ -154,21 +161,24 @@ def test_merged_set_split_property():
 
 def test_score_matrix_validation():
     with pytest.raises(ProtocolError):
-        ScoreMatrix([], {})
+        ScoreMatrix([], [], np.empty((0, 0)))
     with pytest.raises(ProtocolError, match="duplicate"):
-        ScoreMatrix(["fan", "fan"], {"r": [1.0, 2.0]})
-    with pytest.raises(ProtocolError, match="entries"):
-        ScoreMatrix(["fan", "pump"], {"r": [1.0]})
-    # ragged rows fail the one-shot conversion; the error still names the row
-    with pytest.raises(ProtocolError, match="row 's' has 3 entries, expected 2"):
-        ScoreMatrix(["fan", "pump"], {"r": [1.0, 2.0], "s": [1.0, 2.0, 3.0]})
-    with pytest.raises(ProtocolError, match="non-finite"):
-        ScoreMatrix(["fan"], {"r": [float("inf")]})
-    assert ScoreMatrix(["fan", "pump"], {}).values.shape == (0, 2)
+        ScoreMatrix(["fan", "fan"], ["r"], [[1.0, 2.0]])
+    with pytest.raises(ProtocolError, match="duplicate"):
+        ScoreMatrix(["fan"], ["r", "r"], [[1.0], [2.0]])
+    with pytest.raises(ProtocolError, match=r"shape \(1, 1\), expected \(1, 2\)"):
+        ScoreMatrix(["fan", "pump"], ["r"], [[1.0]])
+    with pytest.raises(ProtocolError, match=r"shape \(1, 2\), expected \(2, 2\)"):
+        ScoreMatrix(["fan", "pump"], ["r", "s"], [[1.0, 2.0]])
+    with pytest.raises(ProtocolError, match="row 's' contains non-finite"):
+        ScoreMatrix(["fan"], ["r", "s"], [[1.0], [float("inf")]])
+    assert ScoreMatrix(["fan", "pump"], [], np.empty((0, 2))).values.shape == (0, 2)
+    # ids differing only by a trailing NUL are two recordings
+    assert ScoreMatrix(["fan"], ["x\x00", "x"], [[1.0], [2.0]]).ids == ["x\x00", "x"]
 
 
 def test_score_matrix_lookup_errors():
-    matrix = ScoreMatrix(["fan", "pump"], {"r": [1.0, 2.0], "s": [3.0, 4.0]})
+    matrix = ScoreMatrix(["fan", "pump"], ("r", "s"), [[1.0, 2.0], [3.0, 4.0]])
     assert matrix.k == 2
     assert matrix.ids == ["r", "s"]
     assert matrix.values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
@@ -188,7 +198,7 @@ def test_aggregate_score_tie_takes_lowest_index_and_flags():
                               "b": make_recordings("b", 1, 1)})
     rows = {"a-n0": [0.1, 0.9], "a-a0": [5.0, 9.0],
             "b-n0": [0.3, 0.3], "b-a0": [9.0, 5.0]}
-    _, stats = evaluate_unknown(ScoreMatrix(["a", "b"], rows), merged)
+    _, stats = evaluate_unknown(matrix_from_rows(["a", "b"], rows), merged)
     assert (stats.n_correct, stats.tie_count) == (3, 1)
 
 
@@ -234,7 +244,7 @@ def test_identify_strict_minimum_recovers_truth():
 
 def test_identify_single_machine_maps_everything_to_it():
     merged = merge_test_sets({"fan": make_recordings("fan", 2, 2)})
-    matrix = ScoreMatrix(["fan"], {r.id: [1.0] for r in merged.recordings})
+    matrix = matrix_from_rows(["fan"], {r.id: [1.0] for r in merged.recordings})
     _, stats = evaluate_unknown(matrix, merged)
     assert (stats.n_correct, stats.tie_count) == (4, 0)
 
@@ -248,7 +258,7 @@ def test_aggregate_score_is_local():
     rows = np.arange(len(ids))
 
     def unknown(values):
-        matrix = ScoreMatrix(machines, dict(zip(ids, values)))
+        matrix = matrix_from_rows(machines, dict(zip(ids, values)))
         return evaluate_unknown(matrix, merged, average="arithmetic")
 
     for _ in range(20):
@@ -269,25 +279,25 @@ def test_aggregate_score_is_local():
 def test_misid_probability_values():
     merged = merge_test_sets({"fan": make_recordings("fan", 6, 6)})
     fan_wins = {r.id: [0.0, 1.0] for r in merged.recordings}
-    _, stats = evaluate_unknown(ScoreMatrix(["fan", "pump"], fan_wins), merged)
+    _, stats = evaluate_unknown(matrix_from_rows(["fan", "pump"], fan_wins), merged)
     assert stats.misid_probability == 0.0
     pump_wins = {r.id: [1.0, 0.0] for r in merged.recordings}
-    _, stats = evaluate_unknown(ScoreMatrix(["fan", "pump"], pump_wins), merged)
+    _, stats = evaluate_unknown(matrix_from_rows(["fan", "pump"], pump_wins), merged)
     assert stats.misid_probability == 1.0
     three_wrong = dict(fan_wins)
     for rec_id in ["fan-n0", "fan-n5", "fan-a3"]:
         three_wrong[rec_id] = [1.0, 0.0]
-    _, stats = evaluate_unknown(ScoreMatrix(["fan", "pump"], three_wrong), merged)
+    _, stats = evaluate_unknown(matrix_from_rows(["fan", "pump"], three_wrong), merged)
     assert stats.misid_probability == 0.25
 
 
 def test_misid_probability_coverage_check():
     merged = merge_test_sets({"fan": make_recordings("fan", 1, 1)})
-    partial = ScoreMatrix(["fan"], {"fan-n0": [1.0]})
+    partial = matrix_from_rows(["fan"], {"fan-n0": [1.0]})
     with pytest.raises(ProtocolError, match="no row"):
         evaluate_unknown(partial, merged)
     with pytest.raises(ProtocolError, match="missing machine columns"):
-        evaluate_unknown(ScoreMatrix(["pump"], {"fan-n0": [1.0], "fan-a0": [2.0]}), merged)
+        evaluate_unknown(matrix_from_rows(["pump"], {"fan-n0": [1.0], "fan-a0": [2.0]}), merged)
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +311,7 @@ def test_evaluate_known_perfect_scorer():
     rows = {
         r.id: [10.0 if r.is_anomaly else 0.0] * 2 for r in merged.recordings
     }
-    result = evaluate_known(ScoreMatrix(["fan", "pump"], rows), merged)
+    result = evaluate_known(matrix_from_rows(["fan", "pump"], rows), merged)
     for m in ["fan", "pump"]:
         assert result.per_machine[m].auc == 1.0
         assert result.per_machine[m].pauc == 1.0
@@ -311,7 +321,7 @@ def test_evaluate_known_perfect_scorer():
 def test_evaluate_known_constant_scorer_is_chance():
     merged = merge_test_sets({"fan": make_recordings("fan", 3, 3)})
     rows = {r.id: [2.5] for r in merged.recordings}
-    result = evaluate_known(ScoreMatrix(["fan"], rows), merged)
+    result = evaluate_known(matrix_from_rows(["fan"], rows), merged)
     assert result.per_machine["fan"].auc == 0.5
     assert result.per_machine["fan"].pauc == pytest.approx(0.5, abs=1e-12)
 
@@ -336,7 +346,7 @@ def test_evaluate_known_matches_slice_oracle():
 
 def test_evaluate_known_requires_matrix_coverage():
     merged = merge_test_sets({"fan": make_recordings("fan", 1, 1)})
-    matrix = ScoreMatrix(["pump"], {r.id: [1.0] for r in merged.recordings})
+    matrix = matrix_from_rows(["pump"], {r.id: [1.0] for r in merged.recordings})
     with pytest.raises(ProtocolError, match="fan"):
         evaluate_known(matrix, merged)
 
@@ -350,7 +360,7 @@ def test_single_class_machine_warns_and_is_excluded():
     rows = {
         r.id: [10.0 if r.is_anomaly else 0.0] * 2 for r in merged.recordings
     }
-    matrix = ScoreMatrix(["fan", "pump"], rows)
+    matrix = matrix_from_rows(["fan", "pump"], rows)
     with pytest.warns(UserWarning, match="single-class"):
         result = evaluate_known(matrix, merged)
     assert result.excluded_machines == ["pump"]
@@ -359,9 +369,27 @@ def test_single_class_machine_warns_and_is_excluded():
     assert result.aggregate == 1.0  # pooled over fan only
 
 
+def test_full_report_warns_once_per_single_class_machine():
+    sets = {
+        "fan": make_recordings("fan", 3, 3),
+        "pump": make_recordings("pump", 3, 0),  # normals only
+    }
+    merged = merge_test_sets(sets)
+    rows = {r.id: [10.0 if r.is_anomaly else 0.0] * 2 for r in merged.recordings}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = full_report(matrix_from_rows(["fan", "pump"], rows), merged)
+    assert [str(w.message) for w in caught] == [
+        "machine 'pump' has single-class test labels; "
+        "its metrics are undefined and excluded from aggregation"
+    ]
+    assert caught[0].filename == __file__  # attributed to the caller
+    assert report.known.excluded_machines == report.unknown.excluded_machines == ["pump"]
+
+
 def test_all_machines_degenerate_is_an_error():
     merged = merge_test_sets({"fan": make_recordings("fan", 2, 0)})
-    matrix = ScoreMatrix(["fan"], {r.id: [1.0] for r in merged.recordings})
+    matrix = matrix_from_rows(["fan"], {r.id: [1.0] for r in merged.recordings})
     with pytest.warns(UserWarning):
         with pytest.raises(ProtocolError, match="no machine"):
             evaluate_known(matrix, merged)
@@ -390,7 +418,7 @@ def test_unknown_equals_known_for_single_machine():
     merged = merge_test_sets({"fan": make_recordings("fan", 4, 4)})
     rows = {r.id: [20.0 + i if r.is_anomaly else float(i)]
             for i, r in enumerate(merged.recordings)}
-    matrix = ScoreMatrix(["fan"], rows)
+    matrix = matrix_from_rows(["fan"], rows)
     known = evaluate_known(matrix, merged)
     unknown, stats = evaluate_unknown(matrix, merged)
     assert unknown.per_machine["fan"] == known.per_machine["fan"]
@@ -438,7 +466,7 @@ def test_evaluation_invariant_under_exact_monotone_rescaling():
     machines = ["m1", "m2", "m3"]
     merged = merge_test_sets({m: make_recordings(m, 5, 3) for m in machines})
     matrix = random_matrix(rng, merged, machines)
-    scaled = ScoreMatrix(list(machines), dict(zip(matrix.ids, matrix.values * 4.0)))
+    scaled = matrix_from_rows(list(machines), dict(zip(matrix.ids, matrix.values * 4.0)))
     base_known = evaluate_known(matrix, merged)
     base_unknown, base_stats = evaluate_unknown(matrix, merged)
     scaled_known = evaluate_known(scaled, merged)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from idfree_asd import scorers
-from idfree_asd.protocol import Recording, merge_test_sets
+from idfree_asd.protocol import ProtocolError, Recording, merge_test_sets
 from idfree_asd.scorers import (
     NORMALIZER_KINDS,
     SCORER_KINDS,
@@ -443,7 +443,7 @@ def test_build_score_matrix_single_machine():
     rng = np.random.default_rng(19)
     ref = ReferenceSet("fan", rng.normal(size=(8, 3)))
     merged = make_merged(rng, ["fan"], 6, 3)
-    matrix = build_score_matrix({"fan": (NN1, ref)}, merged.recordings)
+    matrix = build_score_matrix({"fan": (NN1, ref)}, merged.ids, merged.features)
     assert matrix.machines == ["fan"]
     assert matrix.ids == [rec.id for rec in merged.recordings]
     fn = scoring_function(NN1, ref)
@@ -457,7 +457,7 @@ def test_build_score_matrix_columns_sorted_and_per_cell_exact():
     refs = {m: ReferenceSet(m, rng.normal(size=(10, 4))) for m in machines}
     specs = {m: (ScorerSpec("mahalanobis"), refs[m]) for m in machines}
     merged = make_merged(rng, machines, 4, 4)
-    matrix = build_score_matrix(specs, merged.recordings)
+    matrix = build_score_matrix(specs, merged.ids, merged.features)
     assert matrix.machines == ["fan", "pump", "valve"]
     for rec, row in zip(merged.recordings, matrix.values):
         for m in machines:
@@ -474,7 +474,7 @@ def test_identical_reference_sets_give_identical_columns():
         "b": (NN1, ReferenceSet("b", vecs.copy())),
     }
     merged = make_merged(rng, ["a", "b"], 5, 2)
-    matrix = build_score_matrix(specs, merged.recordings)
+    matrix = build_score_matrix(specs, merged.ids, merged.features)
     assert np.array_equal(matrix.values[:, 0], matrix.values[:, 1])
 
 
@@ -483,63 +483,54 @@ def test_build_score_matrix_is_deterministic():
     refs = {m: ReferenceSet(m, rng.normal(size=(7, 3))) for m in ["a", "b"]}
     specs = {m: (ScorerSpec("nearest_reference", k=2), refs[m]) for m in refs}
     merged = make_merged(rng, ["a", "b"], 4, 3)
-    first = build_score_matrix(specs, merged.recordings)
-    second = build_score_matrix(specs, merged.recordings)
+    first = build_score_matrix(specs, merged.ids, merged.features)
+    second = build_score_matrix(specs, merged.ids, merged.features)
     assert first.ids == second.ids
     assert np.array_equal(first.values, second.values)
 
 
 def test_build_score_matrix_reports_missing_features():
-    merged = merge_test_sets(
-        {
-            "fan": [
-                Recording("fan-ok", "fan", False, features=np.zeros(2)),
-                Recording("fan-bad", "fan", True),
-            ]
-        }
-    )
+    # a set with features on some recordings only is refused when merged
+    with pytest.raises(ProtocolError, match=r"without features: \['fan-bad'\]"):
+        merge_test_sets({"fan": [Recording("fan-ok", "fan", False, features=np.zeros(2)),
+                                 Recording("fan-bad", "fan", True)]})
     specs = {"fan": (NN1, ReferenceSet("fan", np.zeros((2, 2))))}
-    with pytest.raises(ScorerError, match="fan-bad"):
-        build_score_matrix(specs, merged.recordings)
+    with pytest.raises(ScorerError, match="dimension 0"):
+        build_score_matrix(specs, ["r1", "r2"], None)
+    with pytest.raises(ProtocolError, match=r"shape \(3, 1\), expected \(2, 1\)"):
+        build_score_matrix(specs, ["r1", "r2"], np.zeros((3, 2)))
 
 
 def test_build_score_matrix_rejects_inconsistent_dimensions():
-    merged = merge_test_sets(
-        {
-            "fan": [
-                Recording("r1", "fan", False, features=np.zeros(2)),
-                Recording("r2", "fan", True, features=np.zeros(3)),
-            ]
-        }
-    )
+    with pytest.raises(ProtocolError, match="inconsistent"):
+        merge_test_sets({"fan": [Recording("r1", "fan", False, features=np.zeros(2)),
+                                 Recording("r2", "fan", True, features=np.zeros(3))]})
     specs = {"fan": (NN1, ReferenceSet("fan", np.zeros((2, 2))))}
-    with pytest.raises(ScorerError, match="inconsistent"):
-        build_score_matrix(specs, merged.recordings)
+    with pytest.raises(ScorerError, match="dimension 3"):
+        build_score_matrix(specs, ["r1", "r2"], np.zeros((2, 3)))
+    with pytest.raises(ScorerError, match="dimension 3"):
+        build_score_matrix(specs, ["r1", "r2"], np.zeros((2, 2, 3)))
 
 
 def test_build_score_matrix_rejects_empty_config():
     rng = np.random.default_rng(2)
     merged = make_merged(rng, ["fan"], 2, 2)
     with pytest.raises(ScorerError):
-        build_score_matrix({}, merged.recordings)
+        build_score_matrix({}, merged.ids, merged.features)
     with pytest.raises(ScorerError, match="no recordings"):
-        build_score_matrix({"fan": (NN1, ReferenceSet("fan", np.zeros((2, 2))))}, [])
+        build_score_matrix({"fan": (NN1, ReferenceSet("fan", np.zeros((2, 2))))}, [],
+                           np.zeros((0, 2)))
 
 
 def test_scoring_never_reads_hidden_labels():
-    # the scoring stage sees ids and features only; hidden attributes raise
+    # the scoring stage takes ids and a feature block only: no labels reach it
     rng = np.random.default_rng(67)
-
-    class BlindRecording:
-        def __init__(self, rec_id, features):
-            self.id = rec_id
-            self.features = features
-
-        def __getattr__(self, name):
-            raise AssertionError(f"scoring read hidden attribute {name!r}")
-
-    recordings = [BlindRecording(f"r{i}", rng.normal(size=3)) for i in range(6)]
+    merged = make_merged(rng, ["a", "b"], 3, 3)
     refs = {m: ReferenceSet(m, rng.normal(size=(5, 3))) for m in ["a", "b"]}
     specs = {m: (NN1, refs[m]) for m in refs}
-    matrix = build_score_matrix(specs, recordings)
-    assert matrix.ids == [f"r{i}" for i in range(6)]
+    matrix = build_score_matrix(specs, merged.ids, merged.features)
+    merged.true_machine[:] = 1 - merged.true_machine
+    merged.is_anomaly[:] = ~merged.is_anomaly
+    flipped = build_score_matrix(specs, merged.ids, merged.features)
+    assert matrix.ids == merged.ids
+    assert np.array_equal(matrix.values, flipped.values)
