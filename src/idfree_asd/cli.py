@@ -17,12 +17,9 @@ import numpy as np
 from . import io as formats
 from .metrics import AVERAGING_MODES, MetricError, delta_norm
 from .protocol import (
-    SPLITS,
     EvalConfig,
-    MergedTestSet,
     ProtocolError,
     ScoreMatrix,
-    _find_rows,
     full_report,
     merge_test_sets,  # noqa: F401 -- unused here; bench/spans.py traces through this name
 )
@@ -95,28 +92,12 @@ def _check_pauc_p(p: float) -> None:
         raise UsageError(f"--pauc-p must lie in (0, 1], got {p}")
 
 
-def _unmatched(ids: list[str], wanted: list[str]) -> list[str]:
-    """The wanted ids missing from ids, sorted."""
-    return sorted(np.array(wanted, dtype=object)[~_find_rows(ids, wanted)[1]])
-
-
-def _split_sets(labels: formats.LabelTable) -> dict[str, MergedTestSet]:
-    """One test set per split present in the labels."""
-    ids = np.array(labels.ids, dtype=object)
-    sets = {}
-    for code, split in enumerate(SPLITS):
-        rows = np.flatnonzero(labels.split == code)
-        if rows.size:
-            sets[split] = MergedTestSet(ids[rows], labels.machines, labels.true_machine[rows],
-                                        labels.is_anomaly[rows], split)
-    return sets
-
-
 def _cmd_evaluate(args) -> int:
     if (args.scores is None) == (args.manifest is None):
         raise UsageError("provide exactly one of --scores and --manifest")
     _check_pauc_p(args.pauc_p)
-    labels = formats.read_labels(args.labels)
+    test_sets = formats.read_labels(args.labels)
+    labeled = {rec_id for merged in test_sets.values() for rec_id in merged.ids}
     config = EvalConfig(pauc_p=args.pauc_p, average=args.avg)
 
     if args.scores is not None:
@@ -124,11 +105,11 @@ def _cmd_evaluate(args) -> int:
         higher = _resolve_orientation(args.higher_is_anomalous, header_orientation)
         if not higher:
             np.negative(values, out=values)
-        if sorted(ids) != sorted(labels.ids):
+        if (scored := set(ids)) != labeled:
             raise ProtocolError(
                 f"scores/labels cross-reference mismatch: score rows without "
-                f"labels {_unmatched(labels.ids, ids)}, labeled recordings without "
-                f"scores {_unmatched(ids, labels.ids)}"
+                f"labels {sorted(scored - labeled)}, labeled recordings without "
+                f"scores {sorted(labeled - scored)}"
             )
         inputs = [
             formats.file_digest(args.scores, "scores"),
@@ -141,11 +122,11 @@ def _cmd_evaluate(args) -> int:
         higher = True
         manifest = formats.read_manifest(args.manifest)
         ids, vectors = formats.read_features(manifest.features)
-        if sorted(ids) != sorted(labels.ids):
+        if (featured := set(ids)) != labeled:
             raise ProtocolError(
                 f"features/labels cross-reference mismatch: labeled recordings "
-                f"without features {_unmatched(ids, labels.ids)}, feature rows "
-                f"without labels {_unmatched(labels.ids, ids)}"
+                f"without features {sorted(labeled - featured)}, feature rows "
+                f"without labels {sorted(featured - labeled)}"
             )
         specs = {}
         for machine in sorted(manifest.references):
@@ -161,10 +142,7 @@ def _cmd_evaluate(args) -> int:
         ]
         matrix = build_score_matrix(specs, ids, vectors)
 
-    reports = {
-        split: full_report(matrix, merged, config)
-        for split, merged in _split_sets(labels).items()
-    }
+    reports = {split: full_report(matrix, merged, config) for split, merged in test_sets.items()}
     _emit(formats.evaluation_document(reports, inputs, config, higher), args.out)
     return EXIT_OK
 

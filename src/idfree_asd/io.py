@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .protocol import DOMAINS, SPLITS, EvalConfig, EvalReport, ModeResult
+from .protocol import SPLITS, EvalConfig, EvalReport, MergedTestSet, ModeResult
 from .scorers import NormalizerSpec, ScorerSpec
 from .simulate import SimConfig, SweepPoint, SweepResult
 
@@ -35,7 +35,6 @@ __all__ = [
     "ORIENTATIONS",
     "Manifest",
     "CheckRow",
-    "LabelTable",
     "read_scores",
     "read_labels",
     "read_features",
@@ -209,44 +208,25 @@ def read_scores(path) -> tuple[list[str], list[str], np.ndarray, str | None]:
 
 
 _LABEL_COLUMNS = ("recording_id", "true_machine", "is_anomaly", "split")
-_SPLIT_CODES = {split: code for code, split in enumerate(SPLITS)}
-_DOMAIN_CODES = {"": -1, **{domain: code for code, domain in enumerate(DOMAINS)}}
 
 
-@dataclass(frozen=True, eq=False)
-class LabelTable:
-    """The columns of a labels file; entry i comes from data row i.
-
-    Codes index `machines` (in order of first appearance), protocol.SPLITS
-    and protocol.DOMAINS; domain is -1 where the cell or the column is absent.
-    """
-
-    ids: list[str]
-    machines: list[str]
-    true_machine: np.ndarray
-    is_anomaly: np.ndarray
-    split: np.ndarray
-    domain: np.ndarray
-
-
-def _label_problem(row: list[str], has_domain: bool) -> str | None:
+def _label_problem(row: list[str]) -> str | None:
     rec_id, machine, anomaly_text, split = row[:4]
     if not machine:
         return "empty recording id or machine"
     if anomaly_text not in _TRUTH:
         return f"is_anomaly must be one of {sorted(_TRUTH)}, got {anomaly_text!r}"
-    if split not in _SPLIT_CODES:
+    if split not in SPLITS:
         return f"recording {rec_id!r}: unknown split {split!r}"
-    if has_domain and row[4] not in _DOMAIN_CODES:
-        return f"recording {rec_id!r}: unknown domain {row[4]!r}"
     return None
 
 
-def read_labels(path) -> LabelTable:
-    """Read recording labels as columns.
+def read_labels(path) -> dict[str, MergedTestSet]:
+    """Read recording labels as one test set per split present, in SPLITS order.
 
-    Row structure (field count, empty or duplicate id) is checked over the
-    whole file before the first bad label value is reported.
+    The sets share one `machines` list, in order of first appearance. Row
+    structure (field count, empty or duplicate id) is checked over the whole
+    file before the first bad label value is reported.
     """
     path = Path(path)
     rows = _rows(path)
@@ -255,25 +235,24 @@ def read_labels(path) -> LabelTable:
         raise FormatError(
             f"{path.name}:{header_no}: header must start with {','.join(_LABEL_COLUMNS)}"
         )
-    has_domain = len(header) > 4 and header[4] == "domain"
-    extras = header[5 if has_domain else 4:]
-    if extras:
-        warnings.warn(f"{path.name}: ignoring unknown label columns {extras}", stacklevel=2)
+    if header[4:]:
+        warnings.warn(f"{path.name}: ignoring unknown label columns {header[4:]}", stacklevel=2)
     codes: dict[str, int] = {}  # machine name -> code, in order of first appearance
-    ids, machine, anomalous, split, domain = [], [], [], [], []
+    columns = {split: ([], [], []) for split in SPLITS}  # ids, machine codes, labels
     problem = None
     for line_no, row in _keyed_rows(path, rows, len(header), "label"):
-        if problem is None and (message := _label_problem(row, has_domain)):
+        if problem is None and (message := _label_problem(row)):
             problem = f"{path.name}:{line_no}: {message}"
-        ids.append(row[0])
-        machine.append(codes.setdefault(row[1], len(codes)))
-        anomalous.append(_TRUTH.get(row[2], False))
-        split.append(_SPLIT_CODES.get(row[3], -1))
-        domain.append(_DOMAIN_CODES.get(row[4], -1) if has_domain else -1)
+        elif problem is None:
+            ids, machine, anomalous = columns[row[3]]
+            ids.append(row[0])
+            machine.append(codes.setdefault(row[1], len(codes)))
+            anomalous.append(_TRUTH[row[2]])
     if problem is not None:
         raise FormatError(problem)
-    return LabelTable(ids, list(codes), np.array(machine, dtype=np.intp), np.array(anomalous),
-                      np.array(split, dtype=np.int8), np.array(domain, dtype=np.int8))
+    machines = list(codes)
+    return {split: MergedTestSet(ids, machines, machine, anomalous, split)
+            for split, (ids, machine, anomalous) in columns.items() if ids}
 
 
 def read_features(path) -> tuple[list[str], np.ndarray]:

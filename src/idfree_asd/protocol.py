@@ -9,7 +9,6 @@ per machine and to grade the implicit identification.
 from __future__ import annotations
 
 import warnings
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -21,7 +20,6 @@ from .metrics import IdAccuracy, MetricPair, aggregate, auc, delta_norm, pauc
 __all__ = [
     "ProtocolError",
     "SPLITS",
-    "DOMAINS",
     "Recording",
     "ScoreMatrix",
     "MergedTestSet",
@@ -37,7 +35,6 @@ __all__ = [
 ]
 
 SPLITS = ("dev", "eval")
-DOMAINS = ("source", "target")
 
 
 class ProtocolError(ValueError):
@@ -56,14 +53,11 @@ class Recording:
     true_machine: str
     is_anomaly: bool
     split: str = "dev"
-    domain: str | None = None
     features: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.split not in SPLITS:
             raise ProtocolError(f"recording {self.id!r}: unknown split {self.split!r}")
-        if self.domain is not None and self.domain not in DOMAINS:
-            raise ProtocolError(f"recording {self.id!r}: unknown domain {self.domain!r}")
 
 
 @dataclass(eq=False)
@@ -101,21 +95,6 @@ class ScoreMatrix:
     @property
     def k(self) -> int:
         return len(self.machines)
-
-
-def _find_rows(ids: Sequence[str], wanted: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Position in `ids` (unique) of each wanted id, and whether it is there.
-
-    One sorted join on Python strings: numpy "<U" arrays would merge ids
-    that differ by trailing NULs, and Python's sort and bisect beat numpy's
-    on object arrays.
-    """
-    order = sorted(range(len(ids)), key=ids.__getitem__)
-    sorted_ids = [ids[i] for i in order]
-    pos = np.array([bisect_left(sorted_ids, rec_id) for rec_id in wanted], dtype=np.intp)
-    # a sentinel past the end, where ids above every stored one land
-    found = np.array(sorted_ids + [None], dtype=object)[pos] == np.array(wanted, dtype=object)
-    return np.array(order + [0], dtype=np.intp)[pos], found
 
 
 @dataclass(eq=False)
@@ -166,8 +145,8 @@ class MergedTestSet:
 def merge_test_sets(per_machine_sets: Mapping[str, Sequence[Recording]]) -> MergedTestSet:
     """Pool per-machine test sets of Recordings into one identity-free set.
 
-    Keeps every recording and its labels (not its domain), and its features
-    when every recording has them.
+    Keeps every recording and its labels, and its features when every
+    recording has them.
     """
     if not per_machine_sets:
         raise ProtocolError("no machines to merge")
@@ -317,11 +296,11 @@ def _align(
     missing = sorted(m for m in (merged.machines[c] for c in codes) if m not in column)
     if missing:
         raise ProtocolError(f"score matrix is missing machine columns {missing}")
-    rows, found = _find_rows(matrix.ids, merged.ids)
-    if not found.all():
-        raise ProtocolError(
-            f"score matrix has no row for recording {merged.ids[int(np.argmin(found))]!r}"
-        )
+    row_of = dict(zip(matrix.ids, range(len(matrix.ids))))
+    try:
+        rows = np.array([row_of[rec_id] for rec_id in merged.ids], dtype=np.intp)
+    except KeyError as exc:
+        raise ProtocolError(f"score matrix has no row for recording {exc.args[0]!r}") from None
     true_cols = np.array([column.get(m, -1) for m in merged.machines], dtype=np.intp)
     total = np.bincount(merged.true_machine, minlength=len(merged.machines))
     anomalous = np.bincount(merged.true_machine[merged.is_anomaly], minlength=len(total))

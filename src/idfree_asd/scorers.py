@@ -14,7 +14,6 @@ from numbers import Real
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .protocol import ScoreMatrix
 
@@ -147,16 +146,22 @@ def _as_batch(x, d: int, machine: str) -> np.ndarray:
 
 
 def _mahalanobis(
-    spec: ScorerSpec, mean: np.ndarray, covariance: np.ndarray, batch: np.ndarray
+    spec: ScorerSpec, machine: str, mean: np.ndarray, covariance: np.ndarray, batch: np.ndarray
 ) -> np.ndarray:
     d = covariance.shape[0]
     epsilon = spec.epsilon
     if epsilon is None:
         epsilon = max(EPSILON_RELATIVE * float(np.trace(covariance)) / d, EPSILON_FLOOR)
-    factor = cho_factor(covariance + epsilon * np.eye(d))
-    delta = batch - mean
-    squared = np.einsum("ij,ji->i", delta, cho_solve(factor, delta.T))
-    return np.sqrt(np.maximum(squared, 0.0))
+    try:
+        lower = np.linalg.cholesky(covariance + epsilon * np.eye(d))
+    except np.linalg.LinAlgError:
+        raise ScorerError(
+            f"reference covariance of {machine!r} loaded with epsilon={epsilon!r} "
+            f"is not positive definite; use a larger epsilon"
+        ) from None
+    # einsum whitens row by row, so a score does not depend on the rest of the batch
+    whitened = np.einsum("kj,ij->ik", np.linalg.inv(lower), batch - mean)
+    return np.sqrt(np.einsum("ij,ij->i", whitened, whitened))
 
 
 def _nearest(
@@ -218,7 +223,7 @@ def _held_out(spec: ScorerSpec, ref: ReferenceSet) -> np.ndarray:
     held_out = np.empty(ref.n)
     for i in range(ref.n):
         mean, covariance = _moments(np.delete(ref.vectors, i, axis=0))
-        held_out[i] = _mahalanobis(spec, mean, covariance, ref.vectors[i : i + 1])[0]
+        held_out[i] = _mahalanobis(spec, ref.machine, mean, covariance, ref.vectors[i : i + 1])[0]
     return held_out
 
 
@@ -276,7 +281,7 @@ def scoring_function(
         if spec.kind == "nearest_reference":
             raw = distances[:, : spec.k].mean(axis=1)
         else:
-            raw = _mahalanobis(spec, ref.mean, ref.covariance, batch)
+            raw = _mahalanobis(spec, ref.machine, ref.mean, ref.covariance, batch)
         if norm.kind == "zscore_reference":
             return (raw - mu) / sigma
         if spacings is not None:

@@ -11,7 +11,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from idfree_asd.io import ORIENTATIONS, FormatError, _table_text, atomic_write_text
-from idfree_asd.protocol import DOMAINS, SPLITS, Recording
+from idfree_asd.protocol import MergedTestSet, Recording
 
 
 def write_scores(path, machines: Sequence[str], rows: Mapping[str, Sequence[float]],
@@ -26,14 +26,9 @@ def write_scores(path, machines: Sequence[str], rows: Mapping[str, Sequence[floa
 
 
 def write_labels(path, recordings: Sequence[Recording]) -> None:
-    with_domain = any(rec.domain is not None for rec in recordings)
     header = ["recording_id", "true_machine", "is_anomaly", "split"]
-    header += ["domain"] if with_domain else []
-    body = (
-        [rec.id, rec.true_machine, "1" if rec.is_anomaly else "0", rec.split]
-        + ([rec.domain or ""] if with_domain else [])
-        for rec in recordings
-    )
+    body = ([rec.id, rec.true_machine, "1" if rec.is_anomaly else "0", rec.split]
+            for rec in recordings)
     atomic_write_text(path, _table_text(header, body))
 
 
@@ -46,10 +41,7 @@ def write_features(path, ids: Sequence[str], vectors) -> None:
     atomic_write_text(path, _table_text(header, body))
 
 
-def label_rows(table) -> list[tuple]:
-    """(id, true machine, is_anomaly, split, domain or None) per row of a LabelTable."""
-    return [
-        (rec_id, table.machines[m], bool(a), SPLITS[s], DOMAINS[d] if d >= 0 else None)
-        for rec_id, m, a, s, d in zip(table.ids, table.true_machine, table.is_anomaly,
-                                      table.split, table.domain)
-    ]
+def label_rows(test_sets: Mapping[str, MergedTestSet]) -> list[tuple]:
+    """(id, true machine, is_anomaly, split) per row of the per-split sets of read_labels."""
+    return [(rec.id, rec.true_machine, rec.is_anomaly, rec.split)
+            for merged in test_sets.values() for rec in merged.recordings]

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -73,7 +75,7 @@ def test_evaluate_cli_matches_library_known_mode(capsys):
     doc = json.loads(out)
     machines, ids, values, _ = read_scores(GOLDEN / "scores.csv")
     per_machine = {}
-    for rec_id, machine, anomalous, split, _ in label_rows(read_labels(GOLDEN / "labels.csv")):
+    for rec_id, machine, anomalous, split in label_rows(read_labels(GOLDEN / "labels.csv")):
         per_machine.setdefault(machine, []).append(Recording(rec_id, machine, anomalous, split))
     merged = merge_test_sets(per_machine)
     known = evaluate_known(ScoreMatrix(machines, ids, values), merged)
@@ -151,8 +153,9 @@ def test_evaluate_ids_differing_by_trailing_nul_stay_apart(tmp_path, capsys):
 def test_evaluate_builds_no_recordings(tmp_path, capsys, monkeypatch, source):
     manifest, labels, _, _ = build_manifest_fixture(tmp_path)
     scores = tmp_path / "scores.csv"
+    ids = read_labels(labels)["dev"].ids
     write_scores(scores, ["machine01", "machine02"],
-                 {rec_id: [float(i), 1.0] for i, rec_id in enumerate(read_labels(labels).ids)})
+                 {rec_id: [float(i), 1.0] for i, rec_id in enumerate(ids)})
     built = []
     post_init = Recording.__post_init__
     monkeypatch.setattr(Recording, "__post_init__", lambda rec: built.append(rec) or post_init(rec))
@@ -332,6 +335,31 @@ def test_evaluate_manifest_feature_mismatch(tmp_path, capsys):
     assert "ghost" in stderr_json(err)["message"]
 
 
+@pytest.mark.parametrize("normalizer", ["none", "zscore_reference"])
+def test_evaluate_manifest_epsilon_too_small_is_data_error(tmp_path, capsys, normalizer):
+    # 3 reference vectors in d=8 leave a singular covariance that epsilon=1e-30
+    # cannot lift; the query path and the leave-one-out path both factor one
+    references, merged = generate(SimConfig(k=2, d=8, n_ref=3, n_norm=4, n_anom=2, seed=5))
+    labels = tmp_path / "labels.csv"
+    write_labels(labels, [Recording(r.id, r.true_machine, r.is_anomaly) for r in merged.recordings])
+    write_features(tmp_path / "features.csv", merged.ids, merged.features)
+    for machine, ref in references.items():
+        write_features(tmp_path / f"ref_{machine}.csv",
+                       [f"{machine}-ref{i}" for i in range(ref.n)], ref.vectors)
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({
+        "format": FORMAT_VERSION,
+        "scorer": {"kind": "mahalanobis", "epsilon": 1e-30,
+                   "normalizer": {"kind": normalizer}},
+        "features": "features.csv",
+        "machines": [{"name": m, "reference": f"ref_{m}.csv"} for m in sorted(references)],
+    }))
+    code, _, err = run(capsys, "evaluate", "--manifest", str(manifest), "--labels", str(labels))
+    assert code == EXIT_DATA
+    message = stderr_json(err)["message"]
+    assert "'machine01'" in message and "epsilon=1e-30" in message
+
+
 @pytest.mark.parametrize("field, value", [("epsilon", "0.1"), ("epsilon", 1e999),
                                           ("k", 1e999), ("k", None), ("k", True)])
 def test_evaluate_manifest_wrongly_typed_field_is_data_error(tmp_path, capsys, field, value):
@@ -399,6 +427,16 @@ def test_unknown_flag_and_missing_command(capsys):
     assert run(capsys, "evaluate", "--bogus")[0] == EXIT_USAGE
     assert run(capsys)[0] == EXIT_USAGE
     assert run(capsys, "frobnicate")[0] == EXIT_USAGE
+
+
+def test_cli_imports_and_runs_without_scipy():
+    # scipy is a test dependency only; None in sys.modules makes its import fail
+    src = str(Path(cli.__file__).parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); sys.modules['scipy'] = None\n"
+            "from idfree_asd.cli import main\nsys.exit(main(['--help']))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert done.returncode == EXIT_OK, done.stderr
+    assert "usage: idfree-asd" in done.stdout
 
 
 def test_internal_errors_map_to_exit_3(tmp_path, capsys, monkeypatch):

@@ -183,7 +183,7 @@ def test_ids_with_unicode_line_breaks_roundtrip(tmp_path, odd_id):
     # only LF, CRLF and CR end a line; str.splitlines would also break at these
     labels = tmp_path / "labels.csv"
     write_labels(labels, [Recording(odd_id, "fan", True, "dev"), Recording("z", "fan", False, "dev")])
-    assert read_labels(labels).ids == [odd_id, "z"]
+    assert read_labels(labels)["dev"].ids == [odd_id, "z"]
     scores = tmp_path / "scores.csv"
     write_scores(scores, ["fan"], {odd_id: [1.0], "z": [2.0]})
     assert read_scores(scores)[1] == [odd_id, "z"]
@@ -192,7 +192,7 @@ def test_ids_with_unicode_line_breaks_roundtrip(tmp_path, odd_id):
 def test_quoted_field_spans_lines_and_later_errors_name_the_physical_line(tmp_path):
     labels = tmp_path / "labels.csv"
     write_labels(labels, [Recording("a\nb", "fan", True, "dev"), Recording("c", "fan", False, "dev")])
-    assert read_labels(labels).ids == ["a\nb", "c"]
+    assert read_labels(labels)["dev"].ids == ["a\nb", "c"]
     labels.write_text(
         f'{FORMAT_LINE}\nrecording_id,true_machine,is_anomaly,split\n'
         f'"a\nb",fan,1,dev\nc,fan,1,dev\nd,fan,yes,dev\n'
@@ -209,23 +209,51 @@ def test_quoted_field_spans_lines_and_later_errors_name_the_physical_line(tmp_pa
 # labels
 
 
-def test_labels_roundtrip_with_domain(tmp_path):
+def test_labels_read_as_one_set_per_split(tmp_path):
     path = tmp_path / "labels.csv"
-    recordings = [
-        Recording("r1", "fan", False, "dev", "source"),
-        Recording("r2", "fan", True, "dev", "target"),
+    path.write_text(
+        f"{FORMAT_LINE}\nrecording_id,true_machine,is_anomaly,split\n"
+        f"e2,pump,1,eval\nd2,fan,0,dev\ne1,fan,0,eval\nd1,pump,1,dev\n"
+    )
+    sets = read_labels(path)
+    assert list(sets) == ["dev", "eval"]
+    assert sets["dev"].machines is sets["eval"].machines
+    assert sets["dev"].machines == ["pump", "fan"]
+    assert label_rows(sets) == [
+        ("d1", "pump", True, "dev"), ("d2", "fan", False, "dev"),
+        ("e1", "fan", False, "eval"), ("e2", "pump", True, "eval"),
     ]
-    write_labels(path, recordings)
-    assert label_rows(read_labels(path)) == [
-        ("r1", "fan", False, "dev", "source"),
-        ("r2", "fan", True, "dev", "target"),
+
+
+def test_labels_domain_column_is_ignored(tmp_path):
+    plain = tmp_path / "plain.csv"
+    plain.write_text(
+        f"{FORMAT_LINE}\nrecording_id,true_machine,is_anomaly,split\n"
+        f"r2,fan,1,dev\nr1,pump,0,eval\nr3,pump,0,dev\n"
+    )
+    path = tmp_path / "labels.csv"
+    path.write_text(
+        f"{FORMAT_LINE}\nrecording_id,true_machine,is_anomaly,split,domain\n"
+        f"r2,fan,1,dev,source\nr1,pump,0,eval,indoor\nr3,pump,0,dev,\n"
+    )
+    with pytest.warns(UserWarning) as caught:
+        sets = read_labels(path)
+    assert [str(w.message) for w in caught] == [
+        "labels.csv: ignoring unknown label columns ['domain']"
     ]
+    expected = read_labels(plain)
+    assert list(sets) == list(expected) == ["dev", "eval"]
+    for split, merged in sets.items():
+        assert merged.ids == expected[split].ids
+        assert merged.machines == expected[split].machines
+        assert np.array_equal(merged.true_machine, expected[split].true_machine)
+        assert np.array_equal(merged.is_anomaly, expected[split].is_anomaly)
 
 
 def test_labels_roundtrip_without_domain(tmp_path):
     path = tmp_path / "labels.csv"
     write_labels(path, [Recording("r1", "fan", True, "eval")])
-    assert label_rows(read_labels(path)) == [("r1", "fan", True, "eval", None)]
+    assert label_rows(read_labels(path)) == [("r1", "fan", True, "eval")]
 
 
 def test_labels_accepts_wordy_booleans(tmp_path):
@@ -234,13 +262,13 @@ def test_labels_accepts_wordy_booleans(tmp_path):
         f"{FORMAT_LINE}\nrecording_id,true_machine,is_anomaly,split\n"
         f"r1,fan,true,dev\nr2,fan,false,dev\n"
     )
-    assert read_labels(path).is_anomaly.tolist() == [True, False]
+    assert read_labels(path)["dev"].is_anomaly.tolist() == [True, False]
 
 
 def test_labels_accept_utf8_byte_order_mark(tmp_path):
     plain = tmp_path / "plain.csv"
-    write_labels(plain, [Recording("r1", "fan", True, "eval", "target"),
-                         Recording("r2", "pump", False, "dev", "source")])
+    write_labels(plain, [Recording("r1", "fan", True, "eval"),
+                         Recording("r2", "pump", False, "dev")])
     bom = tmp_path / "bom.csv"
     bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
 
@@ -275,7 +303,7 @@ def test_labels_warns_on_unknown_columns(tmp_path):
     )
     with pytest.warns(UserWarning, match="notes"):
         back = read_labels(path)
-    assert label_rows(back) == [("r1", "fan", False, "dev", "source")]
+    assert label_rows(back) == [("r1", "fan", False, "dev")]
 
 
 def test_labels_rejects_duplicates_and_empties(tmp_path):
@@ -306,8 +334,10 @@ def test_labels_report_row_structure_before_values(tmp_path):
         f"{FORMAT_LINE}\nrecording_id,true_machine,is_anomaly,split,domain\n"
         f"r1,fan,0,dev,\nr2,fan,0,test,indoor\nr3,fan,0,dev,indoor\n"
     )
-    with pytest.raises(FormatError, match=r"^labels\.csv:4: recording 'r2': unknown split 'test'$"):
-        read_labels(path)
+    with pytest.warns(UserWarning, match="domain"):
+        with pytest.raises(FormatError,
+                           match=r"^labels\.csv:4: recording 'r2': unknown split 'test'$"):
+            read_labels(path)
 
 
 # ---------------------------------------------------------------------------

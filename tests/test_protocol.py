@@ -95,12 +95,10 @@ def golden_style_fixture():
 # recordings / merging
 
 
-def test_recording_validates_split_and_domain():
-    Recording("r1", "fan", False, "eval", "target")
+def test_recording_validates_split():
+    Recording("r1", "fan", False, "eval")
     with pytest.raises(ProtocolError):
         Recording("r1", "fan", False, "train")
-    with pytest.raises(ProtocolError):
-        Recording("r1", "fan", False, "dev", "indoor")
 
 
 def test_merge_single_machine_is_identity():
@@ -518,6 +516,20 @@ def test_full_report_wiring():
     assert report.identification.k == 2
     assert report.known.pauc_p == 0.1
     assert report.unknown.average == "harmonic"
+
+
+def test_full_report_ignores_matrix_row_order_and_unrelated_rows():
+    rng = np.random.default_rng(71)
+    machines = ["fan", "pump", "valve"]
+    merged = merge_test_sets({m: make_recordings(m, 12, 5) for m in machines})
+    matrix = random_matrix(rng, merged, machines, integers=True)
+    # unrelated ids sort before, between and after the merged ones
+    extra = ["a", "fan-a", "fan-n1\x00", "pump-n", "valve-a9x", "zz"] + [f"x{i}" for i in range(20)]
+    ids = matrix.ids + extra
+    values = np.vstack([matrix.values, rng.uniform(0.0, 9.0, size=(len(extra), len(machines)))])
+    order = rng.permutation(len(ids))
+    shuffled = ScoreMatrix(machines, [ids[i] for i in order], values[order])
+    assert full_report(shuffled, merged) == full_report(matrix, merged)
 
 
 def test_full_report_perfect_identification_gives_zero_delta():
