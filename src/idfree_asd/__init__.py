@@ -10,16 +10,13 @@ cluster simulator, and a CLI with reproducible file formats.
 from .io import TOOL_VERSION as __version__
 from .metrics import (
     AVERAGING_MODES,
-    IdAccuracy,
     MetricError,
-    MetricPair,
     aggregate,
     auc,
     delta_norm,
     normalize_id_accuracy,
     pauc,
     pauc_raw,
-    roc_points,
 )
 from .protocol import (
     EvalConfig,
@@ -61,16 +58,13 @@ from .simulate import (
 __all__ = [
     "__version__",
     "AVERAGING_MODES",
-    "IdAccuracy",
     "MetricError",
-    "MetricPair",
     "aggregate",
     "auc",
     "delta_norm",
     "normalize_id_accuracy",
     "pauc",
     "pauc_raw",
-    "roc_points",
     "EvalConfig",
     "EvalReport",
     "IdentificationStats",

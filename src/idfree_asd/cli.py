@@ -30,7 +30,6 @@ from .simulate import (
     DEFAULT_SEPARATIONS,
     SimConfig,
     SimError,
-    SweepResult,
     run_point,
     sweep,
 )
@@ -225,8 +224,7 @@ def _cmd_simulate(args) -> int:
     point = run_point(config, DEFAULT_SCORER, eval_config)
     doc = formats.simulate_document(point, config, DEFAULT_SCORER, eval_config)
     formats.atomic_write_text(args.out, formats.document_text(doc))
-    result = SweepResult(config, (config.separation,), 1, [point])
-    formats.atomic_write_text(csv_path, formats.sweep_csv_text(result))
+    formats.atomic_write_text(csv_path, formats.sweep_csv_text([point]))
     if args.svg:
         _write_svg(args.svg, [point])
     return EXIT_OK
@@ -240,7 +238,7 @@ def _cmd_sweep(args) -> int:
     result = sweep(base, args.separations, args.repeats, DEFAULT_SCORER, eval_config)
     doc = formats.sweep_document(result, DEFAULT_SCORER, eval_config)
     formats.atomic_write_text(args.out, formats.document_text(doc))
-    formats.atomic_write_text(csv_path, formats.sweep_csv_text(result))
+    formats.atomic_write_text(csv_path, formats.sweep_csv_text(result.points))
     if args.svg:
         _write_svg(args.svg, result.points)
     return EXIT_OK

@@ -79,22 +79,39 @@ def _rows(
     """
     # utf-8-sig drops a leading byte-order mark that some editors write
     with open(path, encoding="utf-8-sig", newline="") as handle:
-        if handle.readline().strip() != FORMAT_LINE:
-            raise FormatError(f"{path.name}: first line must be {FORMAT_LINE!r}")
-        skipped = 1
-        while (line := handle.readline()).lstrip().startswith("#"):
-            skipped += 1
-            if comments is not None:
-                comments.append((skipped, line))
-        reader = csv.reader(chain([line], handle))
-        start, found = skipped + 1, False
-        for fields in reader:
-            if fields:
-                found = True
-                yield start, fields
-            start = skipped + 1 + reader.line_num
+        try:
+            if handle.readline().strip() != FORMAT_LINE:
+                raise FormatError(f"{path.name}: first line must be {FORMAT_LINE!r}")
+            skipped = 1
+            while (line := handle.readline()).lstrip().startswith("#"):
+                skipped += 1
+                if comments is not None:
+                    comments.append((skipped, line))
+            reader = csv.reader(chain([line], handle))
+            start, found = skipped + 1, False
+            for fields in reader:
+                if fields:
+                    found = True
+                    yield start, fields
+                start = skipped + 1 + reader.line_num
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path.name}:{_undecodable_line(path)}: not UTF-8 text "
+                              f"({exc.reason})") from None
+        except csv.Error as exc:
+            raise FormatError(f"{path.name}:{start}: {exc}") from None
         if not found:
             raise FormatError(f"{path.name}: no header row found")
+
+
+def _undecodable_line(path: Path) -> int:
+    # the text reader decodes ahead in blocks, so find the first bad byte in
+    # the whole file (only on this error path) and count the lines before it
+    data = path.read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        data = data[:exc.start]
+    return 1 + data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n")
 
 
 def _parse_orientation(path: Path, comments: list[tuple[int, str]]) -> str | None:
@@ -213,7 +230,7 @@ _LABEL_COLUMNS = ("recording_id", "true_machine", "is_anomaly", "split")
 def _label_problem(row: list[str]) -> str | None:
     rec_id, machine, anomaly_text, split = row[:4]
     if not machine:
-        return "empty recording id or machine"
+        return "empty true_machine"
     if anomaly_text not in _TRUTH:
         return f"is_anomaly must be one of {sorted(_TRUTH)}, got {anomaly_text!r}"
     if split not in SPLITS:
@@ -283,6 +300,8 @@ def read_manifest(path) -> Manifest:
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path.name}: not UTF-8 text ({exc.reason})") from None
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path.name}: invalid JSON ({exc})") from None
     if not isinstance(raw, dict) or raw.get("format") != FORMAT_VERSION:
@@ -316,7 +335,8 @@ def read_manifest(path) -> Manifest:
     for entry in machines_raw:
         if (
             not isinstance(entry, dict)
-            or not entry.get("name")
+            or not isinstance(entry.get("name"), str)
+            or not entry["name"]
             or not isinstance(entry.get("reference"), str)
         ):
             raise FormatError(
@@ -416,7 +436,6 @@ def _mode_section(mode: ModeResult) -> dict:
 
 def _split_section(report: EvalReport) -> dict:
     ident = report.identification
-    accuracy = ident.accuracy()
     return {
         "machines": list(report.machines),
         "n_recordings": report.n_recordings,
@@ -429,8 +448,8 @@ def _split_section(report: EvalReport) -> dict:
             "tie_count": ident.tie_count,
             "raw_accuracy": ident.raw_accuracy,
             "raw_accuracy_percent": percent_text(ident.raw_accuracy),
-            "normalized": accuracy.normalized,
-            "normalized_percent": percent_text(accuracy.normalized),
+            "normalized": ident.normalized_accuracy,
+            "normalized_percent": percent_text(ident.normalized_accuracy),
             "misid_probability": ident.misid_probability,
             "misid_percent": percent_text(ident.misid_probability),
         },
@@ -512,10 +531,10 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def sweep_csv_text(result: SweepResult) -> str:
+def sweep_csv_text(points: Iterable[SweepPoint]) -> str:
     """Scatter table for external plotting; one row per sweep point."""
     columns = [field.name for field in fields(SweepPoint)]
-    body = ([_csv_cell(getattr(point, column)) for column in columns] for point in result.points)
+    body = ([_csv_cell(getattr(point, column)) for column in columns] for point in points)
     return _table_text(columns, body)
 
 

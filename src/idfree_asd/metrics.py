@@ -8,19 +8,15 @@ classifier scores 0.5 and a perfect one 1.0 for every p.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 __all__ = [
     "MetricError",
-    "MetricPair",
-    "IdAccuracy",
     "auc",
     "pauc",
     "pauc_raw",
-    "roc_points",
     "delta_norm",
     "normalize_id_accuracy",
     "aggregate",
@@ -53,21 +49,6 @@ def _as_score_arrays(scores, labels) -> tuple[np.ndarray, np.ndarray]:
     return s, y
 
 
-@dataclass(frozen=True)
-class MetricPair:
-    """Per-machine AUC and standardized pAUC with the FPR cap used."""
-
-    auc: float
-    pauc: float
-    p: float = 0.1
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.auc <= 1.0 and 0.0 <= self.pauc <= 1.0):
-            raise MetricError(f"metrics out of [0, 1]: auc={self.auc}, pauc={self.pauc}")
-        if not (0.0 < self.p <= 1.0):
-            raise MetricError(f"pAUC cap p must lie in (0, 1], got {self.p}")
-
-
 def auc(scores, labels) -> float:
     """Probability that a random anomalous score exceeds a random normal one.
 
@@ -97,28 +78,14 @@ def _roc(s: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.append(0.0, fp / fp[-1]), np.append(0.0, tp / tp[-1])
 
 
-def roc_points(scores, labels) -> list[tuple[float, float]]:
-    """Empirical ROC vertices as (FPR, TPR) pairs, starting at (0, 0).
-
-    One vertex per distinct score value; joining consecutive vertices with
-    straight lines renders tied scores as diagonal segments.
-    """
-    fpr, tpr = _roc(*_as_score_arrays(scores, labels))
-    return list(zip(fpr.tolist(), tpr.tolist()))
-
-
-def _check_p(p: float) -> None:
-    if not (0.0 < p <= 1.0):
-        raise MetricError(f"pAUC cap p must lie in (0, 1], got {p}")
-
-
 def pauc_raw(scores, labels, p: float = 0.1) -> float:
     """Unstandardized area under the empirical ROC over FPR in [0, p].
 
-    Trapezoidal integration over the vertex list from roc_points, clipping
+    Trapezoidal integration over the empirical ROC vertices of _roc, clipping
     the final segment at FPR = p by linear interpolation.
     """
-    _check_p(p)
+    if not (0.0 < p <= 1.0):
+        raise MetricError(f"pAUC cap p must lie in (0, 1], got {p}")
     x, y = _roc(*_as_score_arrays(scores, labels))
     # FPR never decreases, so the segments wholly inside [0, p] come first;
     # the next one, if it starts below p, is cut at p
@@ -171,37 +138,22 @@ def normalize_id_accuracy(raw: float, k: int) -> float:
     return (raw - chance) / (1.0 - chance)
 
 
-@dataclass(frozen=True)
-class IdAccuracy:
-    """Raw and chance-normalized machine identification accuracy."""
-
-    raw: float
-    k: int
-    normalized: float | None
-
-    @classmethod
-    def compute(cls, raw: float, k: int) -> "IdAccuracy":
-        # normalization is undefined for a single machine
-        normalized = normalize_id_accuracy(raw, k) if k >= 2 else None
-        return cls(raw, k, normalized)
-
-
-def aggregate(per_machine: Sequence[MetricPair], mode: str = "harmonic") -> float:
+def aggregate(values: Sequence[float], mode: str = "harmonic") -> float:
     """Pool per-machine AUC and pAUC values into one benchmark score.
 
-    "arithmetic" is the plain mean over all pooled values; "harmonic" is the
-    harmonic mean over the same pool (official-score convention). A pooled
-    value of exactly 0 (say, a perfectly inverted scorer) makes the harmonic
-    mean 0.0, its limit; negative values are rejected.
+    ``values`` is the flat pool, every machine's AUC and pAUC. "arithmetic"
+    is the plain mean over the pool; "harmonic" is its harmonic mean
+    (official-score convention). A pooled value of exactly 0 (say, a
+    perfectly inverted scorer) makes the harmonic mean 0.0, its limit.
     """
-    if not per_machine:
+    if not values:
         raise MetricError("nothing to aggregate: empty metric list")
-    values = [v for pair in per_machine for v in (pair.auc, pair.pauc)]
+    for v in values:
+        if not 0.0 <= v <= 1.0:
+            raise MetricError(f"pooled metric {v} is outside [0, 1]")
     if mode == "arithmetic":
         return sum(values) / len(values)
     if mode == "harmonic":
-        if min(values) < 0.0:
-            raise MetricError("harmonic aggregation needs nonnegative values")
         if min(values) == 0.0:
             return 0.0
         return len(values) / sum(1.0 / v for v in values)

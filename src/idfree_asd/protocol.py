@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .metrics import IdAccuracy, MetricPair, aggregate, auc, delta_norm, pauc
+from .metrics import aggregate, auc, delta_norm, normalize_id_accuracy, pauc
 
 __all__ = [
     "ProtocolError",
@@ -235,8 +235,10 @@ class IdentificationStats:
     def misid_probability(self) -> float:
         return (self.n_recordings - self.n_correct) / self.n_recordings
 
-    def accuracy(self) -> IdAccuracy:
-        return IdAccuracy.compute(self.raw_accuracy, self.k)
+    @property
+    def normalized_accuracy(self) -> float | None:
+        """Chance-normalized raw accuracy; None for a single machine."""
+        return normalize_id_accuracy(self.raw_accuracy, self.k) if self.k >= 2 else None
 
 
 @dataclass(frozen=True)
@@ -279,7 +281,7 @@ def _mode_result(
     defined = [m for m in per_machine.values() if m.defined]
     if not defined:
         raise ProtocolError("no machine has both normal and anomalous recordings")
-    pooled = aggregate([MetricPair(m.auc, m.pauc, pauc_p) for m in defined], average)
+    pooled = aggregate([v for m in defined for v in (m.auc, m.pauc)], average)
     excluded = [m.machine for m in per_machine.values() if not m.defined]
     return ModeResult(per_machine, pooled, average, pauc_p, excluded)
 

@@ -201,7 +201,7 @@ def run_point(
         separation=config.separation,
         repeat=repeat,
         seed=config.seed,
-        id_accuracy_normalized=report.identification.accuracy().normalized,
+        id_accuracy_normalized=report.identification.normalized_accuracy,
         delta_norm=report.delta_norm,
         a_known=report.known.aggregate,
         a_unknown=report.unknown.aggregate,

@@ -74,6 +74,28 @@ def held_out_scores(kind, k, epsilon, vectors):
     return scores
 
 
+def roc_vertices(scores, labels):
+    """Empirical ROC vertices as (FPR, TPR) pairs, from (0, 0) to (1, 1).
+
+    Walks the recordings from the highest score down and adds one vertex
+    after each whole group of tied scores, so a tie is one diagonal step.
+    """
+    ordered = sorted(((float(s), bool(y)) for s, y in zip(scores, labels)),
+                     key=lambda pair: pair[0], reverse=True)
+    n_pos = sum(1 for _, y in ordered if y)
+    n_neg = len(ordered) - n_pos
+    vertices = [(0.0, 0.0)]
+    tp = fp = 0
+    for i, (score, anomalous) in enumerate(ordered):
+        if anomalous:
+            tp += 1
+        else:
+            fp += 1
+        if i + 1 == len(ordered) or ordered[i + 1][0] != score:
+            vertices.append((fp / n_neg, tp / n_pos))
+    return vertices
+
+
 def trapezoid_pauc_raw(points, p):
     """Area under the ROC vertex list over FPR in [0, p], one segment at a time.
 

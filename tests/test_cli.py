@@ -388,6 +388,38 @@ def test_evaluate_manifest_integral_float_counts_score_as_ints(tmp_path, capsys)
     assert splits[0] == splits[1]
 
 
+def test_evaluate_manifest_machine_name_must_be_a_string(tmp_path, capsys):
+    manifest, labels, _, _ = build_manifest_fixture(tmp_path)
+    doc = json.loads(manifest.read_text())
+    doc["machines"][0]["name"] = 5
+    manifest.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "evaluate", "--manifest", str(manifest), "--labels", str(labels))
+    assert code == EXIT_DATA
+    assert stderr_json(err)["message"] == (
+        "manifest.json: each machine needs a name and a reference path")
+
+
+def test_evaluate_inputs_that_are_not_utf8_or_overflow_a_field_are_data_errors(
+        tmp_path, capsys):
+    labels = tmp_path / "labels.csv"
+    labels.write_bytes((GOLDEN / "labels.csv").read_bytes() + b"r\xff,fan,0,dev\n")
+    code, _, err = run(capsys, "evaluate", "--scores", str(GOLDEN / "scores.csv"),
+                       "--labels", str(labels))
+    assert code == EXIT_DATA
+    assert "labels.csv:" in stderr_json(err)["message"]
+    scores = tmp_path / "scores.csv"
+    scores.write_text(f"{FORMAT_LINE}\nrecording_id,fan\nr1,{'1' * 200_000}\n")
+    code, _, err = run(capsys, "evaluate", "--scores", str(scores),
+                       "--labels", str(GOLDEN / "labels.csv"))
+    assert code == EXIT_DATA
+    assert stderr_json(err)["message"].startswith("scores.csv:3: field larger")
+    manifest, labels, _, _ = build_manifest_fixture(tmp_path)
+    manifest.write_bytes(b"\xff\xfe" + manifest.read_bytes())
+    code, _, err = run(capsys, "evaluate", "--manifest", str(manifest), "--labels", str(labels))
+    assert code == EXIT_DATA
+    assert stderr_json(err)["message"].startswith("manifest.json: not UTF-8 text")
+
+
 # ---------------------------------------------------------------------------
 # evaluate: usage errors
 

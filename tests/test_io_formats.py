@@ -28,7 +28,7 @@ from idfree_asd.io import (
 )
 from idfree_asd.protocol import EvalConfig, Recording, full_report
 from idfree_asd.scorers import ScorerSpec
-from idfree_asd.simulate import SimConfig, SweepPoint, SweepResult, run_point, sweep
+from idfree_asd.simulate import SimConfig, SweepPoint, run_point, sweep
 from tables import label_rows, write_features, write_labels, write_scores
 
 # ---------------------------------------------------------------------------
@@ -117,6 +117,31 @@ def test_scores_accept_what_float_accepts(tmp_path, text, value):
     path = tmp_path / "scores.csv"
     path.write_text(f"{FORMAT_LINE}\nrecording_id,fan,pump\nr1,{text},2\n", encoding="utf-8")
     assert read_scores(path)[2].tolist() == [[value, 2.0]]
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_csv_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, newline):
+    # the bad byte lies past the first block the text reader decodes
+    lines = [FORMAT_LINE, "recording_id,true_machine,is_anomaly,split"]
+    lines += [f"r{i},fan,0,dev" for i in range(2000)] + ["r\udcff,fan,0,dev", ""]
+    path = tmp_path / "labels.csv"
+    path.write_bytes(newline.join(lines).encode("utf-8", "surrogateescape"))
+    with pytest.raises(FormatError, match=r"^labels\.csv:2003: not UTF-8 text"):
+        read_labels(path)
+
+
+def test_csv_with_a_foreign_byte_order_mark_is_a_format_error(tmp_path):
+    path = tmp_path / "scores.csv"
+    path.write_bytes(b"\xff\xfe" + f"{FORMAT_LINE}\nrecording_id,fan\nr1,1.0\n".encode())
+    with pytest.raises(FormatError, match=r"^scores\.csv:1: not UTF-8 text"):
+        read_scores(path)
+
+
+def test_csv_field_over_the_size_limit_names_its_line(tmp_path):
+    path = tmp_path / "scores.csv"
+    path.write_text(f"{FORMAT_LINE}\nrecording_id,fan\nr1,1.0\nr2,{'1' * 200_000}\n")
+    with pytest.raises(FormatError, match=r"^scores\.csv:4: field larger than field limit"):
+        read_scores(path)
 
 
 def _write_table(kind, path, ids, matrix):
@@ -286,6 +311,15 @@ def test_labels_rejects_bad_is_anomaly(tmp_path):
         read_labels(path)
 
 
+def test_labels_rejects_empty_true_machine(tmp_path):
+    path = tmp_path / "labels.csv"
+    path.write_text(
+        f"{FORMAT_LINE}\nrecording_id,true_machine,is_anomaly,split\nr1,fan,0,dev\nr2,,1,dev\n"
+    )
+    with pytest.raises(FormatError, match=r"^labels\.csv:4: empty true_machine$"):
+        read_labels(path)
+
+
 def test_labels_rejects_bad_split_with_line_number(tmp_path):
     path = tmp_path / "labels.csv"
     path.write_text(
@@ -416,6 +450,13 @@ def test_manifest_rejects_bad_json(tmp_path):
         read_manifest(path)
 
 
+def test_manifest_rejects_bytes_that_are_not_utf8(tmp_path):
+    path = good_manifest(tmp_path)
+    path.write_bytes(b"\xff\xfe" + path.read_bytes())
+    with pytest.raises(FormatError, match=r"^manifest\.json: not UTF-8 text"):
+        read_manifest(path)
+
+
 @pytest.mark.parametrize(
     "overrides, message",
     [
@@ -451,6 +492,11 @@ def test_manifest_rejects_bad_json(tmp_path):
         ({"scorer": {"kind": "mahalanobis", "epsilon": float("inf")}},
          "epsilon must be a finite"),
         ({"scorer": {"kind": "mahalanobis", "epsilon": 0}}, "epsilon must be a finite"),
+        # a machine name must be a nonempty string: sortable and hashable
+        ({"machines": [{"name": 5, "reference": "a.csv"},
+                       {"name": "x", "reference": "b.csv"}]}, "needs a name"),
+        ({"machines": [{"name": ["fan"], "reference": "a.csv"}]}, "needs a name"),
+        ({"machines": [{"name": "", "reference": "a.csv"}]}, "needs a name"),
     ],
 )
 def test_manifest_validation(tmp_path, overrides, message):
@@ -580,8 +626,7 @@ def test_sweep_csv_cells():
         SweepPoint(4.5, 0, 7, 0.5, 0.125, 0.9, 0.85, 0.1),
         SweepPoint(5.0, 1, 8, None, None, None, None, None, error="SimError: x, y"),
     ]
-    result = SweepResult(SimConfig(), (4.5, 5.0), 2, points)
-    text = sweep_csv_text(result)
+    text = sweep_csv_text(points)
     lines = text.splitlines()
     assert lines[0] == FORMAT_LINE
     assert lines[1].startswith("separation,repeat,seed,")
@@ -597,7 +642,7 @@ def test_sweep_csv_cells():
 def test_sweep_csv_values_are_plain_reprs():
     result = sweep(SimConfig(k=2, d=3, n_ref=6, n_norm=8, n_anom=4, seed=3),
                    separations=[5.0], repeats=1)
-    text = sweep_csv_text(result)
+    text = sweep_csv_text(result.points)
     assert "np.float64" not in text
     assert "None" not in text
 

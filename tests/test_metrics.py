@@ -1,5 +1,4 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,18 +7,15 @@ from hypothesis import strategies as st
 
 from idfree_asd.metrics import (
     AVERAGING_MODES,
-    IdAccuracy,
     MetricError,
-    MetricPair,
     aggregate,
     auc,
     delta_norm,
     normalize_id_accuracy,
     pauc,
     pauc_raw,
-    roc_points,
 )
-from oracles import brute_force_auc, trapezoid_pauc_raw
+from oracles import brute_force_auc, roc_vertices, trapezoid_pauc_raw
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -139,30 +135,6 @@ def test_auc_rejects_nan_and_mismatched_lengths():
 
 
 # ---------------------------------------------------------------------------
-# roc_points
-
-
-def test_roc_points_endpoints_and_monotonicity():
-    points = roc_points([1.0, 2.0, 2.0, 3.0, 4.0],
-                        [False, True, False, False, True])
-    assert points[0] == (0.0, 0.0)
-    assert points[-1] == (1.0, 1.0)
-    for (x0, y0), (x1, y1) in zip(points, points[1:]):
-        assert x1 >= x0 and y1 >= y0
-
-
-def test_roc_points_ties_collapse_to_single_vertex():
-    # the tied group at score 2 becomes one diagonal segment, not a staircase
-    points = roc_points([1.0, 2.0, 2.0, 3.0], [False, True, False, True])
-    assert points == [(0.0, 0.0), (0.0, 0.5), (0.5, 1.0), (1.0, 1.0)]
-
-
-def test_roc_points_returns_plain_floats():
-    for x, y in roc_points([1.0, 2.0], [False, True]):
-        assert type(x) is float and type(y) is float
-
-
-# ---------------------------------------------------------------------------
 # pauc
 
 
@@ -224,7 +196,11 @@ def test_pauc_interpolates_partial_segments():
 
 @pytest.mark.parametrize("p", [0.1, 0.5, 1.0, 0.013])
 def test_pauc_raw_matches_trapezoid_loop_bit_for_bit(p):
-    # the vectorized sum must add the same terms in the same order as the loop
+    # the vectorized sum must add the same terms in the same order as the
+    # loop, over the same vertices: from (0, 0) to (1, 1), one per distinct
+    # score, so the tied group at score 2 is one diagonal segment
+    assert roc_vertices([1.0, 2.0, 2.0, 3.0], [False, True, False, True]) == [
+        (0.0, 0.0), (0.0, 0.5), (0.5, 1.0), (1.0, 1.0)]
     rng = np.random.default_rng(int(p * 1000))
     for _ in range(400):
         n = int(rng.integers(2, 120))
@@ -234,7 +210,7 @@ def test_pauc_raw_matches_trapezoid_loop_bit_for_bit(p):
         labels = rng.random(n) < rng.uniform(0.05, 0.95)
         labels[rng.integers(n)] = True
         labels[(labels.argmax() + 1 + rng.integers(n - 1)) % n] = False
-        expected = trapezoid_pauc_raw(roc_points(scores, labels), p)
+        expected = trapezoid_pauc_raw(roc_vertices(scores, labels), p)
         assert pauc_raw(scores, labels, p) == expected
 
 
@@ -320,66 +296,52 @@ def test_normalize_id_accuracy_rejects_bad_inputs(raw, k):
         normalize_id_accuracy(raw, k)
 
 
-def test_id_accuracy_wrapper_handles_single_machine():
-    single = IdAccuracy.compute(1.0, 1)
-    assert single.normalized is None
-    multi = IdAccuracy.compute(0.875, 2)
-    assert multi.normalized == pytest.approx(0.75, abs=1e-12)
-
-
 # ---------------------------------------------------------------------------
 # aggregation
 
 
 def test_aggregate_single_machine_is_identity():
-    pair = [MetricPair(0.7, 0.7)]
-    assert aggregate(pair, "arithmetic") == pytest.approx(0.7, abs=1e-12)
-    assert aggregate(pair, "harmonic") == pytest.approx(0.7, abs=1e-12)
+    values = [0.7, 0.7]
+    assert aggregate(values, "arithmetic") == pytest.approx(0.7, abs=1e-12)
+    assert aggregate(values, "harmonic") == pytest.approx(0.7, abs=1e-12)
 
 
 def test_aggregate_hand_values():
-    pairs = [MetricPair(0.5, 1.0)]
-    assert aggregate(pairs, "arithmetic") == 0.75
-    assert aggregate(pairs, "harmonic") == pytest.approx(2.0 / 3.0, abs=1e-15)
+    assert aggregate([0.5, 1.0], "arithmetic") == 0.75
+    assert aggregate([0.5, 1.0], "harmonic") == pytest.approx(2.0 / 3.0, abs=1e-15)
 
 
 def test_aggregate_pools_auc_and_pauc_across_machines():
-    pairs = [MetricPair(0.6, 0.8), MetricPair(1.0, 0.6)]
-    assert aggregate(pairs, "arithmetic") == pytest.approx(0.75, abs=1e-12)
+    assert aggregate([0.6, 0.8, 1.0, 0.6], "arithmetic") == pytest.approx(0.75, abs=1e-12)
 
 
-@given(st.lists(st.tuples(st.floats(min_value=0.01, max_value=1.0),
-                          st.floats(min_value=0.01, max_value=1.0)),
-                min_size=1, max_size=12))
+@given(st.lists(st.floats(min_value=0.01, max_value=1.0), min_size=1, max_size=24))
 def test_aggregate_harmonic_never_exceeds_arithmetic(values):
-    pairs = [MetricPair(a, b) for a, b in values]
-    harm = aggregate(pairs, "harmonic")
-    arith = aggregate(pairs, "arithmetic")
+    harm = aggregate(values, "harmonic")
+    arith = aggregate(values, "arithmetic")
     assert harm <= arith + 1e-12
-    flat = [v for a, b in values for v in (a, b)]
-    if max(flat) - min(flat) > 1e-9:
+    if max(values) - min(values) > 1e-9:
         assert harm < arith
 
 
 def test_aggregate_harmonic_is_zero_at_zero_and_rejects_negatives():
     # the harmonic mean tends to 0 as any pooled value does
-    assert aggregate([MetricPair(0.0, 0.5)], "harmonic") == 0.0
-    assert aggregate([MetricPair(0.9, 0.8), MetricPair(0.7, 0.0)], "harmonic") == 0.0
-    # MetricPair itself rejects values below 0, so pass an unchecked pair
-    with pytest.raises(MetricError, match="nonnegative"):
-        aggregate([SimpleNamespace(auc=-0.25, pauc=0.5)], "harmonic")
+    assert aggregate([0.0, 0.5], "harmonic") == 0.0
+    assert aggregate([0.9, 0.8, 0.7, 0.0], "harmonic") == 0.0
+    with pytest.raises(MetricError, match="outside"):
+        aggregate([-0.25, 0.5], "harmonic")
 
 
 def test_aggregate_rejects_empty_and_unknown_mode():
     with pytest.raises(MetricError):
         aggregate([], "arithmetic")
     with pytest.raises(MetricError):
-        aggregate([MetricPair(0.5, 0.5)], "geometric")
+        aggregate([0.5, 0.5], "geometric")
     assert AVERAGING_MODES == ("arithmetic", "harmonic")
 
 
-def test_metric_pair_validation():
-    with pytest.raises(MetricError):
-        MetricPair(1.2, 0.5)
-    with pytest.raises(MetricError):
-        MetricPair(0.5, 0.5, p=0.0)
+def test_aggregate_rejects_values_outside_unit_interval():
+    for bad in (1.2, -0.25, math.nan, math.inf):
+        for mode in AVERAGING_MODES:
+            with pytest.raises(MetricError, match="outside"):
+                aggregate([0.5, bad], mode)

@@ -336,10 +336,8 @@ def test_evaluate_known_matches_slice_oracle():
         labels = [r.is_anomaly for r in recs]
         assert result.per_machine[machine].auc == metrics.auc(scores, labels)
         assert result.per_machine[machine].pauc == metrics.pauc(scores, labels, 0.3)
-    pairs = [
-        metrics.MetricPair(m.auc, m.pauc, 0.3) for m in result.per_machine.values()
-    ]
-    assert result.aggregate == metrics.aggregate(pairs, "harmonic")
+    pooled = [v for m in result.per_machine.values() for v in (m.auc, m.pauc)]
+    assert result.aggregate == metrics.aggregate(pooled, "harmonic")
 
 
 def test_evaluate_known_requires_matrix_coverage():
@@ -421,7 +419,7 @@ def test_unknown_equals_known_for_single_machine():
     unknown, stats = evaluate_unknown(matrix, merged)
     assert unknown.per_machine["fan"] == known.per_machine["fan"]
     assert stats.k == 1 and stats.raw_accuracy == 1.0
-    assert stats.accuracy().normalized is None
+    assert stats.normalized_accuracy is None
 
 
 def test_unknown_partitions_by_true_machine_not_identified():
@@ -440,7 +438,7 @@ def test_unknown_partitions_by_true_machine_not_identified():
     # two wrong assignments out of 16
     assert stats.misid_probability == 2.0 / 16.0
     assert stats.n_correct == 14
-    assert stats.accuracy().normalized == 0.75
+    assert stats.normalized_accuracy == 0.75
 
 
 def test_misidentification_without_degradation_is_possible():
@@ -547,4 +545,11 @@ def test_identification_stats_properties():
     stats = IdentificationStats(k=4, n_recordings=10, n_correct=7, tie_count=1)
     assert stats.raw_accuracy == 0.7
     assert stats.misid_probability == pytest.approx(0.3, abs=1e-15)
-    assert stats.accuracy().normalized == pytest.approx((0.7 - 0.25) / 0.75, abs=1e-12)
+    assert stats.normalized_accuracy == pytest.approx((0.7 - 0.25) / 0.75, abs=1e-12)
+
+
+def test_normalized_accuracy_handles_single_machine():
+    # chance normalization is undefined for one machine
+    assert IdentificationStats(1, 8, 8, 0).normalized_accuracy is None
+    two = IdentificationStats(2, 8, 7, 0)
+    assert two.normalized_accuracy == pytest.approx(0.75, abs=1e-12)
