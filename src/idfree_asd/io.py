@@ -338,6 +338,7 @@ def read_manifest(path) -> Manifest:
             or not isinstance(entry.get("name"), str)
             or not entry["name"]
             or not isinstance(entry.get("reference"), str)
+            or not entry["reference"]
         ):
             raise FormatError(
                 f"{path.name}: each machine needs a name and a reference path"

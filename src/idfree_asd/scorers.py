@@ -38,8 +38,15 @@ EPSILON_FLOOR = 1e-12
 
 # query rows go through the distance kernel in blocks whose distances to every
 # reference fit in this many bytes, so memory per machine stays bounded as
-# the number of scored recordings grows
+# the number of scored recordings grows; held-out Mahalanobis covariances are
+# stacked in blocks of the same size
 _BLOCK_BYTES = 16 * 2**20
+
+# a held-out covariance downdated from the full one carries the full one's
+# rounding; once removing a vector leaves less than this fraction of the
+# (rescaled) trace, that rounding is no longer small against what is left,
+# so the held-out moments are recomputed from the remaining vectors instead
+_DOWNDATE_KEEP = 0.5
 
 
 class ScorerError(ValueError):
@@ -220,8 +227,47 @@ def _held_out(spec: ScorerSpec, ref: ReferenceSet) -> np.ndarray:
                 f"k={spec.k} exceeds held-out reference size {ref.n - 1} for {ref.machine!r}"
             )
         return _nearest(ref.vectors, ref, spec.k, exclude_self=True)[0].mean(axis=1)
-    held_out = np.empty(ref.n)
-    for i in range(ref.n):
+    return _held_out_mahalanobis(spec, ref)
+
+
+def _held_out_mahalanobis(spec: ScorerSpec, ref: ReferenceSet) -> np.ndarray:
+    """Each reference vector's Mahalanobis distance under the moments of the others.
+
+    With e = vectors - mean, removing vector i leaves the covariance
+    n/(n-1)*cov - n/(n-1)^2*e_i e_i^T and moves the mean so that
+    x_i - mean_i = n/(n-1)*e_i. These downdated covariances are loaded and
+    factored as one stack per block of rows. Rows whose removal cancels most
+    of the trace, and every row of a block whose stack is not positive
+    definite, are recomputed from the remaining vectors one at a time.
+    """
+    n, d = ref.n, ref.d
+    scale = n / (n - 1)
+    centred = ref.vectors - ref.mean
+    trace = float(np.trace(ref.covariance))
+    traces = scale * (trace - np.einsum("ij,ij->i", centred, centred) / (n - 1))
+    exact = traces <= _DOWNDATE_KEEP * scale * trace
+    held_out = np.empty(n)
+    diagonal = np.arange(d)
+    rows = max(1, _BLOCK_BYTES // (8 * d * d))
+    for start in range(0, n, rows):
+        block = start + np.flatnonzero(~exact[start : start + rows])
+        e = centred[block]
+        stack = e[:, :, None] * e[:, None, :]
+        stack *= -scale / (n - 1)
+        stack += scale * ref.covariance
+        if spec.epsilon is None:
+            load = np.maximum(EPSILON_RELATIVE * traces[block] / d, EPSILON_FLOOR)
+            stack[:, diagonal, diagonal] += load[:, None]
+        else:
+            stack[:, diagonal, diagonal] += spec.epsilon
+        try:
+            lower = np.linalg.cholesky(stack)
+        except np.linalg.LinAlgError:
+            exact[block] = True
+            continue
+        whitened = np.linalg.solve(lower, scale * e[:, :, None])[:, :, 0]
+        held_out[block] = np.sqrt(np.einsum("ij,ij->i", whitened, whitened))
+    for i in np.flatnonzero(exact):
         mean, covariance = _moments(np.delete(ref.vectors, i, axis=0))
         held_out[i] = _mahalanobis(spec, ref.machine, mean, covariance, ref.vectors[i : i + 1])[0]
     return held_out

@@ -399,6 +399,17 @@ def test_evaluate_manifest_machine_name_must_be_a_string(tmp_path, capsys):
         "manifest.json: each machine needs a name and a reference path")
 
 
+def test_evaluate_manifest_empty_reference_path_is_data_error(tmp_path, capsys):
+    manifest, labels, _, _ = build_manifest_fixture(tmp_path)
+    doc = json.loads(manifest.read_text())
+    doc["machines"][0]["reference"] = ""
+    manifest.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "evaluate", "--manifest", str(manifest), "--labels", str(labels))
+    assert code == EXIT_DATA
+    assert stderr_json(err)["message"] == (
+        "manifest.json: each machine needs a name and a reference path")
+
+
 def test_evaluate_inputs_that_are_not_utf8_or_overflow_a_field_are_data_errors(
         tmp_path, capsys):
     labels = tmp_path / "labels.csv"

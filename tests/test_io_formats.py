@@ -497,6 +497,8 @@ def test_manifest_rejects_bytes_that_are_not_utf8(tmp_path):
                        {"name": "x", "reference": "b.csv"}]}, "needs a name"),
         ({"machines": [{"name": ["fan"], "reference": "a.csv"}]}, "needs a name"),
         ({"machines": [{"name": "", "reference": "a.csv"}]}, "needs a name"),
+        # an empty reference path would resolve to the manifest's own directory
+        ({"machines": [{"name": "fan", "reference": ""}]}, "needs a name and a reference"),
     ],
 )
 def test_manifest_validation(tmp_path, overrides, message):

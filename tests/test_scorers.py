@@ -263,6 +263,81 @@ def test_zscore_reference_matches_held_out_oracle(kind, k, epsilon, n, d, monkey
                                rtol=rtol, atol=0.0)
 
 
+# removing the first vector leaves two that differ by 1e-9: its downdated
+# covariance would be all rounding, so only that row is recomputed exactly
+CANCELLING = [[0.0, 0.0], [1e3, 1e3], [1e3, 1e3 + 1e-9]]
+
+
+def stacked_blocks(monkeypatch, rows, d):
+    """Make held-out Mahalanobis covariances stack `rows` at a time; count the stacks."""
+    monkeypatch.setattr(scorers, "_BLOCK_BYTES", rows * 8 * d * d)
+    stacks = []
+    cholesky = np.linalg.cholesky
+
+    def counting(a, *args, **kwargs):
+        if a.ndim == 3:
+            stacks.append(len(a))
+        return cholesky(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    return stacks
+
+
+@pytest.mark.parametrize(
+    "vectors, spread",
+    [
+        pytest.param(1e6 + np.random.default_rng(7).normal(size=(200, 8)), 1.0, id="offset-1e6"),
+        pytest.param([[0.0, 1.0], [0.0, 1.0], [2.0, 3.0], [1.0, 5.0]], 1.0, id="duplicates"),
+        pytest.param(CANCELLING, 1e3, id="cancelling"),
+        pytest.param(np.random.default_rng(64).normal(size=(64, 3)), 1.0, id="several-blocks"),
+    ],
+)
+def test_zscore_reference_mahalanobis_downdate_matches_oracle(vectors, spread, monkeypatch):
+    vectors = np.asarray(vectors)
+    ref = ReferenceSet("m", vectors)
+    stacks = stacked_blocks(monkeypatch, BLOCK, ref.d)
+    held_out = np.array(held_out_scores("mahalanobis", 1, None, vectors))
+    rng = np.random.default_rng(5)
+    batch = ref.mean + spread * (20.0 + rng.normal(size=(6, ref.d)))
+    raw = scoring_function(ScorerSpec("mahalanobis"), ref)(batch)
+    expected = (raw - held_out.mean()) / held_out.std()
+    z = scoring_function(ScorerSpec("mahalanobis", normalizer=ZSCORE), ref)(batch)
+    np.testing.assert_allclose(z, expected, rtol=1e-9, atol=0.0)
+    assert len(stacks) == -(-ref.n // BLOCK)
+
+
+def test_zscore_reference_mahalanobis_recomputes_only_cancelling_rows(monkeypatch):
+    spec = ScorerSpec("mahalanobis", normalizer=ZSCORE)
+    well_conditioned = ReferenceSet("m", np.random.default_rng(300).normal(size=(300, 4)))
+    cancelling = ReferenceSet("m", CANCELLING)
+    calls = []
+    moments = scorers._moments
+
+    def counting(vectors):
+        calls.append(vectors)
+        return moments(vectors)
+
+    monkeypatch.setattr(scorers, "_moments", counting)
+    scoring_function(spec, well_conditioned)
+    assert calls == []
+    scoring_function(spec, cancelling)
+    assert len(calls) == 1
+    np.testing.assert_array_equal(calls[0], cancelling.vectors[1:])
+
+
+def test_zscore_reference_mahalanobis_memory_is_bounded_per_block():
+    # all 4,000 held-out 64 x 64 covariances at once would take 131 MB
+    ref = ReferenceSet("m", np.random.default_rng(4).normal(size=(4_000, 64)))
+    spec = ScorerSpec("mahalanobis", normalizer=ZSCORE)
+    tracemalloc.start()
+    try:
+        scoring_function(spec, ref)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+
+
 @pytest.mark.parametrize("kind", SCORER_KINDS)
 def test_zscore_reference_builds_no_reference_sets(kind, monkeypatch):
     rng = np.random.default_rng(89)
