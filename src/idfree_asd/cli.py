@@ -44,6 +44,10 @@ EXIT_INTERNAL = 3
 # one-unit tolerance in the last printed digit of a two-decimal percentage
 CHECK_TOLERANCE_PERCENT = 0.005
 
+# a cross-reference error names at most this many ids per side, so a file
+# that matches nothing still gives a short message
+_LISTED_IDS = 10
+
 _DATA_ERRORS = (
     formats.FormatError,
     MetricError,
@@ -79,6 +83,13 @@ def _resolve_orientation(flag: str | None, header: str | None) -> bool:
     return True
 
 
+def _unmatched(description: str, ids: set[str]) -> str:
+    # the count, then the first ids in sorted order
+    listed = sorted(ids)[:_LISTED_IDS]
+    more = f" and {len(ids) - len(listed)} more" if len(ids) > len(listed) else ""
+    return f"{len(ids)} {description} {listed}{more}"
+
+
 def _check_out_dirs(args) -> None:
     # fail before any computation rather than when the report is written
     for path in (getattr(args, "out", None), getattr(args, "svg", None)):
@@ -106,9 +117,9 @@ def _cmd_evaluate(args) -> int:
             np.negative(values, out=values)
         if (scored := set(ids)) != labeled:
             raise ProtocolError(
-                f"scores/labels cross-reference mismatch: score rows without "
-                f"labels {sorted(scored - labeled)}, labeled recordings without "
-                f"scores {sorted(labeled - scored)}"
+                f"scores/labels cross-reference mismatch: "
+                f"{_unmatched('score rows without labels', scored - labeled)}, "
+                f"{_unmatched('labeled recordings without scores', labeled - scored)}"
             )
         inputs = [
             formats.file_digest(args.scores, "scores"),
@@ -123,9 +134,9 @@ def _cmd_evaluate(args) -> int:
         ids, vectors = formats.read_features(manifest.features)
         if (featured := set(ids)) != labeled:
             raise ProtocolError(
-                f"features/labels cross-reference mismatch: labeled recordings "
-                f"without features {sorted(labeled - featured)}, feature rows "
-                f"without labels {sorted(featured - labeled)}"
+                f"features/labels cross-reference mismatch: "
+                f"{_unmatched('labeled recordings without features', labeled - featured)}, "
+                f"{_unmatched('feature rows without labels', featured - labeled)}"
             )
         specs = {}
         for machine in sorted(manifest.references):

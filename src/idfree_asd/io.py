@@ -60,6 +60,9 @@ ORIENTATIONS = ("higher", "lower")
 
 _ORIENTATION_RE = re.compile(r"#\s*orientation:\s*(\S+)\s*$")
 _TRUTH = {"0": False, "1": True, "false": False, "true": True}
+# a numeric table's cells are converted to floats this many at a time, so
+# its text is never held whole
+_BLOCK_CELLS = 2**15
 
 
 class FormatError(ValueError):
@@ -162,22 +165,33 @@ def _keyed_rows(path: Path, rows: Iterator[tuple[int, list[str]]], width: int,
         raise FormatError(f"{path.name}: no {what} rows")
 
 
-def _float_rows(path: Path, rows: Iterator[tuple[int, list[str]]], header: list[str],
-                what: str) -> tuple[list[str], np.ndarray]:
-    """Ids, and every cell after the id as an (n, d) array, of keyed data rows.
-
-    All rows are checked first, then every cell is converted in one go. If
-    that fails or meets a non-finite value, a cell-by-cell pass names the
-    first bad cell and its line (and takes float()'s value should numpy turn
-    down a spelling float() accepts).
-    """
+def _cell_blocks(keyed: Iterator[tuple[int, list[str]]], width: int
+                 ) -> Iterator[tuple[list[str], list[int], list[str]]]:
+    # ids, lines and flat cells of about _BLOCK_CELLS cells of keyed rows at a
+    # time; the lists are emptied once the caller is done with them, so only
+    # one block's text is alive at once
+    per_block = max(1, _BLOCK_CELLS // width)
     ids: list[str] = []
     lines: list[int] = []
     cells: list[str] = []
-    for line_no, row in _keyed_rows(path, rows, len(header), what):
+    for line_no, row in keyed:
         ids.append(row[0])
         lines.append(line_no)
         cells += row[1:]
+        if len(lines) == per_block:
+            yield ids, lines, cells
+            ids.clear()
+            lines.clear()
+            cells.clear()
+    if ids:
+        yield ids, lines, cells
+
+
+def _float_block(path: Path, header: list[str], lines: list[int],
+                 cells: list[str]) -> np.ndarray:
+    # one conversion for the whole block; on failure or a non-finite value the
+    # cell-by-cell pass names the first bad cell (and takes float()'s value
+    # should numpy turn down a spelling float() accepts)
     try:
         block = np.array(cells, dtype=float)
     except ValueError:
@@ -186,7 +200,34 @@ def _float_rows(path: Path, rows: Iterator[tuple[int, list[str]]], header: list[
         width = len(header) - 1
         block = np.array([_parse_float(path, lines[i // width], header[1 + i % width], cell)
                           for i, cell in enumerate(cells)])
-    return ids, block.reshape(len(ids), -1)
+    return block.reshape(len(lines), -1)
+
+
+def _float_rows(path: Path, rows: Iterator[tuple[int, list[str]]], header: list[str],
+                what: str) -> tuple[list[str], np.ndarray]:
+    """Ids, and every cell after the id as an (n, d) array, of keyed data rows.
+
+    Cells are converted one block of rows (about _BLOCK_CELLS cells) at a
+    time as the rows stream by, so only one block's text is held at once. A
+    block that numpy cannot convert, or that holds a non-finite value, goes
+    through a cell-by-cell pass that names its first bad cell and line. That
+    error is kept, later blocks are only checked for row structure, and it
+    is raised once the whole file's row structure has passed.
+    """
+    keyed = _keyed_rows(path, rows, len(header), what)
+    ids: list[str] = []
+    blocks: list[np.ndarray] = []
+    problem: FormatError | None = None
+    for block_ids, lines, cells in _cell_blocks(keyed, len(header) - 1):
+        ids += block_ids
+        if problem is None:
+            try:
+                blocks.append(_float_block(path, header, lines, cells))
+            except FormatError as exc:
+                problem = exc
+    if problem is not None:
+        raise problem
+    return ids, np.concatenate(blocks)
 
 
 def _table_text(header: Sequence[str], rows: Iterable[Sequence[str]],

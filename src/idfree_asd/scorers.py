@@ -236,9 +236,11 @@ def _held_out_mahalanobis(spec: ScorerSpec, ref: ReferenceSet) -> np.ndarray:
     With e = vectors - mean, removing vector i leaves the covariance
     n/(n-1)*cov - n/(n-1)^2*e_i e_i^T and moves the mean so that
     x_i - mean_i = n/(n-1)*e_i. These downdated covariances are loaded and
-    factored as one stack per block of rows. Rows whose removal cancels most
-    of the trace, and every row of a block whose stack is not positive
-    definite, are recomputed from the remaining vectors one at a time.
+    factored as one stack per block of rows, and each row is whitened by
+    forward substitution over the d columns of its own factor. Rows whose
+    removal cancels most of the trace, and every row of a block whose stack
+    is not positive definite, are recomputed from the remaining vectors one
+    at a time.
     """
     n, d = ref.n, ref.d
     scale = n / (n - 1)
@@ -265,7 +267,10 @@ def _held_out_mahalanobis(spec: ScorerSpec, ref: ReferenceSet) -> np.ndarray:
         except np.linalg.LinAlgError:
             exact[block] = True
             continue
-        whitened = np.linalg.solve(lower, scale * e[:, :, None])[:, :, 0]
+        whitened = scale * e
+        for j in range(d):
+            whitened[:, j] -= np.einsum("ij,ij->i", lower[:, j, :j], whitened[:, :j])
+            whitened[:, j] /= lower[:, j, j]
         held_out[block] = np.sqrt(np.einsum("ij,ij->i", whitened, whitened))
     for i in np.flatnonzero(exact):
         mean, covariance = _moments(np.delete(ref.vectors, i, axis=0))

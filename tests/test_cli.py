@@ -213,6 +213,22 @@ def test_evaluate_cross_reference_mismatch_lists_ids(tmp_path, capsys):
     assert "extra" in message and "r2" in message
 
 
+def test_evaluate_cross_reference_mismatch_is_bounded(tmp_path, capsys):
+    scores = tmp_path / "scores.csv"
+    labels = tmp_path / "labels.csv"
+    write_labels(labels, [Recording(f"label{i:04d}", "fan", False) for i in range(1_000)])
+    write_scores(scores, ["fan"], {f"score{i:04d}": [0.5] for i in range(1_000)})
+    code, _, err = run(capsys, "evaluate", "--scores", str(scores),
+                       "--labels", str(labels))
+    assert code == EXIT_DATA
+    message = stderr_json(err)["message"]
+    assert len(err) < 2_000
+    assert "1000 score rows without labels ['score0000'," in message
+    assert "1000 labeled recordings without scores ['label0000'," in message
+    assert "'score0009'] and 990 more" in message and "score0010" not in message
+    assert "'label0009'] and 990 more" in message and "label0010" not in message
+
+
 def golden_splits(capsys):
     code, out, _ = run(
         capsys, "evaluate",

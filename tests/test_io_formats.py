@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -200,6 +201,92 @@ def test_random_doubles_roundtrip_bit_for_bit(tmp_path, kind):
     _write_table(kind, path, [f"r{i}" for i in range(len(matrix))], matrix)
     _, back = _read_table(kind, path)
     assert np.array_equal(back.view(np.uint64), matrix.view(np.uint64))
+
+
+BLOCK_ROWS = 8
+
+
+def small_blocks(monkeypatch, width):
+    """Make tables of `width` value columns convert BLOCK_ROWS rows at a time; count the blocks."""
+    monkeypatch.setattr(io_module, "_BLOCK_CELLS", BLOCK_ROWS * width)
+    converted = []
+    original = io_module._float_block
+    monkeypatch.setattr(io_module, "_float_block",
+                        lambda path, header, lines, cells:
+                        converted.append(len(lines)) or original(path, header, lines, cells))
+    return converted
+
+
+@pytest.mark.parametrize("kind", ["scores", "features"])
+@pytest.mark.parametrize("n", [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 2])
+def test_blocked_conversion_matches_float_on_each_cell(tmp_path, monkeypatch, kind, n):
+    bits = np.random.default_rng(n).integers(0, 2**64, size=(n, 3), dtype=np.uint64)
+    matrix = bits.view(np.float64)
+    matrix[~np.isfinite(matrix)] = 1.5
+    path = tmp_path / f"{kind}.csv"
+    ids = [f"r{i}" for i in range(n)]
+    _write_table(kind, path, ids, matrix)
+    expected = np.array([[float(cell) for cell in line.split(",")[1:]]
+                         for line in path.read_text().splitlines()[2:]])
+    converted = small_blocks(monkeypatch, 3)
+    back_ids, back = _read_table(kind, path)
+    assert converted == [BLOCK_ROWS] * (n // BLOCK_ROWS) + [n % BLOCK_ROWS] * (n % BLOCK_ROWS > 0)
+    assert back_ids == ids
+    assert back.shape == (n, 3)
+    assert np.array_equal(back.view(np.uint64), expected.view(np.uint64))
+
+
+def _table_lines(kind, n):
+    header = ["recording_id"] + ([f"m{j}" for j in range(2)] if kind == "scores"
+                                 else [f"f_{j}" for j in range(2)])
+    return [FORMAT_LINE, ",".join(header)] + [f"r{i},{i}.5,{-i}" for i in range(n)]
+
+
+@pytest.mark.parametrize("kind", ["scores", "features"])
+def test_blocked_bad_cell_waits_for_row_structure(tmp_path, monkeypatch, kind):
+    # data row i is line i + 3: a bad cell in block 1, a duplicate id in block 3
+    lines = _table_lines(kind, 3 * BLOCK_ROWS)
+    lines[2 + 1] = "r1,oops,1"
+    lines[2 + 2 * BLOCK_ROWS + 4] = "r5,1,1"
+    path = tmp_path / f"{kind}.csv"
+    path.write_text("\n".join(lines) + "\n")
+    small_blocks(monkeypatch, 2)
+    with pytest.raises(FormatError) as err:
+        _read_table(kind, path)
+    assert str(err.value) == (f"{path.name}:{2 * BLOCK_ROWS + 7}: "
+                              f"duplicate recording id 'r5'")
+
+
+@pytest.mark.parametrize("kind", ["scores", "features"])
+def test_blocked_first_bad_block_names_its_cell(tmp_path, monkeypatch, kind):
+    lines = _table_lines(kind, 3 * BLOCK_ROWS)
+    lines[2 + BLOCK_ROWS + 3] = f"r{BLOCK_ROWS + 3},1,nan"
+    lines[2 + 2 * BLOCK_ROWS] = f"r{2 * BLOCK_ROWS},oops,1"
+    path = tmp_path / f"{kind}.csv"
+    path.write_text("\n".join(lines) + "\n")
+    converted = small_blocks(monkeypatch, 2)
+    with pytest.raises(FormatError) as err:
+        _read_table(kind, path)
+    column = "m1" if kind == "scores" else "f_1"
+    assert str(err.value) == f"{path.name}:{BLOCK_ROWS + 6}: {column} value 'nan' is not finite"
+    assert converted == [BLOCK_ROWS, BLOCK_ROWS]  # block 3 is not converted
+
+
+def test_read_scores_memory_is_bounded_by_the_block(tmp_path):
+    # the text of a 50,000 x 10 table takes ~35 MB as Python strings; held
+    # one block at a time, the peak is the ids, the id set and the values
+    matrix = np.random.default_rng(3).standard_normal((50_000, 10))
+    path = tmp_path / "scores.csv"
+    write_scores(path, [f"m{j}" for j in range(10)],
+                 {f"r{i}": row for i, row in enumerate(matrix)})
+    tracemalloc.start()
+    try:
+        _, _, back, _ = read_scores(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back, matrix)
+    assert peak < 16_000_000
 
 
 @pytest.mark.parametrize("odd_id", ["a\x0cb", "a\x1cb", "a\x1db", "a\x1eb", "a\x85b",
