@@ -48,7 +48,6 @@ from .simulate import (
     SimConfig,
     SimError,
     SweepPoint,
-    SweepResult,
     generate,
     run_point,
     simplex_centers,
@@ -90,7 +89,6 @@ __all__ = [
     "SimConfig",
     "SimError",
     "SweepPoint",
-    "SweepResult",
     "generate",
     "run_point",
     "simplex_centers",

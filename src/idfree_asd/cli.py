@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain, count
 from pathlib import Path
 
 import numpy as np
@@ -43,10 +44,6 @@ EXIT_INTERNAL = 3
 
 # one-unit tolerance in the last printed digit of a two-decimal percentage
 CHECK_TOLERANCE_PERCENT = 0.005
-
-# a cross-reference error names at most this many ids per side, so a file
-# that matches nothing still gives a short message
-_LISTED_IDS = 10
 
 _DATA_ERRORS = (
     formats.FormatError,
@@ -83,11 +80,10 @@ def _resolve_orientation(flag: str | None, header: str | None) -> bool:
     return True
 
 
-def _unmatched(description: str, ids: set[str]) -> str:
-    # the count, then the first ids in sorted order
-    listed = sorted(ids)[:_LISTED_IDS]
-    more = f" and {len(ids) - len(listed)} more" if len(ids) > len(listed) else ""
-    return f"{len(ids)} {description} {listed}{more}"
+def _label_index(test_sets) -> dict[str, int]:
+    # the one id join of a run: a table read with it puts each id's row at its
+    # place among the labeled ids, split by split; it lives only for the read
+    return dict(zip(chain.from_iterable(merged.ids for merged in test_sets.values()), count()))
 
 
 def _check_out_dirs(args) -> None:
@@ -107,20 +103,14 @@ def _cmd_evaluate(args) -> int:
         raise UsageError("provide exactly one of --scores and --manifest")
     _check_pauc_p(args.pauc_p)
     test_sets = formats.read_labels(args.labels)
-    labeled = {rec_id for merged in test_sets.values() for rec_id in merged.ids}
     config = EvalConfig(pauc_p=args.pauc_p, average=args.avg)
 
     if args.scores is not None:
-        machines, ids, values, header_orientation = formats.read_scores(args.scores)
+        machines, ids, values, header_orientation = formats.read_scores(
+            args.scores, _label_index(test_sets))
         higher = _resolve_orientation(args.higher_is_anomalous, header_orientation)
         if not higher:
             np.negative(values, out=values)
-        if (scored := set(ids)) != labeled:
-            raise ProtocolError(
-                f"scores/labels cross-reference mismatch: "
-                f"{_unmatched('score rows without labels', scored - labeled)}, "
-                f"{_unmatched('labeled recordings without scores', labeled - scored)}"
-            )
         inputs = [
             formats.file_digest(args.scores, "scores"),
             formats.file_digest(args.labels, "labels"),
@@ -131,13 +121,7 @@ def _cmd_evaluate(args) -> int:
             raise UsageError("--higher-is-anomalous applies to --scores files only")
         higher = True
         manifest = formats.read_manifest(args.manifest)
-        ids, vectors = formats.read_features(manifest.features)
-        if (featured := set(ids)) != labeled:
-            raise ProtocolError(
-                f"features/labels cross-reference mismatch: "
-                f"{_unmatched('labeled recordings without features', labeled - featured)}, "
-                f"{_unmatched('feature rows without labels', featured - labeled)}"
-            )
+        ids, vectors = formats.read_features(manifest.features, _label_index(test_sets))
         specs = {}
         for machine in sorted(manifest.references):
             _, ref_vectors = formats.read_features(manifest.references[machine])
@@ -246,12 +230,13 @@ def _cmd_sweep(args) -> int:
     csv_path = _scatter_paths(args.out)
     base = _sim_config(args, 0.0)
     eval_config = EvalConfig(pauc_p=args.pauc_p, average=args.avg)
-    result = sweep(base, args.separations, args.repeats, DEFAULT_SCORER, eval_config)
-    doc = formats.sweep_document(result, DEFAULT_SCORER, eval_config)
+    points = sweep(base, args.separations, args.repeats, DEFAULT_SCORER, eval_config)
+    doc = formats.sweep_document(points, base, args.separations, args.repeats,
+                                 DEFAULT_SCORER, eval_config)
     formats.atomic_write_text(args.out, formats.document_text(doc))
-    formats.atomic_write_text(csv_path, formats.sweep_csv_text(result.points))
+    formats.atomic_write_text(csv_path, formats.sweep_csv_text(points))
     if args.svg:
-        _write_svg(args.svg, result.points)
+        _write_svg(args.svg, points)
     return EXIT_OK
 
 

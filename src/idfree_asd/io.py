@@ -18,13 +18,13 @@ from dataclasses import asdict, dataclass, fields
 from io import StringIO
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .protocol import SPLITS, EvalConfig, EvalReport, MergedTestSet, ModeResult
+from .protocol import SPLITS, EvalConfig, EvalReport, MergedTestSet, ModeResult, ProtocolError
 from .scorers import NormalizerSpec, ScorerSpec
-from .simulate import SimConfig, SweepPoint, SweepResult
+from .simulate import SimConfig, SweepPoint
 
 __all__ = [
     "FormatError",
@@ -63,6 +63,9 @@ _TRUTH = {"0": False, "1": True, "false": False, "true": True}
 # a numeric table's cells are converted to floats this many at a time, so
 # its text is never held whole
 _BLOCK_CELLS = 2**15
+# a cross-reference error names at most this many ids per side, so a file
+# that matches nothing still gives a short message
+_LISTED_IDS = 10
 
 
 class FormatError(ValueError):
@@ -143,48 +146,58 @@ def _parse_float(path: Path, line_no: int, column: str, text: str) -> float:
     return value
 
 
-def _keyed_rows(path: Path, rows: Iterator[tuple[int, list[str]]], width: int,
-                what: str) -> Iterator[tuple[int, list[str]]]:
+def _keyed_rows(path: Path, rows: Iterator[tuple[int, list[str]]], width: int, what: str,
+                index: Mapping[str, int] | None = None, filled: bytearray | None = None,
+                unlabeled: set[str] | None = None) -> Iterator[tuple[int, list[str], str | int]]:
     """Check the data rows of a table keyed by recording id as they stream by.
 
     Every row needs one field per header column and a nonempty id that no
-    other row has; ``what`` names the rows when there are none.
+    other row has; ``what`` names the rows when there are none. Each row
+    comes with a key: its id, or with an ``index`` of {id: position} its id's
+    position, which is then marked in ``filled``. An id outside the index
+    has key -1 and goes into ``unlabeled``.
     """
-    seen: set[str] = set()
+    seen: set[str] = set() if index is None else unlabeled
+    found = False
     for line_no, row in rows:
         if len(row) != width:
             raise FormatError(f"{path.name}:{line_no}: expected {width} fields, got {len(row)}")
         rec_id = row[0]
         if not rec_id:
             raise FormatError(f"{path.name}:{line_no}: empty recording id")
-        if rec_id in seen:
+        if index is None or (position := index.get(rec_id, -1)) < 0:
+            duplicate = rec_id in seen
+            seen.add(rec_id)
+        else:
+            duplicate, filled[position] = filled[position], 1
+        if duplicate:
             raise FormatError(f"{path.name}:{line_no}: duplicate recording id {rec_id!r}")
-        seen.add(rec_id)
-        yield line_no, row
-    if not seen:
+        found = True
+        yield line_no, row, rec_id if index is None else position
+    if not found:
         raise FormatError(f"{path.name}: no {what} rows")
 
 
-def _cell_blocks(keyed: Iterator[tuple[int, list[str]]], width: int
-                 ) -> Iterator[tuple[list[str], list[int], list[str]]]:
-    # ids, lines and flat cells of about _BLOCK_CELLS cells of keyed rows at a
+def _cell_blocks(keyed: Iterator[tuple[int, list[str], str | int]], width: int
+                 ) -> Iterator[tuple[list, list[int], list[str]]]:
+    # keys, lines and flat cells of about _BLOCK_CELLS cells of keyed rows at a
     # time; the lists are emptied once the caller is done with them, so only
     # one block's text is alive at once
     per_block = max(1, _BLOCK_CELLS // width)
-    ids: list[str] = []
+    keys: list = []
     lines: list[int] = []
     cells: list[str] = []
-    for line_no, row in keyed:
-        ids.append(row[0])
+    for line_no, row, key in keyed:
+        keys.append(key)
         lines.append(line_no)
         cells += row[1:]
         if len(lines) == per_block:
-            yield ids, lines, cells
-            ids.clear()
+            yield keys, lines, cells
+            keys.clear()
             lines.clear()
             cells.clear()
-    if ids:
-        yield ids, lines, cells
+    if keys:
+        yield keys, lines, cells
 
 
 def _float_block(path: Path, header: list[str], lines: list[int],
@@ -203,9 +216,22 @@ def _float_block(path: Path, header: list[str], lines: list[int],
     return block.reshape(len(lines), -1)
 
 
+def _unmatched(description: str, ids: Collection[str]) -> str:
+    # the count, then the first ids in sorted order
+    listed = sorted(ids)[:_LISTED_IDS]
+    more = f" and {len(ids) - len(listed)} more" if len(ids) > len(listed) else ""
+    return f"{len(ids)} {description} {listed}{more}"
+
+
 def _float_rows(path: Path, rows: Iterator[tuple[int, list[str]]], header: list[str],
-                what: str) -> tuple[list[str], np.ndarray]:
+                what: str, index: Mapping[str, int] | None = None
+                ) -> tuple[list[str], np.ndarray]:
     """Ids, and every cell after the id as an (n, d) array, of keyed data rows.
+
+    With an ``index`` that maps the i-th of n ids to i, each row's cells land
+    at its id's row of a preallocated array, and an id on one side only
+    raises a ProtocolError once the whole file has passed; else rows keep
+    file order.
 
     Cells are converted one block of rows (about _BLOCK_CELLS cells) at a
     time as the rows stream by, so only one block's text is held at once. A
@@ -214,20 +240,38 @@ def _float_rows(path: Path, rows: Iterator[tuple[int, list[str]]], header: list[
     error is kept, later blocks are only checked for row structure, and it
     is raised once the whole file's row structure has passed.
     """
-    keyed = _keyed_rows(path, rows, len(header), what)
+    width = len(header) - 1
+    filled, unlabeled = bytearray(len(index or ())), set()
+    keyed = _keyed_rows(path, rows, len(header), what, index, filled, unlabeled)
     ids: list[str] = []
     blocks: list[np.ndarray] = []
+    values = np.empty((len(filled), width))
     problem: FormatError | None = None
-    for block_ids, lines, cells in _cell_blocks(keyed, len(header) - 1):
-        ids += block_ids
+    for keys, lines, cells in _cell_blocks(keyed, width):
         if problem is None:
             try:
-                blocks.append(_float_block(path, header, lines, cells))
+                block = _float_block(path, header, lines, cells)
             except FormatError as exc:
                 problem = exc
+                continue
+            if index is None:
+                ids += keys
+                blocks.append(block)
+            else:
+                positions = np.array(keys)
+                values[positions[positions >= 0]] = block[positions >= 0]
     if problem is not None:
         raise problem
-    return ids, np.concatenate(blocks)
+    if index is None:
+        return ids, np.concatenate(blocks)
+    if unlabeled or 0 in filled:
+        missing = [rec_id for rec_id, row in index.items() if not filled[row]]
+        sides = [_unmatched(f"{what} rows without labels", unlabeled),
+                 _unmatched(f"labeled recordings without {what}s", missing)]
+        if what == "feature":  # a feature mismatch names the labeled side first
+            sides.reverse()
+        raise ProtocolError(f"{what}s/labels cross-reference mismatch: {', '.join(sides)}")
+    return list(index), values
 
 
 def _table_text(header: Sequence[str], rows: Iterable[Sequence[str]],
@@ -243,12 +287,15 @@ def _table_text(header: Sequence[str], rows: Iterable[Sequence[str]],
     return buf.getvalue()
 
 
-def read_scores(path) -> tuple[list[str], list[str], np.ndarray, str | None]:
+def read_scores(path, index: Mapping[str, int] | None = None
+                ) -> tuple[list[str], list[str], np.ndarray, str | None]:
     """Read a wide per-machine score table.
 
     Returns (machine column names, recording ids, (n, k) scores with row i
-    for ids[i], declared orientation or None). Scores are returned as stored;
-    callers negate when the orientation says lower means more anomalous.
+    for ids[i], declared orientation or None), rows in file order or, given
+    an ``index`` that maps the i-th of n ids to i, in the index's order.
+    Scores are returned as stored; callers negate when the orientation says
+    lower means more anomalous.
     """
     path = Path(path)
     comments: list[tuple[int, str]] = []
@@ -262,7 +309,7 @@ def read_scores(path) -> tuple[list[str], list[str], np.ndarray, str | None]:
     machines = header[1:]
     if len(set(machines)) != len(machines) or any(not m for m in machines):
         raise FormatError(f"{path.name}:{header_no}: machine columns must be unique and nonempty")
-    return (machines, *_float_rows(path, rows, header, "score"), orientation)
+    return (machines, *_float_rows(path, rows, header, "score", index), orientation)
 
 
 _LABEL_COLUMNS = ("recording_id", "true_machine", "is_anomaly", "split")
@@ -298,7 +345,7 @@ def read_labels(path) -> dict[str, MergedTestSet]:
     codes: dict[str, int] = {}  # machine name -> code, in order of first appearance
     columns = {split: ([], [], []) for split in SPLITS}  # ids, machine codes, labels
     problem = None
-    for line_no, row in _keyed_rows(path, rows, len(header), "label"):
+    for line_no, row, _ in _keyed_rows(path, rows, len(header), "label"):
         if problem is None and (message := _label_problem(row)):
             problem = f"{path.name}:{line_no}: {message}"
         elif problem is None:
@@ -313,8 +360,9 @@ def read_labels(path) -> dict[str, MergedTestSet]:
             for split, (ids, machine, anomalous) in columns.items() if ids}
 
 
-def read_features(path) -> tuple[list[str], np.ndarray]:
-    """Read per-recording feature vectors as (ids, (n, d) array)."""
+def read_features(path, index: Mapping[str, int] | None = None
+                  ) -> tuple[list[str], np.ndarray]:
+    """Read per-recording feature vectors as (ids, (n, d) array), in read_scores' row order."""
     path = Path(path)
     rows = _rows(path)
     header_no, header = next(rows)
@@ -324,7 +372,7 @@ def read_features(path) -> tuple[list[str], np.ndarray]:
         raise FormatError(
             f"{path.name}:{header_no}: header must be recording_id,f_0,...,f_{{d-1}}"
         )
-    return _float_rows(path, rows, header, "feature")
+    return _float_rows(path, rows, header, "feature", index)
 
 
 @dataclass(frozen=True)
@@ -540,16 +588,15 @@ def simulate_document(
     return doc
 
 
-def sweep_document(
-    result: SweepResult, scorer: ScorerSpec, eval_config: EvalConfig
-) -> dict:
+def sweep_document(points: Sequence[SweepPoint], base: SimConfig, separations: Sequence[float],
+                   repeats: int, scorer: ScorerSpec, eval_config: EvalConfig) -> dict:
     doc = _document_head("sweep", [])
-    doc["config"] = asdict(result.base)
+    doc["config"] = asdict(base)
     doc["scorer"] = asdict(scorer)
     doc["evaluation"] = {"pauc_p": eval_config.pauc_p, "average": eval_config.average}
-    doc["separations"] = list(result.separations)
-    doc["repeats"] = result.repeats
-    doc["points"] = [asdict(p) for p in result.points]
+    doc["separations"] = list(separations)
+    doc["repeats"] = repeats
+    doc["points"] = [asdict(p) for p in points]
     return doc
 
 

@@ -72,6 +72,7 @@ class ScoreMatrix:
     machines: list[str]
     ids: list[str]
     values: np.ndarray = field(repr=False)
+    row_of: dict[str, int] = field(init=False, repr=False)  # ids[i] -> i, built once
 
     def __post_init__(self) -> None:
         if not self.machines:
@@ -79,7 +80,8 @@ class ScoreMatrix:
         if len(set(self.machines)) != len(self.machines):
             raise ProtocolError("duplicate machine names in score matrix")
         self.ids = list(self.ids)
-        if len(set(self.ids)) != len(self.ids):
+        self.row_of = dict(zip(self.ids, range(len(self.ids))))
+        if len(self.row_of) != len(self.ids):
             raise ProtocolError("duplicate recording ids in score matrix")
         self.values = np.asarray(self.values, dtype=float)
         expected = (len(self.ids), len(self.machines))
@@ -126,6 +128,8 @@ class MergedTestSet:
         if any(a == b for a, b in zip(self.ids, self.ids[1:])):
             raise ProtocolError("duplicate recording ids in merged test set")
         self.true_machine = np.asarray(self.true_machine, dtype=np.intp)[order]
+        if not (0 <= self.true_machine.min() and self.true_machine.max() < len(self.machines)):
+            raise ProtocolError(f"true machine codes must lie in [0, {len(self.machines)})")
         self.is_anomaly = np.asarray(self.is_anomaly, dtype=bool)[order]
         if self.features is not None:
             self.features = np.asarray(self.features, dtype=float)[order]
@@ -298,9 +302,8 @@ def _align(
     missing = sorted(m for m in (merged.machines[c] for c in codes) if m not in column)
     if missing:
         raise ProtocolError(f"score matrix is missing machine columns {missing}")
-    row_of = dict(zip(matrix.ids, range(len(matrix.ids))))
     try:
-        rows = np.array([row_of[rec_id] for rec_id in merged.ids], dtype=np.intp)
+        rows = np.array([matrix.row_of[rec_id] for rec_id in merged.ids], dtype=np.intp)
     except KeyError as exc:
         raise ProtocolError(f"score matrix has no row for recording {exc.args[0]!r}") from None
     true_cols = np.array([column.get(m, -1) for m in merged.machines], dtype=np.intp)

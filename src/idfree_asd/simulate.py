@@ -23,7 +23,6 @@ __all__ = [
     "SimError",
     "SimConfig",
     "SweepPoint",
-    "SweepResult",
     "DEFAULT_SCORER",
     "DEFAULT_SEPARATIONS",
     "DEFAULT_REPEATS",
@@ -176,16 +175,6 @@ class SweepPoint:
     error: str | None = None
 
 
-@dataclass
-class SweepResult:
-    """All sweep points plus the configuration that produced them."""
-
-    base: SimConfig
-    separations: tuple[float, ...]
-    repeats: int
-    points: list[SweepPoint]
-
-
 def run_point(
     config: SimConfig,
     scorer: ScorerSpec = DEFAULT_SCORER,
@@ -221,7 +210,7 @@ def sweep(
     repeats: int = DEFAULT_REPEATS,
     scorer: ScorerSpec = DEFAULT_SCORER,
     eval_config: EvalConfig = EvalConfig(),
-) -> SweepResult:
+) -> list[SweepPoint]:
     """Run repeats at every separation, tolerating per-point failures."""
     if not separations:
         raise SimError("sweep needs at least one separation value")
@@ -248,4 +237,4 @@ def sweep(
                         error=f"{type(exc).__name__}: {exc}",
                     )
                 )
-    return SweepResult(base, tuple(separations), repeats, points)
+    return points

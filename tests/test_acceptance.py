@@ -138,14 +138,14 @@ def test_criterion_5_sweep_tradeoff_shape(capsys):
     config = SimConfig()
     assert (config.k, config.d) == (5, 8)
     assert len(DEFAULT_SEPARATIONS) == 10 and DEFAULT_REPEATS == 5
-    result = sweep(config)  # pinned per-point seeds derived from base seed 0
-    assert len(result.points) == 50
-    assert all(p.error is None for p in result.points)
-    ids = [p.id_accuracy_normalized for p in result.points]
-    deltas = [p.delta_norm for p in result.points]
+    points = sweep(config)  # pinned per-point seeds derived from base seed 0
+    assert len(points) == 50
+    assert all(p.error is None for p in points)
+    ids = [p.id_accuracy_normalized for p in points]
+    deltas = [p.delta_norm for p in points]
     rho = spearmanr(ids, deltas).statistic
     assert rho <= -0.8
-    lossless = [p for p in result.points if p.misid_probability == 0.0]
+    lossless = [p for p in points if p.misid_probability == 0.0]
     assert lossless
     for point in lossless:
         assert point.delta_norm == 0.0

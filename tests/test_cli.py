@@ -229,6 +229,69 @@ def test_evaluate_cross_reference_mismatch_is_bounded(tmp_path, capsys):
     assert "'label0009'] and 990 more" in message and "label0010" not in message
 
 
+def evaluate_table(tmp_path, capsys, kind, labeled, data_rows):
+    """Run evaluate on `labeled` fan recordings and a --scores or --manifest
+    table of one value column whose data rows are `data_rows`; return the
+    exit code, the error message and the table's name."""
+    labels = tmp_path / "labels.csv"
+    write_labels(labels, [Recording(rec_id, "fan", i % 2 == 1) for i, rec_id in enumerate(labeled)])
+    if kind == "scores":
+        table, column = tmp_path / "scores.csv", "fan"
+        source = ["--scores", str(table)]
+    else:
+        table, column = tmp_path / "features.csv", "f_0"
+        write_features(tmp_path / "ref_fan.csv", ["r0", "r1"], [[0.0], [1.0]])
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({
+            "format": FORMAT_VERSION, "scorer": {"kind": "nearest_reference"},
+            "features": table.name, "machines": [{"name": "fan", "reference": "ref_fan.csv"}],
+        }))
+        source = ["--manifest", str(manifest)]
+    table.write_text("\n".join([FORMAT_LINE, f"recording_id,{column}", *data_rows]) + "\n")
+    code, _, err = run(capsys, "evaluate", *source, "--labels", str(labels))
+    return code, stderr_json(err)["message"], table.name
+
+
+# data row i of a table is line i + 3: the format line and the header come first
+@pytest.mark.parametrize("kind", ["scores", "features"])
+@pytest.mark.parametrize("rows, line, rec_id", [
+    (["a,0.1", "b,0.9", "a,0.2"], 5, "a"),            # a labeled id
+    (["a,0.1", "x,0.5", "b,0.9", "x,0.6"], 6, "x"),   # an id without a label
+])
+def test_evaluate_repeated_table_id_is_a_duplicate_not_a_mismatch(
+        tmp_path, capsys, kind, rows, line, rec_id):
+    code, message, name = evaluate_table(tmp_path, capsys, kind, ["a", "b"], rows)
+    assert code == EXIT_DATA
+    assert message == f"{name}:{line}: duplicate recording id {rec_id!r}"
+
+
+@pytest.mark.parametrize("kind", ["scores", "features"])
+@pytest.mark.parametrize("rows, line", [
+    (["a,0.1", "b,oops", "x,0.5"], 4),   # the unknown id comes after the bad cell
+    (["a,0.1", "x,0.5", "b,oops"], 5),   # and before it
+    (["a,0.1", "b,0.9", "x,oops"], 5),   # the bad cell is in the unknown id's row
+])
+def test_evaluate_bad_cell_wins_over_an_unknown_id(tmp_path, capsys, kind, rows, line):
+    code, message, name = evaluate_table(tmp_path, capsys, kind, ["a", "b"], rows)
+    column = "fan" if kind == "scores" else "f_0"
+    assert code == EXIT_DATA
+    assert message == f"{name}:{line}: {column} value 'oops' is not a number"
+
+
+@pytest.mark.parametrize("kind", ["scores", "features"])
+def test_evaluate_mismatch_lists_sorted_ids_and_caps_them(tmp_path, capsys, kind):
+    # both sides arrive in reverse order; 12 ids each, of which the first 10 are named
+    labeled = [f"l{i:02d}" for i in reversed(range(12))]
+    rows = [f"u{i:02d},0.5" for i in reversed(range(12))]
+    code, message, _ = evaluate_table(tmp_path, capsys, kind, labeled, rows)
+    what = kind[:-1]
+    extra = f"12 {what} rows without labels {[f'u{i:02d}' for i in range(10)]} and 2 more"
+    missing = f"12 labeled recordings without {kind} {[f'l{i:02d}' for i in range(10)]} and 2 more"
+    sides = (extra, missing) if kind == "scores" else (missing, extra)
+    assert code == EXIT_DATA
+    assert message == f"{kind}/labels cross-reference mismatch: {sides[0]}, {sides[1]}"
+
+
 def golden_splits(capsys):
     code, out, _ = run(
         capsys, "evaluate",

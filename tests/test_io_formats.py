@@ -691,10 +691,11 @@ def test_simulate_and_sweep_documents():
     assert doc["config"]["seed"] == 8
     assert doc["point"]["separation"] == config.separation
 
-    result = sweep(config, separations=[4.0, 8.0], repeats=1)
-    sweep_doc = sweep_document(result, ScorerSpec(), EvalConfig())
+    points = sweep(config, separations=[4.0, 8.0], repeats=1)
+    sweep_doc = sweep_document(points, config, (4.0, 8.0), 1, ScorerSpec(), EvalConfig())
     assert sweep_doc["kind"] == "sweep"
     assert sweep_doc["separations"] == [4.0, 8.0]
+    assert sweep_doc["repeats"] == 1
     assert len(sweep_doc["points"]) == 2
     json.loads(document_text(sweep_doc))
 
@@ -729,9 +730,9 @@ def test_sweep_csv_cells():
 
 
 def test_sweep_csv_values_are_plain_reprs():
-    result = sweep(SimConfig(k=2, d=3, n_ref=6, n_norm=8, n_anom=4, seed=3),
+    points = sweep(SimConfig(k=2, d=3, n_ref=6, n_norm=8, n_anom=4, seed=3),
                    separations=[5.0], repeats=1)
-    text = sweep_csv_text(result.points)
+    text = sweep_csv_text(points)
     assert "np.float64" not in text
     assert "None" not in text
 

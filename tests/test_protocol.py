@@ -7,6 +7,7 @@ from idfree_asd import metrics
 from idfree_asd.protocol import (
     EvalConfig,
     IdentificationStats,
+    MergedTestSet,
     ProtocolError,
     Recording,
     ScoreMatrix,
@@ -153,6 +154,12 @@ def test_merged_set_split_property():
     assert merged.split == "eval"
 
 
+@pytest.mark.parametrize("code", [2, -1])
+def test_merged_set_rejects_machine_codes_outside_its_machines(code):
+    with pytest.raises(ProtocolError, match=r"^true machine codes must lie in \[0, 2\)$"):
+        MergedTestSet(["a", "b"], ["fan", "pump"], [0, code], [False, True])
+
+
 # ---------------------------------------------------------------------------
 # score matrix
 
@@ -184,6 +191,15 @@ def test_score_matrix_lookup_errors():
     for evaluate in (evaluate_known, evaluate_unknown):
         with pytest.raises(ProtocolError, match="no row for recording 'fan-a0'"):
             evaluate(matrix, merged)
+
+
+def test_score_matrix_rows_in_any_order_give_the_same_report():
+    merged = merge_test_sets({"fan": make_recordings("fan", 3, 2),
+                              "pump": make_recordings("pump", 2, 3)})
+    matrix = random_matrix(np.random.default_rng(8), merged, ["fan", "pump"])
+    assert matrix.row_of == {rec_id: i for i, rec_id in enumerate(matrix.ids)}
+    reversed_rows = ScoreMatrix(matrix.machines, matrix.ids[::-1], matrix.values[::-1])
+    assert full_report(reversed_rows, merged) == full_report(matrix, merged)
 
 
 # ---------------------------------------------------------------------------

@@ -206,32 +206,30 @@ def test_derive_seed_is_stable_and_collision_free():
 
 def test_sweep_single_point_matches_run_point():
     base = SimConfig(k=2, d=3, n_ref=6, n_norm=8, n_anom=4, seed=11)
-    result = sweep(base, separations=[4.0], repeats=1)
-    assert len(result.points) == 1
+    points = sweep(base, separations=[4.0], repeats=1)
+    assert len(points) == 1
     expected_config = dataclasses.replace(
         base, separation=4.0, seed=derive_seed(11, 0, 0)
     )
-    assert result.points[0] == run_point(expected_config)
+    assert points[0] == run_point(expected_config)
 
 
 def test_sweep_shape_and_order():
     base = SimConfig(k=2, d=3, n_ref=4, n_norm=6, n_anom=2, seed=1)
     separations = [3.0, 6.0, 9.0]
-    result = sweep(base, separations=separations, repeats=2)
-    assert len(result.points) == 6
-    assert [p.separation for p in result.points] == [3.0, 3.0, 6.0, 6.0, 9.0, 9.0]
-    assert [p.repeat for p in result.points] == [0, 1, 0, 1, 0, 1]
-    assert result.separations == (3.0, 6.0, 9.0)
-    assert result.repeats == 2
+    points = sweep(base, separations=separations, repeats=2)
+    assert len(points) == 6
+    assert [p.separation for p in points] == [3.0, 3.0, 6.0, 6.0, 9.0, 9.0]
+    assert [p.repeat for p in points] == [0, 1, 0, 1, 0, 1]
 
 
 def test_sweep_records_per_point_failures_and_continues():
     # 6 machines cannot be embedded in 4 dimensions: every point fails but
     # the sweep still returns a complete grid
     base = SimConfig(k=6, d=4, n_ref=4, n_norm=4, n_anom=2, seed=0)
-    result = sweep(base, separations=[1.0, 2.0], repeats=2)
-    assert len(result.points) == 4
-    for point in result.points:
+    points = sweep(base, separations=[1.0, 2.0], repeats=2)
+    assert len(points) == 4
+    for point in points:
         assert point.error is not None and "SimError" in point.error
         assert point.delta_norm is None and point.a_known is None
 
@@ -247,13 +245,13 @@ def test_sweep_validates_arguments():
 def test_default_sweep_exposes_the_tradeoff():
     assert DEFAULT_SCORER.kind == "nearest_reference"
     assert len(DEFAULT_SEPARATIONS) == 10 and DEFAULT_REPEATS == 5
-    result = sweep(SimConfig())
-    assert len(result.points) == len(DEFAULT_SEPARATIONS) * DEFAULT_REPEATS
-    assert all(p.error is None for p in result.points)
-    seps = [p.separation for p in result.points]
-    ids = [p.id_accuracy_normalized for p in result.points]
-    deltas = [p.delta_norm for p in result.points]
-    misids = [p.misid_probability for p in result.points]
+    points = sweep(SimConfig())
+    assert len(points) == len(DEFAULT_SEPARATIONS) * DEFAULT_REPEATS
+    assert all(p.error is None for p in points)
+    seps = [p.separation for p in points]
+    ids = [p.id_accuracy_normalized for p in points]
+    deltas = [p.delta_norm for p in points]
+    misids = [p.misid_probability for p in points]
     assert None not in ids and None not in deltas
     # wider separation makes implicit identification easier
     rho_sep_id = spearmanr(seps, ids).statistic
@@ -262,7 +260,7 @@ def test_default_sweep_exposes_the_tradeoff():
     rho_delta_misid = spearmanr(deltas, misids).statistic
     assert rho_delta_misid >= 0.8
     # perfect identification leaves nothing to degrade
-    lossless = [p for p in result.points if p.misid_probability == 0.0]
+    lossless = [p for p in points if p.misid_probability == 0.0]
     assert lossless
     for point in lossless:
         assert point.delta_norm == 0.0
