@@ -106,7 +106,7 @@ def _cmd_evaluate(args) -> int:
     config = EvalConfig(pauc_p=args.pauc_p, average=args.avg)
 
     if args.scores is not None:
-        machines, ids, values, header_orientation = formats.read_scores(
+        machines, _, values, header_orientation = formats.read_scores(
             args.scores, _label_index(test_sets))
         higher = _resolve_orientation(args.higher_is_anomalous, header_orientation)
         if not higher:
@@ -115,7 +115,6 @@ def _cmd_evaluate(args) -> int:
             formats.file_digest(args.scores, "scores"),
             formats.file_digest(args.labels, "labels"),
         ]
-        matrix = ScoreMatrix(machines, ids, values)
     else:
         if args.higher_is_anomalous is not None:
             raise UsageError("--higher-is-anomalous applies to --scores files only")
@@ -135,8 +134,13 @@ def _cmd_evaluate(args) -> int:
             for m in sorted(manifest.references)
         ]
         matrix = build_score_matrix(specs, ids, vectors)
+        machines, values = matrix.machines, matrix.values
 
-    reports = {split: full_report(matrix, merged, config) for split, merged in test_sets.items()}
+    reports, stop = {}, 0
+    for split, merged in test_sets.items():
+        start, stop = stop, stop + len(merged.ids)
+        view = ScoreMatrix(machines, merged.ids, values[start:stop])
+        reports[split] = full_report(view, merged, config)
     _emit(formats.evaluation_document(reports, inputs, config, higher), args.out)
     return EXIT_OK
 

@@ -64,15 +64,14 @@ class Recording:
 class ScoreMatrix:
     """Machine-specific anomaly scores of every recording, one dense table.
 
-    `values[i, j]` is recording `ids[i]` scored by machine `machines[j]`.
-    Column order is the fixed machine ordering used for argmin tie-breaking;
-    every row holds exactly one finite score per machine.
+    `values[i, j]` is recording `ids[i]` scored by machine `machines[j]`, one
+    finite score per cell; columns are in the argmin tie-break order, and the
+    evaluators take the rows of one merged test set, in its order.
     """
 
     machines: list[str]
     ids: list[str]
     values: np.ndarray = field(repr=False)
-    row_of: dict[str, int] = field(init=False, repr=False)  # ids[i] -> i, built once
 
     def __post_init__(self) -> None:
         if not self.machines:
@@ -80,9 +79,6 @@ class ScoreMatrix:
         if len(set(self.machines)) != len(self.machines):
             raise ProtocolError("duplicate machine names in score matrix")
         self.ids = list(self.ids)
-        self.row_of = dict(zip(self.ids, range(len(self.ids))))
-        if len(self.row_of) != len(self.ids):
-            raise ProtocolError("duplicate recording ids in score matrix")
         self.values = np.asarray(self.values, dtype=float)
         expected = (len(self.ids), len(self.machines))
         if self.values.shape != expected:
@@ -121,6 +117,8 @@ class MergedTestSet:
             raise ProtocolError("merged test set is empty")
         if not len(self.ids) == len(self.true_machine) == len(self.is_anomaly):
             raise ProtocolError("need one true machine and one label per id")
+        if self.features is not None and np.shape(self.features)[:1] != (len(self.ids),):
+            raise ProtocolError(f"need {len(self.ids)} feature rows, got {np.shape(self.features)}")
         if self.split not in SPLITS:
             raise ProtocolError(f"unknown split {self.split!r}")
         order = sorted(range(len(self.ids)), key=self.ids.__getitem__)
@@ -292,20 +290,21 @@ def _mode_result(
 
 def _align(
     matrix: ScoreMatrix, merged: MergedTestSet
-) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int, int]]]:
-    """Matrix row and true-machine column of each merged recording, and
-    (code, n_normal, n_anomalous) per machine in order of first appearance.
-    Warns once per single-class machine, attributed to the public caller.
+) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
+    """Check that the matrix rows are the merged rows; return each recording's
+    true-machine column and (code, n_normal, n_anomalous) per machine in order
+    of first appearance, warning once per single-class machine to the caller.
     """
     column = {machine: j for j, machine in enumerate(matrix.machines)}
     codes, first = np.unique(merged.true_machine, return_index=True)
     missing = sorted(m for m in (merged.machines[c] for c in codes) if m not in column)
     if missing:
         raise ProtocolError(f"score matrix is missing machine columns {missing}")
-    try:
-        rows = np.array([matrix.row_of[rec_id] for rec_id in merged.ids], dtype=np.intp)
-    except KeyError as exc:
-        raise ProtocolError(f"score matrix has no row for recording {exc.args[0]!r}") from None
+    if matrix.ids != merged.ids:
+        i = next((i for i, (a, b) in enumerate(zip(matrix.ids, merged.ids)) if a != b), None)
+        where = (f"{len(matrix.ids)} rows for {len(merged.ids)} recordings" if i is None
+                 else f"row {i} is {matrix.ids[i]!r}, not {merged.ids[i]!r}")
+        raise ProtocolError(f"score matrix rows must be the merged test set's: {where}")
     true_cols = np.array([column.get(m, -1) for m in merged.machines], dtype=np.intp)
     total = np.bincount(merged.true_machine, minlength=len(merged.machines))
     anomalous = np.bincount(merged.true_machine[merged.is_anomaly], minlength=len(total))
@@ -319,7 +318,7 @@ def _align(
                 stacklevel=3,
             )
         counts.append((code, n_normal, n_anomalous))
-    return rows, true_cols[merged.true_machine], counts
+    return true_cols[merged.true_machine], counts
 
 
 def evaluate_known(
@@ -329,20 +328,20 @@ def evaluate_known(
     average: str = "harmonic",
 ) -> ModeResult:
     """Standard protocol: score each recording with its true machine's column."""
-    rows, true_cols, counts = _align(matrix, merged)
-    return _mode_result(merged, counts, matrix.values[rows, true_cols], pauc_p, average)
+    true_cols, counts = _align(matrix, merged)
+    known = matrix.values[np.arange(len(true_cols)), true_cols]
+    return _mode_result(merged, counts, known, pauc_p, average)
 
 
 def _unknown(
     matrix: ScoreMatrix, merged: MergedTestSet, aligned: tuple, pauc_p: float, average: str
 ) -> tuple[ModeResult, IdentificationStats]:
-    rows, true_cols, counts = aligned
-    table = matrix.values[rows]
-    picked = table.argmin(axis=1)
-    scores = np.take_along_axis(table, picked[:, None], axis=1)[:, 0]
+    true_cols, counts = aligned
+    picked = matrix.values.argmin(axis=1)
+    scores = np.take_along_axis(matrix.values, picked[:, None], axis=1)[:, 0]
     n_correct = int((picked == true_cols).sum())
-    tie_count = int(((table == scores[:, None]).sum(axis=1) > 1).sum())
-    stats = IdentificationStats(matrix.k, len(rows), n_correct, tie_count)
+    tie_count = int(((matrix.values == scores[:, None]).sum(axis=1) > 1).sum())
+    stats = IdentificationStats(matrix.k, len(true_cols), n_correct, tie_count)
     return _mode_result(merged, counts, scores, pauc_p, average), stats
 
 
@@ -367,10 +366,9 @@ def full_report(
     config: EvalConfig = EvalConfig(),
 ) -> EvalReport:
     """Run both protocols and combine them into one report."""
-    aligned = rows, true_cols, counts = _align(matrix, merged)
-    known = _mode_result(
-        merged, counts, matrix.values[rows, true_cols], config.pauc_p, config.average
-    )
+    aligned = true_cols, counts = _align(matrix, merged)
+    scores = matrix.values[np.arange(len(true_cols)), true_cols]
+    known = _mode_result(merged, counts, scores, config.pauc_p, config.average)
     unknown, identification = _unknown(matrix, merged, aligned, config.pauc_p, config.average)
     return EvalReport(
         machines=list(matrix.machines),

@@ -15,9 +15,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .protocol import EvalConfig, MergedTestSet, full_report
+from .metrics import MetricError
+from .protocol import EvalConfig, MergedTestSet, ProtocolError, full_report
 from .protocol import merge_test_sets  # noqa: F401 -- bench/spans.py traces through this name
-from .scorers import ReferenceSet, ScorerSpec, build_score_matrix
+from .scorers import ReferenceSet, ScorerError, ScorerSpec, build_score_matrix
 
 __all__ = [
     "SimError",
@@ -167,11 +168,11 @@ class SweepPoint:
     separation: float
     repeat: int
     seed: int
-    id_accuracy_normalized: float | None
-    delta_norm: float | None
-    a_known: float | None
-    a_unknown: float | None
-    misid_probability: float | None
+    id_accuracy_normalized: float | None = None
+    delta_norm: float | None = None
+    a_known: float | None = None
+    a_unknown: float | None = None
+    misid_probability: float | None = None
     error: str | None = None
 
 
@@ -211,7 +212,7 @@ def sweep(
     scorer: ScorerSpec = DEFAULT_SCORER,
     eval_config: EvalConfig = EvalConfig(),
 ) -> list[SweepPoint]:
-    """Run repeats at every separation, tolerating per-point failures."""
+    """Run repeats at every separation; a point's data error becomes its failure."""
     if not separations:
         raise SimError("sweep needs at least one separation value")
     if int(repeats) != repeats or repeats < 1:
@@ -223,18 +224,7 @@ def sweep(
             config = dataclasses.replace(base, separation=separation, seed=seed)
             try:
                 points.append(run_point(config, scorer, eval_config, repeat))
-            except Exception as exc:
-                points.append(
-                    SweepPoint(
-                        separation=separation,
-                        repeat=repeat,
-                        seed=seed,
-                        id_accuracy_normalized=None,
-                        delta_norm=None,
-                        a_known=None,
-                        a_unknown=None,
-                        misid_probability=None,
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
-                )
+            except (SimError, ScorerError, ProtocolError, MetricError) as exc:
+                points.append(SweepPoint(separation, repeat, seed,
+                                         error=f"{type(exc).__name__}: {exc}"))
     return points

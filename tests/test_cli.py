@@ -8,8 +8,22 @@ import pytest
 
 import idfree_asd.cli as cli
 from idfree_asd.cli import EXIT_DATA, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
-from idfree_asd.io import FORMAT_LINE, FORMAT_VERSION, read_labels, read_scores
-from idfree_asd.protocol import Recording, ScoreMatrix, evaluate_known, merge_test_sets
+from idfree_asd.io import (
+    FORMAT_LINE,
+    FORMAT_VERSION,
+    document_text,
+    evaluation_document,
+    read_labels,
+    read_scores,
+)
+from idfree_asd.protocol import (
+    EvalConfig,
+    Recording,
+    ScoreMatrix,
+    evaluate_known,
+    full_report,
+    merge_test_sets,
+)
 from idfree_asd.scorers import ReferenceSet, ScorerSpec, build_score_matrix
 from idfree_asd.simulate import SimConfig, generate
 from tables import label_rows, write_features, write_labels, write_scores
@@ -78,7 +92,9 @@ def test_evaluate_cli_matches_library_known_mode(capsys):
     for rec_id, machine, anomalous, split in label_rows(read_labels(GOLDEN / "labels.csv")):
         per_machine.setdefault(machine, []).append(Recording(rec_id, machine, anomalous, split))
     merged = merge_test_sets(per_machine)
-    known = evaluate_known(ScoreMatrix(machines, ids, values), merged)
+    scores = dict(zip(ids, values))
+    matrix = ScoreMatrix(machines, merged.ids, [scores[rec_id] for rec_id in merged.ids])
+    known = evaluate_known(matrix, merged)
     section = doc["splits"]["dev"]["known"]
     assert section["aggregate"] == known.aggregate
     for machine, metrics in known.per_machine.items():
@@ -393,6 +409,55 @@ def test_evaluate_manifest_matches_library_pipeline(tmp_path, capsys):
     roles = [entry["role"] for entry in doc["inputs"]]
     assert roles == ["manifest", "features", "labels",
                      "reference:machine01", "reference:machine02"]
+
+
+@pytest.mark.parametrize("source", ["scores", "manifest"])
+def test_evaluate_reports_each_split_of_interleaved_labels(tmp_path, capsys, source):
+    # dev and eval rows interleave in the labels file, ids out of sorted order;
+    # each split section must equal the library report on that split alone
+    rng = np.random.default_rng(1207)
+    config = SimConfig(k=3, d=4, n_ref=8, n_norm=10, n_anom=5, separation=3.0, seed=12)
+    references, merged = generate(config)
+    # ids end in a per-machine, per-class counter: its parity picks the split
+    order = rng.permutation(len(merged.ids))
+    write_labels(tmp_path / "labels.csv", [
+        Recording(rec.id, rec.true_machine, rec.is_anomaly, ("dev", "eval")[int(rec.id[-4:]) % 2])
+        for rec in (merged.recordings[i] for i in order)
+    ])
+    machines = sorted(references)
+    if source == "scores":
+        values = rng.normal(size=(len(merged.ids), len(machines)))
+        scores = {merged.ids[i]: values[i] for i in rng.permutation(len(merged.ids))}
+        write_scores(tmp_path / "scores.csv", machines, scores)
+        path = tmp_path / "scores.csv"
+    else:
+        write_features(tmp_path / "features.csv", [merged.ids[i] for i in order],
+                       merged.features[order])
+        for machine, ref in references.items():
+            write_features(tmp_path / f"ref_{machine}.csv",
+                           [f"{machine}-ref{i}" for i in range(ref.n)], ref.vectors)
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({
+            "format": FORMAT_VERSION,
+            "scorer": {"kind": "nearest_reference", "k": 2},
+            "features": "features.csv",
+            "machines": [{"name": m, "reference": f"ref_{m}.csv"} for m in machines],
+        }))
+        spec = ScorerSpec("nearest_reference", k=2)
+        specs = {m: (spec, ReferenceSet(m, ref.vectors)) for m, ref in references.items()}
+        matrix = build_score_matrix(specs, merged.ids, merged.features)
+        scores = dict(zip(matrix.ids, matrix.values))
+    code, out, err = run(capsys, "evaluate", f"--{source}", str(path),
+                         "--labels", str(tmp_path / "labels.csv"))
+    assert code == EXIT_OK and err == ""
+    splits = json.loads(out)["splits"]
+    test_sets = read_labels(tmp_path / "labels.csv")
+    assert sorted(splits) == sorted(test_sets) == ["dev", "eval"]
+    for split, split_set in test_sets.items():
+        matrix = ScoreMatrix(machines, split_set.ids, [scores[i] for i in split_set.ids])
+        report = full_report(matrix, split_set)
+        expected = evaluation_document({split: report}, [], EvalConfig(), True)
+        assert splits[split] == json.loads(document_text(expected))["splits"][split]
 
 
 def test_evaluate_manifest_rejects_orientation_flag(tmp_path, capsys):

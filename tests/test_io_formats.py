@@ -652,7 +652,7 @@ def test_file_digest_matches_hashlib(tmp_path):
 def make_report():
     from idfree_asd.protocol import MergedTestSet, ScoreMatrix
 
-    matrix = ScoreMatrix(["fan"], ["n1", "n2", "a1", "a2"], [[0.0], [0.5], [2.0], [3.0]])
+    matrix = ScoreMatrix(["fan"], ["a1", "a2", "n1", "n2"], [[2.0], [3.0], [0.0], [0.5]])
     merged = MergedTestSet(["a1", "a2", "n1", "n2"], ["fan"], [0, 0, 0, 0],
                            [True, True, False, False])
     return full_report(matrix, merged)

@@ -33,9 +33,11 @@ def make_recordings(machine, n_normal, n_anomalous, split="dev"):
 
 
 def matrix_from_rows(machines, rows):
-    """Score matrix from a mapping of recording id to its row of scores."""
-    values = np.reshape(list(rows.values()), (len(rows), len(machines)))
-    return ScoreMatrix(list(machines), list(rows), values)
+    """Score matrix from a mapping of recording id to its row of scores, rows
+    ordered by id as a merged test set orders them."""
+    ids = sorted(rows)
+    values = np.reshape([rows[rec_id] for rec_id in ids], (len(ids), len(machines)))
+    return ScoreMatrix(list(machines), ids, values)
 
 
 def random_matrix(rng, merged, machines, strict_true_min=False, integers=False):
@@ -160,6 +162,12 @@ def test_merged_set_rejects_machine_codes_outside_its_machines(code):
         MergedTestSet(["a", "b"], ["fan", "pump"], [0, code], [False, True])
 
 
+@pytest.mark.parametrize("rows", [1, 3])
+def test_merged_set_rejects_features_of_the_wrong_length(rows):
+    with pytest.raises(ProtocolError, match=rf"^need 2 feature rows, got \({rows}, 2\)$"):
+        MergedTestSet(["a", "b"], ["fan"], [0, 0], [False, True], features=np.zeros((rows, 2)))
+
+
 # ---------------------------------------------------------------------------
 # score matrix
 
@@ -169,8 +177,6 @@ def test_score_matrix_validation():
         ScoreMatrix([], [], np.empty((0, 0)))
     with pytest.raises(ProtocolError, match="duplicate"):
         ScoreMatrix(["fan", "fan"], ["r"], [[1.0, 2.0]])
-    with pytest.raises(ProtocolError, match="duplicate"):
-        ScoreMatrix(["fan"], ["r", "r"], [[1.0], [2.0]])
     with pytest.raises(ProtocolError, match=r"shape \(1, 1\), expected \(1, 2\)"):
         ScoreMatrix(["fan", "pump"], ["r"], [[1.0]])
     with pytest.raises(ProtocolError, match=r"shape \(1, 2\), expected \(2, 2\)"):
@@ -189,17 +195,29 @@ def test_score_matrix_lookup_errors():
     assert matrix.values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
     merged = merge_test_sets({"fan": make_recordings("fan", 1, 1)})
     for evaluate in (evaluate_known, evaluate_unknown):
-        with pytest.raises(ProtocolError, match="no row for recording 'fan-a0'"):
+        with pytest.raises(ProtocolError, match="row 0 is 'r', not 'fan-a0'$"):
             evaluate(matrix, merged)
 
 
-def test_score_matrix_rows_in_any_order_give_the_same_report():
-    merged = merge_test_sets({"fan": make_recordings("fan", 3, 2),
-                              "pump": make_recordings("pump", 2, 3)})
-    matrix = random_matrix(np.random.default_rng(8), merged, ["fan", "pump"])
-    assert matrix.row_of == {rec_id: i for i, rec_id in enumerate(matrix.ids)}
-    reversed_rows = ScoreMatrix(matrix.machines, matrix.ids[::-1], matrix.values[::-1])
-    assert full_report(reversed_rows, merged) == full_report(matrix, merged)
+def test_matrix_rows_must_be_the_merged_rows_in_order():
+    merged = merge_test_sets({"fan": make_recordings("fan", 2, 2),
+                              "pump": make_recordings("pump", 2, 1)})
+    ids = list(merged.ids)
+    wrong = {
+        "row 0 is 'pump-n1', not 'fan-a0'": ids[::-1],  # reordered
+        "6 rows for 7 recordings": ids[:-1],  # partial
+        "8 rows for 7 recordings": ids + ["zz"],  # extended
+        "row 1 is 'fan-a0', not 'fan-a1'": ids[:1] + ids[:-1],  # duplicated
+        "row 2 is 'fan-a1', not 'fan-n0'": ids[:2] + ids[1:2] + ids[3:],  # duplicate in place
+    }
+    for message, rows in wrong.items():
+        matrix = ScoreMatrix(["fan", "pump"], rows, np.arange(2.0 * len(rows)).reshape(-1, 2))
+        for evaluate in (evaluate_known, evaluate_unknown, full_report):
+            with pytest.raises(ProtocolError, match=f"^score matrix rows must be the merged "
+                                                    f"test set's: {message}$"):
+                evaluate(matrix, merged)
+    matrix = ScoreMatrix(["fan", "pump"], ids, np.arange(2.0 * len(ids)).reshape(-1, 2))
+    assert full_report(matrix, merged).n_recordings == len(ids)
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +326,7 @@ def test_misid_probability_values():
 def test_misid_probability_coverage_check():
     merged = merge_test_sets({"fan": make_recordings("fan", 1, 1)})
     partial = matrix_from_rows(["fan"], {"fan-n0": [1.0]})
-    with pytest.raises(ProtocolError, match="no row"):
+    with pytest.raises(ProtocolError, match="row 0 is 'fan-n0', not 'fan-a0'"):
         evaluate_unknown(partial, merged)
     with pytest.raises(ProtocolError, match="missing machine columns"):
         evaluate_unknown(matrix_from_rows(["pump"], {"fan-n0": [1.0], "fan-a0": [2.0]}), merged)
@@ -530,20 +548,6 @@ def test_full_report_wiring():
     assert report.identification.k == 2
     assert report.known.pauc_p == 0.1
     assert report.unknown.average == "harmonic"
-
-
-def test_full_report_ignores_matrix_row_order_and_unrelated_rows():
-    rng = np.random.default_rng(71)
-    machines = ["fan", "pump", "valve"]
-    merged = merge_test_sets({m: make_recordings(m, 12, 5) for m in machines})
-    matrix = random_matrix(rng, merged, machines, integers=True)
-    # unrelated ids sort before, between and after the merged ones
-    extra = ["a", "fan-a", "fan-n1\x00", "pump-n", "valve-a9x", "zz"] + [f"x{i}" for i in range(20)]
-    ids = matrix.ids + extra
-    values = np.vstack([matrix.values, rng.uniform(0.0, 9.0, size=(len(extra), len(machines)))])
-    order = rng.permutation(len(ids))
-    shuffled = ScoreMatrix(machines, [ids[i] for i in order], values[order])
-    assert full_report(shuffled, merged) == full_report(matrix, merged)
 
 
 def test_full_report_perfect_identification_gives_zero_delta():

@@ -1,5 +1,6 @@
-"""The public surface: every exported name resolves, and the bench tracer,
-which wraps package names by attribute, still runs the CLI end to end."""
+"""The public surface: every exported name resolves, the README's library
+quickstart runs as printed, and the bench tracer, which wraps package names
+by attribute, still runs the CLI end to end."""
 
 import importlib
 import json
@@ -19,6 +20,14 @@ ROOT = Path(__file__).resolve().parents[1]
 def test_every_exported_name_resolves(module):
     namespace = importlib.import_module(module)
     assert [name for name in namespace.__all__ if not hasattr(namespace, name)] == []
+
+
+def test_readme_library_quickstart_runs(capsys):
+    section = (ROOT / "README.md").read_text().split("## Library quickstart\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    known, unknown, delta, accuracy = map(float, capsys.readouterr().out.split())
+    assert 0.5 < unknown <= known <= 1.0 and 0.0 <= delta < 1.0 and 0.0 < accuracy <= 1.0
 
 
 def test_bench_tracer_runs_a_small_simulate(tmp_path):

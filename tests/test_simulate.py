@@ -1,9 +1,12 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
+import idfree_asd.simulate as simulate
+from idfree_asd.cli import EXIT_INTERNAL, main
 from idfree_asd.simulate import (
     DEFAULT_REPEATS,
     DEFAULT_SCORER,
@@ -232,6 +235,23 @@ def test_sweep_records_per_point_failures_and_continues():
     for point in points:
         assert point.error is not None and "SimError" in point.error
         assert point.delta_norm is None and point.a_known is None
+
+
+def test_sweep_propagates_internal_errors(tmp_path, capsys, monkeypatch):
+    # only data errors become failed points; a bug stops the sweep and exits 3
+    def broken(*args):
+        raise RuntimeError("bug in scoring")
+
+    monkeypatch.setattr(simulate, "run_point", broken)
+    base = SimConfig(k=2, d=3, n_ref=4, n_norm=4, n_anom=2)
+    with pytest.raises(RuntimeError, match="bug in scoring"):
+        sweep(base, separations=[1.0], repeats=1)
+    code = main(["sweep", "--separations", "1", "--repeats", "1",
+                 "--out", str(tmp_path / "sweep.json")])
+    assert code == EXIT_INTERNAL
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "internal", "message": "RuntimeError: bug in scoring"}
+    assert not (tmp_path / "sweep.json").exists()
 
 
 def test_sweep_validates_arguments():
