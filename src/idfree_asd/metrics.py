@@ -55,40 +55,36 @@ def auc(scores, labels) -> float:
     Ties count 1/2 per pair (Mann-Whitney estimator). Raises MetricError on
     single-class input instead of silently reporting chance level.
     """
-    s, y = _as_score_arrays(scores, labels)
-    pos = s[y]
-    neg = np.sort(s[~y])
-    below = np.searchsorted(neg, pos, side="left")
-    below_or_equal = np.searchsorted(neg, pos, side="right")
-    wins = int(below.sum())
-    ties = int((below_or_equal - below).sum())
-    pairs = pos.size * neg.size
-    return (wins + 0.5 * ties) / pairs
+    return _roc(*_as_score_arrays(scores, labels))[0]
 
 
-def _roc(s: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # FPR and TPR of each empirical ROC vertex, starting at (0, 0): one
-    # vertex per distinct score value, taken at the last of its tied scores
+def _roc(s: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    # AUC, then the FPR and TPR of each empirical ROC vertex, starting at
+    # (0, 0): one vertex per distinct score value, taken at the last of its
+    # tied scores. Both come from one stable sort by descending score. A
+    # normal loses to every anomaly of the earlier groups of tied scores and
+    # ties with those of its own group, so twice the wins plus the ties is
+    # the integer sum, over groups, of the group's normals times the
+    # anomalies up to the group's end plus those before the group.
     order = np.argsort(-s, kind="stable")
     s_desc = s[order]
     y_desc = y[order]
     group_ends = np.append(np.flatnonzero(np.diff(s_desc) != 0.0), s_desc.size - 1)
-    tp = np.cumsum(y_desc)[group_ends]
-    fp = np.cumsum(~y_desc)[group_ends]
-    return np.append(0.0, fp / fp[-1]), np.append(0.0, tp / tp[-1])
+    tp = np.concatenate(([0], np.cumsum(y_desc)[group_ends]))
+    fp = np.concatenate(([0], np.cumsum(~y_desc)[group_ends]))
+    twice = int(np.dot(np.diff(fp), tp[1:] + tp[:-1]))
+    return 0.5 * twice / (int(tp[-1]) * int(fp[-1])), fp / fp[-1], tp / tp[-1]
 
 
-def pauc_raw(scores, labels, p: float = 0.1) -> float:
-    """Unstandardized area under the empirical ROC over FPR in [0, p].
-
-    Trapezoidal integration over the empirical ROC vertices of _roc, clipping
-    the final segment at FPR = p by linear interpolation.
-    """
+def _check_cap(p: float) -> None:
     if not (0.0 < p <= 1.0):
         raise MetricError(f"pAUC cap p must lie in (0, 1], got {p}")
-    x, y = _roc(*_as_score_arrays(scores, labels))
-    # FPR never decreases, so the segments wholly inside [0, p] come first;
-    # the next one, if it starts below p, is cut at p
+
+
+def _partial_area(x: np.ndarray, y: np.ndarray, p: float) -> float:
+    # trapezoidal area under the ROC vertices over FPR in [0, p]; FPR never
+    # decreases, so the segments wholly inside [0, p] come first and the
+    # next one, if it starts below p, is cut at p
     inside = int(np.searchsorted(x[1:], p, side="right"))
     terms = (x[1:inside + 1] - x[:inside]) * (y[:inside] + y[1:inside + 1]) * 0.5
     if inside < len(x) - 1 and x[inside] < p:
@@ -99,15 +95,36 @@ def pauc_raw(scores, labels, p: float = 0.1) -> float:
     return float(np.cumsum(np.concatenate(([0.0], terms)))[-1])
 
 
+def _standardized(raw: float, p: float) -> float:
+    # McClish: chance level maps to 0.5 and a perfect classifier to 1.0
+    chance = p * p * 0.5
+    return 0.5 * (1.0 + (raw - chance) / (p - chance))
+
+
+def pauc_raw(scores, labels, p: float = 0.1) -> float:
+    """Unstandardized area under the empirical ROC over FPR in [0, p].
+
+    Trapezoidal integration over the empirical ROC vertices of _roc, clipping
+    the final segment at FPR = p by linear interpolation.
+    """
+    _check_cap(p)
+    return _partial_area(*_roc(*_as_score_arrays(scores, labels))[1:], p)
+
+
 def pauc(scores, labels, p: float = 0.1) -> float:
     """McClish-standardized partial AUC over FPR in [0, p].
 
     Maps the raw partial area A_p through 0.5 * (1 + (A_p - p^2/2) / (p - p^2/2)),
     so chance level is 0.5 and a perfect classifier reaches 1.0 for every p.
     """
-    raw = pauc_raw(scores, labels, p)
-    chance = p * p * 0.5
-    return 0.5 * (1.0 + (raw - chance) / (p - chance))
+    return _standardized(pauc_raw(scores, labels, p), p)
+
+
+def _auc_pauc(scores: np.ndarray, labels: np.ndarray, p: float) -> tuple[float, float]:
+    """auc(scores, labels) and pauc(scores, labels, p) from one sort."""
+    _check_cap(p)
+    value, x, y = _roc(*_as_score_arrays(scores, labels))
+    return value, _standardized(_partial_area(x, y, p), p)
 
 
 def delta_norm(a_known: float, a_unknown: float) -> float | None:

@@ -15,7 +15,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .metrics import aggregate, auc, delta_norm, normalize_id_accuracy, pauc
+from .metrics import _auc_pauc, aggregate, delta_norm, normalize_id_accuracy
+from .metrics import auc, pauc  # noqa: F401 -- bench/spans.py traces through these names
 
 __all__ = [
     "ProtocolError",
@@ -266,19 +267,18 @@ class EvalReport:
 
 def _mode_result(
     merged: MergedTestSet,
-    counts: list[tuple[int, int, int]],
+    groups: list[tuple[int, int, int, np.ndarray]],
     scores: np.ndarray,
     pauc_p: float,
     average: str,
 ) -> ModeResult:
     # machines pool in order of first appearance; slices keep recording order
     per_machine: dict[str, MachineMetrics] = {}
-    for code, n_normal, n_anomalous in counts:
-        machine, mask = merged.machines[code], merged.true_machine == code
+    for code, n_normal, n_anomalous, rows in groups:
+        machine = merged.machines[code]
         pair = (None, None)
         if n_normal and n_anomalous:
-            slice_scores, labels = scores[mask], merged.is_anomaly[mask]
-            pair = (auc(slice_scores, labels), pauc(slice_scores, labels, pauc_p))
+            pair = _auc_pauc(scores[rows], merged.is_anomaly[rows], pauc_p)
         per_machine[machine] = MachineMetrics(machine, n_normal, n_anomalous, *pair)
     defined = [m for m in per_machine.values() if m.defined]
     if not defined:
@@ -290,13 +290,21 @@ def _mode_result(
 
 def _align(
     matrix: ScoreMatrix, merged: MergedTestSet
-) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
+) -> tuple[np.ndarray, list[tuple[int, int, int, np.ndarray]]]:
     """Check that the matrix rows are the merged rows; return each recording's
-    true-machine column and (code, n_normal, n_anomalous) per machine in order
-    of first appearance, warning once per single-class machine to the caller.
+    true-machine column and, per machine in order of first appearance,
+    (code, n_normal, n_anomalous, its rows in recording order), warning once
+    per single-class machine to the caller.
     """
     column = {machine: j for j, machine in enumerate(matrix.machines)}
-    codes, first = np.unique(merged.true_machine, return_index=True)
+    # one stable grouping by true machine: each machine's rows are one run
+    total = np.bincount(merged.true_machine, minlength=len(merged.machines))
+    anomalous = np.bincount(merged.true_machine[merged.is_anomaly], minlength=len(total))
+    grouped = np.argsort(merged.true_machine, kind="stable")
+    ends = np.cumsum(total)
+    starts = ends - total
+    codes = np.flatnonzero(total)
+    first = grouped[starts[codes]]
     missing = sorted(m for m in (merged.machines[c] for c in codes) if m not in column)
     if missing:
         raise ProtocolError(f"score matrix is missing machine columns {missing}")
@@ -306,9 +314,7 @@ def _align(
                  else f"row {i} is {matrix.ids[i]!r}, not {merged.ids[i]!r}")
         raise ProtocolError(f"score matrix rows must be the merged test set's: {where}")
     true_cols = np.array([column.get(m, -1) for m in merged.machines], dtype=np.intp)
-    total = np.bincount(merged.true_machine, minlength=len(merged.machines))
-    anomalous = np.bincount(merged.true_machine[merged.is_anomaly], minlength=len(total))
-    counts = []
+    groups = []
     for code in codes[np.argsort(first)].tolist():
         n_normal, n_anomalous = int(total[code] - anomalous[code]), int(anomalous[code])
         if not (n_normal and n_anomalous):
@@ -317,8 +323,8 @@ def _align(
                 f"its metrics are undefined and excluded from aggregation",
                 stacklevel=3,
             )
-        counts.append((code, n_normal, n_anomalous))
-    return true_cols[merged.true_machine], counts
+        groups.append((code, n_normal, n_anomalous, grouped[starts[code] : ends[code]]))
+    return true_cols[merged.true_machine], groups
 
 
 def evaluate_known(
@@ -328,21 +334,21 @@ def evaluate_known(
     average: str = "harmonic",
 ) -> ModeResult:
     """Standard protocol: score each recording with its true machine's column."""
-    true_cols, counts = _align(matrix, merged)
+    true_cols, groups = _align(matrix, merged)
     known = matrix.values[np.arange(len(true_cols)), true_cols]
-    return _mode_result(merged, counts, known, pauc_p, average)
+    return _mode_result(merged, groups, known, pauc_p, average)
 
 
 def _unknown(
     matrix: ScoreMatrix, merged: MergedTestSet, aligned: tuple, pauc_p: float, average: str
 ) -> tuple[ModeResult, IdentificationStats]:
-    true_cols, counts = aligned
+    true_cols, groups = aligned
     picked = matrix.values.argmin(axis=1)
     scores = np.take_along_axis(matrix.values, picked[:, None], axis=1)[:, 0]
     n_correct = int((picked == true_cols).sum())
     tie_count = int(((matrix.values == scores[:, None]).sum(axis=1) > 1).sum())
     stats = IdentificationStats(matrix.k, len(true_cols), n_correct, tie_count)
-    return _mode_result(merged, counts, scores, pauc_p, average), stats
+    return _mode_result(merged, groups, scores, pauc_p, average), stats
 
 
 def evaluate_unknown(
@@ -366,9 +372,9 @@ def full_report(
     config: EvalConfig = EvalConfig(),
 ) -> EvalReport:
     """Run both protocols and combine them into one report."""
-    aligned = true_cols, counts = _align(matrix, merged)
+    aligned = true_cols, groups = _align(matrix, merged)
     scores = matrix.values[np.arange(len(true_cols)), true_cols]
-    known = _mode_result(merged, counts, scores, config.pauc_p, config.average)
+    known = _mode_result(merged, groups, scores, config.pauc_p, config.average)
     unknown, identification = _unknown(matrix, merged, aligned, config.pauc_p, config.average)
     return EvalReport(
         machines=list(matrix.machines),

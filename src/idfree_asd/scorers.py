@@ -36,11 +36,25 @@ NORMALIZER_KINDS = ("none", "zscore_reference", "local_density")
 EPSILON_RELATIVE = 1e-6
 EPSILON_FLOOR = 1e-12
 
-# query rows go through the distance kernel in blocks whose distances to every
-# reference fit in this many bytes, so memory per machine stays bounded as
-# the number of scored recordings grows; held-out Mahalanobis covariances are
-# stacked in blocks of the same size
+# query rows go through the distance kernel in blocks whose 8-byte values for
+# every reference (float64 distances, argpartition indices) fit in this many
+# bytes, the float32 screen values in half of it, so memory per machine stays
+# bounded as the number of scored recordings grows; held-out Mahalanobis
+# covariances are stacked in blocks of the same size
 _BLOCK_BYTES = 16 * 2**20
+
+# the nearest-reference screen: unit roundoffs of float32 and float64; the
+# smallest normal float32, which bounds the absolute error of one float32
+# operation that underflows (flushed to zero or not); the margin's factor over
+# twice the summed bounds, which covers the rounding of |c|, R, the gap and
+# the margin themselves; the range of |c| + R the bounds are kept to; and the
+# fewest query-reference pairs per block for which the screen pays for its
+# fixed per-block cost
+_U32, _U64 = 2.0**-24, 2.0**-53
+_TINY32 = 2.0**-126
+_MARGIN = 2.0 * (1.0 + 2.0**-18)
+_RANGE = (2.0**-40, 2.0**40)
+_SCREEN_PAIRS = 2**18
 
 # a held-out covariance downdated from the full one carries the full one's
 # rounding; once removing a vector leaves less than this fraction of the
@@ -176,43 +190,113 @@ def _nearest(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Distances to the m nearest reference vectors of each query, and their indices.
 
-    Both are (n, m), each row sorted by ascending distance. Candidates are
-    chosen from squared distances computed as one matrix product per block of
-    query rows, with queries and references centred at the reference mean so
-    features far from the origin do not cancel. The chosen distances are then
-    recomputed from direct differences, so a query equal to a reference scores
-    exactly 0. With exclude_self the queries are the reference vectors
-    themselves and no vector counts as its own neighbour.
+    Both are (n, m), each row sorted by ascending distance and, between equal
+    distances, by reference index. Queries and references are centred at the
+    reference mean, so features far from the origin do not cancel, and each
+    block of query rows is screened in float32: with c = query - mean and
+    r_j = reference_j - mean, one product [c, 1] @ [-2 r_j; |r_j|^2] gives
+    f_j = |c - r_j|^2 - |c|^2 for every reference. A row is settled when the
+    float32 gap between its m-th and (m+1)-th smallest f_j exceeds twice the
+    sum of two error bounds, one on the float32 values and one on the float64
+    values of the same product (the dot-product bound gamma_n = n*u/(1-n*u),
+    Higham 2002, section 3.1, plus what underflow can lose; it holds in any
+    summation order). A settled row's float32 choice is then the float64 one.
+    Unsettled rows, rows whose |c| + max|r_j| lies outside [2**-40, 2**40],
+    every row of a block too small for the screen to pay, and every row when
+    m takes all the candidates choose from the float64 product instead. The
+    chosen distances are recomputed from direct differences, so a query equal
+    to a reference scores exactly 0. With exclude_self the queries are the
+    reference vectors themselves and no vector counts as its own neighbour.
     """
     centred = ref.vectors - ref.mean
     scaled = -2.0 * centred.T
     norms = np.einsum("ij,ij->i", centred, centred)
-    n = queries.shape[0]
+    n, (n_ref, d) = queries.shape[0], centred.shape
     distances = np.empty((n, m))
     indices = np.empty((n, m), dtype=np.intp)
-    # a block holds its n_ref squared distances and its m x d differences
-    rows = max(1, _BLOCK_BYTES // (8 * max(ref.n, m * ref.d)))
+    # per row, a block holds n_ref 8-byte values or m x d float64 differences
+    rows = max(1, min(n, _BLOCK_BYTES // (8 * max(n_ref, m * d))))
+    # R, the largest |r_j|, where the screen can pay and leaves a candidate
+    # out; above the range no row can settle
+    screenable = m < n_ref - exclude_self and rows * n_ref >= _SCREEN_PAIRS
+    radius = math.sqrt(norms.max()) if screenable else math.inf
+    screened = radius <= _RANGE[1]
+    if screened:
+        screen = np.empty((d + 1, n_ref), dtype=np.float32)
+        screen[:d] = scaled
+        screen[d] = norms
+        product = np.empty((rows, n_ref), dtype=np.float32)
+        augmented = np.empty((rows, d + 1), dtype=np.float32)
+        augmented[:, d] = 1.0
+        # the margin is affine in |c|: twice the float32 and float64 bounds
+        # gamma * (2|c|R + R^2), plus what underflow can lose per operation
+        gamma = _gamma(d + 3, _U32) + _gamma(d + 1, _U64)
+        tiny = 8 * (d + 1) * _TINY32
+        slope = _MARGIN * (2 * gamma * radius + tiny)
+        intercept = _MARGIN * (gamma * radius**2 + tiny * (2 * radius + radius**2 + 2))
+        shortest, longest = _RANGE[0] - radius, _RANGE[1] - radius
     for start in range(0, n, rows):
         block = queries[start : start + rows]
-        # squared distances less each row's own constant |x - mean|^2
-        squared = (block - ref.mean) @ scaled
-        squared += norms
-        if exclude_self:
-            own = np.arange(len(block))
-            squared[own, start + own] = np.inf
-        if m == 1:
-            nearest = squared.argmin(axis=1)[:, None]
+        own = np.arange(len(block))
+        c = block - ref.mean
+        if not screened or len(block) * n_ref < _SCREEN_PAIRS:
+            nearest, unsettled = np.empty((len(block), m), dtype=np.intp), slice(None)
         else:
-            nearest = np.argpartition(squared, m - 1, axis=1)[:, :m]
+            f = product[: len(block)]
+            # rows out of range may overflow float32; they never settle
+            with np.errstate(over="ignore", invalid="ignore"):
+                augmented[: len(block), :d] = c
+                np.matmul(augmented[: len(block)], screen, out=f)
+                if exclude_self:
+                    f[own, start + own] = np.inf
+                nearest, gap = _smallest(f, m)
+                length = np.sqrt(np.einsum("ij,ij->i", c, c))
+            # not (gap > margin), so nan never settles a row
+            unsettled = np.flatnonzero(
+                ~(gap > slope * length + intercept)
+                | (length < shortest) | (length > longest)
+            )
+        rest = own[unsettled]
+        if len(rest):
+            # the float64 selection, on the rows the screen does not settle
+            squared = c[unsettled] @ scaled
+            squared += norms
+            if exclude_self:
+                squared[np.arange(len(rest)), start + rest] = np.inf
+            if m == 1:
+                nearest[unsettled] = squared.argmin(axis=1)[:, None]
+            else:
+                nearest[unsettled] = np.argpartition(squared, m - 1, axis=1)[:, :m]
         diff = block[:, None, :] - ref.vectors[nearest]
         exact = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
         if m > 1:
-            order = exact.argsort(axis=1)
+            order = np.lexsort((nearest, exact), axis=1)
             exact = np.take_along_axis(exact, order, axis=1)
             nearest = np.take_along_axis(nearest, order, axis=1)
         distances[start : start + rows] = exact
         indices[start : start + rows] = nearest
     return distances, indices
+
+
+def _smallest(f: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Column indices of the m smallest values of each row of f (overwritten),
+    and each row's gap from its m-th to its (m+1)-th smallest value, in float64."""
+    if m == 1:
+        nearest = f.argmin(axis=1)[:, None]
+        rows = np.arange(len(f))
+        least = f[rows, nearest[:, 0]]
+        f[rows, nearest[:, 0]] = np.inf
+        return nearest, np.subtract(f.min(axis=1), least, dtype=float)
+    order = np.argpartition(f, m, axis=1)
+    nearest = order[:, :m]
+    following = np.take_along_axis(f, order[:, m : m + 1], axis=1)[:, 0]
+    return nearest, np.subtract(following, np.take_along_axis(f, nearest, axis=1).max(axis=1),
+                                dtype=float)
+
+
+def _gamma(n: int, u: float) -> float:
+    # relative error bound of an n-term dot product with unit roundoff u
+    return n * u / (1.0 - n * u) if n * u < 1.0 else math.inf
 
 
 def _held_out(spec: ScorerSpec, ref: ReferenceSet) -> np.ndarray:

@@ -113,3 +113,10 @@ def trapezoid_pauc_raw(points, p):
         else:
             break
     return area
+
+
+def k_nearest_indices(x, vectors, k, exclude=None):
+    """Indices of the k vectors nearest to x, nearer first and, at equal
+    distance, lower index first; the vector at index `exclude` is skipped."""
+    ranked = sorted((euclidean(x, v), j) for j, v in enumerate(vectors) if j != exclude)
+    return [j for _, j in ranked[:k]]

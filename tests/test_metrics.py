@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+from idfree_asd import metrics
 from idfree_asd.metrics import (
     AVERAGING_MODES,
     MetricError,
@@ -220,6 +221,18 @@ def test_pauc_rejects_bad_cap(p):
         pauc([1.0, 2.0], [False, True], p)
     with pytest.raises(MetricError):
         pauc_raw([1.0, 2.0], [False, True], p)
+    with pytest.raises(MetricError):
+        metrics._auc_pauc(np.array([1.0, 2.0]), np.array([False, True]), p)
+
+
+@given(st.one_of(labeled_scores(), labeled_scores(score_strategy=tied_scores)),
+       st.sampled_from([0.013, 0.1, 0.5, 1.0]))
+def test_auc_pauc_from_one_sort_equal_the_separate_calls(data, p):
+    # the per-machine metrics of a report come from this one-sort helper
+    scores, labels = data
+    pair = metrics._auc_pauc(np.array(scores), np.array(labels), p)
+    assert pair == (auc(scores, labels), pauc(scores, labels, p))
+    assert pair[0] == brute_force_auc(scores, labels)
 
 
 @given(labeled_scores(max_size=25), st.sampled_from([0.05, 0.1, 0.3, 0.7]))

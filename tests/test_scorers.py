@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from idfree_asd import scorers
 from idfree_asd.protocol import ProtocolError, Recording, merge_test_sets
@@ -16,7 +18,7 @@ from idfree_asd.scorers import (
     build_score_matrix,
     scoring_function,
 )
-from oracles import euclidean, held_out_scores, k_nearest_mean
+from oracles import euclidean, held_out_scores, k_nearest_indices, k_nearest_mean
 
 NN1 = ScorerSpec("nearest_reference", k=1)
 ZSCORE = NormalizerSpec("zscore_reference")
@@ -33,6 +35,10 @@ def column(refs):
 
 
 BLOCK = 4
+
+# the kernel's float32 screen is off for blocks below _SCREEN_PAIRS query-
+# reference pairs; 0 turns it on for every block of a small test input
+SCREEN_SIDES = (scorers._SCREEN_PAIRS, 0)
 
 
 def use_blocks(monkeypatch, rows, ref, m):
@@ -418,9 +424,13 @@ def test_nearest_reference_matches_oracle_across_blocks(n_rows, k, monkeypatch):
     ref = ReferenceSet("m", vectors)
     use_blocks(monkeypatch, BLOCK, ref, k)
     batch = rng.normal(size=(n_rows, 3))
-    got = scoring_function(ScorerSpec("nearest_reference", k=k), ref)(batch)
     expected = [k_nearest_mean(x, vectors, k) for x in batch]
-    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
+    neighbours = [k_nearest_indices(x, vectors, k) for x in batch]
+    for pairs in SCREEN_SIDES:
+        monkeypatch.setattr(scorers, "_SCREEN_PAIRS", pairs)
+        got = scoring_function(ScorerSpec("nearest_reference", k=k), ref)(batch)
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
+        assert scorers._nearest(batch, ref, k)[1].tolist() == neighbours
 
 
 def test_local_density_matches_oracle_with_k_norm_above_k(monkeypatch):
@@ -435,13 +445,16 @@ def test_local_density_matches_oracle_with_k_norm_above_k(monkeypatch):
     batch = rng.normal(size=(2 * BLOCK + 1, 2))
     spacings = [k_nearest_mean(v, np.delete(vectors, i, axis=0), k_norm)
                 for i, v in enumerate(vectors)]
-    expected = []
-    for x in batch:
-        nearest = sorted(range(len(vectors)), key=lambda j: euclidean(x, vectors[j]))
-        density = sum(spacings[j] for j in nearest[:k_norm]) / k_norm
-        expected.append(k_nearest_mean(x, vectors, k) / density)
-    np.testing.assert_allclose(scoring_function(spec, ref)(batch), expected,
-                               rtol=1e-12, atol=0.0)
+    peers = [k_nearest_indices(v, vectors, k_norm, exclude=i) for i, v in enumerate(vectors)]
+    neighbours = [k_nearest_indices(x, vectors, k_norm) for x in batch]
+    expected = [k_nearest_mean(x, vectors, k) / (sum(spacings[j] for j in near) / k_norm)
+                for x, near in zip(batch, neighbours)]
+    for pairs in SCREEN_SIDES:
+        monkeypatch.setattr(scorers, "_SCREEN_PAIRS", pairs)
+        np.testing.assert_allclose(scoring_function(spec, ref)(batch), expected,
+                                   rtol=1e-12, atol=0.0)
+        assert scorers._nearest(vectors, ref, k_norm, exclude_self=True)[1].tolist() == peers
+        assert scorers._nearest(batch, ref, k_norm)[1].tolist() == neighbours
 
 
 @pytest.mark.parametrize("k", [1, 3])
@@ -462,6 +475,220 @@ def test_query_equal_to_a_far_reference_scores_exactly_zero():
     vectors = 1e6 + rng.normal(size=(100, 2))
     ref = ReferenceSet("m", vectors)
     assert (scoring_function(NN1, ref)(vectors[::7]) == 0.0).all()
+
+
+def float64_choice(queries, vectors, m, exclude_self=False):
+    """The plain float64 product's picks: m reference indices per query, in
+    no particular order, and the squared distances less |query - mean|^2."""
+    mean = vectors.mean(axis=0)
+    centred = vectors - mean
+    squared = (queries - mean) @ (-2.0 * centred.T)
+    squared += np.einsum("ij,ij->i", centred, centred)
+    if exclude_self:
+        np.fill_diagonal(squared, np.inf)
+    if m == 1:
+        return squared.argmin(axis=1)[:, None], squared
+    return np.argpartition(squared, m - 1, axis=1)[:, :m], squared
+
+
+def screen_products(monkeypatch):
+    """Record the shape of every float32 product the kernel screens with."""
+    shapes = []
+    matmul = np.matmul
+
+    def recording(a, b, *args, **kwargs):
+        if a.dtype == np.float32:
+            shapes.append(a.shape)
+        return matmul(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", recording)
+    return shapes
+
+
+@pytest.mark.parametrize("n_rows, screened", [(511, False), (512, True)])
+def test_nearest_screens_blocks_from_a_fixed_number_of_pairs(n_rows, screened, monkeypatch):
+    # 511 x 512 pairs fall below 2**18, 512 x 512 reach it
+    rng = np.random.default_rng(n_rows)
+    vectors = rng.normal(size=(512, 3))
+    batch = rng.normal(size=(n_rows, 3))
+    shapes = screen_products(monkeypatch)
+    for m in (1, 3):
+        distances, indices = scorers._nearest(batch, ReferenceSet("m", vectors), m)
+        expected = float64_choice(batch, vectors, m)[0]
+        assert np.array_equal(np.sort(indices, axis=1), np.sort(expected, axis=1))
+        exact = np.linalg.norm(batch[:, None, :] - vectors[indices], axis=2)
+        np.testing.assert_allclose(distances, exact, rtol=1e-15, atol=0.0)
+    assert shapes == ([(n_rows, 4)] * 2 if screened else [])
+
+
+def test_margin_bound_is_infinite_where_the_dot_product_bound_fails():
+    # gamma_n = n*u/(1 - n*u) holds only for n*u < 1; past that no row may settle
+    assert scorers._gamma(3, 2.0**-24) == 3 * 2.0**-24 / (1 - 3 * 2.0**-24)
+    assert scorers._gamma(2**24, 2.0**-24) == scorers._gamma(2**25, 2.0**-24) == math.inf
+
+
+def test_nearest_falls_back_to_float64_where_float32_cannot_separate(monkeypatch):
+    # each reference has a twin 1e-5 away; a query 1e-3 from a pair is nearer
+    # its twin by about 1e-8 in squared distance, below float32 rounding of
+    # these values but far above float64's, so the screen must hand the row on
+    rng = np.random.default_rng(23)
+    base = rng.normal(size=(256, 2))
+    vectors = np.vstack([base, base + 1e-5 * rng.normal(size=(256, 2))])
+    batch = np.vstack([base, base]) + 1e-3 * rng.normal(size=(512, 2))
+    shapes = screen_products(monkeypatch)
+    indices = scorers._nearest(batch, ReferenceSet("m", vectors), 1)[1]
+    assert shapes
+    chosen = float64_choice(batch, vectors, 1)[0]
+    assert np.array_equal(indices, chosen)
+    exact = np.linalg.norm(batch[:, None, :] - vectors[None, :, :], axis=2)
+    assert np.array_equal(indices[:, 0], exact.argmin(axis=1))
+    # a float32 choice alone gets some of these rows wrong
+    mean = vectors.mean(axis=0)
+    centred = (vectors - mean).astype(np.float32)
+    single = ((batch - mean).astype(np.float32) @ (-2 * centred.T)
+              + np.einsum("ij,ij->i", centred, centred))
+    assert (single.argmin(axis=1) != chosen[:, 0]).any()
+
+
+@pytest.mark.parametrize("pairs", SCREEN_SIDES, ids=["float64", "screened"])
+def test_nearest_orders_equidistant_references_by_index(pairs, monkeypatch):
+    monkeypatch.setattr(scorers, "_SCREEN_PAIRS", pairs)
+    # every reference but the first lies exactly 5 from the origin
+    vectors = np.array([[10.0, 10.0], [4.0, -3.0], [-5.0, 0.0], [3.0, 4.0], [0.0, 5.0]])
+    ref = ReferenceSet("m", vectors)
+    batch = np.zeros((3, 2))
+    for m, expected in ((4, [1, 2, 3, 4]), (5, [1, 2, 3, 4, 0])):
+        distances, indices = scorers._nearest(batch, ref, m)
+        assert indices.tolist() == [expected] * 3
+        assert distances[:, :4].tolist() == [[5.0] * 4] * 3
+    # a tie across the cut picks any two of the four, in index order
+    distances, indices = scorers._nearest(batch, ref, 2)
+    assert (distances == 5.0).all()
+    assert ((indices[:, 0] < indices[:, 1]) & (indices[:, 0] >= 1)).all()
+
+
+@pytest.mark.parametrize(
+    "scales",
+    [
+        pytest.param([1e-30] * 3, id="1e-30"),
+        pytest.param([1e30] * 3, id="1e30"),
+        pytest.param([1e-6, 1.0, 1e6], id="mixed"),
+    ],
+)
+@pytest.mark.parametrize("m", [1, 3])
+def test_nearest_at_extreme_feature_scales_picks_the_float64_choice(scales, m):
+    rng = np.random.default_rng(41)
+    vectors = rng.normal(size=(512, 3)) * scales
+    batch = rng.normal(size=(600, 3)) * scales
+    distances, indices = scorers._nearest(batch, ReferenceSet("m", vectors), m)
+    expected = float64_choice(batch, vectors, m)[0]
+    assert np.array_equal(np.sort(indices, axis=1), np.sort(expected, axis=1))
+    exact = np.linalg.norm(batch[:, None, :] - vectors[indices], axis=2)
+    np.testing.assert_allclose(distances, exact, rtol=1e-15, atol=0.0)
+
+
+def test_nearest_with_queries_beyond_float32_range(monkeypatch):
+    # the screen runs for these references, but rows whose float32 product
+    # overflows never settle, and the overflow raises no warning
+    rng = np.random.default_rng(43)
+    vectors = rng.normal(size=(512, 3))
+    batch = rng.normal(size=(512, 3))
+    batch[::7, 0] = 1e39
+    batch[1::7, 1] = -1e13
+    shapes = screen_products(monkeypatch)
+    for m in (1, 3):
+        indices = scorers._nearest(batch, ReferenceSet("m", vectors), m)[1]
+        expected = float64_choice(batch, vectors, m)[0]
+        assert np.array_equal(np.sort(indices, axis=1), np.sort(expected, axis=1))
+    assert shapes
+    # float32 partial sums of these rows overflow to inf for the nearest
+    # reference while the next one stays finite: an infinite gap that only
+    # the range check keeps from settling the row
+    monkeypatch.setattr(scorers, "_SCREEN_PAIRS", 0)
+    vectors = np.array([[0.93, 0.24, -0.9], [1.41, -0.61, 0.68], [0.56, 1.27, 0.8],
+                        [-0.34, -1.36, 0.47], [-1.46, -1.34, -1.43]])
+    batch = np.array([[1.573e38, 1.250e38, -0.942e38], [1.602e38, 1.302e38, -1.283e38],
+                      [1.334e38, -1.117e38, -1.022e38]])
+    indices = scorers._nearest(batch, ReferenceSet("m", vectors), 1)[1]
+    assert np.array_equal(indices, float64_choice(batch, vectors, 1)[0])
+
+
+@pytest.mark.parametrize("pairs", SCREEN_SIDES, ids=["float64", "screened"])
+def test_nearest_exclude_self_matches_oracle(pairs, monkeypatch):
+    monkeypatch.setattr(scorers, "_SCREEN_PAIRS", pairs)
+    rng = np.random.default_rng(47)
+    vectors = rng.normal(size=(12, 3))
+    # a duplicate is its twin's nearest peer, at distance 0
+    vectors[7] = vectors[2]
+    ref = ReferenceSet("m", vectors)
+    for m in (1, 3, 11):
+        distances, indices = scorers._nearest(vectors, ref, m, exclude_self=True)
+        for i, v in enumerate(vectors):
+            ranked = sorted((euclidean(v, w), j) for j, w in enumerate(vectors) if j != i)
+            np.testing.assert_allclose(distances[i], [r for r, _ in ranked[:m]],
+                                       rtol=1e-12, atol=0.0)
+            # the twins tie as the peers of other vectors; a tie across the
+            # cut may keep either twin
+            if m == len(ranked) or ranked[m - 1][0] != ranked[m][0]:
+                assert indices[i].tolist() == k_nearest_indices(v, vectors, m, exclude=i)
+        assert distances[2, 0] == distances[7, 0] == 0.0
+        assert indices[2, 0] == 7 and indices[7, 0] == 2
+
+
+@pytest.mark.parametrize("pairs", SCREEN_SIDES, ids=["float64", "screened"])
+@pytest.mark.parametrize("exclude_self", [False, True])
+def test_nearest_with_m_equal_to_the_number_of_candidates(exclude_self, pairs, monkeypatch):
+    monkeypatch.setattr(scorers, "_SCREEN_PAIRS", pairs)
+    rng = np.random.default_rng(53)
+    vectors = rng.normal(size=(6, 2))
+    ref = ReferenceSet("m", vectors)
+    batch = vectors if exclude_self else rng.normal(size=(9, 2))
+    m = len(vectors) - exclude_self
+    indices = scorers._nearest(batch, ref, m, exclude_self)[1]
+    skipped = range(len(batch)) if exclude_self else [None] * len(batch)
+    assert indices.tolist() == [k_nearest_indices(x, vectors, m, exclude=i)
+                                for i, x in zip(skipped, batch)]
+
+
+# coordinates from a few magnitudes and repeated values, so that exact and
+# near ties, duplicates and wide scale ranges all turn up
+coordinates = st.one_of(
+    st.sampled_from([0.0, 1.0, -1.0, 0.5, 3.0]),
+    st.floats(-1e3, 1e3, allow_nan=False),
+    st.floats(-1e-3, 1e-3, allow_nan=False),
+)
+
+
+@given(
+    st.integers(1, 4).flatmap(lambda d: st.tuples(
+        st.lists(st.lists(coordinates, min_size=d, max_size=d), min_size=2, max_size=24),
+        st.lists(st.lists(coordinates, min_size=d, max_size=d), min_size=1, max_size=12),
+    )),
+    st.integers(1, 3),
+    st.booleans(),
+)
+def test_nearest_screen_picks_what_float64_picks(data, m, exclude_self):
+    vectors, batch = (np.array(rows) for rows in data)
+    assume(m < len(vectors) - exclude_self)
+    if exclude_self:
+        batch = vectors
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scorers, "_SCREEN_PAIRS", 0)
+        distances, indices = scorers._nearest(batch, ReferenceSet("m", vectors), m, exclude_self)
+    chosen, squared = float64_choice(batch, vectors, m, exclude_self)
+    # rows the float64 product separates by more than four times its own
+    # error bound have one float64 choice, and every settled row is among them
+    d = vectors.shape[1]
+    centred = vectors - vectors.mean(axis=0)
+    radius = np.sqrt(np.einsum("ij,ij->i", centred, centred).max())
+    length = np.linalg.norm(batch - vectors.mean(axis=0), axis=1)
+    bound = (d + 1) * 2.0**-53 / (1 - (d + 1) * 2.0**-53) * (2 * length * radius + radius**2)
+    ranked = np.sort(squared, axis=1)
+    clear = ranked[:, m] - ranked[:, m - 1] > 4 * bound + 1e-300
+    assert np.array_equal(np.sort(indices[clear], axis=1), np.sort(chosen[clear], axis=1))
+    exact = np.linalg.norm(batch[:, None, :] - vectors[indices], axis=2)
+    assert np.array_equal(distances, exact) or np.allclose(distances, exact, rtol=1e-15, atol=0)
+    assert (np.diff(distances, axis=1) >= 0).all()
 
 
 @pytest.mark.parametrize("normalizer", NORMALIZER_KINDS)
