@@ -391,7 +391,7 @@ def read_manifest(path) -> Manifest:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path.name}: not UTF-8 text ({exc.reason})") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad syntax, or an int of more digits than Python converts
         raise FormatError(f"{path.name}: invalid JSON ({exc})") from None
     if not isinstance(raw, dict) or raw.get("format") != FORMAT_VERSION:
         raise FormatError(f"{path.name}: missing or unsupported format field")

@@ -9,6 +9,7 @@ vectors only, so they remain applicable when test identities are unknown.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from numbers import Real
 from typing import Callable, Mapping, Sequence
@@ -36,11 +37,11 @@ NORMALIZER_KINDS = ("none", "zscore_reference", "local_density")
 EPSILON_RELATIVE = 1e-6
 EPSILON_FLOOR = 1e-12
 
-# query rows go through the distance kernel in blocks whose 8-byte values for
-# every reference (float64 distances, argpartition indices) fit in this many
-# bytes, the float32 screen values in half of it, so memory per machine stays
-# bounded as the number of scored recordings grows; held-out Mahalanobis
-# covariances are stacked in blocks of the same size
+# query rows go through the distance kernel in blocks whose float64 products
+# with every reference fit in this many bytes, the float32 screen values in
+# half of it, so memory per machine stays bounded as the number of scored
+# recordings grows; held-out Mahalanobis covariances are stacked in blocks of
+# the same size
 _BLOCK_BYTES = 16 * 2**20
 
 # the nearest-reference screen: unit roundoffs of float32 and float64; the
@@ -105,15 +106,20 @@ class ReferenceSet:
 
 
 def _finite_number(value) -> bool:
-    # bools are ints to Python, but true/false in a manifest is no number
-    return isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
+    # a bool is no number here (true/false in a manifest), nor an int past the largest float
+    return (isinstance(value, Real) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
+def _whole(value) -> int | None:
+    # value as an int when it is a finite whole number (2.0 is 2), else None
+    return int(value) if _finite_number(value) and int(value) == value else None
 
 
 def _positive_count(name: str, value) -> int:
-    """value as an int when it is a whole number of at least 1 (2.0 passes)."""
-    if not (_finite_number(value) and int(value) == value and value >= 1):
+    if (count := _whole(value)) is None or count < 1:
         raise ScorerError(f"{name} must be a positive integer, got {value!r}")
-    return int(value)
+    return count
 
 
 @dataclass(frozen=True)
@@ -200,13 +206,14 @@ def _nearest(
     sum of two error bounds, one on the float32 values and one on the float64
     values of the same product (the dot-product bound gamma_n = n*u/(1-n*u),
     Higham 2002, section 3.1, plus what underflow can lose; it holds in any
-    summation order). A settled row's float32 choice is then the float64 one.
-    Unsettled rows, rows whose |c| + max|r_j| lies outside [2**-40, 2**40],
-    every row of a block too small for the screen to pay, and every row when
-    m takes all the candidates choose from the float64 product instead. The
-    chosen distances are recomputed from direct differences, so a query equal
-    to a reference scores exactly 0. With exclude_self the queries are the
-    reference vectors themselves and no vector counts as its own neighbour.
+    summation order), so its float32 choice is the float64 one. Unsettled rows,
+    rows whose |c| + max|r_j| lies outside [2**-40, 2**40], every row of a block
+    too small for the screen to pay, and every row when m takes all the
+    candidates choose from the float64 product instead. Both pick through
+    _smallest, so the lower reference index wins a tie. The chosen distances
+    are recomputed from direct differences, so a query equal to a reference
+    scores exactly 0. With exclude_self the queries are the reference vectors
+    themselves and none is its own neighbour.
     """
     centred = ref.vectors - ref.mean
     scaled = -2.0 * centred.T
@@ -263,10 +270,7 @@ def _nearest(
             squared += norms
             if exclude_self:
                 squared[np.arange(len(rest)), start + rest] = np.inf
-            if m == 1:
-                nearest[unsettled] = squared.argmin(axis=1)[:, None]
-            else:
-                nearest[unsettled] = np.argpartition(squared, m - 1, axis=1)[:, :m]
+            nearest[unsettled] = _smallest(squared, m)[0]
         diff = block[:, None, :] - ref.vectors[nearest]
         exact = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
         if m > 1:
@@ -279,19 +283,14 @@ def _nearest(
 
 
 def _smallest(f: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Column indices of the m smallest values of each row of f (overwritten),
-    and each row's gap from its m-th to its (m+1)-th smallest value, in float64."""
-    if m == 1:
-        nearest = f.argmin(axis=1)[:, None]
-        rows = np.arange(len(f))
-        least = f[rows, nearest[:, 0]]
-        f[rows, nearest[:, 0]] = np.inf
-        return nearest, np.subtract(f.min(axis=1), least, dtype=float)
-    order = np.argpartition(f, m, axis=1)
-    nearest = order[:, :m]
-    following = np.take_along_axis(f, order[:, m : m + 1], axis=1)[:, 0]
-    return nearest, np.subtract(following, np.take_along_axis(f, nearest, axis=1).max(axis=1),
-                                dtype=float)
+    """Columns of each row's m smallest values by m rounds of argmin, each pick masked
+    in f with inf (a tie keeps the lower column), and the float64 gap to the next value."""
+    rows, nearest = np.arange(len(f)), np.empty((len(f), m), dtype=np.intp)
+    for j in range(m):
+        nearest[:, j] = f.argmin(axis=1)
+        least = f[rows, nearest[:, j]]
+        f[rows, nearest[:, j]] = np.inf
+    return nearest, np.subtract(f.min(axis=1), least, dtype=float)
 
 
 def _gamma(n: int, u: float) -> float:

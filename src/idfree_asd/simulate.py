@@ -19,6 +19,7 @@ from .metrics import MetricError
 from .protocol import EvalConfig, MergedTestSet, ProtocolError, full_report
 from .protocol import merge_test_sets  # noqa: F401 -- bench/spans.py traces through this name
 from .scorers import ReferenceSet, ScorerError, ScorerSpec, build_score_matrix
+from .scorers import _finite_number, _whole
 
 __all__ = [
     "SimError",
@@ -42,7 +43,6 @@ DEFAULT_REPEATS = 5
 
 _SEED_LIMIT = 2**64
 
-
 class SimError(ValueError):
     """Raised on invalid simulation configs or impossible geometry."""
 
@@ -62,19 +62,25 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if int(self.k) != self.k or self.k < 1:
+        # counts follow ScorerSpec's rule: 2.0 is 2, a bool is no count
+        for name in ("k", "d", "n_ref", "n_norm", "n_anom", "seed"):
+            count = _whole(getattr(self, name))
+            if count is None:
+                raise SimError(f"{name} must be a whole number, got {getattr(self, name)!r}")
+            object.__setattr__(self, name, count)
+        if self.k < 1:
             raise SimError(f"machine count k must be a positive integer, got {self.k}")
-        if int(self.d) != self.d or self.d < 1:
+        if self.d < 1:
             raise SimError(f"dimension d must be a positive integer, got {self.d}")
-        if int(self.n_ref) != self.n_ref or self.n_ref < 2:
+        if self.n_ref < 2:
             raise SimError(f"need n_ref >= 2 reference vectors, got {self.n_ref}")
-        if int(self.n_norm) != self.n_norm or self.n_norm < 1:
+        if self.n_norm < 1:
             raise SimError(f"need n_norm >= 1 normal test vectors, got {self.n_norm}")
-        if int(self.n_anom) != self.n_anom or self.n_anom < 1:
+        if self.n_anom < 1:
             raise SimError(f"need n_anom >= 1 anomalous test vectors, got {self.n_anom}")
         for name in ("separation", "spread", "anomaly_offset"):
             value = getattr(self, name)
-            if not np.isfinite(value):
+            if not _finite_number(value):
                 raise SimError(f"{name} must be finite, got {value}")
         if self.separation < 0.0:
             raise SimError(f"separation must be >= 0, got {self.separation}")
@@ -82,7 +88,7 @@ class SimConfig:
             raise SimError(f"spread must be > 0, got {self.spread}")
         if self.anomaly_offset <= 0.0:
             raise SimError(f"anomaly_offset must be > 0, got {self.anomaly_offset}")
-        if int(self.seed) != self.seed or not 0 <= self.seed < _SEED_LIMIT:
+        if not 0 <= self.seed < _SEED_LIMIT:
             raise SimError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
 
 
@@ -215,11 +221,12 @@ def sweep(
     """Run repeats at every separation; a point's data error becomes its failure."""
     if not separations:
         raise SimError("sweep needs at least one separation value")
-    if int(repeats) != repeats or repeats < 1:
+    count = _whole(repeats)
+    if count is None or count < 1:
         raise SimError(f"repeats must be a positive integer, got {repeats}")
     points: list[SweepPoint] = []
     for sep_index, separation in enumerate(separations):
-        for repeat in range(repeats):
+        for repeat in range(count):
             seed = derive_seed(base.seed, sep_index, repeat)
             config = dataclasses.replace(base, separation=separation, seed=seed)
             try:

@@ -517,6 +517,22 @@ def test_evaluate_manifest_wrongly_typed_field_is_data_error(tmp_path, capsys, f
     assert stderr_json(err)["message"].startswith(f"manifest.json: {name} must be")
 
 
+@pytest.mark.parametrize("field, name", [("k", "neighbor count k"), ("k_norm", "k_norm"),
+                                         ("epsilon", "epsilon")])
+def test_evaluate_manifest_int_too_large_for_a_float_is_data_error(tmp_path, capsys,
+                                                                   field, name):
+    # JSON reads 1 followed by 400 zeros as a Python int, which no float holds
+    manifest, labels, _, _ = build_manifest_fixture(tmp_path)
+    doc = json.loads(manifest.read_text())
+    normalizer = {"kind": "local_density"}
+    doc["scorer"] = {"kind": "nearest_reference", "normalizer": normalizer}
+    (normalizer if field == "k_norm" else doc["scorer"])[field] = 10**400
+    manifest.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "evaluate", "--manifest", str(manifest), "--labels", str(labels))
+    assert code == EXIT_DATA
+    assert stderr_json(err)["message"].startswith(f"manifest.json: {name} must be")
+
+
 def test_evaluate_manifest_integral_float_counts_score_as_ints(tmp_path, capsys):
     manifest, labels, _, _ = build_manifest_fixture(tmp_path)
     doc = json.loads(manifest.read_text())

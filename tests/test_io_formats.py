@@ -537,6 +537,15 @@ def test_manifest_rejects_bad_json(tmp_path):
         read_manifest(path)
 
 
+def test_manifest_with_an_int_too_long_to_convert_is_a_format_error(tmp_path):
+    # from Python 3.10.7 json.loads raises a plain ValueError, not a
+    # JSONDecodeError, for an int of more than 4,300 digits
+    path = tmp_path / "manifest.json"
+    path.write_text('{"format": 1' + "0" * 5000 + "}")
+    with pytest.raises(FormatError, match=r"^manifest\.json: "):
+        read_manifest(path)
+
+
 def test_manifest_rejects_bytes_that_are_not_utf8(tmp_path):
     path = good_manifest(tmp_path)
     path.write_bytes(b"\xff\xfe" + path.read_bytes())

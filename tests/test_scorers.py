@@ -478,17 +478,15 @@ def test_query_equal_to_a_far_reference_scores_exactly_zero():
 
 
 def float64_choice(queries, vectors, m, exclude_self=False):
-    """The plain float64 product's picks: m reference indices per query, in
-    no particular order, and the squared distances less |query - mean|^2."""
+    """The plain float64 product's picks: m reference indices per query, by
+    (product value, index), and the squared distances less |query - mean|^2."""
     mean = vectors.mean(axis=0)
     centred = vectors - mean
     squared = (queries - mean) @ (-2.0 * centred.T)
     squared += np.einsum("ij,ij->i", centred, centred)
     if exclude_self:
         np.fill_diagonal(squared, np.inf)
-    if m == 1:
-        return squared.argmin(axis=1)[:, None], squared
-    return np.argpartition(squared, m - 1, axis=1)[:, :m], squared
+    return np.argsort(squared, axis=1, kind="stable")[:, :m], squared
 
 
 def screen_products(monkeypatch):
@@ -553,18 +551,43 @@ def test_nearest_falls_back_to_float64_where_float32_cannot_separate(monkeypatch
 @pytest.mark.parametrize("pairs", SCREEN_SIDES, ids=["float64", "screened"])
 def test_nearest_orders_equidistant_references_by_index(pairs, monkeypatch):
     monkeypatch.setattr(scorers, "_SCREEN_PAIRS", pairs)
-    # every reference but the first lies exactly 5 from the origin
-    vectors = np.array([[10.0, 10.0], [4.0, -3.0], [-5.0, 0.0], [3.0, 4.0], [0.0, 5.0]])
+    # from the query (7, -3), references 1, 3, 4 and 5 lie exactly 5 away,
+    # 0 and 2 farther; the references sum to 6 * (9, -2), so the mean, the
+    # centred values and every product are exact and the four products tie
+    query = np.array([7.0, -3.0])
+    vectors = query + np.array([[12.0, 6.0], [4.0, -3.0], [-2.0, -6.0],
+                                [-5.0, 0.0], [3.0, 4.0], [0.0, 5.0]])
     ref = ReferenceSet("m", vectors)
-    batch = np.zeros((3, 2))
-    for m, expected in ((4, [1, 2, 3, 4]), (5, [1, 2, 3, 4, 0])):
+    assert ref.mean.tolist() == [9.0, -2.0]
+    batch = np.tile(query, (3, 1))
+    for m, expected in ((1, [1]), (2, [1, 3]), (3, [1, 3, 4]), (4, [1, 3, 4, 5]),
+                        (5, [1, 3, 4, 5, 2]), (6, [1, 3, 4, 5, 2, 0])):
         distances, indices = scorers._nearest(batch, ref, m)
+        # a tie across the cut keeps the lowest indices
         assert indices.tolist() == [expected] * 3
-        assert distances[:, :4].tolist() == [[5.0] * 4] * 3
-    # a tie across the cut picks any two of the four, in index order
-    distances, indices = scorers._nearest(batch, ref, 2)
-    assert (distances == 5.0).all()
-    assert ((indices[:, 0] < indices[:, 1]) & (indices[:, 0] >= 1)).all()
+        assert distances[:, : min(m, 4)].tolist() == [[5.0] * min(m, 4)] * 3
+
+
+@pytest.mark.parametrize("pairs", SCREEN_SIDES, ids=["float64", "screened"])
+@pytest.mark.parametrize("exclude_self", [False, True])
+@pytest.mark.parametrize("m", [1, 2, 4, None], ids=["m=1", "m=2", "m=4", "m=all"])
+def test_nearest_breaks_exact_ties_by_the_lowest_index(m, exclude_self, pairs, monkeypatch):
+    # small integer vectors in two dimensions tie on many rows, across the cut
+    # and within the chosen neighbours; they sum to 0, so the mean, the
+    # centred values and every product are exact and equal distances tie
+    monkeypatch.setattr(scorers, "_SCREEN_PAIRS", pairs)
+    rng = np.random.default_rng(59)
+    vectors = rng.integers(-3, 4, size=(40, 2)).astype(float)
+    vectors[-1] = -vectors[:-1].sum(axis=0)
+    ref = ReferenceSet("m", vectors)
+    batch = vectors if exclude_self else rng.integers(-3, 4, size=(60, 2)).astype(float)
+    m = m or len(vectors) - exclude_self
+    skipped = range(len(batch)) if exclude_self else [None] * len(batch)
+    distances, indices = scorers._nearest(batch, ref, m, exclude_self)
+    expected = [k_nearest_indices(x, vectors, m, exclude=i) for i, x in zip(skipped, batch)]
+    assert indices.tolist() == expected
+    exact = np.linalg.norm(batch[:, None, :] - vectors[expected], axis=2)
+    assert np.array_equal(distances, exact)
 
 
 @pytest.mark.parametrize(
@@ -617,9 +640,11 @@ def test_nearest_with_queries_beyond_float32_range(monkeypatch):
 def test_nearest_exclude_self_matches_oracle(pairs, monkeypatch):
     monkeypatch.setattr(scorers, "_SCREEN_PAIRS", pairs)
     rng = np.random.default_rng(47)
-    vectors = rng.normal(size=(12, 3))
-    # a duplicate is its twin's nearest peer, at distance 0
+    # a duplicate is its twin's nearest peer, at distance 0; the vectors are
+    # exact integers, so the twins tie exactly as the peers of other vectors
+    vectors = rng.integers(-3, 4, size=(12, 3)).astype(float)
     vectors[7] = vectors[2]
+    vectors[-1] = -vectors[:-1].sum(axis=0)
     ref = ReferenceSet("m", vectors)
     for m in (1, 3, 11):
         distances, indices = scorers._nearest(vectors, ref, m, exclude_self=True)
@@ -627,10 +652,8 @@ def test_nearest_exclude_self_matches_oracle(pairs, monkeypatch):
             ranked = sorted((euclidean(v, w), j) for j, w in enumerate(vectors) if j != i)
             np.testing.assert_allclose(distances[i], [r for r, _ in ranked[:m]],
                                        rtol=1e-12, atol=0.0)
-            # the twins tie as the peers of other vectors; a tie across the
-            # cut may keep either twin
-            if m == len(ranked) or ranked[m - 1][0] != ranked[m][0]:
-                assert indices[i].tolist() == k_nearest_indices(v, vectors, m, exclude=i)
+            # a tie across the cut keeps the lower twin
+            assert indices[i].tolist() == k_nearest_indices(v, vectors, m, exclude=i)
         assert distances[2, 0] == distances[7, 0] == 0.0
         assert indices[2, 0] == 7 and indices[7, 0] == 2
 

@@ -67,11 +67,32 @@ def test_simconfig_defaults_are_valid():
         {"seed": -1},
         {"seed": 2**64},
         {"k": 2.5},
+        # a bool is no count, and an int too large for a float is not finite
+        {"k": True},
+        {"seed": True},
+        {"k": 10**400},
+        {"n_norm": 10**400},
+        {"separation": 10**400},
+        {"spread": 10**400},
+        {"anomaly_offset": True},
     ],
 )
 def test_simconfig_rejects_bad_values(kwargs):
     with pytest.raises(SimError):
         SimConfig(**kwargs)
+
+
+@pytest.mark.parametrize("name", ["k", "d", "n_ref", "n_norm", "n_anom", "seed"])
+def test_simconfig_whole_float_counts_are_ints(name):
+    # ScorerSpec's rule: 2.0 is the count 2, and it generates what 2 does
+    ints = SimConfig(k=2, d=3, n_ref=4, n_norm=4, n_anom=2, seed=1)
+    floats = dataclasses.replace(ints, **{name: float(getattr(ints, name))})
+    value = getattr(floats, name)
+    assert type(value) is int and value == getattr(ints, name)
+    (refs, merged), (expected_refs, expected) = generate(floats), generate(ints)
+    assert merged.ids == expected.ids
+    assert np.array_equal(merged.features, expected.features)
+    assert all(np.array_equal(refs[m].vectors, expected_refs[m].vectors) for m in refs)
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +281,14 @@ def test_sweep_validates_arguments():
         sweep(base, separations=[])
     with pytest.raises(SimError):
         sweep(base, separations=[1.0], repeats=0)
+    for repeats in (True, 1.5, 10**400, "2"):
+        with pytest.raises(SimError, match="repeats must be a positive integer"):
+            sweep(base, separations=[1.0], repeats=repeats)
+
+
+def test_sweep_whole_float_repeats_count_as_ints():
+    base = SimConfig(k=2, d=3, n_ref=4, n_norm=4, n_anom=2)
+    assert sweep(base, separations=[1.0], repeats=2.0) == sweep(base, separations=[1.0], repeats=2)
 
 
 def test_default_sweep_exposes_the_tradeoff():
