@@ -16,7 +16,6 @@ from .metrics import (
     delta_norm,
     normalize_id_accuracy,
     pauc,
-    pauc_raw,
 )
 from .protocol import (
     EvalConfig,
@@ -63,7 +62,6 @@ __all__ = [
     "delta_norm",
     "normalize_id_accuracy",
     "pauc",
-    "pauc_raw",
     "EvalConfig",
     "EvalReport",
     "IdentificationStats",

@@ -16,7 +16,6 @@ __all__ = [
     "MetricError",
     "auc",
     "pauc",
-    "pauc_raw",
     "delta_norm",
     "normalize_id_accuracy",
     "aggregate",
@@ -101,23 +100,15 @@ def _standardized(raw: float, p: float) -> float:
     return 0.5 * (1.0 + (raw - chance) / (p - chance))
 
 
-def pauc_raw(scores, labels, p: float = 0.1) -> float:
-    """Unstandardized area under the empirical ROC over FPR in [0, p].
-
-    Trapezoidal integration over the empirical ROC vertices of _roc, clipping
-    the final segment at FPR = p by linear interpolation.
-    """
-    _check_cap(p)
-    return _partial_area(*_roc(*_as_score_arrays(scores, labels))[1:], p)
-
-
 def pauc(scores, labels, p: float = 0.1) -> float:
     """McClish-standardized partial AUC over FPR in [0, p].
 
-    Maps the raw partial area A_p through 0.5 * (1 + (A_p - p^2/2) / (p - p^2/2)),
+    The raw partial area A_p is the trapezoidal area under the empirical ROC
+    vertices of _roc, the final segment clipped at FPR = p by linear
+    interpolation. It maps through 0.5 * (1 + (A_p - p^2/2) / (p - p^2/2)),
     so chance level is 0.5 and a perfect classifier reaches 1.0 for every p.
     """
-    return _standardized(pauc_raw(scores, labels, p), p)
+    return _auc_pauc(scores, labels, p)[1]
 
 
 def _auc_pauc(scores: np.ndarray, labels: np.ndarray, p: float) -> tuple[float, float]:

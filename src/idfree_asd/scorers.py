@@ -37,11 +37,16 @@ NORMALIZER_KINDS = ("none", "zscore_reference", "local_density")
 EPSILON_RELATIVE = 1e-6
 EPSILON_FLOOR = 1e-12
 
+# feature values beyond this magnitude are rejected: the square of a difference
+# of two values within it is at most 4e200, which stays finite when summed over
+# as many features, reference rows and kernel terms as memory can hold, and
+# when divided by the smallest default loading, EPSILON_FLOOR
+_LARGEST = 1e100
+
 # query rows go through the distance kernel in blocks whose float64 products
 # with every reference fit in this many bytes, the float32 screen values in
 # half of it, so memory per machine stays bounded as the number of scored
-# recordings grows; held-out Mahalanobis covariances are stacked in blocks of
-# the same size
+# recordings grows
 _BLOCK_BYTES = 16 * 2**20
 
 # the nearest-reference screen: unit roundoffs of float32 and float64; the
@@ -57,11 +62,11 @@ _MARGIN = 2.0 * (1.0 + 2.0**-18)
 _RANGE = (2.0**-40, 2.0**40)
 _SCREEN_PAIRS = 2**18
 
-# a held-out covariance downdated from the full one carries the full one's
-# rounding; once removing a vector leaves less than this fraction of the
-# (rescaled) trace, that rounding is no longer small against what is left,
-# so the held-out moments are recomputed from the remaining vectors instead
-_DOWNDATE_KEEP = 0.5
+# the rank-one correction of a held-out Mahalanobis distance divides the
+# rounding of u_i by 1 - b*u_i; where that is at most this, the rounding is
+# at least doubled, so the held-out moments are recomputed from the remaining
+# vectors instead (the u_i sum to at most (n-1)*d, so at most 2*d*n/(n-1) rows)
+_RANK_ONE_KEEP = 0.5
 
 
 class ScorerError(ValueError):
@@ -91,8 +96,7 @@ class ReferenceSet:
                 f"reference set for {self.machine!r} must be a nonempty "
                 f"2-D array, got shape {vecs.shape}"
             )
-        if not np.isfinite(vecs).all():
-            raise ScorerError(f"reference set for {self.machine!r} has non-finite values")
+        _check_range(vecs, f"reference set for {self.machine!r}")
         self.vectors = vecs
         self.mean, self.covariance = _moments(vecs)
 
@@ -167,9 +171,19 @@ def _as_batch(x, d: int, machine: str) -> np.ndarray:
             f"vectors of dimension {batch.shape[-1] if batch.ndim else 0} "
             f"cannot be scored against {machine!r} references of dimension {d}"
         )
-    if not np.isfinite(batch).all():
-        raise ScorerError(f"non-finite feature values scored against {machine!r}")
+    _check_range(batch, f"feature batch scored against {machine!r}")
     return batch
+
+
+def _check_range(values: np.ndarray, what: str) -> None:
+    # nan fails both comparisons, so one pass without a temporary array
+    # catches non-finite values too
+    if not (-_LARGEST <= values.min(initial=0.0) and values.max(initial=0.0) <= _LARGEST):
+        if not np.isfinite(values).all():
+            raise ScorerError(f"{what} has non-finite values")
+        raise ScorerError(
+            f"{what} has values beyond ±{_LARGEST:g}, past which squared distances can overflow"
+        )
 
 
 def _mahalanobis(
@@ -316,45 +330,31 @@ def _held_out(spec: ScorerSpec, ref: ReferenceSet) -> np.ndarray:
 def _held_out_mahalanobis(spec: ScorerSpec, ref: ReferenceSet) -> np.ndarray:
     """Each reference vector's Mahalanobis distance under the moments of the others.
 
-    With e = vectors - mean, removing vector i leaves the covariance
-    n/(n-1)*cov - n/(n-1)^2*e_i e_i^T and moves the mean so that
-    x_i - mean_i = n/(n-1)*e_i. These downdated covariances are loaded and
-    factored as one stack per block of rows, and each row is whitened by
-    forward substitution over the d columns of its own factor. Rows whose
-    removal cancels most of the trace, and every row of a block whose stack
-    is not positive definite, are recomputed from the remaining vectors one
-    at a time.
+    With e_i = x_i - mean, s = n/(n-1) and b = n/(n-1)^2, removing x_i leaves
+    the covariance s*cov - b*e_i e_i^T and x_i - mean_i = s*e_i. With
+    s*cov = Q diag(w) Q^T and eps_i the loading of row i's held-out covariance,
+    u_i = e_i^T (s*cov + eps_i*I)^-1 e_i = sum_j (e_i Q)_j^2 / (w_j + eps_i),
+    and the Sherman-Morrison formula (Sherman & Morrison, 1950) gives the
+    held-out distance s * sqrt(u_i / (1 - b*u_i)). Rows where 1 - b*u_i is at
+    most _RANK_ONE_KEEP are recomputed from the remaining vectors one at a time.
     """
     n, d = ref.n, ref.d
-    scale = n / (n - 1)
+    scale, downdate = n / (n - 1), n / (n - 1) ** 2
     centred = ref.vectors - ref.mean
-    trace = float(np.trace(ref.covariance))
-    traces = scale * (trace - np.einsum("ij,ij->i", centred, centred) / (n - 1))
-    exact = traces <= _DOWNDATE_KEEP * scale * trace
+    if spec.epsilon is None:
+        trace = float(np.trace(ref.covariance))
+        traces = scale * (trace - np.einsum("ij,ij->i", centred, centred) / (n - 1))
+        load = np.maximum(EPSILON_RELATIVE * traces / d, EPSILON_FLOOR)
+    else:
+        load = np.full(n, spec.epsilon)
+    # the full covariance is positive semidefinite, so a negative w_j is rounding
+    w, q = np.linalg.eigh(scale * ref.covariance)
+    y = centred @ q
+    u = np.einsum("ij,ij->i", y, y / (np.maximum(w, 0.0) + load[:, None]))
+    keep = 1.0 - downdate * u
+    exact = keep <= _RANK_ONE_KEEP
     held_out = np.empty(n)
-    diagonal = np.arange(d)
-    rows = max(1, _BLOCK_BYTES // (8 * d * d))
-    for start in range(0, n, rows):
-        block = start + np.flatnonzero(~exact[start : start + rows])
-        e = centred[block]
-        stack = e[:, :, None] * e[:, None, :]
-        stack *= -scale / (n - 1)
-        stack += scale * ref.covariance
-        if spec.epsilon is None:
-            load = np.maximum(EPSILON_RELATIVE * traces[block] / d, EPSILON_FLOOR)
-            stack[:, diagonal, diagonal] += load[:, None]
-        else:
-            stack[:, diagonal, diagonal] += spec.epsilon
-        try:
-            lower = np.linalg.cholesky(stack)
-        except np.linalg.LinAlgError:
-            exact[block] = True
-            continue
-        whitened = scale * e
-        for j in range(d):
-            whitened[:, j] -= np.einsum("ij,ij->i", lower[:, j, :j], whitened[:, :j])
-            whitened[:, j] /= lower[:, j, j]
-        held_out[block] = np.sqrt(np.einsum("ij,ij->i", whitened, whitened))
+    held_out[~exact] = scale * np.sqrt(u[~exact] / keep[~exact])
     for i in np.flatnonzero(exact):
         mean, covariance = _moments(np.delete(ref.vectors, i, axis=0))
         held_out[i] = _mahalanobis(spec, ref.machine, mean, covariance, ref.vectors[i : i + 1])[0]

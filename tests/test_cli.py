@@ -570,6 +570,24 @@ def test_evaluate_manifest_empty_reference_path_is_data_error(tmp_path, capsys):
         "manifest.json: each machine needs a name and a reference path")
 
 
+@pytest.mark.parametrize("scaled", ["reference", "features"])
+def test_evaluate_manifest_values_past_the_range_bound_are_data_error(tmp_path, capsys, scaled):
+    # squared distances between values near 1e200 overflow; the scorer names the
+    # machine instead of warning and reporting non-finite scores
+    manifest, labels, references, merged = build_manifest_fixture(tmp_path)
+    machine = sorted(references)[0]
+    if scaled == "reference":
+        ref = references[machine]
+        write_features(tmp_path / f"ref_{machine}.csv",
+                       [f"{machine}-ref{i}" for i in range(ref.n)], 1e200 * ref.vectors)
+    else:
+        write_features(tmp_path / "features.csv", merged.ids, 1e200 * merged.features)
+    code, _, err = run(capsys, "evaluate", "--manifest", str(manifest), "--labels", str(labels))
+    assert code == EXIT_DATA
+    message = stderr_json(err)["message"]
+    assert f"{machine!r} has values beyond ±1e+100" in message
+
+
 def test_evaluate_inputs_that_are_not_utf8_or_overflow_a_field_are_data_errors(
         tmp_path, capsys):
     labels = tmp_path / "labels.csv"

@@ -14,7 +14,6 @@ from idfree_asd.metrics import (
     delta_norm,
     normalize_id_accuracy,
     pauc,
-    pauc_raw,
 )
 from oracles import brute_force_auc, roc_vertices, trapezoid_pauc_raw
 
@@ -163,6 +162,12 @@ def test_pauc_full_cap_equals_auc_under_ties(data):
     assert pauc(scores, labels, 1.0) == pytest.approx(auc(scores, labels), abs=1e-12)
 
 
+def mcclish(raw, p):
+    """McClish standardization of a raw partial area over FPR in [0, p]."""
+    chance = p * p * 0.5
+    return 0.5 * (1.0 + (raw - chance) / (p - chance))
+
+
 @pytest.mark.parametrize("p", [0.1, 0.25, 0.5, 1.0])
 def test_pauc_reversed_separation_hits_the_floor(p):
     # Every anomaly scores strictly below every normal: the raw partial area
@@ -170,9 +175,9 @@ def test_pauc_reversed_separation_hits_the_floor(p):
     # only at p = 1. This is the minimum attainable value for the given cap.
     scores = [5.0, 6.0, 7.0, 1.0, 2.0]
     labels = [False, False, False, True, True]
-    assert pauc_raw(scores, labels, p) == 0.0
     floor = 0.5 * (1.0 - (p / 2.0) / (1.0 - p / 2.0))
     assert pauc(scores, labels, p) == pytest.approx(floor, abs=1e-12)
+    assert pauc(scores, labels, p) == mcclish(0.0, p)
     assert pauc(scores, labels, 1.0) == 0.0
 
 
@@ -189,17 +194,17 @@ def test_pauc_hand_value_with_one_claimed_anomaly():
 def test_pauc_interpolates_partial_segments():
     # single normal at 0, single anomaly at 1: ROC jumps to TPR=1 at FPR=0,
     # so raw area is p and the standardized value is 1 for any cap
-    assert pauc_raw([0.0, 1.0], [False, True], 0.3) == pytest.approx(0.3, abs=1e-15)
-    # interior cap cutting a diagonal tie segment: all scores equal
-    raw = pauc_raw([1.0, 1.0], [False, True], 0.4)
-    assert raw == pytest.approx(0.4 * 0.4 * 0.5, abs=1e-15)
+    assert pauc([0.0, 1.0], [False, True], 0.3) == pytest.approx(1.0, abs=1e-15)
+    # interior cap cutting a diagonal tie segment: all scores equal, so the
+    # raw area is the chance area p^2/2 and the standardized value 0.5
+    assert pauc([1.0, 1.0], [False, True], 0.4) == pytest.approx(0.5, abs=1e-15)
 
 
 @pytest.mark.parametrize("p", [0.1, 0.5, 1.0, 0.013])
 def test_pauc_raw_matches_trapezoid_loop_bit_for_bit(p):
-    # the vectorized sum must add the same terms in the same order as the
-    # loop, over the same vertices: from (0, 0) to (1, 1), one per distinct
-    # score, so the tied group at score 2 is one diagonal segment
+    # pauc's raw area, the vectorized sum, must add the same terms in the same
+    # order as the loop, over the same vertices: from (0, 0) to (1, 1), one per
+    # distinct score, so the tied group at score 2 is one diagonal segment
     assert roc_vertices([1.0, 2.0, 2.0, 3.0], [False, True, False, True]) == [
         (0.0, 0.0), (0.0, 0.5), (0.5, 1.0), (1.0, 1.0)]
     rng = np.random.default_rng(int(p * 1000))
@@ -211,16 +216,14 @@ def test_pauc_raw_matches_trapezoid_loop_bit_for_bit(p):
         labels = rng.random(n) < rng.uniform(0.05, 0.95)
         labels[rng.integers(n)] = True
         labels[(labels.argmax() + 1 + rng.integers(n - 1)) % n] = False
-        expected = trapezoid_pauc_raw(roc_vertices(scores, labels), p)
-        assert pauc_raw(scores, labels, p) == expected
+        expected = mcclish(trapezoid_pauc_raw(roc_vertices(scores, labels), p), p)
+        assert pauc(scores, labels, p) == expected
 
 
 @pytest.mark.parametrize("p", [0.0, -0.1, 1.0001, 2.0])
 def test_pauc_rejects_bad_cap(p):
     with pytest.raises(MetricError):
         pauc([1.0, 2.0], [False, True], p)
-    with pytest.raises(MetricError):
-        pauc_raw([1.0, 2.0], [False, True], p)
     with pytest.raises(MetricError):
         metrics._auc_pauc(np.array([1.0, 2.0]), np.array([False, True]), p)
 

@@ -70,6 +70,23 @@ def test_reference_set_validation():
         ReferenceSet("m", [1.0, 2.0, 3.0])  # 1-D
     with pytest.raises(ScorerError):
         ReferenceSet("m", [[1.0], [float("nan")]])
+    with pytest.raises(ScorerError, match=r"'m' has values beyond ±1e\+100"):
+        ReferenceSet("m", [[1.0], [-1.1e100]])
+
+
+@pytest.mark.parametrize("kind", SCORER_KINDS)
+@pytest.mark.parametrize("normalizer", NORMALIZER_KINDS)
+def test_feature_values_at_the_range_bound_score_finite(kind, normalizer):
+    # the smallest default loading (identical vectors) and the widest spread
+    # both stay finite, without an overflow warning
+    top = scorers._LARGEST
+    spec = ScorerSpec(kind, normalizer=NormalizerSpec(normalizer))
+    batch = np.array([[-top, -top], [top, -top], [0.0, 0.0]])
+    spread = [[top, top], [-top, -top], [top, 0.0], [0.5 * top, -top]]
+    # identical references leave no held-out spread or local spacing to normalize by
+    sets = [spread, [[top, top]] * 3] if normalizer == "none" else [spread]
+    for vectors in sets:
+        assert np.isfinite(scoring_function(spec, ReferenceSet("m", vectors))(batch)).all()
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +198,8 @@ def test_score_rejects_bad_vectors():
         score_one(NN1, ref, [1.0, 2.0, 3.0])
     with pytest.raises(ScorerError, match="non-finite"):
         score_one(NN1, ref, [1.0, float("nan")])
+    with pytest.raises(ScorerError, match=r"against 'm' has values beyond ±1e\+100"):
+        score_one(NN1, ref, [1.0, 1e101])
     with pytest.raises(ScorerError, match="dimension"):
         scoring_function(NN1, ref)(np.zeros((2, 2, 1)))
 
@@ -274,21 +293,6 @@ def test_zscore_reference_matches_held_out_oracle(kind, k, epsilon, n, d, monkey
 CANCELLING = [[0.0, 0.0], [1e3, 1e3], [1e3, 1e3 + 1e-9]]
 
 
-def stacked_blocks(monkeypatch, rows, d):
-    """Make held-out Mahalanobis covariances stack `rows` at a time; count the stacks."""
-    monkeypatch.setattr(scorers, "_BLOCK_BYTES", rows * 8 * d * d)
-    stacks = []
-    cholesky = np.linalg.cholesky
-
-    def counting(a, *args, **kwargs):
-        if a.ndim == 3:
-            stacks.append(len(a))
-        return cholesky(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "cholesky", counting)
-    return stacks
-
-
 @pytest.mark.parametrize(
     "vectors, spread",
     [
@@ -298,10 +302,9 @@ def stacked_blocks(monkeypatch, rows, d):
         pytest.param(np.random.default_rng(64).normal(size=(64, 3)), 1.0, id="several-blocks"),
     ],
 )
-def test_zscore_reference_mahalanobis_downdate_matches_oracle(vectors, spread, monkeypatch):
+def test_zscore_reference_mahalanobis_downdate_matches_oracle(vectors, spread):
     vectors = np.asarray(vectors)
     ref = ReferenceSet("m", vectors)
-    stacks = stacked_blocks(monkeypatch, BLOCK, ref.d)
     held_out = np.array(held_out_scores("mahalanobis", 1, None, vectors))
     rng = np.random.default_rng(5)
     batch = ref.mean + spread * (20.0 + rng.normal(size=(6, ref.d)))
@@ -309,13 +312,10 @@ def test_zscore_reference_mahalanobis_downdate_matches_oracle(vectors, spread, m
     expected = (raw - held_out.mean()) / held_out.std()
     z = scoring_function(ScorerSpec("mahalanobis", normalizer=ZSCORE), ref)(batch)
     np.testing.assert_allclose(z, expected, rtol=1e-9, atol=0.0)
-    assert len(stacks) == -(-ref.n // BLOCK)
 
 
-def test_zscore_reference_mahalanobis_recomputes_only_cancelling_rows(monkeypatch):
-    spec = ScorerSpec("mahalanobis", normalizer=ZSCORE)
-    well_conditioned = ReferenceSet("m", np.random.default_rng(300).normal(size=(300, 4)))
-    cancelling = ReferenceSet("m", CANCELLING)
+def counted_moments(monkeypatch):
+    """Record the vectors of every later moments computation, one per recomputed row."""
     calls = []
     moments = scorers._moments
 
@@ -324,6 +324,61 @@ def test_zscore_reference_mahalanobis_recomputes_only_cancelling_rows(monkeypatc
         return moments(vectors)
 
     monkeypatch.setattr(scorers, "_moments", counting)
+    return calls
+
+
+def held_out_mahalanobis(vectors, epsilon=None):
+    return scorers._held_out(ScorerSpec("mahalanobis", epsilon=epsilon), ReferenceSet("m", vectors))
+
+
+@pytest.mark.parametrize("n, d", [(5, 4), (4, 3), (3, 5)])
+@pytest.mark.parametrize("seed", range(4))
+def test_held_out_mahalanobis_of_at_most_d_plus_1_vectors_matches_oracle(n, d, seed):
+    # each held-out covariance is singular, so the loading alone lifts it
+    vectors = 1e4 + 6.0 * np.random.default_rng(seed).normal(size=(n, d))
+    np.testing.assert_allclose(held_out_mahalanobis(vectors),
+                               held_out_scores("mahalanobis", 1, None, vectors),
+                               rtol=1e-9, atol=0.0)
+
+
+def test_held_out_mahalanobis_matches_oracle_over_seeded_sets():
+    for seed in range(120):
+        rng = np.random.default_rng(seed)
+        n, d = int(rng.integers(2, 41)), int(rng.integers(1, 7))
+        shape = ("anisotropic", "near-collinear", "offset")[seed % 3]
+        if shape == "anisotropic":
+            vectors = rng.normal(size=(n, d)) * np.logspace(0, 2, d)
+        elif shape == "near-collinear":
+            vectors = np.outer(rng.normal(size=n), rng.normal(size=d))
+            vectors += 1e-2 * rng.normal(size=(n, d))
+        else:
+            vectors = 1e4 + 6.0 * rng.normal(size=(n, d))
+        epsilon = None if seed % 2 else float(rng.uniform(0.01, 1.0))
+        np.testing.assert_allclose(
+            held_out_mahalanobis(vectors, epsilon),
+            held_out_scores("mahalanobis", 1, epsilon, vectors),
+            rtol=1e-9, atol=0.0, err_msg=f"seed {seed}: {shape} {n}x{d}, epsilon={epsilon}")
+
+
+def test_held_out_mahalanobis_recomputes_at_most_2dn_over_n_minus_1_rows(monkeypatch):
+    # planted outliers dominate the covariance, so removing one cancels much of it
+    n, d = 120, 4
+    rng = np.random.default_rng(3)
+    vectors = rng.normal(size=(n, d))
+    vectors[rng.choice(n, 8, replace=False)] *= 200.0
+    ref = ReferenceSet("m", vectors)
+    calls = counted_moments(monkeypatch)
+    held_out = scorers._held_out(ScorerSpec("mahalanobis"), ref)
+    assert 0 < len(calls) <= 2 * d * n / (n - 1)
+    np.testing.assert_allclose(held_out, held_out_scores("mahalanobis", 1, None, vectors),
+                               rtol=1e-9, atol=0.0)
+
+
+def test_zscore_reference_mahalanobis_recomputes_only_cancelling_rows(monkeypatch):
+    spec = ScorerSpec("mahalanobis", normalizer=ZSCORE)
+    well_conditioned = ReferenceSet("m", np.random.default_rng(300).normal(size=(300, 4)))
+    cancelling = ReferenceSet("m", CANCELLING)
+    calls = counted_moments(monkeypatch)
     scoring_function(spec, well_conditioned)
     assert calls == []
     scoring_function(spec, cancelling)
