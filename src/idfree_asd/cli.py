@@ -101,6 +101,8 @@ def _check_pauc_p(p: float) -> None:
 def _cmd_evaluate(args) -> int:
     if (args.scores is None) == (args.manifest is None):
         raise UsageError("provide exactly one of --scores and --manifest")
+    if args.manifest is not None and args.higher_is_anomalous is not None:
+        raise UsageError("--higher-is-anomalous applies to --scores files only")
     _check_pauc_p(args.pauc_p)
     test_sets = formats.read_labels(args.labels)
     config = EvalConfig(pauc_p=args.pauc_p, average=args.avg)
@@ -116,8 +118,6 @@ def _cmd_evaluate(args) -> int:
             formats.file_digest(args.labels, "labels"),
         ]
     else:
-        if args.higher_is_anomalous is not None:
-            raise UsageError("--higher-is-anomalous applies to --scores files only")
         higher = True
         manifest = formats.read_manifest(args.manifest)
         ids, vectors = formats.read_features(manifest.features, _label_index(test_sets))

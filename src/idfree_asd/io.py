@@ -695,9 +695,13 @@ def atomic_write_text(path, text: str) -> None:
         prefix=f".{path.name}.",
         delete=False,
     )
+    umask = os.umask(0)
+    os.umask(umask)
     try:
         with handle:
             handle.write(text)
+        # the temp file is created 0o600; give it what open(path, "w") would
+        os.chmod(handle.name, 0o666 & ~umask)
         os.replace(handle.name, path)
     except BaseException:
         os.unlink(handle.name)

@@ -154,7 +154,7 @@ def aggregate(values: Sequence[float], mode: str = "harmonic") -> float:
     (official-score convention). A pooled value of exactly 0 (say, a
     perfectly inverted scorer) makes the harmonic mean 0.0, its limit.
     """
-    if not values:
+    if len(values) == 0:
         raise MetricError("nothing to aggregate: empty metric list")
     for v in values:
         if not 0.0 <= v <= 1.0:

@@ -1,9 +1,11 @@
-"""Machine-wise ASD data model and the two evaluation paths.
+"""Machine-wise ASD data model and the two evaluation protocols.
 
 Known-ID evaluation scores each test recording with its true machine's
 scorer column; identity-free evaluation takes the minimum across all machine
 columns and only uses the hidden true machine post hoc, to partition results
-per machine and to grade the implicit identification.
+per machine and to grade the implicit identification. `full_report`,
+`evaluate_known` and `evaluate_unknown` share one pass that aligns the matrix
+once and scores each machine's slice in both modes.
 """
 
 from __future__ import annotations
@@ -126,10 +128,15 @@ class MergedTestSet:
         self.ids = [self.ids[i] for i in order]
         if any(a == b for a, b in zip(self.ids, self.ids[1:])):
             raise ProtocolError("duplicate recording ids in merged test set")
-        self.true_machine = np.asarray(self.true_machine, dtype=np.intp)[order]
+        codes, labels = np.asarray(self.true_machine), np.asarray(self.is_anomaly)
+        if codes.dtype.kind not in "iu":
+            raise ProtocolError(f"true machine codes must be integers, got {codes.dtype}")
+        self.true_machine = codes.astype(np.intp, copy=False)[order]
         if not (0 <= self.true_machine.min() and self.true_machine.max() < len(self.machines)):
             raise ProtocolError(f"true machine codes must lie in [0, {len(self.machines)})")
-        self.is_anomaly = np.asarray(self.is_anomaly, dtype=bool)[order]
+        if labels.dtype.kind not in "biu" or not ((labels == 0) | (labels == 1)).all():
+            raise ProtocolError("anomaly labels must be booleans or 0/1")
+        self.is_anomaly = labels.astype(bool)[order]
         if self.features is not None:
             self.features = np.asarray(self.features, dtype=float)[order]
 
@@ -265,36 +272,17 @@ class EvalReport:
     config: EvalConfig
 
 
-def _mode_result(
-    merged: MergedTestSet,
-    groups: list[tuple[int, int, int, np.ndarray]],
-    scores: np.ndarray,
-    pauc_p: float,
-    average: str,
-) -> ModeResult:
-    # machines pool in order of first appearance; slices keep recording order
-    per_machine: dict[str, MachineMetrics] = {}
-    for code, n_normal, n_anomalous, rows in groups:
-        machine = merged.machines[code]
-        pair = (None, None)
-        if n_normal and n_anomalous:
-            pair = _auc_pauc(scores[rows], merged.is_anomaly[rows], pauc_p)
-        per_machine[machine] = MachineMetrics(machine, n_normal, n_anomalous, *pair)
-    defined = [m for m in per_machine.values() if m.defined]
-    if not defined:
-        raise ProtocolError("no machine has both normal and anomalous recordings")
-    pooled = aggregate([v for m in defined for v in (m.auc, m.pauc)], average)
-    excluded = [m.machine for m in per_machine.values() if not m.defined]
-    return ModeResult(per_machine, pooled, average, pauc_p, excluded)
+def _evaluate(
+    matrix: ScoreMatrix, merged: MergedTestSet, pauc_p: float, average: str
+) -> tuple[ModeResult, ModeResult, IdentificationStats]:
+    """The one evaluation pass behind every entry point: known, unknown, stats.
 
-
-def _align(
-    matrix: ScoreMatrix, merged: MergedTestSet
-) -> tuple[np.ndarray, list[tuple[int, int, int, np.ndarray]]]:
-    """Check that the matrix rows are the merged rows; return each recording's
-    true-machine column and, per machine in order of first appearance,
-    (code, n_normal, n_anomalous, its rows in recording order), warning once
-    per single-class machine to the caller.
+    Checks that the matrix rows are the merged rows, then reads each
+    recording's true-machine column (known ID) and its argmin column (unknown
+    ID, lowest column on ties). Each machine's slice is scored in both modes
+    at once; machines pool in order of first appearance, slices keep
+    recording order. Warns once per single-class machine, to the caller of
+    the entry point.
     """
     column = {machine: j for j, machine in enumerate(matrix.machines)}
     # one stable grouping by true machine: each machine's rows are one run
@@ -314,17 +302,37 @@ def _align(
                  else f"row {i} is {matrix.ids[i]!r}, not {merged.ids[i]!r}")
         raise ProtocolError(f"score matrix rows must be the merged test set's: {where}")
     true_cols = np.array([column.get(m, -1) for m in merged.machines], dtype=np.intp)
-    groups = []
+    true_cols = true_cols[merged.true_machine]
+    picked = matrix.values.argmin(axis=1)
+    rows = np.arange(len(true_cols))
+    modes = matrix.values[rows, true_cols], matrix.values[rows, picked]
+    per_machine, pools, excluded = ({}, {}), ([], []), []
     for code in codes[np.argsort(first)].tolist():
+        machine = merged.machines[code]
         n_normal, n_anomalous = int(total[code] - anomalous[code]), int(anomalous[code])
         if not (n_normal and n_anomalous):
             warnings.warn(
-                f"machine {merged.machines[code]!r} has single-class test labels; "
+                f"machine {machine!r} has single-class test labels; "
                 f"its metrics are undefined and excluded from aggregation",
                 stacklevel=3,
             )
-        groups.append((code, n_normal, n_anomalous, grouped[starts[code] : ends[code]]))
-    return true_cols[merged.true_machine], groups
+            excluded.append(machine)
+        mine = grouped[starts[code] : ends[code]]
+        for scores, results, pool in zip(modes, per_machine, pools):
+            pair = (None, None)
+            if n_normal and n_anomalous:
+                pair = _auc_pauc(scores[mine], merged.is_anomaly[mine], pauc_p)
+                pool.extend(pair)
+            results[machine] = MachineMetrics(machine, n_normal, n_anomalous, *pair)
+    if not pools[0]:
+        raise ProtocolError("no machine has both normal and anomalous recordings")
+    known, unknown = (
+        ModeResult(results, aggregate(pool, average), average, pauc_p, list(excluded))
+        for results, pool in zip(per_machine, pools)
+    )
+    tie_count = int(((matrix.values == modes[1][:, None]).sum(axis=1) > 1).sum())
+    n_correct = int((picked == true_cols).sum())
+    return known, unknown, IdentificationStats(matrix.k, len(rows), n_correct, tie_count)
 
 
 def evaluate_known(
@@ -334,21 +342,7 @@ def evaluate_known(
     average: str = "harmonic",
 ) -> ModeResult:
     """Standard protocol: score each recording with its true machine's column."""
-    true_cols, groups = _align(matrix, merged)
-    known = matrix.values[np.arange(len(true_cols)), true_cols]
-    return _mode_result(merged, groups, known, pauc_p, average)
-
-
-def _unknown(
-    matrix: ScoreMatrix, merged: MergedTestSet, aligned: tuple, pauc_p: float, average: str
-) -> tuple[ModeResult, IdentificationStats]:
-    true_cols, groups = aligned
-    picked = matrix.values.argmin(axis=1)
-    scores = np.take_along_axis(matrix.values, picked[:, None], axis=1)[:, 0]
-    n_correct = int((picked == true_cols).sum())
-    tie_count = int(((matrix.values == scores[:, None]).sum(axis=1) > 1).sum())
-    stats = IdentificationStats(matrix.k, len(true_cols), n_correct, tie_count)
-    return _mode_result(merged, groups, scores, pauc_p, average), stats
+    return _evaluate(matrix, merged, pauc_p, average)[0]
 
 
 def evaluate_unknown(
@@ -363,7 +357,7 @@ def evaluate_unknown(
     (lowest column on ties) enters only the identification statistics
     returned alongside.
     """
-    return _unknown(matrix, merged, _align(matrix, merged), pauc_p, average)
+    return _evaluate(matrix, merged, pauc_p, average)[1:]
 
 
 def full_report(
@@ -372,10 +366,7 @@ def full_report(
     config: EvalConfig = EvalConfig(),
 ) -> EvalReport:
     """Run both protocols and combine them into one report."""
-    aligned = true_cols, groups = _align(matrix, merged)
-    scores = matrix.values[np.arange(len(true_cols)), true_cols]
-    known = _mode_result(merged, groups, scores, config.pauc_p, config.average)
-    unknown, identification = _unknown(matrix, merged, aligned, config.pauc_p, config.average)
+    known, unknown, identification = _evaluate(matrix, merged, config.pauc_p, config.average)
     return EvalReport(
         machines=list(matrix.machines),
         n_recordings=len(merged.ids),

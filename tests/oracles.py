@@ -1,7 +1,8 @@
 """Independent reference implementations used to pin the fast paths.
 
 Everything in here is deliberately written as plain Python loops over
-plain Python numbers (apart from one linear solve) so that a bug in the
+plain Python numbers (apart from one linear solve, and the pooling of
+`report_oracle`, which calls `metrics.aggregate`) so that a bug in the
 vectorised code cannot hide behind a shared helper.
 """
 
@@ -113,6 +114,53 @@ def trapezoid_pauc_raw(points, p):
         else:
             break
     return area
+
+
+def mcclish(raw, p):
+    """McClish standardization of a raw partial area over FPR in [0, p]."""
+    chance = p * p * 0.5
+    return 0.5 * (1.0 + (raw - chance) / (p - chance))
+
+
+def report_oracle(columns, rows, true_machines, labels, p, average):
+    """Both protocols over a score table, one machine slice at a time.
+
+    `rows[i]` holds recording i's scores under the machines named in
+    `columns`, `true_machines[i]` names its machine and `labels[i]` says
+    whether it is anomalous. Known ID reads the true machine's column,
+    unknown ID the row minimum (first column on ties). Returns, per mode,
+    each machine's (AUC, pAUC), or None for a single-class slice, keyed in
+    order of first appearance, with the pooled aggregate; then the number of
+    correct identifications and of tied row minima.
+    """
+    from idfree_asd import metrics
+
+    picks = [brute_force_argmin(row) for row in rows]
+    order = []
+    for machine in true_machines:
+        if machine not in order:
+            order.append(machine)
+    modes = {}
+    for mode in ("known", "unknown"):
+        per_machine, pool = {}, []
+        for machine in order:
+            scores, ys = [], []
+            for i, (row, owner) in enumerate(zip(rows, true_machines)):
+                if owner == machine:
+                    column = columns.index(machine) if mode == "known" else picks[i][0]
+                    scores.append(row[column])
+                    ys.append(labels[i])
+            if all(ys) or not any(ys):
+                per_machine[machine] = None
+                continue
+            pair = (brute_force_auc(scores, ys),
+                    mcclish(trapezoid_pauc_raw(roc_vertices(scores, ys), p), p))
+            per_machine[machine] = pair
+            pool.extend(pair)
+        modes[mode] = (per_machine, metrics.aggregate(pool, average))
+    n_correct = sum(1 for (best, _), owner in zip(picks, true_machines) if columns[best] == owner)
+    tie_count = sum(1 for _, tie in picks if tie)
+    return modes, n_correct, tie_count
 
 
 def k_nearest_indices(x, vectors, k, exclude=None):

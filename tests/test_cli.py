@@ -469,6 +469,16 @@ def test_evaluate_manifest_rejects_orientation_flag(tmp_path, capsys):
     assert "scores" in stderr_json(err)["message"]
 
 
+def test_evaluate_manifest_orientation_flag_is_checked_before_reading_labels(tmp_path, capsys):
+    manifest, labels, _, _ = build_manifest_fixture(tmp_path)
+    labels.write_text("not,a,label,header\n")
+    code, _, err = run(capsys, "evaluate", "--manifest", str(manifest),
+                       "--labels", str(labels),
+                       "--higher-is-anomalous", "true")
+    assert code == EXIT_USAGE
+    assert "--higher-is-anomalous" in stderr_json(err)["message"]
+
+
 def test_evaluate_manifest_feature_mismatch(tmp_path, capsys):
     manifest, labels, _, merged = build_manifest_fixture(tmp_path)
     kept = [Recording(*row) for row in label_rows(read_labels(labels))]

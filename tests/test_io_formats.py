@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import tracemalloc
 
 import numpy as np
@@ -776,6 +777,15 @@ def test_atomic_write_replaces_content(tmp_path):
     assert path.read_text() == "new contents"
     leftovers = [p for p in tmp_path.iterdir() if p.name != "out.json"]
     assert leftovers == []
+
+
+def test_atomic_write_gives_the_mode_a_plain_open_would(tmp_path):
+    old = os.umask(0o022)
+    try:
+        atomic_write_text(tmp_path / "out.json", "text")
+    finally:
+        os.umask(old)
+    assert (tmp_path / "out.json").stat().st_mode & 0o777 == 0o644
 
 
 def test_atomic_write_cleans_up_on_failure(tmp_path):

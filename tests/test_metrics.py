@@ -15,7 +15,7 @@ from idfree_asd.metrics import (
     normalize_id_accuracy,
     pauc,
 )
-from oracles import brute_force_auc, roc_vertices, trapezoid_pauc_raw
+from oracles import brute_force_auc, mcclish, roc_vertices, trapezoid_pauc_raw
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -160,12 +160,6 @@ def test_pauc_with_full_cap_equals_auc(data):
 def test_pauc_full_cap_equals_auc_under_ties(data):
     scores, labels = data
     assert pauc(scores, labels, 1.0) == pytest.approx(auc(scores, labels), abs=1e-12)
-
-
-def mcclish(raw, p):
-    """McClish standardization of a raw partial area over FPR in [0, p]."""
-    chance = p * p * 0.5
-    return 0.5 * (1.0 + (raw - chance) / (p - chance))
 
 
 @pytest.mark.parametrize("p", [0.1, 0.25, 0.5, 1.0])
@@ -354,6 +348,13 @@ def test_aggregate_rejects_empty_and_unknown_mode():
     with pytest.raises(MetricError):
         aggregate([0.5, 0.5], "geometric")
     assert AVERAGING_MODES == ("arithmetic", "harmonic")
+
+
+@pytest.mark.parametrize("mode", AVERAGING_MODES)
+def test_aggregate_takes_a_numpy_array(mode):
+    assert aggregate(np.array([0.8, 0.9]), mode) == aggregate([0.8, 0.9], mode)
+    with pytest.raises(MetricError, match="empty"):
+        aggregate(np.array([]), mode)
 
 
 def test_aggregate_rejects_values_outside_unit_interval():

@@ -1,4 +1,5 @@
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from idfree_asd.protocol import (
     full_report,
     merge_test_sets,
 )
-from oracles import brute_force_argmin, brute_force_auc
+from oracles import brute_force_argmin, brute_force_auc, report_oracle
 
 # ---------------------------------------------------------------------------
 # helpers
@@ -162,6 +163,17 @@ def test_merged_set_rejects_machine_codes_outside_its_machines(code):
         MergedTestSet(["a", "b"], ["fan", "pump"], [0, code], [False, True])
 
 
+@pytest.mark.parametrize("codes, labels, message", [
+    ([0.2, 0.9, 1.5, 1.1], [0, 1, 0, 1], "true machine codes must be integers, got float64"),
+    ([False, False, True, True], [0, 1, 0, 1], "true machine codes must be integers, got bool"),
+    ([0, 0, 1, 1], ["0", "1", "0", "1"], "anomaly labels must be booleans or 0/1"),
+    ([0, 0, 1, 1], [0, 2, 0, -1], "anomaly labels must be booleans or 0/1"),
+], ids=["float-codes", "bool-codes", "string-labels", "labels-outside-0-1"])
+def test_merged_set_rejects_non_integer_codes_and_non_binary_labels(codes, labels, message):
+    with pytest.raises(ProtocolError, match=f"^{message}$"):
+        MergedTestSet(["a", "b", "c", "d"], ["fan", "pump"], codes, labels)
+
+
 @pytest.mark.parametrize("rows", [1, 3])
 def test_merged_set_rejects_features_of_the_wrong_length(rows):
     with pytest.raises(ProtocolError, match=rf"^need 2 feature rows, got \({rows}, 2\)$"):
@@ -248,6 +260,48 @@ def test_aggregate_score_matches_brute_force():
                 minima.append(row[brute_force_argmin(row)[0]])
             labels = [r.is_anomaly for r in recs]
             assert unknown.per_machine[machine].auc == brute_force_auc(minima, labels)
+
+
+def test_full_report_matches_report_oracle():
+    rng = np.random.default_rng(41)
+    covered = Counter()
+    for case in range(150):
+        k = int(rng.integers(2, 6))
+        names = [f"m{i}" for i in range(k)]
+        n = int(rng.integers(6, 40))
+        # the last machine has no test rows: its column only competes for minima
+        codes = rng.integers(0, k - 1, size=n)
+        codes[1] = codes[0]
+        labels = rng.random(n) < 0.4
+        labels[:2] = False, True
+        if codes[-1] != codes[0]:
+            labels[codes == codes[-1]] = False
+        # ids in random order, so machines first appear out of code order
+        merged = MergedTestSet([f"r{j:03d}" for j in rng.permutation(n)], names, codes, labels)
+        columns = [names[j] for j in rng.permutation(k)]
+        values = rng.integers(0, 4, size=(n, k)).astype(float)  # ties at the row minimum
+        average = metrics.AVERAGING_MODES[case % 2]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            report = full_report(ScoreMatrix(columns, merged.ids, values), merged,
+                                 EvalConfig(pauc_p=0.3, average=average))
+        modes, n_correct, tie_count = report_oracle(
+            columns, values.tolist(), [names[c] for c in merged.true_machine],
+            merged.is_anomaly.tolist(), 0.3, average)
+        for result, (per_machine, pooled) in zip((report.known, report.unknown),
+                                                 (modes["known"], modes["unknown"])):
+            assert list(result.per_machine) == list(per_machine)
+            for machine, pair in per_machine.items():
+                got = result.per_machine[machine]
+                assert (got.auc, got.pauc) == (pair or (None, None))
+            assert result.aggregate == pooled
+            assert result.excluded_machines == [m for m, v in per_machine.items() if v is None]
+        stats = report.identification
+        assert (stats.n_correct, stats.tie_count) == (n_correct, tie_count)
+        covered["ties"] += tie_count > 0
+        covered["single-class"] += bool(report.known.excluded_machines)
+        covered["out of order"] += list(report.known.per_machine) != sorted(report.known.per_machine)
+    assert len(covered) == 3 and min(covered.values()) >= 20, covered
 
 
 def test_identify_matches_argmin_oracle():
@@ -399,7 +453,12 @@ def test_single_class_machine_warns_and_is_excluded():
     assert result.aggregate == 1.0  # pooled over fan only
 
 
-def test_full_report_warns_once_per_single_class_machine():
+@pytest.mark.parametrize("entry, modes", [
+    pytest.param(full_report, lambda report: [report.known, report.unknown], id="full_report"),
+    pytest.param(evaluate_known, lambda known: [known], id="evaluate_known"),
+    pytest.param(evaluate_unknown, lambda pair: [pair[0]], id="evaluate_unknown"),
+])
+def test_full_report_warns_once_per_single_class_machine(entry, modes):
     sets = {
         "fan": make_recordings("fan", 3, 3),
         "pump": make_recordings("pump", 3, 0),  # normals only
@@ -408,13 +467,13 @@ def test_full_report_warns_once_per_single_class_machine():
     rows = {r.id: [10.0 if r.is_anomaly else 0.0] * 2 for r in merged.recordings}
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        report = full_report(matrix_from_rows(["fan", "pump"], rows), merged)
+        result = entry(matrix_from_rows(["fan", "pump"], rows), merged)
     assert [str(w.message) for w in caught] == [
         "machine 'pump' has single-class test labels; "
         "its metrics are undefined and excluded from aggregation"
     ]
     assert caught[0].filename == __file__  # attributed to the caller
-    assert report.known.excluded_machines == report.unknown.excluded_machines == ["pump"]
+    assert all(mode.excluded_machines == ["pump"] for mode in modes(result))
 
 
 def test_all_machines_degenerate_is_an_error():
