@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from itertools import chain, count
 from pathlib import Path
 
@@ -86,16 +87,25 @@ def _label_index(test_sets) -> dict[str, int]:
     return dict(zip(chain.from_iterable(merged.ids for merged in test_sets.values()), count()))
 
 
-def _check_out_dirs(args) -> None:
-    # fail before any computation rather than when the report is written
-    for path in (getattr(args, "out", None), getattr(args, "svg", None)):
+def _scatter_path(out: str) -> Path:
+    return Path(out).with_suffix(".csv")
+
+
+def _check_args(args) -> None:
+    """Every check that needs no input file; fails before any computation."""
+    out, svg = getattr(args, "out", None), getattr(args, "svg", None)
+    for path in (out, svg):
         if path is not None and not Path(path).parent.is_dir():
             raise UsageError(f"output directory {str(Path(path).parent)!r} does not exist")
-
-
-def _check_pauc_p(p: float) -> None:
-    if not 0.0 < p <= 1.0:
-        raise UsageError(f"--pauc-p must lie in (0, 1], got {p}")
+    if not 0.0 < getattr(args, "pauc_p", 1.0) <= 1.0:
+        raise UsageError(f"--pauc-p must lie in (0, 1], got {args.pauc_p}")
+    if hasattr(args, "svg"):  # the commands that write a scatter table next to --out
+        csv_path = _scatter_path(out)
+        if csv_path == Path(out):
+            raise UsageError("--out must not end in .csv; the scatter table takes that name")
+        if svg and Path(svg).resolve() in (Path(out).resolve(), csv_path.resolve()):
+            raise UsageError("--svg must differ from --out and from the scatter table "
+                             f"{str(csv_path)!r}")
 
 
 def _cmd_evaluate(args) -> int:
@@ -103,7 +113,6 @@ def _cmd_evaluate(args) -> int:
         raise UsageError("provide exactly one of --scores and --manifest")
     if args.manifest is not None and args.higher_is_anomalous is not None:
         raise UsageError("--higher-is-anomalous applies to --scores files only")
-    _check_pauc_p(args.pauc_p)
     test_sets = formats.read_labels(args.labels)
     config = EvalConfig(pauc_p=args.pauc_p, average=args.avg)
 
@@ -186,61 +195,35 @@ def _cmd_check_table(args) -> int:
 
 
 def _sim_config(args, separation: float) -> SimConfig:
-    return SimConfig(
-        k=args.k,
-        d=args.d,
-        n_ref=args.n_ref,
-        n_norm=args.n_norm,
-        n_anom=args.n_anom,
-        separation=separation,
-        spread=args.spread,
-        anomaly_offset=args.anomaly_offset,
-        seed=args.seed,
-    )
+    # every field but the separation comes from the flag of the same name
+    flags = {f.name: getattr(args, f.name) for f in fields(SimConfig) if f.name != "separation"}
+    return SimConfig(separation=separation, **flags)
 
 
-def _scatter_paths(out: str) -> Path:
-    csv_path = Path(out).with_suffix(".csv")
-    if csv_path == Path(out):
-        raise UsageError("--out must not end in .csv; the scatter table takes that name")
-    return csv_path
-
-
-def _write_svg(path: str, points) -> None:
-    pairs = [
-        (p.id_accuracy_normalized, p.delta_norm)
-        for p in points
-        if p.id_accuracy_normalized is not None and p.delta_norm is not None
-    ]
-    formats.atomic_write_text(path, formats.scatter_svg_text(pairs))
+def _write_points(args, doc: dict, points) -> None:
+    formats.atomic_write_text(args.out, formats.document_text(doc))
+    formats.atomic_write_text(_scatter_path(args.out), formats.sweep_csv_text(points))
+    if args.svg:
+        pairs = [(p.id_accuracy_normalized, p.delta_norm) for p in points
+                 if p.id_accuracy_normalized is not None and p.delta_norm is not None]
+        formats.atomic_write_text(args.svg, formats.scatter_svg_text(pairs))
 
 
 def _cmd_simulate(args) -> int:
-    _check_pauc_p(args.pauc_p)
-    csv_path = _scatter_paths(args.out)
     config = _sim_config(args, args.separation)
     eval_config = EvalConfig(pauc_p=args.pauc_p, average=args.avg)
     point = run_point(config, DEFAULT_SCORER, eval_config)
-    doc = formats.simulate_document(point, config, DEFAULT_SCORER, eval_config)
-    formats.atomic_write_text(args.out, formats.document_text(doc))
-    formats.atomic_write_text(csv_path, formats.sweep_csv_text([point]))
-    if args.svg:
-        _write_svg(args.svg, [point])
+    _write_points(args, formats.simulate_document(point, config, DEFAULT_SCORER, eval_config),
+                  [point])
     return EXIT_OK
 
 
 def _cmd_sweep(args) -> int:
-    _check_pauc_p(args.pauc_p)
-    csv_path = _scatter_paths(args.out)
     base = _sim_config(args, 0.0)
     eval_config = EvalConfig(pauc_p=args.pauc_p, average=args.avg)
     points = sweep(base, args.separations, args.repeats, DEFAULT_SCORER, eval_config)
-    doc = formats.sweep_document(points, base, args.separations, args.repeats,
-                                 DEFAULT_SCORER, eval_config)
-    formats.atomic_write_text(args.out, formats.document_text(doc))
-    formats.atomic_write_text(csv_path, formats.sweep_csv_text(points))
-    if args.svg:
-        _write_svg(args.svg, points)
+    _write_points(args, formats.sweep_document(points, base, args.separations, args.repeats,
+                                               DEFAULT_SCORER, eval_config), points)
     return EXIT_OK
 
 
@@ -342,7 +325,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _check_out_dirs(args)
+        _check_args(args)
         return args.handler(args)
     except UsageError as exc:
         return _fail(EXIT_USAGE, "usage", str(exc))

@@ -384,6 +384,13 @@ class Manifest:
     references: dict[str, Path]
 
 
+def _check_keys(path: Path, section: str, raw: dict, allowed: tuple[str, ...]) -> None:
+    unknown = sorted(set(raw) - set(allowed))
+    if unknown:
+        raise FormatError(f"{path.name}: unknown key {unknown[0]!r} in {section} "
+                          f"(allowed: {', '.join(allowed)})")
+
+
 def read_manifest(path) -> Manifest:
     """Read a scorer manifest; relative paths resolve against its directory."""
     path = Path(path)
@@ -395,12 +402,16 @@ def read_manifest(path) -> Manifest:
         raise FormatError(f"{path.name}: invalid JSON ({exc})") from None
     if not isinstance(raw, dict) or raw.get("format") != FORMAT_VERSION:
         raise FormatError(f"{path.name}: missing or unsupported format field")
+    _check_keys(path, "manifest", raw, ("format", "scorer", "features", "machines"))
     scorer_raw = raw.get("scorer")
     if not isinstance(scorer_raw, dict) or "kind" not in scorer_raw:
         raise FormatError(f"{path.name}: scorer section with a kind is required")
-    normalizer_raw = scorer_raw.get("normalizer") or {}
+    _check_keys(path, "scorer", scorer_raw, ("kind", "k", "epsilon", "normalizer"))
+    # null means no normalizer, as null means no epsilon
+    normalizer_raw = {} if scorer_raw.get("normalizer") is None else scorer_raw["normalizer"]
     if not isinstance(normalizer_raw, dict):
-        raise FormatError(f"{path.name}: scorer.normalizer must be an object")
+        raise FormatError(f"{path.name}: scorer.normalizer must be an object or null")
+    _check_keys(path, "scorer.normalizer", normalizer_raw, ("kind", "k_norm"))
     try:
         normalizer = NormalizerSpec(
             kind=normalizer_raw.get("kind", "none"),
@@ -432,6 +443,7 @@ def read_manifest(path) -> Manifest:
             raise FormatError(
                 f"{path.name}: each machine needs a name and a reference path"
             )
+        _check_keys(path, "machine entry", entry, ("name", "reference"))
         name = entry["name"]
         if name in references:
             raise FormatError(f"{path.name}: duplicate machine {name!r}")
@@ -577,27 +589,23 @@ def evaluation_document(
     return doc
 
 
+def _simulation_head(kind: str, config: SimConfig, scorer: ScorerSpec,
+                     eval_config: EvalConfig) -> dict:
+    return {**_document_head(kind, []), "config": asdict(config), "scorer": asdict(scorer),
+            "evaluation": {"pauc_p": eval_config.pauc_p, "average": eval_config.average}}
+
+
 def simulate_document(
     point: SweepPoint, config: SimConfig, scorer: ScorerSpec, eval_config: EvalConfig
 ) -> dict:
-    doc = _document_head("simulate", [])
-    doc["config"] = asdict(config)
-    doc["scorer"] = asdict(scorer)
-    doc["evaluation"] = {"pauc_p": eval_config.pauc_p, "average": eval_config.average}
-    doc["point"] = asdict(point)
-    return doc
+    return {**_simulation_head("simulate", config, scorer, eval_config), "point": asdict(point)}
 
 
 def sweep_document(points: Sequence[SweepPoint], base: SimConfig, separations: Sequence[float],
                    repeats: int, scorer: ScorerSpec, eval_config: EvalConfig) -> dict:
-    doc = _document_head("sweep", [])
-    doc["config"] = asdict(base)
-    doc["scorer"] = asdict(scorer)
-    doc["evaluation"] = {"pauc_p": eval_config.pauc_p, "average": eval_config.average}
-    doc["separations"] = list(separations)
-    doc["repeats"] = repeats
-    doc["points"] = [asdict(p) for p in points]
-    return doc
+    return {**_simulation_head("sweep", base, scorer, eval_config),
+            "separations": list(separations), "repeats": repeats,
+            "points": [asdict(p) for p in points]}
 
 
 def check_table_document(rows: list[dict], inputs: Iterable[dict], tolerance: float) -> dict:

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -543,6 +544,16 @@ def test_evaluate_manifest_int_too_large_for_a_float_is_data_error(tmp_path, cap
     assert stderr_json(err)["message"].startswith(f"manifest.json: {name} must be")
 
 
+def test_evaluate_manifest_unknown_key_is_data_error(tmp_path, capsys):
+    manifest, labels, _, _ = build_manifest_fixture(tmp_path)
+    doc = json.loads(manifest.read_text())
+    doc["scorer"]["K"] = 3
+    manifest.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "evaluate", "--manifest", str(manifest), "--labels", str(labels))
+    assert code == EXIT_DATA and out == ""
+    assert stderr_json(err)["message"].startswith("manifest.json: unknown key 'K' in scorer ")
+
+
 def test_evaluate_manifest_integral_float_counts_score_as_ints(tmp_path, capsys):
     manifest, labels, _, _ = build_manifest_fixture(tmp_path)
     doc = json.loads(manifest.read_text())
@@ -644,6 +655,19 @@ def test_evaluate_rejects_bad_pauc_p(bad_p, capsys):
     )
     assert code == EXIT_USAGE
     assert "pauc-p" in stderr_json(err)["message"]
+
+
+@pytest.mark.parametrize("command", ["evaluate", "simulate", "sweep"])
+def test_bad_pauc_p_fails_before_reading_or_writing(tmp_path, capsys, command):
+    # the labels path does not exist: the flag is checked before any input is read
+    inputs = {"evaluate": ["--scores", str(GOLDEN / "scores.csv"),
+                           "--labels", str(tmp_path / "absent.csv")],
+              "simulate": SMALL_SIM, "sweep": ["--separations", "5", *SMALL_SIM]}[command]
+    code, _, err = run(capsys, command, *inputs, "--pauc-p", "0",
+                       "--out", str(tmp_path / "report.json"))
+    assert code == EXIT_USAGE
+    assert stderr_json(err)["message"].startswith("--pauc-p must lie in (0, 1]")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_evaluate_missing_file_is_usage_error(tmp_path, capsys):
@@ -836,6 +860,45 @@ def test_sweep_missing_out_directory_fails_before_running(tmp_path, capsys, monk
                      "--svg", str(tmp_path / "missing" / "s.svg"))
     assert code == EXIT_USAGE
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+@pytest.mark.parametrize("svg_name", ["report.json", "report.csv"])
+def test_svg_may_not_overwrite_the_report_or_its_scatter_table(
+        tmp_path, capsys, monkeypatch, command, svg_name):
+    def never(*args, **kwargs):
+        raise AssertionError("computation started before the --svg path was checked")
+
+    monkeypatch.setattr(cli, "sweep", never)
+    monkeypatch.setattr(cli, "run_point", never)
+    # a relative --svg names the same file as an absolute --out
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run(capsys, command, *SMALL_SIM, "--out", str(tmp_path / "report.json"),
+                       "--svg", svg_name)
+    assert code == EXIT_USAGE
+    assert stderr_json(err)["message"].startswith("--svg must differ")
+    assert list(tmp_path.iterdir()) == []
+
+
+# a valid value other than the default for every SimConfig field
+NON_DEFAULT = {"k": 3, "d": 4, "n_ref": 10, "n_norm": 12, "n_anom": 5, "separation": 6.5,
+               "spread": 1.5, "anomaly_offset": 3.0, "seed": 7}
+
+
+# a sweep takes its separations from --separations, not from a --separation flag
+@pytest.mark.parametrize("command, name", [
+    (command, field.name) for command in ("simulate", "sweep") for field in fields(SimConfig)
+    if (command, field.name) != ("sweep", "separation")])
+def test_every_sim_config_field_is_set_by_its_flag(tmp_path, capsys, command, name):
+    value = NON_DEFAULT[name]
+    assert value != getattr(SimConfig(), name)
+    grid = ["--separations", "5", "--repeats", "1"] if command == "sweep" else []
+    out = tmp_path / "report.json"
+    code, _, err = run(capsys, command, *grid, f"--{name.replace('_', '-')}", str(value),
+                       "--out", str(out))
+    assert code == EXIT_OK, err
+    base = {"separation": 0.0} if command == "sweep" else {}
+    assert json.loads(out.read_text())["config"] == asdict(SimConfig(**base, **{name: value}))
 
 
 def test_sweep_svg_skips_failed_points(tmp_path, capsys):

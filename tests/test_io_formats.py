@@ -523,6 +523,12 @@ def test_manifest_parses_and_resolves_paths(tmp_path):
     assert manifest.references["pump"] == tmp_path / "refs" / "pump.csv"
 
 
+def test_manifest_null_normalizer_means_none(tmp_path):
+    scorer = read_manifest(good_manifest(tmp_path, scorer={
+        "kind": "nearest_reference", "k": 2, "epsilon": None, "normalizer": None})).scorer
+    assert scorer == ScorerSpec("nearest_reference", k=2)
+
+
 def test_manifest_takes_integral_float_counts_as_ints(tmp_path):
     scorer = read_manifest(good_manifest(tmp_path, scorer={
         "kind": "nearest_reference", "k": 2.0,
@@ -596,6 +602,18 @@ def test_manifest_rejects_bytes_that_are_not_utf8(tmp_path):
         ({"machines": [{"name": "", "reference": "a.csv"}]}, "needs a name"),
         # an empty reference path would resolve to the manifest's own directory
         ({"machines": [{"name": "fan", "reference": ""}]}, "needs a name and a reference"),
+        # keys outside the documented schema are errors, not silently ignored
+        ({"scorer": {"kind": "nearest_reference", "K": 3}}, "unknown key 'K' in scorer "),
+        ({"weights": "w.csv"}, "unknown key 'weights' in manifest "),
+        ({"scorer": {"kind": "nearest_reference", "normalizer": {"kind": "none", "k": 2}}},
+         "unknown key 'k' in scorer.normalizer "),
+        ({"machines": [{"name": "fan", "reference": "a.csv", "ref": "b.csv"}]},
+         "unknown key 'ref' in machine entry "),
+        # a normalizer is an object or null; false, 0, "" and [] do not mean none
+        ({"scorer": {"kind": "nearest_reference", "normalizer": False}}, "object or null"),
+        ({"scorer": {"kind": "nearest_reference", "normalizer": 0}}, "object or null"),
+        ({"scorer": {"kind": "nearest_reference", "normalizer": ""}}, "object or null"),
+        ({"scorer": {"kind": "nearest_reference", "normalizer": []}}, "object or null"),
     ],
 )
 def test_manifest_validation(tmp_path, overrides, message):
