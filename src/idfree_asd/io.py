@@ -10,15 +10,16 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 import re
 import tempfile
 import warnings
 from dataclasses import asdict, dataclass, fields
 from io import StringIO
-from itertools import chain
+from itertools import chain, compress, repeat
 from pathlib import Path
-from typing import Collection, Iterable, Iterator, Mapping, Sequence
+from typing import Collection, Generator, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -60,9 +61,12 @@ ORIENTATIONS = ("higher", "lower")
 
 _ORIENTATION_RE = re.compile(r"#\s*orientation:\s*(\S+)\s*$")
 _TRUTH = {"0": False, "1": True, "false": False, "true": True}
-# a numeric table's cells are converted to floats this many at a time, so
-# its text is never held whole
-_BLOCK_CELLS = 2**15
+# data lines are read about this many characters at a time, so a table's
+# text is never held whole
+_CHUNK_CHARS = 2**17
+# a chunk holding one of these goes to csv: quote and CR have csv meanings,
+# and numpy reads \x1c-\x1f around a number as white space, float() does not
+_STRICT_CHARS = '"\r\x1c\x1d\x1e\x1f'
 # a cross-reference error names at most this many ids per side, so a file
 # that matches nothing still gives a short message
 _LISTED_IDS = 10
@@ -72,16 +76,16 @@ class FormatError(ValueError):
     """Raised on malformed or wrongly versioned input files."""
 
 
-def _rows(
-    path: Path, comments: list[tuple[int, str]] | None = None
-) -> Iterator[tuple[int, list[str]]]:
+def _rows(path: Path, comments: list[tuple[int, str]] | None = None) -> Generator:
     """Stream the header and data rows of a versioned CSV file.
 
     Each row carries the 1-based physical line it starts on; comment lines
     after the format line go into ``comments``. Rows come from one csv.reader
     fed straight from the file handle, so the file is never held whole. Only
     LF, CRLF and CR end a line, a quoted field may span lines, and blank
-    lines are skipped.
+    lines are skipped. A reader may answer a row by sending ``take(lines)``:
+    the lines after it then go to ``take`` about _CHUNK_CHARS characters at
+    a time, and csv reads on from the first chunk that ``take`` declines.
     """
     # utf-8-sig drops a leading byte-order mark that some editors write
     with open(path, encoding="utf-8-sig", newline="") as handle:
@@ -93,13 +97,19 @@ def _rows(
                 skipped += 1
                 if comments is not None:
                     comments.append((skipped, line))
-            reader = csv.reader(chain([line], handle))
-            start, found = skipped + 1, False
-            for fields in reader:
-                if fields:
-                    found = True
-                    yield start, fields
-                start = skipped + 1 + reader.line_num
+            lines, start, found = [line], skipped + 1, False
+            while lines is not None:
+                reader, first, take, lines = csv.reader(chain(lines, handle)), start, None, None
+                for fields in reader:
+                    if fields:
+                        found = True
+                        if take := (yield start, fields):
+                            yield  # the answer to send(); rows go on at the next call
+                    start = first + reader.line_num
+                    if take:
+                        while (lines := handle.readlines(_CHUNK_CHARS)) and take(lines):
+                            start += len(lines)
+                        break
         except UnicodeDecodeError as exc:
             raise FormatError(f"{path.name}:{_undecodable_line(path)}: not UTF-8 text "
                               f"({exc.reason})") from None
@@ -107,6 +117,16 @@ def _rows(
             raise FormatError(f"{path.name}:{start}: {exc}") from None
         if not found:
             raise FormatError(f"{path.name}: no header row found")
+
+
+def _plain(lines: list[str], commas: int) -> str | None:
+    # the text of data lines that the C path reads as csv does, else None: ASCII
+    # without _STRICT_CHARS, no line past csv's field limit, `commas` commas a line
+    text = "".join(lines)
+    plain = (text.isascii() and not any(map(text.__contains__, _STRICT_CHARS))
+             and max(map(len, lines)) <= csv.field_size_limit()
+             and list(map(str.count, lines, repeat(","))).count(commas) == len(lines))
+    return text if plain else None
 
 
 def _undecodable_line(path: Path) -> int:
@@ -141,24 +161,22 @@ def _parse_float(path: Path, line_no: int, column: str, text: str) -> float:
         raise FormatError(
             f"{path.name}:{line_no}: {column} value {text!r} is not a number"
         ) from None
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise FormatError(f"{path.name}:{line_no}: {column} value {text!r} is not finite")
     return value
 
 
-def _keyed_rows(path: Path, rows: Iterator[tuple[int, list[str]]], width: int, what: str,
-                index: Mapping[str, int] | None = None, filled: bytearray | None = None,
-                unlabeled: set[str] | None = None) -> Iterator[tuple[int, list[str], str | int]]:
+def _keyed_rows(path: Path, rows: Iterator[tuple[int, list[str]]], width: int, seen: set[str],
+                index: Mapping[str, int] | None = None, filled: np.ndarray | None = None
+                ) -> Iterator[tuple[int, list[str], str | int]]:
     """Check the data rows of a table keyed by recording id as they stream by.
 
     Every row needs one field per header column and a nonempty id that no
-    other row has; ``what`` names the rows when there are none. Each row
-    comes with a key: its id, or with an ``index`` of {id: position} its id's
-    position, which is then marked in ``filled``. An id outside the index
-    has key -1 and goes into ``unlabeled``.
+    other row has. Each row comes with a key: its id, which goes into
+    ``seen``, or with an ``index`` of {id: position} its id's position,
+    which is then marked in ``filled``. An id outside the index has key -1
+    and goes into ``seen``.
     """
-    seen: set[str] = set() if index is None else unlabeled
-    found = False
     for line_no, row in rows:
         if len(row) != width:
             raise FormatError(f"{path.name}:{line_no}: expected {width} fields, got {len(row)}")
@@ -169,51 +187,25 @@ def _keyed_rows(path: Path, rows: Iterator[tuple[int, list[str]]], width: int, w
             duplicate = rec_id in seen
             seen.add(rec_id)
         else:
-            duplicate, filled[position] = filled[position], 1
+            duplicate, filled[position] = filled[position], True
         if duplicate:
             raise FormatError(f"{path.name}:{line_no}: duplicate recording id {rec_id!r}")
-        found = True
         yield line_no, row, rec_id if index is None else position
-    if not found:
-        raise FormatError(f"{path.name}: no {what} rows")
 
 
-def _cell_blocks(keyed: Iterator[tuple[int, list[str], str | int]], width: int
-                 ) -> Iterator[tuple[list, list[int], list[str]]]:
-    # keys, lines and flat cells of about _BLOCK_CELLS cells of keyed rows at a
-    # time; the lists are emptied once the caller is done with them, so only
-    # one block's text is alive at once
-    per_block = max(1, _BLOCK_CELLS // width)
-    keys: list = []
-    lines: list[int] = []
-    cells: list[str] = []
-    for line_no, row, key in keyed:
-        keys.append(key)
-        lines.append(line_no)
-        cells += row[1:]
-        if len(lines) == per_block:
-            yield keys, lines, cells
-            keys.clear()
-            lines.clear()
-            cells.clear()
-    if keys:
-        yield keys, lines, cells
-
-
-def _float_block(path: Path, header: list[str], lines: list[int],
-                 cells: list[str]) -> np.ndarray:
-    # one conversion for the whole block; on failure or a non-finite value the
-    # cell-by-cell pass names the first bad cell (and takes float()'s value
-    # should numpy turn down a spelling float() accepts)
-    try:
-        block = np.array(cells, dtype=float)
-    except ValueError:
-        block = None
-    if block is None or not np.isfinite(block).all():
-        width = len(header) - 1
-        block = np.array([_parse_float(path, lines[i // width], header[1 + i % width], cell)
-                          for i, cell in enumerate(cells)])
-    return block.reshape(len(lines), -1)
+def _chunk_keys(ids: list[str], seen: set[str], index: Mapping[str, int] | None = None,
+                filled: np.ndarray | None = None) -> list[str] | np.ndarray | None:
+    """_keyed_rows' keys and marks for a chunk's ids; None, marking nothing, if one would fail."""
+    if "" in ids or len(set(ids)) < len(ids) or (index is None and not seen.isdisjoint(ids)):
+        return None
+    if index is None:
+        seen.update(ids)
+        return ids
+    keys = np.fromiter(map(index.get, ids, repeat(-1)), dtype=np.intp, count=len(ids))
+    if keys.min() < 0 or filled[keys].any():
+        return None
+    filled[keys] = True
+    return keys
 
 
 def _unmatched(description: str, ids: Collection[str]) -> str:
@@ -223,9 +215,8 @@ def _unmatched(description: str, ids: Collection[str]) -> str:
     return f"{len(ids)} {description} {listed}{more}"
 
 
-def _float_rows(path: Path, rows: Iterator[tuple[int, list[str]]], header: list[str],
-                what: str, index: Mapping[str, int] | None = None
-                ) -> tuple[list[str], np.ndarray]:
+def _float_rows(path: Path, rows: Generator, header: list[str], what: str,
+                index: Mapping[str, int] | None = None) -> tuple[list[str], np.ndarray]:
     """Ids, and every cell after the id as an (n, d) array, of keyed data rows.
 
     With an ``index`` that maps the i-th of n ids to i, each row's cells land
@@ -233,40 +224,55 @@ def _float_rows(path: Path, rows: Iterator[tuple[int, list[str]]], header: list[
     raises a ProtocolError once the whole file has passed; else rows keep
     file order.
 
-    Cells are converted one block of rows (about _BLOCK_CELLS cells) at a
-    time as the rows stream by, so only one block's text is held at once. A
-    block that numpy cannot convert, or that holds a non-finite value, goes
-    through a cell-by-cell pass that names its first bad cell and line. That
-    error is kept, later blocks are only checked for row structure, and it
-    is raised once the whole file's row structure has passed.
+    A chunk of data lines (see _rows) whose text, cells and ids pass every
+    check is converted in C by one loadtxt call. The first that does not, and
+    every line after it, go through csv and float() row by row; the first bad
+    cell is kept and raised once the whole file's row structure has passed.
     """
     width = len(header) - 1
-    filled, unlabeled = bytearray(len(index or ())), set()
-    keyed = _keyed_rows(path, rows, len(header), what, index, filled, unlabeled)
-    ids: list[str] = []
-    blocks: list[np.ndarray] = []
+    filled, seen = np.zeros(len(index or ()), dtype=bool), set()
+    ids, blocks = [], []
     values = np.empty((len(filled), width))
+
+    def take(lines: list[str]) -> bool:
+        try:
+            block = _plain(lines, width) and np.loadtxt(
+                lines, delimiter=",", comments=None, usecols=range(1, width + 1), ndmin=2)
+        except ValueError:
+            return False
+        if block is None or not np.isfinite(block).all() or (keys := _chunk_keys(
+                [line.partition(",")[0] for line in lines], seen, index, filled)) is None:
+            return False
+        if index is None:
+            ids.extend(keys)
+            blocks.append(block)
+        else:
+            values[keys] = block
+        return True
+
+    rows.send(take)
     problem: FormatError | None = None
-    for keys, lines, cells in _cell_blocks(keyed, width):
+    for line_no, row, key in _keyed_rows(path, rows, len(header), seen, index, filled):
         if problem is None:
             try:
-                block = _float_block(path, header, lines, cells)
+                vector = [_parse_float(path, line_no, column, cell)
+                          for column, cell in zip(header[1:], row[1:])]
             except FormatError as exc:
                 problem = exc
-                continue
-            if index is None:
-                ids += keys
-                blocks.append(block)
-            else:
-                positions = np.array(keys)
-                values[positions[positions >= 0]] = block[positions >= 0]
+        if problem is None and index is None:
+            ids.append(key)
+            blocks.append(np.array([vector]))
+        elif problem is None and key >= 0:  # -1: an id outside the index
+            values[key] = vector
     if problem is not None:
         raise problem
+    if not (seen or filled.any()):
+        raise FormatError(f"{path.name}: no {what} rows")
     if index is None:
         return ids, np.concatenate(blocks)
-    if unlabeled or 0 in filled:
+    if seen or not filled.all():
         missing = [rec_id for rec_id, row in index.items() if not filled[row]]
-        sides = [_unmatched(f"{what} rows without labels", unlabeled),
+        sides = [_unmatched(f"{what} rows without labels", seen),
                  _unmatched(f"labeled recordings without {what}s", missing)]
         if what == "feature":  # a feature mismatch names the labeled side first
             sides.reverse()
@@ -344,8 +350,29 @@ def read_labels(path) -> dict[str, MergedTestSet]:
         warnings.warn(f"{path.name}: ignoring unknown label columns {header[4:]}", stacklevel=2)
     codes: dict[str, int] = {}  # machine name -> code, in order of first appearance
     columns = {split: ([], [], []) for split in SPLITS}  # ids, machine codes, labels
+    seen: set[str] = set()
+
+    def take(lines: list[str]) -> bool:
+        # the C path: each column is a strided slice of one split of the text
+        if (text := _plain(lines, len(header) - 1)) is None:
+            return False
+        cells, width = text.replace("\n", ",").split(","), len(header)
+        ids, machines, truths, splits = (cells[k:len(lines) * width:width] for k in range(4))
+        if ("" in machines or not set(truths).issubset(_TRUTH)
+                or not set(splits).issubset(SPLITS) or _chunk_keys(ids, seen) is None):
+            return False
+        for machine in dict.fromkeys(machines):
+            codes.setdefault(machine, len(codes))
+        for split, (split_ids, machine, anomalous) in columns.items():
+            in_split = list(map(split.__eq__, splits))
+            split_ids += compress(ids, in_split)
+            machine += map(codes.__getitem__, compress(machines, in_split))
+            anomalous += map(_TRUTH.__getitem__, compress(truths, in_split))
+        return True
+
+    rows.send(take)
     problem = None
-    for line_no, row, _ in _keyed_rows(path, rows, len(header), "label"):
+    for line_no, row, _ in _keyed_rows(path, rows, len(header), seen):
         if problem is None and (message := _label_problem(row)):
             problem = f"{path.name}:{line_no}: {message}"
         elif problem is None:
@@ -355,6 +382,9 @@ def read_labels(path) -> dict[str, MergedTestSet]:
             anomalous.append(_TRUTH[row[2]])
     if problem is not None:
         raise FormatError(problem)
+    if not seen:
+        raise FormatError(f"{path.name}: no label rows")
+    seen.clear()  # freed before MergedTestSet sorts the ids
     machines = list(codes)
     return {split: MergedTestSet(ids, machines, machine, anomalous, split)
             for split, (ids, machine, anomalous) in columns.items() if ids}

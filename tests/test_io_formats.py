@@ -2,9 +2,13 @@ import hashlib
 import json
 import os
 import tracemalloc
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import idfree_asd.io as io_module
 from idfree_asd.io import (
@@ -28,9 +32,9 @@ from idfree_asd.io import (
     sweep_csv_text,
     sweep_document,
 )
-from idfree_asd.protocol import EvalConfig, Recording, full_report
+from idfree_asd.protocol import SPLITS, EvalConfig, ProtocolError, Recording, full_report
 from idfree_asd.scorers import ScorerSpec
-from idfree_asd.simulate import SimConfig, SweepPoint, run_point, sweep
+from idfree_asd.simulate import SimConfig, SweepPoint, generate, run_point, sweep
 from tables import label_rows, write_features, write_labels, write_scores
 
 # ---------------------------------------------------------------------------
@@ -153,11 +157,69 @@ def _write_table(kind, path, ids, matrix):
         write_features(path, ids, matrix)
 
 
-def _read_table(kind, path):
+def _read_table(kind, path, index=None):
     if kind == "features":
-        return read_features(path)
-    _, ids, values, _ = read_scores(path)
+        return read_features(path, index)
+    _, ids, values, _ = read_scores(path, index)
     return ids, values
+
+
+def read_paths(monkeypatch):
+    """Record how the reads that follow go: the rows of each chunk converted
+    in C (`c`), the lines of the data rows that csv read (`csv`), and the
+    lines whose cells float() converted (`floats`)."""
+    paths = SimpleNamespace(c=[], csv=[], floats=[])
+    chunk_keys, keyed_rows = io_module._chunk_keys, io_module._keyed_rows
+    parse_float = io_module._parse_float
+
+    def counted_keys(ids, *args):
+        keys = chunk_keys(ids, *args)
+        if keys is not None:
+            paths.c.append(len(ids))
+        return keys
+
+    def counted_rows(*args):
+        for line_no, row, key in keyed_rows(*args):
+            paths.csv.append(line_no)
+            yield line_no, row, key
+
+    def counted_float(path, line_no, column, text):
+        if line_no not in paths.floats:
+            paths.floats.append(line_no)
+        return parse_float(path, line_no, column, text)
+
+    monkeypatch.setattr(io_module, "_chunk_keys", counted_keys)
+    monkeypatch.setattr(io_module, "_keyed_rows", counted_rows)
+    monkeypatch.setattr(io_module, "_parse_float", counted_float)
+    return paths
+
+
+def strict_only(monkeypatch):
+    """Send every chunk of data lines to csv, the path of a file the C path never reads."""
+    monkeypatch.setattr(io_module, "_plain", lambda lines, commas: None)
+
+
+def outcome(read):
+    """What `read()` gives, as comparable values: arrays as their bits, an
+    error as its type and text."""
+    try:
+        result = read()
+    except (FormatError, ProtocolError) as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(result, dict):  # read_labels
+        return [(split, merged.ids, merged.machines, merged.true_machine.tolist(),
+                 merged.is_anomaly.tolist()) for split, merged in result.items()]
+    if isinstance(result, np.ndarray):
+        return result.view(np.uint64).tolist()
+    return [item.view(np.uint64).tolist() if isinstance(item, np.ndarray) else item
+            for item in result]
+
+
+def strict_outcome(monkeypatch, read):
+    """The outcome of `read` with every chunk of data lines sent to csv."""
+    with monkeypatch.context() as patch:
+        strict_only(patch)
+        return outcome(read)
 
 
 @pytest.mark.parametrize("kind", ["scores", "features"])
@@ -166,6 +228,7 @@ def test_clean_table_converts_by_column_without_cell_pass(tmp_path, monkeypatch,
     matrix = np.random.default_rng(1).standard_normal((50, 3))
     path = tmp_path / f"{kind}.csv"
     _write_table(kind, path, ids, matrix)
+    paths = read_paths(monkeypatch)
     calls = []
     original = io_module._parse_float
     monkeypatch.setattr(io_module, "_parse_float",
@@ -173,6 +236,7 @@ def test_clean_table_converts_by_column_without_cell_pass(tmp_path, monkeypatch,
     back_ids, back = _read_table(kind, path)
     assert calls == []
     assert back_ids == ids and np.array_equal(back, matrix)
+    assert paths.c == [50] and paths.csv == []  # one chunk in C; csv never reads a data row
 
 
 @pytest.mark.parametrize("kind", ["scores", "features"])
@@ -205,17 +269,27 @@ def test_random_doubles_roundtrip_bit_for_bit(tmp_path, kind):
 
 
 BLOCK_ROWS = 8
+# every data line of a chunked test table is this long, newline included
+LINE = 16
 
 
-def small_blocks(monkeypatch, width):
-    """Make tables of `width` value columns convert BLOCK_ROWS rows at a time; count the blocks."""
-    monkeypatch.setattr(io_module, "_BLOCK_CELLS", BLOCK_ROWS * width)
-    converted = []
-    original = io_module._float_block
-    monkeypatch.setattr(io_module, "_float_block",
-                        lambda path, header, lines, cells:
-                        converted.append(len(lines)) or original(path, header, lines, cells))
-    return converted
+def _line(length, rec_id, *cells):
+    """A data line of `length` characters with its newline; spaces, which
+    float() and numpy both skip, pad the first value."""
+    pad = " " * (length - 1 - len(",".join([rec_id, *cells])))
+    return ",".join([rec_id, pad + cells[0], *cells[1:]])
+
+
+def small_chunks(monkeypatch, line_length):
+    """Make data lines of `line_length` characters come BLOCK_ROWS to a chunk;
+    record how the reads go, as read_paths does."""
+    monkeypatch.setattr(io_module, "_CHUNK_CHARS", BLOCK_ROWS * line_length - 1)
+    return read_paths(monkeypatch)
+
+
+def _header(kind, width):
+    return ",".join(["recording_id"] + [f"m{j}" if kind == "scores" else f"f_{j}"
+                                        for j in range(width)])
 
 
 @pytest.mark.parametrize("kind", ["scores", "features"])
@@ -226,10 +300,12 @@ def test_blocked_conversion_matches_float_on_each_cell(tmp_path, monkeypatch, ki
     matrix[~np.isfinite(matrix)] = 1.5
     path = tmp_path / f"{kind}.csv"
     ids = [f"r{i}" for i in range(n)]
-    _write_table(kind, path, ids, matrix)
+    # a repr takes at most 24 characters, so every line fits in 90
+    lines = [_line(90, rec_id, *map(repr, row)) for rec_id, row in zip(ids, matrix.tolist())]
+    path.write_text("\n".join([FORMAT_LINE, _header(kind, 3), *lines]) + "\n")
     expected = np.array([[float(cell) for cell in line.split(",")[1:]]
                          for line in path.read_text().splitlines()[2:]])
-    converted = small_blocks(monkeypatch, 3)
+    converted = small_chunks(monkeypatch, 90).c
     back_ids, back = _read_table(kind, path)
     assert converted == [BLOCK_ROWS] * (n // BLOCK_ROWS) + [n % BLOCK_ROWS] * (n % BLOCK_ROWS > 0)
     assert back_ids == ids
@@ -238,39 +314,238 @@ def test_blocked_conversion_matches_float_on_each_cell(tmp_path, monkeypatch, ki
 
 
 def _table_lines(kind, n):
-    header = ["recording_id"] + ([f"m{j}" for j in range(2)] if kind == "scores"
-                                 else [f"f_{j}" for j in range(2)])
-    return [FORMAT_LINE, ",".join(header)] + [f"r{i},{i}.5,{-i}" for i in range(n)]
+    return [FORMAT_LINE, _header(kind, 2)] + [_line(LINE, f"r{i}", f"{i}.5", f"{-i}")
+                                              for i in range(n)]
 
 
 @pytest.mark.parametrize("kind", ["scores", "features"])
 def test_blocked_bad_cell_waits_for_row_structure(tmp_path, monkeypatch, kind):
     # data row i is line i + 3: a bad cell in block 1, a duplicate id in block 3
     lines = _table_lines(kind, 3 * BLOCK_ROWS)
-    lines[2 + 1] = "r1,oops,1"
-    lines[2 + 2 * BLOCK_ROWS + 4] = "r5,1,1"
+    lines[2 + 1] = _line(LINE, "r1", "oops", "1")
+    lines[2 + 2 * BLOCK_ROWS + 4] = _line(LINE, "r5", "1", "1")
     path = tmp_path / f"{kind}.csv"
     path.write_text("\n".join(lines) + "\n")
-    small_blocks(monkeypatch, 2)
+    paths = small_chunks(monkeypatch, LINE)
     with pytest.raises(FormatError) as err:
         _read_table(kind, path)
     assert str(err.value) == (f"{path.name}:{2 * BLOCK_ROWS + 7}: "
                               f"duplicate recording id 'r5'")
+    # block 1 goes to csv, which converts up to the bad cell and checks rows to the duplicate
+    assert paths.c == [] and paths.floats == [3, 4]
+    assert paths.csv == list(range(3, 2 * BLOCK_ROWS + 7))
 
 
 @pytest.mark.parametrize("kind", ["scores", "features"])
 def test_blocked_first_bad_block_names_its_cell(tmp_path, monkeypatch, kind):
     lines = _table_lines(kind, 3 * BLOCK_ROWS)
-    lines[2 + BLOCK_ROWS + 3] = f"r{BLOCK_ROWS + 3},1,nan"
-    lines[2 + 2 * BLOCK_ROWS] = f"r{2 * BLOCK_ROWS},oops,1"
+    lines[2 + BLOCK_ROWS + 3] = _line(LINE, f"r{BLOCK_ROWS + 3}", "1", "nan")
+    lines[2 + 2 * BLOCK_ROWS] = _line(LINE, f"r{2 * BLOCK_ROWS}", "oops", "1")
     path = tmp_path / f"{kind}.csv"
     path.write_text("\n".join(lines) + "\n")
-    converted = small_blocks(monkeypatch, 2)
+    converted = small_chunks(monkeypatch, LINE)
     with pytest.raises(FormatError) as err:
         _read_table(kind, path)
     column = "m1" if kind == "scores" else "f_1"
     assert str(err.value) == f"{path.name}:{BLOCK_ROWS + 6}: {column} value 'nan' is not finite"
-    assert converted == [BLOCK_ROWS, BLOCK_ROWS]  # block 3 is not converted
+    # block 1 is converted in C, block 2 by float() up to its bad cell, block 3 is not converted
+    assert converted.c == [BLOCK_ROWS]
+    assert converted.floats == list(range(BLOCK_ROWS + 3, BLOCK_ROWS + 7))
+    assert converted.csv == list(range(BLOCK_ROWS + 3, 3 * BLOCK_ROWS + 3))
+
+
+def _chunked_lines(kind, n):
+    """A table of n data rows of LINE characters each, ids r000, r001, ..."""
+    if kind == "labels":
+        # machine and split names of 7 characters together keep the lines even
+        rows = [f"r{i:03d},{'fan,' if i % 2 else 'pump,'}{i // 2 % 2},{'eval' if i % 2 else 'dev'}"
+                for i in range(n)]
+        return [FORMAT_LINE, "recording_id,true_machine,is_anomaly,split", *rows]
+    return [FORMAT_LINE, _header(kind, 2),
+            *(_line(LINE, f"r{i:03d}", f"{i}.5", f"{-i}") for i in range(n))]
+
+
+def _with_id(line, rec_id):
+    return rec_id + line[line.index(","):]
+
+
+def _with_cell(line, column, text):
+    cells = line.split(",")
+    cells[column] = text
+    return ",".join(cells)
+
+
+# data row 2 * BLOCK_ROWS + 2 (line 2 * BLOCK_ROWS + 5) lies in the third
+# chunk; each fault gives the lines that stand in for it
+FAULT_ROW = 2 + 2 * BLOCK_ROWS + 2
+FAULTS = {
+    "field count": lambda line: [line + ",1"],
+    "empty id": lambda line: [_with_id(line, "")],
+    "duplicate in chunk": lambda line: [_with_id(line, f"r{2 * BLOCK_ROWS + 1:03d}")],
+    "duplicate across chunks": lambda line: [_with_id(line, "r003")],
+    "unlabeled id": lambda line: [_with_id(line, "x018")],
+    "bad cell": lambda line: [_with_cell(line, 2, "oops")],
+    "non-finite cell": lambda line: [_with_cell(line, 2, "-inf")],
+    "bad label": lambda line: [_with_cell(line, 3, "test")],
+    "blank line": lambda line: ["", line],
+    "whitespace-only line": lambda line: ["  ", line],
+    "quoted newline": lambda line: [_with_id(line, '"r0\n18"')],
+    "CRLF from mid-file": None,
+}
+# the error text of each fault; the others read
+MESSAGES = {
+    "field count": "{name}:21: expected {width} fields, got {wider}",
+    "empty id": "{name}:21: empty recording id",
+    "duplicate in chunk": "{name}:21: duplicate recording id 'r017'",
+    "duplicate across chunks": "{name}:21: duplicate recording id 'r003'",
+    "bad cell": "{name}:21: m1 value 'oops' is not a number",
+    "non-finite cell": "{name}:21: m1 value '-inf' is not finite",
+    "bad label": "{name}:21: recording 'r018': unknown split 'test'",
+    "whitespace-only line": "{name}:21: expected {width} fields, got 1",
+}
+TABLES = [("scores", False), ("scores", True), ("features", False), ("features", True),
+          ("labels", False)]
+
+
+def _applies(fault, kind, labeled):
+    if fault == "unlabeled id":
+        return labeled
+    if fault in ("bad cell", "non-finite cell"):
+        return kind != "labels"
+    return fault != "bad label" or kind == "labels"
+
+
+@pytest.mark.parametrize("kind, labeled, fault", [
+    (kind, labeled, fault) for kind, labeled in TABLES for fault in FAULTS
+    if _applies(fault, kind, labeled)])
+def test_fault_in_the_third_chunk_reads_as_csv_reads_it(tmp_path, monkeypatch, kind, labeled,
+                                                        fault):
+    lines = _chunked_lines(kind, 4 * BLOCK_ROWS)
+    path = tmp_path / f"{kind}.csv"
+    if FAULTS[fault] is None:  # CRLF line ends from the faulty row on
+        path.write_bytes(("\n".join(lines[:FAULT_ROW]) + "\n"
+                          + "\r\n".join(lines[FAULT_ROW:]) + "\r\n").encode())
+    else:
+        lines[FAULT_ROW:FAULT_ROW + 1] = FAULTS[fault](lines[FAULT_ROW])
+        path.write_text("\n".join(lines) + "\n")
+    index = {f"r{i:03d}": i for i in range(4 * BLOCK_ROWS)} if labeled else None
+
+    def read():
+        return read_labels(path) if kind == "labels" else _read_table(kind, path, index)
+
+    paths = small_chunks(monkeypatch, LINE)
+    chunked = outcome(read)
+    # the first two chunks are converted in C, and csv reads on from the third
+    assert paths.c == [BLOCK_ROWS, BLOCK_ROWS]
+    assert paths.csv[0] == 2 * BLOCK_ROWS + 3
+    assert chunked == strict_outcome(monkeypatch, read)
+    width = 4 if kind == "labels" else 3
+    column = "m1" if kind == "scores" else "f_1"
+    if fault in MESSAGES:
+        message = MESSAGES[fault].replace("m1", column)
+        assert chunked == ("FormatError", message.format(name=path.name, width=width,
+                                                         wider=width + 1))
+    elif fault == "unlabeled id" or fault == "quoted newline" and labeled:
+        rec_id = "x018" if fault == "unlabeled id" else "r0\n18"
+        sides = [f"1 {kind[:-1]} rows without labels [{rec_id!r}]",
+                 f"1 labeled recordings without {kind} ['r018']"]
+        sides = sides if kind == "scores" else sides[::-1]
+        assert chunked == ("ProtocolError",
+                           f"{kind}/labels cross-reference mismatch: {sides[0]}, {sides[1]}")
+    else:  # the rows read as those of the table without the fault
+        if fault == "quoted newline":
+            ids = [rec_id for split in chunked for rec_id in split[1]] if kind == "labels" \
+                else chunked[0]
+            assert "r0\n18" in ids and "r018" not in ids
+        else:
+            path.write_text("\n".join(_chunked_lines(kind, 4 * BLOCK_ROWS)) + "\n")
+            assert chunked == outcome(read)
+
+
+# the cell around which _CELLS pads characters that may sit next to a number
+_CELLS = st.one_of(
+    st.text(alphabet="0123456789+-.eE_", max_size=12),
+    st.sampled_from(["nan", "NaN", "-nan", "inf", "-inf", "+Infinity", "infinity", "1e400",
+                     "-1e-400", "0x10", "1d5"]),
+    st.floats().map(repr),
+    st.integers(0, 10**17 - 1).map(lambda m: f"0.{m:017d}"),
+)
+# csv syntax (comma, quote, line ends) is left out: it changes the table, not the cell
+_PADDING = st.text(alphabet=st.characters(min_codepoint=0, max_codepoint=0x3000,
+                                          blacklist_characters=',"\n\r'), max_size=3)
+
+
+@given(_PADDING, _CELLS, _PADDING)
+@example("\x1c", "1", "")
+@example("", "1", "\x1c")
+@example("", "1e1_0", "")
+@example("\x00", "1", "")
+@example("\u3000", "1", "\xa0")
+def test_a_cell_reads_as_float_reads_it(tmp_path_factory, before, cell, after):
+    text = before + cell + after
+    path = tmp_path_factory.mktemp("cell") / "scores.csv"
+    path.write_text(f"{FORMAT_LINE}\nrecording_id,fan\nr1,{text}\n", encoding="utf-8")
+    chunked = outcome(lambda: read_scores(path)[2])
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert chunked == strict_outcome(monkeypatch, lambda: read_scores(path)[2])
+    if isinstance(chunked, list):
+        assert chunked == [[np.float64(float(text)).view(np.uint64)]]
+
+
+@pytest.mark.parametrize("rec_id, cell, result", [
+    ("r016", "\x1c1", "fan value '\\x1c1' is not a number"),
+    ("r016", "1\x1c", "fan value '1\\x1c' is not a number"),
+    ("r016", "1e1_0", 1e10),
+    ("r016", "\uff11\uff12", 12.0),
+    ("r" * 200_000, "1", "field larger than field limit (131072)"),
+], ids=["separator-before", "separator-after", "underscore", "fullwidth", "long-id"])
+def test_cells_the_gate_sends_to_csv_read_as_float_reads_them(tmp_path, monkeypatch, rec_id,
+                                                              cell, result):
+    # the row is the first of the third chunk; loadtxt reads the first two cells
+    # as 1.0 and turns down the rest, which float() (or csv) reads
+    lines = [FORMAT_LINE, "recording_id,fan",
+             *(_line(LINE, f"r{i:03d}", f"{i}.5") for i in range(4 * BLOCK_ROWS))]
+    lines[2 + 2 * BLOCK_ROWS] = f"{rec_id},{cell}"
+    path = tmp_path / "scores.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    paths = small_chunks(monkeypatch, LINE)
+    chunked = outcome(lambda: read_scores(path)[2][2 * BLOCK_ROWS])
+    # csv reads on from the row; one too long fails there, before the row checks
+    assert paths.c == [BLOCK_ROWS, BLOCK_ROWS]
+    assert paths.csv[:1] == ([2 * BLOCK_ROWS + 3] if rec_id == "r016" else [])
+    assert chunked == strict_outcome(monkeypatch, lambda: read_scores(path)[2][2 * BLOCK_ROWS])
+    if isinstance(result, str):
+        assert chunked == ("FormatError", f"scores.csv:19: {result}")
+    else:
+        assert chunked == [np.float64(result).view(np.uint64)]
+
+
+def test_fixtures_read_the_same_through_c_and_csv(tmp_path, monkeypatch):
+    golden = Path(__file__).parent / "data" / "golden"
+    labels = golden / "labels.csv"
+    references, merged = generate(SimConfig(k=2, d=3, n_ref=6, n_norm=8, n_anom=4, seed=9))
+    write_features(tmp_path / "features.csv", merged.ids, merged.features)
+    write_features(tmp_path / "reference.csv", [f"ref{i}" for i in range(6)],
+                   next(iter(references.values())).vectors)
+    write_labels(tmp_path / "labels.csv", merged.recordings)
+    feature_index = {rec_id: i for i, rec_id in enumerate(merged.ids)}
+    labeled = sorted(rec_id for split in read_labels(labels).values() for rec_id in split.ids)
+    score_index = {rec_id: i for i, rec_id in enumerate(labeled)}
+    reads = [
+        lambda: read_scores(golden / "scores.csv"),
+        lambda: read_scores(golden / "scores.csv", score_index),
+        lambda: read_labels(labels),
+        lambda: read_labels(tmp_path / "labels.csv"),
+        lambda: read_features(tmp_path / "features.csv"),
+        lambda: read_features(tmp_path / "features.csv", feature_index),
+        lambda: read_features(tmp_path / "reference.csv"),
+    ]
+    paths = read_paths(monkeypatch)
+    chunked = [outcome(read) for read in reads]
+    assert len(paths.c) == len(reads) and paths.csv == []  # the C path read every fixture
+    assert chunked == [strict_outcome(monkeypatch, read) for read in reads]
+    assert len(paths.c) == len(reads) and len(paths.csv) > len(reads)  # and csv every one
+    assert not any(result[0] in ("FormatError", "ProtocolError") for result in chunked)
 
 
 def test_read_scores_memory_is_bounded_by_the_block(tmp_path):
@@ -288,6 +563,24 @@ def test_read_scores_memory_is_bounded_by_the_block(tmp_path):
         tracemalloc.stop()
     assert np.array_equal(back, matrix)
     assert peak < 16_000_000
+
+
+def test_read_labels_memory_is_bounded_by_the_chunk(tmp_path):
+    # the kept columns of 50,000 rows peak at ~6.4 MB: the ids (2.7 MB), the
+    # id set (2.1 MB) and three lists of 50,000 entries; a 128 KiB chunk's
+    # lines, text and cells add ~2.2 MB, where 1 MiB chunks took the peak to
+    # 19.5 MB
+    path = tmp_path / "labels.csv"
+    write_labels(path, [Recording(f"r{i}", f"m{i % 10}", i % 4 == 0, SPLITS[i % 2])
+                        for i in range(50_000)])
+    tracemalloc.start()
+    try:
+        sets = read_labels(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [len(merged.ids) for merged in sets.values()] == [25_000, 25_000]
+    assert peak < 10_000_000
 
 
 @pytest.mark.parametrize("odd_id", ["a\x0cb", "a\x1cb", "a\x1db", "a\x1eb", "a\x85b",
