@@ -64,8 +64,9 @@ _TRUTH = {"0": False, "1": True, "false": False, "true": True}
 # data lines are read about this many characters at a time, so a table's
 # text is never held whole
 _CHUNK_CHARS = 2**17
-# a chunk holding one of these goes to csv: quote and CR have csv meanings,
-# and numpy reads \x1c-\x1f around a number as white space, float() does not
+# a chunk holding one of these goes to csv: quote and a CR outside CRLF have
+# csv meanings, and numpy reads \x1c-\x1f around a number as white space,
+# float() does not
 _STRICT_CHARS = '"\r\x1c\x1d\x1e\x1f'
 # a cross-reference error names at most this many ids per side, so a file
 # that matches nothing still gives a short message
@@ -120,9 +121,11 @@ def _rows(path: Path, comments: list[tuple[int, str]] | None = None) -> Generato
 
 
 def _plain(lines: list[str], commas: int) -> str | None:
-    # the text of data lines that the C path reads as csv does, else None: ASCII
+    # the LF text of data lines that the C path reads as csv does, else None: ASCII
     # without _STRICT_CHARS, no line past csv's field limit, `commas` commas a line
     text = "".join(lines)
+    if "\r" in text:  # a CR that is left is not part of a CRLF line end
+        text = text.replace("\r\n", "\n")
     plain = (text.isascii() and not any(map(text.__contains__, _STRICT_CHARS))
              and max(map(len, lines)) <= csv.field_size_limit()
              and list(map(str.count, lines, repeat(","))).count(commas) == len(lines))

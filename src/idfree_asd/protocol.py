@@ -10,9 +10,11 @@ once and scores each machine's slice in both modes.
 
 from __future__ import annotations
 
+import operator
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -104,7 +106,9 @@ class MergedTestSet:
 
     Row i is recording `ids[i]`, its hidden `true_machine` code into
     `machines`, its `is_anomaly` label and optionally `features[i]`. The rows
-    are sorted by id on construction, so downstream runs are reproducible.
+    are sorted by id on construction, so downstream runs are reproducible;
+    input already in strictly increasing id order is kept (arrays of the stored
+    dtype are not copied), so a caller that later mutates it should pass a copy.
     Scoring code consumes ids and features, evaluation code the labels.
     """
 
@@ -124,10 +128,13 @@ class MergedTestSet:
             raise ProtocolError(f"need {len(self.ids)} feature rows, got {np.shape(self.features)}")
         if self.split not in SPLITS:
             raise ProtocolError(f"unknown split {self.split!r}")
-        order = sorted(range(len(self.ids)), key=self.ids.__getitem__)
-        self.ids = [self.ids[i] for i in order]
-        if any(a == b for a, b in zip(self.ids, self.ids[1:])):
-            raise ProtocolError("duplicate recording ids in merged test set")
+        ids = self.ids = self.ids if isinstance(self.ids, list) else list(self.ids)
+        order = slice(None)  # strictly increasing ids are sorted and unique: kept as given
+        if not all(map(operator.lt, ids, islice(ids, 1, None))):
+            order = sorted(range(len(ids)), key=ids.__getitem__)
+            self.ids = [ids[i] for i in order]
+            if any(a == b for a, b in zip(self.ids, self.ids[1:])):
+                raise ProtocolError("duplicate recording ids in merged test set")
         codes, labels = np.asarray(self.true_machine), np.asarray(self.is_anomaly)
         if codes.dtype.kind not in "iu":
             raise ProtocolError(f"true machine codes must be integers, got {codes.dtype}")
@@ -136,7 +143,7 @@ class MergedTestSet:
             raise ProtocolError(f"true machine codes must lie in [0, {len(self.machines)})")
         if labels.dtype.kind not in "biu" or not ((labels == 0) | (labels == 1)).all():
             raise ProtocolError("anomaly labels must be booleans or 0/1")
-        self.is_anomaly = labels.astype(bool)[order]
+        self.is_anomaly = labels.astype(bool, copy=False)[order]
         if self.features is not None:
             self.features = np.asarray(self.features, dtype=float)[order]
 

@@ -126,38 +126,43 @@ def generate(config: SimConfig) -> tuple[dict[str, ReferenceSet], MergedTestSet]
     Each machine consumes its own child random stream, so adding machines
     never perturbs the samples of existing ones. Anomalies are placed at
     anomaly_offset along a uniform random direction before cluster noise.
+    Each drawn block is written straight to its rows of one (n, d) array in
+    id order, so the test set gets its columns already sorted.
     """
     centers = simplex_centers(config.k, config.d, config.separation)
     children = np.random.SeedSequence(config.seed).spawn(config.k)
+    # draws run machine by machine, normals first; rows[m, j] is the id-order
+    # row of machine m's j-th drawn test vector
+    ids = [f"{_machine_name(index)}-{kind}{j:04d}" for index in range(config.k)
+           for kind, count in (("n", config.n_norm), ("a", config.n_anom)) for j in range(count)]
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    ids, order = [ids[i] for i in order], np.array(order)
+    per_machine = config.n_norm + config.n_anom
+    rows = np.argsort(order).reshape(config.k, per_machine)
+    features = np.empty((len(ids), config.d))
     references: dict[str, ReferenceSet] = {}
-    ids: list[str] = []
-    blocks: list[np.ndarray] = []
     for index in range(config.k):
         machine = _machine_name(index)
         rng = np.random.default_rng(children[index])
         center = centers[index]
+        normals, anomalies = rows[index, :config.n_norm], rows[index, config.n_norm:]
         refs = center + config.spread * rng.standard_normal((config.n_ref, config.d))
-        normals = center + config.spread * rng.standard_normal((config.n_norm, config.d))
+        features[normals] = center + config.spread * rng.standard_normal((config.n_norm, config.d))
         directions = rng.standard_normal((config.n_anom, config.d))
         norms = np.linalg.norm(directions, axis=1, keepdims=True)
         directions /= np.where(norms == 0.0, 1.0, norms)
-        anomalies = (
+        features[anomalies] = (
             center
             + config.anomaly_offset * directions
             + config.spread * rng.standard_normal((config.n_anom, config.d))
         )
         references[machine] = ReferenceSet(machine, refs)
-        ids += [f"{machine}-n{j:04d}" for j in range(config.n_norm)]
-        ids += [f"{machine}-a{j:04d}" for j in range(config.n_anom)]
-        blocks += [normals, anomalies]
-    # rows run machine by machine, normals first
-    per_machine = config.n_norm + config.n_anom
     merged = MergedTestSet(
         ids,
         list(references),
-        np.arange(len(ids)) // per_machine,
-        np.tile(np.arange(per_machine) >= config.n_norm, config.k),
-        features=np.concatenate(blocks),
+        order // per_machine,
+        order % per_machine >= config.n_norm,
+        features=features,
     )
     return references, merged
 

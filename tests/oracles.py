@@ -168,3 +168,30 @@ def k_nearest_indices(x, vectors, k, exclude=None):
     distance, lower index first; the vector at index `exclude` is skipped."""
     ranked = sorted((euclidean(x, v), j) for j, v in enumerate(vectors) if j != exclude)
     return [j for _, j in ranked[:k]]
+
+
+def generate_oracle(config, centers):
+    """The test set and references of `simulate.generate`, drawn machine by
+    machine into separate blocks as the generator's streams run, then put in
+    id order by Python's `sorted`: (ids, true machine codes, anomaly flags,
+    (n, d) features, {machine: reference vectors})."""
+    children = np.random.SeedSequence(config.seed).spawn(config.k)
+    rows, references = [], {}
+    for index in range(config.k):
+        machine = f"machine{index + 1:02d}"
+        rng = np.random.default_rng(children[index])
+        center = centers[index]
+        references[machine] = center + config.spread * rng.standard_normal(
+            (config.n_ref, config.d))
+        normals = center + config.spread * rng.standard_normal((config.n_norm, config.d))
+        directions = rng.standard_normal((config.n_anom, config.d))
+        norms = np.linalg.norm(directions, axis=1, keepdims=True)
+        directions /= np.where(norms == 0.0, 1.0, norms)
+        anomalies = (center + config.anomaly_offset * directions
+                     + config.spread * rng.standard_normal((config.n_anom, config.d)))
+        rows += [(f"{machine}-n{j:04d}", index, False, normals[j]) for j in range(config.n_norm)]
+        rows += [(f"{machine}-a{j:04d}", index, True, anomalies[j]) for j in range(config.n_anom)]
+    rows = sorted(rows, key=lambda row: row[0])
+    features = np.array([row[3] for row in rows]).reshape(len(rows), config.d)
+    return ([row[0] for row in rows], [row[1] for row in rows], [row[2] for row in rows],
+            features, references)

@@ -829,6 +829,17 @@ def test_simulate_writes_report_and_scatter_row(tmp_path, capsys):
     assert row[0] == "50.0" and float(row[4]) == 0.0
 
 
+def test_simulate_reproduces_the_frozen_wide_id_point(tmp_path, capsys):
+    # 10,050 normals per machine: the 5-digit ids sort away from draw order
+    out_path = tmp_path / "simulate-wide-ids.json"
+    code, _, _ = run(capsys, "simulate", "--k", "3", "--d", "4", "--n-ref", "16",
+                     "--n-norm", "10050", "--n-anom", "40", "--seed", "7",
+                     "--separation", "5", "--out", str(out_path))
+    assert code == EXIT_OK
+    for name in ("simulate-wide-ids.json", "simulate-wide-ids.csv"):
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
+
+
 def test_simulate_writes_svg_when_asked(tmp_path, capsys):
     out_path = tmp_path / "sim.json"
     svg_path = tmp_path / "scatter.svg"

@@ -391,7 +391,10 @@ FAULTS = {
     "whitespace-only line": lambda line: ["  ", line],
     "quoted newline": lambda line: [_with_id(line, '"r0\n18"')],
     "CRLF from mid-file": None,
+    "CR from mid-file": None,
 }
+# the line end that a fault of None writes from the faulty row on
+LINE_ENDS = {"CRLF from mid-file": "\r\n", "CR from mid-file": "\r"}
 # the error text of each fault; the others read
 MESSAGES = {
     "field count": "{name}:21: expected {width} fields, got {wider}",
@@ -422,9 +425,10 @@ def test_fault_in_the_third_chunk_reads_as_csv_reads_it(tmp_path, monkeypatch, k
                                                         fault):
     lines = _chunked_lines(kind, 4 * BLOCK_ROWS)
     path = tmp_path / f"{kind}.csv"
-    if FAULTS[fault] is None:  # CRLF line ends from the faulty row on
+    if FAULTS[fault] is None:  # other line ends from the faulty row on
+        end = LINE_ENDS[fault]
         path.write_bytes(("\n".join(lines[:FAULT_ROW]) + "\n"
-                          + "\r\n".join(lines[FAULT_ROW:]) + "\r\n").encode())
+                          + end.join(lines[FAULT_ROW:]) + end).encode())
     else:
         lines[FAULT_ROW:FAULT_ROW + 1] = FAULTS[fault](lines[FAULT_ROW])
         path.write_text("\n".join(lines) + "\n")
@@ -435,9 +439,11 @@ def test_fault_in_the_third_chunk_reads_as_csv_reads_it(tmp_path, monkeypatch, k
 
     paths = small_chunks(monkeypatch, LINE)
     chunked = outcome(read)
-    # the first two chunks are converted in C, and csv reads on from the third
-    assert paths.c == [BLOCK_ROWS, BLOCK_ROWS]
-    assert paths.csv[0] == 2 * BLOCK_ROWS + 3
+    if fault == "CRLF from mid-file":  # CR inside CRLF passes the gate
+        assert paths.c == [BLOCK_ROWS] * 4 and paths.csv == []
+    else:  # the first two chunks are converted in C, and csv reads on from the third
+        assert paths.c == [BLOCK_ROWS, BLOCK_ROWS]
+        assert paths.csv[0] == 2 * BLOCK_ROWS + 3
     assert chunked == strict_outcome(monkeypatch, read)
     width = 4 if kind == "labels" else 3
     column = "m1" if kind == "scores" else "f_1"
@@ -460,6 +466,24 @@ def test_fault_in_the_third_chunk_reads_as_csv_reads_it(tmp_path, monkeypatch, k
         else:
             path.write_text("\n".join(_chunked_lines(kind, 4 * BLOCK_ROWS)) + "\n")
             assert chunked == outcome(read)
+
+
+@pytest.mark.parametrize("kind, labeled", TABLES)
+def test_crlf_table_reads_as_its_lf_original_in_c(tmp_path, monkeypatch, kind, labeled):
+    # a lone CR still goes to csv: see "CR from mid-file" above
+    lines = _chunked_lines(kind, 4 * BLOCK_ROWS)
+    lf, crlf = tmp_path / f"lf-{kind}.csv", tmp_path / f"crlf-{kind}.csv"
+    lf.write_text("\n".join(lines) + "\n")
+    crlf.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+    index = {f"r{i:03d}": i for i in range(4 * BLOCK_ROWS)} if labeled else None
+
+    def read(path):
+        return read_labels(path) if kind == "labels" else _read_table(kind, path, index)
+
+    expected = outcome(lambda: read(lf))
+    paths = small_chunks(monkeypatch, LINE)
+    assert outcome(lambda: read(crlf)) == expected
+    assert paths.c == [BLOCK_ROWS] * 4 and paths.csv == [] and paths.floats == []
 
 
 # the cell around which _CELLS pads characters that may sit next to a number

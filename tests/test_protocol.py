@@ -180,6 +180,40 @@ def test_merged_set_rejects_features_of_the_wrong_length(rows):
         MergedTestSet(["a", "b"], ["fan"], [0, 0], [False, True], features=np.zeros((rows, 2)))
 
 
+def test_merged_set_keeps_columns_already_in_id_order():
+    ids = [f"r{j:02d}" for j in range(12)]
+    codes = np.arange(12) % 3
+    labels = np.arange(12) % 4 == 0
+    features = np.random.default_rng(5).standard_normal((12, 3))
+    merged = MergedTestSet(ids, ["a", "b", "c"], codes, labels, features=features)
+    assert merged.ids is ids
+    assert np.shares_memory(merged.features, features)
+    assert np.shares_memory(merged.true_machine, codes)
+    assert np.shares_memory(merged.is_anomaly, labels)
+
+
+def test_merged_set_sorts_shuffled_ids_into_copies():
+    rng = np.random.default_rng(6)
+    n = 40
+    ids = [f"r{j}" for j in rng.permutation(n)]  # r10 sorts before r2
+    codes = rng.integers(0, 3, size=n)
+    labels = rng.random(n) < 0.3
+    features = rng.standard_normal((n, 2))
+    merged = MergedTestSet(ids, ["a", "b", "c"], codes, labels, features=features)
+    rows = sorted(range(n), key=lambda i: ids[i])
+    assert merged.ids == [ids[i] for i in rows]
+    assert merged.true_machine.tolist() == [int(codes[i]) for i in rows]
+    assert merged.is_anomaly.tolist() == [bool(labels[i]) for i in rows]
+    assert merged.features.tobytes() == np.array([features[i] for i in rows]).tobytes()
+    assert not np.shares_memory(merged.features, features)
+
+
+@pytest.mark.parametrize("ids", [["a", "a", "b"], ["b", "a", "b"]], ids=["sorted", "shuffled"])
+def test_merged_set_rejects_duplicate_ids(ids):
+    with pytest.raises(ProtocolError, match="^duplicate recording ids in merged test set$"):
+        MergedTestSet(ids, ["fan"], [0, 0, 0], [False, True, False])
+
+
 # ---------------------------------------------------------------------------
 # score matrix
 

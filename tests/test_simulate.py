@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from idfree_asd.simulate import (
     simplex_centers,
     sweep,
 )
+from oracles import generate_oracle
 
 # ---------------------------------------------------------------------------
 # geometry
@@ -158,6 +160,43 @@ def test_adding_machines_keeps_existing_streams():
         )
     for rec_id, feats in features_small.items():
         assert np.array_equal(feats, features_large[rec_id])
+
+
+# n_norm >= 10,000 gives 5-digit ids, which sort away from draw order
+@pytest.mark.parametrize("config", [
+    SimConfig(k=1, d=3, n_ref=4, n_norm=9, n_anom=5, seed=3),
+    SimConfig(),
+    SimConfig(k=3, d=2, n_ref=4, n_norm=10_050, n_anom=12, seed=8),
+], ids=["k1", "default", "wide-ids"])
+def test_generate_matches_the_per_machine_oracle(config):
+    references, merged = generate(config)
+    ids, codes, labels, features, oracle_refs = generate_oracle(
+        config, simplex_centers(config.k, config.d, config.separation))
+    assert merged.ids == ids
+    assert merged.true_machine.tolist() == codes
+    assert merged.is_anomaly.tolist() == labels
+    assert merged.features.dtype == np.float64
+    assert merged.features.tobytes() == features.tobytes()
+    assert list(references) == list(oracle_refs)
+    for machine, vectors in oracle_refs.items():
+        assert references[machine].vectors.tobytes() == vectors.tobytes()
+    if config.n_norm >= 10_000:
+        assert ids.index("machine01-n10000") < ids.index("machine01-n1001")
+
+
+def test_generate_memory_holds_one_copy_of_the_features():
+    # the knn-point benchmark config: the features (14.6 MiB) land in one
+    # array in id order; per-machine blocks, their concatenation and a gather
+    # into id order would hold them three times over
+    config = SimConfig(k=4, d=64, n_ref=2000, n_norm=5625, n_anom=1875, seed=2)
+    tracemalloc.start()
+    try:
+        references, merged = generate(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    limit = 2 * merged.features.nbytes + sum(ref.vectors.nbytes for ref in references.values())
+    assert peak < limit
 
 
 def test_generate_rejects_impossible_geometry():
