@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 from dataclasses import fields
-from itertools import chain, count
 from pathlib import Path
 
 import numpy as np
@@ -81,12 +80,6 @@ def _resolve_orientation(flag: str | None, header: str | None) -> bool:
     return True
 
 
-def _label_index(test_sets) -> dict[str, int]:
-    # the one id join of a run: a table read with it puts each id's row at its
-    # place among the labeled ids, split by split; it lives only for the read
-    return dict(zip(chain.from_iterable(merged.ids for merged in test_sets.values()), count()))
-
-
 def _scatter_path(out: str) -> Path:
     return Path(out).with_suffix(".csv")
 
@@ -118,7 +111,7 @@ def _cmd_evaluate(args) -> int:
 
     if args.scores is not None:
         machines, _, values, header_orientation = formats.read_scores(
-            args.scores, _label_index(test_sets))
+            args.scores, test_sets.order)
         higher = _resolve_orientation(args.higher_is_anomalous, header_orientation)
         if not higher:
             np.negative(values, out=values)
@@ -129,7 +122,7 @@ def _cmd_evaluate(args) -> int:
     else:
         higher = True
         manifest = formats.read_manifest(args.manifest)
-        ids, vectors = formats.read_features(manifest.features, _label_index(test_sets))
+        ids, vectors = formats.read_features(manifest.features, test_sets.order)
         specs = {}
         for machine in sorted(manifest.references):
             _, ref_vectors = formats.read_features(manifest.references[machine])

@@ -17,7 +17,7 @@ import tempfile
 import warnings
 from dataclasses import asdict, dataclass, fields
 from io import StringIO
-from itertools import chain, compress, repeat
+from itertools import chain, compress, count, islice, repeat
 from pathlib import Path
 from typing import Collection, Generator, Iterable, Iterator, Mapping, Sequence
 
@@ -121,14 +121,14 @@ def _rows(path: Path, comments: list[tuple[int, str]] | None = None) -> Generato
 
 
 def _plain(lines: list[str], commas: int) -> str | None:
-    # the LF text of data lines that the C path reads as csv does, else None: ASCII
-    # without _STRICT_CHARS, no line past csv's field limit, `commas` commas a line
+    # the LF text of data lines the C path reads as csv does, else None: ASCII without
+    # _STRICT_CHARS, no line past csv's field limit, `commas` commas a line in all
     text = "".join(lines)
     if "\r" in text:  # a CR that is left is not part of a CRLF line end
         text = text.replace("\r\n", "\n")
     plain = (text.isascii() and not any(map(text.__contains__, _STRICT_CHARS))
              and max(map(len, lines)) <= csv.field_size_limit()
-             and list(map(str.count, lines, repeat(","))).count(commas) == len(lines))
+             and text.count(",") == commas * len(lines))
     return text if plain else None
 
 
@@ -218,14 +218,33 @@ def _unmatched(description: str, ids: Collection[str]) -> str:
     return f"{len(ids)} {description} {listed}{more}"
 
 
+class _LabelOrder(list):
+    """read_labels' ids as an index: split by split in SPLITS order, each in id order.
+    ``ids`` lists them in label-file order and ``rows[i]`` is the index row of ``ids[i]``."""
+
+    ids: list[str]
+    rows: np.ndarray
+
+    def aligned(self, start: int, ids: list[str]) -> np.ndarray | None:
+        """The index rows of ``ids`` if they are the label file's ids from row ``start`` on."""
+        stop = start + len(ids)
+        return self.rows[start:stop] if self.ids[start:stop] == ids else None
+
+    def lookup(self) -> dict[str, int]:
+        return dict(zip(self, count()))
+
+
 def _float_rows(path: Path, rows: Generator, header: list[str], what: str,
-                index: Mapping[str, int] | None = None) -> tuple[list[str], np.ndarray]:
+                index: Mapping[str, int] | _LabelOrder | None = None
+                ) -> tuple[list[str], np.ndarray]:
     """Ids, and every cell after the id as an (n, d) array, of keyed data rows.
 
     With an ``index`` that maps the i-th of n ids to i, each row's cells land
     at its id's row of a preallocated array, and an id on one side only
     raises a ProtocolError once the whole file has passed; else rows keep
-    file order.
+    file order. A _LabelOrder index places chunks that go on in label-file
+    order by slices of its rows; the first chunk that does not, every chunk
+    after it and every csv row look ids up in its dict, built at that point.
 
     A chunk of data lines (see _rows) whose text, cells and ids pass every
     check is converted in C by one loadtxt call. The first that does not, and
@@ -236,15 +255,30 @@ def _float_rows(path: Path, rows: Generator, header: list[str], what: str,
     filled, seen = np.zeros(len(index or ()), dtype=bool), set()
     ids, blocks = [], []
     values = np.empty((len(filled), width))
+    # the file rows of a _LabelOrder the chunks have followed; None once they leave it
+    start = 0 if isinstance(index, _LabelOrder) else None
+
+    def lookup() -> Mapping[str, int] | None:  # the index as a dict from here on
+        nonlocal index, start
+        index, start = index if start is None else index.lookup(), None
+        return index
 
     def take(lines: list[str]) -> bool:
+        nonlocal start
         try:
             block = _plain(lines, width) and np.loadtxt(
                 lines, delimiter=",", comments=None, usecols=range(1, width + 1), ndmin=2)
         except ValueError:
             return False
-        if block is None or not np.isfinite(block).all() or (keys := _chunk_keys(
-                [line.partition(",")[0] for line in lines], seen, index, filled)) is None:
+        # loadtxt turns down a line short of cells and skips a blank one, so a
+        # row for every line and _plain's comma total give each line its commas
+        if block is None or len(block) < len(lines) or not np.isfinite(block).all():
+            return False
+        chunk = [line.partition(",")[0] for line in lines]
+        if start is not None and (keys := index.aligned(start, chunk)) is not None:
+            start += len(chunk)
+            filled[keys] = True
+        elif (keys := _chunk_keys(chunk, seen, lookup(), filled)) is None:
             return False
         if index is None:
             ids.extend(keys)
@@ -254,8 +288,10 @@ def _float_rows(path: Path, rows: Generator, header: list[str], what: str,
         return True
 
     rows.send(take)
+    rest = list(islice(rows, 1))  # every chunk take accepts is read by now
     problem: FormatError | None = None
-    for line_no, row, key in _keyed_rows(path, rows, len(header), seen, index, filled):
+    for line_no, row, key in _keyed_rows(path, chain(rest, rows), len(header), seen,
+                                         lookup() if rest else index, filled):
         if problem is None:
             try:
                 vector = [_parse_float(path, line_no, column, cell)
@@ -274,7 +310,7 @@ def _float_rows(path: Path, rows: Generator, header: list[str], what: str,
     if index is None:
         return ids, np.concatenate(blocks)
     if seen or not filled.all():
-        missing = [rec_id for rec_id, row in index.items() if not filled[row]]
+        missing = [rec_id for rec_id, row in lookup().items() if not filled[row]]
         sides = [_unmatched(f"{what} rows without labels", seen),
                  _unmatched(f"labeled recordings without {what}s", missing)]
         if what == "feature":  # a feature mismatch names the labeled side first
@@ -296,13 +332,14 @@ def _table_text(header: Sequence[str], rows: Iterable[Sequence[str]],
     return buf.getvalue()
 
 
-def read_scores(path, index: Mapping[str, int] | None = None
+def read_scores(path, index: Mapping[str, int] | _LabelOrder | None = None
                 ) -> tuple[list[str], list[str], np.ndarray, str | None]:
     """Read a wide per-machine score table.
 
     Returns (machine column names, recording ids, (n, k) scores with row i
     for ids[i], declared orientation or None), rows in file order or, given
-    an ``index`` that maps the i-th of n ids to i, in the index's order.
+    an ``index`` that maps the i-th of n ids to i (a dict, or the ``order``
+    of read_labels' result), in the index's order.
     Scores are returned as stored; callers negate when the orientation says
     lower means more anomalous.
     """
@@ -335,6 +372,10 @@ def _label_problem(row: list[str]) -> str | None:
     return None
 
 
+class _LabelSets(dict):
+    """read_labels' {split: MergedTestSet}, with its ids' _LabelOrder as ``order``."""
+
+
 def read_labels(path) -> dict[str, MergedTestSet]:
     """Read recording labels as one test set per split present, in SPLITS order.
 
@@ -352,25 +393,25 @@ def read_labels(path) -> dict[str, MergedTestSet]:
     if header[4:]:
         warnings.warn(f"{path.name}: ignoring unknown label columns {header[4:]}", stacklevel=2)
     codes: dict[str, int] = {}  # machine name -> code, in order of first appearance
-    columns = {split: ([], [], []) for split in SPLITS}  # ids, machine codes, labels
+    ids, machines, labels, splits = [], [], bytearray(), bytearray()  # in file order
     seen: set[str] = set()
 
     def take(lines: list[str]) -> bool:
         # the C path: each column is a strided slice of one split of the text
-        if (text := _plain(lines, len(header) - 1)) is None:
+        if ((text := _plain(lines, len(header) - 1)) is None
+                or list(map(str.count, lines, repeat(","))).count(len(header) - 1) < len(lines)):
             return False
         cells, width = text.replace("\n", ",").split(","), len(header)
-        ids, machines, truths, splits = (cells[k:len(lines) * width:width] for k in range(4))
-        if ("" in machines or not set(truths).issubset(_TRUTH)
-                or not set(splits).issubset(SPLITS) or _chunk_keys(ids, seen) is None):
+        chunk, names, truths, split_names = (cells[k:len(lines) * width:width] for k in range(4))
+        if ("" in names or not set(truths).issubset(_TRUTH)
+                or not set(split_names).issubset(SPLITS) or _chunk_keys(chunk, seen) is None):
             return False
-        for machine in dict.fromkeys(machines):
+        for machine in dict.fromkeys(names):
             codes.setdefault(machine, len(codes))
-        for split, (split_ids, machine, anomalous) in columns.items():
-            in_split = list(map(split.__eq__, splits))
-            split_ids += compress(ids, in_split)
-            machine += map(codes.__getitem__, compress(machines, in_split))
-            anomalous += map(_TRUTH.__getitem__, compress(truths, in_split))
+        ids.extend(chunk)
+        machines.extend(map(codes.__getitem__, names))
+        labels.extend(map(_TRUTH.__getitem__, truths))
+        splits.extend(map(SPLITS.index, split_names))
         return True
 
     rows.send(take)
@@ -379,21 +420,33 @@ def read_labels(path) -> dict[str, MergedTestSet]:
         if problem is None and (message := _label_problem(row)):
             problem = f"{path.name}:{line_no}: {message}"
         elif problem is None:
-            ids, machine, anomalous = columns[row[3]]
             ids.append(row[0])
-            machine.append(codes.setdefault(row[1], len(codes)))
-            anomalous.append(_TRUTH[row[2]])
+            machines.append(codes.setdefault(row[1], len(codes)))
+            labels.append(_TRUTH[row[2]])
+            splits.append(SPLITS.index(row[3]))
     if problem is not None:
         raise FormatError(problem)
     if not seen:
         raise FormatError(f"{path.name}: no label rows")
     seen.clear()  # freed before MergedTestSet sorts the ids
-    machines = list(codes)
-    return {split: MergedTestSet(ids, machines, machine, anomalous, split)
-            for split, (ids, machine, anomalous) in columns.items() if ids}
+    names, machines, labels = list(codes), np.array(machines), np.frombuffer(labels, dtype=bool)
+    rows, sets, start = np.empty(len(ids), dtype=np.intp), _LabelSets(), 0
+    for j, split in enumerate(SPLITS):
+        in_split = np.frombuffer(splits, dtype=np.uint8) == j
+        if split_ids := list(compress(ids, in_split.tobytes())):
+            merged = sets[split] = MergedTestSet(split_ids, names, machines[in_split],
+                                                 labels[in_split], split)
+            # the rows of a split kept as given are its index rows in file order
+            rows[in_split] = (np.arange(start, start + len(split_ids)) if merged.ids == split_ids
+                              else np.fromiter(map(dict(zip(merged.ids, count(start))).__getitem__,
+                                                   split_ids), np.intp, len(split_ids)))
+            start += len(split_ids)
+    sets.order = _LabelOrder(chain.from_iterable(merged.ids for merged in sets.values()))
+    sets.order.ids, sets.order.rows = ids, rows
+    return sets
 
 
-def read_features(path, index: Mapping[str, int] | None = None
+def read_features(path, index: Mapping[str, int] | _LabelOrder | None = None
                   ) -> tuple[list[str], np.ndarray]:
     """Read per-recording feature vectors as (ids, (n, d) array), in read_scores' row order."""
     path = Path(path)

@@ -60,12 +60,12 @@ def auc(scores, labels) -> float:
 def _roc(s: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     # AUC, then the FPR and TPR of each empirical ROC vertex, starting at
     # (0, 0): one vertex per distinct score value, taken at the last of its
-    # tied scores. Both come from one stable sort by descending score. A
-    # normal loses to every anomaly of the earlier groups of tied scores and
-    # ties with those of its own group, so twice the wins plus the ties is
-    # the integer sum, over groups, of the group's normals times the
-    # anomalies up to the group's end plus those before the group.
-    order = np.argsort(-s, kind="stable")
+    # tied scores. Both come from one sort by descending score, counted only at group
+    # ends, so the order within a tie changes nothing. A normal loses to every anomaly
+    # of the earlier groups of tied scores and ties with those of its own group, so
+    # twice the wins plus the ties is the integer sum, over groups, of the group's
+    # normals times the anomalies up to the group's end plus those before the group.
+    order = np.argsort(-s)
     s_desc = s[order]
     y_desc = y[order]
     group_ends = np.append(np.flatnonzero(np.diff(s_desc) != 0.0), s_desc.size - 1)

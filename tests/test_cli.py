@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import idfree_asd.cli as cli
+import idfree_asd.io as io_module
 from idfree_asd.cli import EXIT_DATA, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 from idfree_asd.io import (
     FORMAT_LINE,
@@ -29,6 +30,7 @@ from idfree_asd.protocol import (
 from idfree_asd.scorers import ReferenceSet, ScorerSpec, build_score_matrix
 from idfree_asd.simulate import SimConfig, generate
 from tables import label_rows, write_features, write_labels, write_scores
+from test_io_formats import BLOCK_ROWS, JOIN_FAULTS, JOIN_PATHS, JOINS, small_chunks
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
@@ -336,6 +338,59 @@ def test_evaluate_mismatch_lists_sorted_ids_and_caps_them(tmp_path, capsys, kind
     sides = (extra, missing) if kind == "scores" else (missing, extra)
     assert code == EXIT_DATA
     assert message == f"{kind}/labels cross-reference mismatch: {sides[0]}, {sides[1]}"
+
+
+def test_evaluate_table_in_label_order_builds_no_id_dict(tmp_path, capsys, monkeypatch):
+    # the golden scores list their rows in the label file's order; reversed they do not
+    built = []
+    lookup = io_module._LabelOrder.lookup
+    monkeypatch.setattr(io_module._LabelOrder, "lookup",
+                        lambda order: built.append(order) or lookup(order))
+    code, out, _ = run(capsys, "evaluate", "--scores", str(GOLDEN / "scores.csv"),
+                       "--labels", str(GOLDEN / "labels.csv"))
+    assert code == EXIT_OK and out == (GOLDEN / "report.json").read_text()
+    assert built == []
+    head, *rows = (GOLDEN / "scores.csv").read_text().splitlines(keepends=True)[2:]
+    (tmp_path / "scores.csv").write_text("".join([FORMAT_LINE + "\n", head, *rows[::-1]]))
+    code, reversed_out, _ = run(capsys, "evaluate", "--scores", str(tmp_path / "scores.csv"),
+                                "--labels", str(GOLDEN / "labels.csv"))
+    assert code == EXIT_OK and len(built) == 1
+    assert json.loads(reversed_out)["splits"] == json.loads(out)["splits"]
+
+
+@pytest.mark.parametrize("source", ["scores", "manifest"])
+@pytest.mark.parametrize("case", JOINS)
+def test_evaluate_joins_label_order_as_the_id_dict_does(tmp_path, capsys, monkeypatch, source,
+                                                        case):
+    # 32 rows r000, ...: fan and pump alternate, each with normals and anomalies
+    # in both splits; every table line holds 19 characters
+    label_rows_of, table_rows_of = JOINS[case]
+    n, rng = 4 * BLOCK_ROWS, np.random.default_rng(20)
+    rows = [f"r{i:03d},{('fan', 'pump')[i % 2]},{i // 4 % 2},{('dev', 'eval')[i // 2 % 2]}"
+            for i in range(n)]
+    (tmp_path / "labels.csv").write_text("\n".join(
+        [FORMAT_LINE, "recording_id,true_machine,is_anomaly,split", *label_rows_of(rows)]) + "\n")
+    cells = [f"r{i:03d},{a:+.3f},{b:+.3f}" for i, (a, b) in enumerate(rng.uniform(-9, 9, (n, 2)))]
+    header = "recording_id,fan,pump" if source == "scores" else "recording_id,f_0,f_1"
+    table = tmp_path / ("scores.csv" if source == "scores" else "features.csv")
+    table.write_text("\n".join([FORMAT_LINE, header, *table_rows_of(cells)]) + "\n")
+    if source == "manifest":
+        for machine in ("fan", "pump"):
+            write_features(tmp_path / f"ref_{machine}.csv", ["a", "b", "c"],
+                           rng.uniform(-9, 9, (3, 2)))
+        table = tmp_path / "manifest.json"
+        table.write_text(json.dumps({
+            "format": FORMAT_VERSION, "scorer": {"kind": "nearest_reference"},
+            "features": "features.csv",
+            "machines": [{"name": m, "reference": f"ref_{m}.csv"} for m in ("fan", "pump")]}))
+    argv = ["evaluate", f"--{source}", str(table), "--labels", str(tmp_path / "labels.csv")]
+    paths = small_chunks(monkeypatch, 19)
+    joined = run(capsys, *argv)
+    with monkeypatch.context() as patch:  # no chunk follows the label order: one dict join
+        patch.setattr(io_module._LabelOrder, "aligned", lambda order, start, ids: None)
+        assert run(capsys, *argv) == joined
+    assert joined[0] == (EXIT_DATA if case in JOIN_FAULTS else EXIT_OK)
+    assert paths.aligned == JOIN_PATHS.get(case, ([BLOCK_ROWS] * 2, 1))[0]
 
 
 def golden_splits(capsys):

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import tracemalloc
+from itertools import count
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -166,17 +167,31 @@ def _read_table(kind, path, index=None):
 
 def read_paths(monkeypatch):
     """Record how the reads that follow go: the rows of each chunk converted
-    in C (`c`), the lines of the data rows that csv read (`csv`), and the
-    lines whose cells float() converted (`floats`)."""
-    paths = SimpleNamespace(c=[], csv=[], floats=[])
+    in C (`c`), and of those the chunks placed by slices of a label order
+    (`aligned`); the lines of the data rows that csv read (`csv`); the
+    lines whose cells float() converted (`floats`); and the {id: row} dicts
+    built from a label order (`lookups`)."""
+    paths = SimpleNamespace(c=[], aligned=[], csv=[], floats=[], lookups=0)
     chunk_keys, keyed_rows = io_module._chunk_keys, io_module._keyed_rows
     parse_float = io_module._parse_float
+    aligned, lookup = io_module._LabelOrder.aligned, io_module._LabelOrder.lookup
 
     def counted_keys(ids, *args):
         keys = chunk_keys(ids, *args)
         if keys is not None:
             paths.c.append(len(ids))
         return keys
+
+    def counted_aligned(order, start, ids):
+        keys = aligned(order, start, ids)
+        if keys is not None:
+            paths.c.append(len(ids))
+            paths.aligned.append(len(ids))
+        return keys
+
+    def counted_lookup(order):
+        paths.lookups += 1
+        return lookup(order)
 
     def counted_rows(*args):
         for line_no, row, key in keyed_rows(*args):
@@ -191,6 +206,8 @@ def read_paths(monkeypatch):
     monkeypatch.setattr(io_module, "_chunk_keys", counted_keys)
     monkeypatch.setattr(io_module, "_keyed_rows", counted_rows)
     monkeypatch.setattr(io_module, "_parse_float", counted_float)
+    monkeypatch.setattr(io_module._LabelOrder, "aligned", counted_aligned)
+    monkeypatch.setattr(io_module._LabelOrder, "lookup", counted_lookup)
     return paths
 
 
@@ -389,6 +406,11 @@ FAULTS = {
     "bad label": lambda line: [_with_cell(line, 3, "test")],
     "blank line": lambda line: ["", line],
     "whitespace-only line": lambda line: ["  ", line],
+    # the chunk keeps its comma total, so only a per-line count or loadtxt's rows
+    # tell; here the next line's id ends this one, and split at commas alone the
+    # two read as the rows r018 and r918
+    "extra and missing field": lambda line: [line + ",r918", line[line.index(",") + 1:]],
+    "doubled cells and blank line": lambda line: [line + line[line.index(","):], ""],
     "quoted newline": lambda line: [_with_id(line, '"r0\n18"')],
     "CRLF from mid-file": None,
     "CR from mid-file": None,
@@ -405,9 +427,21 @@ MESSAGES = {
     "non-finite cell": "{name}:21: m1 value '-inf' is not finite",
     "bad label": "{name}:21: recording 'r018': unknown split 'test'",
     "whitespace-only line": "{name}:21: expected {width} fields, got 1",
+    "extra and missing field": "{name}:21: expected {width} fields, got {wider}",
+    "doubled cells and blank line": "{name}:21: expected {width} fields, got {doubled}",
 }
-TABLES = [("scores", False), ("scores", True), ("features", False), ("features", True),
-          ("labels", False)]
+# labeled: read with an {id: row} dict (True) or with read_labels' order ("order")
+TABLES = [("scores", False), ("scores", True), ("scores", "order"), ("features", False),
+          ("features", True), ("features", "order"), ("labels", False)]
+
+
+def _index(tmp_path, labeled, n):
+    """The index a table of rows r000, r001, ... is read with, if `labeled`."""
+    if labeled != "order":
+        return {f"r{i:03d}": i for i in range(n)} if labeled else None
+    labels = tmp_path / "index-labels.csv"  # dev and eval rows alternate
+    labels.write_text("\n".join(_chunked_lines("labels", n)) + "\n")
+    return read_labels(labels).order
 
 
 def _applies(fault, kind, labeled):
@@ -432,7 +466,7 @@ def test_fault_in_the_third_chunk_reads_as_csv_reads_it(tmp_path, monkeypatch, k
     else:
         lines[FAULT_ROW:FAULT_ROW + 1] = FAULTS[fault](lines[FAULT_ROW])
         path.write_text("\n".join(lines) + "\n")
-    index = {f"r{i:03d}": i for i in range(4 * BLOCK_ROWS)} if labeled else None
+    index = _index(tmp_path, labeled, 4 * BLOCK_ROWS)
 
     def read():
         return read_labels(path) if kind == "labels" else _read_table(kind, path, index)
@@ -450,7 +484,7 @@ def test_fault_in_the_third_chunk_reads_as_csv_reads_it(tmp_path, monkeypatch, k
     if fault in MESSAGES:
         message = MESSAGES[fault].replace("m1", column)
         assert chunked == ("FormatError", message.format(name=path.name, width=width,
-                                                         wider=width + 1))
+                                                         wider=width + 1, doubled=2 * width - 1))
     elif fault == "unlabeled id" or fault == "quoted newline" and labeled:
         rec_id = "x018" if fault == "unlabeled id" else "r0\n18"
         sides = [f"1 {kind[:-1]} rows without labels [{rec_id!r}]",
@@ -475,7 +509,7 @@ def test_crlf_table_reads_as_its_lf_original_in_c(tmp_path, monkeypatch, kind, l
     lf, crlf = tmp_path / f"lf-{kind}.csv", tmp_path / f"crlf-{kind}.csv"
     lf.write_text("\n".join(lines) + "\n")
     crlf.write_bytes(("\r\n".join(lines) + "\r\n").encode())
-    index = {f"r{i:03d}": i for i in range(4 * BLOCK_ROWS)} if labeled else None
+    index = _index(tmp_path, labeled, 4 * BLOCK_ROWS)
 
     def read(path):
         return read_labels(path) if kind == "labels" else _read_table(kind, path, index)
@@ -484,6 +518,53 @@ def test_crlf_table_reads_as_its_lf_original_in_c(tmp_path, monkeypatch, kind, l
     paths = small_chunks(monkeypatch, LINE)
     assert outcome(lambda: read(crlf)) == expected
     assert paths.c == [BLOCK_ROWS] * 4 and paths.csv == [] and paths.floats == []
+
+
+JOIN_ROW = FAULT_ROW - 2  # data row 18, the third row of the third chunk
+
+
+def _turned(rows):
+    return rows[::-1]
+
+
+def _at_join_row(rows, *lines):
+    return rows[:JOIN_ROW] + list(lines) + rows[JOIN_ROW + 1:]
+
+
+# each case gives the data rows of the labels and of the table, from data rows
+# of both in id order (r000, r001, ...); the table leaves label order at chunk 3
+JOINS = {
+    "label order": (list, list),
+    "leaves it at chunk 3": (list, lambda rows: _at_join_row(rows) + [rows[JOIN_ROW]]),
+    "reversed": (list, _turned),
+    "splits out of id order": (_turned, _turned),
+    "repeat of an aligned id": (list, lambda rows: _at_join_row(
+        rows, _with_id(rows[JOIN_ROW], "r003"))),
+    "unlabeled id": (list, lambda rows: _at_join_row(rows, _with_id(rows[JOIN_ROW], "x018"))),
+    "missing labeled id": (list, _at_join_row),
+}
+JOIN_FAULTS = ("repeat of an aligned id", "unlabeled id", "missing labeled id")
+# the chunks placed by slices of the label order, and the {id: row} dicts built
+JOIN_PATHS = {"label order": ([BLOCK_ROWS] * 4, 0), "reversed": ([], 1),
+              "splits out of id order": ([BLOCK_ROWS] * 4, 0)}
+
+
+@pytest.mark.parametrize("kind", ["scores", "features"])
+@pytest.mark.parametrize("case", JOINS)
+def test_label_order_join_reads_as_the_id_dict_reads(tmp_path, monkeypatch, kind, case):
+    label_rows_of, table_rows_of = JOINS[case]
+    labels, path = tmp_path / "labels.csv", tmp_path / f"{kind}.csv"
+    header, *rows = _chunked_lines("labels", 4 * BLOCK_ROWS)[1:]
+    labels.write_text("\n".join([FORMAT_LINE, header, *label_rows_of(rows)]) + "\n")
+    header, *rows = _chunked_lines(kind, 4 * BLOCK_ROWS)[1:]
+    path.write_text("\n".join([FORMAT_LINE, header, *table_rows_of(rows)]) + "\n")
+    sets = read_labels(labels)
+    lookup = dict(zip([rec_id for merged in sets.values() for rec_id in merged.ids], count()))
+    paths = small_chunks(monkeypatch, LINE)
+    joined = outcome(lambda: _read_table(kind, path, sets.order))
+    assert (paths.aligned, paths.lookups) == JOIN_PATHS.get(case, ([BLOCK_ROWS] * 2, 1))
+    assert joined == outcome(lambda: _read_table(kind, path, lookup))
+    assert (joined[0] in ("FormatError", "ProtocolError")) == (case in JOIN_FAULTS)
 
 
 # the cell around which _CELLS pads characters that may sit next to a number

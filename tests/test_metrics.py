@@ -232,6 +232,20 @@ def test_auc_pauc_from_one_sort_equal_the_separate_calls(data, p):
     assert pair[0] == brute_force_auc(scores, labels)
 
 
+@given(labeled_scores(max_size=400, score_strategy=st.sampled_from([-1.0, -0.0, 0.0, 2.5])),
+       st.sampled_from([0.013, 0.1, 0.5, 1.0]), st.randoms(use_true_random=False))
+def test_auc_pauc_ignore_the_order_within_tied_scores(data, p, random):
+    # the sort need not be stable: counts are taken only at the end of a tie
+    scores, labels = data
+    rows = list(zip(scores, labels))
+    random.shuffle(rows)
+    pair = metrics._auc_pauc(np.array(scores), np.array(labels), p)
+    shuffled = metrics._auc_pauc(*map(np.array, zip(*rows)), p)
+    assert np.array(shuffled).view(np.uint64).tolist() == np.array(pair).view(np.uint64).tolist()
+    assert pair == (brute_force_auc(scores, labels),
+                    mcclish(trapezoid_pauc_raw(roc_vertices(scores, labels), p), p))
+
+
 @given(labeled_scores(max_size=25), st.sampled_from([0.05, 0.1, 0.3, 0.7]))
 def test_pauc_bounded_and_le_one(data, p):
     scores, labels = data
