@@ -11,15 +11,18 @@ import csv
 import hashlib
 import json
 import math
+import operator
 import os
 import re
 import tempfile
 import warnings
+from contextlib import closing
 from dataclasses import asdict, dataclass, fields
+from functools import partial
 from io import StringIO
 from itertools import chain, compress, count, islice, repeat
 from pathlib import Path
-from typing import Collection, Generator, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -61,12 +64,12 @@ ORIENTATIONS = ("higher", "lower")
 
 _ORIENTATION_RE = re.compile(r"#\s*orientation:\s*(\S+)\s*$")
 _TRUTH = {"0": False, "1": True, "false": False, "true": True}
-# data lines are read about this many characters at a time, so a table's
-# text is never held whole
+# the fast path reads data lines about this many characters at a time, so a
+# table's text is never held whole
 _CHUNK_CHARS = 2**17
-# a chunk holding one of these goes to csv: quote and a CR outside CRLF have
-# csv meanings, and numpy reads \x1c-\x1f around a number as white space,
-# float() does not
+# a chunk holding one of these fails the gate: quote and a CR outside CRLF
+# have csv meanings, and numpy reads \x1c-\x1f around a number as white
+# space, float() does not
 _STRICT_CHARS = '"\r\x1c\x1d\x1e\x1f'
 # a cross-reference error names at most this many ids per side, so a file
 # that matches nothing still gives a short message
@@ -77,16 +80,17 @@ class FormatError(ValueError):
     """Raised on malformed or wrongly versioned input files."""
 
 
-def _rows(path: Path, comments: list[tuple[int, str]] | None = None) -> Generator:
-    """Stream the header and data rows of a versioned CSV file.
+def _rows(path: Path, comments: list[tuple[int, str]] | None = None,
+          chunked: bool = False) -> Iterator:
+    """Stream the header row of a versioned CSV file, then its data.
 
-    Each row carries the 1-based physical line it starts on; comment lines
-    after the format line go into ``comments``. Rows come from one csv.reader
-    fed straight from the file handle, so the file is never held whole. Only
-    LF, CRLF and CR end a line, a quoted field may span lines, and blank
-    lines are skipped. A reader may answer a row by sending ``take(lines)``:
-    the lines after it then go to ``take`` about _CHUNK_CHARS characters at
-    a time, and csv reads on from the first chunk that ``take`` declines.
+    Comment lines after the format line go into ``comments``. The header and
+    every data row carry the 1-based physical line they start on. Rows come
+    from one csv.reader fed straight from the file handle, so the file is
+    never held whole: only LF, CRLF and CR end a line, a quoted field may
+    span lines, and blank lines are skipped. With ``chunked``, the data
+    lines after the header come instead as lists of about _CHUNK_CHARS
+    characters, as the file holds them.
     """
     # utf-8-sig drops a leading byte-order mark that some editors write
     with open(path, encoding="utf-8-sig", newline="") as handle:
@@ -98,19 +102,15 @@ def _rows(path: Path, comments: list[tuple[int, str]] | None = None) -> Generato
                 skipped += 1
                 if comments is not None:
                     comments.append((skipped, line))
-            lines, start, found = [line], skipped + 1, False
-            while lines is not None:
-                reader, first, take, lines = csv.reader(chain(lines, handle)), start, None, None
-                for fields in reader:
-                    if fields:
-                        found = True
-                        if take := (yield start, fields):
-                            yield  # the answer to send(); rows go on at the next call
-                    start = first + reader.line_num
-                    if take:
-                        while (lines := handle.readlines(_CHUNK_CHARS)) and take(lines):
-                            start += len(lines)
-                        break
+            reader, start, found = csv.reader(chain([line], handle)), skipped + 1, False
+            for fields in reader:
+                if fields:
+                    found = True
+                    yield start, fields
+                    if chunked:
+                        yield from iter(partial(handle.readlines, _CHUNK_CHARS), [])
+                        return
+                start = skipped + 1 + reader.line_num
         except UnicodeDecodeError as exc:
             raise FormatError(f"{path.name}:{_undecodable_line(path)}: not UTF-8 text "
                               f"({exc.reason})") from None
@@ -146,13 +146,10 @@ def _undecodable_line(path: Path) -> int:
 def _parse_orientation(path: Path, comments: list[tuple[int, str]]) -> str | None:
     orientation = None
     for line_no, text in comments:
-        match = _ORIENTATION_RE.match(text.strip())
-        if match:
+        if match := _ORIENTATION_RE.match(text.strip()):
             if match.group(1) not in ORIENTATIONS:
-                raise FormatError(
-                    f"{path.name}:{line_no}: orientation must be one of "
-                    f"{ORIENTATIONS}, got {match.group(1)!r}"
-                )
+                raise FormatError(f"{path.name}:{line_no}: orientation must be one of "
+                                  f"{ORIENTATIONS}, got {match.group(1)!r}")
             orientation = match.group(1)
     return orientation
 
@@ -161,54 +158,61 @@ def _parse_float(path: Path, line_no: int, column: str, text: str) -> float:
     try:
         value = float(text)
     except ValueError:
-        raise FormatError(
-            f"{path.name}:{line_no}: {column} value {text!r} is not a number"
-        ) from None
+        raise FormatError(f"{path.name}:{line_no}: {column} value {text!r} is not a number"
+                          ) from None
     if not math.isfinite(value):
         raise FormatError(f"{path.name}:{line_no}: {column} value {text!r} is not finite")
     return value
 
 
-def _keyed_rows(path: Path, rows: Iterator[tuple[int, list[str]]], width: int, seen: set[str],
-                index: Mapping[str, int] | None = None, filled: np.ndarray | None = None
-                ) -> Iterator[tuple[int, list[str], str | int]]:
-    """Check the data rows of a table keyed by recording id as they stream by.
+def _unique(ids: list[str]) -> bool:
+    # strictly increasing ids repeat none; else one sort, which is near linear
+    # on a few sorted runs, puts any repeat next to its twin
+    if all(map(operator.lt, ids, islice(ids, 1, None))):
+        return True
+    ids = sorted(ids)
+    return not any(map(operator.eq, ids, islice(ids, 1, None)))
 
-    Every row needs one field per header column and a nonempty id that no
-    other row has. Each row comes with a key: its id, which goes into
-    ``seen``, or with an ``index`` of {id: position} its id's position,
-    which is then marked in ``filled``. An id outside the index has key -1
-    and goes into ``seen``.
+
+def _keyed_rows(path: Path, width: int, convert: Callable[[int, list[str]], tuple]) -> Iterator:
+    """The strict reader: ``convert(line, row)`` of each data row, read again through csv.
+
+    A row without ``width`` fields, with an empty id or with one seen before
+    raises at once; the first FormatError of ``convert`` (a bad cell) ends
+    the rows and is raised once the whole file's row structure has passed.
     """
+    rows, seen, problem = _rows(path), set(), None
+    next(rows)  # the header, checked before the fast path ran
     for line_no, row in rows:
         if len(row) != width:
             raise FormatError(f"{path.name}:{line_no}: expected {width} fields, got {len(row)}")
-        rec_id = row[0]
-        if not rec_id:
+        if not row[0]:
             raise FormatError(f"{path.name}:{line_no}: empty recording id")
-        if index is None or (position := index.get(rec_id, -1)) < 0:
-            duplicate = rec_id in seen
-            seen.add(rec_id)
-        else:
-            duplicate, filled[position] = filled[position], True
-        if duplicate:
-            raise FormatError(f"{path.name}:{line_no}: duplicate recording id {rec_id!r}")
-        yield line_no, row, rec_id if index is None else position
+        if row[0] in seen:
+            raise FormatError(f"{path.name}:{line_no}: duplicate recording id {row[0]!r}")
+        seen.add(row[0])
+        if problem is None:
+            try:
+                piece = convert(line_no, row)
+            except FormatError as exc:
+                problem = exc
+            else:
+                yield piece
+    if problem is not None:
+        raise problem
 
 
-def _chunk_keys(ids: list[str], seen: set[str], index: Mapping[str, int] | None = None,
-                filled: np.ndarray | None = None) -> list[str] | np.ndarray | None:
-    """_keyed_rows' keys and marks for a chunk's ids; None, marking nothing, if one would fail."""
-    if "" in ids or len(set(ids)) < len(ids) or (index is None and not seen.isdisjoint(ids)):
-        return None
-    if index is None:
-        seen.update(ids)
-        return ids
-    keys = np.fromiter(map(index.get, ids, repeat(-1)), dtype=np.intp, count=len(ids))
-    if keys.min() < 0 or filled[keys].any():
-        return None
-    filled[keys] = True
-    return keys
+def _fast_or_strict(rows: Iterator, join: Callable, fast: Iterator, strict: Callable):
+    # join(fast), the pieces that `fast` reads from `rows` in C, if all of that
+    # passes; a ValueError anywhere (a chunk that `fast` leaves to csv, a
+    # FormatError or a ProtocolError) drops it for join(strict()), which reads
+    # the whole file again through csv and so gives every error
+    with closing(rows):
+        try:
+            return join(fast)
+        except ValueError:
+            pass
+    return join(strict())
 
 
 def _unmatched(description: str, ids: Collection[str]) -> str:
@@ -225,98 +229,74 @@ class _LabelOrder(list):
     ids: list[str]
     rows: np.ndarray
 
-    def aligned(self, start: int, ids: list[str]) -> np.ndarray | None:
-        """The index rows of ``ids`` if they are the label file's ids from row ``start`` on."""
-        stop = start + len(ids)
-        return self.rows[start:stop] if self.ids[start:stop] == ids else None
 
-    def lookup(self) -> dict[str, int]:
-        return dict(zip(self, count()))
+def _c_floats(chunks: Iterator[list[str]], width: int) -> Iterator[tuple[list[str], np.ndarray]]:
+    # the ids and cells of each chunk of data lines, the cells by one loadtxt call
+    for lines in chunks:
+        block = _plain(lines, width) and np.loadtxt(
+            lines, delimiter=",", comments=None, usecols=range(1, width + 1), ndmin=2)
+        ids = [line.partition(",")[0] for line in lines]
+        # loadtxt turns down a line short of cells and skips a blank one, so a
+        # row for every line and _plain's comma total give each line its commas
+        if block is None or len(block) < len(lines) or not np.isfinite(block).all() or "" in ids:
+            raise ValueError("a chunk left to csv")
+        yield ids, block
 
 
-def _float_rows(path: Path, rows: Generator, header: list[str], what: str,
+def _float_rows(path: Path, rows: Iterator, header: list[str], what: str,
                 index: Mapping[str, int] | _LabelOrder | None = None
                 ) -> tuple[list[str], np.ndarray]:
     """Ids, and every cell after the id as an (n, d) array, of keyed data rows.
 
-    With an ``index`` that maps the i-th of n ids to i, each row's cells land
-    at its id's row of a preallocated array, and an id on one side only
-    raises a ProtocolError once the whole file has passed; else rows keep
-    file order. A _LabelOrder index places chunks that go on in label-file
-    order by slices of its rows; the first chunk that does not, every chunk
-    after it and every csv row look ids up in its dict, built at that point.
-
-    A chunk of data lines (see _rows) whose text, cells and ids pass every
-    check is converted in C by one loadtxt call. The first that does not, and
-    every line after it, go through csv and float() row by row; the first bad
-    cell is kept and raised once the whole file's row structure has passed.
+    With an ``index`` that maps the i-th of n ids to i, cells land at their
+    ids' rows of a nan array: by slices of a _LabelOrder's rows while pieces
+    follow the label file, else through one {id: row} dict. Every cell read
+    is finite, so n rows that leave no row nan hold each id once; an id on
+    one side only raises a ProtocolError. Else rows keep file order.
     """
     width = len(header) - 1
-    filled, seen = np.zeros(len(index or ()), dtype=bool), set()
-    ids, blocks = [], []
-    values = np.empty((len(filled), width))
-    # the file rows of a _LabelOrder the chunks have followed; None once they leave it
-    start = 0 if isinstance(index, _LabelOrder) else None
 
-    def lookup() -> Mapping[str, int] | None:  # the index as a dict from here on
-        nonlocal index, start
-        index, start = index if start is None else index.lookup(), None
-        return index
-
-    def take(lines: list[str]) -> bool:
-        nonlocal start
-        try:
-            block = _plain(lines, width) and np.loadtxt(
-                lines, delimiter=",", comments=None, usecols=range(1, width + 1), ndmin=2)
-        except ValueError:
-            return False
-        # loadtxt turns down a line short of cells and skips a blank one, so a
-        # row for every line and _plain's comma total give each line its commas
-        if block is None or len(block) < len(lines) or not np.isfinite(block).all():
-            return False
-        chunk = [line.partition(",")[0] for line in lines]
-        if start is not None and (keys := index.aligned(start, chunk)) is not None:
-            start += len(chunk)
-            filled[keys] = True
-        elif (keys := _chunk_keys(chunk, seen, lookup(), filled)) is None:
-            return False
+    def join(pieces: Iterable[tuple[list[str], np.ndarray]]) -> tuple[list[str], np.ndarray]:
+        lookup = None if isinstance(index, _LabelOrder) else index
+        ids, blocks, extra, start = [], [], [], 0
+        values = None if index is None else np.full((len(index), width), np.nan)
+        for chunk, block in pieces:
+            stop = start + len(chunk)
+            if index is None:
+                ids.extend(chunk)
+                blocks.append(block)
+            elif lookup is None and index.ids[start:stop] == chunk:
+                values[index.rows[start:stop]] = block
+            else:
+                lookup = lookup or dict(zip(index, count()))
+                keys = np.fromiter(map(lookup.get, chunk, repeat(-1)), np.intp, len(chunk))
+                if keys.min() < 0:  # ids without labels, named once the whole file is in
+                    extra.extend(compress(chunk, (keys < 0).tolist()))
+                    block, keys = block[keys >= 0], keys[keys >= 0]
+                values[keys] = block
+            start = stop
+        if not start:
+            raise FormatError(f"{path.name}: no {what} rows")
         if index is None:
-            ids.extend(keys)
-            blocks.append(block)
-        else:
-            values[keys] = block
-        return True
+            if not _unique(ids):  # on the C path only: csv names the repeat's line
+                raise ProtocolError("duplicate recording ids")
+            return ids, np.concatenate(blocks)
+        unset = np.isnan(values[:, 0])
+        if extra or unset.any() or start != len(index):
+            sides = [_unmatched(f"{what} rows without labels", extra),
+                     _unmatched(f"labeled recordings without {what}s",
+                                list(compress(index, unset.tolist())))]
+            if what == "feature":  # a feature mismatch names the labeled side first
+                sides.reverse()
+            raise ProtocolError(f"{what}s/labels cross-reference mismatch: {', '.join(sides)}")
+        return list(index), values
 
-    rows.send(take)
-    rest = list(islice(rows, 1))  # every chunk take accepts is read by now
-    problem: FormatError | None = None
-    for line_no, row, key in _keyed_rows(path, chain(rest, rows), len(header), seen,
-                                         lookup() if rest else index, filled):
-        if problem is None:
-            try:
-                vector = [_parse_float(path, line_no, column, cell)
-                          for column, cell in zip(header[1:], row[1:])]
-            except FormatError as exc:
-                problem = exc
-        if problem is None and index is None:
-            ids.append(key)
-            blocks.append(np.array([vector]))
-        elif problem is None and key >= 0:  # -1: an id outside the index
-            values[key] = vector
-    if problem is not None:
-        raise problem
-    if not (seen or filled.any()):
-        raise FormatError(f"{path.name}: no {what} rows")
-    if index is None:
-        return ids, np.concatenate(blocks)
-    if seen or not filled.all():
-        missing = [rec_id for rec_id, row in lookup().items() if not filled[row]]
-        sides = [_unmatched(f"{what} rows without labels", seen),
-                 _unmatched(f"labeled recordings without {what}s", missing)]
-        if what == "feature":  # a feature mismatch names the labeled side first
-            sides.reverse()
-        raise ProtocolError(f"{what}s/labels cross-reference mismatch: {', '.join(sides)}")
-    return list(index), values
+    def cells(line_no: int, row: list[str]) -> tuple[list[str], np.ndarray]:
+        return row[:1], np.array([[_parse_float(path, line_no, column, cell)
+                                   for column, cell in zip(header[1:], row[1:])]])
+
+    return _fast_or_strict(rows, join, _c_floats(rows, width),
+                           partial(_keyed_rows, path, len(header), cells))
 
 
 def _table_text(header: Sequence[str], rows: Iterable[Sequence[str]],
@@ -345,13 +325,11 @@ def read_scores(path, index: Mapping[str, int] | _LabelOrder | None = None
     """
     path = Path(path)
     comments: list[tuple[int, str]] = []
-    rows = _rows(path, comments)
+    rows = _rows(path, comments, chunked=True)
     header_no, header = next(rows)
     orientation = _parse_orientation(path, comments)
     if header[0] != "recording_id" or len(header) < 2:
-        raise FormatError(
-            f"{path.name}:{header_no}: header must be recording_id,<machine>,..."
-        )
+        raise FormatError(f"{path.name}:{header_no}: header must be recording_id,<machine>,...")
     machines = header[1:]
     if len(set(machines)) != len(machines) or any(not m for m in machines):
         raise FormatError(f"{path.name}:{header_no}: machine columns must be unique and nonempty")
@@ -361,19 +339,24 @@ def read_scores(path, index: Mapping[str, int] | _LabelOrder | None = None
 _LABEL_COLUMNS = ("recording_id", "true_machine", "is_anomaly", "split")
 
 
-def _label_problem(row: list[str]) -> str | None:
-    rec_id, machine, anomaly_text, split = row[:4]
-    if not machine:
-        return "empty true_machine"
-    if anomaly_text not in _TRUTH:
-        return f"is_anomaly must be one of {sorted(_TRUTH)}, got {anomaly_text!r}"
-    if split not in SPLITS:
-        return f"recording {rec_id!r}: unknown split {split!r}"
-    return None
-
-
 class _LabelSets(dict):
     """read_labels' {split: MergedTestSet}, with its ids' _LabelOrder as ``order``."""
+
+
+def _c_labels(chunks: Iterator[list[str]], width: int) -> Iterator[list[list[str]]]:
+    # the four label columns of each chunk of data lines, each a strided slice
+    # of one str.split of its text
+    for lines in chunks:
+        if ((text := _plain(lines, width - 1)) is None
+                or list(map(str.count, lines, repeat(","))).count(width - 1) < len(lines)):
+            raise ValueError("a chunk left to csv")
+        cells = text.replace("\n", ",").split(",")
+        ids, names, truths, split_names = columns = [cells[k:len(lines) * width:width]
+                                                     for k in range(4)]
+        if ("" in ids or "" in names or not set(truths).issubset(_TRUTH)
+                or not set(split_names).issubset(SPLITS)):
+            raise ValueError("a chunk left to csv")
+        yield columns
 
 
 def read_labels(path) -> dict[str, MergedTestSet]:
@@ -384,80 +367,72 @@ def read_labels(path) -> dict[str, MergedTestSet]:
     file before the first bad label value is reported.
     """
     path = Path(path)
-    rows = _rows(path)
+    rows = _rows(path, chunked=True)
     header_no, header = next(rows)
     if tuple(header[:4]) != _LABEL_COLUMNS:
-        raise FormatError(
-            f"{path.name}:{header_no}: header must start with {','.join(_LABEL_COLUMNS)}"
-        )
+        raise FormatError(f"{path.name}:{header_no}: header must start with "
+                          f"{','.join(_LABEL_COLUMNS)}")
     if header[4:]:
         warnings.warn(f"{path.name}: ignoring unknown label columns {header[4:]}", stacklevel=2)
-    codes: dict[str, int] = {}  # machine name -> code, in order of first appearance
-    ids, machines, labels, splits = [], [], bytearray(), bytearray()  # in file order
-    seen: set[str] = set()
 
-    def take(lines: list[str]) -> bool:
-        # the C path: each column is a strided slice of one split of the text
-        if ((text := _plain(lines, len(header) - 1)) is None
-                or list(map(str.count, lines, repeat(","))).count(len(header) - 1) < len(lines)):
-            return False
-        cells, width = text.replace("\n", ",").split(","), len(header)
-        chunk, names, truths, split_names = (cells[k:len(lines) * width:width] for k in range(4))
-        if ("" in names or not set(truths).issubset(_TRUTH)
-                or not set(split_names).issubset(SPLITS) or _chunk_keys(chunk, seen) is None):
-            return False
-        for machine in dict.fromkeys(names):
-            codes.setdefault(machine, len(codes))
-        ids.extend(chunk)
-        machines.extend(map(codes.__getitem__, names))
-        labels.extend(map(_TRUTH.__getitem__, truths))
-        splits.extend(map(SPLITS.index, split_names))
-        return True
+    def join(pieces: Iterable[list[list[str]]]) -> _LabelSets:
+        codes: dict[str, int] = {}  # machine name -> code, in order of first appearance
+        ids, machines, labels, splits = [], [], bytearray(), bytearray()  # in file order
+        for chunk, names, truths, split_names in pieces:
+            for machine in dict.fromkeys(names):
+                codes.setdefault(machine, len(codes))
+            ids.extend(chunk)
+            machines.extend(map(codes.__getitem__, names))
+            labels.extend(map(_TRUTH.__getitem__, truths))
+            splits.extend(map(SPLITS.index, split_names))
+        if not ids:
+            raise FormatError(f"{path.name}: no label rows")
+        if not _unique(ids):  # on the C path only: csv names the repeat's line
+            raise ProtocolError("duplicate recording ids")
+        names, machines, labels = list(codes), np.array(machines), np.frombuffer(labels, dtype=bool)
+        index_rows, sets, start = np.empty(len(ids), dtype=np.intp), _LabelSets(), 0
+        for j, split in enumerate(SPLITS):
+            in_split = np.frombuffer(splits, dtype=np.uint8) == j
+            if split_ids := list(compress(ids, in_split.tobytes())):
+                merged = sets[split] = MergedTestSet(split_ids, names, machines[in_split],
+                                                     labels[in_split], split)
+                # the rows of a split kept as given are its index rows in file order
+                index_rows[in_split] = (np.arange(start, start + len(split_ids))
+                                        if merged.ids == split_ids
+                                        else np.fromiter(map(dict(zip(merged.ids, count(start)))
+                                                             .__getitem__, split_ids),
+                                                         np.intp, len(split_ids)))
+                start += len(split_ids)
+        sets.order = _LabelOrder(chain.from_iterable(merged.ids for merged in sets.values()))
+        sets.order.ids, sets.order.rows = ids, index_rows
+        return sets
 
-    rows.send(take)
-    problem = None
-    for line_no, row, _ in _keyed_rows(path, rows, len(header), seen):
-        if problem is None and (message := _label_problem(row)):
-            problem = f"{path.name}:{line_no}: {message}"
-        elif problem is None:
-            ids.append(row[0])
-            machines.append(codes.setdefault(row[1], len(codes)))
-            labels.append(_TRUTH[row[2]])
-            splits.append(SPLITS.index(row[3]))
-    if problem is not None:
-        raise FormatError(problem)
-    if not seen:
-        raise FormatError(f"{path.name}: no label rows")
-    seen.clear()  # freed before MergedTestSet sorts the ids
-    names, machines, labels = list(codes), np.array(machines), np.frombuffer(labels, dtype=bool)
-    rows, sets, start = np.empty(len(ids), dtype=np.intp), _LabelSets(), 0
-    for j, split in enumerate(SPLITS):
-        in_split = np.frombuffer(splits, dtype=np.uint8) == j
-        if split_ids := list(compress(ids, in_split.tobytes())):
-            merged = sets[split] = MergedTestSet(split_ids, names, machines[in_split],
-                                                 labels[in_split], split)
-            # the rows of a split kept as given are its index rows in file order
-            rows[in_split] = (np.arange(start, start + len(split_ids)) if merged.ids == split_ids
-                              else np.fromiter(map(dict(zip(merged.ids, count(start))).__getitem__,
-                                                   split_ids), np.intp, len(split_ids)))
-            start += len(split_ids)
-    sets.order = _LabelOrder(chain.from_iterable(merged.ids for merged in sets.values()))
-    sets.order.ids, sets.order.rows = ids, rows
-    return sets
+    def cells(line_no: int, row: list[str]) -> tuple[list[str], ...]:
+        rec_id, machine, anomaly_text, split = row[:4]
+        if not machine:
+            problem = "empty true_machine"
+        elif anomaly_text not in _TRUTH:
+            problem = f"is_anomaly must be one of {sorted(_TRUTH)}, got {anomaly_text!r}"
+        elif split not in SPLITS:
+            problem = f"recording {rec_id!r}: unknown split {split!r}"
+        else:
+            return [rec_id], [machine], [anomaly_text], [split]
+        raise FormatError(f"{path.name}:{line_no}: {problem}")
+
+    return _fast_or_strict(rows, join, _c_labels(rows, len(header)),
+                           partial(_keyed_rows, path, len(header), cells))
 
 
 def read_features(path, index: Mapping[str, int] | _LabelOrder | None = None
                   ) -> tuple[list[str], np.ndarray]:
     """Read per-recording feature vectors as (ids, (n, d) array), in read_scores' row order."""
     path = Path(path)
-    rows = _rows(path)
+    rows = _rows(path, chunked=True)
     header_no, header = next(rows)
     d = len(header) - 1
     expected = ["recording_id"] + [f"f_{i}" for i in range(d)]
     if header != expected or d < 1:
-        raise FormatError(
-            f"{path.name}:{header_no}: header must be recording_id,f_0,...,f_{{d-1}}"
-        )
+        raise FormatError(f"{path.name}:{header_no}: header must be recording_id,f_0,...,f_{{d-1}}")
     return _float_rows(path, rows, header, "feature", index)
 
 
@@ -499,16 +474,10 @@ def read_manifest(path) -> Manifest:
         raise FormatError(f"{path.name}: scorer.normalizer must be an object or null")
     _check_keys(path, "scorer.normalizer", normalizer_raw, ("kind", "k_norm"))
     try:
-        normalizer = NormalizerSpec(
-            kind=normalizer_raw.get("kind", "none"),
-            k_norm=normalizer_raw.get("k_norm", 1),
-        )
-        scorer = ScorerSpec(
-            kind=scorer_raw["kind"],
-            k=scorer_raw.get("k", 1),
-            epsilon=scorer_raw.get("epsilon"),
-            normalizer=normalizer,
-        )
+        normalizer = NormalizerSpec(kind=normalizer_raw.get("kind", "none"),
+                                    k_norm=normalizer_raw.get("k_norm", 1))
+        scorer = ScorerSpec(kind=scorer_raw["kind"], k=scorer_raw.get("k", 1),
+                            epsilon=scorer_raw.get("epsilon"), normalizer=normalizer)
     except ValueError as exc:
         raise FormatError(f"{path.name}: {exc}") from None
     features = raw.get("features")
@@ -519,16 +488,9 @@ def read_manifest(path) -> Manifest:
         raise FormatError(f"{path.name}: machines list is required")
     references: dict[str, Path] = {}
     for entry in machines_raw:
-        if (
-            not isinstance(entry, dict)
-            or not isinstance(entry.get("name"), str)
-            or not entry["name"]
-            or not isinstance(entry.get("reference"), str)
-            or not entry["reference"]
-        ):
-            raise FormatError(
-                f"{path.name}: each machine needs a name and a reference path"
-            )
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str) and entry["name"]
+                and isinstance(entry.get("reference"), str) and entry["reference"]):
+            raise FormatError(f"{path.name}: each machine needs a name and a reference path")
         _check_keys(path, "machine entry", entry, ("name", "reference"))
         name = entry["name"]
         if name in references:
@@ -556,9 +518,8 @@ def read_check_table(path) -> list[CheckRow]:
     rows = _rows(path)
     header_no, header = next(rows)
     if header != ["label", "a_known", "a_unknown", "expected"]:
-        raise FormatError(
-            f"{path.name}:{header_no}: header must be label,a_known,a_unknown,expected"
-        )
+        raise FormatError(f"{path.name}:{header_no}: header must be "
+                          "label,a_known,a_unknown,expected")
     out: list[CheckRow] = []
     for line_no, row in rows:
         if len(row) != 4:
@@ -567,21 +528,11 @@ def read_check_table(path) -> list[CheckRow]:
         if not label:
             raise FormatError(f"{path.name}:{line_no}: empty label")
         expected_text = expected_text.strip()
-        if expected_text == "undefined":
-            expected = None
-        else:
-            expected = _parse_float(
-                path, line_no, "expected", expected_text.removesuffix("%")
-            )
-        out.append(
-            CheckRow(
-                label,
-                _parse_float(path, line_no, "a_known", known_text),
-                _parse_float(path, line_no, "a_unknown", unknown_text),
-                expected,
-                line_no,
-            )
-        )
+        expected = (None if expected_text == "undefined"
+                    else _parse_float(path, line_no, "expected", expected_text.removesuffix("%")))
+        out.append(CheckRow(label, _parse_float(path, line_no, "a_known", known_text),
+                            _parse_float(path, line_no, "a_unknown", unknown_text), expected,
+                            line_no))
     if not out:
         raise FormatError(f"{path.name}: no check rows")
     return out
@@ -598,28 +549,15 @@ def file_digest(path, role: str) -> dict:
 
 def percent_text(fraction: float | None) -> str | None:
     """Render a fraction as a percentage with two decimals."""
-    if fraction is None:
-        return None
-    return f"{100.0 * fraction:.2f}"
+    return None if fraction is None else f"{100.0 * fraction:.2f}"
 
 
 def _mode_section(mode: ModeResult) -> dict:
-    per_machine = {}
-    for machine in sorted(mode.per_machine):
-        metrics = mode.per_machine[machine]
-        per_machine[machine] = {
-            "n_normal": metrics.n_normal,
-            "n_anomalous": metrics.n_anomalous,
-            "auc": metrics.auc,
-            "pauc": metrics.pauc,
-        }
-    return {
-        "average": mode.average,
-        "pauc_p": mode.pauc_p,
-        "aggregate": mode.aggregate,
-        "per_machine": per_machine,
-        "excluded_machines": sorted(mode.excluded_machines),
-    }
+    per_machine = {machine: {"n_normal": metrics.n_normal, "n_anomalous": metrics.n_anomalous,
+                             "auc": metrics.auc, "pauc": metrics.pauc}
+                   for machine, metrics in sorted(mode.per_machine.items())}
+    return {"average": mode.average, "pauc_p": mode.pauc_p, "aggregate": mode.aggregate,
+            "per_machine": per_machine, "excluded_machines": sorted(mode.excluded_machines)}
 
 
 def _split_section(report: EvalReport) -> dict:
@@ -651,26 +589,15 @@ def _split_section(report: EvalReport) -> dict:
 
 
 def _document_head(kind: str, inputs: Iterable[dict]) -> dict:
-    return {
-        "format": FORMAT_VERSION,
-        "tool": {"name": TOOL_NAME, "version": TOOL_VERSION},
-        "kind": kind,
-        "inputs": list(inputs),
-    }
+    return {"format": FORMAT_VERSION, "tool": {"name": TOOL_NAME, "version": TOOL_VERSION},
+            "kind": kind, "inputs": list(inputs)}
 
 
-def evaluation_document(
-    splits: Mapping[str, EvalReport],
-    inputs: Iterable[dict],
-    config: EvalConfig,
-    higher_is_anomalous: bool,
-) -> dict:
+def evaluation_document(splits: Mapping[str, EvalReport], inputs: Iterable[dict],
+                        config: EvalConfig, higher_is_anomalous: bool) -> dict:
     doc = _document_head("evaluation", inputs)
-    doc["config"] = {
-        "pauc_p": config.pauc_p,
-        "average": config.average,
-        "higher_is_anomalous": higher_is_anomalous,
-    }
+    doc["config"] = {"pauc_p": config.pauc_p, "average": config.average,
+                     "higher_is_anomalous": higher_is_anomalous}
     doc["splits"] = {split: _split_section(splits[split]) for split in sorted(splits)}
     return doc
 
@@ -681,9 +608,8 @@ def _simulation_head(kind: str, config: SimConfig, scorer: ScorerSpec,
             "evaluation": {"pauc_p": eval_config.pauc_p, "average": eval_config.average}}
 
 
-def simulate_document(
-    point: SweepPoint, config: SimConfig, scorer: ScorerSpec, eval_config: EvalConfig
-) -> dict:
+def simulate_document(point: SweepPoint, config: SimConfig, scorer: ScorerSpec,
+                      eval_config: EvalConfig) -> dict:
     return {**_simulation_head("simulate", config, scorer, eval_config), "point": asdict(point)}
 
 
@@ -754,23 +680,15 @@ def scatter_svg_text(points: Sequence[tuple[float, float]]) -> str:
         y_val = y_lo + frac * (y_hi - y_lo)
         px, _ = to_px(x_val, y_lo)
         _, py = to_px(x_lo, y_val)
-        parts.append(
-            f'<text x="{px:.1f}" y="{height - bottom + 16:.1f}" font-size="10" '
-            f'text-anchor="middle">{x_val:.2f}</text>'
-        )
-        parts.append(
-            f'<text x="{left - 6:.1f}" y="{py + 3:.1f}" font-size="10" '
-            f'text-anchor="end">{y_val:.2f}</text>'
-        )
-    parts.append(
-        f'<text x="{(left + width - right) / 2:.1f}" y="{height - 12:.1f}" '
-        f'font-size="11" text-anchor="middle">identification accuracy (normalized)</text>'
-    )
-    parts.append(
-        f'<text x="14" y="{(top + height - bottom) / 2:.1f}" font-size="11" '
-        f'text-anchor="middle" transform="rotate(-90 14 {(top + height - bottom) / 2:.1f})">'
-        f"normalized degradation</text>"
-    )
+        parts.append(f'<text x="{px:.1f}" y="{height - bottom + 16:.1f}" font-size="10" '
+                     f'text-anchor="middle">{x_val:.2f}</text>')
+        parts.append(f'<text x="{left - 6:.1f}" y="{py + 3:.1f}" font-size="10" '
+                     f'text-anchor="end">{y_val:.2f}</text>')
+    parts.append(f'<text x="{(left + width - right) / 2:.1f}" y="{height - 12:.1f}" '
+                 f'font-size="11" text-anchor="middle">identification accuracy (normalized)</text>')
+    middle = (top + height - bottom) / 2
+    parts.append(f'<text x="14" y="{middle:.1f}" font-size="11" text-anchor="middle" '
+                 f'transform="rotate(-90 14 {middle:.1f})">normalized degradation</text>')
     for x, y in points:
         px, py = to_px(x, y)
         parts.append(f'<circle cx="{px:.1f}" cy="{py:.1f}" r="3" fill="steelblue"/>')
@@ -781,14 +699,8 @@ def scatter_svg_text(points: Sequence[tuple[float, float]]) -> str:
 def atomic_write_text(path, text: str) -> None:
     """Write via a same-directory temp file and rename into place."""
     path = Path(path)
-    handle = tempfile.NamedTemporaryFile(
-        mode="w",
-        encoding="utf-8",
-        newline="",
-        dir=path.parent,
-        prefix=f".{path.name}.",
-        delete=False,
-    )
+    handle = tempfile.NamedTemporaryFile(mode="w", encoding="utf-8", newline="", dir=path.parent,
+                                         prefix=f".{path.name}.", delete=False)
     umask = os.umask(0)
     os.umask(umask)
     try:

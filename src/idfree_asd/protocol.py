@@ -133,7 +133,7 @@ class MergedTestSet:
         if not all(map(operator.lt, ids, islice(ids, 1, None))):
             order = sorted(range(len(ids)), key=ids.__getitem__)
             self.ids = [ids[i] for i in order]
-            if any(a == b for a, b in zip(self.ids, self.ids[1:])):
+            if any(map(operator.eq, self.ids, islice(self.ids, 1, None))):
                 raise ProtocolError("duplicate recording ids in merged test set")
         codes, labels = np.asarray(self.true_machine), np.asarray(self.is_anomaly)
         if codes.dtype.kind not in "iu":

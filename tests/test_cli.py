@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 import idfree_asd.cli as cli
-import idfree_asd.io as io_module
 from idfree_asd.cli import EXIT_DATA, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 from idfree_asd.io import (
     FORMAT_LINE,
@@ -30,7 +29,8 @@ from idfree_asd.protocol import (
 from idfree_asd.scorers import ReferenceSet, ScorerSpec, build_score_matrix
 from idfree_asd.simulate import SimConfig, generate
 from tables import label_rows, write_features, write_labels, write_scores
-from test_io_formats import BLOCK_ROWS, JOIN_FAULTS, JOIN_PATHS, JOINS, small_chunks
+from test_io_formats import (BLOCK_ROWS, JOIN_FAULTS, JOINS, small_chunks, strict_only,
+                             strict_reads)
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
@@ -340,21 +340,17 @@ def test_evaluate_mismatch_lists_sorted_ids_and_caps_them(tmp_path, capsys, kind
     assert message == f"{kind}/labels cross-reference mismatch: {sides[0]}, {sides[1]}"
 
 
-def test_evaluate_table_in_label_order_builds_no_id_dict(tmp_path, capsys, monkeypatch):
+def test_evaluate_gate_clean_tables_never_call_the_strict_reader(tmp_path, capsys, monkeypatch):
     # the golden scores list their rows in the label file's order; reversed they do not
-    built = []
-    lookup = io_module._LabelOrder.lookup
-    monkeypatch.setattr(io_module._LabelOrder, "lookup",
-                        lambda order: built.append(order) or lookup(order))
+    strict = strict_reads(monkeypatch)
     code, out, _ = run(capsys, "evaluate", "--scores", str(GOLDEN / "scores.csv"),
                        "--labels", str(GOLDEN / "labels.csv"))
     assert code == EXIT_OK and out == (GOLDEN / "report.json").read_text()
-    assert built == []
     head, *rows = (GOLDEN / "scores.csv").read_text().splitlines(keepends=True)[2:]
     (tmp_path / "scores.csv").write_text("".join([FORMAT_LINE + "\n", head, *rows[::-1]]))
     code, reversed_out, _ = run(capsys, "evaluate", "--scores", str(tmp_path / "scores.csv"),
                                 "--labels", str(GOLDEN / "labels.csv"))
-    assert code == EXIT_OK and len(built) == 1
+    assert code == EXIT_OK and strict == []
     assert json.loads(reversed_out)["splits"] == json.loads(out)["splits"]
 
 
@@ -384,13 +380,12 @@ def test_evaluate_joins_label_order_as_the_id_dict_does(tmp_path, capsys, monkey
             "features": "features.csv",
             "machines": [{"name": m, "reference": f"ref_{m}.csv"} for m in ("fan", "pump")]}))
     argv = ["evaluate", f"--{source}", str(table), "--labels", str(tmp_path / "labels.csv")]
-    paths = small_chunks(monkeypatch, 19)
+    small_chunks(monkeypatch, 19)
     joined = run(capsys, *argv)
-    with monkeypatch.context() as patch:  # no chunk follows the label order: one dict join
-        patch.setattr(io_module._LabelOrder, "aligned", lambda order, start, ids: None)
+    with monkeypatch.context() as patch:  # csv alone gives the same run
+        strict_only(patch)
         assert run(capsys, *argv) == joined
     assert joined[0] == (EXIT_DATA if case in JOIN_FAULTS else EXIT_OK)
-    assert paths.aligned == JOIN_PATHS.get(case, ([BLOCK_ROWS] * 2, 1))[0]
 
 
 def golden_splits(capsys):

@@ -4,11 +4,10 @@ import os
 import tracemalloc
 from itertools import count
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import idfree_asd.io as io_module
@@ -165,50 +164,16 @@ def _read_table(kind, path, index=None):
     return ids, values
 
 
-def read_paths(monkeypatch):
-    """Record how the reads that follow go: the rows of each chunk converted
-    in C (`c`), and of those the chunks placed by slices of a label order
-    (`aligned`); the lines of the data rows that csv read (`csv`); the
-    lines whose cells float() converted (`floats`); and the {id: row} dicts
-    built from a label order (`lookups`)."""
-    paths = SimpleNamespace(c=[], aligned=[], csv=[], floats=[], lookups=0)
-    chunk_keys, keyed_rows = io_module._chunk_keys, io_module._keyed_rows
-    parse_float = io_module._parse_float
-    aligned, lookup = io_module._LabelOrder.aligned, io_module._LabelOrder.lookup
+def strict_reads(monkeypatch):
+    """Record the files that the strict reader, the csv path, reads from here on."""
+    reads, keyed_rows = [], io_module._keyed_rows
 
-    def counted_keys(ids, *args):
-        keys = chunk_keys(ids, *args)
-        if keys is not None:
-            paths.c.append(len(ids))
-        return keys
+    def counted(path, *args):
+        reads.append(path.name)
+        return keyed_rows(path, *args)
 
-    def counted_aligned(order, start, ids):
-        keys = aligned(order, start, ids)
-        if keys is not None:
-            paths.c.append(len(ids))
-            paths.aligned.append(len(ids))
-        return keys
-
-    def counted_lookup(order):
-        paths.lookups += 1
-        return lookup(order)
-
-    def counted_rows(*args):
-        for line_no, row, key in keyed_rows(*args):
-            paths.csv.append(line_no)
-            yield line_no, row, key
-
-    def counted_float(path, line_no, column, text):
-        if line_no not in paths.floats:
-            paths.floats.append(line_no)
-        return parse_float(path, line_no, column, text)
-
-    monkeypatch.setattr(io_module, "_chunk_keys", counted_keys)
-    monkeypatch.setattr(io_module, "_keyed_rows", counted_rows)
-    monkeypatch.setattr(io_module, "_parse_float", counted_float)
-    monkeypatch.setattr(io_module._LabelOrder, "aligned", counted_aligned)
-    monkeypatch.setattr(io_module._LabelOrder, "lookup", counted_lookup)
-    return paths
+    monkeypatch.setattr(io_module, "_keyed_rows", counted)
+    return reads
 
 
 def strict_only(monkeypatch):
@@ -245,15 +210,10 @@ def test_clean_table_converts_by_column_without_cell_pass(tmp_path, monkeypatch,
     matrix = np.random.default_rng(1).standard_normal((50, 3))
     path = tmp_path / f"{kind}.csv"
     _write_table(kind, path, ids, matrix)
-    paths = read_paths(monkeypatch)
-    calls = []
-    original = io_module._parse_float
-    monkeypatch.setattr(io_module, "_parse_float",
-                        lambda *args: calls.append(args) or original(*args))
+    reads = strict_reads(monkeypatch)
     back_ids, back = _read_table(kind, path)
-    assert calls == []
     assert back_ids == ids and np.array_equal(back, matrix)
-    assert paths.c == [50] and paths.csv == []  # one chunk in C; csv never reads a data row
+    assert reads == []  # the C path read the table; csv never did
 
 
 @pytest.mark.parametrize("kind", ["scores", "features"])
@@ -298,10 +258,8 @@ def _line(length, rec_id, *cells):
 
 
 def small_chunks(monkeypatch, line_length):
-    """Make data lines of `line_length` characters come BLOCK_ROWS to a chunk;
-    record how the reads go, as read_paths does."""
+    """Make data lines of `line_length` characters come BLOCK_ROWS to a chunk."""
     monkeypatch.setattr(io_module, "_CHUNK_CHARS", BLOCK_ROWS * line_length - 1)
-    return read_paths(monkeypatch)
 
 
 def _header(kind, width):
@@ -322,9 +280,10 @@ def test_blocked_conversion_matches_float_on_each_cell(tmp_path, monkeypatch, ki
     path.write_text("\n".join([FORMAT_LINE, _header(kind, 3), *lines]) + "\n")
     expected = np.array([[float(cell) for cell in line.split(",")[1:]]
                          for line in path.read_text().splitlines()[2:]])
-    converted = small_chunks(monkeypatch, 90).c
+    small_chunks(monkeypatch, 90)
+    reads = strict_reads(monkeypatch)
     back_ids, back = _read_table(kind, path)
-    assert converted == [BLOCK_ROWS] * (n // BLOCK_ROWS) + [n % BLOCK_ROWS] * (n % BLOCK_ROWS > 0)
+    assert reads == []  # loadtxt converted every chunk
     assert back_ids == ids
     assert back.shape == (n, 3)
     assert np.array_equal(back.view(np.uint64), expected.view(np.uint64))
@@ -343,14 +302,11 @@ def test_blocked_bad_cell_waits_for_row_structure(tmp_path, monkeypatch, kind):
     lines[2 + 2 * BLOCK_ROWS + 4] = _line(LINE, "r5", "1", "1")
     path = tmp_path / f"{kind}.csv"
     path.write_text("\n".join(lines) + "\n")
-    paths = small_chunks(monkeypatch, LINE)
+    small_chunks(monkeypatch, LINE)
     with pytest.raises(FormatError) as err:
         _read_table(kind, path)
     assert str(err.value) == (f"{path.name}:{2 * BLOCK_ROWS + 7}: "
                               f"duplicate recording id 'r5'")
-    # block 1 goes to csv, which converts up to the bad cell and checks rows to the duplicate
-    assert paths.c == [] and paths.floats == [3, 4]
-    assert paths.csv == list(range(3, 2 * BLOCK_ROWS + 7))
 
 
 @pytest.mark.parametrize("kind", ["scores", "features"])
@@ -360,15 +316,11 @@ def test_blocked_first_bad_block_names_its_cell(tmp_path, monkeypatch, kind):
     lines[2 + 2 * BLOCK_ROWS] = _line(LINE, f"r{2 * BLOCK_ROWS}", "oops", "1")
     path = tmp_path / f"{kind}.csv"
     path.write_text("\n".join(lines) + "\n")
-    converted = small_chunks(monkeypatch, LINE)
+    small_chunks(monkeypatch, LINE)
     with pytest.raises(FormatError) as err:
         _read_table(kind, path)
     column = "m1" if kind == "scores" else "f_1"
     assert str(err.value) == f"{path.name}:{BLOCK_ROWS + 6}: {column} value 'nan' is not finite"
-    # block 1 is converted in C, block 2 by float() up to its bad cell, block 3 is not converted
-    assert converted.c == [BLOCK_ROWS]
-    assert converted.floats == list(range(BLOCK_ROWS + 3, BLOCK_ROWS + 7))
-    assert converted.csv == list(range(BLOCK_ROWS + 3, 3 * BLOCK_ROWS + 3))
 
 
 def _chunked_lines(kind, n):
@@ -471,13 +423,8 @@ def test_fault_in_the_third_chunk_reads_as_csv_reads_it(tmp_path, monkeypatch, k
     def read():
         return read_labels(path) if kind == "labels" else _read_table(kind, path, index)
 
-    paths = small_chunks(monkeypatch, LINE)
+    small_chunks(monkeypatch, LINE)
     chunked = outcome(read)
-    if fault == "CRLF from mid-file":  # CR inside CRLF passes the gate
-        assert paths.c == [BLOCK_ROWS] * 4 and paths.csv == []
-    else:  # the first two chunks are converted in C, and csv reads on from the third
-        assert paths.c == [BLOCK_ROWS, BLOCK_ROWS]
-        assert paths.csv[0] == 2 * BLOCK_ROWS + 3
     assert chunked == strict_outcome(monkeypatch, read)
     width = 4 if kind == "labels" else 3
     column = "m1" if kind == "scores" else "f_1"
@@ -515,9 +462,10 @@ def test_crlf_table_reads_as_its_lf_original_in_c(tmp_path, monkeypatch, kind, l
         return read_labels(path) if kind == "labels" else _read_table(kind, path, index)
 
     expected = outcome(lambda: read(lf))
-    paths = small_chunks(monkeypatch, LINE)
+    small_chunks(monkeypatch, LINE)
+    reads = strict_reads(monkeypatch)
     assert outcome(lambda: read(crlf)) == expected
-    assert paths.c == [BLOCK_ROWS] * 4 and paths.csv == [] and paths.floats == []
+    assert reads == []
 
 
 JOIN_ROW = FAULT_ROW - 2  # data row 18, the third row of the third chunk
@@ -544,9 +492,6 @@ JOINS = {
     "missing labeled id": (list, _at_join_row),
 }
 JOIN_FAULTS = ("repeat of an aligned id", "unlabeled id", "missing labeled id")
-# the chunks placed by slices of the label order, and the {id: row} dicts built
-JOIN_PATHS = {"label order": ([BLOCK_ROWS] * 4, 0), "reversed": ([], 1),
-              "splits out of id order": ([BLOCK_ROWS] * 4, 0)}
 
 
 @pytest.mark.parametrize("kind", ["scores", "features"])
@@ -560,11 +505,76 @@ def test_label_order_join_reads_as_the_id_dict_reads(tmp_path, monkeypatch, kind
     path.write_text("\n".join([FORMAT_LINE, header, *table_rows_of(rows)]) + "\n")
     sets = read_labels(labels)
     lookup = dict(zip([rec_id for merged in sets.values() for rec_id in merged.ids], count()))
-    paths = small_chunks(monkeypatch, LINE)
+    small_chunks(monkeypatch, LINE)
     joined = outcome(lambda: _read_table(kind, path, sets.order))
-    assert (paths.aligned, paths.lookups) == JOIN_PATHS.get(case, ([BLOCK_ROWS] * 2, 1))
     assert joined == outcome(lambda: _read_table(kind, path, lookup))
+    assert joined == strict_outcome(monkeypatch, lambda: _read_table(kind, path, sets.order))
     assert (joined[0] in ("FormatError", "ProtocolError")) == (case in JOIN_FAULTS)
+
+
+def _quoted(line, column):
+    return _with_cell(line, column, f'"{line.split(",")[column]}"')
+
+
+def _id(line):
+    return line.partition(",")[0]
+
+
+def _at(rows, i, *lines):
+    return rows[:i] + list(lines) + rows[i + 1:]
+
+
+# edits of the data rows of a _chunked_lines table at row i, valid or faulted;
+# in a label table, rows of the same parity share a split
+EDITS = {
+    "repeat in split": lambda rows, i: _at(rows, i, _with_id(rows[i], _id(rows[i - 2]))),
+    "repeat across splits": lambda rows, i: _at(rows, i, _with_id(rows[i], _id(rows[i - 1]))),
+    "row twice": lambda rows, i: _at(rows, i, rows[i], rows[i]),
+    "quoted id": lambda rows, i: _at(rows, i, _quoted(rows[i], 0)),
+    "quoted cell": lambda rows, i: _at(rows, i, _quoted(rows[i], 1)),
+    "id holding a comma": lambda rows, i: _at(rows, i, _with_id(rows[i], f'"{_id(rows[i])},x"')),
+    "lone CR": lambda rows, i: rows[:i] + ["\r".join(rows[i:i + 2])] + rows[i + 2:],
+    "CRLF line end": lambda rows, i: _at(rows, i, rows[i] + "\r"),
+    "blank line": lambda rows, i: _at(rows, i, "", rows[i]),
+    "non-finite cell or bad label": lambda rows, i: _at(rows, i, _with_cell(rows[i], 2, "inf")),
+    "unlabeled id": lambda rows, i: _at(rows, i, _with_id(rows[i], "x" + _id(rows[i]))),
+    "empty id": lambda rows, i: _at(rows, i, _with_id(rows[i], "")),
+    "missing labeled id": lambda rows, i: _at(rows, i),
+    "reversed": lambda rows, i: rows[::-1],
+}
+
+
+@st.composite
+def _edited_tables(draw):
+    """A table kind, how it is read and its text, of 1 to 5 chunks of rows
+    r000, r001, ... with one to three edits, most of them deep in the file."""
+    kind, labeled = draw(st.sampled_from(TABLES))
+    n = draw(st.integers(1, 5 * BLOCK_ROWS))
+    header, rows = _chunked_lines(kind, n)[:2], _chunked_lines(kind, n)[2:]
+    for edit in draw(st.lists(st.sampled_from(sorted(EDITS)), min_size=1, max_size=3)):
+        # at a row with cells, not at a blank line
+        if len(rows) > 2 and "," in rows[at := draw(st.integers(2, len(rows) - 1))]:
+            rows = EDITS[edit](rows, at)
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return kind, labeled, n, end.join(header + rows) + end
+
+
+@settings(max_examples=300)  # a few ms each; fewer let single faults slip through
+@given(_edited_tables())
+def test_c_then_csv_reads_as_csv_alone(tmp_path_factory, table):
+    # the C path reads a table all or nothing, and a table it leaves is read
+    # again whole by csv, so the reads match csv alone in ids, values and errors
+    kind, labeled, n, text = table
+    path = tmp_path_factory.mktemp("table") / f"{kind}.csv"
+    path.write_bytes(text.encode())
+    index = _index(path.parent, labeled, n)
+
+    def read():
+        return read_labels(path) if kind == "labels" else _read_table(kind, path, index)
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        small_chunks(monkeypatch, LINE)
+        assert outcome(read) == strict_outcome(monkeypatch, read)
 
 
 # the cell around which _CELLS pads characters that may sit next to a number
@@ -613,11 +623,8 @@ def test_cells_the_gate_sends_to_csv_read_as_float_reads_them(tmp_path, monkeypa
     lines[2 + 2 * BLOCK_ROWS] = f"{rec_id},{cell}"
     path = tmp_path / "scores.csv"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    paths = small_chunks(monkeypatch, LINE)
+    small_chunks(monkeypatch, LINE)
     chunked = outcome(lambda: read_scores(path)[2][2 * BLOCK_ROWS])
-    # csv reads on from the row; one too long fails there, before the row checks
-    assert paths.c == [BLOCK_ROWS, BLOCK_ROWS]
-    assert paths.csv[:1] == ([2 * BLOCK_ROWS + 3] if rec_id == "r016" else [])
     assert chunked == strict_outcome(monkeypatch, lambda: read_scores(path)[2][2 * BLOCK_ROWS])
     if isinstance(result, str):
         assert chunked == ("FormatError", f"scores.csv:19: {result}")
@@ -645,11 +652,11 @@ def test_fixtures_read_the_same_through_c_and_csv(tmp_path, monkeypatch):
         lambda: read_features(tmp_path / "features.csv", feature_index),
         lambda: read_features(tmp_path / "reference.csv"),
     ]
-    paths = read_paths(monkeypatch)
+    strict = strict_reads(monkeypatch)
     chunked = [outcome(read) for read in reads]
-    assert len(paths.c) == len(reads) and paths.csv == []  # the C path read every fixture
+    assert strict == []  # the C path read every fixture
     assert chunked == [strict_outcome(monkeypatch, read) for read in reads]
-    assert len(paths.c) == len(reads) and len(paths.csv) > len(reads)  # and csv every one
+    assert len(strict) == len(reads)  # and csv every one
     assert not any(result[0] in ("FormatError", "ProtocolError") for result in chunked)
 
 
@@ -759,6 +766,19 @@ def test_labels_domain_column_is_ignored(tmp_path):
         assert merged.machines == expected[split].machines
         assert np.array_equal(merged.true_machine, expected[split].true_machine)
         assert np.array_equal(merged.is_anomaly, expected[split].is_anomaly)
+
+
+def test_labels_read_again_by_csv_warn_once(tmp_path):
+    # the quoted id fails the C path's gate, so csv reads the whole file again
+    path = tmp_path / "labels.csv"
+    path.write_text(f"{FORMAT_LINE}\nrecording_id,true_machine,is_anomaly,split,domain\n"
+                    f'r1,fan,1,dev,source\n"r2",pump,0,dev,indoor\n')
+    with pytest.warns(UserWarning) as caught:
+        sets = read_labels(path)
+    assert [str(w.message) for w in caught] == [
+        "labels.csv: ignoring unknown label columns ['domain']"
+    ]
+    assert sets["dev"].ids == ["r1", "r2"]
 
 
 def test_labels_roundtrip_without_domain(tmp_path):
