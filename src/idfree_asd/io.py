@@ -11,7 +11,6 @@ import csv
 import hashlib
 import json
 import math
-import operator
 import os
 import re
 import tempfile
@@ -20,13 +19,14 @@ from contextlib import closing
 from dataclasses import asdict, dataclass, fields
 from functools import partial
 from io import StringIO
-from itertools import chain, compress, count, islice, repeat
+from itertools import chain, compress, count, repeat
 from pathlib import Path
 from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .protocol import SPLITS, EvalConfig, EvalReport, MergedTestSet, ModeResult, ProtocolError
+from .protocol import (SPLITS, EvalConfig, EvalReport, MergedTestSet, ModeResult, ProtocolError,
+                       _id_column, _id_order, _rising)
 from .scorers import NormalizerSpec, ScorerSpec
 from .simulate import SimConfig, SweepPoint
 
@@ -74,6 +74,8 @@ _STRICT_CHARS = '"\r\x1c\x1d\x1e\x1f'
 # a cross-reference error names at most this many ids per side, so a file
 # that matches nothing still gives a short message
 _LISTED_IDS = 10
+# the strict reader hands its rows on in batches of this many
+_BATCH_ROWS = 4096
 
 
 class FormatError(ValueError):
@@ -165,23 +167,16 @@ def _parse_float(path: Path, line_no: int, column: str, text: str) -> float:
     return value
 
 
-def _unique(ids: list[str]) -> bool:
-    # strictly increasing ids repeat none; else one sort, which is near linear
-    # on a few sorted runs, puts any repeat next to its twin
-    if all(map(operator.lt, ids, islice(ids, 1, None))):
-        return True
-    ids = sorted(ids)
-    return not any(map(operator.eq, ids, islice(ids, 1, None)))
-
-
-def _keyed_rows(path: Path, width: int, convert: Callable[[int, list[str]], tuple]) -> Iterator:
+def _keyed_rows(path: Path, width: int, convert: Callable[[int, list[str]], tuple]
+                ) -> Iterator[list[list]]:
     """The strict reader: ``convert(line, row)`` of each data row, read again through csv.
 
-    A row without ``width`` fields, with an empty id or with one seen before
-    raises at once; the first FormatError of ``convert`` (a bad cell) ends
-    the rows and is raised once the whole file's row structure has passed.
+    The converted rows come as columns, _BATCH_ROWS rows at a time. A row
+    without ``width`` fields, with an empty id or with one seen before raises
+    at once; the first FormatError of ``convert`` (a bad cell) ends the rows
+    and is raised once the whole file's row structure has passed.
     """
-    rows, seen, problem = _rows(path), set(), None
+    rows, seen, problem, batch = _rows(path), set(), None, []
     next(rows)  # the header, checked before the fast path ran
     for line_no, row in rows:
         if len(row) != width:
@@ -193,13 +188,16 @@ def _keyed_rows(path: Path, width: int, convert: Callable[[int, list[str]], tupl
         seen.add(row[0])
         if problem is None:
             try:
-                piece = convert(line_no, row)
+                batch.append(convert(line_no, row))
             except FormatError as exc:
                 problem = exc
-            else:
-                yield piece
+            if len(batch) == _BATCH_ROWS:
+                yield list(map(list, zip(*batch)))
+                batch = []
     if problem is not None:
         raise problem
+    if batch:
+        yield list(map(list, zip(*batch)))
 
 
 def _fast_or_strict(rows: Iterator, join: Callable, fast: Iterator, strict: Callable):
@@ -222,12 +220,17 @@ def _unmatched(description: str, ids: Collection[str]) -> str:
     return f"{len(ids)} {description} {listed}{more}"
 
 
-class _LabelOrder(list):
-    """read_labels' ids as an index: split by split in SPLITS order, each in id order.
-    ``ids`` lists them in label-file order and ``rows[i]`` is the index row of ``ids[i]``."""
+@dataclass(frozen=True, eq=False)
+class _LabelOrder:
+    """read_labels' ids as an index: ``ids`` holds them split by split in SPLITS
+    order, each split in id order, and ``rows[i]`` is the index row of the i-th
+    id of the label file."""
 
-    ids: list[str]
+    ids: np.ndarray
     rows: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.ids)
 
 
 def _c_floats(chunks: Iterator[list[str]], width: int) -> Iterator[tuple[list[str], np.ndarray]]:
@@ -245,30 +248,33 @@ def _c_floats(chunks: Iterator[list[str]], width: int) -> Iterator[tuple[list[st
 
 def _float_rows(path: Path, rows: Iterator, header: list[str], what: str,
                 index: Mapping[str, int] | _LabelOrder | None = None
-                ) -> tuple[list[str], np.ndarray]:
+                ) -> tuple[np.ndarray, np.ndarray]:
     """Ids, and every cell after the id as an (n, d) array, of keyed data rows.
 
     With an ``index`` that maps the i-th of n ids to i, cells land at their
-    ids' rows of a nan array: by slices of a _LabelOrder's rows while pieces
-    follow the label file, else through one {id: row} dict. Every cell read
-    is finite, so n rows that leave no row nan hold each id once; an id on
-    one side only raises a ProtocolError. Else rows keep file order.
+    ids' rows of a nan array: by a _LabelOrder's rows while pieces follow the
+    label file, else through one {id: row} dict, and the ids returned are the
+    index's ids as an id column (a _LabelOrder's own). Every cell read is
+    finite, so n rows that leave no row nan hold each id once; an id on one
+    side only raises a ProtocolError. Else rows keep file order.
     """
     width = len(header) - 1
 
-    def join(pieces: Iterable[tuple[list[str], np.ndarray]]) -> tuple[list[str], np.ndarray]:
+    def join(pieces: Iterable[tuple[list[str], np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
         lookup = None if isinstance(index, _LabelOrder) else index
-        ids, blocks, extra, start = [], [], [], 0
+        ids, blocks, extra, start, tail, rising = [], [], [], 0, [], True
         values = None if index is None else np.full((len(index), width), np.nan)
         for chunk, block in pieces:
             stop = start + len(chunk)
             if index is None:
-                ids.extend(chunk)
+                rising, tail = rising and _rising(tail + chunk), chunk[-1:]
+                ids.append(_id_column(chunk))
                 blocks.append(block)
-            elif lookup is None and index.ids[start:stop] == chunk:
+            elif lookup is None and index.ids[index.rows[start:stop]].tolist() == chunk:
                 values[index.rows[start:stop]] = block
             else:
-                lookup = lookup or dict(zip(index, count()))
+                if lookup is None:
+                    lookup = dict(zip(index.ids.tolist(), count()))
                 keys = np.fromiter(map(lookup.get, chunk, repeat(-1)), np.intp, len(chunk))
                 if keys.min() < 0:  # ids without labels, named once the whole file is in
                     extra.extend(compress(chunk, (keys < 0).tolist()))
@@ -278,25 +284,31 @@ def _float_rows(path: Path, rows: Iterator, header: list[str], what: str,
         if not start:
             raise FormatError(f"{path.name}: no {what} rows")
         if index is None:
-            if not _unique(ids):  # on the C path only: csv names the repeat's line
-                raise ProtocolError("duplicate recording ids")
+            ids = np.concatenate(ids)
+            if not rising:  # a repeat raises; on the C path only, as csv names its line
+                _id_order(ids)
             return ids, np.concatenate(blocks)
+        labeled = index.ids if isinstance(index, _LabelOrder) else None
         unset = np.isnan(values[:, 0])
         if extra or unset.any() or start != len(index):
+            listed = list(index) if labeled is None else labeled.tolist()
             sides = [_unmatched(f"{what} rows without labels", extra),
                      _unmatched(f"labeled recordings without {what}s",
-                                list(compress(index, unset.tolist())))]
+                                list(compress(listed, unset.tolist())))]
             if what == "feature":  # a feature mismatch names the labeled side first
                 sides.reverse()
             raise ProtocolError(f"{what}s/labels cross-reference mismatch: {', '.join(sides)}")
-        return list(index), values
+        return _id_column(list(index)) if labeled is None else labeled, values
 
-    def cells(line_no: int, row: list[str]) -> tuple[list[str], np.ndarray]:
-        return row[:1], np.array([[_parse_float(path, line_no, column, cell)
-                                   for column, cell in zip(header[1:], row[1:])]])
+    def cells(line_no: int, row: list[str]) -> tuple[str, list[float]]:
+        return row[0], [_parse_float(path, line_no, column, cell)
+                        for column, cell in zip(header[1:], row[1:])]
 
-    return _fast_or_strict(rows, join, _c_floats(rows, width),
-                           partial(_keyed_rows, path, len(header), cells))
+    def strict() -> Iterator[tuple[list[str], np.ndarray]]:
+        for ids, cells_read in _keyed_rows(path, len(header), cells):
+            yield ids, np.array(cells_read)
+
+    return _fast_or_strict(rows, join, _c_floats(rows, width), strict)
 
 
 def _table_text(header: Sequence[str], rows: Iterable[Sequence[str]],
@@ -313,13 +325,14 @@ def _table_text(header: Sequence[str], rows: Iterable[Sequence[str]],
 
 
 def read_scores(path, index: Mapping[str, int] | _LabelOrder | None = None
-                ) -> tuple[list[str], list[str], np.ndarray, str | None]:
+                ) -> tuple[list[str], np.ndarray, np.ndarray, str | None]:
     """Read a wide per-machine score table.
 
-    Returns (machine column names, recording ids, (n, k) scores with row i
-    for ids[i], declared orientation or None), rows in file order or, given
-    an ``index`` that maps the i-th of n ids to i (a dict, or the ``order``
-    of read_labels' result), in the index's order.
+    Returns (machine column names, recording ids as one StringDType array,
+    (n, k) scores with row i for ids[i], declared orientation or None), rows
+    in file order or, given an ``index`` that maps the i-th of n ids to i (a
+    dict, or the ``order`` of read_labels' result), in the index's order, with
+    the index's id column as the ids.
     Scores are returned as stored; callers negate when the orientation says
     lower means more anomalous.
     """
@@ -377,38 +390,44 @@ def read_labels(path) -> dict[str, MergedTestSet]:
 
     def join(pieces: Iterable[list[list[str]]]) -> _LabelSets:
         codes: dict[str, int] = {}  # machine name -> code, in order of first appearance
-        ids, machines, labels, splits = [], [], bytearray(), bytearray()  # in file order
+        machines, labels, splits = [], bytearray(), bytearray()  # in file order
+        parts: list[list[np.ndarray]] = [[] for _ in SPLITS]  # each split's ids, chunk by chunk
+        tail, rising = [], True
         for chunk, names, truths, split_names in pieces:
             for machine in dict.fromkeys(names):
                 codes.setdefault(machine, len(codes))
-            ids.extend(chunk)
+            rising, tail = rising and _rising(tail + chunk), chunk[-1:]
             machines.extend(map(codes.__getitem__, names))
             labels.extend(map(_TRUTH.__getitem__, truths))
-            splits.extend(map(SPLITS.index, split_names))
-        if not ids:
+            chunk_splits = np.fromiter(map(SPLITS.index, split_names), np.uint8, len(chunk))
+            splits.extend(chunk_splits.tobytes())
+            for j, part in enumerate(parts):
+                part.append(_id_column(list(compress(chunk, (chunk_splits == j).tobytes()))))
+        if not splits:
             raise FormatError(f"{path.name}: no label rows")
-        if not _unique(ids):  # on the C path only: csv names the repeat's line
-            raise ProtocolError("duplicate recording ids")
-        names, machines, labels = list(codes), np.array(machines), np.frombuffer(labels, dtype=bool)
-        index_rows, sets, start = np.empty(len(ids), dtype=np.intp), _LabelSets(), 0
-        for j, split in enumerate(SPLITS):
-            in_split = np.frombuffer(splits, dtype=np.uint8) == j
-            if split_ids := list(compress(ids, in_split.tobytes())):
-                merged = sets[split] = MergedTestSet(split_ids, names, machines[in_split],
-                                                     labels[in_split], split)
-                # the rows of a split kept as given are its index rows in file order
-                index_rows[in_split] = (np.arange(start, start + len(split_ids))
-                                        if merged.ids == split_ids
-                                        else np.fromiter(map(dict(zip(merged.ids, count(start)))
-                                                             .__getitem__, split_ids),
-                                                         np.intp, len(split_ids)))
-                start += len(split_ids)
-        sets.order = _LabelOrder(chain.from_iterable(merged.ids for merged in sets.values()))
-        sets.order.ids, sets.order.rows = ids, index_rows
+        # the ids split by split, each split in file order: ids[i] is on file row at[i]
+        splits = np.frombuffer(splits, dtype=np.uint8)
+        ids = np.concatenate(list(chain.from_iterable(parts)))
+        at = np.argsort(splits, kind="stable")
+        if not rising:  # each split into id order; a repeat in any split raises (on the C
+            # path only, as csv names its line)
+            ranked = _id_order(ids)
+            ranked = ranked[np.argsort(splits[at[ranked]], kind="stable")]
+            ids, at = ids[ranked], at[ranked]
+        names, machines = list(codes), np.array(machines)[at]
+        labels = np.frombuffer(labels, dtype=bool)[at]
+        sets, stop = _LabelSets(), 0
+        for j, split_rows in enumerate(np.bincount(splits, minlength=len(SPLITS)).tolist()):
+            start, stop = stop, stop + split_rows
+            if split_rows:
+                sets[SPLITS[j]] = MergedTestSet(ids[start:stop], names, machines[start:stop],
+                                                labels[start:stop], SPLITS[j])
+        sets.order = _LabelOrder(ids, np.empty_like(at))
+        sets.order.rows[at] = np.arange(len(at))
         return sets
 
-    def cells(line_no: int, row: list[str]) -> tuple[list[str], ...]:
-        rec_id, machine, anomaly_text, split = row[:4]
+    def cells(line_no: int, row: list[str]) -> list[str]:
+        rec_id, machine, anomaly_text, split = row = row[:4]
         if not machine:
             problem = "empty true_machine"
         elif anomaly_text not in _TRUTH:
@@ -416,7 +435,7 @@ def read_labels(path) -> dict[str, MergedTestSet]:
         elif split not in SPLITS:
             problem = f"recording {rec_id!r}: unknown split {split!r}"
         else:
-            return [rec_id], [machine], [anomaly_text], [split]
+            return row
         raise FormatError(f"{path.name}:{line_no}: {problem}")
 
     return _fast_or_strict(rows, join, _c_labels(rows, len(header)),
@@ -424,7 +443,7 @@ def read_labels(path) -> dict[str, MergedTestSet]:
 
 
 def read_features(path, index: Mapping[str, int] | _LabelOrder | None = None
-                  ) -> tuple[list[str], np.ndarray]:
+                  ) -> tuple[np.ndarray, np.ndarray]:
     """Read per-recording feature vectors as (ids, (n, d) array), in read_scores' row order."""
     path = Path(path)
     rows = _rows(path, chunked=True)

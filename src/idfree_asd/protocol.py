@@ -40,10 +40,49 @@ __all__ = [
 ]
 
 SPLITS = ("dev", "eval")
+# every recording-id column is one 1-D array of this dtype, where an id of up
+# to 15 UTF-8 bytes sits inline in 16. Its comparisons disagree with Python's
+# on ids that hold NUL, so order, equality and repeats are always decided on
+# the ids as Python strings (whole, or _ID_BLOCK at a time)
+_ID_DTYPE = np.dtypes.StringDType()
+_ID_BLOCK = 4096
 
 
 class ProtocolError(ValueError):
     """Raised on malformed datasets, matrices, or mismatched inputs."""
+
+
+def _id_column(ids) -> np.ndarray:
+    """``ids`` as an id column; a column of the id dtype is kept as given."""
+    if isinstance(ids, np.ndarray) and ids.dtype == _ID_DTYPE:
+        return ids
+    try:
+        return np.array(ids if isinstance(ids, (list, np.ndarray)) else list(ids), _ID_DTYPE)
+    except UnicodeEncodeError as exc:  # a lone surrogate has no UTF-8 form
+        raise ProtocolError(f"recording id {exc.object!r}: {exc.reason}") from None
+
+
+def _rising(keys: Sequence[str]) -> bool:
+    """Whether ``keys`` strictly increase, so they are sorted and hold no repeat."""
+    return all(map(operator.lt, keys, islice(keys, 1, None)))
+
+
+def _column_rising(ids: np.ndarray) -> bool:
+    # _rising on blocks that overlap by one id, so no more than a block of the
+    # column is ever held as str objects
+    return all(_rising(ids[max(start - 1, 0):start + _ID_BLOCK].tolist())
+               for start in range(0, len(ids), _ID_BLOCK))
+
+
+def _id_order(ids) -> np.ndarray:
+    """The order that sorts the id column ``ids``; a repeated id raises ProtocolError.
+    numpy sorts them as str objects, which compare by Python's rules."""
+    keys = np.array(ids, dtype=object)
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
+    if (ranked[1:] == ranked[:-1]).any():
+        raise ProtocolError("duplicate recording ids in merged test set")
+    return order
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,7 +114,7 @@ class ScoreMatrix:
     """
 
     machines: list[str]
-    ids: list[str]
+    ids: np.ndarray
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
@@ -83,7 +122,7 @@ class ScoreMatrix:
             raise ProtocolError("score matrix needs at least one machine")
         if len(set(self.machines)) != len(self.machines):
             raise ProtocolError("duplicate machine names in score matrix")
-        self.ids = list(self.ids)
+        self.ids = _id_column(self.ids)
         self.values = np.asarray(self.values, dtype=float)
         expected = (len(self.ids), len(self.machines))
         if self.values.shape != expected:
@@ -104,15 +143,16 @@ class ScoreMatrix:
 class MergedTestSet:
     """Test recordings of several machines pooled within one split, as columns.
 
-    Row i is recording `ids[i]`, its hidden `true_machine` code into
-    `machines`, its `is_anomaly` label and optionally `features[i]`. The rows
-    are sorted by id on construction, so downstream runs are reproducible;
-    input already in strictly increasing id order is kept (arrays of the stored
-    dtype are not copied), so a caller that later mutates it should pass a copy.
-    Scoring code consumes ids and features, evaluation code the labels.
+    Row i is recording `ids[i]` (one numpy StringDType column), its hidden
+    `true_machine` code into `machines`, its `is_anomaly` label and optionally
+    `features[i]`. The rows are sorted by id, compared as Python strings, on
+    construction, so downstream runs are reproducible; input already in
+    strictly increasing id order is kept (arrays of the stored dtype are not
+    copied), so a caller that later mutates it should pass a copy. Scoring
+    code consumes ids and features, evaluation code the labels.
     """
 
-    ids: list[str]
+    ids: np.ndarray
     machines: list[str]
     true_machine: np.ndarray
     is_anomaly: np.ndarray
@@ -128,13 +168,11 @@ class MergedTestSet:
             raise ProtocolError(f"need {len(self.ids)} feature rows, got {np.shape(self.features)}")
         if self.split not in SPLITS:
             raise ProtocolError(f"unknown split {self.split!r}")
-        ids = self.ids = self.ids if isinstance(self.ids, list) else list(self.ids)
+        self.ids = _id_column(self.ids)
         order = slice(None)  # strictly increasing ids are sorted and unique: kept as given
-        if not all(map(operator.lt, ids, islice(ids, 1, None))):
-            order = sorted(range(len(ids)), key=ids.__getitem__)
-            self.ids = [ids[i] for i in order]
-            if any(map(operator.eq, self.ids, islice(self.ids, 1, None))):
-                raise ProtocolError("duplicate recording ids in merged test set")
+        if not _column_rising(self.ids):
+            order = _id_order(self.ids)
+            self.ids = self.ids[order]
         codes, labels = np.asarray(self.true_machine), np.asarray(self.is_anomaly)
         if codes.dtype.kind not in "iu":
             raise ProtocolError(f"true machine codes must be integers, got {codes.dtype}")
@@ -154,7 +192,7 @@ class MergedTestSet:
         return [
             Recording(rec_id, self.machines[code], anomalous, self.split, features=vector)
             for rec_id, code, anomalous, vector in zip(
-                self.ids, self.true_machine.tolist(), self.is_anomaly.tolist(), features
+                self.ids.tolist(), self.true_machine.tolist(), self.is_anomaly.tolist(), features
             )
         ]
 
@@ -303,10 +341,13 @@ def _evaluate(
     missing = sorted(m for m in (merged.machines[c] for c in codes) if m not in column)
     if missing:
         raise ProtocolError(f"score matrix is missing machine columns {missing}")
-    if matrix.ids != merged.ids:
-        i = next((i for i, (a, b) in enumerate(zip(matrix.ids, merged.ids)) if a != b), None)
-        where = (f"{len(matrix.ids)} rows for {len(merged.ids)} recordings" if i is None
-                 else f"row {i} is {matrix.ids[i]!r}, not {merged.ids[i]!r}")
+    # a matrix built on the merged set's own id column (as the CLI and simulate build
+    # theirs) needs no compare
+    if matrix.ids is not merged.ids and (got := matrix.ids.tolist()) != (
+            ids := merged.ids.tolist()):
+        i = next((i for i, (a, b) in enumerate(zip(got, ids)) if a != b), None)
+        where = (f"{len(got)} rows for {len(ids)} recordings" if i is None
+                 else f"row {i} is {got[i]!r}, not {ids[i]!r}")
         raise ProtocolError(f"score matrix rows must be the merged test set's: {where}")
     true_cols = np.array([column.get(m, -1) for m in merged.machines], dtype=np.intp)
     true_cols = true_cols[merged.true_machine]

@@ -1,13 +1,15 @@
 import hashlib
 import json
 import os
+import re
+import sys
 import tracemalloc
 from itertools import count
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import idfree_asd.io as io_module
@@ -48,7 +50,7 @@ def test_scores_roundtrip(tmp_path):
     machines, ids, table, orientation = read_scores(path)
     assert machines == ["fan", "pump"]
     assert orientation == "higher"
-    assert ids == list(rows)
+    assert ids.tolist() == list(rows)
     assert np.array_equal(table, list(rows.values()))  # repr round-trips exactly
 
 
@@ -182,19 +184,22 @@ def strict_only(monkeypatch):
 
 
 def outcome(read):
-    """What `read()` gives, as comparable values: arrays as their bits, an
-    error as its type and text."""
+    """What `read()` gives, as comparable values: id arrays as lists, float
+    arrays as their bits, an error as its type and text."""
     try:
         result = read()
     except (FormatError, ProtocolError) as exc:
         return type(exc).__name__, str(exc)
     if isinstance(result, dict):  # read_labels
-        return [(split, merged.ids, merged.machines, merged.true_machine.tolist(),
+        return [(split, merged.ids.tolist(), merged.machines, merged.true_machine.tolist(),
                  merged.is_anomaly.tolist()) for split, merged in result.items()]
-    if isinstance(result, np.ndarray):
-        return result.view(np.uint64).tolist()
-    return [item.view(np.uint64).tolist() if isinstance(item, np.ndarray) else item
-            for item in result]
+
+    def value(item):
+        if not isinstance(item, np.ndarray):
+            return item
+        return item.tolist() if item.dtype.kind == "T" else item.view(np.uint64).tolist()
+
+    return value(result) if isinstance(result, np.ndarray) else list(map(value, result))
 
 
 def strict_outcome(monkeypatch, read):
@@ -212,7 +217,7 @@ def test_clean_table_converts_by_column_without_cell_pass(tmp_path, monkeypatch,
     _write_table(kind, path, ids, matrix)
     reads = strict_reads(monkeypatch)
     back_ids, back = _read_table(kind, path)
-    assert back_ids == ids and np.array_equal(back, matrix)
+    assert back_ids.tolist() == ids and np.array_equal(back, matrix)
     assert reads == []  # the C path read the table; csv never did
 
 
@@ -284,7 +289,7 @@ def test_blocked_conversion_matches_float_on_each_cell(tmp_path, monkeypatch, ki
     reads = strict_reads(monkeypatch)
     back_ids, back = _read_table(kind, path)
     assert reads == []  # loadtxt converted every chunk
-    assert back_ids == ids
+    assert back_ids.tolist() == ids
     assert back.shape == (n, 3)
     assert np.array_equal(back.view(np.uint64), expected.view(np.uint64))
 
@@ -512,6 +517,81 @@ def test_label_order_join_reads_as_the_id_dict_reads(tmp_path, monkeypatch, kind
     assert (joined[0] in ("FormatError", "ProtocolError")) == (case in JOIN_FAULTS)
 
 
+# NUL, DEL, two-byte and astral characters: numpy's StringDType compares ids
+# holding NUL wrongly, and a non-ASCII id sends its chunk to csv
+_ID_CHARS = st.sampled_from(["\x00", "\x7f", "a", "b", "\xe9", "\u03b1", "\U0001f600",
+                             "\U0010ffff"])
+
+
+@st.composite
+def _labeled_ids(draw):
+    """(id, split) rows of a label file: distinct ids, some an extension of
+    another (so "a" and "a\x00" often meet), in id order or not."""
+    ids = draw(st.lists(st.text(_ID_CHARS, min_size=1, max_size=4), min_size=1, max_size=20))
+    ids += [rec_id + draw(st.text(_ID_CHARS, min_size=1, max_size=2))
+            for rec_id in ids if draw(st.booleans())]
+    ids = draw(st.permutations(list(dict.fromkeys(ids))))
+    if draw(st.booleans()):
+        ids = sorted(ids)
+    return [(rec_id, draw(st.sampled_from(SPLITS))) for rec_id in ids]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_labeled_ids(), st.sampled_from(["scores", "features"]), st.booleans())
+def test_label_join_orders_and_matches_ids_as_python_strings(tmp_path_factory, labeled, kind,
+                                                             reversed_table):
+    # oracle: sorted() per split and a plain {id: row} of the ids as str; the
+    # table lists the label file's rows in its order or reversed
+    labels = [f"{rec_id},m{i % 2},{i % 3 == 0:d},{split}" for i, (rec_id, split)
+              in enumerate(labeled)]
+    rows = [f"{rec_id},{i}.0,-{i}.5" for i, (rec_id, _) in enumerate(labeled)]
+    header = "recording_id," + ("m0,m1" if kind == "scores" else "f_0,f_1")
+    texts = ["\n".join([FORMAT_LINE, "recording_id,true_machine,is_anomaly,split", *labels]),
+             "\n".join([FORMAT_LINE, header, *(rows[::-1] if reversed_table else rows)])]
+    # Python 3.10's csv refuses NUL, and a non-ASCII line is read by csv
+    assume(sys.version_info >= (3, 11) or all(text.isascii() or "\x00" not in text
+                                              for text in texts))
+    directory = tmp_path_factory.mktemp("join")
+    label_path, path = directory / "labels.csv", directory / f"{kind}.csv"
+    label_path.write_text(texts[0] + "\n", encoding="utf-8")
+    path.write_text(texts[1] + "\n", encoding="utf-8")
+    row_of = {rec_id: i for i, (rec_id, _) in enumerate(labeled)}
+    expected = {split: sorted(rec_id for rec_id, where in labeled if where == split)
+                for split in SPLITS}
+    order = [rec_id for split in SPLITS for rec_id in expected[split]]
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        small_chunks(monkeypatch, LINE)
+        sets = read_labels(label_path)
+        ids, values = _read_table(kind, path, sets.order)
+        by_dict = outcome(lambda: _read_table(kind, path, dict(zip(order, count()))))
+    assert {split: merged.ids.tolist() for split, merged in sets.items()} == {
+        split: split_ids for split, split_ids in expected.items() if split_ids}
+    assert [(rec.id, rec.true_machine, rec.is_anomaly) for merged in sets.values()
+            for rec in merged.recordings] == [
+        (rec_id, f"m{row_of[rec_id] % 2}", row_of[rec_id] % 3 == 0) for rec_id in order]
+    assert ids is sets.order.ids and ids.tolist() == order
+    assert values.tolist() == [[row_of[rec_id], -row_of[rec_id] - 0.5] for rec_id in order]
+    assert by_dict == outcome(lambda: (ids, values))
+
+
+@pytest.mark.parametrize("kind", ["scores", "features"])
+@pytest.mark.parametrize("labeled_id, table_id", [("\x00a", "\x00b"), ("a\x00b", "a\x00c")])
+def test_label_order_join_tells_apart_ids_numpy_calls_equal(tmp_path, kind, labeled_id,
+                                                            table_id):
+    # numpy 2.4's StringDType == calls each pair equal: same length, same up to a NUL
+    labels, path = tmp_path / "labels.csv", tmp_path / f"{kind}.csv"
+    labels.write_text(f"{FORMAT_LINE}\nrecording_id,true_machine,is_anomaly,split\n"
+                      f"a,fan,0,dev\n{labeled_id},fan,1,dev\nz,fan,0,dev\n")
+    header = "recording_id," + ("m0" if kind == "scores" else "f_0")
+    path.write_text(f"{FORMAT_LINE}\n{header}\na,1.0\n{table_id},2.0\nz,3.0\n")
+    sides = [f"1 {kind[:-1]} rows without labels [{table_id!r}]",
+             f"1 labeled recordings without {kind} [{labeled_id!r}]"]
+    sides = sides if kind == "scores" else sides[::-1]
+    with pytest.raises(ProtocolError, match=re.escape(f"{kind}/labels cross-reference mismatch: "
+                                                      f"{sides[0]}, {sides[1]}")):
+        _read_table(kind, path, read_labels(labels).order)
+
+
 def _quoted(line, column):
     return _with_cell(line, column, f'"{line.split(",")[column]}"')
 
@@ -662,7 +742,8 @@ def test_fixtures_read_the_same_through_c_and_csv(tmp_path, monkeypatch):
 
 def test_read_scores_memory_is_bounded_by_the_block(tmp_path):
     # the text of a 50,000 x 10 table takes ~35 MB as Python strings; held
-    # one block at a time, the peak is the ids, the id set and the values
+    # one block at a time, the peak (~8.9 MB) is the values and the ids, which
+    # do not increase ("r10" sorts before "r2") and so are sorted as str once
     matrix = np.random.default_rng(3).standard_normal((50_000, 10))
     path = tmp_path / "scores.csv"
     write_scores(path, [f"m{j}" for j in range(10)],
@@ -677,11 +758,42 @@ def test_read_scores_memory_is_bounded_by_the_block(tmp_path):
     assert peak < 16_000_000
 
 
+def test_read_labels_holds_at_most_40_bytes_per_id(tmp_path):
+    # what stays is a 16-byte StringDType slot, an index row and a machine code
+    # of 8 bytes each and a 1-byte label per id, about 33 bytes; ids held as
+    # str objects and lists of them took about 100 (19.0 MiB at 200,000)
+    path = tmp_path / "labels.csv"
+    write_labels(path, [Recording(f"rec{i:06d}", f"m{i % 10}", i % 4 == 0, SPLITS[i % 2])
+                        for i in range(50_000)])
+    tracemalloc.start()
+    try:
+        sets = read_labels(path)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert [len(merged.ids) for merged in sets.values()] == [25_000, 25_000]
+    assert held <= 40 * 50_000
+
+
+@pytest.mark.parametrize("kind", ["scores", "features"])
+def test_label_order_read_returns_the_label_id_column(tmp_path, kind):
+    # the ids are held once: the table's ids are the label column itself, of
+    # which each split's set holds a slice
+    labels, path = tmp_path / "labels.csv", tmp_path / f"{kind}.csv"
+    write_labels(labels, [Recording(f"r{i:03d}", "fan", i % 2 == 0, SPLITS[i % 2])
+                          for i in range(40)])
+    _write_table(kind, path, [f"r{i:03d}" for i in range(40)], np.ones((40, 2)))
+    sets = read_labels(labels)
+    ids, _ = _read_table(kind, path, sets.order)
+    assert ids is sets.order.ids
+    assert all(np.shares_memory(ids, merged.ids) for merged in sets.values())
+
+
 def test_read_labels_memory_is_bounded_by_the_chunk(tmp_path):
-    # the kept columns of 50,000 rows peak at ~6.4 MB: the ids (2.7 MB), the
-    # id set (2.1 MB) and three lists of 50,000 entries; a 128 KiB chunk's
-    # lines, text and cells add ~2.2 MB, where 1 MiB chunks took the peak to
-    # 19.5 MB
+    # 50,000 rows peak at ~6.9 MB: these ids do not increase in file order
+    # ("r10" sorts before "r2"), so all of them are sorted once as str
+    # objects; a 128 KiB chunk's lines, text and cells add ~2.2 MB, where
+    # 1 MiB chunks took the peak to 19.5 MB
     path = tmp_path / "labels.csv"
     write_labels(path, [Recording(f"r{i}", f"m{i % 10}", i % 4 == 0, SPLITS[i % 2])
                         for i in range(50_000)])
@@ -701,16 +813,16 @@ def test_ids_with_unicode_line_breaks_roundtrip(tmp_path, odd_id):
     # only LF, CRLF and CR end a line; str.splitlines would also break at these
     labels = tmp_path / "labels.csv"
     write_labels(labels, [Recording(odd_id, "fan", True, "dev"), Recording("z", "fan", False, "dev")])
-    assert read_labels(labels)["dev"].ids == [odd_id, "z"]
+    assert read_labels(labels)["dev"].ids.tolist() == [odd_id, "z"]
     scores = tmp_path / "scores.csv"
     write_scores(scores, ["fan"], {odd_id: [1.0], "z": [2.0]})
-    assert read_scores(scores)[1] == [odd_id, "z"]
+    assert read_scores(scores)[1].tolist() == [odd_id, "z"]
 
 
 def test_quoted_field_spans_lines_and_later_errors_name_the_physical_line(tmp_path):
     labels = tmp_path / "labels.csv"
     write_labels(labels, [Recording("a\nb", "fan", True, "dev"), Recording("c", "fan", False, "dev")])
-    assert read_labels(labels)["dev"].ids == ["a\nb", "c"]
+    assert read_labels(labels)["dev"].ids.tolist() == ["a\nb", "c"]
     labels.write_text(
         f'{FORMAT_LINE}\nrecording_id,true_machine,is_anomaly,split\n'
         f'"a\nb",fan,1,dev\nc,fan,1,dev\nd,fan,yes,dev\n'
@@ -762,7 +874,7 @@ def test_labels_domain_column_is_ignored(tmp_path):
     expected = read_labels(plain)
     assert list(sets) == list(expected) == ["dev", "eval"]
     for split, merged in sets.items():
-        assert merged.ids == expected[split].ids
+        assert merged.ids.tolist() == expected[split].ids.tolist()
         assert merged.machines == expected[split].machines
         assert np.array_equal(merged.true_machine, expected[split].true_machine)
         assert np.array_equal(merged.is_anomaly, expected[split].is_anomaly)
@@ -778,7 +890,7 @@ def test_labels_read_again_by_csv_warn_once(tmp_path):
     assert [str(w.message) for w in caught] == [
         "labels.csv: ignoring unknown label columns ['domain']"
     ]
-    assert sets["dev"].ids == ["r1", "r2"]
+    assert sets["dev"].ids.tolist() == ["r1", "r2"]
 
 
 def test_labels_roundtrip_without_domain(tmp_path):
@@ -890,7 +1002,7 @@ def test_features_roundtrip(tmp_path):
     vectors = np.array([[0.1, 0.2], [1.0 / 7.0, -3.5], [100.0, 0.0]])
     write_features(path, ids, vectors)
     back_ids, back_vectors = read_features(path)
-    assert back_ids == ids
+    assert back_ids.tolist() == ids
     assert np.array_equal(back_vectors, vectors)
 
 

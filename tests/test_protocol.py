@@ -3,8 +3,11 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from idfree_asd import metrics
+from idfree_asd import protocol as protocol_module
 from idfree_asd.protocol import (
     EvalConfig,
     IdentificationStats,
@@ -67,7 +70,7 @@ def tie_heavy_fixture(rng, strict_true_min=False):
 
 
 def matrix_row(matrix, rec_id):
-    return [float(v) for v in matrix.values[matrix.ids.index(rec_id)]]
+    return [float(v) for v in matrix.values[matrix.ids.tolist().index(rec_id)]]
 
 
 def golden_style_fixture():
@@ -181,7 +184,7 @@ def test_merged_set_rejects_features_of_the_wrong_length(rows):
 
 
 def test_merged_set_keeps_columns_already_in_id_order():
-    ids = [f"r{j:02d}" for j in range(12)]
+    ids = np.array([f"r{j:02d}" for j in range(12)], dtype=np.dtypes.StringDType())
     codes = np.arange(12) % 3
     labels = np.arange(12) % 4 == 0
     features = np.random.default_rng(5).standard_normal((12, 3))
@@ -201,7 +204,7 @@ def test_merged_set_sorts_shuffled_ids_into_copies():
     features = rng.standard_normal((n, 2))
     merged = MergedTestSet(ids, ["a", "b", "c"], codes, labels, features=features)
     rows = sorted(range(n), key=lambda i: ids[i])
-    assert merged.ids == [ids[i] for i in rows]
+    assert merged.ids.tolist() == [ids[i] for i in rows]
     assert merged.true_machine.tolist() == [int(codes[i]) for i in rows]
     assert merged.is_anomaly.tolist() == [bool(labels[i]) for i in rows]
     assert merged.features.tobytes() == np.array([features[i] for i in rows]).tobytes()
@@ -212,6 +215,71 @@ def test_merged_set_sorts_shuffled_ids_into_copies():
 def test_merged_set_rejects_duplicate_ids(ids):
     with pytest.raises(ProtocolError, match="^duplicate recording ids in merged test set$"):
         MergedTestSet(ids, ["fan"], [0, 0, 0], [False, True, False])
+
+
+# NUL, DEL, two-byte, and astral characters: numpy's StringDType comparisons
+# disagree with Python's on ids that hold NUL
+ID_CHARS = st.sampled_from(["\x00", "\x7f", "a", "b", "\xe9", "\u03b1", "\U0001f600",
+                            "\U0010ffff"])
+
+
+@st.composite
+def id_lists(draw):
+    """1 to 40 ids, some of them repeated, some with an extension of another id
+    (so "a" and "a\x00" often meet), sorted or in no particular order."""
+    ids = draw(st.lists(st.text(ID_CHARS, min_size=1, max_size=4), min_size=1, max_size=20))
+    ids += [rec_id + draw(st.text(ID_CHARS, min_size=1, max_size=2))
+            for rec_id in ids if draw(st.booleans())]
+    return sorted(ids) if draw(st.booleans()) else draw(st.permutations(ids))
+
+
+@settings(max_examples=300, deadline=None)
+@given(id_lists(), st.sampled_from([1, 2, 4096]), st.booleans())
+def test_merged_set_orders_and_finds_repeats_as_python_lists_do(ids, block, as_array):
+    # oracle: sorted() and set() of the ids as str; the id column is read a
+    # `block` at a time, so small blocks test the block edges
+    codes = np.arange(len(ids)) % 3
+    given_ids = np.array(ids, dtype=np.dtypes.StringDType()) if as_array else ids
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(protocol_module, "_ID_BLOCK", block)
+        if len(set(ids)) < len(ids):
+            with pytest.raises(ProtocolError, match="^duplicate recording ids in merged test set$"):
+                MergedTestSet(given_ids, ["a", "b", "c"], codes, codes == 0)
+            return
+        merged = MergedTestSet(given_ids, ["a", "b", "c"], codes, codes == 0)
+    rows = sorted(range(len(ids)), key=ids.__getitem__)
+    assert merged.ids.tolist() == sorted(ids)
+    assert merged.true_machine.tolist() == [int(codes[i]) for i in rows]
+    assert [rec.id for rec in merged.recordings] == sorted(ids)
+    assert all(type(rec.id) is str for rec in merged.recordings)
+
+
+@pytest.mark.parametrize("first, second", [
+    ("\x00\u03b1\u03b1", "\x00\U0001f600"),  # numpy 2.4's == calls these equal
+    # neither is < the other to numpy 2.4, so its sort leaves the second first
+    ("\x00\x7f\x7fa", "\x00\xe9\x00"),
+])
+def test_ids_numpy_compares_wrongly_stay_two_recordings_in_python_order(first, second):
+    assert first < second
+    merged = MergedTestSet([second, first], ["fan"], [0, 0], [False, True])
+    assert merged.ids.tolist() == [first, second]
+    assert merged.is_anomaly.tolist() == [True, False]
+    matrix = ScoreMatrix(["fan"], [first, second], [[1.0], [2.0]])
+    assert full_report(matrix, merged).n_recordings == 2
+    swapped = ScoreMatrix(["fan"], [second, first], [[1.0], [2.0]])
+    with pytest.raises(ProtocolError, match="^score matrix rows must be the merged test set's: "
+                                            "row 0 is "):
+        full_report(swapped, merged)
+
+
+@pytest.mark.parametrize("build", [
+    lambda ids: MergedTestSet(ids, ["fan"], [0, 0], [False, True]),
+    lambda ids: ScoreMatrix(["fan"], ids, [[1.0], [2.0]]),
+], ids=["merged set", "score matrix"])
+def test_lone_surrogate_id_is_a_protocol_error(build):
+    # StringDType stores UTF-8, and a lone surrogate has no UTF-8 form
+    with pytest.raises(ProtocolError, match="^recording id 'a\\\\ud800': surrogates not allowed$"):
+        build(["a\ud800", "b"])
 
 
 # ---------------------------------------------------------------------------
@@ -231,13 +299,13 @@ def test_score_matrix_validation():
         ScoreMatrix(["fan"], ["r", "s"], [[1.0], [float("inf")]])
     assert ScoreMatrix(["fan", "pump"], [], np.empty((0, 2))).values.shape == (0, 2)
     # ids differing only by a trailing NUL are two recordings
-    assert ScoreMatrix(["fan"], ["x\x00", "x"], [[1.0], [2.0]]).ids == ["x\x00", "x"]
+    assert ScoreMatrix(["fan"], ["x\x00", "x"], [[1.0], [2.0]]).ids.tolist() == ["x\x00", "x"]
 
 
 def test_score_matrix_lookup_errors():
     matrix = ScoreMatrix(["fan", "pump"], ("r", "s"), [[1.0, 2.0], [3.0, 4.0]])
     assert matrix.k == 2
-    assert matrix.ids == ["r", "s"]
+    assert matrix.ids.tolist() == ["r", "s"]
     assert matrix.values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
     merged = merge_test_sets({"fan": make_recordings("fan", 1, 1)})
     for evaluate in (evaluate_known, evaluate_unknown):

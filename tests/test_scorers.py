@@ -825,7 +825,7 @@ def test_build_score_matrix_single_machine():
     merged = make_merged(rng, ["fan"], 6, 3)
     matrix = build_score_matrix({"fan": (NN1, ref)}, merged.ids, merged.features)
     assert matrix.machines == ["fan"]
-    assert matrix.ids == [rec.id for rec in merged.recordings]
+    assert matrix.ids.tolist() == [rec.id for rec in merged.recordings]
     fn = scoring_function(NN1, ref)
     for rec, row in zip(merged.recordings, matrix.values):
         assert row[0] == fn(rec.features[None, :])[0]
@@ -865,7 +865,7 @@ def test_build_score_matrix_is_deterministic():
     merged = make_merged(rng, ["a", "b"], 4, 3)
     first = build_score_matrix(specs, merged.ids, merged.features)
     second = build_score_matrix(specs, merged.ids, merged.features)
-    assert first.ids == second.ids
+    assert first.ids.tolist() == second.ids.tolist()
     assert np.array_equal(first.values, second.values)
 
 
@@ -912,5 +912,5 @@ def test_scoring_never_reads_hidden_labels():
     merged.true_machine[:] = 1 - merged.true_machine
     merged.is_anomaly[:] = ~merged.is_anomaly
     flipped = build_score_matrix(specs, merged.ids, merged.features)
-    assert matrix.ids == merged.ids
+    assert matrix.ids.tolist() == merged.ids.tolist()
     assert np.array_equal(matrix.values, flipped.values)

@@ -92,7 +92,7 @@ def test_simconfig_whole_float_counts_are_ints(name):
     value = getattr(floats, name)
     assert type(value) is int and value == getattr(ints, name)
     (refs, merged), (expected_refs, expected) = generate(floats), generate(ints)
-    assert merged.ids == expected.ids
+    assert merged.ids.tolist() == expected.ids.tolist()
     assert np.array_equal(merged.features, expected.features)
     assert all(np.array_equal(refs[m].vectors, expected_refs[m].vectors) for m in refs)
 
@@ -172,7 +172,7 @@ def test_generate_matches_the_per_machine_oracle(config):
     references, merged = generate(config)
     ids, codes, labels, features, oracle_refs = generate_oracle(
         config, simplex_centers(config.k, config.d, config.separation))
-    assert merged.ids == ids
+    assert merged.ids.tolist() == ids
     assert merged.true_machine.tolist() == codes
     assert merged.is_anomaly.tolist() == labels
     assert merged.features.dtype == np.float64
