@@ -106,20 +106,20 @@ def _cmd_evaluate(args) -> int:
         raise UsageError("provide exactly one of --scores and --manifest")
     if args.manifest is not None and args.higher_is_anomalous is not None:
         raise UsageError("--higher-is-anomalous applies to --scores files only")
-    test_sets = formats.read_labels(args.labels)
-    config = EvalConfig(pauc_p=args.pauc_p, average=args.avg)
-
     if args.scores is not None:
-        machines, _, values, header_orientation = formats.read_scores(
-            args.scores, test_sets.order)
+        # the score table is parsed in a forked child while the labels are read here
+        with formats._ScoreWorker(args.scores) as worker:
+            test_sets = formats.read_labels(args.labels)
+            inputs = [
+                formats.file_digest(args.scores, "scores"),
+                formats.file_digest(args.labels, "labels"),
+            ]
+            machines, _, values, header_orientation = worker.read(test_sets.order)
         higher = _resolve_orientation(args.higher_is_anomalous, header_orientation)
         if not higher:
             np.negative(values, out=values)
-        inputs = [
-            formats.file_digest(args.scores, "scores"),
-            formats.file_digest(args.labels, "labels"),
-        ]
     else:
+        test_sets = formats.read_labels(args.labels)
         higher = True
         manifest = formats.read_manifest(args.manifest)
         ids, vectors = formats.read_features(manifest.features, test_sets.order)
@@ -138,6 +138,7 @@ def _cmd_evaluate(args) -> int:
         matrix = build_score_matrix(specs, ids, vectors)
         machines, values = matrix.machines, matrix.values
 
+    config = EvalConfig(pauc_p=args.pauc_p, average=args.avg)
     reports, stop = {}, 0
     for split, merged in test_sets.items():
         start, stop = stop, stop + len(merged.ids)

@@ -13,6 +13,8 @@ import json
 import math
 import os
 import re
+import signal
+import struct
 import tempfile
 import warnings
 from contextlib import closing
@@ -76,6 +78,10 @@ _STRICT_CHARS = '"\r\x1c\x1d\x1e\x1f'
 _LISTED_IDS = 10
 # the strict reader hands its rows on in batches of this many
 _BATCH_ROWS = 4096
+# a score worker's delivery: the chunk count, then per chunk its rows, its
+# columns and the length of its ids' "\n"-joined ASCII text, that text, and its
+# float64 cells
+_COUNT, _FRAME = struct.Struct("<q"), struct.Struct("<3q")
 
 
 class FormatError(ValueError):
@@ -224,13 +230,32 @@ def _unmatched(description: str, ids: Collection[str]) -> str:
 class _LabelOrder:
     """read_labels' ids as an index: ``ids`` holds them split by split in SPLITS
     order, each split in id order, and ``rows[i]`` is the index row of the i-th
-    id of the label file."""
+    id of the label file. ``spans`` holds each present split's [start, stop)
+    of ``ids`` when id order is the label file's order, else it is None."""
 
     ids: np.ndarray
     rows: np.ndarray
+    spans: tuple[tuple[int, int], ...] | None
 
     def __len__(self) -> int:
         return len(self.ids)
+
+    def follows(self, start: int, chunk: list[str]) -> bool:
+        """Whether ``chunk`` holds the ids of label-file rows start, start + 1, ...,
+        compared as str (StringDType's == calls ids that differ by a NUL equal)."""
+        rows = self.rows[start:start + len(chunk)]
+        if len(rows) < len(chunk):
+            return False
+        if self.spans is None:
+            return self.ids[rows].tolist() == chunk
+        # a split's label-file rows are consecutive rows of ids, so the chunk's
+        # share of each split is one slice of them
+        for lo, hi in self.spans:
+            mine = (rows >= lo) & (rows < hi)
+            n, first = int(np.count_nonzero(mine)), int(rows[mine.argmax()])
+            if n and list(compress(chunk, mine.tobytes())) != self.ids[first:first + n].tolist():
+                return False
+        return True
 
 
 def _c_floats(chunks: Iterator[list[str]], width: int) -> Iterator[tuple[list[str], np.ndarray]]:
@@ -247,9 +272,13 @@ def _c_floats(chunks: Iterator[list[str]], width: int) -> Iterator[tuple[list[st
 
 
 def _float_rows(path: Path, rows: Iterator, header: list[str], what: str,
-                index: Mapping[str, int] | _LabelOrder | None = None
+                index: Mapping[str, int] | _LabelOrder | None = None,
+                chunks: Iterator[tuple[list[str], np.ndarray]] | None = None
                 ) -> tuple[np.ndarray, np.ndarray]:
     """Ids, and every cell after the id as an (n, d) array, of keyed data rows.
+
+    The fast path reads ``rows`` through _c_floats, or takes ``chunks``, the
+    same pieces read elsewhere, in its place.
 
     With an ``index`` that maps the i-th of n ids to i, cells land at their
     ids' rows of a nan array: by a _LabelOrder's rows while pieces follow the
@@ -270,7 +299,7 @@ def _float_rows(path: Path, rows: Iterator, header: list[str], what: str,
                 rising, tail = rising and _rising(tail + chunk), chunk[-1:]
                 ids.append(_id_column(chunk))
                 blocks.append(block)
-            elif lookup is None and index.ids[index.rows[start:stop]].tolist() == chunk:
+            elif lookup is None and index.follows(start, chunk):
                 values[index.rows[start:stop]] = block
             else:
                 if lookup is None:
@@ -308,7 +337,8 @@ def _float_rows(path: Path, rows: Iterator, header: list[str], what: str,
         for ids, cells_read in _keyed_rows(path, len(header), cells):
             yield ids, np.array(cells_read)
 
-    return _fast_or_strict(rows, join, _c_floats(rows, width), strict)
+    return _fast_or_strict(rows, join, _c_floats(rows, width) if chunks is None else chunks,
+                           strict)
 
 
 def _table_text(header: Sequence[str], rows: Iterable[Sequence[str]],
@@ -324,7 +354,8 @@ def _table_text(header: Sequence[str], rows: Iterable[Sequence[str]],
     return buf.getvalue()
 
 
-def read_scores(path, index: Mapping[str, int] | _LabelOrder | None = None
+def read_scores(path, index: Mapping[str, int] | _LabelOrder | None = None, *,
+                chunks: Iterator[tuple[list[str], np.ndarray]] | None = None
                 ) -> tuple[list[str], np.ndarray, np.ndarray, str | None]:
     """Read a wide per-machine score table.
 
@@ -334,7 +365,8 @@ def read_scores(path, index: Mapping[str, int] | _LabelOrder | None = None
     dict, or the ``order`` of read_labels' result), in the index's order, with
     the index's id column as the ids.
     Scores are returned as stored; callers negate when the orientation says
-    lower means more anomalous.
+    lower means more anomalous. ``chunks`` are the data lines' pieces as a
+    _ScoreWorker delivers them, read in place of the file's.
     """
     path = Path(path)
     comments: list[tuple[int, str]] = []
@@ -346,7 +378,97 @@ def read_scores(path, index: Mapping[str, int] | _LabelOrder | None = None
     machines = header[1:]
     if len(set(machines)) != len(machines) or any(not m for m in machines):
         raise FormatError(f"{path.name}:{header_no}: machine columns must be unique and nonempty")
-    return (machines, *_float_rows(path, rows, header, "score", index), orientation)
+    return (machines, *_float_rows(path, rows, header, "score", index, chunks), orientation)
+
+
+class _ScoreWorker:
+    """read_scores' fast path over one score table, run in a forked child.
+
+    The child reads the table through _c_floats and keeps every chunk; only
+    once all of them pass does it write them to a pipe, so it delivers all
+    or nothing. ``read(index)`` joins the delivery in read_scores, or, when
+    nothing came (a chunk left to csv, a bad header, a crash, no os.fork,
+    SIGCHLD ignored), calls read_scores as it would have been called without
+    a worker; a delivery cut short leaves the table to csv. ``close()`` kills
+    and reaps the child.
+    """
+
+    def __init__(self, path) -> None:
+        self.path, self.pid, self.pipe = Path(path), None, None
+        # where SIGCHLD is ignored the kernel reaps a child itself, and its pid
+        # could be another process's by the time close() kills it
+        if not hasattr(os, "fork") or signal.getsignal(signal.SIGCHLD) == signal.SIG_IGN:
+            return
+        read_end, write_end = os.pipe()
+        try:
+            with warnings.catch_warnings():
+                # Python 3.12+ warns on fork() in a process with threads, and numpy's
+                # OpenBLAS starts some at import; the child runs no BLAS, starts no
+                # thread and leaves through os._exit
+                warnings.filterwarnings("ignore", r"This process .*is multi-threaded",
+                                        DeprecationWarning)
+                self.pid = os.fork()
+        except OSError:  # no process to spare: read in process
+            os.close(read_end)
+            os.close(write_end)
+            return
+        if self.pid == 0:
+            code = 1
+            try:
+                os.close(read_end)
+                self._deliver(write_end)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(write_end)
+        self.pipe = open(read_end, "rb")
+
+    def _deliver(self, pipe: int) -> None:
+        # in the child: any warning declines, so the parent's own read gives it
+        warnings.simplefilter("error")
+        rows = _rows(self.path, chunked=True)
+        width = len(next(rows)[1]) - 1
+        pieces = [("\n".join(ids).encode("ascii"), block) for ids, block in _c_floats(rows, width)]
+        with open(pipe, "wb") as out:
+            out.write(_COUNT.pack(len(pieces)))
+            for text, block in pieces:
+                out.write(_FRAME.pack(*block.shape, len(text)))
+                out.write(text)
+                out.write(block)
+
+    def _take(self, size: int) -> bytes:
+        data = self.pipe.read(size)
+        if len(data) != size:
+            raise ValueError("the score worker stopped mid-delivery")
+        return data
+
+    def _chunks(self, count: int) -> Iterator[tuple[list[str], np.ndarray]]:
+        for _ in range(count):
+            rows, columns, size = _FRAME.unpack(self._take(_FRAME.size))
+            ids = self._take(size).decode("ascii").split("\n")
+            yield ids, np.frombuffer(self._take(rows * columns * 8)).reshape(rows, columns)
+
+    def read(self, index: Mapping[str, int] | _LabelOrder | None
+             ) -> tuple[list[str], np.ndarray, np.ndarray, str | None]:
+        """read_scores(path, index), from the child's chunks if it delivered them."""
+        head = b"" if self.pipe is None else self.pipe.read(_COUNT.size)
+        if len(head) < _COUNT.size:
+            return read_scores(self.path, index)
+        return read_scores(self.path, index, chunks=self._chunks(*_COUNT.unpack(head)))
+
+    def close(self) -> None:
+        if self.pipe is not None:
+            self.pipe.close()
+        if self.pid:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+
+    def __enter__(self) -> _ScoreWorker:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
 _LABEL_COLUMNS = ("recording_id", "true_machine", "is_anomaly", "split")
@@ -416,13 +538,14 @@ def read_labels(path) -> dict[str, MergedTestSet]:
             ids, at = ids[ranked], at[ranked]
         names, machines = list(codes), np.array(machines)[at]
         labels = np.frombuffer(labels, dtype=bool)[at]
-        sets, stop = _LabelSets(), 0
+        sets, stop, spans = _LabelSets(), 0, []
         for j, split_rows in enumerate(np.bincount(splits, minlength=len(SPLITS)).tolist()):
             start, stop = stop, stop + split_rows
             if split_rows:
                 sets[SPLITS[j]] = MergedTestSet(ids[start:stop], names, machines[start:stop],
                                                 labels[start:stop], SPLITS[j])
-        sets.order = _LabelOrder(ids, np.empty_like(at))
+                spans.append((start, stop))
+        sets.order = _LabelOrder(ids, np.empty_like(at), tuple(spans) if rising else None)
         sets.order.rows[at] = np.arange(len(at))
         return sets
 

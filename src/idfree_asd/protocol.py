@@ -349,12 +349,11 @@ def _evaluate(
         where = (f"{len(got)} rows for {len(ids)} recordings" if i is None
                  else f"row {i} is {got[i]!r}, not {ids[i]!r}")
         raise ProtocolError(f"score matrix rows must be the merged test set's: {where}")
-    true_cols = np.array([column.get(m, -1) for m in merged.machines], dtype=np.intp)
-    true_cols = true_cols[merged.true_machine]
     picked = matrix.values.argmin(axis=1)
-    rows = np.arange(len(true_cols))
-    modes = matrix.values[rows, true_cols], matrix.values[rows, picked]
-    per_machine, pools, excluded = ({}, {}), ([], []), []
+    # each row's minimum is its value at `picked` up to the sign of a zero, which
+    # nothing below sees: metrics and the tie count compare scores, and -0.0 == 0.0
+    lowest = matrix.values.min(axis=1)
+    per_machine, pools, excluded, n_correct = ({}, {}), ([], []), [], 0
     for code in codes[np.argsort(first)].tolist():
         machine = merged.machines[code]
         n_normal, n_anomalous = int(total[code] - anomalous[code]), int(anomalous[code])
@@ -365,11 +364,13 @@ def _evaluate(
                 stacklevel=3,
             )
             excluded.append(machine)
-        mine = grouped[starts[code] : ends[code]]
-        for scores, results, pool in zip(modes, per_machine, pools):
+        mine, true_col = grouped[starts[code] : ends[code]], column[machine]
+        n_correct += int(np.count_nonzero(picked[mine] == true_col))
+        for scores, results, pool in zip((matrix.values[mine, true_col], lowest[mine]),
+                                         per_machine, pools):
             pair = (None, None)
             if n_normal and n_anomalous:
-                pair = _auc_pauc(scores[mine], merged.is_anomaly[mine], pauc_p)
+                pair = _auc_pauc(scores, merged.is_anomaly[mine], pauc_p)
                 pool.extend(pair)
             results[machine] = MachineMetrics(machine, n_normal, n_anomalous, *pair)
     if not pools[0]:
@@ -378,9 +379,9 @@ def _evaluate(
         ModeResult(results, aggregate(pool, average), average, pauc_p, list(excluded))
         for results, pool in zip(per_machine, pools)
     )
-    tie_count = int(((matrix.values == modes[1][:, None]).sum(axis=1) > 1).sum())
-    n_correct = int((picked == true_cols).sum())
-    return known, unknown, IdentificationStats(matrix.k, len(rows), n_correct, tie_count)
+    tie_count = int(np.count_nonzero(
+        np.count_nonzero(matrix.values == lowest[:, None], axis=1) > 1))
+    return known, unknown, IdentificationStats(matrix.k, len(picked), n_correct, tie_count)
 
 
 def evaluate_known(

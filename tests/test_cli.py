@@ -1,7 +1,10 @@
 import csv
 import json
+import os
+import signal
 import subprocess
 import sys
+import warnings
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -9,6 +12,7 @@ import numpy as np
 import pytest
 
 import idfree_asd.cli as cli
+import idfree_asd.io as io_module
 from idfree_asd.cli import EXIT_DATA, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 from idfree_asd.io import (
     FORMAT_LINE,
@@ -352,6 +356,112 @@ def test_evaluate_gate_clean_tables_never_call_the_strict_reader(tmp_path, capsy
                                 "--labels", str(GOLDEN / "labels.csv"))
     assert code == EXIT_OK and strict == []
     assert json.loads(reversed_out)["splits"] == json.loads(out)["splits"]
+
+
+def no_child_left():
+    # a child of this process that has exited but is not reaped also counts
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def golden_variant(tmp_path, variant):
+    """The golden score table as is, with CRLF line ends, with its rows reversed,
+    or with its last id quoted (a chunk that only csv reads)."""
+    text = (GOLDEN / "scores.csv").read_text()
+    head, rows = text.splitlines(keepends=True)[:3], text.splitlines(keepends=True)[3:]
+    if variant == "crlf":
+        text = text.replace("\n", "\r\n")
+    elif variant == "reversed":
+        text = "".join(head + rows[::-1])
+    elif variant == "quoted id":
+        rec_id, _, cells = rows[-1].partition(",")
+        text = "".join(head + rows[:-1] + [f'"{rec_id}",{cells}'])
+    path = tmp_path / f"{variant}.csv"
+    path.write_bytes(text.encode())
+    return path
+
+
+@pytest.mark.parametrize("variant", ["golden", "crlf", "reversed", "quoted id"])
+def test_evaluate_scores_alike_with_and_without_the_worker(tmp_path, capsys, monkeypatch,
+                                                          variant):
+    # the parent reads the table's chunks itself only when the worker declines them
+    scores, parsed = golden_variant(tmp_path, variant), []
+    c_floats = io_module._c_floats
+    monkeypatch.setattr(io_module, "_c_floats", lambda *args: parsed.append(os.getpid()) or
+                        c_floats(*args))
+    argv = ["evaluate", "--scores", str(scores), "--labels", str(GOLDEN / "labels.csv")]
+    forked = run(capsys, *argv)
+    assert forked[0] == EXIT_OK and forked[2] == ""
+    assert bool(parsed) == (variant == "quoted id")
+    no_child_left()
+    with monkeypatch.context() as patch:
+        patch.delattr(os, "fork")
+        assert run(capsys, *argv) == forked
+    golden = json.loads((GOLDEN / "report.json").read_text())
+    assert json.loads(forked[1])["splits"] == golden["splits"]
+
+
+@pytest.mark.parametrize("how", ["the child exits at once", "SIGCHLD is ignored"])
+def test_evaluate_scores_alike_when_the_worker_delivers_nothing(capsys, monkeypatch, how):
+    # with SIGCHLD ignored no worker starts: the kernel would reap it unasked
+    fork, handler = os.fork, signal.getsignal(signal.SIGCHLD)
+
+    def failing_fork():
+        pid = fork()
+        if pid == 0:
+            os._exit(3)
+        return pid
+
+    if how == "the child exits at once":
+        monkeypatch.setattr(os, "fork", failing_fork)
+    else:
+        signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        code, out, err = run(capsys, "evaluate", "--scores", str(GOLDEN / "scores.csv"),
+                             "--labels", str(GOLDEN / "labels.csv"))
+    finally:
+        signal.signal(signal.SIGCHLD, handler)
+    assert (code, out, err) == (EXIT_OK, (GOLDEN / "report.json").read_text(), "")
+    no_child_left()
+
+
+def test_evaluate_forks_past_the_threads_warning_of_python_3_12(capsys, monkeypatch):
+    # Python 3.12+ warns so on fork() in a process with threads, as numpy's is;
+    # under warnings as errors an unfiltered warning would end the run with exit 3
+    fork = os.fork
+
+    def warning_fork():
+        warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of fork() may "
+                      "lead to deadlocks in the child.", DeprecationWarning, stacklevel=2)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", warning_fork)
+    code, out, err = run(capsys, "evaluate", "--scores", str(GOLDEN / "scores.csv"),
+                         "--labels", str(GOLDEN / "labels.csv"))
+    assert (code, out, err) == (EXIT_OK, (GOLDEN / "report.json").read_text(), "")
+    no_child_left()
+
+
+@pytest.mark.parametrize("fault", ["labels", "score cell", "mismatch", "both"])
+def test_evaluate_leaves_no_worker_behind(tmp_path, capsys, fault):
+    labels, scores = tmp_path / "labels.csv", tmp_path / "scores.csv"
+    label_text = (GOLDEN / "labels.csv").read_text()
+    score_text = (GOLDEN / "scores.csv").read_text()
+    if fault in ("labels", "both"):
+        label_text = label_text.replace(",dev\n", ",test\n", 1)
+    if fault in ("score cell", "both"):
+        score_text = score_text.replace(",10.0\n", ",oops\n", 1)
+    if fault == "mismatch":
+        score_text = score_text.replace("fan-n1,", "fan-x1,", 1)
+    labels.write_text(label_text)
+    scores.write_text(score_text)
+    code, _, err = run(capsys, "evaluate", "--scores", str(scores), "--labels", str(labels))
+    message = stderr_json(err)["message"]
+    assert code == EXIT_DATA
+    assert message.startswith({"labels": "labels.csv:3: ", "both": "labels.csv:3: ",
+                               "score cell": "scores.csv:4: ",
+                               "mismatch": "scores/labels cross-reference mismatch"}[fault])
+    no_child_left()
 
 
 @pytest.mark.parametrize("source", ["scores", "manifest"])

@@ -495,8 +495,10 @@ JOINS = {
         rows, _with_id(rows[JOIN_ROW], "r003"))),
     "unlabeled id": (list, lambda rows: _at_join_row(rows, _with_id(rows[JOIN_ROW], "x018"))),
     "missing labeled id": (list, _at_join_row),
+    "unlabeled id after the last": (list, lambda rows: rows + [_with_id(rows[-1], "x032")]),
 }
-JOIN_FAULTS = ("repeat of an aligned id", "unlabeled id", "missing labeled id")
+JOIN_FAULTS = ("repeat of an aligned id", "unlabeled id", "missing labeled id",
+               "unlabeled id after the last")
 
 
 @pytest.mark.parametrize("kind", ["scores", "features"])
