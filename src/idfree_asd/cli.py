@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import closing
 from dataclasses import fields
 from pathlib import Path
 
@@ -108,7 +109,7 @@ def _cmd_evaluate(args) -> int:
         raise UsageError("--higher-is-anomalous applies to --scores files only")
     if args.scores is not None:
         # the score table is parsed in a forked child while the labels are read here
-        with formats._ScoreWorker(args.scores) as worker:
+        with closing(formats._ScoreWorker(args.scores)) as worker:
             test_sets = formats.read_labels(args.labels)
             inputs = [
                 formats.file_digest(args.scores, "scores"),

@@ -28,7 +28,7 @@ from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .protocol import (SPLITS, EvalConfig, EvalReport, MergedTestSet, ModeResult, ProtocolError,
-                       _id_column, _id_order, _rising)
+                       _column_rising, _id_column, _id_order, _rising)
 from .scorers import NormalizerSpec, ScorerSpec
 from .simulate import SimConfig, SweepPoint
 
@@ -237,9 +237,6 @@ class _LabelOrder:
     rows: np.ndarray
     spans: tuple[tuple[int, int], ...] | None
 
-    def __len__(self) -> int:
-        return len(self.ids)
-
     def follows(self, start: int, chunk: list[str]) -> bool:
         """Whether ``chunk`` holds the ids of label-file rows start, start + 1, ...,
         compared as str (StringDType's == calls ids that differ by a NUL equal)."""
@@ -272,7 +269,7 @@ def _c_floats(chunks: Iterator[list[str]], width: int) -> Iterator[tuple[list[st
 
 
 def _float_rows(path: Path, rows: Iterator, header: list[str], what: str,
-                index: Mapping[str, int] | _LabelOrder | None = None,
+                index: _LabelOrder | None = None,
                 chunks: Iterator[tuple[list[str], np.ndarray]] | None = None
                 ) -> tuple[np.ndarray, np.ndarray]:
     """Ids, and every cell after the id as an (n, d) array, of keyed data rows.
@@ -280,23 +277,21 @@ def _float_rows(path: Path, rows: Iterator, header: list[str], what: str,
     The fast path reads ``rows`` through _c_floats, or takes ``chunks``, the
     same pieces read elsewhere, in its place.
 
-    With an ``index`` that maps the i-th of n ids to i, cells land at their
-    ids' rows of a nan array: by a _LabelOrder's rows while pieces follow the
-    label file, else through one {id: row} dict, and the ids returned are the
-    index's ids as an id column (a _LabelOrder's own). Every cell read is
-    finite, so n rows that leave no row nan hold each id once; an id on one
-    side only raises a ProtocolError. Else rows keep file order.
+    With an ``index``, read_labels' order of n ids, cells land at their ids'
+    rows of a nan array: by the index's rows while pieces follow the label
+    file, else through one {id: row} dict, and the ids returned are the
+    index's own. Every cell read is finite, so n rows that leave no row nan
+    hold each id once; an id on one side only raises a ProtocolError. Else
+    rows keep file order.
     """
     width = len(header) - 1
 
     def join(pieces: Iterable[tuple[list[str], np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
-        lookup = None if isinstance(index, _LabelOrder) else index
-        ids, blocks, extra, start, tail, rising = [], [], [], 0, [], True
-        values = None if index is None else np.full((len(index), width), np.nan)
+        ids, blocks, extra, start, lookup = [], [], [], 0, None
+        values = None if index is None else np.full((len(index.ids), width), np.nan)
         for chunk, block in pieces:
             stop = start + len(chunk)
             if index is None:
-                rising, tail = rising and _rising(tail + chunk), chunk[-1:]
                 ids.append(_id_column(chunk))
                 blocks.append(block)
             elif lookup is None and index.follows(start, chunk):
@@ -314,20 +309,19 @@ def _float_rows(path: Path, rows: Iterator, header: list[str], what: str,
             raise FormatError(f"{path.name}: no {what} rows")
         if index is None:
             ids = np.concatenate(ids)
-            if not rising:  # a repeat raises; on the C path only, as csv names its line
+            # a repeat raises; on the C path only, as csv names its line
+            if not _column_rising(ids):
                 _id_order(ids)
             return ids, np.concatenate(blocks)
-        labeled = index.ids if isinstance(index, _LabelOrder) else None
         unset = np.isnan(values[:, 0])
-        if extra or unset.any() or start != len(index):
-            listed = list(index) if labeled is None else labeled.tolist()
+        if extra or unset.any() or start != len(index.ids):
             sides = [_unmatched(f"{what} rows without labels", extra),
                      _unmatched(f"labeled recordings without {what}s",
-                                list(compress(listed, unset.tolist())))]
+                                list(compress(index.ids.tolist(), unset.tolist())))]
             if what == "feature":  # a feature mismatch names the labeled side first
                 sides.reverse()
             raise ProtocolError(f"{what}s/labels cross-reference mismatch: {', '.join(sides)}")
-        return _id_column(list(index)) if labeled is None else labeled, values
+        return index.ids, values
 
     def cells(line_no: int, row: list[str]) -> tuple[str, list[float]]:
         return row[0], [_parse_float(path, line_no, column, cell)
@@ -354,16 +348,15 @@ def _table_text(header: Sequence[str], rows: Iterable[Sequence[str]],
     return buf.getvalue()
 
 
-def read_scores(path, index: Mapping[str, int] | _LabelOrder | None = None, *,
+def read_scores(path, index: _LabelOrder | None = None, *,
                 chunks: Iterator[tuple[list[str], np.ndarray]] | None = None
                 ) -> tuple[list[str], np.ndarray, np.ndarray, str | None]:
     """Read a wide per-machine score table.
 
     Returns (machine column names, recording ids as one StringDType array,
     (n, k) scores with row i for ids[i], declared orientation or None), rows
-    in file order or, given an ``index`` that maps the i-th of n ids to i (a
-    dict, or the ``order`` of read_labels' result), in the index's order, with
-    the index's id column as the ids.
+    in file order or, given ``index``, the ``order`` of read_labels' result,
+    in its order, with its id column as the ids.
     Scores are returned as stored; callers negate when the orientation says
     lower means more anomalous. ``chunks`` are the data lines' pieces as a
     _ScoreWorker delivers them, read in place of the file's.
@@ -386,18 +379,20 @@ class _ScoreWorker:
 
     The child reads the table through _c_floats and keeps every chunk; only
     once all of them pass does it write them to a pipe, so it delivers all
-    or nothing. ``read(index)`` joins the delivery in read_scores, or, when
-    nothing came (a chunk left to csv, a bad header, a crash, no os.fork,
-    SIGCHLD ignored), calls read_scores as it would have been called without
-    a worker; a delivery cut short leaves the table to csv. ``close()`` kills
-    and reaps the child.
+    or nothing. ``read(index)`` joins the delivery in read_scores; a delivery
+    that is empty (a chunk left to csv, a bad header, a crash) or cut short
+    leaves the table to csv. Where no worker starts (no os.fork, SIGCHLD
+    ignored, one CPU), it calls read_scores as it would be called without a
+    worker. ``close()`` kills and reaps the child.
     """
 
     def __init__(self, path) -> None:
         self.path, self.pid, self.pipe = Path(path), None, None
         # where SIGCHLD is ignored the kernel reaps a child itself, and its pid
-        # could be another process's by the time close() kills it
-        if not hasattr(os, "fork") or signal.getsignal(signal.SIGCHLD) == signal.SIG_IGN:
+        # could be another process's by the time close() kills it; on one CPU
+        # the child's work would only add to the parent's
+        if (not hasattr(os, "fork") or signal.getsignal(signal.SIGCHLD) == signal.SIG_IGN
+                or hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) < 2):
             return
         read_end, write_end = os.pipe()
         try:
@@ -424,7 +419,7 @@ class _ScoreWorker:
         self.pipe = open(read_end, "rb")
 
     def _deliver(self, pipe: int) -> None:
-        # in the child: any warning declines, so the parent's own read gives it
+        # in the child: any warning declines, which leaves the table to csv
         warnings.simplefilter("error")
         rows = _rows(self.path, chunked=True)
         width = len(next(rows)[1]) - 1
@@ -439,22 +434,22 @@ class _ScoreWorker:
     def _take(self, size: int) -> bytes:
         data = self.pipe.read(size)
         if len(data) != size:
-            raise ValueError("the score worker stopped mid-delivery")
+            raise ValueError("the score worker delivered nothing or stopped mid-delivery")
         return data
 
-    def _chunks(self, count: int) -> Iterator[tuple[list[str], np.ndarray]]:
-        for _ in range(count):
+    def _chunks(self) -> Iterator[tuple[list[str], np.ndarray]]:
+        # an empty pipe raises as a cut one does, so the table goes straight to csv
+        for _ in range(*_COUNT.unpack(self._take(_COUNT.size))):
             rows, columns, size = _FRAME.unpack(self._take(_FRAME.size))
             ids = self._take(size).decode("ascii").split("\n")
             yield ids, np.frombuffer(self._take(rows * columns * 8)).reshape(rows, columns)
 
-    def read(self, index: Mapping[str, int] | _LabelOrder | None
+    def read(self, index: _LabelOrder | None
              ) -> tuple[list[str], np.ndarray, np.ndarray, str | None]:
-        """read_scores(path, index), from the child's chunks if it delivered them."""
-        head = b"" if self.pipe is None else self.pipe.read(_COUNT.size)
-        if len(head) < _COUNT.size:
+        """read_scores(path, index), from the child's chunks if a worker started."""
+        if self.pipe is None:
             return read_scores(self.path, index)
-        return read_scores(self.path, index, chunks=self._chunks(*_COUNT.unpack(head)))
+        return read_scores(self.path, index, chunks=self._chunks())
 
     def close(self) -> None:
         if self.pipe is not None:
@@ -463,12 +458,6 @@ class _ScoreWorker:
             os.kill(self.pid, signal.SIGKILL)
             os.waitpid(self.pid, 0)
             self.pid = None
-
-    def __enter__(self) -> _ScoreWorker:
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
 
 _LABEL_COLUMNS = ("recording_id", "true_machine", "is_anomaly", "split")
@@ -565,8 +554,7 @@ def read_labels(path) -> dict[str, MergedTestSet]:
                            partial(_keyed_rows, path, len(header), cells))
 
 
-def read_features(path, index: Mapping[str, int] | _LabelOrder | None = None
-                  ) -> tuple[np.ndarray, np.ndarray]:
+def read_features(path, index: _LabelOrder | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Read per-recording feature vectors as (ids, (n, d) array), in read_scores' row order."""
     path = Path(path)
     rows = _rows(path, chunked=True)

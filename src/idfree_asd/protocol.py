@@ -42,8 +42,10 @@ __all__ = [
 SPLITS = ("dev", "eval")
 # every recording-id column is one 1-D array of this dtype, where an id of up
 # to 15 UTF-8 bytes sits inline in 16. Its comparisons disagree with Python's
-# on ids that hold NUL, so order, equality and repeats are always decided on
-# the ids as Python strings (whole, or _ID_BLOCK at a time)
+# on ids that hold NUL, and numpy 2.4.6's searchsorted misplaces ids of 16 or
+# more bytes without one ('b' * 16 lands at 2 in ['a' * 16, 'b' * 16]), so no
+# id join uses it, and order, equality and repeats are always decided on the
+# ids as Python strings (whole, or _ID_BLOCK at a time)
 _ID_DTYPE = np.dtypes.StringDType()
 _ID_BLOCK = 4096
 
@@ -256,10 +258,6 @@ class MachineMetrics:
     n_anomalous: int
     auc: float | None
     pauc: float | None
-
-    @property
-    def defined(self) -> bool:
-        return self.auc is not None
 
 
 @dataclass

@@ -164,13 +164,10 @@ class ScorerSpec:
 
 def _as_batch(x, d: int, machine: str) -> np.ndarray:
     batch = np.asarray(x, dtype=float)
-    if batch.ndim == 1:
-        batch = batch[None, :]
     if batch.ndim != 2 or batch.shape[1] != d:
-        raise ScorerError(
-            f"vectors of dimension {batch.shape[-1] if batch.ndim else 0} "
-            f"cannot be scored against {machine!r} references of dimension {d}"
-        )
+        raise ScorerError(f"a batch of shape {batch.shape} (vectors of dimension "
+                          f"{batch.shape[-1] if batch.ndim else 0}) cannot be scored against "
+                          f"{machine!r} references of dimension {d}")
     _check_range(batch, f"feature batch scored against {machine!r}")
     return batch
 

@@ -381,24 +381,46 @@ def golden_variant(tmp_path, variant):
     return path
 
 
+def two_cpus(monkeypatch):
+    """Let a worker start however many CPUs this process may run on."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
 @pytest.mark.parametrize("variant", ["golden", "crlf", "reversed", "quoted id"])
 def test_evaluate_scores_alike_with_and_without_the_worker(tmp_path, capsys, monkeypatch,
                                                           variant):
-    # the parent reads the table's chunks itself only when the worker declines them
+    # where a worker started the parent parses no chunk in C: a table the worker
+    # declines goes straight to csv, which reads it once
     scores, parsed = golden_variant(tmp_path, variant), []
     c_floats = io_module._c_floats
     monkeypatch.setattr(io_module, "_c_floats", lambda *args: parsed.append(os.getpid()) or
                         c_floats(*args))
+    two_cpus(monkeypatch)
+    strict = strict_reads(monkeypatch)
     argv = ["evaluate", "--scores", str(scores), "--labels", str(GOLDEN / "labels.csv")]
     forked = run(capsys, *argv)
     assert forked[0] == EXIT_OK and forked[2] == ""
-    assert bool(parsed) == (variant == "quoted id")
+    assert parsed == []
+    assert strict == ([scores.name] if variant == "quoted id" else [])
     no_child_left()
-    with monkeypatch.context() as patch:
+    with monkeypatch.context() as patch:  # without a worker the parent's own fast path runs
         patch.delattr(os, "fork")
         assert run(capsys, *argv) == forked
+    assert parsed == [os.getpid()]
     golden = json.loads((GOLDEN / "report.json").read_text())
     assert json.loads(forked[1])["splits"] == golden["splits"]
+
+
+def test_evaluate_starts_no_worker_on_one_cpu(capsys, monkeypatch):
+    # on one CPU the child's work would only add to the parent's
+    def no_fork():
+        raise AssertionError("os.fork called")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "fork", no_fork)
+    code, out, err = run(capsys, "evaluate", "--scores", str(GOLDEN / "scores.csv"),
+                         "--labels", str(GOLDEN / "labels.csv"))
+    assert (code, out, err) == (EXIT_OK, (GOLDEN / "report.json").read_text(), "")
 
 
 @pytest.mark.parametrize("how", ["the child exits at once", "SIGCHLD is ignored"])
@@ -413,15 +435,19 @@ def test_evaluate_scores_alike_when_the_worker_delivers_nothing(capsys, monkeypa
         return pid
 
     if how == "the child exits at once":
+        two_cpus(monkeypatch)
         monkeypatch.setattr(os, "fork", failing_fork)
     else:
         signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    strict = strict_reads(monkeypatch)
     try:
         code, out, err = run(capsys, "evaluate", "--scores", str(GOLDEN / "scores.csv"),
                              "--labels", str(GOLDEN / "labels.csv"))
     finally:
         signal.signal(signal.SIGCHLD, handler)
     assert (code, out, err) == (EXIT_OK, (GOLDEN / "report.json").read_text(), "")
+    # an empty delivery sends the table to csv; with no worker the fast path reads it
+    assert strict == (["scores.csv"] if how == "the child exits at once" else [])
     no_child_left()
 
 
@@ -435,6 +461,7 @@ def test_evaluate_forks_past_the_threads_warning_of_python_3_12(capsys, monkeypa
                       "lead to deadlocks in the child.", DeprecationWarning, stacklevel=2)
         return fork()
 
+    two_cpus(monkeypatch)
     monkeypatch.setattr(os, "fork", warning_fork)
     code, out, err = run(capsys, "evaluate", "--scores", str(GOLDEN / "scores.csv"),
                          "--labels", str(GOLDEN / "labels.csv"))

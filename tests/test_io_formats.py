@@ -387,17 +387,23 @@ MESSAGES = {
     "extra and missing field": "{name}:21: expected {width} fields, got {wider}",
     "doubled cells and blank line": "{name}:21: expected {width} fields, got {doubled}",
 }
-# labeled: read with an {id: row} dict (True) or with read_labels' order ("order")
+# labeled: read in file order (False) or with read_labels' order of a label
+# file that lists the table's rows in its order ("order") or in reverse (True);
+# a table leaves the reversed label order at its first chunk, so each of its
+# chunks goes through the join's {id: row} dict
 TABLES = [("scores", False), ("scores", True), ("scores", "order"), ("features", False),
           ("features", True), ("features", "order"), ("labels", False)]
 
 
 def _index(tmp_path, labeled, n):
     """The index a table of rows r000, r001, ... is read with, if `labeled`."""
-    if labeled != "order":
-        return {f"r{i:03d}": i for i in range(n)} if labeled else None
-    labels = tmp_path / "index-labels.csv"  # dev and eval rows alternate
-    labels.write_text("\n".join(_chunked_lines("labels", n)) + "\n")
+    if not labeled:
+        return None
+    lines = _chunked_lines("labels", n)  # dev and eval rows alternate
+    if labeled is True:
+        lines[2:] = lines[2:][::-1]
+    labels = tmp_path / "index-labels.csv"
+    labels.write_text("\n".join(lines) + "\n")
     return read_labels(labels).order
 
 
@@ -511,12 +517,17 @@ def test_label_order_join_reads_as_the_id_dict_reads(tmp_path, monkeypatch, kind
     header, *rows = _chunked_lines(kind, 4 * BLOCK_ROWS)[1:]
     path.write_text("\n".join([FORMAT_LINE, header, *table_rows_of(rows)]) + "\n")
     sets = read_labels(labels)
-    lookup = dict(zip([rec_id for merged in sets.values() for rec_id in merged.ids], count()))
     small_chunks(monkeypatch, LINE)
     joined = outcome(lambda: _read_table(kind, path, sets.order))
-    assert joined == outcome(lambda: _read_table(kind, path, lookup))
     assert joined == strict_outcome(monkeypatch, lambda: _read_table(kind, path, sets.order))
     assert (joined[0] in ("FormatError", "ProtocolError")) == (case in JOIN_FAULTS)
+    if case not in JOIN_FAULTS:  # oracle: each row at its id's row of a plain {id: row}
+        order = [rec_id for merged in sets.values() for rec_id in merged.ids.tolist()]
+        lookup, values = dict(zip(order, count())), np.full((len(order), 2), np.nan)
+        for line in table_rows_of(rows):
+            rec_id, *cells = line.split(",")
+            values[lookup[rec_id]] = list(map(float, cells))
+        assert joined == [order, values.view(np.uint64).tolist()]
 
 
 # NUL, DEL, two-byte and astral characters: numpy's StringDType compares ids
@@ -565,7 +576,7 @@ def test_label_join_orders_and_matches_ids_as_python_strings(tmp_path_factory, l
         small_chunks(monkeypatch, LINE)
         sets = read_labels(label_path)
         ids, values = _read_table(kind, path, sets.order)
-        by_dict = outcome(lambda: _read_table(kind, path, dict(zip(order, count()))))
+        strict = strict_outcome(monkeypatch, lambda: _read_table(kind, path, sets.order))
     assert {split: merged.ids.tolist() for split, merged in sets.items()} == {
         split: split_ids for split, split_ids in expected.items() if split_ids}
     assert [(rec.id, rec.true_machine, rec.is_anomaly) for merged in sets.values()
@@ -573,7 +584,7 @@ def test_label_join_orders_and_matches_ids_as_python_strings(tmp_path_factory, l
         (rec_id, f"m{row_of[rec_id] % 2}", row_of[rec_id] % 3 == 0) for rec_id in order]
     assert ids is sets.order.ids and ids.tolist() == order
     assert values.tolist() == [[row_of[rec_id], -row_of[rec_id] - 0.5] for rec_id in order]
-    assert by_dict == outcome(lambda: (ids, values))
+    assert strict == outcome(lambda: (ids, values))
 
 
 @pytest.mark.parametrize("kind", ["scores", "features"])
@@ -722,16 +733,15 @@ def test_fixtures_read_the_same_through_c_and_csv(tmp_path, monkeypatch):
     write_features(tmp_path / "reference.csv", [f"ref{i}" for i in range(6)],
                    next(iter(references.values())).vectors)
     write_labels(tmp_path / "labels.csv", merged.recordings)
-    feature_index = {rec_id: i for i, rec_id in enumerate(merged.ids)}
-    labeled = sorted(rec_id for split in read_labels(labels).values() for rec_id in split.ids)
-    score_index = {rec_id: i for i, rec_id in enumerate(labeled)}
+    score_order = read_labels(labels).order
+    feature_order = read_labels(tmp_path / "labels.csv").order
     reads = [
         lambda: read_scores(golden / "scores.csv"),
-        lambda: read_scores(golden / "scores.csv", score_index),
+        lambda: read_scores(golden / "scores.csv", score_order),
         lambda: read_labels(labels),
         lambda: read_labels(tmp_path / "labels.csv"),
         lambda: read_features(tmp_path / "features.csv"),
-        lambda: read_features(tmp_path / "features.csv", feature_index),
+        lambda: read_features(tmp_path / "features.csv", feature_order),
         lambda: read_features(tmp_path / "reference.csv"),
     ]
     strict = strict_reads(monkeypatch)
@@ -740,6 +750,14 @@ def test_fixtures_read_the_same_through_c_and_csv(tmp_path, monkeypatch):
     assert chunked == [strict_outcome(monkeypatch, read) for read in reads]
     assert len(strict) == len(reads)  # and csv every one
     assert not any(result[0] in ("FormatError", "ProtocolError") for result in chunked)
+    # oracle: a joined read is the file-order read, each row at its id's row of {id: row}
+    for order, plain, joined in [(score_order, chunked[0][1:3], chunked[1][1:3]),
+                                 (feature_order, chunked[4], chunked[5])]:
+        lookup = dict(zip(order.ids.tolist(), count()))
+        placed = [None] * len(lookup)
+        for rec_id, row in zip(*plain):
+            placed[lookup[rec_id]] = row
+        assert joined == [order.ids.tolist(), placed]
 
 
 def test_read_scores_memory_is_bounded_by_the_block(tmp_path):

@@ -550,7 +550,7 @@ def test_single_class_machine_warns_and_is_excluded():
     with pytest.warns(UserWarning, match="single-class"):
         result = evaluate_known(matrix, merged)
     assert result.excluded_machines == ["pump"]
-    assert not result.per_machine["pump"].defined
+    assert result.per_machine["pump"].auc is None
     assert result.per_machine["pump"].n_anomalous == 0
     assert result.aggregate == 1.0  # pooled over fan only
 

@@ -202,6 +202,8 @@ def test_score_rejects_bad_vectors():
         score_one(NN1, ref, [1.0, 1e101])
     with pytest.raises(ScorerError, match="dimension"):
         scoring_function(NN1, ref)(np.zeros((2, 2, 1)))
+    with pytest.raises(ScorerError, match=r"a batch of shape \(2,\)"):  # one vector is x[None]
+        scoring_function(NN1, ref)(np.zeros(2))
 
 
 def test_scores_are_nonnegative():
