@@ -47,7 +47,7 @@ _LARGEST = 1e100
 # with every reference fit in this many bytes, the float32 screen values in
 # half of it, so memory per machine stays bounded as the number of scored
 # recordings grows
-_BLOCK_BYTES = 16 * 2**20
+_BLOCK_BYTES = 8 * 2**20
 
 # the nearest-reference screen: unit roundoffs of float32 and float64; the
 # smallest normal float32, which bounds the absolute error of one float32
@@ -226,10 +226,11 @@ def _nearest(
     scores exactly 0. With exclude_self the queries are the reference vectors
     themselves and none is its own neighbour.
     """
-    centred = ref.vectors - ref.mean
-    scaled = -2.0 * centred.T
-    norms = np.einsum("ij,ij->i", centred, centred)
-    n, (n_ref, d) = queries.shape[0], centred.shape
+    # the centred references, scaled by -2 in place once their norms are taken
+    scaled = ref.vectors - ref.mean
+    norms = np.einsum("ij,ij->i", scaled, scaled)
+    scaled *= -2.0
+    n, (n_ref, d), scaled = queries.shape[0], scaled.shape, scaled.T
     distances = np.empty((n, m))
     indices = np.empty((n, m), dtype=np.intp)
     # per row, a block holds n_ref 8-byte values or m x d float64 differences
@@ -435,5 +436,8 @@ def build_score_matrix(
     if not len(ids):
         raise ScorerError("no recordings to score")
     machines = sorted(specs)
-    columns = [scoring_function(*specs[machine])(features) for machine in machines]
-    return ScoreMatrix(machines, ids, np.column_stack(columns))
+    # one row per feature row: ScoreMatrix refuses a count other than len(ids)
+    values = np.empty((*np.shape(features)[:1], len(machines)))
+    for j, machine in enumerate(machines):
+        values[:, j] = scoring_function(*specs[machine])(features)
+    return ScoreMatrix(machines, ids, values)

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .metrics import MetricError
-from .protocol import EvalConfig, MergedTestSet, ProtocolError, full_report
+from .protocol import EvalConfig, MergedTestSet, ProtocolError, _id_column, full_report
 from .protocol import merge_test_sets  # noqa: F401 -- bench/spans.py traces through this name
 from .scorers import ReferenceSet, ScorerError, ScorerSpec, build_score_matrix
 from .scorers import _finite_number, _whole
@@ -127,35 +127,48 @@ def generate(config: SimConfig) -> tuple[dict[str, ReferenceSet], MergedTestSet]
     never perturbs the samples of existing ones. Anomalies are placed at
     anomaly_offset along a uniform random direction before cluster noise.
     Each drawn block is written straight to its rows of one (n, d) array in
-    id order, so the test set gets its columns already sorted.
+    id order, so the test set gets its columns already sorted. The test
+    vectors are drawn into buffers reused across machines and scaled and
+    shifted in place, in the operation order of `center + spread * noise`,
+    so every value is bit for bit what that expression gives.
     """
     centers = simplex_centers(config.k, config.d, config.separation)
     children = np.random.SeedSequence(config.seed).spawn(config.k)
     # draws run machine by machine, normals first; rows[m, j] is the id-order
     # row of machine m's j-th drawn test vector
-    ids = [f"{_machine_name(index)}-{kind}{j:04d}" for index in range(config.k)
-           for kind, count in (("n", config.n_norm), ("a", config.n_anom)) for j in range(count)]
-    order = sorted(range(len(ids)), key=ids.__getitem__)
-    ids, order = [ids[i] for i in order], np.array(order)
+    numbers = [np.char.zfill(np.arange(count).astype(str), 4)
+               for count in (config.n_norm, config.n_anom)]
+    ids = np.concatenate([np.char.add(f"{_machine_name(index)}-{kind}", number)
+                          for index in range(config.k) for kind, number in zip("na", numbers)])
+    order = np.argsort(ids, kind="stable")
+    ids = _id_column(ids[order])
     per_machine = config.n_norm + config.n_anom
     rows = np.argsort(order).reshape(config.k, per_machine)
     features = np.empty((len(ids), config.d))
+    draws = np.empty((max(config.n_norm, config.n_anom), config.d))
+    directions = np.empty((config.n_anom, config.d))
     references: dict[str, ReferenceSet] = {}
     for index in range(config.k):
         machine = _machine_name(index)
         rng = np.random.default_rng(children[index])
         center = centers[index]
         normals, anomalies = rows[index, :config.n_norm], rows[index, config.n_norm:]
-        refs = center + config.spread * rng.standard_normal((config.n_ref, config.d))
-        features[normals] = center + config.spread * rng.standard_normal((config.n_norm, config.d))
-        directions = rng.standard_normal((config.n_anom, config.d))
+        refs = rng.standard_normal((config.n_ref, config.d))
+        refs *= config.spread
+        refs += center
+        noise = rng.standard_normal(out=draws[:config.n_norm])
+        noise *= config.spread
+        noise += center
+        features[normals] = noise
+        rng.standard_normal(out=directions)
         norms = np.linalg.norm(directions, axis=1, keepdims=True)
         directions /= np.where(norms == 0.0, 1.0, norms)
-        features[anomalies] = (
-            center
-            + config.anomaly_offset * directions
-            + config.spread * rng.standard_normal((config.n_anom, config.d))
-        )
+        directions *= config.anomaly_offset
+        directions += center
+        noise = rng.standard_normal(out=draws[:config.n_anom])
+        noise *= config.spread
+        directions += noise
+        features[anomalies] = directions
         references[machine] = ReferenceSet(machine, refs)
     merged = MergedTestSet(
         ids,

@@ -490,6 +490,53 @@ def test_nearest_reference_matches_oracle_across_blocks(n_rows, k, monkeypatch):
         assert scorers._nearest(batch, ref, k)[1].tolist() == neighbours
 
 
+# a scaled-down knn-point shape, d=8 for 64: with 2,100 references the old and
+# the new block budget, 16 and 8 MiB, give blocks of 998 and 499 query rows,
+# and the last 104 rows of 2,100 queries fall below _SCREEN_PAIRS and take the
+# float64 product
+BUDGETS = (16 * 2**20, 8 * 2**20)
+
+
+@pytest.mark.parametrize("exclude_self", [False, True])
+@pytest.mark.parametrize("m", [1, 4])
+@pytest.mark.parametrize("data", ["clusters", "integer ties"])
+def test_nearest_is_bitwise_the_same_under_the_old_and_new_budget(data, m, exclude_self,
+                                                                   monkeypatch):
+    rng = np.random.default_rng(97)
+    n_ref, d = 2100, 8
+    if data == "clusters":
+        vectors = rng.normal(size=(n_ref, d))
+        queries = 1.5 * rng.normal(size=(n_ref, d))
+    else:
+        # small integers that sum to 0: the mean, the centred values and every
+        # product are exact, so equal distances tie exactly, across the cut too
+        vectors = rng.integers(-3, 4, size=(n_ref, d)).astype(float)
+        vectors[-1] = -vectors[:-1].sum(axis=0)
+        queries = rng.integers(-3, 4, size=(n_ref, d)).astype(float)
+    queries = vectors if exclude_self else queries
+    ref = ReferenceSet("m", vectors)
+    shapes = screen_products(monkeypatch)
+    results = []
+    for budget in BUDGETS:
+        monkeypatch.setattr(scorers, "_BLOCK_BYTES", budget)
+        results.append(scorers._nearest(queries, ref, m, exclude_self))
+    assert shapes == [(998, d + 1)] * 2 + [(499, d + 1)] * 4
+    (distances, indices), (new_distances, new_indices) = results
+    assert distances.tobytes() == new_distances.tobytes()
+    assert indices.tobytes() == new_indices.tobytes()
+    if data == "integer ties":
+        # rows of the first block and of the last, float64-only one, against
+        # exact distances ranked by (distance, index)
+        rows = np.r_[:100, n_ref - 100 : n_ref]
+        exact = np.linalg.norm(queries[rows, None, :] - vectors[None], axis=2)
+        if exclude_self:
+            exact[np.arange(len(rows)), rows] = np.inf
+        ranked = np.lexsort((np.broadcast_to(np.arange(n_ref), exact.shape), exact), axis=1)
+        assert indices[rows].tolist() == ranked[:, :m].tolist()
+        cut = np.take_along_axis(exact, ranked[:, m - 1 : m + 1], axis=1)
+        assert (cut[:, 0] == cut[:, 1]).any()
+
+
 def test_local_density_matches_oracle_with_k_norm_above_k(monkeypatch):
     rng = np.random.default_rng(61)
     vectors = rng.normal(size=(3 * BLOCK, 2))
@@ -858,6 +905,28 @@ def test_identical_reference_sets_give_identical_columns():
     merged = make_merged(rng, ["a", "b"], 5, 2)
     matrix = build_score_matrix(specs, merged.ids, merged.features)
     assert np.array_equal(matrix.values[:, 0], matrix.values[:, 1])
+
+
+def test_build_score_matrix_memory_is_the_block_budget_and_the_output():
+    # the knn-point benchmark shape: 4 machines of 2,000 references, d=64 and
+    # 30,000 recordings. Above its inputs, scoring holds one block's kernel
+    # work, within the block budget, the (n, k) matrix it returns, and a few
+    # float64 vectors per recording for the machine being scored (neighbour
+    # distances and indices, raw scores)
+    rng = np.random.default_rng(5)
+    n, k, d, n_ref = 30_000, 4, 64, 2_000
+    specs = {f"m{j}": (NN1, ReferenceSet(f"m{j}", rng.normal(j, 1.0, size=(n_ref, d))))
+             for j in range(k)}
+    features = rng.normal(1.5, 1.0, size=(n, d))
+    ids = np.array([f"r{i:05d}" for i in range(n)], dtype=np.dtypes.StringDType())
+    tracemalloc.start()
+    try:
+        matrix = build_score_matrix(specs, ids, features)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert matrix.values.shape == (n, k)
+    assert peak < scorers._BLOCK_BYTES + matrix.values.nbytes + 4 * n * 8
 
 
 def test_build_score_matrix_is_deterministic():

@@ -187,7 +187,8 @@ def test_generate_matches_the_per_machine_oracle(config):
 def test_generate_memory_holds_one_copy_of_the_features():
     # the knn-point benchmark config: the features (14.6 MiB) land in one
     # array in id order; per-machine blocks, their concatenation and a gather
-    # into id order would hold them three times over
+    # into id order would hold them three times over, and a draw scaled out of
+    # place holds two more arrays of its size
     config = SimConfig(k=4, d=64, n_ref=2000, n_norm=5625, n_anom=1875, seed=2)
     tracemalloc.start()
     try:
@@ -195,8 +196,17 @@ def test_generate_memory_holds_one_copy_of_the_features():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    limit = 2 * merged.features.nbytes + sum(ref.vectors.nbytes for ref in references.values())
-    assert peak < limit
+    n, d = merged.features.shape
+    data = merged.features.nbytes + sum(ref.vectors.nbytes for ref in references.values())
+    # one machine's largest draw block: the buffer that either block's noise
+    # is drawn into, and the anomaly directions
+    draws = (max(config.n_norm, config.n_anom) + config.n_anom) * d * 8
+    # the id order and its inverse, and the largest temporary of one machine,
+    # the copy of its references that the covariance is taken on
+    working = 2 * n * 8 + config.n_ref * d * 8
+    # numpy's lazily imported string functions and the small arrays
+    slack = 1.5 * 2**20
+    assert peak < data + draws + merged.ids.nbytes + working + slack
 
 
 def test_generate_rejects_impossible_geometry():
