@@ -14,16 +14,17 @@ from contextlib import closing
 from dataclasses import fields
 from pathlib import Path
 
-import numpy as np
-
 from . import io as formats
 from .metrics import AVERAGING_MODES, MetricError, delta_norm
-from .protocol import (
-    EvalConfig,
+from .protocol import (  # noqa: F401 -- ScoreMatrix, full_report and merge_test_sets are
+    EvalConfig,          # unused here; bench/spans.py traces through these names
     ProtocolError,
     ScoreMatrix,
+    _Columns,
+    _placed_columns,
+    _report,
     full_report,
-    merge_test_sets,  # noqa: F401 -- unused here; bench/spans.py traces through this name
+    merge_test_sets,
 )
 from .scorers import ReferenceSet, ScorerError, build_score_matrix
 from .simulate import (
@@ -107,18 +108,27 @@ def _cmd_evaluate(args) -> int:
         raise UsageError("provide exactly one of --scores and --manifest")
     if args.manifest is not None and args.higher_is_anomalous is not None:
         raise UsageError("--higher-is-anomalous applies to --scores files only")
+    config = EvalConfig(pauc_p=args.pauc_p, average=args.avg)
+    reports, higher, inputs = _split_reports(args, config)
+    # hashed once the labels and scores are released
+    inputs = [formats.file_digest(path, role) for path, role in inputs]
+    _emit(formats.evaluation_document(reports, inputs, config, higher), args.out)
+    return EXIT_OK
+
+
+def _split_reports(args, config: EvalConfig) -> tuple[dict, bool, list[tuple]]:
+    """evaluate's report of each split, its orientation and its (path, role) inputs."""
     if args.scores is not None:
-        # the score table is parsed in a forked child while the labels are read here
+        # the score table is parsed in a forked child while the labels are read
+        # here, and each of its chunks reduced to the protocols' columns as it comes
         with closing(formats._ScoreWorker(args.scores)) as worker:
             test_sets = formats.read_labels(args.labels)
-            inputs = [
-                formats.file_digest(args.scores, "scores"),
-                formats.file_digest(args.labels, "labels"),
-            ]
-            machines, _, values, header_orientation = worker.read(test_sets.order)
+            placement = (lambda machines, orientation: _placed_columns(machines, test_sets.values(),
+                         not _resolve_orientation(args.higher_is_anomalous, orientation)))
+            machines, _, columns, header_orientation = formats._score_table(
+                args.scores, test_sets.order, worker.chunks, placement)
         higher = _resolve_orientation(args.higher_is_anomalous, header_orientation)
-        if not higher:
-            np.negative(values, out=values)
+        inputs = [(args.scores, "scores"), (args.labels, "labels")]
     else:
         test_sets = formats.read_labels(args.labels)
         higher = True
@@ -128,25 +138,19 @@ def _cmd_evaluate(args) -> int:
         for machine in sorted(manifest.references):
             _, ref_vectors = formats.read_features(manifest.references[machine])
             specs[machine] = (manifest.scorer, ReferenceSet(machine, ref_vectors))
-        inputs = [
-            formats.file_digest(args.manifest, "manifest"),
-            formats.file_digest(manifest.features, "features"),
-            formats.file_digest(args.labels, "labels"),
-        ] + [
-            formats.file_digest(manifest.references[m], f"reference:{m}")
-            for m in sorted(manifest.references)
-        ]
+        inputs = [(args.manifest, "manifest"), (manifest.features, "features"),
+                  (args.labels, "labels")] + [(manifest.references[m], f"reference:{m}")
+                                              for m in sorted(manifest.references)]
         matrix = build_score_matrix(specs, ids, vectors)
-        machines, values = matrix.machines, matrix.values
-
-    config = EvalConfig(pauc_p=args.pauc_p, average=args.avg)
+        machines = matrix.machines
+        columns, place, _ = _placed_columns(machines, test_sets.values(), False)
+        place(slice(None), matrix.values)
     reports, stop = {}, 0
     for split, merged in test_sets.items():
         start, stop = stop, stop + len(merged.ids)
-        view = ScoreMatrix(machines, merged.ids, values[start:stop])
-        reports[split] = full_report(view, merged, config)
-    _emit(formats.evaluation_document(reports, inputs, config, higher), args.out)
-    return EXIT_OK
+        reports[split] = _report(_Columns(*(column[start:stop] for column in columns)), merged,
+                                 machines, config)
+    return reports, higher, inputs
 
 
 def _cmd_check_table(args) -> int:

@@ -8,7 +8,6 @@ absolute paths or timestamps, so reruns produce byte-identical documents.
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import math
 import os
@@ -270,32 +269,37 @@ def _c_floats(chunks: Iterator[list[str]], width: int) -> Iterator[tuple[list[st
 
 def _float_rows(path: Path, rows: Iterator, header: list[str], what: str,
                 index: _LabelOrder | None = None,
-                chunks: Iterator[tuple[list[str], np.ndarray]] | None = None
-                ) -> tuple[np.ndarray, np.ndarray]:
+                chunks: Iterator[tuple[list[str], np.ndarray]] | None = None,
+                placement: Callable[[], tuple] | None = None) -> tuple[np.ndarray, object]:
     """Ids, and every cell after the id as an (n, d) array, of keyed data rows.
 
     The fast path reads ``rows`` through _c_floats, or takes ``chunks``, the
     same pieces read elsewhere, in its place.
 
-    With an ``index``, read_labels' order of n ids, cells land at their ids'
-    rows of a nan array: by the index's rows while pieces follow the label
-    file, else through one {id: row} dict, and the ids returned are the
-    index's own. Every cell read is finite, so n rows that leave no row nan
-    hold each id once; an id on one side only raises a ProtocolError. Else
-    rows keep file order.
+    With an ``index``, read_labels' order of n ids, blocks land at their ids'
+    rows: by the index's rows while pieces follow the label file, else through
+    one {id: row} dict, and the ids returned are the index's own. They land in
+    a nan array, or by ``placement()``: (the result, its place(rows, block),
+    its nan column that a placed row sets). Every cell read is finite, so n
+    rows that leave no row nan hold each id once; an id on one side only
+    raises a ProtocolError. Else rows keep file order.
     """
     width = len(header) - 1
+    # by default each block lands at its rows of an (n, width) nan array
+    placement = placement or (lambda: ((values := np.full((len(index.ids), width), np.nan)),
+                                       values.__setitem__, values[:, 0]))
 
-    def join(pieces: Iterable[tuple[list[str], np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    def join(pieces: Iterable[tuple[list[str], np.ndarray]]) -> tuple[np.ndarray, object]:
         ids, blocks, extra, start, lookup = [], [], [], 0, None
-        values = None if index is None else np.full((len(index.ids), width), np.nan)
+        if index is not None:  # fresh each call: _fast_or_strict may join twice
+            result, place, probe = placement()
         for chunk, block in pieces:
             stop = start + len(chunk)
             if index is None:
                 ids.append(_id_column(chunk))
                 blocks.append(block)
             elif lookup is None and index.follows(start, chunk):
-                values[index.rows[start:stop]] = block
+                place(index.rows[start:stop], block)
             else:
                 if lookup is None:
                     lookup = dict(zip(index.ids.tolist(), count()))
@@ -303,7 +307,7 @@ def _float_rows(path: Path, rows: Iterator, header: list[str], what: str,
                 if keys.min() < 0:  # ids without labels, named once the whole file is in
                     extra.extend(compress(chunk, (keys < 0).tolist()))
                     block, keys = block[keys >= 0], keys[keys >= 0]
-                values[keys] = block
+                place(keys, block)
             start = stop
         if not start:
             raise FormatError(f"{path.name}: no {what} rows")
@@ -313,7 +317,7 @@ def _float_rows(path: Path, rows: Iterator, header: list[str], what: str,
             if not _column_rising(ids):
                 _id_order(ids)
             return ids, np.concatenate(blocks)
-        unset = np.isnan(values[:, 0])
+        unset = np.isnan(probe)
         if extra or unset.any() or start != len(index.ids):
             sides = [_unmatched(f"{what} rows without labels", extra),
                      _unmatched(f"labeled recordings without {what}s",
@@ -321,7 +325,7 @@ def _float_rows(path: Path, rows: Iterator, header: list[str], what: str,
             if what == "feature":  # a feature mismatch names the labeled side first
                 sides.reverse()
             raise ProtocolError(f"{what}s/labels cross-reference mismatch: {', '.join(sides)}")
-        return index.ids, values
+        return index.ids, result
 
     def cells(line_no: int, row: list[str]) -> tuple[str, list[float]]:
         return row[0], [_parse_float(path, line_no, column, cell)
@@ -361,6 +365,11 @@ def read_scores(path, index: _LabelOrder | None = None, *,
     lower means more anomalous. ``chunks`` are the data lines' pieces as a
     _ScoreWorker delivers them, read in place of the file's.
     """
+    return _score_table(path, index, chunks)
+
+
+def _score_table(path, index, chunks, placement=None) -> tuple:
+    # read_scores, whose join places blocks by placement(machines, orientation) if given
     path = Path(path)
     comments: list[tuple[int, str]] = []
     rows = _rows(path, comments, chunked=True)
@@ -371,7 +380,9 @@ def read_scores(path, index: _LabelOrder | None = None, *,
     machines = header[1:]
     if len(set(machines)) != len(machines) or any(not m for m in machines):
         raise FormatError(f"{path.name}:{header_no}: machine columns must be unique and nonempty")
-    return (machines, *_float_rows(path, rows, header, "score", index, chunks), orientation)
+    return (machines, *_float_rows(path, rows, header, "score", index, chunks,
+                                   placement and partial(placement, machines, orientation)),
+            orientation)
 
 
 class _ScoreWorker:
@@ -379,15 +390,15 @@ class _ScoreWorker:
 
     The child reads the table through _c_floats and keeps every chunk; only
     once all of them pass does it write them to a pipe, so it delivers all
-    or nothing. ``read(index)`` joins the delivery in read_scores; a delivery
-    that is empty (a chunk left to csv, a bad header, a crash) or cut short
-    leaves the table to csv. Where no worker starts (no os.fork, SIGCHLD
-    ignored, one CPU), it calls read_scores as it would be called without a
-    worker. ``close()`` kills and reaps the child.
+    or nothing. ``chunks`` reads the delivery, as read_scores' ``chunks``; a
+    delivery that is empty (a chunk left to csv, a bad header, a crash) or
+    cut short leaves the table to csv. Where no worker starts (no os.fork,
+    SIGCHLD ignored, one CPU), ``chunks`` is None. ``close()`` kills and
+    reaps the child.
     """
 
     def __init__(self, path) -> None:
-        self.path, self.pid, self.pipe = Path(path), None, None
+        self.path, self.pid, self.pipe, self.chunks = Path(path), None, None, None
         # where SIGCHLD is ignored the kernel reaps a child itself, and its pid
         # could be another process's by the time close() kills it; on one CPU
         # the child's work would only add to the parent's
@@ -417,6 +428,7 @@ class _ScoreWorker:
                 os._exit(code)
         os.close(write_end)
         self.pipe = open(read_end, "rb")
+        self.chunks = self._chunks()
 
     def _deliver(self, pipe: int) -> None:
         # in the child: any warning declines, which leaves the table to csv
@@ -443,13 +455,6 @@ class _ScoreWorker:
             rows, columns, size = _FRAME.unpack(self._take(_FRAME.size))
             ids = self._take(size).decode("ascii").split("\n")
             yield ids, np.frombuffer(self._take(rows * columns * 8)).reshape(rows, columns)
-
-    def read(self, index: _LabelOrder | None
-             ) -> tuple[list[str], np.ndarray, np.ndarray, str | None]:
-        """read_scores(path, index), from the child's chunks if a worker started."""
-        if self.pipe is None:
-            return read_scores(self.path, index)
-        return read_scores(self.path, index, chunks=self._chunks())
 
     def close(self) -> None:
         if self.pipe is not None:
@@ -669,6 +674,8 @@ def read_check_table(path) -> list[CheckRow]:
 
 
 def file_digest(path, role: str) -> dict:
+    import hashlib  # on first use, not with the module: it maps OpenSSL, 3.6 MB resident
+
     # hashed in 1 MiB blocks so a large input is never held whole
     digest = hashlib.sha256()
     with open(path, "rb") as handle:

@@ -4,8 +4,8 @@ Known-ID evaluation scores each test recording with its true machine's
 scorer column; identity-free evaluation takes the minimum across all machine
 columns and only uses the hidden true machine post hoc, to partition results
 per machine and to grade the implicit identification. `full_report`,
-`evaluate_known` and `evaluate_unknown` share one pass that aligns the matrix
-once and scores each machine's slice in both modes.
+`evaluate_known` and `evaluate_unknown` reduce each row of scores to the four
+values the protocols read, then score each machine's slice in both modes.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -315,19 +315,73 @@ class EvalReport:
     config: EvalConfig
 
 
-def _evaluate(
-    matrix: ScoreMatrix, merged: MergedTestSet, pauc_p: float, average: str
-) -> tuple[ModeResult, ModeResult, IdentificationStats]:
-    """The one evaluation pass behind every entry point: known, unknown, stats.
+class _Columns(NamedTuple):
+    """All the protocols read of each row of scores: its true machine's score,
+    its minimum, the lowest column holding it and whether another column does."""
 
-    Checks that the matrix rows are the merged rows, then reads each
-    recording's true-machine column (known ID) and its argmin column (unknown
-    ID, lowest column on ties). Each machine's slice is scored in both modes
-    at once; machines pool in order of first appearance, slices keep
-    recording order. Warns once per single-class machine, to the caller of
-    the entry point.
+    true_score: np.ndarray
+    lowest: np.ndarray
+    picked: np.ndarray
+    tied: np.ndarray
+
+
+def _reduce(block: np.ndarray, true_column: np.ndarray) -> _Columns:
+    """The _Columns of score rows ``block``, row i's true machine in column ``true_column[i]``."""
+    # each row's minimum is its value at `picked` up to the sign of a zero, which
+    # nothing downstream sees: metrics and the tie count compare scores, and -0.0 == 0.0
+    lowest = block.min(axis=1)
+    # counted one column at a time, in a type that holds k: no (n, k) array is made
+    count = np.zeros(len(block), np.min_scalar_type(block.shape[1]))
+    for cells in block.T:
+        count += cells == lowest
+    return _Columns(block[np.arange(len(block)), true_column], lowest, block.argmin(axis=1),
+                    count > 1)
+
+
+def _placed_columns(machines: Sequence[str], sets: Iterable[MergedTestSet], negate: bool) -> tuple:
+    """io's join placement of _Columns for the rows of ``sets`` in turn: the columns,
+    a place(rows, block) that reduces score rows (negated if ``negate``) in columns
+    ``machines`` into them, and their nan column. A machine without a column reads
+    column 0; _report turns it down."""
+    column = {machine: j for j, machine in enumerate(machines)}
+    true_column = np.concatenate([
+        np.array([column.get(name, 0) for name in merged.machines],
+                 np.min_scalar_type(len(machines)))[merged.true_machine] for merged in sets])
+    n = len(true_column)
+    columns = _Columns(np.full(n, np.nan), np.full(n, np.nan), np.zeros(n, true_column.dtype),
+                       np.zeros(n, bool))
+
+    def place(rows: np.ndarray, block: np.ndarray) -> None:
+        for column, values in zip(columns, _reduce(-block if negate else block, true_column[rows])):
+            column[rows] = values
+
+    return columns, place, columns.lowest
+
+
+def _matrix_report(matrix: ScoreMatrix, merged: MergedTestSet, config: EvalConfig) -> EvalReport:
+    """_report over the _Columns of a whole matrix, whose rows must be the merged set's."""
+    # a matrix built on the merged set's own id column (as simulate's is) needs no compare
+    if matrix.ids is not merged.ids and (got := matrix.ids.tolist()) != (
+            ids := merged.ids.tolist()):
+        i = next((i for i, (a, b) in enumerate(zip(got, ids)) if a != b), None)
+        where = (f"{len(got)} rows for {len(ids)} recordings" if i is None
+                 else f"row {i} is {got[i]!r}, not {ids[i]!r}")
+        raise ProtocolError(f"score matrix rows must be the merged test set's: {where}")
+    columns, place, _ = _placed_columns(matrix.machines, [merged], False)
+    place(slice(None), matrix.values)
+    return _report(columns, merged, matrix.machines, config)
+
+
+def _report(columns: _Columns, merged: MergedTestSet, machines: Sequence[str],
+            config: EvalConfig) -> EvalReport:
+    """Both protocols summarised over the merged set's _Columns, score columns
+    ``machines``: the one evaluation behind every entry point.
+
+    Each machine's slice is scored in both modes at once; machines pool in
+    order of first appearance, slices keep recording order. Warns once per
+    single-class machine, to the caller of the entry point.
     """
-    column = {machine: j for j, machine in enumerate(matrix.machines)}
+    column = {machine: j for j, machine in enumerate(machines)}
     # one stable grouping by true machine: each machine's rows are one run
     total = np.bincount(merged.true_machine, minlength=len(merged.machines))
     anomalous = np.bincount(merged.true_machine[merged.is_anomaly], minlength=len(total))
@@ -339,18 +393,6 @@ def _evaluate(
     missing = sorted(m for m in (merged.machines[c] for c in codes) if m not in column)
     if missing:
         raise ProtocolError(f"score matrix is missing machine columns {missing}")
-    # a matrix built on the merged set's own id column (as the CLI and simulate build
-    # theirs) needs no compare
-    if matrix.ids is not merged.ids and (got := matrix.ids.tolist()) != (
-            ids := merged.ids.tolist()):
-        i = next((i for i, (a, b) in enumerate(zip(got, ids)) if a != b), None)
-        where = (f"{len(got)} rows for {len(ids)} recordings" if i is None
-                 else f"row {i} is {got[i]!r}, not {ids[i]!r}")
-        raise ProtocolError(f"score matrix rows must be the merged test set's: {where}")
-    picked = matrix.values.argmin(axis=1)
-    # each row's minimum is its value at `picked` up to the sign of a zero, which
-    # nothing below sees: metrics and the tie count compare scores, and -0.0 == 0.0
-    lowest = matrix.values.min(axis=1)
     per_machine, pools, excluded, n_correct = ({}, {}), ([], []), [], 0
     for code in codes[np.argsort(first)].tolist():
         machine = merged.machines[code]
@@ -359,27 +401,29 @@ def _evaluate(
             warnings.warn(
                 f"machine {machine!r} has single-class test labels; "
                 f"its metrics are undefined and excluded from aggregation",
-                stacklevel=3,
+                stacklevel=4,
             )
             excluded.append(machine)
-        mine, true_col = grouped[starts[code] : ends[code]], column[machine]
-        n_correct += int(np.count_nonzero(picked[mine] == true_col))
-        for scores, results, pool in zip((matrix.values[mine, true_col], lowest[mine]),
+        mine = grouped[starts[code] : ends[code]]
+        n_correct += int(np.count_nonzero(columns.picked[mine] == column[machine]))
+        for scores, results, pool in zip((columns.true_score[mine], columns.lowest[mine]),
                                          per_machine, pools):
             pair = (None, None)
             if n_normal and n_anomalous:
-                pair = _auc_pauc(scores, merged.is_anomaly[mine], pauc_p)
+                pair = _auc_pauc(scores, merged.is_anomaly[mine], config.pauc_p)
                 pool.extend(pair)
             results[machine] = MachineMetrics(machine, n_normal, n_anomalous, *pair)
     if not pools[0]:
         raise ProtocolError("no machine has both normal and anomalous recordings")
     known, unknown = (
-        ModeResult(results, aggregate(pool, average), average, pauc_p, list(excluded))
+        ModeResult(results, aggregate(pool, config.average), config.average, config.pauc_p,
+                   list(excluded))
         for results, pool in zip(per_machine, pools)
     )
-    tie_count = int(np.count_nonzero(
-        np.count_nonzero(matrix.values == lowest[:, None], axis=1) > 1))
-    return known, unknown, IdentificationStats(matrix.k, len(picked), n_correct, tie_count)
+    identification = IdentificationStats(len(machines), len(columns.picked), n_correct,
+                                         int(np.count_nonzero(columns.tied)))
+    return EvalReport(list(machines), len(merged.ids), known, unknown, identification,
+                      delta_norm(known.aggregate, unknown.aggregate), config)
 
 
 def evaluate_known(
@@ -389,7 +433,7 @@ def evaluate_known(
     average: str = "harmonic",
 ) -> ModeResult:
     """Standard protocol: score each recording with its true machine's column."""
-    return _evaluate(matrix, merged, pauc_p, average)[0]
+    return _matrix_report(matrix, merged, EvalConfig(pauc_p, average)).known
 
 
 def evaluate_unknown(
@@ -404,7 +448,8 @@ def evaluate_unknown(
     (lowest column on ties) enters only the identification statistics
     returned alongside.
     """
-    return _evaluate(matrix, merged, pauc_p, average)[1:]
+    report = _matrix_report(matrix, merged, EvalConfig(pauc_p, average))
+    return report.unknown, report.identification
 
 
 def full_report(
@@ -413,13 +458,4 @@ def full_report(
     config: EvalConfig = EvalConfig(),
 ) -> EvalReport:
     """Run both protocols and combine them into one report."""
-    known, unknown, identification = _evaluate(matrix, merged, config.pauc_p, config.average)
-    return EvalReport(
-        machines=list(matrix.machines),
-        n_recordings=len(merged.ids),
-        known=known,
-        unknown=unknown,
-        identification=identification,
-        delta_norm=delta_norm(known.aggregate, unknown.aggregate),
-        config=config,
-    )
+    return _matrix_report(matrix, merged, config)

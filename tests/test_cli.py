@@ -4,6 +4,7 @@ import os
 import signal
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -23,6 +24,7 @@ from idfree_asd.io import (
     read_scores,
 )
 from idfree_asd.protocol import (
+    SPLITS,
     EvalConfig,
     Recording,
     ScoreMatrix,
@@ -366,10 +368,23 @@ def no_child_left():
 
 def golden_variant(tmp_path, variant):
     """The golden score table as is, with CRLF line ends, with its rows reversed,
-    or with its last id quoted (a chunk that only csv reads)."""
+    with its last id quoted (a chunk that only csv reads), negated and marked
+    lower, with a column for a machine that has no labels, or without the
+    column of a labeled machine."""
     text = (GOLDEN / "scores.csv").read_text()
     head, rows = text.splitlines(keepends=True)[:3], text.splitlines(keepends=True)[3:]
-    if variant == "crlf":
+    cells = [row.rstrip("\n").split(",") for row in [head[2]] + rows]
+    if variant == "lower":
+        text = "".join([head[0], "# orientation: lower\n", head[2]] + [
+            ",".join([rec_id] + [repr(-float(cell)) for cell in scores]) + "\n"
+            for rec_id, *scores in cells[1:]])
+    elif variant in ("unlabeled column", "missing column"):
+        # the extra column ties fan-n2's minimum and takes every minimum above 2
+        extra = ["pump"] + ["2.0"] * len(rows)
+        text = "".join(head[:2]) + "".join(
+            ",".join(row + [more] if variant == "unlabeled column" else row[:-1]) + "\n"
+            for row, more in zip(cells, extra))
+    elif variant == "crlf":
         text = text.replace("\n", "\r\n")
     elif variant == "reversed":
         text = "".join(head + rows[::-1])
@@ -386,7 +401,20 @@ def two_cpus(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
 
 
-@pytest.mark.parametrize("variant", ["golden", "crlf", "reversed", "quoted id"])
+def library_splits(scores, labels=GOLDEN / "labels.csv"):
+    """evaluate's splits for a table, through read_scores' whole matrix and full_report."""
+    test_sets = read_labels(labels)
+    machines, _, values, orientation = read_scores(scores, test_sets.order)
+    reports, stop = {}, 0
+    for split, merged in test_sets.items():
+        start, stop = stop, stop + len(merged.ids)
+        view = values[start:stop] * (-1.0 if orientation == "lower" else 1.0)
+        reports[split] = full_report(ScoreMatrix(machines, merged.ids, view), merged)
+    return evaluation_document(reports, [], EvalConfig(), True)["splits"]
+
+
+@pytest.mark.parametrize("variant", ["golden", "crlf", "reversed", "quoted id", "lower",
+                                     "unlabeled column", "missing column"])
 def test_evaluate_scores_alike_with_and_without_the_worker(tmp_path, capsys, monkeypatch,
                                                           variant):
     # where a worker started the parent parses no chunk in C: a table the worker
@@ -399,7 +427,12 @@ def test_evaluate_scores_alike_with_and_without_the_worker(tmp_path, capsys, mon
     strict = strict_reads(monkeypatch)
     argv = ["evaluate", "--scores", str(scores), "--labels", str(GOLDEN / "labels.csv")]
     forked = run(capsys, *argv)
-    assert forked[0] == EXIT_OK and forked[2] == ""
+    if variant == "missing column":  # every id matches, then the summary turns it down
+        assert forked[:2] == (EXIT_DATA, "")
+        assert stderr_json(forked[2])["message"] == (
+            "score matrix is missing machine columns ['valve']")
+    else:
+        assert forked[0] == EXIT_OK and forked[2] == ""
     assert parsed == []
     assert strict == ([scores.name] if variant == "quoted id" else [])
     no_child_left()
@@ -407,8 +440,57 @@ def test_evaluate_scores_alike_with_and_without_the_worker(tmp_path, capsys, mon
         patch.delattr(os, "fork")
         assert run(capsys, *argv) == forked
     assert parsed == [os.getpid()]
-    golden = json.loads((GOLDEN / "report.json").read_text())
-    assert json.loads(forked[1])["splits"] == golden["splits"]
+    if variant == "missing column":
+        return
+    golden = json.loads((GOLDEN / "report.json").read_text())["splits"]
+    splits = json.loads(forked[1])["splits"]
+    assert splits == (library_splits(scores) if variant == "unlabeled column" else golden)
+    # every minimum runs over the column without labels as well
+    assert (splits["dev"]["identification"]["n_correct"] < golden["dev"]["identification"][
+        "n_correct"]) is (variant == "unlabeled column")
+
+
+@pytest.mark.parametrize("worker", [True, False], ids=["worker", "no worker"])
+def test_evaluate_scores_holds_under_64_bytes_a_row_beyond_the_labels(tmp_path, capsys,
+                                                                      monkeypatch, worker):
+    # with 50 machines the (n, k) matrix alone takes 400 bytes a row; the
+    # protocols' four columns and each row's true column take 19, and one
+    # chunk's lines, ids and cells add about 1.3 MB at the peak: 39-43 bytes a row
+    # in all here, 443 with the matrix
+    n, k = 60_000, 50
+    labels, scores = tmp_path / "labels.csv", tmp_path / "scores.csv"
+    # each machine's rows run 4 a split, the first of them anomalous
+    write_labels(labels, [Recording(f"r{i:06d}", f"m{i % k}", i // k % 4 == 0,
+                                    SPLITS[i // k // 4 % 2]) for i in range(n)])
+    # rows of one-digit scores, "r000000,3,...,7\n", built as one byte array
+    lines = np.full((n, 7 + 2 * k + 1), ord(","), np.uint8)
+    lines[:, :7] = np.array([f"r{i:06d}" for i in range(n)], "S7").view(np.uint8).reshape(n, 7)
+    lines[:, 8:-1:2] = np.random.default_rng(8).integers(ord("0"), ord("9") + 1, size=(n, k))
+    lines[:, -1] = ord("\n")
+    header = f"{FORMAT_LINE}\nrecording_id,{','.join(f'm{j}' for j in range(k))}\n"
+    scores.write_bytes(header.encode() + lines.tobytes())
+    read_labels, held = io_module.read_labels, []
+
+    def traced_read_labels(path):
+        test_sets = read_labels(path)
+        held.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        return test_sets
+
+    monkeypatch.setattr(io_module, "read_labels", traced_read_labels)
+    if worker:
+        two_cpus(monkeypatch)
+    else:
+        monkeypatch.delattr(os, "fork")
+    tracemalloc.start()
+    try:
+        code, _, err = run(capsys, "evaluate", "--scores", str(scores), "--labels", str(labels),
+                           "--out", str(tmp_path / "report.json"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, err) == (EXIT_OK, "")
+    assert peak - held[0] < 64 * n
 
 
 def test_evaluate_starts_no_worker_on_one_cpu(capsys, monkeypatch):
@@ -914,7 +996,7 @@ def test_internal_errors_map_to_exit_3(tmp_path, capsys, monkeypatch):
     def explode(*args, **kwargs):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(cli, "full_report", explode)
+    monkeypatch.setattr(cli, "_report", explode)
     code, _, err = run(
         capsys, "evaluate",
         "--scores", str(GOLDEN / "scores.csv"),

@@ -421,6 +421,38 @@ def test_identify_matches_argmin_oracle():
         assert stats.n_recordings == len(merged.recordings)
 
 
+@st.composite
+def score_blocks(draw):
+    """Rows of scores drawn from few values (so rows tie), both signed zeros
+    among them, each row's true column, and cuts that split the rows into chunks."""
+    k, n = draw(st.integers(1, 6)), draw(st.integers(1, 30))
+    cells = st.sampled_from([-0.0, 0.0, -1.5, 2.0]) | st.floats(-4.0, 4.0, width=16)
+    block = np.array(draw(st.lists(st.lists(cells, min_size=k, max_size=k),
+                                   min_size=n, max_size=n))).reshape(n, k)
+    true_column = np.array(draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=4)))
+    return block, true_column.astype(draw(st.sampled_from([np.uint8, np.intp]))), cuts
+
+
+@settings(max_examples=150, deadline=None)
+@given(score_blocks())
+def test_reduce_matches_the_argmin_oracle_whole_and_chunk_by_chunk(case):
+    block, true_column, cuts = case
+    columns = protocol_module._reduce(block, true_column)
+    rows = block.tolist()
+    assert [(int(j), bool(tie)) for j, tie in zip(columns.picked, columns.tied)] == [
+        brute_force_argmin(row) for row in rows]
+    assert columns.true_score.tolist() == [row[j] for row, j in zip(rows, true_column.tolist())]
+    # the minimum is min's, sign of a zero included
+    assert columns.lowest.tobytes() == block.min(axis=1).tobytes()
+    # chunks of any size, empty ones too, give the whole block's columns
+    bounds = [0, *cuts, len(block)]
+    pieces = [protocol_module._reduce(block[a:b], true_column[a:b])
+              for a, b in zip(bounds, bounds[1:])]
+    for whole, parts in zip(columns, zip(*pieces)):
+        assert np.concatenate(parts).tobytes() == whole.tobytes()
+
+
 def test_identify_strict_minimum_recovers_truth():
     rng = np.random.default_rng(11)
     for _ in range(100):
