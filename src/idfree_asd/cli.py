@@ -143,7 +143,7 @@ def _split_reports(args, config: EvalConfig) -> tuple[dict, bool, list[tuple]]:
                                               for m in sorted(manifest.references)]
         matrix = build_score_matrix(specs, ids, vectors)
         machines = matrix.machines
-        columns, place, _ = _placed_columns(machines, test_sets.values(), False)
+        columns, place = _placed_columns(machines, test_sets.values(), False)
         place(slice(None), matrix.values)
     reports, stop = {}, 0
     for split, merged in test_sets.items():

@@ -11,9 +11,9 @@ import csv
 import json
 import math
 import os
+import pickle
 import re
 import signal
-import struct
 import tempfile
 import warnings
 from contextlib import closing
@@ -77,10 +77,6 @@ _STRICT_CHARS = '"\r\x1c\x1d\x1e\x1f'
 _LISTED_IDS = 10
 # the strict reader hands its rows on in batches of this many
 _BATCH_ROWS = 4096
-# a score worker's delivery: the chunk count, then per chunk its rows, its
-# columns and the length of its ids' "\n"-joined ASCII text, that text, and its
-# float64 cells
-_COUNT, _FRAME = struct.Struct("<q"), struct.Struct("<3q")
 
 
 class FormatError(ValueError):
@@ -279,27 +275,28 @@ def _float_rows(path: Path, rows: Iterator, header: list[str], what: str,
     With an ``index``, read_labels' order of n ids, blocks land at their ids'
     rows: by the index's rows while pieces follow the label file, else through
     one {id: row} dict, and the ids returned are the index's own. They land in
-    a nan array, or by ``placement()``: (the result, its place(rows, block),
-    its nan column that a placed row sets). Every cell read is finite, so n
-    rows that leave no row nan hold each id once; an id on one side only
+    an (n, d) array, or by ``placement()``: (the result, its place(rows, block)).
+    n rows that place every row hold each id once; an id on one side only
     raises a ProtocolError. Else rows keep file order.
     """
     width = len(header) - 1
-    # by default each block lands at its rows of an (n, width) nan array
-    placement = placement or (lambda: ((values := np.full((len(index.ids), width), np.nan)),
-                                       values.__setitem__, values[:, 0]))
+    if index is not None:  # by default each block lands at its rows of an (n, width) array
+        result, place = placement() if placement else (
+            (values := np.empty((len(index.ids), width))), values.__setitem__)
 
     def join(pieces: Iterable[tuple[list[str], np.ndarray]]) -> tuple[np.ndarray, object]:
-        ids, blocks, extra, start, lookup = [], [], [], 0, None
-        if index is not None:  # fresh each call: _fast_or_strict may join twice
-            result, place, probe = placement()
+        ids, blocks, extra, stop, lookup = [], [], [], 0, None
+        # the label rows this join placed: when _fast_or_strict joins again, the
+        # csv pass must place every row itself, so the first pass's result is reused
+        placed = np.zeros(0 if index is None else len(index.ids), bool)
         for chunk, block in pieces:
-            stop = start + len(chunk)
+            start, stop = stop, stop + len(chunk)
             if index is None:
                 ids.append(_id_column(chunk))
                 blocks.append(block)
-            elif lookup is None and index.follows(start, chunk):
-                place(index.rows[start:stop], block)
+                continue
+            if lookup is None and index.follows(start, chunk):
+                keys = index.rows[start:stop]
             else:
                 if lookup is None:
                     lookup = dict(zip(index.ids.tolist(), count()))
@@ -307,9 +304,9 @@ def _float_rows(path: Path, rows: Iterator, header: list[str], what: str,
                 if keys.min() < 0:  # ids without labels, named once the whole file is in
                     extra.extend(compress(chunk, (keys < 0).tolist()))
                     block, keys = block[keys >= 0], keys[keys >= 0]
-                place(keys, block)
-            start = stop
-        if not start:
+            place(keys, block)
+            placed[keys] = True
+        if not stop:
             raise FormatError(f"{path.name}: no {what} rows")
         if index is None:
             ids = np.concatenate(ids)
@@ -317,11 +314,10 @@ def _float_rows(path: Path, rows: Iterator, header: list[str], what: str,
             if not _column_rising(ids):
                 _id_order(ids)
             return ids, np.concatenate(blocks)
-        unset = np.isnan(probe)
-        if extra or unset.any() or start != len(index.ids):
+        if extra or not placed.all() or stop != len(index.ids):
             sides = [_unmatched(f"{what} rows without labels", extra),
                      _unmatched(f"labeled recordings without {what}s",
-                                list(compress(index.ids.tolist(), unset.tolist())))]
+                                list(compress(index.ids.tolist(), (~placed).tolist())))]
             if what == "feature":  # a feature mismatch names the labeled side first
                 sides.reverse()
             raise ProtocolError(f"{what}s/labels cross-reference mismatch: {', '.join(sides)}")
@@ -352,8 +348,7 @@ def _table_text(header: Sequence[str], rows: Iterable[Sequence[str]],
     return buf.getvalue()
 
 
-def read_scores(path, index: _LabelOrder | None = None, *,
-                chunks: Iterator[tuple[list[str], np.ndarray]] | None = None
+def read_scores(path, index: _LabelOrder | None = None
                 ) -> tuple[list[str], np.ndarray, np.ndarray, str | None]:
     """Read a wide per-machine score table.
 
@@ -362,14 +357,13 @@ def read_scores(path, index: _LabelOrder | None = None, *,
     in file order or, given ``index``, the ``order`` of read_labels' result,
     in its order, with its id column as the ids.
     Scores are returned as stored; callers negate when the orientation says
-    lower means more anomalous. ``chunks`` are the data lines' pieces as a
-    _ScoreWorker delivers them, read in place of the file's.
+    lower means more anomalous.
     """
-    return _score_table(path, index, chunks)
+    return _score_table(path, index, None)
 
 
 def _score_table(path, index, chunks, placement=None) -> tuple:
-    # read_scores, whose join places blocks by placement(machines, orientation) if given
+    # read_scores, with a _ScoreWorker's ``chunks`` and a placement(machines, orientation) if given
     path = Path(path)
     comments: list[tuple[int, str]] = []
     rows = _rows(path, comments, chunked=True)
@@ -389,12 +383,11 @@ class _ScoreWorker:
     """read_scores' fast path over one score table, run in a forked child.
 
     The child reads the table through _c_floats and keeps every chunk; only
-    once all of them pass does it write them to a pipe, so it delivers all
-    or nothing. ``chunks`` reads the delivery, as read_scores' ``chunks``; a
-    delivery that is empty (a chunk left to csv, a bad header, a crash) or
-    cut short leaves the table to csv. Where no worker starts (no os.fork,
-    SIGCHLD ignored, one CPU), ``chunks`` is None. ``close()`` kills and
-    reaps the child.
+    once all pass does it pickle them to a pipe, so it delivers all or nothing.
+    ``chunks`` reads the delivery, as _score_table's ``chunks``; a delivery that
+    is empty (a chunk left to csv, a bad header, a crash) or cut short leaves
+    the table to csv. Where no worker starts (no os.fork, SIGCHLD ignored, one
+    CPU), ``chunks`` is None. ``close()`` kills and reaps the child.
     """
 
     def __init__(self, path) -> None:
@@ -435,26 +428,22 @@ class _ScoreWorker:
         warnings.simplefilter("error")
         rows = _rows(self.path, chunked=True)
         width = len(next(rows)[1]) - 1
-        pieces = [("\n".join(ids).encode("ascii"), block) for ids, block in _c_floats(rows, width)]
+        pieces = [("\n".join(ids), block) for ids, block in _c_floats(rows, width)]
         with open(pipe, "wb") as out:
-            out.write(_COUNT.pack(len(pieces)))
-            for text, block in pieces:
-                out.write(_FRAME.pack(*block.shape, len(text)))
-                out.write(text)
-                out.write(block)
-
-    def _take(self, size: int) -> bytes:
-        data = self.pipe.read(size)
-        if len(data) != size:
-            raise ValueError("the score worker delivered nothing or stopped mid-delivery")
-        return data
+            pickle.dump(len(pieces), out)
+            for piece in pieces:
+                pickle.dump(piece, out, pickle.HIGHEST_PROTOCOL)
 
     def _chunks(self) -> Iterator[tuple[list[str], np.ndarray]]:
-        # an empty pipe raises as a cut one does, so the table goes straight to csv
-        for _ in range(*_COUNT.unpack(self._take(_COUNT.size))):
-            rows, columns, size = _FRAME.unpack(self._take(_FRAME.size))
-            ids = self._take(size).decode("ascii").split("\n")
-            yield ids, np.frombuffer(self._take(rows * columns * 8)).reshape(rows, columns)
+        # the pipe is private to a child that this process forked, so no outside
+        # data is unpickled; one load a chunk, so no unpickler memo keeps chunks alive.
+        # An empty pipe raises as a cut one does, so the table goes straight to csv
+        try:
+            for _ in range(pickle.load(self.pipe)):
+                text, block = pickle.load(self.pipe)
+                yield text.split("\n"), block
+        except (EOFError, pickle.UnpicklingError):
+            raise ValueError("the score worker delivered nothing or stopped mid-delivery")
 
     def close(self) -> None:
         if self.pipe is not None:

@@ -339,23 +339,22 @@ def _reduce(block: np.ndarray, true_column: np.ndarray) -> _Columns:
 
 
 def _placed_columns(machines: Sequence[str], sets: Iterable[MergedTestSet], negate: bool) -> tuple:
-    """io's join placement of _Columns for the rows of ``sets`` in turn: the columns,
-    a place(rows, block) that reduces score rows (negated if ``negate``) in columns
-    ``machines`` into them, and their nan column. A machine without a column reads
-    column 0; _report turns it down."""
+    """io's join placement of _Columns for the rows of ``sets`` in turn: the columns
+    and a place(rows, block) that reduces score rows (negated if ``negate``) in
+    columns ``machines`` into them. A machine without a column reads column 0;
+    _report turns it down."""
     column = {machine: j for j, machine in enumerate(machines)}
     true_column = np.concatenate([
         np.array([column.get(name, 0) for name in merged.machines],
                  np.min_scalar_type(len(machines)))[merged.true_machine] for merged in sets])
     n = len(true_column)
-    columns = _Columns(np.full(n, np.nan), np.full(n, np.nan), np.zeros(n, true_column.dtype),
-                       np.zeros(n, bool))
+    columns = _Columns(np.empty(n), np.empty(n), np.empty(n, true_column.dtype), np.empty(n, bool))
 
     def place(rows: np.ndarray, block: np.ndarray) -> None:
         for column, values in zip(columns, _reduce(-block if negate else block, true_column[rows])):
             column[rows] = values
 
-    return columns, place, columns.lowest
+    return columns, place
 
 
 def _matrix_report(matrix: ScoreMatrix, merged: MergedTestSet, config: EvalConfig) -> EvalReport:
@@ -367,7 +366,7 @@ def _matrix_report(matrix: ScoreMatrix, merged: MergedTestSet, config: EvalConfi
         where = (f"{len(got)} rows for {len(ids)} recordings" if i is None
                  else f"row {i} is {got[i]!r}, not {ids[i]!r}")
         raise ProtocolError(f"score matrix rows must be the merged test set's: {where}")
-    columns, place, _ = _placed_columns(matrix.machines, [merged], False)
+    columns, place = _placed_columns(matrix.machines, [merged], False)
     place(slice(None), matrix.values)
     return _report(columns, merged, matrix.machines, config)
 

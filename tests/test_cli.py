@@ -4,6 +4,7 @@ import os
 import signal
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
 from dataclasses import asdict, fields
@@ -505,10 +506,12 @@ def test_evaluate_starts_no_worker_on_one_cpu(capsys, monkeypatch):
     assert (code, out, err) == (EXIT_OK, (GOLDEN / "report.json").read_text(), "")
 
 
-@pytest.mark.parametrize("how", ["the child exits at once", "SIGCHLD is ignored"])
+@pytest.mark.parametrize("how", ["the child exits at once", "the child stops mid-delivery",
+                                 "SIGCHLD is ignored", "os.fork fails"])
 def test_evaluate_scores_alike_when_the_worker_delivers_nothing(capsys, monkeypatch, how):
     # with SIGCHLD ignored no worker starts: the kernel would reap it unasked
-    fork, handler = os.fork, signal.getsignal(signal.SIGCHLD)
+    fork, deliver, handler = os.fork, io_module._ScoreWorker._deliver, signal.getsignal(
+        signal.SIGCHLD)
 
     def failing_fork():
         pid = fork()
@@ -516,20 +519,41 @@ def test_evaluate_scores_alike_when_the_worker_delivers_nothing(capsys, monkeypa
             os._exit(3)
         return pid
 
+    def no_fork():
+        raise OSError("no process to spare")
+
+    def cut_delivery(self, pipe):
+        # in the child: the whole delivery, then only its first half down the pipe
+        with tempfile.TemporaryFile() as whole:
+            deliver(self, os.dup(whole.fileno()))
+            whole.seek(0)
+            data = whole.read()
+        with open(pipe, "wb") as out:
+            out.write(data[:len(data) // 2])
+
+    two_cpus(monkeypatch)
     if how == "the child exits at once":
-        two_cpus(monkeypatch)
         monkeypatch.setattr(os, "fork", failing_fork)
+    elif how == "the child stops mid-delivery":  # patched before the fork, so the child has it
+        monkeypatch.setattr(io_module._ScoreWorker, "_deliver", cut_delivery)
+    elif how == "os.fork fails":
+        monkeypatch.setattr(os, "fork", no_fork)
     else:
         signal.signal(signal.SIGCHLD, signal.SIG_IGN)
-    strict = strict_reads(monkeypatch)
+    strict, parsed, c_floats = strict_reads(monkeypatch), [], io_module._c_floats
+    monkeypatch.setattr(io_module, "_c_floats", lambda *args: parsed.append(os.getpid()) or
+                        c_floats(*args))
     try:
         code, out, err = run(capsys, "evaluate", "--scores", str(GOLDEN / "scores.csv"),
                              "--labels", str(GOLDEN / "labels.csv"))
     finally:
         signal.signal(signal.SIGCHLD, handler)
     assert (code, out, err) == (EXIT_OK, (GOLDEN / "report.json").read_text(), "")
-    # an empty delivery sends the table to csv; with no worker the fast path reads it
-    assert strict == (["scores.csv"] if how == "the child exits at once" else [])
+    # an empty or cut delivery sends the table to csv; with no worker the parent's
+    # own fast path reads it
+    started = how.startswith("the child")
+    assert strict == (["scores.csv"] if started else [])
+    assert parsed == ([] if started else [os.getpid()])
     no_child_left()
 
 

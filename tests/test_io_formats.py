@@ -101,6 +101,7 @@ def test_scores_rejects_bad_orientation(tmp_path):
         ("recording_id,fan,fan\nr1,1.0,2.0\n", "unique"),
         ("id,fan\nr1,1.0\n", "header"),
         ("recording_id,fan\n", "no score rows"),
+        ("\n", r"^scores\.csv: no header row found$"),
         ("", "first line"),
     ],
 )
@@ -967,6 +968,18 @@ def test_labels_rejects_bad_split_with_line_number(tmp_path):
         read_labels(path)
 
 
+@pytest.mark.parametrize("body, message", [
+    ("recording_id,machine,is_anomaly,split\nr1,fan,0,dev\n",
+     r"^labels\.csv:2: header must start with recording_id,true_machine,is_anomaly,split$"),
+    ("recording_id,true_machine,is_anomaly,split\n", r"^labels\.csv: no label rows$"),
+], ids=["wrong header", "no rows"])
+def test_labels_rejects_a_wrong_header_and_no_rows(tmp_path, body, message):
+    path = tmp_path / "labels.csv"
+    path.write_text(f"{FORMAT_LINE}\n{body}")
+    with pytest.raises(FormatError, match=message):
+        read_labels(path)
+
+
 def test_labels_warns_on_unknown_columns(tmp_path):
     path = tmp_path / "labels.csv"
     path.write_text(
@@ -1199,6 +1212,12 @@ def test_check_table_errors(tmp_path):
     )
     with pytest.raises(FormatError, match="a_unknown"):
         read_check_table(path)
+    for body, message in [("r,0.7,0.6\n", r"^table\.csv:3: expected 4 fields, got 3$"),
+                          (",0.7,0.6,1\n", r"^table\.csv:3: empty label$"),
+                          ("", r"^table\.csv: no check rows$")]:
+        path.write_text(f"{FORMAT_LINE}\nlabel,a_known,a_unknown,expected\n{body}")
+        with pytest.raises(FormatError, match=message):
+            read_check_table(path)
 
 
 # ---------------------------------------------------------------------------

@@ -132,6 +132,8 @@ def test_auc_rejects_nan_and_mismatched_lengths():
         auc([1.0, float("nan")], [True, False])
     with pytest.raises(MetricError):
         auc([1.0, 2.0, 3.0], [True, False])
+    with pytest.raises(MetricError, match="^scores and labels must be one-dimensional$"):
+        auc([[1.0], [2.0]], [True, False])
 
 
 # ---------------------------------------------------------------------------

@@ -177,6 +177,17 @@ def test_merged_set_rejects_non_integer_codes_and_non_binary_labels(codes, label
         MergedTestSet(["a", "b", "c", "d"], ["fan", "pump"], codes, labels)
 
 
+@pytest.mark.parametrize("ids, codes, labels, split, message", [
+    ([], [], [], "dev", "merged test set is empty"),
+    (["a", "b"], [0], [False, True], "dev", "need one true machine and one label per id"),
+    (["a", "b"], [0, 0], [True], "dev", "need one true machine and one label per id"),
+    (["a", "b"], [0, 0], [False, True], "test", "unknown split 'test'"),
+], ids=["empty", "short-codes", "short-labels", "unknown-split"])
+def test_merged_set_rejects_empty_uneven_and_unknown_split(ids, codes, labels, split, message):
+    with pytest.raises(ProtocolError, match=f"^{message}$"):
+        MergedTestSet(ids, ["fan"], codes, labels, split)
+
+
 @pytest.mark.parametrize("rows", [1, 3])
 def test_merged_set_rejects_features_of_the_wrong_length(rows):
     with pytest.raises(ProtocolError, match=rf"^need 2 feature rows, got \({rows}, 2\)$"):
