@@ -26,8 +26,8 @@ from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .protocol import (SPLITS, EvalConfig, EvalReport, MergedTestSet, ModeResult, ProtocolError,
-                       _column_rising, _id_column, _id_order, _rising)
+from .protocol import (_ID_DTYPE, SPLITS, EvalConfig, EvalReport, MergedTestSet, ModeResult,
+                       ProtocolError, _column_rising, _id_column, _id_order)
 from .scorers import NormalizerSpec, ScorerSpec
 from .simulate import SimConfig, SweepPoint
 
@@ -84,7 +84,7 @@ class FormatError(ValueError):
 
 
 def _rows(path: Path, comments: list[tuple[int, str]] | None = None,
-          chunked: bool = False) -> Iterator:
+          chunked: bool | type = False) -> Iterator:
     """Stream the header row of a versioned CSV file, then its data.
 
     Comment lines after the format line go into ``comments``. The header and
@@ -93,7 +93,8 @@ def _rows(path: Path, comments: list[tuple[int, str]] | None = None,
     never held whole: only LF, CRLF and CR end a line, a quoted field may
     span lines, and blank lines are skipped. With ``chunked``, the data
     lines after the header come instead as lists of about _CHUNK_CHARS
-    characters, as the file holds them.
+    characters, as the file holds them, or with ``chunked=bytes`` as bytes,
+    whole lines of about _CHUNK_CHARS at a time, each block ending in LF.
     """
     # utf-8-sig drops a leading byte-order mark that some editors write
     with open(path, encoding="utf-8-sig", newline="") as handle:
@@ -105,11 +106,18 @@ def _rows(path: Path, comments: list[tuple[int, str]] | None = None,
                 skipped += 1
                 if comments is not None:
                     comments.append((skipped, line))
-            reader, start, found = csv.reader(chain([line], handle)), skipped + 1, False
+            # read by readline, as next() would turn off the handle's tell()
+            reader = csv.reader(chain([line], iter(handle.readline, "")))
+            start, found = skipped + 1, False
             for fields in reader:
                 if fields:
                     found = True
                     yield start, fields
+                    if chunked is bytes:  # read on from where the text handle stands
+                        (data := handle.buffer).seek(handle.tell())
+                        while block := data.read(_CHUNK_CHARS) + data.readline():
+                            yield block if block.endswith(b"\n") else block + b"\n"
+                        return
                     if chunked:
                         yield from iter(partial(handle.readlines, _CHUNK_CHARS), [])
                         return
@@ -455,26 +463,71 @@ class _ScoreWorker:
 
 
 _LABEL_COLUMNS = ("recording_id", "true_machine", "is_anomaly", "split")
+# a label block holding one of these bytes goes to csv, as one outside ASCII
+# does; a CR is checked on its own
+_STRICT_BYTES = _STRICT_CHARS.replace("\r", "").encode()
 
 
 class _LabelSets(dict):
     """read_labels' {split: MergedTestSet}, with its ids' _LabelOrder as ``order``."""
 
 
-def _c_labels(chunks: Iterator[list[str]], width: int) -> Iterator[list[list[str]]]:
-    # the four label columns of each chunk of data lines, each a strided slice
-    # of one str.split of its text
-    for lines in chunks:
-        if ((text := _plain(lines, width - 1)) is None
-                or list(map(str.count, lines, repeat(","))).count(width - 1) < len(lines)):
-            raise ValueError("a chunk left to csv")
-        cells = text.replace("\n", ",").split(",")
-        ids, names, truths, split_names = columns = [cells[k:len(lines) * width:width]
-                                                     for k in range(4)]
-        if ("" in ids or "" in names or not set(truths).issubset(_TRUTH)
-                or not set(split_names).issubset(SPLITS)):
-            raise ValueError("a chunk left to csv")
-        yield columns
+def _cells(data: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
+    # the fields [start, stop) of the bytes `data` as one bytes column, NUL-padded
+    width = int((stop - start).max())
+    cells = np.lib.stride_tricks.sliding_window_view(np.r_[data, np.zeros(width, np.uint8)],
+                                                     width)[start]
+    cells *= np.arange(width) < (stop - start)[:, None]
+    return cells.view(f"S{width}").ravel()
+
+
+def _which(data: np.ndarray, start: np.ndarray, stop: np.ndarray, words) -> np.ndarray:
+    # the index into `words` of each field [start, stop) of the bytes `data`, -1 for none
+    which = np.full(len(start), -1, np.int8)
+    for j, word in enumerate(map(str.encode, words)):
+        rows = np.flatnonzero(stop - start == len(word))
+        found = data[start[rows, None] + np.arange(len(word))] == np.frombuffer(word, np.uint8)
+        which[rows[found.all(axis=1)]] = j
+    return which
+
+
+def _rises(keys: np.ndarray, lengths: np.ndarray) -> bool:
+    # whether ids held as NUL-padded bytes and byte lengths (or as str objects)
+    # strictly increase in Python's order of them as str, NUL included
+    return bool(((keys[:-1] < keys[1:])
+                 | (keys[:-1] == keys[1:]) & (lengths[:-1] < lengths[1:])).all())
+
+
+def _byte_labels(blocks: Iterator[bytes], width: int) -> Iterator[tuple]:
+    """(id bytes, their lengths, machine names with their comma, is_anomaly, split
+    codes) of each block of data lines, read as one uint8 array. A block that csv
+    might read otherwise (see _plain) raises a ValueError, as does one after which
+    the ids or names, padded to the widest so far, would take 4 times the bytes read."""
+    rows = size = widest = 0
+    for block in blocks:
+        data = np.frombuffer(block, np.uint8)
+        if len(cr := np.flatnonzero(data == 13)) and (data[cr + 1] == 10).all():
+            data, cr = np.delete(data, cr), cr[:0]  # CRLF line ends read as LF
+        ends, commas = np.flatnonzero(data == 10), np.flatnonzero(data == 44)
+        if (len(cr) or not block.isascii() or any(map(block.__contains__, _STRICT_BYTES))
+                or len(commas) != len(ends) * (width - 1)):
+            raise ValueError("a block left to csv")
+        # line i's fields lie between its bounds: the LF before it, its commas, its LF
+        bounds = np.column_stack([np.r_[-1, ends[:-1]], commas.reshape(len(ends), -1), ends])
+        gaps = np.diff(bounds)
+        labels, splits = (_which(data, bounds[:, k] + 1, bounds[:, k + 1], words)
+                          for k, words in [(2, _TRUTH), (3, SPLITS)])
+        if ((gaps < 1).any() or (gaps[:, :2] < 2).any() or (labels < 0).any()
+                or (splits < 0).any() or gaps.sum(axis=1).max() > csv.field_size_limit()):
+            raise ValueError("a block left to csv")
+        rows, size, widest = rows + len(gaps), size + len(data), max(widest, gaps[:, :2].max())
+        if rows * widest > 4 * size:
+            raise ValueError("ids or machine names too unequal in length for a bytes column")
+        lengths = gaps[:, 0] - 1
+        yield (_cells(data, bounds[:, 0] + 1, bounds[:, 1]),
+               lengths.astype(np.min_scalar_type(lengths.max())),
+               _cells(data, bounds[:, 1] + 1, bounds[:, 2] + 1),
+               np.array(list(_TRUTH.values()))[labels], splits)
 
 
 def read_labels(path) -> dict[str, MergedTestSet]:
@@ -485,7 +538,7 @@ def read_labels(path) -> dict[str, MergedTestSet]:
     file before the first bad label value is reported.
     """
     path = Path(path)
-    rows = _rows(path, chunked=True)
+    rows = _rows(path, chunked=bytes)
     header_no, header = next(rows)
     if tuple(header[:4]) != _LABEL_COLUMNS:
         raise FormatError(f"{path.name}:{header_no}: header must start with "
@@ -493,47 +546,53 @@ def read_labels(path) -> dict[str, MergedTestSet]:
     if header[4:]:
         warnings.warn(f"{path.name}: ignoring unknown label columns {header[4:]}", stacklevel=2)
 
-    def join(pieces: Iterable[list[list[str]]]) -> _LabelSets:
-        codes: dict[str, int] = {}  # machine name -> code, in order of first appearance
-        machines, labels, splits = [], bytearray(), bytearray()  # in file order
-        parts: list[list[np.ndarray]] = [[] for _ in SPLITS]  # each split's ids, chunk by chunk
-        tail, rising = [], True
-        for chunk, names, truths, split_names in pieces:
-            for machine in dict.fromkeys(names):
-                codes.setdefault(machine, len(codes))
-            rising, tail = rising and _rising(tail + chunk), chunk[-1:]
-            machines.extend(map(codes.__getitem__, names))
-            labels.extend(map(_TRUTH.__getitem__, truths))
-            chunk_splits = np.fromiter(map(SPLITS.index, split_names), np.uint8, len(chunk))
-            splits.extend(chunk_splits.tobytes())
-            for j, part in enumerate(parts):
-                part.append(_id_column(list(compress(chunk, (chunk_splits == j).tobytes()))))
-        if not splits:
+    def join(blocks: Iterable[tuple]) -> _LabelSets:
+        codes: dict[bytes, int] = {}  # machine name and comma -> code, in order of first appearance
+        parts = []  # each block's columns, machines as codes
+        for keys, lengths, names, labels, splits in blocks:
+            names, first, inverse = np.unique(names, return_index=True, return_inverse=True)
+            for name in names[np.argsort(first)].tolist():
+                codes.setdefault(name, len(codes))
+            machines = np.array([codes[name] for name in names.tolist()],
+                                np.min_scalar_type(len(codes)))[inverse]
+            parts.append((keys, lengths, machines, labels, splits))
+        if not parts:
             raise FormatError(f"{path.name}: no label rows")
-        # the ids split by split, each split in file order: ids[i] is on file row at[i]
-        splits = np.frombuffer(splits, dtype=np.uint8)
-        ids = np.concatenate(list(chain.from_iterable(parts)))
-        at = np.argsort(splits, kind="stable")
-        if not rising:  # each split into id order; a repeat in any split raises (on the C
-            # path only, as csv names its line)
-            ranked = _id_order(ids)
-            ranked = ranked[np.argsort(splits[at[ranked]], kind="stable")]
-            ids, at = ids[ranked], at[ranked]
-        names, machines = list(codes), np.array(machines)[at]
-        labels = np.frombuffer(labels, dtype=bool)[at]
+        keys, lengths, machines, labels, splits = map(np.concatenate, zip(*parts))
+        del parts
+        rising = _rises(keys, lengths)
+        # a repeat in any split raises (on the C path only, as csv names its line)
+        at = np.arange(len(keys)) if rising else np.lexsort((lengths, keys))
+        if not (rising or _rises(keys[at], lengths[at])):
+            raise ProtocolError("duplicate recording ids in merged test set")
+        # the ids split by split, each split in id order: ids[i] is on file row at[i]
+        at = at[np.argsort(splits[at], kind="stable")]
+        keys, lengths, machines, labels = keys[at], lengths[at], machines[at], labels[at]
+        rows = np.empty(len(at), np.min_scalar_type(len(at)))  # the inverse of at
+        rows[at] = np.arange(len(at), dtype=rows.dtype)
+        del at
+        ids = keys.astype(_ID_DTYPE)
+        # csv's ids come whole, as str; ids read as bytes hold NUL where a byte is 0,
+        # and their bytes column drops trailing NULs
+        nul_free = keys.dtype.kind == "S" and np.count_nonzero(keys.view(np.uint8)) == lengths.sum()
+        if keys.dtype.kind == "S" and not nul_free:
+            lost = lengths - np.strings.str_len(keys)
+            for row in np.flatnonzero(lost).tolist():
+                ids[row] += "\x00" * int(lost[row])
+        del keys, lengths
+        names = [name[:-1].decode() for name in codes]
         sets, stop, spans = _LabelSets(), 0, []
         for j, split_rows in enumerate(np.bincount(splits, minlength=len(SPLITS)).tolist()):
             start, stop = stop, stop + split_rows
             if split_rows:
                 sets[SPLITS[j]] = MergedTestSet(ids[start:stop], names, machines[start:stop],
-                                                labels[start:stop], SPLITS[j])
+                                                labels[start:stop], SPLITS[j], nul_free=nul_free)
                 spans.append((start, stop))
-        sets.order = _LabelOrder(ids, np.empty_like(at), tuple(spans) if rising else None)
-        sets.order.rows[at] = np.arange(len(at))
+        sets.order = _LabelOrder(ids, rows, tuple(spans) if rising else None)
         return sets
 
-    def cells(line_no: int, row: list[str]) -> list[str]:
-        rec_id, machine, anomaly_text, split = row = row[:4]
+    def cells(line_no: int, row: list[str]) -> tuple:
+        rec_id, machine, anomaly_text, split = row[:4]
         if not machine:
             problem = "empty true_machine"
         elif anomaly_text not in _TRUTH:
@@ -541,11 +600,17 @@ def read_labels(path) -> dict[str, MergedTestSet]:
         elif split not in SPLITS:
             problem = f"recording {rec_id!r}: unknown split {split!r}"
         else:
-            return row
+            return rec_id, machine.encode() + b",", _TRUTH[anomaly_text], SPLITS.index(split)
         raise FormatError(f"{path.name}:{line_no}: {problem}")
 
-    return _fast_or_strict(rows, join, _c_labels(rows, len(header)),
-                           partial(_keyed_rows, path, len(header), cells))
+    def strict() -> Iterator[tuple]:
+        # csv's rows as _byte_labels' columns, ids (as str, whose order needs no
+        # lengths) and names as objects, so no column is padded to the longest
+        for ids, names, *columns in _keyed_rows(path, len(header), cells):
+            yield (np.array(ids, object), np.zeros(len(ids), np.uint8), np.array(names, object),
+                   *map(np.array, columns))
+
+    return _fast_or_strict(rows, join, _byte_labels(rows, len(header)), strict)
 
 
 def read_features(path, index: _LabelOrder | None = None) -> tuple[np.ndarray, np.ndarray]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import operator
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from itertools import islice
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -69,9 +69,11 @@ def _rising(keys: Sequence[str]) -> bool:
     return all(map(operator.lt, keys, islice(keys, 1, None)))
 
 
-def _column_rising(ids: np.ndarray) -> bool:
-    # _rising on blocks that overlap by one id, so no more than a block of the
-    # column is ever held as str objects
+def _column_rising(ids: np.ndarray, nul_free: bool = False) -> bool:
+    # without NUL, StringDType compares ids as Python does; else _rising on blocks
+    # that overlap by one id, so no more than a block is ever held as str objects
+    if nul_free:
+        return bool((ids[:-1] < ids[1:]).all())
     return all(_rising(ids[max(start - 1, 0):start + _ID_BLOCK].tolist())
                for start in range(0, len(ids), _ID_BLOCK))
 
@@ -151,7 +153,9 @@ class MergedTestSet:
     construction, so downstream runs are reproducible; input already in
     strictly increasing id order is kept (arrays of the stored dtype are not
     copied), so a caller that later mutates it should pass a copy. Scoring
-    code consumes ids and features, evaluation code the labels.
+    code consumes ids and features, evaluation code the labels. ``nul_free``
+    is the caller's word that no id holds NUL, so that their order is checked
+    on the id column itself rather than on the ids as str.
     """
 
     ids: np.ndarray
@@ -160,8 +164,9 @@ class MergedTestSet:
     is_anomaly: np.ndarray
     split: str = "dev"
     features: np.ndarray | None = field(default=None, repr=False)
+    nul_free: InitVar[bool] = False
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, nul_free: bool) -> None:
         if not len(self.ids):
             raise ProtocolError("merged test set is empty")
         if not len(self.ids) == len(self.true_machine) == len(self.is_anomaly):
@@ -172,7 +177,7 @@ class MergedTestSet:
             raise ProtocolError(f"unknown split {self.split!r}")
         self.ids = _id_column(self.ids)
         order = slice(None)  # strictly increasing ids are sorted and unique: kept as given
-        if not _column_rising(self.ids):
+        if not _column_rising(self.ids, nul_free):
             order = _id_order(self.ids)
             self.ids = self.ids[order]
         codes, labels = np.asarray(self.true_machine), np.asarray(self.is_anomaly)

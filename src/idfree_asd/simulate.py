@@ -176,6 +176,7 @@ def generate(config: SimConfig) -> tuple[dict[str, ReferenceSet], MergedTestSet]
         order // per_machine,
         order % per_machine >= config.n_norm,
         features=features,
+        nul_free=True,
     )
     return references, merged
 

@@ -265,6 +265,29 @@ def test_merged_set_orders_and_finds_repeats_as_python_lists_do(ids, block, as_a
     assert all(type(rec.id) is str for rec in merged.recordings)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.text(st.sampled_from(["\x7f", "a", "b", "\xe9", "\u03b1", "\U0001f600"]),
+                        min_size=1, max_size=4), min_size=1, max_size=30),
+       st.sampled_from(["", "p" * 16]), st.booleans())
+def test_nul_free_ids_are_ordered_on_the_id_column_as_python_orders_them(ids, prefix, rising):
+    # oracle: the ids as str; StringDType compares ids without NUL as Python
+    # does, of 16 bytes or more too, so no id is turned back into str
+    ids = [prefix + rec_id for rec_id in (sorted(set(ids)) if rising else ids)]
+    codes = np.arange(len(ids)) % 3
+    column = np.array(ids, dtype=np.dtypes.StringDType())
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(protocol_module, "_rising", None)  # the str check would fail
+        if len(set(ids)) < len(ids):
+            with pytest.raises(ProtocolError, match="^duplicate recording ids in merged test set$"):
+                MergedTestSet(column, ["a", "b", "c"], codes, codes == 0, nul_free=True)
+            return
+        merged = MergedTestSet(column, ["a", "b", "c"], codes, codes == 0, nul_free=True)
+    rows = sorted(range(len(ids)), key=ids.__getitem__)
+    assert merged.ids.tolist() == sorted(ids)
+    assert merged.true_machine.tolist() == [int(codes[i]) for i in rows]
+    assert (merged.ids is column) == (ids == sorted(ids) and len(set(ids)) == len(ids))
+
+
 @pytest.mark.parametrize("first, second", [
     ("\x00\u03b1\u03b1", "\x00\U0001f600"),  # numpy 2.4's == calls these equal
     # neither is < the other to numpy 2.4, so its sort leaves the second first
