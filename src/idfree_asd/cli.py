@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from contextlib import closing
 from dataclasses import fields
 from pathlib import Path
 
@@ -118,19 +117,18 @@ def _cmd_evaluate(args) -> int:
 
 def _split_reports(args, config: EvalConfig) -> tuple[dict, bool, list[tuple]]:
     """evaluate's report of each split, its orientation and its (path, role) inputs."""
+    # the labels come first, so a label error is reported before any other
+    test_sets = formats.read_labels(args.labels)
     if args.scores is not None:
-        # the score table is parsed in a forked child while the labels are read
-        # here, and each of its chunks reduced to the protocols' columns as it comes
-        with closing(formats._ScoreWorker(args.scores)) as worker:
-            test_sets = formats.read_labels(args.labels)
-            placement = (lambda machines, orientation: _placed_columns(machines, test_sets.values(),
-                         not _resolve_orientation(args.higher_is_anomalous, orientation)))
-            machines, _, columns, header_orientation = formats._score_table(
-                args.scores, test_sets.order, worker.chunks, placement)
+        # each chunk of the score table is reduced to the protocols' columns as it
+        # is joined to the labels
+        placement = (lambda machines, orientation: _placed_columns(machines, test_sets.values(),
+                     not _resolve_orientation(args.higher_is_anomalous, orientation)))
+        machines, _, columns, header_orientation = formats._score_table(
+            args.scores, test_sets.order, placement)
         higher = _resolve_orientation(args.higher_is_anomalous, header_orientation)
         inputs = [(args.scores, "scores"), (args.labels, "labels")]
     else:
-        test_sets = formats.read_labels(args.labels)
         higher = True
         manifest = formats.read_manifest(args.manifest)
         ids, vectors = formats.read_features(manifest.features, test_sets.order)

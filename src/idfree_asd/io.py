@@ -11,9 +11,7 @@ import csv
 import json
 import math
 import os
-import pickle
 import re
-import signal
 import tempfile
 import warnings
 from contextlib import closing
@@ -65,13 +63,13 @@ ORIENTATIONS = ("higher", "lower")
 
 _ORIENTATION_RE = re.compile(r"#\s*orientation:\s*(\S+)\s*$")
 _TRUTH = {"0": False, "1": True, "false": False, "true": True}
-# the fast path reads data lines about this many characters at a time, so a
+# the fast path reads data lines about this many bytes at a time, so a
 # table's text is never held whole
 _CHUNK_CHARS = 2**17
-# a chunk holding one of these fails the gate: quote and a CR outside CRLF
-# have csv meanings, and numpy reads \x1c-\x1f around a number as white
-# space, float() does not
-_STRICT_CHARS = '"\r\x1c\x1d\x1e\x1f'
+# a block holding one of these bytes fails the gate, as one outside ASCII does:
+# a quote has a csv meaning, and numpy reads \x1c-\x1f around a number as white
+# space, float() does not; a CR outside a CRLF line end is checked on its own
+_STRICT_BYTES = b'"\x1c\x1d\x1e\x1f'
 # a cross-reference error names at most this many ids per side, so a file
 # that matches nothing still gives a short message
 _LISTED_IDS = 10
@@ -84,7 +82,7 @@ class FormatError(ValueError):
 
 
 def _rows(path: Path, comments: list[tuple[int, str]] | None = None,
-          chunked: bool | type = False) -> Iterator:
+          chunked: bool = False) -> Iterator:
     """Stream the header row of a versioned CSV file, then its data.
 
     Comment lines after the format line go into ``comments``. The header and
@@ -92,9 +90,8 @@ def _rows(path: Path, comments: list[tuple[int, str]] | None = None,
     from one csv.reader fed straight from the file handle, so the file is
     never held whole: only LF, CRLF and CR end a line, a quoted field may
     span lines, and blank lines are skipped. With ``chunked``, the data
-    lines after the header come instead as lists of about _CHUNK_CHARS
-    characters, as the file holds them, or with ``chunked=bytes`` as bytes,
-    whole lines of about _CHUNK_CHARS at a time, each block ending in LF.
+    after the header comes instead as bytes, whole lines of about
+    _CHUNK_CHARS bytes at a time, each block ending in LF.
     """
     # utf-8-sig drops a leading byte-order mark that some editors write
     with open(path, encoding="utf-8-sig", newline="") as handle:
@@ -113,13 +110,10 @@ def _rows(path: Path, comments: list[tuple[int, str]] | None = None,
                 if fields:
                     found = True
                     yield start, fields
-                    if chunked is bytes:  # read on from where the text handle stands
+                    if chunked:  # read on from where the text handle stands
                         (data := handle.buffer).seek(handle.tell())
                         while block := data.read(_CHUNK_CHARS) + data.readline():
                             yield block if block.endswith(b"\n") else block + b"\n"
-                        return
-                    if chunked:
-                        yield from iter(partial(handle.readlines, _CHUNK_CHARS), [])
                         return
                 start = skipped + 1 + reader.line_num
         except UnicodeDecodeError as exc:
@@ -131,16 +125,26 @@ def _rows(path: Path, comments: list[tuple[int, str]] | None = None,
             raise FormatError(f"{path.name}: no header row found")
 
 
-def _plain(lines: list[str], commas: int) -> str | None:
-    # the LF text of data lines the C path reads as csv does, else None: ASCII without
-    # _STRICT_CHARS, no line past csv's field limit, `commas` commas a line in all
-    text = "".join(lines)
-    if "\r" in text:  # a CR that is left is not part of a CRLF line end
-        text = text.replace("\r\n", "\n")
-    plain = (text.isascii() and not any(map(text.__contains__, _STRICT_CHARS))
-             and max(map(len, lines)) <= csv.field_size_limit()
-             and text.count(",") == commas * len(lines))
-    return text if plain else None
+def _gate(block: bytes, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """A block of data lines as one uint8 array, CRLF line ends read as LF, and
+    each line's field bounds: the LF before it, its commas, its LF, so field k
+    of line i lies strictly between bounds[i, k] and bounds[i, k + 1]. A block
+    that csv might read otherwise raises a ValueError: one with a CR outside a
+    CRLF line end, a byte outside ASCII or in _STRICT_BYTES, a line of other
+    than ``width`` fields or a line past csv's field limit."""
+    data = np.frombuffer(block, np.uint8)
+    if len(cr := np.flatnonzero(data == 13)) and (data[cr + 1] == 10).all():
+        data, cr = np.delete(data, cr), cr[:0]
+    ends, commas = np.flatnonzero(data == 10), np.flatnonzero(data == 44)
+    if (len(cr) or not block.isascii() or any(map(block.__contains__, _STRICT_BYTES))
+            or len(commas) != len(ends) * (width - 1)):
+        raise ValueError("a block left to csv")
+    # with the commas placed in order, every line's lie within it only if each
+    # line holds width - 1 of them
+    bounds = np.column_stack([np.r_[-1, ends[:-1]], commas.reshape(len(ends), -1), ends])
+    if (np.diff(bounds) < 1).any() or (ends - bounds[:, 0]).max() > csv.field_size_limit():
+        raise ValueError("a block left to csv")
+    return data, bounds
 
 
 def _undecodable_line(path: Path) -> int:
@@ -258,27 +262,27 @@ class _LabelOrder:
         return True
 
 
-def _c_floats(chunks: Iterator[list[str]], width: int) -> Iterator[tuple[list[str], np.ndarray]]:
-    # the ids and cells of each chunk of data lines, the cells by one loadtxt call
-    for lines in chunks:
-        block = _plain(lines, width) and np.loadtxt(
-            lines, delimiter=",", comments=None, usecols=range(1, width + 1), ndmin=2)
+def _c_floats(blocks: Iterator[bytes], width: int) -> Iterator[tuple[list[str], np.ndarray]]:
+    # the ids and cells of each block of data lines that passes the gate, the
+    # cells by one loadtxt call over the block's lines
+    for block in blocks:
+        lines = _gate(block, width + 1)[0].tobytes().decode("ascii").split("\n")[:-1]
+        cells = np.loadtxt(lines, delimiter=",", comments=None, usecols=range(1, width + 1),
+                           ndmin=2)
         ids = [line.partition(",")[0] for line in lines]
-        # loadtxt turns down a line short of cells and skips a blank one, so a
-        # row for every line and _plain's comma total give each line its commas
-        if block is None or len(block) < len(lines) or not np.isfinite(block).all() or "" in ids:
-            raise ValueError("a chunk left to csv")
-        yield ids, block
+        # loadtxt skips a blank line, which the gate turns down: one row a line
+        if len(cells) != len(ids) or not np.isfinite(cells).all() or "" in ids:
+            raise ValueError("a block left to csv")
+        yield ids, cells
 
 
 def _float_rows(path: Path, rows: Iterator, header: list[str], what: str,
                 index: _LabelOrder | None = None,
-                chunks: Iterator[tuple[list[str], np.ndarray]] | None = None,
                 placement: Callable[[], tuple] | None = None) -> tuple[np.ndarray, object]:
     """Ids, and every cell after the id as an (n, d) array, of keyed data rows.
 
-    The fast path reads ``rows`` through _c_floats, or takes ``chunks``, the
-    same pieces read elsewhere, in its place.
+    The fast path reads the byte blocks of ``rows`` through _c_floats; any
+    block it turns down sends the whole file to the strict reader.
 
     With an ``index``, read_labels' order of n ids, blocks land at their ids'
     rows: by the index's rows while pieces follow the label file, else through
@@ -339,8 +343,7 @@ def _float_rows(path: Path, rows: Iterator, header: list[str], what: str,
         for ids, cells_read in _keyed_rows(path, len(header), cells):
             yield ids, np.array(cells_read)
 
-    return _fast_or_strict(rows, join, _c_floats(rows, width) if chunks is None else chunks,
-                           strict)
+    return _fast_or_strict(rows, join, _c_floats(rows, width), strict)
 
 
 def _table_text(header: Sequence[str], rows: Iterable[Sequence[str]],
@@ -367,11 +370,11 @@ def read_scores(path, index: _LabelOrder | None = None
     Scores are returned as stored; callers negate when the orientation says
     lower means more anomalous.
     """
-    return _score_table(path, index, None)
+    return _score_table(path, index)
 
 
-def _score_table(path, index, chunks, placement=None) -> tuple:
-    # read_scores, with a _ScoreWorker's ``chunks`` and a placement(machines, orientation) if given
+def _score_table(path, index, placement=None) -> tuple:
+    # read_scores, each chunk landing by placement(machines, orientation) if given
     path = Path(path)
     comments: list[tuple[int, str]] = []
     rows = _rows(path, comments, chunked=True)
@@ -382,90 +385,12 @@ def _score_table(path, index, chunks, placement=None) -> tuple:
     machines = header[1:]
     if len(set(machines)) != len(machines) or any(not m for m in machines):
         raise FormatError(f"{path.name}:{header_no}: machine columns must be unique and nonempty")
-    return (machines, *_float_rows(path, rows, header, "score", index, chunks,
+    return (machines, *_float_rows(path, rows, header, "score", index,
                                    placement and partial(placement, machines, orientation)),
             orientation)
 
 
-class _ScoreWorker:
-    """read_scores' fast path over one score table, run in a forked child.
-
-    The child reads the table through _c_floats and keeps every chunk; only
-    once all pass does it pickle them to a pipe, so it delivers all or nothing.
-    ``chunks`` reads the delivery, as _score_table's ``chunks``; a delivery that
-    is empty (a chunk left to csv, a bad header, a crash) or cut short leaves
-    the table to csv. Where no worker starts (no os.fork, SIGCHLD ignored, one
-    CPU), ``chunks`` is None. ``close()`` kills and reaps the child.
-    """
-
-    def __init__(self, path) -> None:
-        self.path, self.pid, self.pipe, self.chunks = Path(path), None, None, None
-        # where SIGCHLD is ignored the kernel reaps a child itself, and its pid
-        # could be another process's by the time close() kills it; on one CPU
-        # the child's work would only add to the parent's
-        if (not hasattr(os, "fork") or signal.getsignal(signal.SIGCHLD) == signal.SIG_IGN
-                or hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) < 2):
-            return
-        read_end, write_end = os.pipe()
-        try:
-            with warnings.catch_warnings():
-                # Python 3.12+ warns on fork() in a process with threads, and numpy's
-                # OpenBLAS starts some at import; the child runs no BLAS, starts no
-                # thread and leaves through os._exit
-                warnings.filterwarnings("ignore", r"This process .*is multi-threaded",
-                                        DeprecationWarning)
-                self.pid = os.fork()
-        except OSError:  # no process to spare: read in process
-            os.close(read_end)
-            os.close(write_end)
-            return
-        if self.pid == 0:
-            code = 1
-            try:
-                os.close(read_end)
-                self._deliver(write_end)
-                code = 0
-            finally:
-                os._exit(code)
-        os.close(write_end)
-        self.pipe = open(read_end, "rb")
-        self.chunks = self._chunks()
-
-    def _deliver(self, pipe: int) -> None:
-        # in the child: any warning declines, which leaves the table to csv
-        warnings.simplefilter("error")
-        rows = _rows(self.path, chunked=True)
-        width = len(next(rows)[1]) - 1
-        pieces = [("\n".join(ids), block) for ids, block in _c_floats(rows, width)]
-        with open(pipe, "wb") as out:
-            pickle.dump(len(pieces), out)
-            for piece in pieces:
-                pickle.dump(piece, out, pickle.HIGHEST_PROTOCOL)
-
-    def _chunks(self) -> Iterator[tuple[list[str], np.ndarray]]:
-        # the pipe is private to a child that this process forked, so no outside
-        # data is unpickled; one load a chunk, so no unpickler memo keeps chunks alive.
-        # An empty pipe raises as a cut one does, so the table goes straight to csv
-        try:
-            for _ in range(pickle.load(self.pipe)):
-                text, block = pickle.load(self.pipe)
-                yield text.split("\n"), block
-        except (EOFError, pickle.UnpicklingError):
-            raise ValueError("the score worker delivered nothing or stopped mid-delivery")
-
-    def close(self) -> None:
-        if self.pipe is not None:
-            self.pipe.close()
-        if self.pid:
-            os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
-            self.pid = None
-
-
 _LABEL_COLUMNS = ("recording_id", "true_machine", "is_anomaly", "split")
-# a label block holding one of these bytes goes to csv, as one outside ASCII
-# does; a CR is checked on its own
-_STRICT_BYTES = _STRICT_CHARS.replace("\r", "").encode()
 
 
 class _LabelSets(dict):
@@ -500,25 +425,17 @@ def _rises(keys: np.ndarray, lengths: np.ndarray) -> bool:
 
 def _byte_labels(blocks: Iterator[bytes], width: int) -> Iterator[tuple]:
     """(id bytes, their lengths, machine names with their comma, is_anomaly, split
-    codes) of each block of data lines, read as one uint8 array. A block that csv
-    might read otherwise (see _plain) raises a ValueError, as does one after which
-    the ids or names, padded to the widest so far, would take 4 times the bytes read."""
+    codes) of each block of data lines that passes the gate. A block with an
+    empty id or machine name or a bad label raises a ValueError, as does one after
+    which the ids or names, padded to the widest so far, would take 4 times the
+    bytes read."""
     rows = size = widest = 0
     for block in blocks:
-        data = np.frombuffer(block, np.uint8)
-        if len(cr := np.flatnonzero(data == 13)) and (data[cr + 1] == 10).all():
-            data, cr = np.delete(data, cr), cr[:0]  # CRLF line ends read as LF
-        ends, commas = np.flatnonzero(data == 10), np.flatnonzero(data == 44)
-        if (len(cr) or not block.isascii() or any(map(block.__contains__, _STRICT_BYTES))
-                or len(commas) != len(ends) * (width - 1)):
-            raise ValueError("a block left to csv")
-        # line i's fields lie between its bounds: the LF before it, its commas, its LF
-        bounds = np.column_stack([np.r_[-1, ends[:-1]], commas.reshape(len(ends), -1), ends])
+        data, bounds = _gate(block, width)
         gaps = np.diff(bounds)
         labels, splits = (_which(data, bounds[:, k] + 1, bounds[:, k + 1], words)
                           for k, words in [(2, _TRUTH), (3, SPLITS)])
-        if ((gaps < 1).any() or (gaps[:, :2] < 2).any() or (labels < 0).any()
-                or (splits < 0).any() or gaps.sum(axis=1).max() > csv.field_size_limit()):
+        if (gaps[:, :2] < 2).any() or (labels < 0).any() or (splits < 0).any():
             raise ValueError("a block left to csv")
         rows, size, widest = rows + len(gaps), size + len(data), max(widest, gaps[:, :2].max())
         if rows * widest > 4 * size:
@@ -538,7 +455,7 @@ def read_labels(path) -> dict[str, MergedTestSet]:
     file before the first bad label value is reported.
     """
     path = Path(path)
-    rows = _rows(path, chunked=bytes)
+    rows = _rows(path, chunked=True)
     header_no, header = next(rows)
     if tuple(header[:4]) != _LABEL_COLUMNS:
         raise FormatError(f"{path.name}:{header_no}: header must start with "

@@ -44,8 +44,11 @@ SPLITS = ("dev", "eval")
 # to 15 UTF-8 bytes sits inline in 16. Its comparisons disagree with Python's
 # on ids that hold NUL, and numpy 2.4.6's searchsorted misplaces ids of 16 or
 # more bytes without one ('b' * 16 lands at 2 in ['a' * 16, 'b' * 16]), so no
-# id join uses it, and order, equality and repeats are always decided on the
-# ids as Python strings (whole, or _ID_BLOCK at a time)
+# id join uses it. io.read_labels decides order and repeats on a bytes column
+# and each id's byte length (io._rises), or on str where csv read the ids;
+# MergedTestSet checks its order on this dtype only when the caller says
+# nul_free, else on the ids as Python strings (whole, or _ID_BLOCK at a time),
+# as do _id_order and the joins, which match ids as str
 _ID_DTYPE = np.dtypes.StringDType()
 _ID_BLOCK = 4096
 

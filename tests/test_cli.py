@@ -1,12 +1,9 @@
 import csv
 import json
 import os
-import signal
 import subprocess
 import sys
-import tempfile
 import tracemalloc
-import warnings
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -369,7 +366,7 @@ def no_child_left():
 
 def golden_variant(tmp_path, variant):
     """The golden score table as is, with CRLF line ends, with its rows reversed,
-    with its last id quoted (a chunk that only csv reads), negated and marked
+    with its last id quoted (a block that only csv reads), negated and marked
     lower, with a column for a machine that has no labels, or without the
     column of a labeled machine."""
     text = (GOLDEN / "scores.csv").read_text()
@@ -397,11 +394,6 @@ def golden_variant(tmp_path, variant):
     return path
 
 
-def two_cpus(monkeypatch):
-    """Let a worker start however many CPUs this process may run on."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-
-
 def library_splits(scores, labels=GOLDEN / "labels.csv"):
     """evaluate's splits for a table, through read_scores' whole matrix and full_report."""
     test_sets = read_labels(labels)
@@ -416,47 +408,33 @@ def library_splits(scores, labels=GOLDEN / "labels.csv"):
 
 @pytest.mark.parametrize("variant", ["golden", "crlf", "reversed", "quoted id", "lower",
                                      "unlabeled column", "missing column"])
-def test_evaluate_scores_alike_with_and_without_the_worker(tmp_path, capsys, monkeypatch,
-                                                          variant):
-    # where a worker started the parent parses no chunk in C: a table the worker
-    # declines goes straight to csv, which reads it once
-    scores, parsed = golden_variant(tmp_path, variant), []
-    c_floats = io_module._c_floats
-    monkeypatch.setattr(io_module, "_c_floats", lambda *args: parsed.append(os.getpid()) or
-                        c_floats(*args))
-    two_cpus(monkeypatch)
+def test_evaluate_scores_variants_report_as_the_library(tmp_path, capsys, monkeypatch,
+                                                        variant):
+    # a table whose block the gate turns down goes to csv, which reads it once
+    scores = golden_variant(tmp_path, variant)
     strict = strict_reads(monkeypatch)
-    argv = ["evaluate", "--scores", str(scores), "--labels", str(GOLDEN / "labels.csv")]
-    forked = run(capsys, *argv)
-    if variant == "missing column":  # every id matches, then the summary turns it down
-        assert forked[:2] == (EXIT_DATA, "")
-        assert stderr_json(forked[2])["message"] == (
-            "score matrix is missing machine columns ['valve']")
-    else:
-        assert forked[0] == EXIT_OK and forked[2] == ""
-    assert parsed == []
+    code, out, err = run(capsys, "evaluate", "--scores", str(scores),
+                         "--labels", str(GOLDEN / "labels.csv"))
     assert strict == ([scores.name] if variant == "quoted id" else [])
-    no_child_left()
-    with monkeypatch.context() as patch:  # without a worker the parent's own fast path runs
-        patch.delattr(os, "fork")
-        assert run(capsys, *argv) == forked
-    assert parsed == [os.getpid()]
-    if variant == "missing column":
+    if variant == "missing column":  # every id matches, then the summary turns it down
+        assert (code, out) == (EXIT_DATA, "")
+        assert stderr_json(err)["message"] == "score matrix is missing machine columns ['valve']"
         return
+    assert (code, err) == (EXIT_OK, "")
     golden = json.loads((GOLDEN / "report.json").read_text())["splits"]
-    splits = json.loads(forked[1])["splits"]
-    assert splits == (library_splits(scores) if variant == "unlabeled column" else golden)
+    splits = json.loads(out)["splits"]
+    assert splits == library_splits(scores)
+    assert (splits == golden) is (variant != "unlabeled column")
     # every minimum runs over the column without labels as well
     assert (splits["dev"]["identification"]["n_correct"] < golden["dev"]["identification"][
         "n_correct"]) is (variant == "unlabeled column")
 
 
-@pytest.mark.parametrize("worker", [True, False], ids=["worker", "no worker"])
 def test_evaluate_scores_holds_under_64_bytes_a_row_beyond_the_labels(tmp_path, capsys,
-                                                                      monkeypatch, worker):
+                                                                      monkeypatch):
     # with 50 machines the (n, k) matrix alone takes 400 bytes a row; the
     # protocols' four columns and each row's true column take 19, and one
-    # chunk's lines, ids and cells add about 1.3 MB at the peak: 39-43 bytes a row
+    # block's bytes, ids and cells add about 1.3 MB at the peak: 39-43 bytes a row
     # in all here, 443 with the matrix
     n, k = 60_000, 50
     labels, scores = tmp_path / "labels.csv", tmp_path / "scores.csv"
@@ -479,10 +457,6 @@ def test_evaluate_scores_holds_under_64_bytes_a_row_beyond_the_labels(tmp_path, 
         return test_sets
 
     monkeypatch.setattr(io_module, "read_labels", traced_read_labels)
-    if worker:
-        two_cpus(monkeypatch)
-    else:
-        monkeypatch.delattr(os, "fork")
     tracemalloc.start()
     try:
         code, _, err = run(capsys, "evaluate", "--scores", str(scores), "--labels", str(labels),
@@ -494,85 +468,14 @@ def test_evaluate_scores_holds_under_64_bytes_a_row_beyond_the_labels(tmp_path, 
     assert peak - held[0] < 64 * n
 
 
-def test_evaluate_starts_no_worker_on_one_cpu(capsys, monkeypatch):
-    # on one CPU the child's work would only add to the parent's
+def test_evaluate_scores_never_forks(capsys, monkeypatch):
     def no_fork():
         raise AssertionError("os.fork called")
 
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(os, "fork", no_fork)
     code, out, err = run(capsys, "evaluate", "--scores", str(GOLDEN / "scores.csv"),
                          "--labels", str(GOLDEN / "labels.csv"))
     assert (code, out, err) == (EXIT_OK, (GOLDEN / "report.json").read_text(), "")
-
-
-@pytest.mark.parametrize("how", ["the child exits at once", "the child stops mid-delivery",
-                                 "SIGCHLD is ignored", "os.fork fails"])
-def test_evaluate_scores_alike_when_the_worker_delivers_nothing(capsys, monkeypatch, how):
-    # with SIGCHLD ignored no worker starts: the kernel would reap it unasked
-    fork, deliver, handler = os.fork, io_module._ScoreWorker._deliver, signal.getsignal(
-        signal.SIGCHLD)
-
-    def failing_fork():
-        pid = fork()
-        if pid == 0:
-            os._exit(3)
-        return pid
-
-    def no_fork():
-        raise OSError("no process to spare")
-
-    def cut_delivery(self, pipe):
-        # in the child: the whole delivery, then only its first half down the pipe
-        with tempfile.TemporaryFile() as whole:
-            deliver(self, os.dup(whole.fileno()))
-            whole.seek(0)
-            data = whole.read()
-        with open(pipe, "wb") as out:
-            out.write(data[:len(data) // 2])
-
-    two_cpus(monkeypatch)
-    if how == "the child exits at once":
-        monkeypatch.setattr(os, "fork", failing_fork)
-    elif how == "the child stops mid-delivery":  # patched before the fork, so the child has it
-        monkeypatch.setattr(io_module._ScoreWorker, "_deliver", cut_delivery)
-    elif how == "os.fork fails":
-        monkeypatch.setattr(os, "fork", no_fork)
-    else:
-        signal.signal(signal.SIGCHLD, signal.SIG_IGN)
-    strict, parsed, c_floats = strict_reads(monkeypatch), [], io_module._c_floats
-    monkeypatch.setattr(io_module, "_c_floats", lambda *args: parsed.append(os.getpid()) or
-                        c_floats(*args))
-    try:
-        code, out, err = run(capsys, "evaluate", "--scores", str(GOLDEN / "scores.csv"),
-                             "--labels", str(GOLDEN / "labels.csv"))
-    finally:
-        signal.signal(signal.SIGCHLD, handler)
-    assert (code, out, err) == (EXIT_OK, (GOLDEN / "report.json").read_text(), "")
-    # an empty or cut delivery sends the table to csv; with no worker the parent's
-    # own fast path reads it
-    started = how.startswith("the child")
-    assert strict == (["scores.csv"] if started else [])
-    assert parsed == ([] if started else [os.getpid()])
-    no_child_left()
-
-
-def test_evaluate_forks_past_the_threads_warning_of_python_3_12(capsys, monkeypatch):
-    # Python 3.12+ warns so on fork() in a process with threads, as numpy's is;
-    # under warnings as errors an unfiltered warning would end the run with exit 3
-    fork = os.fork
-
-    def warning_fork():
-        warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of fork() may "
-                      "lead to deadlocks in the child.", DeprecationWarning, stacklevel=2)
-        return fork()
-
-    two_cpus(monkeypatch)
-    monkeypatch.setattr(os, "fork", warning_fork)
-    code, out, err = run(capsys, "evaluate", "--scores", str(GOLDEN / "scores.csv"),
-                         "--labels", str(GOLDEN / "labels.csv"))
-    assert (code, out, err) == (EXIT_OK, (GOLDEN / "report.json").read_text(), "")
-    no_child_left()
 
 
 @pytest.mark.parametrize("fault", ["labels", "score cell", "mismatch", "both"])

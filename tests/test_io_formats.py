@@ -181,9 +181,8 @@ def strict_reads(monkeypatch):
 
 
 def strict_only(monkeypatch):
-    """Send every chunk of data lines to csv, the path of a file the C path never reads:
-    the score and feature gate passes no chunk, and any byte fails the label gate."""
-    monkeypatch.setattr(io_module, "_plain", lambda lines, commas: None)
+    """Send every block of data lines to csv, the path of a file the C path never reads:
+    any byte fails the one gate of score, feature and label blocks."""
     monkeypatch.setattr(io_module, "_STRICT_BYTES", bytes(range(256)))
 
 
@@ -381,6 +380,9 @@ FAULTS = {
     "quoted newline": lambda line: [_with_id(line, '"r0\n18"')],
     "CRLF from mid-file": None,
     "CR from mid-file": None,
+    # numpy reads these around a number as white space, float() does not
+    **{f"{byte!r} before a cell": lambda line, byte=byte: [
+        _with_cell(line, 2, byte + line.split(",")[2])] for byte in "\x1c\x1d\x1e\x1f"},
 }
 # the line end that a fault of None writes from the faulty row on
 LINE_ENDS = {"CRLF from mid-file": "\r\n", "CR from mid-file": "\r"}
@@ -398,6 +400,8 @@ MESSAGES = {
     "whitespace-only line": "{name}:21: expected {width} fields, got 1",
     "extra and missing field": "{name}:21: expected {width} fields, got {wider}",
     "doubled cells and blank line": "{name}:21: expected {width} fields, got {doubled}",
+    **{f"{byte!r} before a cell": f"{{name}}:21: m1 value {byte + '-18'!r} is not a number"
+       for byte in "\x1c\x1d\x1e\x1f"},
 }
 # labeled: read in file order (False) or with read_labels' order of a label
 # file that lists the table's rows in its order ("order") or in reverse (True);
@@ -430,7 +434,7 @@ def _applies(fault, kind, labeled):
                                      or sys.version_info >= (3, 11))
     if fault == "unlabeled id":
         return labeled
-    if fault in ("bad cell", "non-finite cell"):
+    if fault in ("bad cell", "non-finite cell") or fault.endswith("before a cell"):
         return kind != "labels"
     return fault != "bad label" or kind == "labels"
 
@@ -515,7 +519,7 @@ def test_label_blocks_hold_whole_lines_where_a_read_stops_mid_line(tmp_path, mon
     path = tmp_path / "labels.csv"
     path.write_text("\n".join(lines) + end)
     monkeypatch.setattr(io_module, "_CHUNK_CHARS", 5 * LINE + cut)
-    rows = io_module._rows(path, chunked=bytes)
+    rows = io_module._rows(path, chunked=True)
     next(rows)
     blocks = list(rows)
     assert all(block.endswith(b"\n") for block in blocks)
@@ -552,6 +556,26 @@ def test_label_table_variants_read_as_the_plain_table_without_csv(tmp_path, monk
         warnings.filterwarnings("ignore", "labels.csv: ignoring unknown label columns")
         assert outcome(lambda: read_labels(path)) == expected
     assert reads == []  # csv never read the table
+
+
+@pytest.mark.parametrize("block", [
+    b"a,1\nb,2,3\nc\n",  # the comma total of three lines, one of them without a comma
+    b"a,1\n\nb,2,3\n",  # a blank line
+    b"a,1\rb,2\n",  # a lone CR
+    b'"a",1\n',  # a quote
+    b"a,\x1f1\n",  # a byte numpy reads as white space
+    "\xe9,1\n".encode(),  # a byte outside ASCII
+    b"a" * 131_072 + b",1\n",  # a line past csv's field limit
+], ids=["commas", "blank line", "lone CR", "quote", "gate byte", "non-ASCII", "long line"])
+def test_gate_turns_down_a_block_that_csv_might_read_otherwise(block):
+    with pytest.raises(ValueError):
+        io_module._gate(block, 2)
+
+
+def test_gate_reads_crlf_as_lf_and_bounds_every_field():
+    data, bounds = io_module._gate(b"ab,1,\r\nc,,23\r\n", 3)
+    assert data.tobytes() == b"ab,1,\nc,,23\n"
+    assert bounds.tolist() == [[-1, 2, 4, 5], [5, 7, 8, 11]]
 
 
 JOIN_ROW = FAULT_ROW - 2  # data row 18, the third row of the third chunk
