@@ -18,14 +18,14 @@ from contextlib import closing
 from dataclasses import asdict, dataclass, fields
 from functools import partial
 from io import StringIO
-from itertools import chain, compress, count, repeat
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .protocol import (_ID_DTYPE, SPLITS, EvalConfig, EvalReport, MergedTestSet, ModeResult,
-                       ProtocolError, _column_rising, _id_column, _id_order)
+                       ProtocolError)
 from .scorers import NormalizerSpec, ScorerSpec
 from .simulate import SimConfig, SweepPoint
 
@@ -75,6 +75,11 @@ _STRICT_BYTES = b'"\x1c\x1d\x1e\x1f'
 _LISTED_IDS = 10
 # the strict reader hands its rows on in batches of this many
 _BATCH_ROWS = 4096
+# bytes.translate tables that raise each byte by one and lower it again. An id's
+# key is its UTF-8 bytes, raised: UTF-8 never uses 0xf5-0xff, so no key byte is 0,
+# and keys order and match as the ids do as Python strings, NUL-padded ones too
+_RAISED = bytes(range(1, 256)) + b"\x00"
+_LOWERED = b"\xff" + bytes(range(255))
 
 
 class FormatError(ValueError):
@@ -135,14 +140,14 @@ def _gate(block: bytes, width: int) -> tuple[np.ndarray, np.ndarray]:
     data = np.frombuffer(block, np.uint8)
     if len(cr := np.flatnonzero(data == 13)) and (data[cr + 1] == 10).all():
         data, cr = np.delete(data, cr), cr[:0]
-    ends, commas = np.flatnonzero(data == 10), np.flatnonzero(data == 44)
+    # every comma and LF in order: each line is width - 1 commas and then its LF
+    seps = np.flatnonzero((data == 44) | (data == 10))
     if (len(cr) or not block.isascii() or any(map(block.__contains__, _STRICT_BYTES))
-            or len(commas) != len(ends) * (width - 1)):
+            or len(seps) % width
+            or (data[seps].reshape(-1, width) != [44] * (width - 1) + [10]).any()):
         raise ValueError("a block left to csv")
-    # with the commas placed in order, every line's lie within it only if each
-    # line holds width - 1 of them
-    bounds = np.column_stack([np.r_[-1, ends[:-1]], commas.reshape(len(ends), -1), ends])
-    if (np.diff(bounds) < 1).any() or (ends - bounds[:, 0]).max() > csv.field_size_limit():
+    bounds = np.column_stack([np.r_[-1, seps[width - 1:-1:width]], seps.reshape(-1, width)])
+    if (bounds[:, -1] - bounds[:, 0]).max() > csv.field_size_limit():
         raise ValueError("a block left to csv")
     return data, bounds
 
@@ -233,47 +238,71 @@ def _unmatched(description: str, ids: Collection[str]) -> str:
     return f"{len(ids)} {description} {listed}{more}"
 
 
+def _ids(keys: np.ndarray) -> np.ndarray:
+    """The id column of ``keys``, the fast path's bytes column of ASCII ids or csv's objects."""
+    if keys.dtype.kind == "O":
+        return np.array([key.translate(_LOWERED).decode() for key in keys.tolist()], _ID_DTYPE)
+    raw = keys.view(np.uint8).reshape(len(keys), -1)
+    lowered = np.maximum(raw, 1) - 1  # the padding stays 0, and an id's own NUL becomes 0
+    ids = lowered.view(keys.dtype).ravel().astype(_ID_DTYPE)
+    # the cast drops an id's trailing NULs with the padding: put them back
+    if np.count_nonzero(lowered) != np.count_nonzero(raw):
+        lost = np.count_nonzero(raw, axis=1) - np.strings.str_len(ids)
+        for row in np.flatnonzero(lost).tolist():
+            ids[row] += "\x00" * int(lost[row])
+    return ids
+
+
+def _key_order(keys: np.ndarray) -> np.ndarray:
+    # the stable order that sorts the keys; a repeat raises
+    order = np.argsort(keys, kind="stable")
+    if not ((ranked := keys[order])[:-1] < ranked[1:]).all():
+        raise ProtocolError("duplicate recording ids in merged test set")
+    return order
+
+
 @dataclass(frozen=True, eq=False)
 class _LabelOrder:
     """read_labels' ids as an index: ``ids`` holds them split by split in SPLITS
-    order, each split in id order, and ``rows[i]`` is the index row of the i-th
-    id of the label file. ``spans`` holds each present split's [start, stop)
-    of ``ids`` when id order is the label file's order, else it is None."""
+    order, each split in id order, ``keys`` their keys in the same order, and
+    ``spans`` each present split's [start, stop) of both."""
 
     ids: np.ndarray
-    rows: np.ndarray
-    spans: tuple[tuple[int, int], ...] | None
+    keys: np.ndarray
+    spans: tuple[tuple[int, int], ...]
 
-    def follows(self, start: int, chunk: list[str]) -> bool:
-        """Whether ``chunk`` holds the ids of label-file rows start, start + 1, ...,
-        compared as str (StringDType's == calls ids that differ by a NUL equal)."""
-        rows = self.rows[start:start + len(chunk)]
-        if len(rows) < len(chunk):
-            return False
-        if self.spans is None:
-            return self.ids[rows].tolist() == chunk
-        # a split's label-file rows are consecutive rows of ids, so the chunk's
-        # share of each split is one slice of them
+    def find(self, keys: np.ndarray) -> np.ndarray:
+        """The index row of each of ``keys``, -1 for a key without a label."""
+        rows = np.full(len(keys), -1)
+        # the keys in the labels' dtype, so the labels are never cast; a key cut short has no label
+        wanted = keys.astype(self.keys.dtype, copy=False)
         for lo, hi in self.spans:
-            mine = (rows >= lo) & (rows < hi)
-            n, first = int(np.count_nonzero(mine)), int(rows[mine.argmax()])
-            if n and list(compress(chunk, mine.tobytes())) != self.ids[first:first + n].tolist():
-                return False
-        return True
+            at = np.searchsorted(self.keys[lo:hi], wanted) + lo
+            found = self.keys[np.minimum(at, hi - 1, out=at)] == keys
+            rows[found] = at[found]
+        return rows
 
 
-def _c_floats(blocks: Iterator[bytes], width: int) -> Iterator[tuple[list[str], np.ndarray]]:
-    # the ids and cells of each block of data lines that passes the gate, the
-    # cells by one loadtxt call over the block's lines
+def _c_floats(blocks: Iterator[bytes], width: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The id keys and cells (by one loadtxt call) of each block of data lines that
+    passes the gate. A block with an empty id raises a ValueError, as does one after
+    which the keys, padded to the widest so far, would take 4 times the bytes read."""
+    rows = size = widest = 0
     for block in blocks:
-        lines = _gate(block, width + 1)[0].tobytes().decode("ascii").split("\n")[:-1]
+        data, bounds = _gate(block, width + 1)
+        start, stop = bounds[:, 0] + 1, bounds[:, 1].copy()
+        del bounds  # the block's largest array, not held through loadtxt
+        rows, size, widest = rows + len(start), size + len(data), max(widest, (stop - start).max())
+        if (stop == start).any() or rows * widest > 4 * size:
+            raise ValueError("a block left to csv")
+        keys = _cells(data + 1, start, stop)
+        lines = data.tobytes().decode("ascii").split("\n")[:-1]
         cells = np.loadtxt(lines, delimiter=",", comments=None, usecols=range(1, width + 1),
                            ndmin=2)
-        ids = [line.partition(",")[0] for line in lines]
         # loadtxt skips a blank line, which the gate turns down: one row a line
-        if len(cells) != len(ids) or not np.isfinite(cells).all() or "" in ids:
+        if len(cells) != len(keys) or not np.isfinite(cells).all():
             raise ValueError("a block left to csv")
-        yield ids, cells
+        yield keys, cells
 
 
 def _float_rows(path: Path, rows: Iterator, header: list[str], what: str,
@@ -285,63 +314,55 @@ def _float_rows(path: Path, rows: Iterator, header: list[str], what: str,
     block it turns down sends the whole file to the strict reader.
 
     With an ``index``, read_labels' order of n ids, blocks land at their ids'
-    rows: by the index's rows while pieces follow the label file, else through
-    one {id: row} dict, and the ids returned are the index's own. They land in
-    an (n, d) array, or by ``placement()``: (the result, its place(rows, block)).
-    n rows that place every row hold each id once; an id on one side only
-    raises a ProtocolError. Else rows keep file order.
+    rows, found among the index's keys, and the ids returned are the index's
+    own. They land in an (n, d) array, or by ``placement()``: (the result, its
+    place(rows, block)). n rows that place every row hold each id once; an id
+    on one side only raises a ProtocolError. Else rows keep file order.
     """
     width = len(header) - 1
     if index is not None:  # by default each block lands at its rows of an (n, width) array
         result, place = placement() if placement else (
             (values := np.empty((len(index.ids), width))), values.__setitem__)
 
-    def join(pieces: Iterable[tuple[list[str], np.ndarray]]) -> tuple[np.ndarray, object]:
-        ids, blocks, extra, stop, lookup = [], [], [], 0, None
+    def join(pieces: Iterable[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, object]:
+        keys, blocks, extra, stop = [], [], [], 0
         # the label rows this join placed: when _fast_or_strict joins again, the
         # csv pass must place every row itself, so the first pass's result is reused
         placed = np.zeros(0 if index is None else len(index.ids), bool)
         for chunk, block in pieces:
-            start, stop = stop, stop + len(chunk)
+            stop += len(chunk)
             if index is None:
-                ids.append(_id_column(chunk))
+                keys.append(chunk)
                 blocks.append(block)
                 continue
-            if lookup is None and index.follows(start, chunk):
-                keys = index.rows[start:stop]
-            else:
-                if lookup is None:
-                    lookup = dict(zip(index.ids.tolist(), count()))
-                keys = np.fromiter(map(lookup.get, chunk, repeat(-1)), np.intp, len(chunk))
-                if keys.min() < 0:  # ids without labels, named once the whole file is in
-                    extra.extend(compress(chunk, (keys < 0).tolist()))
-                    block, keys = block[keys >= 0], keys[keys >= 0]
-            place(keys, block)
-            placed[keys] = True
+            rows = index.find(chunk)
+            if rows.min() < 0:  # ids without labels, named once the whole file is in
+                extra.extend(_ids(chunk[rows < 0]).tolist())
+                block, rows = block[rows >= 0], rows[rows >= 0]
+            place(rows, block)
+            placed[rows] = True
         if not stop:
             raise FormatError(f"{path.name}: no {what} rows")
         if index is None:
-            ids = np.concatenate(ids)
-            # a repeat raises; on the C path only, as csv names its line
-            if not _column_rising(ids):
-                _id_order(ids)
-            return ids, np.concatenate(blocks)
+            keys, blocks = np.concatenate(keys), np.concatenate(blocks)
+            _key_order(keys)  # a repeat raises; on the C path only, as csv names its line
+            return _ids(keys), blocks
         if extra or not placed.all() or stop != len(index.ids):
             sides = [_unmatched(f"{what} rows without labels", extra),
                      _unmatched(f"labeled recordings without {what}s",
-                                list(compress(index.ids.tolist(), (~placed).tolist())))]
+                                index.ids[~placed].tolist())]
             if what == "feature":  # a feature mismatch names the labeled side first
                 sides.reverse()
             raise ProtocolError(f"{what}s/labels cross-reference mismatch: {', '.join(sides)}")
         return index.ids, result
 
-    def cells(line_no: int, row: list[str]) -> tuple[str, list[float]]:
-        return row[0], [_parse_float(path, line_no, column, cell)
-                        for column, cell in zip(header[1:], row[1:])]
+    def cells(line_no: int, row: list[str]) -> tuple[bytes, list[float]]:
+        return row[0].encode().translate(_RAISED), [
+            _parse_float(path, line_no, column, cell) for column, cell in zip(header[1:], row[1:])]
 
-    def strict() -> Iterator[tuple[list[str], np.ndarray]]:
-        for ids, cells_read in _keyed_rows(path, len(header), cells):
-            yield ids, np.array(cells_read)
+    def strict() -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        for keys, cells_read in _keyed_rows(path, len(header), cells):
+            yield np.array(keys, object), np.array(cells_read)
 
     return _fast_or_strict(rows, join, _c_floats(rows, width), strict)
 
@@ -416,33 +437,22 @@ def _which(data: np.ndarray, start: np.ndarray, stop: np.ndarray, words) -> np.n
     return which
 
 
-def _rises(keys: np.ndarray, lengths: np.ndarray) -> bool:
-    # whether ids held as NUL-padded bytes and byte lengths (or as str objects)
-    # strictly increase in Python's order of them as str, NUL included
-    return bool(((keys[:-1] < keys[1:])
-                 | (keys[:-1] == keys[1:]) & (lengths[:-1] < lengths[1:])).all())
-
-
 def _byte_labels(blocks: Iterator[bytes], width: int) -> Iterator[tuple]:
-    """(id bytes, their lengths, machine names with their comma, is_anomaly, split
-    codes) of each block of data lines that passes the gate. A block with an
-    empty id or machine name or a bad label raises a ValueError, as does one after
-    which the ids or names, padded to the widest so far, would take 4 times the
-    bytes read."""
+    """(id keys, machine names with their comma, is_anomaly, split codes) of each
+    block of data lines that passes the gate. A block with an empty id or
+    machine name or a bad label raises a ValueError, as does one after which the
+    keys or names, padded to the widest so far, would take 4 times the bytes read."""
     rows = size = widest = 0
     for block in blocks:
         data, bounds = _gate(block, width)
-        gaps = np.diff(bounds)
+        gaps = np.diff(bounds[:, :3])
         labels, splits = (_which(data, bounds[:, k] + 1, bounds[:, k + 1], words)
                           for k, words in [(2, _TRUTH), (3, SPLITS)])
-        if (gaps[:, :2] < 2).any() or (labels < 0).any() or (splits < 0).any():
+        rows, size, widest = rows + len(gaps), size + len(data), max(widest, gaps.max())
+        if ((gaps < 2).any() or (labels < 0).any() or (splits < 0).any()
+                or rows * widest > 4 * size):
             raise ValueError("a block left to csv")
-        rows, size, widest = rows + len(gaps), size + len(data), max(widest, gaps[:, :2].max())
-        if rows * widest > 4 * size:
-            raise ValueError("ids or machine names too unequal in length for a bytes column")
-        lengths = gaps[:, 0] - 1
-        yield (_cells(data, bounds[:, 0] + 1, bounds[:, 1]),
-               lengths.astype(np.min_scalar_type(lengths.max())),
+        yield (_cells(data + 1, bounds[:, 0] + 1, bounds[:, 1]),
                _cells(data, bounds[:, 1] + 1, bounds[:, 2] + 1),
                np.array(list(_TRUTH.values()))[labels], splits)
 
@@ -466,38 +476,26 @@ def read_labels(path) -> dict[str, MergedTestSet]:
     def join(blocks: Iterable[tuple]) -> _LabelSets:
         codes: dict[bytes, int] = {}  # machine name and comma -> code, in order of first appearance
         parts = []  # each block's columns, machines as codes
-        for keys, lengths, names, labels, splits in blocks:
+        for keys, names, labels, splits in blocks:
             names, first, inverse = np.unique(names, return_index=True, return_inverse=True)
             for name in names[np.argsort(first)].tolist():
                 codes.setdefault(name, len(codes))
             machines = np.array([codes[name] for name in names.tolist()],
                                 np.min_scalar_type(len(codes)))[inverse]
-            parts.append((keys, lengths, machines, labels, splits))
+            parts.append((keys, machines, labels, splits))
         if not parts:
             raise FormatError(f"{path.name}: no label rows")
-        keys, lengths, machines, labels, splits = map(np.concatenate, zip(*parts))
+        keys, machines, labels, splits = map(np.concatenate, zip(*parts))
         del parts
-        rising = _rises(keys, lengths)
-        # a repeat in any split raises (on the C path only, as csv names its line)
-        at = np.arange(len(keys)) if rising else np.lexsort((lengths, keys))
-        if not (rising or _rises(keys[at], lengths[at])):
-            raise ProtocolError("duplicate recording ids in merged test set")
-        # the ids split by split, each split in id order: ids[i] is on file row at[i]
+        # the keys split by split, each split in id order; a repeat in any split
+        # raises (on the C path only, as csv names its line)
+        at = _key_order(keys)
         at = at[np.argsort(splits[at], kind="stable")]
-        keys, lengths, machines, labels = keys[at], lengths[at], machines[at], labels[at]
-        rows = np.empty(len(at), np.min_scalar_type(len(at)))  # the inverse of at
-        rows[at] = np.arange(len(at), dtype=rows.dtype)
+        keys, machines, labels = keys[at], machines[at], labels[at]
         del at
-        ids = keys.astype(_ID_DTYPE)
-        # csv's ids come whole, as str; ids read as bytes hold NUL where a byte is 0,
-        # and their bytes column drops trailing NULs
-        nul_free = keys.dtype.kind == "S" and np.count_nonzero(keys.view(np.uint8)) == lengths.sum()
-        if keys.dtype.kind == "S" and not nul_free:
-            lost = lengths - np.strings.str_len(keys)
-            for row in np.flatnonzero(lost).tolist():
-                ids[row] += "\x00" * int(lost[row])
-        del keys, lengths
-        names = [name[:-1].decode() for name in codes]
+        # csv's keys are objects; a key byte of 1 is an id's NUL
+        nul_free = keys.dtype.kind == "S" and 1 not in keys.view(np.uint8)
+        ids, names = _ids(keys), [name[:-1].decode() for name in codes]
         sets, stop, spans = _LabelSets(), 0, []
         for j, split_rows in enumerate(np.bincount(splits, minlength=len(SPLITS)).tolist()):
             start, stop = stop, stop + split_rows
@@ -505,7 +503,7 @@ def read_labels(path) -> dict[str, MergedTestSet]:
                 sets[SPLITS[j]] = MergedTestSet(ids[start:stop], names, machines[start:stop],
                                                 labels[start:stop], SPLITS[j], nul_free=nul_free)
                 spans.append((start, stop))
-        sets.order = _LabelOrder(ids, rows, tuple(spans) if rising else None)
+        sets.order = _LabelOrder(ids, keys, tuple(spans))
         return sets
 
     def cells(line_no: int, row: list[str]) -> tuple:
@@ -517,15 +515,15 @@ def read_labels(path) -> dict[str, MergedTestSet]:
         elif split not in SPLITS:
             problem = f"recording {rec_id!r}: unknown split {split!r}"
         else:
-            return rec_id, machine.encode() + b",", _TRUTH[anomaly_text], SPLITS.index(split)
+            return (rec_id.encode().translate(_RAISED), machine.encode() + b",",
+                    _TRUTH[anomaly_text], SPLITS.index(split))
         raise FormatError(f"{path.name}:{line_no}: {problem}")
 
     def strict() -> Iterator[tuple]:
-        # csv's rows as _byte_labels' columns, ids (as str, whose order needs no
-        # lengths) and names as objects, so no column is padded to the longest
-        for ids, names, *columns in _keyed_rows(path, len(header), cells):
-            yield (np.array(ids, object), np.zeros(len(ids), np.uint8), np.array(names, object),
-                   *map(np.array, columns))
+        # csv's rows as _byte_labels' columns, keys and names as objects, so no
+        # column is padded to the longest
+        for keys, names, *columns in _keyed_rows(path, len(header), cells):
+            yield np.array(keys, object), np.array(names, object), *map(np.array, columns)
 
     return _fast_or_strict(rows, join, _byte_labels(rows, len(header)), strict)
 

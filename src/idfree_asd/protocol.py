@@ -43,12 +43,10 @@ SPLITS = ("dev", "eval")
 # every recording-id column is one 1-D array of this dtype, where an id of up
 # to 15 UTF-8 bytes sits inline in 16. Its comparisons disagree with Python's
 # on ids that hold NUL, and numpy 2.4.6's searchsorted misplaces ids of 16 or
-# more bytes without one ('b' * 16 lands at 2 in ['a' * 16, 'b' * 16]), so no
-# id join uses it. io.read_labels decides order and repeats on a bytes column
-# and each id's byte length (io._rises), or on str where csv read the ids;
-# MergedTestSet checks its order on this dtype only when the caller says
-# nul_free, else on the ids as Python strings (whole, or _ID_BLOCK at a time),
-# as do _id_order and the joins, which match ids as str
+# more bytes ('b' * 16 lands at 2 in ['a' * 16, 'b' * 16]), so io decides every
+# id order, repeat and join on keys (io._RAISED) instead; MergedTestSet checks its
+# order on this dtype only when the caller says nul_free, else on the ids as
+# Python strings (whole, or _ID_BLOCK at a time), as does _id_order
 _ID_DTYPE = np.dtypes.StringDType()
 _ID_BLOCK = 4096
 
@@ -151,14 +149,15 @@ class MergedTestSet:
     """Test recordings of several machines pooled within one split, as columns.
 
     Row i is recording `ids[i]` (one numpy StringDType column), its hidden
-    `true_machine` code into `machines`, its `is_anomaly` label and optionally
-    `features[i]`. The rows are sorted by id, compared as Python strings, on
-    construction, so downstream runs are reproducible; input already in
-    strictly increasing id order is kept (arrays of the stored dtype are not
-    copied), so a caller that later mutates it should pass a copy. Scoring
-    code consumes ids and features, evaluation code the labels. ``nul_free``
-    is the caller's word that no id holds NUL, so that their order is checked
-    on the id column itself rather than on the ids as str.
+    `true_machine` code into `machines` (of the caller's integer type), its
+    `is_anomaly` label and optionally `features[i]`.
+    The rows are sorted by id, compared as Python strings, on construction, so
+    downstream runs are reproducible; input already in strictly increasing id
+    order is kept (arrays of the stored dtype are not copied), so a caller that
+    later mutates it should pass a copy. Scoring code consumes ids and
+    features, evaluation code the labels. ``nul_free`` is the caller's word
+    that no id holds NUL, so that their order is checked on the id column
+    itself rather than on the ids as str.
     """
 
     ids: np.ndarray
@@ -186,7 +185,9 @@ class MergedTestSet:
         codes, labels = np.asarray(self.true_machine), np.asarray(self.is_anomaly)
         if codes.dtype.kind not in "iu":
             raise ProtocolError(f"true machine codes must be integers, got {codes.dtype}")
-        self.true_machine = codes.astype(np.intp, copy=False)[order]
+        if not np.can_cast(codes.dtype, np.intp):  # uint64, which bincount turns down
+            codes = codes.astype(np.intp)
+        self.true_machine = codes[order]
         if not (0 <= self.true_machine.min() and self.true_machine.max() < len(self.machines)):
             raise ProtocolError(f"true machine codes must lie in [0, {len(self.machines)})")
         if labels.dtype.kind not in "biu" or not ((labels == 0) | (labels == 1)).all():

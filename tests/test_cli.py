@@ -433,9 +433,10 @@ def test_evaluate_scores_variants_report_as_the_library(tmp_path, capsys, monkey
 def test_evaluate_scores_holds_under_64_bytes_a_row_beyond_the_labels(tmp_path, capsys,
                                                                       monkeypatch):
     # with 50 machines the (n, k) matrix alone takes 400 bytes a row; the
-    # protocols' four columns and each row's true column take 19, and one
-    # block's bytes, ids and cells add about 1.3 MB at the peak: 39-43 bytes a row
-    # in all here, 443 with the matrix
+    # protocols' four columns, each row's true column and the join's mask of
+    # placed rows take 20, and one block's transients (the gate's separator
+    # positions and field bounds, then the block's lines, keys and cells) add
+    # about 2 MB at the peak: 55 bytes a row in all here, 455 with the matrix
     n, k = 60_000, 50
     labels, scores = tmp_path / "labels.csv", tmp_path / "scores.csv"
     # each machine's rows run 4 a split, the first of them anomalous

@@ -5,6 +5,7 @@ import re
 import sys
 import tracemalloc
 import warnings
+from bisect import bisect_left
 from itertools import count
 from pathlib import Path
 
@@ -404,9 +405,7 @@ MESSAGES = {
        for byte in "\x1c\x1d\x1e\x1f"},
 }
 # labeled: read in file order (False) or with read_labels' order of a label
-# file that lists the table's rows in its order ("order") or in reverse (True);
-# a table leaves the reversed label order at its first chunk, so each of its
-# chunks goes through the join's {id: row} dict
+# file that lists the table's rows in its order ("order") or in reverse (True)
 TABLES = [("scores", False), ("scores", True), ("scores", "order"), ("features", False),
           ("features", True), ("features", "order"), ("labels", False)]
 
@@ -635,6 +634,39 @@ _ID_CHARS = st.sampled_from(["\x00", "\x7f", "a", "b", "\xe9", "\u03b1", "\U0001
                              "\U0010ffff"])
 
 
+def _key(rec_id):
+    """An id's key as the csv path builds it: its UTF-8 bytes, each raised by one."""
+    return rec_id.encode().translate(io_module._RAISED)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.tuples(st.sampled_from(["", "p" * 16]), st.text(_ID_CHARS, min_size=1,
+                                                                   max_size=6)).map("".join),
+                min_size=1, max_size=12))
+@example(["x\x00", "x", "x\x00\x00", "\x00", "p" * 16 + "b", "p" * 16 + "a", "p" * 16])
+def test_id_keys_order_and_match_as_the_ids_do(ids):
+    # the key of an id orders and matches as the id does as a Python string, in
+    # a NUL-padded bytes column too (which drops trailing NULs and in which
+    # StringDType's 16-byte searchsorted fault does not arise); an ASCII id's key
+    # from the byte reader's gate is the key csv's path gives it
+    keys = [_key(rec_id) for rec_id in ids]
+    column = np.array(keys, "S")
+    ranked = sorted(ids)
+    assert sorted(keys) == [_key(rec_id) for rec_id in ranked]
+    assert [ids[i] for i in np.argsort(column, kind="stable")] == ranked
+    assert (column[:, None] < column).tolist() == [[a < b for b in ids] for a in ids]
+    assert (column[:, None] == column).tolist() == [[a == b for b in ids] for a in ids]
+    assert np.searchsorted(np.sort(column), column).tolist() == [
+        bisect_left(ranked, rec_id) for rec_id in ids]
+    assert io_module._ids(np.array(keys, object)).tolist() == ids
+    plain = [rec_id for rec_id in ids if rec_id.isascii()]
+    if plain:
+        data, bounds = io_module._gate("".join(f"{rec_id},1\n" for rec_id in plain).encode(), 2)
+        gated = io_module._cells(data + 1, bounds[:, 0] + 1, bounds[:, 1])
+        assert gated.tolist() == [_key(rec_id) for rec_id in plain]
+        assert io_module._ids(gated).tolist() == plain
+
+
 @st.composite
 def _labeled_ids(draw):
     """(id, split) rows of a label file: distinct ids, some an extension of
@@ -652,15 +684,21 @@ def _labeled_ids(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(_labeled_ids(), st.sampled_from(["scores", "features"]), st.booleans())
-@example([("x\x00", "dev"), ("x", "dev"), ("x\x00\x00", "eval")], "scores", False)
+@given(_labeled_ids(), st.sampled_from(["scores", "features"]), st.booleans(), st.booleans())
+@example([("x\x00", "dev"), ("x", "dev"), ("x\x00\x00", "eval")], "scores", False, False)
 @example([("p" * 16 + "b", "dev"), ("p" * 16 + "a", "dev"), ("p" * 16, "eval")], "features",
-         True)
+         True, False)
+@example([("p" * 16 + "b", "dev"), ("p" * 16 + "a", "dev"), ("p" * 16, "eval"), ("a", "dev")],
+         "scores", True, True)
+@example([("x\x00", "dev"), ("x", "dev"), ("x\x00\x00", "eval"), ("x\x00a", "dev")],
+         "features", False, True)
 def test_label_join_orders_and_matches_ids_as_python_strings(tmp_path_factory, labeled, kind,
-                                                             reversed_table):
+                                                             reversed_table, labels_by_csv):
     # oracle: sorted() per split and a plain {id: row} of the ids as str; the
     # table lists the label file's rows in its order or reversed. An ASCII label
-    # file is read by the byte reader alone, and reads as csv reads it
+    # file is read by the byte reader alone, unless `labels_by_csv` sends it to
+    # csv, and reads as csv reads it. An ASCII table is then read by the byte
+    # reader, joined to labels of either reader, and by csv, joined to them too
     labels = [f"{rec_id},m{i % 2},{i % 3 == 0:d},{split}" for i, (rec_id, split)
               in enumerate(labeled)]
     rows = [f"{rec_id},{i}.0,-{i}.5" for i, (rec_id, _) in enumerate(labeled)]
@@ -670,6 +708,7 @@ def test_label_join_orders_and_matches_ids_as_python_strings(tmp_path_factory, l
     # Python 3.10's csv refuses NUL, and a non-ASCII line is read by csv
     assume(sys.version_info >= (3, 11) or all(text.isascii() or "\x00" not in text
                                               for text in texts))
+    assume(sys.version_info >= (3, 11) or not labels_by_csv or "\x00" not in texts[0])
     directory = tmp_path_factory.mktemp("join")
     label_path, path = directory / "labels.csv", directory / f"{kind}.csv"
     label_path.write_text(texts[0] + "\n", encoding="utf-8")
@@ -681,12 +720,17 @@ def test_label_join_orders_and_matches_ids_as_python_strings(tmp_path_factory, l
     with pytest.MonkeyPatch.context() as monkeypatch:
         small_chunks(monkeypatch, LINE)
         reads = strict_reads(monkeypatch)
-        sets = read_labels(label_path)
-        assert (reads == []) == texts[0].isascii()
+        with monkeypatch.context() as patch:
+            if labels_by_csv:
+                strict_only(patch)
+            sets = read_labels(label_path)
+        assert (reads == []) == (texts[0].isascii() and not labels_by_csv)
         if sys.version_info >= (3, 11) or "\x00" not in texts[0]:
             assert outcome(lambda: sets) == strict_outcome(monkeypatch,
                                                            lambda: read_labels(label_path))
+        reads.clear()
         ids, values = _read_table(kind, path, sets.order)
+        assert (reads == []) == texts[1].isascii()
         strict = strict_outcome(monkeypatch, lambda: _read_table(kind, path, sets.order))
     assert {split: merged.ids.tolist() for split, merged in sets.items()} == {
         split: split_ids for split, split_ids in expected.items() if split_ids}
@@ -699,10 +743,12 @@ def test_label_join_orders_and_matches_ids_as_python_strings(tmp_path_factory, l
 
 
 @pytest.mark.parametrize("kind", ["scores", "features"])
-@pytest.mark.parametrize("labeled_id, table_id", [("\x00a", "\x00b"), ("a\x00b", "a\x00c")])
+@pytest.mark.parametrize("labeled_id, table_id", [("\x00a", "\x00b"), ("a\x00b", "a\x00c"),
+                                                  ("ab", "abc")])
 def test_label_order_join_tells_apart_ids_numpy_calls_equal(tmp_path, kind, labeled_id,
                                                             table_id):
-    # numpy 2.4's StringDType == calls each pair equal: same length, same up to a NUL
+    # numpy 2.4's StringDType == calls the first two pairs equal: same length,
+    # same up to a NUL; cast to the labels' 2-byte column, the third pair is equal
     labels, path = tmp_path / "labels.csv", tmp_path / f"{kind}.csv"
     labels.write_text(f"{FORMAT_LINE}\nrecording_id,true_machine,is_anomaly,split\n"
                       f"a,fan,0,dev\n{labeled_id},fan,1,dev\nz,fan,0,dev\n")
@@ -873,8 +919,8 @@ def test_fixtures_read_the_same_through_c_and_csv(tmp_path, monkeypatch):
 
 def test_read_scores_memory_is_bounded_by_the_block(tmp_path):
     # the text of a 50,000 x 10 table takes ~35 MB as Python strings; held
-    # one block at a time, the peak (~8.9 MB) is the values and the ids, which
-    # do not increase ("r10" sorts before "r2") and so are sorted as str once
+    # one block at a time, the peak (~8.7 MB) is the values and the ids, which
+    # do not increase ("r10" sorts before "r2") and so are sorted once, as keys
     matrix = np.random.default_rng(3).standard_normal((50_000, 10))
     path = tmp_path / "scores.csv"
     write_scores(path, [f"m{j}" for j in range(10)],
@@ -890,10 +936,9 @@ def test_read_scores_memory_is_bounded_by_the_block(tmp_path):
 
 
 def test_read_labels_holds_at_most_34_bytes_per_id(tmp_path):
-    # what stays is a 16-byte StringDType slot, an 8-byte machine code, a 2-byte
-    # index row (the index takes the least unsigned type that holds a row) and a
-    # 1-byte label per id, about 28 bytes; ids held as str objects and lists of
-    # them took about 100 (19.0 MiB at 200,000)
+    # what stays is a 16-byte StringDType slot, the index's 9-byte key, a 1-byte
+    # machine code and a 1-byte label per id, 27.7 bytes measured; ids held as
+    # str objects and lists of them took about 100 (19.0 MiB at 200,000)
     path = tmp_path / "labels.csv"
     write_labels(path, [Recording(f"rec{i:06d}", f"m{i % 10}", i % 4 == 0, SPLITS[i % 2])
                         for i in range(50_000)])
@@ -922,10 +967,10 @@ def test_label_order_read_returns_the_label_id_column(tmp_path, kind):
 
 
 def test_read_labels_memory_is_bounded_by_the_chunk(tmp_path):
-    # 50,000 rows peak at ~2.7 MB: these ids do not increase in file order
-    # ("r10" sorts before "r2"), so they are sorted, as one column of at most 6
-    # bytes each and a 1-byte length, while the result (~1.4 MB) is built; a
-    # 128 KiB block's arrays add little. Sorted as str objects, the peak was 6.9 MB
+    # 50,000 rows peak at ~1.9 MB: these ids do not increase in file order
+    # ("r10" sorts before "r2"), so they are sorted, as one column of keys of at
+    # most 6 bytes each, while the result (~1.4 MB) is built; a 128 KiB block's
+    # arrays add little. Sorted as str objects, the peak was 6.9 MB
     path = tmp_path / "labels.csv"
     write_labels(path, [Recording(f"r{i}", f"m{i % 10}", i % 4 == 0, SPLITS[i % 2])
                         for i in range(50_000)])
@@ -957,7 +1002,28 @@ def test_one_long_id_sends_the_labels_to_csv_not_to_a_padded_bytes_column(tmp_pa
     assert reads == ["labels.csv"]
     assert sets["dev"].ids.tolist() == [rec.id for rec in recordings]
     assert sets["eval"].ids.tolist() == ["x" * 100_000]
-    assert peak < 10_000_000  # ~5.4 MB
+    assert peak < 10_000_000  # ~6.2 MB
+
+
+@pytest.mark.parametrize("kind", ["scores", "features"])
+def test_one_long_id_sends_a_table_to_csv_not_to_a_padded_bytes_column(tmp_path, monkeypatch,
+                                                                       kind):
+    # as with the labels: padded to the one id of 100,000 bytes, a block's 12,000
+    # or so keys would take 1.2 GB, and all 20,000 of them 2 GB
+    path = tmp_path / f"{kind}.csv"
+    ids = [f"r{i:05d}" for i in range(20_000)]
+    ids.insert(12_000, "x" * 100_000)
+    _write_table(kind, path, ids, np.ones((len(ids), 1)))
+    reads = strict_reads(monkeypatch)
+    tracemalloc.start()
+    try:
+        back_ids, values = _read_table(kind, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert reads == [path.name]
+    assert back_ids.tolist() == ids and values.tolist() == [[1.0]] * len(ids)
+    assert peak < 10_000_000  # ~6.6 MB
 
 
 @pytest.mark.parametrize("odd_id", ["a\x0cb", "a\x1cb", "a\x1db", "a\x1eb", "a\x85b",

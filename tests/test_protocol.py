@@ -206,6 +206,19 @@ def test_merged_set_keeps_columns_already_in_id_order():
     assert np.shares_memory(merged.is_anomaly, labels)
 
 
+@pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.uint64])
+def test_merged_set_keeps_the_code_type_unless_intp_cannot_hold_it(dtype):
+    # read_labels gives one-byte codes; bincount turns down uint64, so it is widened
+    codes = np.array([1, 0, 2, 0, 1, 2], dtype)
+    ids, labels = ["a", "b", "c", "d", "e", "f"], [False, False, True, True, True, False]
+    merged = MergedTestSet(ids, ["fan", "pump", "valve"], codes, labels)
+    assert merged.true_machine.dtype == (np.intp if dtype == np.uint64 else dtype)
+    matrix = ScoreMatrix(["fan", "pump", "valve"], ids,
+                         np.random.default_rng(4).standard_normal((6, 3)))
+    widened = MergedTestSet(ids, ["fan", "pump", "valve"], codes.astype(np.intp), labels)
+    assert full_report(matrix, merged) == full_report(matrix, widened)
+
+
 def test_merged_set_sorts_shuffled_ids_into_copies():
     rng = np.random.default_rng(6)
     n = 40
