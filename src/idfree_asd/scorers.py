@@ -12,7 +12,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from numbers import Real
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -46,7 +46,8 @@ _LARGEST = 1e100
 # query rows go through the distance kernel in blocks whose float64 products
 # with every reference fit in this many bytes, the float32 screen values in
 # half of it, so memory per machine stays bounded as the number of scored
-# recordings grows
+# recordings grows; simulate.run_point draws its test vectors in blocks of
+# whole machines that fit in it, so it never holds all of them
 _BLOCK_BYTES = 8 * 2**20
 
 # the nearest-reference screen: unit roundoffs of float32 and float64; the
@@ -183,9 +184,8 @@ def _check_range(values: np.ndarray, what: str) -> None:
         )
 
 
-def _mahalanobis(
-    spec: ScorerSpec, machine: str, mean: np.ndarray, covariance: np.ndarray, batch: np.ndarray
-) -> np.ndarray:
+def _whitening(spec: ScorerSpec, machine: str, covariance: np.ndarray) -> np.ndarray:
+    # the inverse Cholesky factor of the epsilon-loaded covariance
     d = covariance.shape[0]
     epsilon = spec.epsilon
     if epsilon is None:
@@ -197,8 +197,12 @@ def _mahalanobis(
             f"reference covariance of {machine!r} loaded with epsilon={epsilon!r} "
             f"is not positive definite; use a larger epsilon"
         ) from None
+    return np.linalg.inv(lower)
+
+
+def _mahalanobis(whitening: np.ndarray, mean: np.ndarray, batch: np.ndarray) -> np.ndarray:
     # einsum whitens row by row, so a score does not depend on the rest of the batch
-    whitened = np.einsum("kj,ij->ik", np.linalg.inv(lower), batch - mean)
+    whitened = np.einsum("kj,ij->ik", whitening, batch - mean)
     return np.sqrt(np.einsum("ij,ij->i", whitened, whitened))
 
 
@@ -355,7 +359,8 @@ def _held_out_mahalanobis(spec: ScorerSpec, ref: ReferenceSet) -> np.ndarray:
     held_out[~exact] = scale * np.sqrt(u[~exact] / keep[~exact])
     for i in np.flatnonzero(exact):
         mean, covariance = _moments(np.delete(ref.vectors, i, axis=0))
-        held_out[i] = _mahalanobis(spec, ref.machine, mean, covariance, ref.vectors[i : i + 1])[0]
+        whitening = _whitening(spec, ref.machine, covariance)
+        held_out[i] = _mahalanobis(whitening, mean, ref.vectors[i : i + 1])[0]
     return held_out
 
 
@@ -405,6 +410,9 @@ def scoring_function(
     m = spec.k if spec.kind == "nearest_reference" else 0
     if spacings is not None:
         m = max(m, norm.k_norm)
+    # the covariance is factored once per scorer, not once per batch
+    if spec.kind == "mahalanobis":
+        whitening = _whitening(spec, ref.machine, ref.covariance)
 
     def _batch(x: np.ndarray) -> np.ndarray:
         batch = _as_batch(x, ref.d, ref.machine)
@@ -413,7 +421,7 @@ def scoring_function(
         if spec.kind == "nearest_reference":
             raw = distances[:, : spec.k].mean(axis=1)
         else:
-            raw = _mahalanobis(spec, ref.machine, ref.mean, ref.covariance, batch)
+            raw = _mahalanobis(whitening, ref.mean, batch)
         if norm.kind == "zscore_reference":
             return (raw - mu) / sigma
         if spacings is not None:
@@ -431,13 +439,29 @@ def build_score_matrix(
     `features` is an (n, d) array with row i for ids[i]; true machine labels
     never reach the scoring stage. Column order is sorted machine name.
     """
+    # one row per feature row: ScoreMatrix refuses a count other than len(ids);
+    # features of no dimension fail in the scorer
+    n = len(features) if np.ndim(features) else 0
+    return _score_blocks(specs, ids, n, [(slice(None), features)])
+
+
+def _score_blocks(
+    specs: Mapping[str, tuple[ScorerSpec, ReferenceSet]],
+    ids: Sequence[str],
+    n: int,
+    blocks: Iterable[tuple[np.ndarray | slice, np.ndarray]],
+) -> ScoreMatrix:
+    """The score matrix of `build_score_matrix`, filled from (rows, features)
+    blocks: each block is scored by every machine and its scores land in the
+    given rows of the (n, k) values. Each machine's scorer is built once."""
     if not specs:
         raise ScorerError("no machine scorers configured")
     if not len(ids):
         raise ScorerError("no recordings to score")
     machines = sorted(specs)
-    # one row per feature row: ScoreMatrix refuses a count other than len(ids)
-    values = np.empty((*np.shape(features)[:1], len(machines)))
-    for j, machine in enumerate(machines):
-        values[:, j] = scoring_function(*specs[machine])(features)
+    batches = [scoring_function(*specs[machine]) for machine in machines]
+    values = np.empty((n, len(machines)))
+    for rows, block in blocks:
+        for j, batch in enumerate(batches):
+            values[rows, j] = batch(block)
     return ScoreMatrix(machines, ids, values)

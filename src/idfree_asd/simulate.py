@@ -17,9 +17,12 @@ import numpy as np
 
 from .metrics import MetricError
 from .protocol import EvalConfig, MergedTestSet, ProtocolError, _id_column, full_report
-from .protocol import merge_test_sets  # noqa: F401 -- bench/spans.py traces through this name
-from .scorers import ReferenceSet, ScorerError, ScorerSpec, build_score_matrix
-from .scorers import _finite_number, _whole
+from . import scorers
+from .scorers import ReferenceSet, ScorerError, ScorerSpec, _finite_number, _whole
+
+# bench/spans.py traces through these names
+from .protocol import merge_test_sets  # noqa: F401
+from .scorers import build_score_matrix  # noqa: F401
 
 __all__ = [
     "SimError",
@@ -120,64 +123,88 @@ def _machine_name(index: int) -> str:
     return f"machine{index + 1:02d}"
 
 
-def generate(config: SimConfig) -> tuple[dict[str, ReferenceSet], MergedTestSet]:
-    """Draw per-machine reference sets and a merged, featured test set.
+def _draw_setup(
+    config: SimConfig, features: np.ndarray | None = None
+) -> tuple[list, dict[str, ReferenceSet], MergedTestSet, np.ndarray]:
+    """Each machine's (random stream, cluster center) with its references
+    drawn, the reference sets, the merged test set in id order, and
+    rows[m, j], the id-order row of machine m's j-th test vector to draw.
 
-    Each machine consumes its own child random stream, so adding machines
-    never perturbs the samples of existing ones. Anomalies are placed at
-    anomaly_offset along a uniform random direction before cluster noise.
-    Each drawn block is written straight to its rows of one (n, d) array in
-    id order, so the test set gets its columns already sorted. The test
-    vectors are drawn into buffers reused across machines and scaled and
-    shifted in place, in the operation order of `center + spread * noise`,
-    so every value is bit for bit what that expression gives.
+    Each machine consumes its own child random stream, references first, so
+    adding machines never perturbs the samples of existing ones and the test
+    vectors can be drawn later, in any grouping of machines.
     """
     centers = simplex_centers(config.k, config.d, config.separation)
     children = np.random.SeedSequence(config.seed).spawn(config.k)
-    # draws run machine by machine, normals first; rows[m, j] is the id-order
-    # row of machine m's j-th drawn test vector
-    numbers = [np.char.zfill(np.arange(count).astype(str), 4)
-               for count in (config.n_norm, config.n_anom)]
-    ids = np.concatenate([np.char.add(f"{_machine_name(index)}-{kind}", number)
-                          for index in range(config.k) for kind, number in zip("na", numbers)])
-    order = np.argsort(ids, kind="stable")
-    ids = _id_column(ids[order])
-    per_machine = config.n_norm + config.n_anom
-    rows = np.argsort(order).reshape(config.k, per_machine)
-    features = np.empty((len(ids), config.d))
-    draws = np.empty((max(config.n_norm, config.n_anom), config.d))
-    directions = np.empty((config.n_anom, config.d))
+    streams = [(np.random.default_rng(child), center) for child, center in zip(children, centers)]
     references: dict[str, ReferenceSet] = {}
-    for index in range(config.k):
-        machine = _machine_name(index)
-        rng = np.random.default_rng(children[index])
-        center = centers[index]
-        normals, anomalies = rows[index, :config.n_norm], rows[index, config.n_norm:]
+    for index, (rng, center) in enumerate(streams):
         refs = rng.standard_normal((config.n_ref, config.d))
         refs *= config.spread
         refs += center
-        noise = rng.standard_normal(out=draws[:config.n_norm])
-        noise *= config.spread
-        noise += center
-        features[normals] = noise
-        rng.standard_normal(out=directions)
-        norms = np.linalg.norm(directions, axis=1, keepdims=True)
-        directions /= np.where(norms == 0.0, 1.0, norms)
-        directions *= config.anomaly_offset
-        directions += center
-        noise = rng.standard_normal(out=draws[:config.n_anom])
-        noise *= config.spread
-        directions += noise
-        features[anomalies] = directions
-        references[machine] = ReferenceSet(machine, refs)
+        references[_machine_name(index)] = ReferenceSet(_machine_name(index), refs)
+    # draws run machine by machine, normals first
+    numbers = [np.char.zfill(np.arange(count).astype(str), 4)
+               for count in (config.n_norm, config.n_anom)]
+    ids = np.concatenate([np.char.add(f"{machine}-{kind}", number)
+                          for machine in references for kind, number in zip("na", numbers)])
+    order = np.argsort(ids, kind="stable")
+    per_machine = config.n_norm + config.n_anom
     merged = MergedTestSet(
-        ids,
+        _id_column(ids[order]),
         list(references),
         order // per_machine,
         order % per_machine >= config.n_norm,
         features=features,
         nul_free=True,
     )
+    return streams, references, merged, np.argsort(order).reshape(config.k, per_machine)
+
+
+def _test_blocks(config: SimConfig, streams: list, rows: np.ndarray, group: int):
+    """Every machine's test vectors, `group` whole machines at a time in draw
+    order, as (id-order rows, block) pairs; each block reuses one buffer.
+
+    A machine draws its normals, then its anomalies: anomaly_offset along a
+    uniform random direction, then cluster noise. The draws are scaled and
+    shifted in place, in the operation order of `center + spread * noise`,
+    so every value is bit for bit what that expression gives.
+    """
+    block = np.empty((group, rows.shape[1], config.d))
+    noise = np.empty((config.n_anom, config.d))
+    for first in range(0, config.k, group):
+        machines = streams[first:first + group]
+        for (rng, center), out in zip(machines, block):
+            normals, anomalies = out[:config.n_norm], out[config.n_norm:]
+            rng.standard_normal(out=normals)
+            normals *= config.spread
+            normals += center
+            rng.standard_normal(out=anomalies)
+            norms = np.linalg.norm(anomalies, axis=1, keepdims=True)
+            anomalies /= np.where(norms == 0.0, 1.0, norms)
+            anomalies *= config.anomaly_offset
+            anomalies += center
+            rng.standard_normal(out=noise)
+            noise *= config.spread
+            anomalies += noise
+        yield rows[first:first + group].ravel(), block[:len(machines)].reshape(-1, config.d)
+
+
+def generate(config: SimConfig) -> tuple[dict[str, ReferenceSet], MergedTestSet]:
+    """Draw per-machine reference sets and a merged, featured test set.
+
+    Every machine's references are drawn first, then the test vectors, one
+    machine at a time into one reused buffer. Each machine's vectors are
+    written straight to their rows of one (n, d) array in id order, so the
+    test set gets its features already sorted. `run_point` scores the same
+    values without holding this array.
+    """
+    # the test set keeps the array it is given, already in id order: its rows
+    # are filled in place
+    n = config.k * (config.n_norm + config.n_anom)
+    streams, references, merged, rows = _draw_setup(config, np.empty((n, config.d)))
+    for ids_rows, block in _test_blocks(config, streams, rows, 1):
+        merged.features[ids_rows] = block
     return references, merged
 
 
@@ -207,10 +234,19 @@ def run_point(
     eval_config: EvalConfig = EvalConfig(),
     repeat: int = 0,
 ) -> SweepPoint:
-    """Generate one dataset, score it, and condense the report to a point."""
-    references, merged = generate(config)
+    """Draw one dataset, score it, and condense the report to a point.
+
+    The values are those of `generate` scored by `build_score_matrix`, but
+    the (n, d) features are never held: after every machine's references,
+    the test vectors are drawn into one reused block of as many whole
+    machines as fit in the kernel's block budget (at least one), and each
+    block is scored against every machine before the next is drawn.
+    """
+    streams, references, merged, rows = _draw_setup(config)
+    group = scorers._BLOCK_BYTES // (8 * rows.shape[1] * config.d)
+    blocks = _test_blocks(config, streams, rows, min(config.k, max(1, group)))
     specs = {machine: (scorer, ref) for machine, ref in references.items()}
-    matrix = build_score_matrix(specs, merged.ids, merged.features)
+    matrix = scorers._score_blocks(specs, merged.ids, len(merged.ids), blocks)
     report = full_report(matrix, merged, eval_config)
     return SweepPoint(
         separation=config.separation,

@@ -42,5 +42,10 @@ def test_bench_tracer_runs_a_small_simulate(tmp_path):
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
     )
     assert done.returncode == 0, done.stderr
-    names = {span[0] for span in json.loads(spans.read_text())}
+    traced = json.loads(spans.read_text())
+    names = {span[0] for span in traced}
     assert {"simulate.run_point", "metrics.aggregate", "io.write"} <= names
+    # run_point reaches the scorers through the names the tracer wraps: every
+    # one of the 24 recordings is scored against both machines' 6 references
+    assert [span[0] for span in traced].count("scorers.scoring_function") == 2
+    assert sum(span[7]["pairs"] for span in traced if span[0] == "scorers.batch") == 24 * 6 * 2

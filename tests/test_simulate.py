@@ -1,13 +1,20 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
 import idfree_asd.simulate as simulate
+from idfree_asd import scorers
 from idfree_asd.cli import EXIT_INTERNAL, main
+from idfree_asd.protocol import full_report
+from idfree_asd.scorers import NormalizerSpec, ScorerSpec, build_score_matrix
 from idfree_asd.simulate import (
     DEFAULT_REPEATS,
     DEFAULT_SCORER,
@@ -198,11 +205,14 @@ def test_generate_memory_holds_one_copy_of_the_features():
         tracemalloc.stop()
     n, d = merged.features.shape
     data = merged.features.nbytes + sum(ref.vectors.nbytes for ref in references.values())
-    # one machine's largest draw block: the buffer that either block's noise
-    # is drawn into, and the anomaly directions
+    # one machine's draws: the larger of its normal and anomaly blocks, and
+    # the anomaly noise
     draws = (max(config.n_norm, config.n_anom) + config.n_anom) * d * 8
-    # the id order and its inverse, and the largest temporary of one machine,
-    # the copy of its references that the covariance is taken on
+    # the id order and its inverse, and one machine's reference-sized
+    # temporary. Every reference set, and the covariance copy each takes, is
+    # done before the test draws, where the peak lies; there the draw buffer
+    # holds a machine's normals and anomalies at once, n_anom rows more than
+    # `draws` (peak 25.2 MiB against a 25.6 MiB bound)
     working = 2 * n * 8 + config.n_ref * d * 8
     # numpy's lazily imported string functions and the small arrays
     slack = 1.5 * 2**20
@@ -259,6 +269,107 @@ def test_run_point_records_config_coordinates():
     config = SimConfig(k=2, d=3, n_ref=4, n_norm=4, n_anom=2, separation=2.5, seed=42)
     point = run_point(config, repeat=3)
     assert (point.separation, point.repeat, point.seed) == (2.5, 3, 42)
+
+
+# k=101 sorts machine100 and machine101 between machine10 and machine11, so
+# the columns are not in draw order
+POINT_CONFIGS = {
+    "default": SimConfig(),
+    "k1": SimConfig(k=1, d=3, n_ref=4, n_norm=9, n_anom=5, seed=3),
+    "wide-ids": SimConfig(k=3, d=2, n_ref=4, n_norm=10_050, n_anom=12, seed=8),
+    "k101": SimConfig(k=101, d=100, n_ref=3, n_norm=2, n_anom=1, separation=5.0, seed=4),
+}
+POINT_SCORERS = {
+    "knn1": ScorerSpec("nearest_reference", k=1),
+    "knn2-local-density": ScorerSpec("nearest_reference", k=2,
+                                     normalizer=NormalizerSpec("local_density", k_norm=2)),
+    "mahalanobis-zscore": ScorerSpec("mahalanobis",
+                                     normalizer=NormalizerSpec("zscore_reference")),
+}
+
+
+@pytest.mark.parametrize("group", ["one", "two", "all"])
+@pytest.mark.parametrize("scorer", POINT_SCORERS.values(), ids=POINT_SCORERS)
+@pytest.mark.parametrize("config", POINT_CONFIGS.values(), ids=POINT_CONFIGS)
+def test_run_point_equals_the_library_path(config, scorer, group, monkeypatch):
+    # the library path holds the whole feature matrix and scores it in one call
+    # per machine; run_point draws and scores blocks of whole machines
+    references, merged = generate(config)
+    specs = {machine: (scorer, ref) for machine, ref in references.items()}
+    report = full_report(build_score_matrix(specs, merged.ids, merged.features), merged)
+    expected = simulate.SweepPoint(
+        separation=config.separation, repeat=2, seed=config.seed,
+        id_accuracy_normalized=report.identification.normalized_accuracy,
+        delta_norm=report.delta_norm,
+        a_known=report.known.aggregate,
+        a_unknown=report.unknown.aggregate,
+        misid_probability=report.identification.misid_probability,
+    )
+    per_machine = config.n_norm + config.n_anom
+    machines = {"one": 1, "two": 2, "all": config.k}[group]
+    monkeypatch.setattr(scorers, "_BLOCK_BYTES", 8 * per_machine * config.d * machines)
+    sizes = []
+    test_blocks = simulate._test_blocks
+
+    def recording(*args):
+        for rows, block in test_blocks(*args):
+            sizes.append(len(block))
+            yield rows, block
+
+    monkeypatch.setattr(simulate, "_test_blocks", recording)
+    assert run_point(config, scorer, repeat=2) == expected
+    size = min(machines, config.k)
+    assert sizes == [per_machine * min(size, config.k - first)
+                     for first in range(0, config.k, size)]
+
+
+def test_run_point_memory_holds_one_feature_block():
+    # the knn-point benchmark config: the (n, d) features (14.6 MiB) are never
+    # held, only one block of whole machines (two here, 7.3 MiB). Peak 21.1
+    # MiB; scoring generate's whole features instead peaks at 27.5 MiB
+    config = SimConfig(k=4, d=64, n_ref=2000, n_norm=5625, n_anom=1875, seed=2)
+    run_point(SimConfig())  # numpy's lazily imported string functions
+    tracemalloc.start()
+    try:
+        point = run_point(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert point.error is None
+    n, d = config.k * (config.n_norm + config.n_anom), config.d
+    references = config.k * config.n_ref * d * 8
+    # the reused feature block and the anomaly noise buffer beside it
+    block = scorers._BLOCK_BYTES + config.n_anom * d * 8
+    # the kernel's float32 screen, and its centred copy of one machine's references
+    kernel = scorers._BLOCK_BYTES // 2 + config.n_ref * d * 8
+    # the (n, k) values, the ids (16-byte StringDType cells), and the id order,
+    # its inverse and the true machine codes
+    columns = n * config.k * 8 + n * 16 + 3 * n * 8
+    # the kernel's float64 work on one block of rows and the small arrays
+    slack = 2 * 2**20
+    assert peak < references + block + kernel + columns + slack
+
+
+def test_cli_writes_the_same_bytes_under_1_and_2_blas_threads(tmp_path):
+    # the distance kernel's float64 products go through BLAS, whose blocking
+    # follows its thread count; a point's scores must not
+    root = Path(scorers.__file__).parents[1]
+    path = os.pathsep.join(filter(None, [str(root), os.environ.get("PYTHONPATH")]))
+    knn = ["--k", "4", "--d", "64", "--n-ref", "2000", "--n-norm", "5625", "--n-anom", "1875",
+           "--separation", "8", "--seed", "3"]
+    for name, args in {"default": ["simulate"], "knn-point": ["simulate", *knn],
+                       "sweep": ["sweep"]}.items():
+        written = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"{name}-{threads}.json"
+            done = subprocess.run(
+                [sys.executable, "-m", "idfree_asd.cli", *args, "--out", str(out)],
+                capture_output=True, text=True,
+                env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads),
+            )
+            assert done.returncode == 0, done.stderr
+            written.append((out.read_bytes(), out.with_suffix(".csv").read_bytes()))
+        assert written[0] == written[1], name
 
 
 # ---------------------------------------------------------------------------
