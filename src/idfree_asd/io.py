@@ -130,13 +130,14 @@ def _rows(path: Path, comments: list[tuple[int, str]] | None = None,
             raise FormatError(f"{path.name}: no header row found")
 
 
-def _gate(block: bytes, width: int) -> tuple[np.ndarray, np.ndarray]:
+def _gate(block: bytes, width: int, fields: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """A block of data lines as one uint8 array, CRLF line ends read as LF, and
-    each line's field bounds: the LF before it, its commas, its LF, so field k
-    of line i lies strictly between bounds[i, k] and bounds[i, k + 1]. A block
-    that csv might read otherwise raises a ValueError: one with a CR outside a
-    CRLF line end, a byte outside ASCII or in _STRICT_BYTES, a line of other
-    than ``width`` fields or a line past csv's field limit."""
+    each line's bounds of its first ``fields`` fields (all by default): the LF
+    before it, then its commas and its LF, so field k of line i lies strictly
+    between bounds[i, k] and bounds[i, k + 1]. A block that csv might read
+    otherwise raises a ValueError: one with a CR outside a CRLF line end, a
+    byte outside ASCII or in _STRICT_BYTES, a line of other than ``width``
+    fields or a line past csv's field limit."""
     data = np.frombuffer(block, np.uint8)
     if len(cr := np.flatnonzero(data == 13)) and (data[cr + 1] == 10).all():
         data, cr = np.delete(data, cr), cr[:0]
@@ -146,10 +147,11 @@ def _gate(block: bytes, width: int) -> tuple[np.ndarray, np.ndarray]:
             or len(seps) % width
             or (data[seps].reshape(-1, width) != [44] * (width - 1) + [10]).any()):
         raise ValueError("a block left to csv")
-    bounds = np.column_stack([np.r_[-1, seps[width - 1:-1:width]], seps.reshape(-1, width)])
-    if (bounds[:, -1] - bounds[:, 0]).max() > csv.field_size_limit():
+    seps = seps.reshape(-1, width)
+    starts = np.r_[-1, seps[:-1, -1]]
+    if (seps[:, -1] - starts).max() > csv.field_size_limit():
         raise ValueError("a block left to csv")
-    return data, bounds
+    return data, np.column_stack([starts, seps[:, :fields]])
 
 
 def _undecodable_line(path: Path) -> int:
@@ -289,9 +291,10 @@ def _c_floats(blocks: Iterator[bytes], width: int) -> Iterator[tuple[np.ndarray,
     which the keys, padded to the widest so far, would take 4 times the bytes read."""
     rows = size = widest = 0
     for block in blocks:
-        data, bounds = _gate(block, width + 1)
-        start, stop = bounds[:, 0] + 1, bounds[:, 1].copy()
-        del bounds  # the block's largest array, not held through loadtxt
+        # the bounds of each line's id alone, so no array of every separator
+        # outlives the gate
+        data, bounds = _gate(block, width + 1, 1)
+        start, stop = bounds[:, 0] + 1, bounds[:, 1]
         rows, size, widest = rows + len(start), size + len(data), max(widest, (stop - start).max())
         if (stop == start).any() or rows * widest > 4 * size:
             raise ValueError("a block left to csv")

@@ -47,7 +47,7 @@ _LARGEST = 1e100
 # with every reference fit in this many bytes, the float32 screen values in
 # half of it, so memory per machine stays bounded as the number of scored
 # recordings grows; simulate.run_point draws its test vectors in blocks of
-# whole machines that fit in it, so it never holds all of them
+# whole machines that fit in the other half, so it never holds all of them
 _BLOCK_BYTES = 8 * 2**20
 
 # the nearest-reference screen: unit roundoffs of float32 and float64; the

@@ -45,6 +45,8 @@ DEFAULT_SEPARATIONS = (4.5, 5.0, 5.5, 6.0, 6.5, 7.0, 8.0, 9.0, 11.0, 13.0)
 DEFAULT_REPEATS = 5
 
 _SEED_LIMIT = 2**64
+# a machine's anomaly noise is drawn this many rows at a time (128 KiB at d=64)
+_NOISE_ROWS = 256
 
 class SimError(ValueError):
     """Raised on invalid simulation configs or impossible geometry."""
@@ -166,12 +168,13 @@ def _test_blocks(config: SimConfig, streams: list, rows: np.ndarray, group: int)
     order, as (id-order rows, block) pairs; each block reuses one buffer.
 
     A machine draws its normals, then its anomalies: anomaly_offset along a
-    uniform random direction, then cluster noise. The draws are scaled and
-    shifted in place, in the operation order of `center + spread * noise`,
-    so every value is bit for bit what that expression gives.
+    uniform random direction, then cluster noise, _NOISE_ROWS rows at a time
+    into one small buffer. The draws are scaled and shifted in place, in the
+    operation order of `center + spread * noise`, so every value is bit for
+    bit what that expression gives.
     """
     block = np.empty((group, rows.shape[1], config.d))
-    noise = np.empty((config.n_anom, config.d))
+    noise = np.empty((min(config.n_anom, _NOISE_ROWS), config.d))
     for first in range(0, config.k, group):
         machines = streams[first:first + group]
         for (rng, center), out in zip(machines, block):
@@ -184,9 +187,12 @@ def _test_blocks(config: SimConfig, streams: list, rows: np.ndarray, group: int)
             anomalies /= np.where(norms == 0.0, 1.0, norms)
             anomalies *= config.anomaly_offset
             anomalies += center
-            rng.standard_normal(out=noise)
-            noise *= config.spread
-            anomalies += noise
+            # the stream gives the same values in pieces as in one draw
+            for start in range(0, config.n_anom, _NOISE_ROWS):
+                piece = anomalies[start:start + _NOISE_ROWS]
+                drawn = rng.standard_normal(out=noise[:len(piece)])
+                drawn *= config.spread
+                piece += drawn
         yield rows[first:first + group].ravel(), block[:len(machines)].reshape(-1, config.d)
 
 
@@ -239,11 +245,12 @@ def run_point(
     The values are those of `generate` scored by `build_score_matrix`, but
     the (n, d) features are never held: after every machine's references,
     the test vectors are drawn into one reused block of as many whole
-    machines as fit in the kernel's block budget (at least one), and each
-    block is scored against every machine before the next is drawn.
+    machines as fit in half the kernel's block budget (at least one), the
+    half that its float32 screen of a block leaves, and each block is scored
+    against every machine before the next is drawn.
     """
     streams, references, merged, rows = _draw_setup(config)
-    group = scorers._BLOCK_BYTES // (8 * rows.shape[1] * config.d)
+    group = scorers._BLOCK_BYTES // 2 // (8 * rows.shape[1] * config.d)
     blocks = _test_blocks(config, streams, rows, min(config.k, max(1, group)))
     specs = {machine: (scorer, ref) for machine, ref in references.items()}
     matrix = scorers._score_blocks(specs, merged.ids, len(merged.ids), blocks)

@@ -435,8 +435,9 @@ def test_evaluate_scores_holds_under_64_bytes_a_row_beyond_the_labels(tmp_path, 
     # with 50 machines the (n, k) matrix alone takes 400 bytes a row; the
     # protocols' four columns, each row's true column and the join's mask of
     # placed rows take 20, and one block's transients (the gate's separator
-    # positions and field bounds, then the block's lines, keys and cells) add
-    # about 2 MB at the peak: 55 bytes a row in all here, 455 with the matrix
+    # positions, then the block's lines, keys and cells) add about 1.8 MB at
+    # the peak: 50 bytes a row in all here (54 when the gate also bounded
+    # every field of a score line), 450 with the matrix
     n, k = 60_000, 50
     labels, scores = tmp_path / "labels.csv", tmp_path / "scores.csv"
     # each machine's rows run 4 a split, the first of them anomalous
@@ -533,6 +534,54 @@ def test_evaluate_joins_label_order_as_the_id_dict_does(tmp_path, capsys, monkey
         strict_only(patch)
         assert run(capsys, *argv) == joined
     assert joined[0] == (EXIT_DATA if case in JOIN_FAULTS else EXIT_OK)
+
+
+def test_evaluate_reports_a_20000_row_table_alike_shuffled_and_with_a_quoted_id(
+        tmp_path, capsys, monkeypatch):
+    # 20,000 rows x 3 machines span several 128 KiB blocks; ids "r0", "r1", ...
+    # in a random order, so the label file is not in id order either
+    rng = np.random.default_rng(30)
+    n, k = 20_000, 3
+    ids = [f"r{i}" for i in rng.permutation(n)]
+    machine, anomalous = rng.integers(0, k, n), rng.random(n) < 0.25
+    splits = np.where(rng.random(n) < 0.5, "dev", "eval")
+    scores = rng.normal(2.0, 1.0, (n, k))
+    scores[np.arange(n), machine] = rng.normal(0.0, 1.0, n) + 1.5 * anomalous
+    labels = [f"{rec_id},m{m},{a:d},{split}" for rec_id, m, a, split
+              in zip(ids, machine.tolist(), anomalous.tolist(), splits.tolist())]
+    rows = [",".join([rec_id, *map(repr, row)]) for rec_id, row in zip(ids, scores.tolist())]
+
+    def write(name, header, lines):
+        (tmp_path / name).write_text(f"{FORMAT_LINE}\n{header}\n" + "\n".join(lines) + "\n")
+
+    def quoted(lines):  # the middle row's id in quotes: csv reads the same id
+        rec_id, rest = lines[n // 2].split(",", 1)
+        return lines[:n // 2] + [f'"{rec_id}",{rest}'] + lines[n // 2 + 1:]
+
+    scores_header = "recording_id," + ",".join(f"m{j}" for j in range(k))
+    write("labels.csv", "recording_id,true_machine,is_anomaly,split", labels)
+    write("labels-quoted.csv", "recording_id,true_machine,is_anomaly,split", quoted(labels))
+    write("scores.csv", scores_header, rows)
+    write("scores-shuffled.csv", scores_header, [rows[i] for i in rng.permutation(n)])
+    write("scores-quoted.csv", scores_header, quoted(rows))
+    reads, reports = strict_reads(monkeypatch), {}
+    for scores_name, labels_name in [("scores.csv", "labels.csv"),
+                                     ("scores-shuffled.csv", "labels.csv"),
+                                     ("scores-quoted.csv", "labels.csv"),
+                                     ("scores.csv", "labels-quoted.csv")]:
+        reads.clear()
+        code, out, err = run(capsys, "evaluate", "--scores", str(tmp_path / scores_name),
+                             "--labels", str(tmp_path / labels_name))
+        assert (code, err) == (EXIT_OK, "")
+        # the quoted id sends its file to csv, the other file is read by the fast path
+        reports[scores_name, labels_name] = reads[:], {
+            key: value for key, value in json.loads(out).items() if key != "inputs"}
+    plain = reports.pop(("scores.csv", "labels.csv"))
+    assert plain[0] == []
+    # the reports differ only in the digests of the inputs
+    assert reports == {("scores-shuffled.csv", "labels.csv"): ([], plain[1]),
+                       ("scores-quoted.csv", "labels.csv"): (["scores-quoted.csv"], plain[1]),
+                       ("scores.csv", "labels-quoted.csv"): (["labels-quoted.csv"], plain[1])}
 
 
 def golden_splits(capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import os
 import subprocess
@@ -169,12 +170,21 @@ def test_adding_machines_keeps_existing_streams():
         assert np.array_equal(feats, features_large[rec_id])
 
 
+# a machine's anomaly noise is drawn in pieces of _NOISE_ROWS rows; the oracle
+# draws it in one call
+NOISE_CONFIGS = {
+    f"anom{n_anom}": SimConfig(k=2, d=3, n_ref=4, n_norm=5, n_anom=n_anom, seed=6)
+    for n_anom in (1, simulate._NOISE_ROWS - 1, simulate._NOISE_ROWS, simulate._NOISE_ROWS + 1)
+}
+
+
 # n_norm >= 10,000 gives 5-digit ids, which sort away from draw order
 @pytest.mark.parametrize("config", [
     SimConfig(k=1, d=3, n_ref=4, n_norm=9, n_anom=5, seed=3),
     SimConfig(),
     SimConfig(k=3, d=2, n_ref=4, n_norm=10_050, n_anom=12, seed=8),
-], ids=["k1", "default", "wide-ids"])
+    *NOISE_CONFIGS.values(),
+], ids=["k1", "default", "wide-ids", *NOISE_CONFIGS])
 def test_generate_matches_the_per_machine_oracle(config):
     references, merged = generate(config)
     ids, codes, labels, features, oracle_refs = generate_oracle(
@@ -272,12 +282,15 @@ def test_run_point_records_config_coordinates():
 
 
 # k=101 sorts machine100 and machine101 between machine10 and machine11, so
-# the columns are not in draw order
+# the columns are not in draw order; half the unpatched block budget holds
+# three of three-of-five's five machines (1.38 MB each)
 POINT_CONFIGS = {
     "default": SimConfig(),
     "k1": SimConfig(k=1, d=3, n_ref=4, n_norm=9, n_anom=5, seed=3),
     "wide-ids": SimConfig(k=3, d=2, n_ref=4, n_norm=10_050, n_anom=12, seed=8),
     "k101": SimConfig(k=101, d=100, n_ref=3, n_norm=2, n_anom=1, separation=5.0, seed=4),
+    "three-of-five": SimConfig(k=5, d=64, n_ref=8, n_norm=2025, n_anom=675, seed=7),
+    **NOISE_CONFIGS,
 }
 POINT_SCORERS = {
     "knn1": ScorerSpec("nearest_reference", k=1),
@@ -288,16 +301,14 @@ POINT_SCORERS = {
 }
 
 
-@pytest.mark.parametrize("group", ["one", "two", "all"])
-@pytest.mark.parametrize("scorer", POINT_SCORERS.values(), ids=POINT_SCORERS)
-@pytest.mark.parametrize("config", POINT_CONFIGS.values(), ids=POINT_CONFIGS)
-def test_run_point_equals_the_library_path(config, scorer, group, monkeypatch):
+@functools.cache
+def library_point(config, scorer):
     # the library path holds the whole feature matrix and scores it in one call
-    # per machine; run_point draws and scores blocks of whole machines
+    # per machine
     references, merged = generate(config)
     specs = {machine: (scorer, ref) for machine, ref in references.items()}
     report = full_report(build_score_matrix(specs, merged.ids, merged.features), merged)
-    expected = simulate.SweepPoint(
+    return simulate.SweepPoint(
         separation=config.separation, repeat=2, seed=config.seed,
         id_accuracy_normalized=report.identification.normalized_accuracy,
         delta_norm=report.delta_norm,
@@ -305,9 +316,24 @@ def test_run_point_equals_the_library_path(config, scorer, group, monkeypatch):
         a_unknown=report.unknown.aggregate,
         misid_probability=report.identification.misid_probability,
     )
+
+
+@pytest.mark.parametrize("group", ["one", "two", "all", "budget"])
+@pytest.mark.parametrize("scorer", POINT_SCORERS.values(), ids=POINT_SCORERS)
+@pytest.mark.parametrize("config", POINT_CONFIGS.values(), ids=POINT_CONFIGS)
+def test_run_point_equals_the_library_path(config, scorer, group, monkeypatch):
+    # run_point draws and scores blocks of whole machines, as many as fit in
+    # half the block budget: one, two, all, or what the unpatched budget holds
+    expected = library_point(config, scorer)
     per_machine = config.n_norm + config.n_anom
-    machines = {"one": 1, "two": 2, "all": config.k}[group]
-    monkeypatch.setattr(scorers, "_BLOCK_BYTES", 8 * per_machine * config.d * machines)
+    machine_bytes = 8 * per_machine * config.d
+    if group == "budget":
+        machines = max(1, scorers._BLOCK_BYTES // 2 // machine_bytes)
+    else:
+        machines = {"one": 1, "two": 2, "all": config.k}[group]
+        monkeypatch.setattr(scorers, "_BLOCK_BYTES", 2 * machine_bytes * machines)
+    if config is POINT_CONFIGS["three-of-five"] and group == "budget":
+        assert machines == 3
     sizes = []
     test_blocks = simulate._test_blocks
 
@@ -325,8 +351,10 @@ def test_run_point_equals_the_library_path(config, scorer, group, monkeypatch):
 
 def test_run_point_memory_holds_one_feature_block():
     # the knn-point benchmark config: the (n, d) features (14.6 MiB) are never
-    # held, only one block of whole machines (two here, 7.3 MiB). Peak 21.1
-    # MiB; scoring generate's whole features instead peaks at 27.5 MiB
+    # held, only one block of whole machines in half the block budget (one
+    # here, 3.7 MiB) and one piece of anomaly noise. Peak 16.5 MiB against a
+    # 17.1 MiB bound; blocks of two machines in the whole budget and a whole
+    # machine's noise peak at 21.1 MiB, generate's whole features at 27.5 MiB
     config = SimConfig(k=4, d=64, n_ref=2000, n_norm=5625, n_anom=1875, seed=2)
     run_point(SimConfig())  # numpy's lazily imported string functions
     tracemalloc.start()
@@ -338,8 +366,8 @@ def test_run_point_memory_holds_one_feature_block():
     assert point.error is None
     n, d = config.k * (config.n_norm + config.n_anom), config.d
     references = config.k * config.n_ref * d * 8
-    # the reused feature block and the anomaly noise buffer beside it
-    block = scorers._BLOCK_BYTES + config.n_anom * d * 8
+    # the reused feature block and the anomaly noise piece beside it
+    block = scorers._BLOCK_BYTES // 2 + simulate._NOISE_ROWS * d * 8
     # the kernel's float32 screen, and its centred copy of one machine's references
     kernel = scorers._BLOCK_BYTES // 2 + config.n_ref * d * 8
     # the (n, k) values, the ids (16-byte StringDType cells), and the id order,
