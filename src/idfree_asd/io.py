@@ -24,8 +24,8 @@ from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .protocol import (_ID_DTYPE, SPLITS, EvalConfig, EvalReport, MergedTestSet, ModeResult,
-                       ProtocolError)
+from .protocol import (_RAISED, SPLITS, EvalConfig, EvalReport, MergedTestSet, ModeResult,
+                       ProtocolError, _ids, _key_order)
 from .scorers import NormalizerSpec, ScorerSpec
 from .simulate import SimConfig, SweepPoint
 
@@ -75,11 +75,6 @@ _STRICT_BYTES = b'"\x1c\x1d\x1e\x1f'
 _LISTED_IDS = 10
 # the strict reader hands its rows on in batches of this many
 _BATCH_ROWS = 4096
-# bytes.translate tables that raise each byte by one and lower it again. An id's
-# key is its UTF-8 bytes, raised: UTF-8 never uses 0xf5-0xff, so no key byte is 0,
-# and keys order and match as the ids do as Python strings, NUL-padded ones too
-_RAISED = bytes(range(1, 256)) + b"\x00"
-_LOWERED = b"\xff" + bytes(range(255))
 
 
 class FormatError(ValueError):
@@ -238,29 +233,6 @@ def _unmatched(description: str, ids: Collection[str]) -> str:
     listed = sorted(ids)[:_LISTED_IDS]
     more = f" and {len(ids) - len(listed)} more" if len(ids) > len(listed) else ""
     return f"{len(ids)} {description} {listed}{more}"
-
-
-def _ids(keys: np.ndarray) -> np.ndarray:
-    """The id column of ``keys``, the fast path's bytes column of ASCII ids or csv's objects."""
-    if keys.dtype.kind == "O":
-        return np.array([key.translate(_LOWERED).decode() for key in keys.tolist()], _ID_DTYPE)
-    raw = keys.view(np.uint8).reshape(len(keys), -1)
-    lowered = np.maximum(raw, 1) - 1  # the padding stays 0, and an id's own NUL becomes 0
-    ids = lowered.view(keys.dtype).ravel().astype(_ID_DTYPE)
-    # the cast drops an id's trailing NULs with the padding: put them back
-    if np.count_nonzero(lowered) != np.count_nonzero(raw):
-        lost = np.count_nonzero(raw, axis=1) - np.strings.str_len(ids)
-        for row in np.flatnonzero(lost).tolist():
-            ids[row] += "\x00" * int(lost[row])
-    return ids
-
-
-def _key_order(keys: np.ndarray) -> np.ndarray:
-    # the stable order that sorts the keys; a repeat raises
-    order = np.argsort(keys, kind="stable")
-    if not ((ranked := keys[order])[:-1] < ranked[1:]).all():
-        raise ProtocolError("duplicate recording ids in merged test set")
-    return order
 
 
 @dataclass(frozen=True, eq=False)
@@ -496,15 +468,14 @@ def read_labels(path) -> dict[str, MergedTestSet]:
         at = at[np.argsort(splits[at], kind="stable")]
         keys, machines, labels = keys[at], machines[at], labels[at]
         del at
-        # csv's keys are objects; a key byte of 1 is an id's NUL
-        nul_free = keys.dtype.kind == "S" and 1 not in keys.view(np.uint8)
         ids, names = _ids(keys), [name[:-1].decode() for name in codes]
         sets, stop, spans = _LabelSets(), 0, []
         for j, split_rows in enumerate(np.bincount(splits, minlength=len(SPLITS)).tolist()):
             start, stop = stop, stop + split_rows
             if split_rows:
                 sets[SPLITS[j]] = MergedTestSet(ids[start:stop], names, machines[start:stop],
-                                                labels[start:stop], SPLITS[j], nul_free=nul_free)
+                                                labels[start:stop], SPLITS[j],
+                                                keys=keys[start:stop])
                 spans.append((start, stop))
         sets.order = _LabelOrder(ids, keys, tuple(spans))
         return sets

@@ -10,11 +10,9 @@ values the protocols read, then score each machine's slice in both modes.
 
 from __future__ import annotations
 
-import operator
 import warnings
 from collections import Counter
 from dataclasses import InitVar, dataclass, field
-from itertools import islice
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -40,15 +38,16 @@ __all__ = [
 ]
 
 SPLITS = ("dev", "eval")
-# every recording-id column is one 1-D array of this dtype, where an id of up
-# to 15 UTF-8 bytes sits inline in 16. Its comparisons disagree with Python's
-# on ids that hold NUL, and numpy 2.4.6's searchsorted misplaces ids of 16 or
-# more bytes ('b' * 16 lands at 2 in ['a' * 16, 'b' * 16]), so io decides every
-# id order, repeat and join on keys (io._RAISED) instead; MergedTestSet checks its
-# order on this dtype only when the caller says nul_free, else on the ids as
-# Python strings (whole, or _ID_BLOCK at a time), as does _id_order
+# every recording-id column is one 1-D array of this dtype, where an id of up to
+# 15 UTF-8 bytes sits inline in 16. No id order, repeat or join is decided on it:
+# its comparisons disagree with Python's on ids that hold NUL, and numpy 2.4.6's
+# searchsorted misplaces ids of 16 or more bytes. Each is decided on the ids' keys
 _ID_DTYPE = np.dtypes.StringDType()
-_ID_BLOCK = 4096
+# an id's key is its UTF-8 bytes, each raised by one (translated by _RAISED, and
+# back by _LOWERED): UTF-8 never uses 0xf5-0xff, so no key byte is 0, and keys order
+# and match as the ids do as Python strings, in a NUL-padded bytes column too
+_RAISED = bytes(range(1, 256)) + b"\x00"
+_LOWERED = b"\xff" + bytes(range(255))
 
 
 class ProtocolError(ValueError):
@@ -65,27 +64,30 @@ def _id_column(ids) -> np.ndarray:
         raise ProtocolError(f"recording id {exc.object!r}: {exc.reason}") from None
 
 
-def _rising(keys: Sequence[str]) -> bool:
-    """Whether ``keys`` strictly increase, so they are sorted and hold no repeat."""
-    return all(map(operator.lt, keys, islice(keys, 1, None)))
+def _keys(ids: np.ndarray) -> np.ndarray:
+    """The keys of the id column ``ids``, as objects."""
+    return np.array([rec_id.encode().translate(_RAISED) for rec_id in ids.tolist()], object)
 
 
-def _column_rising(ids: np.ndarray, nul_free: bool = False) -> bool:
-    # without NUL, StringDType compares ids as Python does; else _rising on blocks
-    # that overlap by one id, so no more than a block is ever held as str objects
-    if nul_free:
-        return bool((ids[:-1] < ids[1:]).all())
-    return all(_rising(ids[max(start - 1, 0):start + _ID_BLOCK].tolist())
-               for start in range(0, len(ids), _ID_BLOCK))
+def _ids(keys: np.ndarray) -> np.ndarray:
+    """The id column of ``keys``, a bytes column of ASCII ids' keys or objects."""
+    if keys.dtype.kind == "O":
+        return np.array([key.translate(_LOWERED).decode() for key in keys.tolist()], _ID_DTYPE)
+    raw = keys.view(np.uint8).reshape(len(keys), -1)
+    lowered = np.maximum(raw, 1) - 1  # the padding stays 0, and an id's own NUL becomes 0
+    ids = lowered.view(keys.dtype).ravel().astype(_ID_DTYPE)
+    # the cast drops an id's trailing NULs with the padding: put them back
+    if np.count_nonzero(lowered) != np.count_nonzero(raw):
+        lost = np.count_nonzero(raw, axis=1) - np.strings.str_len(ids)
+        for row in np.flatnonzero(lost).tolist():
+            ids[row] += "\x00" * int(lost[row])
+    return ids
 
 
-def _id_order(ids) -> np.ndarray:
-    """The order that sorts the id column ``ids``; a repeated id raises ProtocolError.
-    numpy sorts them as str objects, which compare by Python's rules."""
-    keys = np.array(ids, dtype=object)
+def _key_order(keys: np.ndarray) -> np.ndarray:
+    # the stable order that sorts the keys; a repeat raises
     order = np.argsort(keys, kind="stable")
-    ranked = keys[order]
-    if (ranked[1:] == ranked[:-1]).any():
+    if not ((ranked := keys[order])[:-1] < ranked[1:]).all():
         raise ProtocolError("duplicate recording ids in merged test set")
     return order
 
@@ -151,13 +153,13 @@ class MergedTestSet:
     Row i is recording `ids[i]` (one numpy StringDType column), its hidden
     `true_machine` code into `machines` (of the caller's integer type), its
     `is_anomaly` label and optionally `features[i]`.
-    The rows are sorted by id, compared as Python strings, on construction, so
-    downstream runs are reproducible; input already in strictly increasing id
-    order is kept (arrays of the stored dtype are not copied), so a caller that
-    later mutates it should pass a copy. Scoring code consumes ids and
-    features, evaluation code the labels. ``nul_free`` is the caller's word
-    that no id holds NUL, so that their order is checked on the id column
-    itself rather than on the ids as str.
+    The rows are sorted by id on construction, so downstream runs are
+    reproducible. Ids are ordered and matched on their keys (_keys), which
+    order as the ids do as Python strings; ``keys`` takes them from a caller
+    that already has them. Input already in strictly increasing id order is
+    kept (arrays of the stored dtype are not copied), so a caller that later
+    mutates it should pass a copy. Scoring code consumes ids and features,
+    evaluation code the labels.
     """
 
     ids: np.ndarray
@@ -166,9 +168,9 @@ class MergedTestSet:
     is_anomaly: np.ndarray
     split: str = "dev"
     features: np.ndarray | None = field(default=None, repr=False)
-    nul_free: InitVar[bool] = False
+    keys: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self, nul_free: bool) -> None:
+    def __post_init__(self, keys: np.ndarray | None) -> None:
         if not len(self.ids):
             raise ProtocolError("merged test set is empty")
         if not len(self.ids) == len(self.true_machine) == len(self.is_anomaly):
@@ -178,9 +180,12 @@ class MergedTestSet:
         if self.split not in SPLITS:
             raise ProtocolError(f"unknown split {self.split!r}")
         self.ids = _id_column(self.ids)
-        order = slice(None)  # strictly increasing ids are sorted and unique: kept as given
-        if not _column_rising(self.ids, nul_free):
-            order = _id_order(self.ids)
+        keys = _keys(self.ids) if keys is None else keys
+        if len(keys) != len(self.ids):
+            raise ProtocolError(f"need one key per id, got {len(keys)} for {len(self.ids)} ids")
+        order = slice(None)  # strictly increasing keys are sorted and unique: kept as given
+        if not (keys[:-1] < keys[1:]).all():
+            order = _key_order(keys)
             self.ids = self.ids[order]
         codes, labels = np.asarray(self.true_machine), np.asarray(self.is_anomaly)
         if codes.dtype.kind not in "iu":

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .metrics import MetricError
-from .protocol import EvalConfig, MergedTestSet, ProtocolError, _id_column, full_report
+from .protocol import EvalConfig, MergedTestSet, ProtocolError, _id_column, _key_order, full_report
 from . import scorers
 from .scorers import ReferenceSet, ScorerError, ScorerSpec, _finite_number, _whole
 
@@ -150,7 +150,11 @@ def _draw_setup(
                for count in (config.n_norm, config.n_anom)]
     ids = np.concatenate([np.char.add(f"{machine}-{kind}", number)
                           for machine in references for kind, number in zip("na", numbers)])
-    order = np.argsort(ids, kind="stable")
+    # the ids are ASCII without NUL: each key is an id's bytes, every byte but the padding raised
+    keys = ids.astype(bytes)
+    raw = keys.view(np.uint8)
+    raw += raw > 0
+    order = _key_order(keys)
     per_machine = config.n_norm + config.n_anom
     merged = MergedTestSet(
         _id_column(ids[order]),
@@ -158,7 +162,7 @@ def _draw_setup(
         order // per_machine,
         order % per_machine >= config.n_norm,
         features=features,
-        nul_free=True,
+        keys=keys[order],
     )
     return streams, references, merged, np.argsort(order).reshape(config.k, per_machine)
 

@@ -36,6 +36,7 @@ from idfree_asd.io import (
     sweep_csv_text,
     sweep_document,
 )
+import idfree_asd.protocol as protocol_module
 from idfree_asd.protocol import SPLITS, EvalConfig, ProtocolError, Recording, full_report
 from idfree_asd.scorers import ScorerSpec
 from idfree_asd.simulate import SimConfig, SweepPoint, generate, run_point, sweep
@@ -636,7 +637,7 @@ _ID_CHARS = st.sampled_from(["\x00", "\x7f", "a", "b", "\xe9", "\u03b1", "\U0001
 
 def _key(rec_id):
     """An id's key as the csv path builds it: its UTF-8 bytes, each raised by one."""
-    return rec_id.encode().translate(io_module._RAISED)
+    return rec_id.encode().translate(protocol_module._RAISED)
 
 
 @settings(max_examples=300)
@@ -658,13 +659,14 @@ def test_id_keys_order_and_match_as_the_ids_do(ids):
     assert (column[:, None] == column).tolist() == [[a == b for b in ids] for a in ids]
     assert np.searchsorted(np.sort(column), column).tolist() == [
         bisect_left(ranked, rec_id) for rec_id in ids]
-    assert io_module._ids(np.array(keys, object)).tolist() == ids
+    assert protocol_module._ids(np.array(keys, object)).tolist() == ids
+    assert protocol_module._keys(np.array(ids, np.dtypes.StringDType())).tolist() == keys
     plain = [rec_id for rec_id in ids if rec_id.isascii()]
     if plain:
         data, bounds = io_module._gate("".join(f"{rec_id},1\n" for rec_id in plain).encode(), 2)
         gated = io_module._cells(data + 1, bounds[:, 0] + 1, bounds[:, 1])
         assert gated.tolist() == [_key(rec_id) for rec_id in plain]
-        assert io_module._ids(gated).tolist() == plain
+        assert protocol_module._ids(gated).tolist() == plain
 
 
 @st.composite

@@ -257,20 +257,25 @@ def id_lists(draw):
     return sorted(ids) if draw(st.booleans()) else draw(st.permutations(ids))
 
 
+def _keys_of(ids, kind=object):
+    """The ids' keys as io builds them: each id's UTF-8 bytes, raised by one."""
+    return np.array([rec_id.encode().translate(protocol_module._RAISED) for rec_id in ids], kind)
+
+
 @settings(max_examples=300, deadline=None)
-@given(id_lists(), st.sampled_from([1, 2, 4096]), st.booleans())
-def test_merged_set_orders_and_finds_repeats_as_python_lists_do(ids, block, as_array):
-    # oracle: sorted() and set() of the ids as str; the id column is read a
-    # `block` at a time, so small blocks test the block edges
+@given(id_lists(), st.booleans(), st.booleans())
+def test_merged_set_orders_and_finds_repeats_as_python_lists_do(ids, as_array, keyed):
+    # oracle: sorted() and set() of the ids as str; a set given the keys of its
+    # ids, as _keys builds them, is the set that builds them itself
     codes = np.arange(len(ids)) % 3
-    given_ids = np.array(ids, dtype=np.dtypes.StringDType()) if as_array else ids
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(protocol_module, "_ID_BLOCK", block)
-        if len(set(ids)) < len(ids):
-            with pytest.raises(ProtocolError, match="^duplicate recording ids in merged test set$"):
-                MergedTestSet(given_ids, ["a", "b", "c"], codes, codes == 0)
-            return
-        merged = MergedTestSet(given_ids, ["a", "b", "c"], codes, codes == 0)
+    column = np.array(ids, dtype=np.dtypes.StringDType())
+    given_ids = column if as_array else ids
+    given_keys = {"keys": protocol_module._keys(column)} if keyed else {}
+    if len(set(ids)) < len(ids):
+        with pytest.raises(ProtocolError, match="^duplicate recording ids in merged test set$"):
+            MergedTestSet(given_ids, ["a", "b", "c"], codes, codes == 0, **given_keys)
+        return
+    merged = MergedTestSet(given_ids, ["a", "b", "c"], codes, codes == 0, **given_keys)
     rows = sorted(range(len(ids)), key=ids.__getitem__)
     assert merged.ids.tolist() == sorted(ids)
     assert merged.true_machine.tolist() == [int(codes[i]) for i in rows]
@@ -279,26 +284,35 @@ def test_merged_set_orders_and_finds_repeats_as_python_lists_do(ids, block, as_a
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.text(st.sampled_from(["\x7f", "a", "b", "\xe9", "\u03b1", "\U0001f600"]),
-                        min_size=1, max_size=4), min_size=1, max_size=30),
-       st.sampled_from(["", "p" * 16]), st.booleans())
-def test_nul_free_ids_are_ordered_on_the_id_column_as_python_orders_them(ids, prefix, rising):
-    # oracle: the ids as str; StringDType compares ids without NUL as Python
-    # does, of 16 bytes or more too, so no id is turned back into str
+@given(st.lists(st.text(ID_CHARS, min_size=1, max_size=4), min_size=1, max_size=30),
+       st.sampled_from(["", "p" * 16]), st.booleans(), st.sampled_from(["S", object]))
+def test_merged_set_orders_ids_on_the_keys_it_is_given_as_python_orders_them(
+        ids, prefix, rising, kind):
+    # oracle: the ids as str. The caller's keys, a bytes column as io's byte
+    # reader gives or objects as csv's, decide the order and the repeats, of ids
+    # with NUL, outside ASCII and of 16 bytes or more too; no key is built again
     ids = [prefix + rec_id for rec_id in (sorted(set(ids)) if rising else ids)]
     codes = np.arange(len(ids)) % 3
     column = np.array(ids, dtype=np.dtypes.StringDType())
+    keys = _keys_of(ids, kind)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(protocol_module, "_rising", None)  # the str check would fail
+        patch.setattr(protocol_module, "_keys", None)
         if len(set(ids)) < len(ids):
             with pytest.raises(ProtocolError, match="^duplicate recording ids in merged test set$"):
-                MergedTestSet(column, ["a", "b", "c"], codes, codes == 0, nul_free=True)
+                MergedTestSet(column, ["a", "b", "c"], codes, codes == 0, keys=keys)
             return
-        merged = MergedTestSet(column, ["a", "b", "c"], codes, codes == 0, nul_free=True)
+        merged = MergedTestSet(column, ["a", "b", "c"], codes, codes == 0, keys=keys)
     rows = sorted(range(len(ids)), key=ids.__getitem__)
     assert merged.ids.tolist() == sorted(ids)
     assert merged.true_machine.tolist() == [int(codes[i]) for i in rows]
     assert (merged.ids is column) == (ids == sorted(ids) and len(set(ids)) == len(ids))
+
+
+@pytest.mark.parametrize("given", [1, 3])
+def test_merged_set_rejects_keys_of_another_length(given):
+    keys = _keys_of(["a", "b", "c"][:given])
+    with pytest.raises(ProtocolError, match=rf"^need one key per id, got {given} for 2 ids$"):
+        MergedTestSet(["a", "b"], ["fan"], [0, 0], [False, True], keys=keys)
 
 
 @pytest.mark.parametrize("first, second", [

@@ -14,7 +14,8 @@ from scipy.stats import spearmanr
 import idfree_asd.simulate as simulate
 from idfree_asd import scorers
 from idfree_asd.cli import EXIT_INTERNAL, main
-from idfree_asd.protocol import full_report
+from idfree_asd import protocol
+from idfree_asd.protocol import MergedTestSet, full_report
 from idfree_asd.scorers import NormalizerSpec, ScorerSpec, build_score_matrix
 from idfree_asd.simulate import (
     DEFAULT_REPEATS,
@@ -199,6 +200,28 @@ def test_generate_matches_the_per_machine_oracle(config):
         assert references[machine].vectors.tobytes() == vectors.tobytes()
     if config.n_norm >= 10_000:
         assert ids.index("machine01-n10000") < ids.index("machine01-n1001")
+
+
+# k=101 gives three-digit machine names, and n_norm >= 10,000 five-digit ids
+@pytest.mark.parametrize("config", [
+    SimConfig(),
+    SimConfig(k=101, d=100, n_ref=3, n_norm=2, n_anom=1, seed=4),
+    SimConfig(k=2, d=1, n_ref=2, n_norm=10_050, n_anom=12, seed=8),
+], ids=["default", "k101", "wide-ids"])
+def test_draw_setup_gives_the_merged_set_the_keys_of_its_ids(config, monkeypatch):
+    # the key column that simulate builds in one step is the one _keys builds
+    # id by id, and the ids are in its order
+    given = []
+
+    def merged_set(*args, keys=None, **kwargs):
+        given.append(keys)
+        return MergedTestSet(*args, keys=keys, **kwargs)
+
+    monkeypatch.setattr(simulate, "MergedTestSet", merged_set)
+    merged = simulate._draw_setup(config)[2]
+    [keys] = given
+    assert keys is not None and keys.tolist() == protocol._keys(merged.ids).tolist()
+    assert merged.ids.tolist() == sorted(merged.ids.tolist())
 
 
 def test_generate_memory_holds_one_copy_of_the_features():
