@@ -12,9 +12,8 @@ import pytest
 from scipy.stats import spearmanr
 
 import idfree_asd.simulate as simulate
-from idfree_asd import scorers
+from idfree_asd import protocol, scorers
 from idfree_asd.cli import EXIT_INTERNAL, main
-from idfree_asd import protocol
 from idfree_asd.protocol import MergedTestSet, full_report
 from idfree_asd.scorers import NormalizerSpec, ScorerSpec, build_score_matrix
 from idfree_asd.simulate import (
