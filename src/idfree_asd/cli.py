@@ -145,7 +145,7 @@ def _split_reports(args, config: EvalConfig) -> tuple[dict, bool, list[tuple]]:
         place(slice(None), matrix.values)
     reports, stop = {}, 0
     for split, merged in test_sets.items():
-        start, stop = stop, stop + len(merged.ids)
+        start, stop = stop, stop + len(merged.keys)
         reports[split] = _report(_Columns(*(column[start:stop] for column in columns)), merged,
                                  machines, config)
     return reports, higher, inputs

@@ -20,7 +20,7 @@ from functools import partial
 from io import StringIO
 from itertools import chain
 from pathlib import Path
-from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -228,32 +228,34 @@ def _fast_or_strict(rows: Iterator, join: Callable, fast: Iterator, strict: Call
     return join(strict())
 
 
-def _unmatched(description: str, ids: Collection[str]) -> str:
-    # the count, then the first ids in sorted order
-    listed = sorted(ids)[:_LISTED_IDS]
-    more = f" and {len(ids) - len(listed)} more" if len(ids) > len(listed) else ""
-    return f"{len(ids)} {description} {listed}{more}"
+def _unmatched(description: str, keys: Sequence[np.ndarray]) -> str:
+    # the count, then the first ids in sorted order, of the ids of the key
+    # columns `keys`: keys sort as their ids do, so only the ids named are decoded
+    keys = np.sort(np.concatenate(keys)) if keys else np.zeros(0, object)
+    listed = _ids(keys[:_LISTED_IDS]).tolist()
+    more = f" and {len(keys) - len(listed)} more" if len(keys) > len(listed) else ""
+    return f"{len(keys)} {description} {listed}{more}"
 
 
 @dataclass(frozen=True, eq=False)
 class _LabelOrder:
-    """read_labels' ids as an index: ``ids`` holds them split by split in SPLITS
-    order, each split in id order, ``keys`` their keys in the same order, and
-    ``spans`` each present split's [start, stop) of both."""
+    """read_labels' ids as an index: ``keys`` holds their keys split by split in
+    SPLITS order, each split in id order, and ``spans`` each present split's
+    [start, stop) of them."""
 
-    ids: np.ndarray
     keys: np.ndarray
     spans: tuple[tuple[int, int], ...]
 
     def find(self, keys: np.ndarray) -> np.ndarray:
         """The index row of each of ``keys``, -1 for a key without a label."""
         rows = np.full(len(keys), -1)
-        # the keys in the labels' dtype, so the labels are never cast; a key cut short has no label
-        wanted = keys.astype(self.keys.dtype, copy=False)
+        left = np.arange(len(keys))  # the keys no earlier split holds: a key lies in one at most
         for lo, hi in self.spans:
-            at = np.searchsorted(self.keys[lo:hi], wanted) + lo
+            # the keys in the labels' dtype, so the labels are never cast; a key cut short has no label
+            at = np.searchsorted(self.keys[lo:hi], keys.astype(self.keys.dtype, copy=False)) + lo
             found = self.keys[np.minimum(at, hi - 1, out=at)] == keys
-            rows[found] = at[found]
+            rows[left[found]] = at[found]
+            left, keys = left[~found], keys[~found]
         return rows
 
 
@@ -283,13 +285,13 @@ def _c_floats(blocks: Iterator[bytes], width: int) -> Iterator[tuple[np.ndarray,
 def _float_rows(path: Path, rows: Iterator, header: list[str], what: str,
                 index: _LabelOrder | None = None,
                 placement: Callable[[], tuple] | None = None) -> tuple[np.ndarray, object]:
-    """Ids, and every cell after the id as an (n, d) array, of keyed data rows.
+    """The ids' keys, and every cell after the id as an (n, d) array, of keyed data rows.
 
     The fast path reads the byte blocks of ``rows`` through _c_floats; any
     block it turns down sends the whole file to the strict reader.
 
     With an ``index``, read_labels' order of n ids, blocks land at their ids'
-    rows, found among the index's keys, and the ids returned are the index's
+    rows, found among the index's keys, and the keys returned are the index's
     own. They land in an (n, d) array, or by ``placement()``: (the result, its
     place(rows, block)). n rows that place every row hold each id once; an id
     on one side only raises a ProtocolError. Else rows keep file order.
@@ -297,13 +299,13 @@ def _float_rows(path: Path, rows: Iterator, header: list[str], what: str,
     width = len(header) - 1
     if index is not None:  # by default each block lands at its rows of an (n, width) array
         result, place = placement() if placement else (
-            (values := np.empty((len(index.ids), width))), values.__setitem__)
+            (values := np.empty((len(index.keys), width))), values.__setitem__)
 
     def join(pieces: Iterable[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, object]:
         keys, blocks, extra, stop = [], [], [], 0
         # the label rows this join placed: when _fast_or_strict joins again, the
         # csv pass must place every row itself, so the first pass's result is reused
-        placed = np.zeros(0 if index is None else len(index.ids), bool)
+        placed = np.zeros(0 if index is None else len(index.keys), bool)
         for chunk, block in pieces:
             stop += len(chunk)
             if index is None:
@@ -312,7 +314,7 @@ def _float_rows(path: Path, rows: Iterator, header: list[str], what: str,
                 continue
             rows = index.find(chunk)
             if rows.min() < 0:  # ids without labels, named once the whole file is in
-                extra.extend(_ids(chunk[rows < 0]).tolist())
+                extra.append(chunk[rows < 0])
                 block, rows = block[rows >= 0], rows[rows >= 0]
             place(rows, block)
             placed[rows] = True
@@ -321,15 +323,14 @@ def _float_rows(path: Path, rows: Iterator, header: list[str], what: str,
         if index is None:
             keys, blocks = np.concatenate(keys), np.concatenate(blocks)
             _key_order(keys)  # a repeat raises; on the C path only, as csv names its line
-            return _ids(keys), blocks
-        if extra or not placed.all() or stop != len(index.ids):
+            return keys, blocks
+        if extra or not placed.all() or stop != len(index.keys):
             sides = [_unmatched(f"{what} rows without labels", extra),
-                     _unmatched(f"labeled recordings without {what}s",
-                                index.ids[~placed].tolist())]
+                     _unmatched(f"labeled recordings without {what}s", [index.keys[~placed]])]
             if what == "feature":  # a feature mismatch names the labeled side first
                 sides.reverse()
             raise ProtocolError(f"{what}s/labels cross-reference mismatch: {', '.join(sides)}")
-        return index.ids, result
+        return index.keys, result
 
     def cells(line_no: int, row: list[str]) -> tuple[bytes, list[float]]:
         return row[0].encode().translate(_RAISED), [
@@ -362,15 +363,17 @@ def read_scores(path, index: _LabelOrder | None = None
     Returns (machine column names, recording ids as one StringDType array,
     (n, k) scores with row i for ids[i], declared orientation or None), rows
     in file order or, given ``index``, the ``order`` of read_labels' result,
-    in its order, with its id column as the ids.
+    in its order, with the labels' ids, decoded from its keys, as the ids.
     Scores are returned as stored; callers negate when the orientation says
     lower means more anomalous.
     """
-    return _score_table(path, index)
+    machines, keys, values, orientation = _score_table(path, index)
+    return machines, _ids(keys), values, orientation
 
 
 def _score_table(path, index, placement=None) -> tuple:
-    # read_scores, each chunk landing by placement(machines, orientation) if given
+    # read_scores with the ids' keys, not the ids, each chunk landing by
+    # placement(machines, orientation) if given
     path = Path(path)
     comments: list[tuple[int, str]] = []
     rows = _rows(path, comments, chunked=True)
@@ -390,7 +393,8 @@ _LABEL_COLUMNS = ("recording_id", "true_machine", "is_anomaly", "split")
 
 
 class _LabelSets(dict):
-    """read_labels' {split: MergedTestSet}, with its ids' _LabelOrder as ``order``."""
+    """read_labels' {split: MergedTestSet}, with its ids' _LabelOrder as ``order``;
+    the sets and the order share one key column, and no id column is built."""
 
 
 def _cells(data: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
@@ -435,7 +439,8 @@ def _byte_labels(blocks: Iterator[bytes], width: int) -> Iterator[tuple]:
 def read_labels(path) -> dict[str, MergedTestSet]:
     """Read recording labels as one test set per split present, in SPLITS order.
 
-    The sets share one `machines` list, in order of first appearance. Row
+    The sets share one `machines` list, in order of first appearance. Each
+    holds its ids' keys alone, and decodes its `ids` from them on first read. Row
     structure (field count, empty or duplicate id) is checked over the whole
     file before the first bad label value is reported.
     """
@@ -468,16 +473,16 @@ def read_labels(path) -> dict[str, MergedTestSet]:
         at = at[np.argsort(splits[at], kind="stable")]
         keys, machines, labels = keys[at], machines[at], labels[at]
         del at
-        ids, names = _ids(keys), [name[:-1].decode() for name in codes]
+        names = [name[:-1].decode() for name in codes]
         sets, stop, spans = _LabelSets(), 0, []
         for j, split_rows in enumerate(np.bincount(splits, minlength=len(SPLITS)).tolist()):
             start, stop = stop, stop + split_rows
             if split_rows:
-                sets[SPLITS[j]] = MergedTestSet(ids[start:stop], names, machines[start:stop],
+                sets[SPLITS[j]] = MergedTestSet(None, names, machines[start:stop],
                                                 labels[start:stop], SPLITS[j],
                                                 keys=keys[start:stop])
                 spans.append((start, stop))
-        sets.order = _LabelOrder(ids, keys, tuple(spans))
+        sets.order = _LabelOrder(keys, tuple(spans))
         return sets
 
     def cells(line_no: int, row: list[str]) -> tuple:
@@ -503,7 +508,8 @@ def read_labels(path) -> dict[str, MergedTestSet]:
 
 
 def read_features(path, index: _LabelOrder | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Read per-recording feature vectors as (ids, (n, d) array), in read_scores' row order."""
+    """Read per-recording feature vectors as (ids, (n, d) array), in read_scores' row order
+    and with its ids."""
     path = Path(path)
     rows = _rows(path, chunked=True)
     header_no, header = next(rows)
@@ -511,7 +517,8 @@ def read_features(path, index: _LabelOrder | None = None) -> tuple[np.ndarray, n
     expected = ["recording_id"] + [f"f_{i}" for i in range(d)]
     if header != expected or d < 1:
         raise FormatError(f"{path.name}:{header_no}: header must be recording_id,f_0,...,f_{{d-1}}")
-    return _float_rows(path, rows, header, "feature", index)
+    keys, values = _float_rows(path, rows, header, "feature", index)
+    return _ids(keys), values
 
 
 @dataclass(frozen=True)

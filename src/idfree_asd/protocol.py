@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import warnings
 from collections import Counter
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -38,10 +38,12 @@ __all__ = [
 ]
 
 SPLITS = ("dev", "eval")
-# every recording-id column is one 1-D array of this dtype, where an id of up to
-# 15 UTF-8 bytes sits inline in 16. No id order, repeat or join is decided on it:
-# its comparisons disagree with Python's on ids that hold NUL, and numpy 2.4.6's
-# searchsorted misplaces ids of 16 or more bytes. Each is decided on the ids' keys
+# a recording-id column, when one is read, is one 1-D array of this dtype, where an
+# id of up to 15 UTF-8 bytes sits inline in 16. What is held is the ids' keys; ids
+# are decoded from them (_ids) only to be shown or handed to a caller. No id order,
+# repeat or join is decided on this dtype: its comparisons disagree with Python's
+# on ids that hold NUL, and numpy 2.4.6's searchsorted misplaces ids of 16 or more
+# bytes. Each is decided on the ids' keys
 _ID_DTYPE = np.dtypes.StringDType()
 # an id's key is its UTF-8 bytes, each raised by one (translated by _RAISED, and
 # back by _LOWERED): UTF-8 never uses 0xf5-0xff, so no key byte is 0, and keys order
@@ -73,7 +75,7 @@ def _ids(keys: np.ndarray) -> np.ndarray:
     """The id column of ``keys``, a bytes column of ASCII ids' keys or objects."""
     if keys.dtype.kind == "O":
         return np.array([key.translate(_LOWERED).decode() for key in keys.tolist()], _ID_DTYPE)
-    raw = keys.view(np.uint8).reshape(len(keys), -1)
+    raw = keys.view(np.uint8).reshape(len(keys), keys.itemsize)
     lowered = np.maximum(raw, 1) - 1  # the padding stays 0, and an id's own NUL becomes 0
     ids = lowered.view(keys.dtype).ravel().astype(_ID_DTYPE)
     # the cast drops an id's trailing NULs with the padding: put them back
@@ -150,43 +152,57 @@ class ScoreMatrix:
 class MergedTestSet:
     """Test recordings of several machines pooled within one split, as columns.
 
-    Row i is recording `ids[i]` (one numpy StringDType column), its hidden
+    Row i is recording `ids[i]`, of key `keys[i]` (_keys), its hidden
     `true_machine` code into `machines` (of the caller's integer type), its
     `is_anomaly` label and optionally `features[i]`.
     The rows are sorted by id on construction, so downstream runs are
-    reproducible. Ids are ordered and matched on their keys (_keys), which
-    order as the ids do as Python strings; ``keys`` takes them from a caller
-    that already has them. Input already in strictly increasing id order is
-    kept (arrays of the stored dtype are not copied), so a caller that later
-    mutates it should pass a copy. Scoring code consumes ids and features,
-    evaluation code the labels.
+    reproducible. Ids are ordered and matched on their keys, which order as
+    the ids do as Python strings; ``keys`` takes them from a caller that
+    already has them, and with them ``ids`` may be None. The set holds the
+    keys: ids given are kept, ids not given are decoded from the keys (one
+    numpy StringDType column) on the first read of `ids` and kept from then.
+    Input already in strictly increasing id order is kept (arrays of the
+    stored dtype are not copied), so a caller that later mutates it should
+    pass a copy. Scoring code consumes ids and features, evaluation code the
+    labels.
     """
 
-    ids: np.ndarray
+    ids: np.ndarray | None
     machines: list[str]
     true_machine: np.ndarray
     is_anomaly: np.ndarray
     split: str = "dev"
     features: np.ndarray | None = field(default=None, repr=False)
-    keys: InitVar[np.ndarray | None] = None
+    keys: np.ndarray | None = field(default=None, repr=False)
 
-    def __post_init__(self, keys: np.ndarray | None) -> None:
-        if not len(self.ids):
+    def __post_init__(self) -> None:
+        ids, keys = self.ids, self.keys
+        if ids is None and keys is None:
+            raise ProtocolError("merged test set needs its ids or their keys")
+        n = len(keys if ids is None else ids)
+        if not n:
             raise ProtocolError("merged test set is empty")
-        if not len(self.ids) == len(self.true_machine) == len(self.is_anomaly):
+        if not n == len(self.true_machine) == len(self.is_anomaly):
             raise ProtocolError("need one true machine and one label per id")
-        if self.features is not None and np.shape(self.features)[:1] != (len(self.ids),):
-            raise ProtocolError(f"need {len(self.ids)} feature rows, got {np.shape(self.features)}")
+        if self.features is not None and np.shape(self.features)[:1] != (n,):
+            raise ProtocolError(f"need {n} feature rows, got {np.shape(self.features)}")
         if self.split not in SPLITS:
             raise ProtocolError(f"unknown split {self.split!r}")
-        self.ids = _id_column(self.ids)
-        keys = _keys(self.ids) if keys is None else keys
-        if len(keys) != len(self.ids):
-            raise ProtocolError(f"need one key per id, got {len(keys)} for {len(self.ids)} ids")
+        if ids is not None:
+            ids = _id_column(ids)
+            keys = _keys(ids) if keys is None else keys
+            if len(keys) != n:
+                raise ProtocolError(f"need one key per id, got {len(keys)} for {n} ids")
         order = slice(None)  # strictly increasing keys are sorted and unique: kept as given
         if not (keys[:-1] < keys[1:]).all():
             order = _key_order(keys)
-            self.ids = self.ids[order]
+            keys = keys[order]
+            ids = None if ids is None else ids[order]
+        self.keys = keys
+        if ids is None:
+            del self.ids  # decoded on first read, by __getattr__
+        else:
+            self.ids = ids
         codes, labels = np.asarray(self.true_machine), np.asarray(self.is_anomaly)
         if codes.dtype.kind not in "iu":
             raise ProtocolError(f"true machine codes must be integers, got {codes.dtype}")
@@ -200,6 +216,13 @@ class MergedTestSet:
         self.is_anomaly = labels.astype(bool, copy=False)[order]
         if self.features is not None:
             self.features = np.asarray(self.features, dtype=float)[order]
+
+    def __getattr__(self, name: str):
+        # only a set built without ids lacks them: they are its keys decoded, kept once read
+        if name != "ids" or "keys" not in vars(self):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self.ids = _ids(self.keys)
+        return self.ids
 
     @property
     def recordings(self) -> list[Recording]:
@@ -435,7 +458,7 @@ def _report(columns: _Columns, merged: MergedTestSet, machines: Sequence[str],
     )
     identification = IdentificationStats(len(machines), len(columns.picked), n_correct,
                                          int(np.count_nonzero(columns.tied)))
-    return EvalReport(list(machines), len(merged.ids), known, unknown, identification,
+    return EvalReport(list(machines), len(merged.keys), known, unknown, identification,
                       delta_norm(known.aggregate, unknown.aggregate), config)
 
 

@@ -257,7 +257,7 @@ def run_point(
     group = scorers._BLOCK_BYTES // 2 // (8 * rows.shape[1] * config.d)
     blocks = _test_blocks(config, streams, rows, min(config.k, max(1, group)))
     specs = {machine: (scorer, ref) for machine, ref in references.items()}
-    matrix = scorers._score_blocks(specs, merged.ids, len(merged.ids), blocks)
+    matrix = scorers._score_blocks(specs, merged.ids, len(merged.keys), blocks)
     report = full_report(matrix, merged, eval_config)
     return SweepPoint(
         separation=config.separation,

@@ -1,4 +1,5 @@
-"""Writers of the versioned CSV inputs, for building test fixtures.
+"""Writers of the versioned CSV inputs, for building test fixtures, and a
+tracemalloc probe for the memory bounds.
 
 The package only reads these tables; tests write them to feed the readers
 and the CLI.
@@ -6,7 +7,8 @@ and the CLI.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+import tracemalloc
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -45,3 +47,14 @@ def label_rows(test_sets: Mapping[str, MergedTestSet]) -> list[tuple]:
     """(id, true machine, is_anomaly, split) per row of the per-split sets of read_labels."""
     return [(rec.id, rec.true_machine, rec.is_anomaly, rec.split)
             for merged in test_sets.values() for rec in merged.recordings]
+
+
+def traced(call: Callable[[], object]) -> tuple:
+    """(call(), the bytes tracemalloc counts held after it, its peak), traced from the call."""
+    tracemalloc.start()
+    try:
+        result = call()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, held, peak

@@ -32,7 +32,7 @@ from idfree_asd.protocol import (
 )
 from idfree_asd.scorers import ReferenceSet, ScorerSpec, build_score_matrix
 from idfree_asd.simulate import SimConfig, generate
-from tables import label_rows, write_features, write_labels, write_scores
+from tables import label_rows, traced, write_features, write_labels, write_scores
 from test_io_formats import (BLOCK_ROWS, JOIN_FAULTS, JOINS, small_chunks, strict_only,
                              strict_reads)
 
@@ -459,13 +459,9 @@ def test_evaluate_scores_holds_under_64_bytes_a_row_beyond_the_labels(tmp_path, 
         return test_sets
 
     monkeypatch.setattr(io_module, "read_labels", traced_read_labels)
-    tracemalloc.start()
-    try:
-        code, _, err = run(capsys, "evaluate", "--scores", str(scores), "--labels", str(labels),
-                           "--out", str(tmp_path / "report.json"))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    (code, _, err), _, peak = traced(lambda: run(capsys, "evaluate", "--scores", str(scores),
+                                                 "--labels", str(labels),
+                                                 "--out", str(tmp_path / "report.json")))
     assert (code, err) == (EXIT_OK, "")
     assert peak - held[0] < 64 * n
 

@@ -3,7 +3,6 @@ import json
 import os
 import re
 import sys
-import tracemalloc
 import warnings
 from bisect import bisect_left
 from itertools import count
@@ -15,6 +14,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import idfree_asd.io as io_module
+from idfree_asd.cli import main
 from idfree_asd.io import (
     FORMAT_LINE,
     FORMAT_VERSION,
@@ -40,7 +40,7 @@ import idfree_asd.protocol as protocol_module
 from idfree_asd.protocol import SPLITS, EvalConfig, ProtocolError, Recording, full_report
 from idfree_asd.scorers import ScorerSpec
 from idfree_asd.simulate import SimConfig, SweepPoint, generate, run_point, sweep
-from tables import label_rows, write_features, write_labels, write_scores
+from tables import label_rows, traced, write_features, write_labels, write_scores
 
 # ---------------------------------------------------------------------------
 # score tables
@@ -739,7 +739,7 @@ def test_label_join_orders_and_matches_ids_as_python_strings(tmp_path_factory, l
     assert [(rec.id, rec.true_machine, rec.is_anomaly) for merged in sets.values()
             for rec in merged.recordings] == [
         (rec_id, f"m{row_of[rec_id] % 2}", row_of[rec_id] % 3 == 0) for rec_id in order]
-    assert ids is sets.order.ids and ids.tolist() == order
+    assert ids.dtype == np.dtypes.StringDType() and ids.tolist() == order
     assert values.tolist() == [[row_of[rec_id], -row_of[rec_id] - 0.5] for rec_id in order]
     assert strict == outcome(lambda: (ids, values))
 
@@ -892,8 +892,8 @@ def test_fixtures_read_the_same_through_c_and_csv(tmp_path, monkeypatch):
     write_features(tmp_path / "reference.csv", [f"ref{i}" for i in range(6)],
                    next(iter(references.values())).vectors)
     write_labels(tmp_path / "labels.csv", merged.recordings)
-    score_order = read_labels(labels).order
-    feature_order = read_labels(tmp_path / "labels.csv").order
+    score_sets, feature_sets = read_labels(labels), read_labels(tmp_path / "labels.csv")
+    score_order, feature_order = score_sets.order, feature_sets.order
     reads = [
         lambda: read_scores(golden / "scores.csv"),
         lambda: read_scores(golden / "scores.csv", score_order),
@@ -910,13 +910,14 @@ def test_fixtures_read_the_same_through_c_and_csv(tmp_path, monkeypatch):
     assert len(strict) == len(reads)  # and csv every one
     assert not any(result[0] in ("FormatError", "ProtocolError") for result in chunked)
     # oracle: a joined read is the file-order read, each row at its id's row of {id: row}
-    for order, plain, joined in [(score_order, chunked[0][1:3], chunked[1][1:3]),
-                                 (feature_order, chunked[4], chunked[5])]:
-        lookup = dict(zip(order.ids.tolist(), count()))
+    for sets, plain, joined in [(score_sets, chunked[0][1:3], chunked[1][1:3]),
+                                (feature_sets, chunked[4], chunked[5])]:
+        ids = [rec_id for merged in sets.values() for rec_id in merged.ids.tolist()]
+        lookup = dict(zip(ids, count()))
         placed = [None] * len(lookup)
         for rec_id, row in zip(*plain):
             placed[lookup[rec_id]] = row
-        assert joined == [order.ids.tolist(), placed]
+        assert joined == [ids, placed]
 
 
 def test_read_scores_memory_is_bounded_by_the_block(tmp_path):
@@ -927,61 +928,95 @@ def test_read_scores_memory_is_bounded_by_the_block(tmp_path):
     path = tmp_path / "scores.csv"
     write_scores(path, [f"m{j}" for j in range(10)],
                  {f"r{i}": row for i, row in enumerate(matrix)})
-    tracemalloc.start()
-    try:
-        _, _, back, _ = read_scores(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    (_, _, back, _), _, peak = traced(lambda: read_scores(path))
     assert np.array_equal(back, matrix)
     assert peak < 16_000_000
 
 
-def test_read_labels_holds_at_most_34_bytes_per_id(tmp_path):
-    # what stays is a 16-byte StringDType slot, the index's 9-byte key, a 1-byte
-    # machine code and a 1-byte label per id, 27.7 bytes measured; ids held as
-    # str objects and lists of them took about 100 (19.0 MiB at 200,000)
+def test_read_labels_holds_at_most_14_bytes_per_id(tmp_path):
+    # what stays is the ids' 9-byte keys, one column that the sets and the index
+    # share, a 1-byte machine code and a 1-byte label per id, 11.6 bytes
+    # measured; no StringDType id column (16 bytes a slot, 27.7 bytes per id
+    # with it) is built until an id is read. Ids held as str objects and lists
+    # of them took about 100 (19.0 MiB at 200,000)
     path = tmp_path / "labels.csv"
     write_labels(path, [Recording(f"rec{i:06d}", f"m{i % 10}", i % 4 == 0, SPLITS[i % 2])
                         for i in range(50_000)])
-    tracemalloc.start()
-    try:
-        sets = read_labels(path)
-        held = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert [len(merged.ids) for merged in sets.values()] == [25_000, 25_000]
-    assert held <= 34 * 50_000
+    sets, held, _ = traced(lambda: read_labels(path))
+    assert [len(merged.keys) for merged in sets.values()] == [25_000, 25_000]
+    assert held <= 14 * 50_000
 
 
 @pytest.mark.parametrize("kind", ["scores", "features"])
-def test_label_order_read_returns_the_label_id_column(tmp_path, kind):
-    # the ids are held once: the table's ids are the label column itself, of
-    # which each split's set holds a slice
+def test_label_order_read_returns_the_label_id_column(tmp_path, monkeypatch, kind):
+    # the labels, and evaluate --scores on them, hold the ids' keys alone: on
+    # files that match, no id is decoded. read_scores and read_features, given
+    # the labels' order, return the labels' ids in label order
     labels, path = tmp_path / "labels.csv", tmp_path / f"{kind}.csv"
-    write_labels(labels, [Recording(f"r{i:03d}", "fan", i % 2 == 0, SPLITS[i % 2])
+    write_labels(labels, [Recording(f"r{i:03d}", f"m{i % 3}", i % 4 < 2, SPLITS[i % 2])
                           for i in range(40)])
-    _write_table(kind, path, [f"r{i:03d}" for i in range(40)], np.ones((40, 2)))
+    _write_table(kind, path, [f"r{i:03d}" for i in range(40)][::-1],
+                 np.arange(120.0).reshape(40, 3))
+    decoded, decode = [], protocol_module._ids
+
+    def counted(keys):
+        decoded.append(len(keys))
+        return decode(keys)
+
+    monkeypatch.setattr(protocol_module, "_ids", counted)
+    monkeypatch.setattr(io_module, "_ids", counted)
     sets = read_labels(labels)
+    if kind == "scores":
+        assert main(["evaluate", "--scores", str(path), "--labels", str(labels),
+                     "--out", str(tmp_path / "report.json")]) == 0
+    assert decoded == []
     ids, _ = _read_table(kind, path, sets.order)
-    assert ids is sets.order.ids
-    assert all(np.shares_memory(ids, merged.ids) for merged in sets.values())
+    expected = [f"r{i:03d}" for split in (0, 1) for i in range(split, 40, 2)]
+    assert ids.tolist() == [rec_id for merged in sets.values()
+                            for rec_id in merged.ids.tolist()] == expected
+
+
+# ids that numpy's StringDType compares or sorts wrongly, or that its cast
+# from bytes cuts short: with NUL (a trailing NUL too) and of 16 bytes or more;
+# CSV_IDS, outside ASCII, take the csv path
+ASCII_IDS = ["a\x00", "a", "\x00b", "ab\x00\x00", "p" * 16, "q" * 20 + "\x00", "a\x00b"]
+CSV_IDS = ["\xe9t\xe9", "\x00\U0001f600", "\x00\u03b1\u03b1", "\u03b1" * 9]
+
+
+@pytest.mark.parametrize("by_csv", [False, True], ids=["c", "csv"])
+def test_ids_decoded_from_the_keys_read_as_written(tmp_path, monkeypatch, by_csv):
+    # on either path, a set's ids are its keys decoded when first read: they
+    # read as written, and a mismatch names them as the str ids always did
+    if by_csv and sys.version_info < (3, 11):
+        pytest.skip("Python 3.10's csv refuses NUL")
+    ids = ASCII_IDS + (CSV_IDS if by_csv else [])
+    labels, scores = tmp_path / "labels.csv", tmp_path / "scores.csv"
+    labels.write_text("\n".join([FORMAT_LINE, "recording_id,true_machine,is_anomaly,split",
+                                 *(f"{rec_id},fan,{i % 2},dev" for i, rec_id in enumerate(ids))])
+                      + "\n", encoding="utf-8")
+    scores.write_text(f"{FORMAT_LINE}\nrecording_id,fan\n{ids[1]},1.0\n", encoding="utf-8")
+    reads = strict_reads(monkeypatch)
+    sets = read_labels(labels)
+    assert reads == (["labels.csv"] if by_csv else [])
+    assert sets["dev"].ids.tolist() == sorted(ids)
+    missing = sorted(set(ids) - {ids[1]})
+    with pytest.raises(ProtocolError) as raised:
+        read_scores(scores, sets.order)
+    assert str(raised.value) == (
+        f"scores/labels cross-reference mismatch: 0 score rows without labels [], "
+        f"{len(missing)} labeled recordings without scores {missing}")
 
 
 def test_read_labels_memory_is_bounded_by_the_chunk(tmp_path):
-    # 50,000 rows peak at ~1.9 MB: these ids do not increase in file order
+    # 50,000 rows peak at ~1.8 MB: these ids do not increase in file order
     # ("r10" sorts before "r2"), so they are sorted, as one column of keys of at
-    # most 6 bytes each, while the result (~1.4 MB) is built; a 128 KiB block's
-    # arrays add little. Sorted as str objects, the peak was 6.9 MB
+    # most 6 bytes each, while the result (~0.4 MB, the keys and two byte
+    # columns) is built; a 128 KiB block's arrays add little. Sorted as str
+    # objects, the peak was 6.9 MB
     path = tmp_path / "labels.csv"
     write_labels(path, [Recording(f"r{i}", f"m{i % 10}", i % 4 == 0, SPLITS[i % 2])
                         for i in range(50_000)])
-    tracemalloc.start()
-    try:
-        sets = read_labels(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    sets, _, peak = traced(lambda: read_labels(path))
     assert [len(merged.ids) for merged in sets.values()] == [25_000, 25_000]
     assert peak < 3_300_000
 
@@ -995,12 +1030,7 @@ def test_one_long_id_sends_the_labels_to_csv_not_to_a_padded_bytes_column(tmp_pa
     write_labels(path, recordings[:12_000] + [Recording("x" * 100_000, "fan", True, "eval")]
                  + recordings[12_000:])
     reads = strict_reads(monkeypatch)
-    tracemalloc.start()
-    try:
-        sets = read_labels(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    sets, _, peak = traced(lambda: read_labels(path))
     assert reads == ["labels.csv"]
     assert sets["dev"].ids.tolist() == [rec.id for rec in recordings]
     assert sets["eval"].ids.tolist() == ["x" * 100_000]
@@ -1017,12 +1047,7 @@ def test_one_long_id_sends_a_table_to_csv_not_to_a_padded_bytes_column(tmp_path,
     ids.insert(12_000, "x" * 100_000)
     _write_table(kind, path, ids, np.ones((len(ids), 1)))
     reads = strict_reads(monkeypatch)
-    tracemalloc.start()
-    try:
-        back_ids, values = _read_table(kind, path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    (back_ids, values), _, peak = traced(lambda: _read_table(kind, path))
     assert reads == [path.name]
     assert back_ids.tolist() == ids and values.tolist() == [[1.0]] * len(ids)
     assert peak < 10_000_000  # ~6.6 MB

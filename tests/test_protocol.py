@@ -315,6 +315,29 @@ def test_merged_set_rejects_keys_of_another_length(given):
         MergedTestSet(["a", "b"], ["fan"], [0, 0], [False, True], keys=keys)
 
 
+@pytest.mark.parametrize("kind", ["S", object])
+def test_merged_set_of_keys_alone_decodes_its_ids_once_on_first_read(monkeypatch, kind):
+    # keys as io's byte reader (ASCII ids only) or csv gives them: the set sorts
+    # and holds them, and reads its ids, trailing NULs included, only when asked
+    ids = ["b\x00", "a" * 16, "b", "a\x00\x00", "\x00"] + (["\xe9"] if kind is object else [])
+    decode, calls = protocol_module._ids, []
+    monkeypatch.setattr(protocol_module, "_ids",
+                        lambda keys: calls.append(len(keys)) or decode(keys))
+    labels = [i % 2 == 0 for i in range(len(ids))]
+    merged = MergedTestSet(None, ["fan"], [0] * len(ids), labels, keys=_keys_of(ids, kind))
+    rows = sorted(range(len(ids)), key=ids.__getitem__)
+    assert calls == []
+    assert merged.keys.tolist() == _keys_of(sorted(ids), kind).tolist()
+    assert merged.is_anomaly.tolist() == [labels[i] for i in rows]
+    assert merged.ids.tolist() == sorted(ids) and merged.ids is merged.ids
+    assert calls == [len(ids)]
+
+
+def test_merged_set_needs_its_ids_or_their_keys():
+    with pytest.raises(ProtocolError, match="^merged test set needs its ids or their keys$"):
+        MergedTestSet(None, ["fan"], [0], [True])
+
+
 @pytest.mark.parametrize("first, second", [
     ("\x00\u03b1\u03b1", "\x00\U0001f600"),  # numpy 2.4's == calls these equal
     # neither is < the other to numpy 2.4, so its sort leaves the second first

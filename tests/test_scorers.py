@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +18,7 @@ from idfree_asd.scorers import (
     scoring_function,
 )
 from oracles import euclidean, held_out_scores, k_nearest_indices, k_nearest_mean
+from tables import traced
 
 NN1 = ScorerSpec("nearest_reference", k=1)
 ZSCORE = NormalizerSpec("zscore_reference")
@@ -392,12 +392,7 @@ def test_zscore_reference_mahalanobis_memory_is_bounded_per_block():
     # all 4,000 held-out 64 x 64 covariances at once would take 131 MB
     ref = ReferenceSet("m", np.random.default_rng(4).normal(size=(4_000, 64)))
     spec = ScorerSpec("mahalanobis", normalizer=ZSCORE)
-    tracemalloc.start()
-    try:
-        scoring_function(spec, ref)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, _, peak = traced(lambda: scoring_function(spec, ref))
     assert peak < 64 * 2**20
 
 
@@ -833,12 +828,7 @@ def test_batch_memory_is_bounded_per_block():
     ref = ReferenceSet("m", rng.normal(size=(2_000, 16)))
     batch = rng.normal(size=(20_000, 16))
     fn = scoring_function(NN1, ref)
-    tracemalloc.start()
-    try:
-        fn(batch)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, _, peak = traced(lambda: fn(batch))
     assert peak < 64 * 2**20
 
 
@@ -919,12 +909,7 @@ def test_build_score_matrix_memory_is_the_block_budget_and_the_output():
              for j in range(k)}
     features = rng.normal(1.5, 1.0, size=(n, d))
     ids = np.array([f"r{i:05d}" for i in range(n)], dtype=np.dtypes.StringDType())
-    tracemalloc.start()
-    try:
-        matrix = build_score_matrix(specs, ids, features)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    matrix, _, peak = traced(lambda: build_score_matrix(specs, ids, features))
     assert matrix.values.shape == (n, k)
     assert peak < scorers._BLOCK_BYTES + matrix.values.nbytes + 4 * n * 8
 

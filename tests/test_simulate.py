@@ -4,7 +4,6 @@ import json
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +28,7 @@ from idfree_asd.simulate import (
     sweep,
 )
 from oracles import generate_oracle
+from tables import traced
 
 # ---------------------------------------------------------------------------
 # geometry
@@ -229,12 +229,7 @@ def test_generate_memory_holds_one_copy_of_the_features():
     # into id order would hold them three times over, and a draw scaled out of
     # place holds two more arrays of its size
     config = SimConfig(k=4, d=64, n_ref=2000, n_norm=5625, n_anom=1875, seed=2)
-    tracemalloc.start()
-    try:
-        references, merged = generate(config)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    (references, merged), _, peak = traced(lambda: generate(config))
     n, d = merged.features.shape
     data = merged.features.nbytes + sum(ref.vectors.nbytes for ref in references.values())
     # one machine's draws: the larger of its normal and anomaly blocks, and
@@ -379,12 +374,7 @@ def test_run_point_memory_holds_one_feature_block():
     # machine's noise peak at 21.1 MiB, generate's whole features at 27.5 MiB
     config = SimConfig(k=4, d=64, n_ref=2000, n_norm=5625, n_anom=1875, seed=2)
     run_point(SimConfig())  # numpy's lazily imported string functions
-    tracemalloc.start()
-    try:
-        point = run_point(config)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    point, _, peak = traced(lambda: run_point(config))
     assert point.error is None
     n, d = config.k * (config.n_norm + config.n_anom), config.d
     references = config.k * config.n_ref * d * 8
