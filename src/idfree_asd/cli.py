@@ -8,6 +8,7 @@ failure. Errors print one JSON object to stderr.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import sys
 from dataclasses import fields
@@ -15,17 +16,12 @@ from pathlib import Path
 
 from . import io as formats
 from .metrics import AVERAGING_MODES, MetricError, delta_norm
-from .protocol import (  # noqa: F401 -- ScoreMatrix, full_report and merge_test_sets are
-    EvalConfig,          # unused here; bench/spans.py traces through these names
-    ProtocolError,
-    ScoreMatrix,
-    _Columns,
-    _placed_columns,
-    _report,
-    full_report,
-    merge_test_sets,
-)
-from .scorers import ReferenceSet, ScorerError, build_score_matrix
+from .protocol import EvalConfig, ProtocolError, _Columns, _placed_columns, _report
+from .scorers import ReferenceSet, ScorerError, _machines, _score_blocks
+
+# bench/spans.py traces through these names
+from .protocol import ScoreMatrix, full_report, merge_test_sets  # noqa: F401
+from .scorers import build_score_matrix  # noqa: F401
 from .simulate import (
     DEFAULT_REPEATS,
     DEFAULT_SCORER,
@@ -109,7 +105,10 @@ def _cmd_evaluate(args) -> int:
         raise UsageError("--higher-is-anomalous applies to --scores files only")
     config = EvalConfig(pauc_p=args.pauc_p, average=args.avg)
     reports, higher, inputs = _split_reports(args, config)
-    # hashed once the labels and scores are released
+    # hashed once the labels and scores are released and glibc, which keeps freed heap
+    # resident until asked, has handed it back: the digest maps OpenSSL (3.5 MB resident)
+    if trim := getattr(ctypes.pythonapi, "malloc_trim", None):
+        trim(0)
     inputs = [formats.file_digest(path, role) for path, role in inputs]
     _emit(formats.evaluation_document(reports, inputs, config, higher), args.out)
     return EXIT_OK
@@ -131,18 +130,15 @@ def _split_reports(args, config: EvalConfig) -> tuple[dict, bool, list[tuple]]:
     else:
         higher = True
         manifest = formats.read_manifest(args.manifest)
-        ids, vectors = formats.read_features(manifest.features, test_sets.order)
-        specs = {}
-        for machine in sorted(manifest.references):
-            _, ref_vectors = formats.read_features(manifest.references[machine])
-            specs[machine] = (manifest.scorer, ReferenceSet(machine, ref_vectors))
+        _, vectors = formats.read_features(manifest.features, test_sets.order)
+        references = sorted(manifest.references.items())
+        specs = {machine: (manifest.scorer, ReferenceSet(machine, formats.read_features(path)[1]))
+                 for machine, path in references}
         inputs = [(args.manifest, "manifest"), (manifest.features, "features"),
-                  (args.labels, "labels")] + [(manifest.references[m], f"reference:{m}")
-                                              for m in sorted(manifest.references)]
-        matrix = build_score_matrix(specs, ids, vectors)
-        machines = matrix.machines
+                  (args.labels, "labels")] + [(path, f"reference:{m}") for m, path in references]
+        machines = _machines(specs)
         columns, place = _placed_columns(machines, test_sets.values(), False)
-        place(slice(None), matrix.values)
+        _score_blocks(specs, [(slice(None), vectors)], place)
     reports, stop = {}, 0
     for split, merged in test_sets.items():
         start, stop = stop, stop + len(merged.keys)

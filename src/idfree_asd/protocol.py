@@ -396,9 +396,7 @@ def _placed_columns(machines: Sequence[str], sets: Iterable[MergedTestSet], nega
 
 def _matrix_report(matrix: ScoreMatrix, merged: MergedTestSet, config: EvalConfig) -> EvalReport:
     """_report over the _Columns of a whole matrix, whose rows must be the merged set's."""
-    # a matrix built on the merged set's own id column (as simulate's is) needs no compare
-    if matrix.ids is not merged.ids and (got := matrix.ids.tolist()) != (
-            ids := merged.ids.tolist()):
+    if (got := matrix.ids.tolist()) != (ids := merged.ids.tolist()):
         i = next((i for i, (a, b) in enumerate(zip(got, ids)) if a != b), None)
         where = (f"{len(got)} rows for {len(ids)} recordings" if i is None
                  else f"row {i} is {got[i]!r}, not {ids[i]!r}")

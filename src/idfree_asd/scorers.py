@@ -39,8 +39,8 @@ EPSILON_FLOOR = 1e-12
 
 # feature values beyond this magnitude are rejected: the square of a difference
 # of two values within it is at most 4e200, which stays finite when summed over
-# as many features, reference rows and kernel terms as memory can hold, and
-# when divided by the smallest default loading, EPSILON_FLOOR
+# as many features, reference rows and kernel terms as memory can hold, and when
+# divided by EPSILON_FLOOR (a smaller explicit epsilon can overflow a score)
 _LARGEST = 1e100
 
 # query rows go through the distance kernel in blocks whose float64 products
@@ -419,14 +419,17 @@ def scoring_function(
         if m:
             distances, nearest = _nearest(batch, ref, m)
         if spec.kind == "nearest_reference":
-            raw = distances[:, : spec.k].mean(axis=1)
+            scores = distances[:, : spec.k].mean(axis=1)
         else:
-            raw = _mahalanobis(whitening, ref.mean, batch)
+            scores = _mahalanobis(whitening, ref.mean, batch)
         if norm.kind == "zscore_reference":
-            return (raw - mu) / sigma
-        if spacings is not None:
-            return raw / spacings[nearest[:, : norm.k_norm]].mean(axis=1)
-        return raw
+            scores = (scores - mu) / sigma
+        elif spacings is not None:
+            scores = scores / spacings[nearest[:, : norm.k_norm]].mean(axis=1)
+        if not np.isfinite(scores).all():
+            raise ScorerError(f"scores against {ref.machine!r} overflow to non-finite values "
+                              f"(with mahalanobis, use a larger epsilon)")
+        return scores
 
     return _batch
 
@@ -439,29 +442,33 @@ def build_score_matrix(
     `features` is an (n, d) array with row i for ids[i]; true machine labels
     never reach the scoring stage. Column order is sorted machine name.
     """
-    # one row per feature row: ScoreMatrix refuses a count other than len(ids);
-    # features of no dimension fail in the scorer
-    n = len(features) if np.ndim(features) else 0
-    return _score_blocks(specs, ids, n, [(slice(None), features)])
+    if specs and not len(ids):  # no specs: _score_blocks says so first
+        raise ScorerError("no recordings to score")
+    # one block of every row, whose scores are the values (ScoreMatrix checks their count)
+    values = []
+    _score_blocks(specs, [(slice(None), features)], lambda _, scores: values.append(scores))
+    return ScoreMatrix(_machines(specs), ids, values[0])
+
+
+def _machines(specs: Mapping[str, tuple[ScorerSpec, ReferenceSet]]) -> list[str]:
+    """The score columns of ``specs``: their machine names, sorted."""
+    if not specs:
+        raise ScorerError("no machine scorers configured")
+    return sorted(specs)
 
 
 def _score_blocks(
     specs: Mapping[str, tuple[ScorerSpec, ReferenceSet]],
-    ids: Sequence[str],
-    n: int,
     blocks: Iterable[tuple[np.ndarray | slice, np.ndarray]],
-) -> ScoreMatrix:
-    """The score matrix of `build_score_matrix`, filled from (rows, features)
-    blocks: each block is scored by every machine and its scores land in the
-    given rows of the (n, k) values. Each machine's scorer is built once."""
-    if not specs:
-        raise ScorerError("no machine scorers configured")
-    if not len(ids):
-        raise ScorerError("no recordings to score")
-    machines = sorted(specs)
-    batches = [scoring_function(*specs[machine]) for machine in machines]
-    values = np.empty((n, len(machines)))
+    place: Callable[[np.ndarray | slice, np.ndarray], None],
+) -> None:
+    """Score each (rows, features) block against every machine and pass its
+    (b, k) scores, columns in _machines order, to place(rows, scores). Each
+    machine's scorer is built once; each block's scores are a new array."""
+    batches = [scoring_function(*specs[machine]) for machine in _machines(specs)]
     for rows, block in blocks:
+        # features of no dimension fail in the scorer
+        scores = np.empty((len(block) if np.ndim(block) else 0, len(batches)))
         for j, batch in enumerate(batches):
-            values[rows, j] = batch(block)
-    return ScoreMatrix(machines, ids, values)
+            scores[:, j] = batch(block)
+        place(rows, scores)

@@ -16,12 +16,12 @@ from typing import Sequence
 import numpy as np
 
 from .metrics import MetricError
-from .protocol import EvalConfig, MergedTestSet, ProtocolError, _id_column, _key_order, full_report
+from .protocol import EvalConfig, MergedTestSet, ProtocolError, _key_order, _placed_columns, _report
 from . import scorers
 from .scorers import ReferenceSet, ScorerError, ScorerSpec, _finite_number, _whole
 
 # bench/spans.py traces through these names
-from .protocol import merge_test_sets  # noqa: F401
+from .protocol import full_report, merge_test_sets  # noqa: F401
 from .scorers import build_score_matrix  # noqa: F401
 
 __all__ = [
@@ -125,9 +125,8 @@ def _machine_name(index: int) -> str:
     return f"machine{index + 1:02d}"
 
 
-def _draw_setup(
-    config: SimConfig, features: np.ndarray | None = None
-) -> tuple[list, dict[str, ReferenceSet], MergedTestSet, np.ndarray]:
+def _draw_setup(config: SimConfig) -> tuple[list, dict[str, ReferenceSet], MergedTestSet,
+                                            np.ndarray]:
     """Each machine's (random stream, cluster center) with its references
     drawn, the reference sets, the merged test set in id order, and
     rows[m, j], the id-order row of machine m's j-th test vector to draw.
@@ -145,23 +144,21 @@ def _draw_setup(
         refs *= config.spread
         refs += center
         references[_machine_name(index)] = ReferenceSet(_machine_name(index), refs)
-    # draws run machine by machine, normals first
-    numbers = [np.char.zfill(np.arange(count).astype(str), 4)
+    # draws run machine by machine, normals first; the ids are ASCII without
+    # NUL, built as bytes: each key is an id's bytes, every byte but the padding raised
+    numbers = [np.char.zfill(np.arange(count).astype(bytes), 4)
                for count in (config.n_norm, config.n_anom)]
-    ids = np.concatenate([np.char.add(f"{machine}-{kind}", number)
-                          for machine in references for kind, number in zip("na", numbers)])
-    # the ids are ASCII without NUL: each key is an id's bytes, every byte but the padding raised
-    keys = ids.astype(bytes)
+    keys = np.concatenate([np.char.add(f"{machine}-{kind}".encode(), number)
+                           for machine in references for kind, number in zip("na", numbers)])
     raw = keys.view(np.uint8)
     raw += raw > 0
     order = _key_order(keys)
     per_machine = config.n_norm + config.n_anom
     merged = MergedTestSet(
-        _id_column(ids[order]),
+        None,
         list(references),
         order // per_machine,
         order % per_machine >= config.n_norm,
-        features=features,
         keys=keys[order],
     )
     return streams, references, merged, np.argsort(order).reshape(config.k, per_machine)
@@ -204,15 +201,13 @@ def generate(config: SimConfig) -> tuple[dict[str, ReferenceSet], MergedTestSet]
     """Draw per-machine reference sets and a merged, featured test set.
 
     Every machine's references are drawn first, then the test vectors, one
-    machine at a time into one reused buffer. Each machine's vectors are
-    written straight to their rows of one (n, d) array in id order, so the
-    test set gets its features already sorted. `run_point` scores the same
-    values without holding this array.
+    machine at a time into one reused buffer and from it to their rows of one
+    (n, d) array in id order; the test set holds its ids as keys, decoding
+    `ids` on first read. `run_point` scores the same values without holding
+    this array.
     """
-    # the test set keeps the array it is given, already in id order: its rows
-    # are filled in place
-    n = config.k * (config.n_norm + config.n_anom)
-    streams, references, merged, rows = _draw_setup(config, np.empty((n, config.d)))
+    streams, references, merged, rows = _draw_setup(config)
+    merged.features = np.empty((rows.size, config.d))  # its rows filled in place, in id order
     for ids_rows, block in _test_blocks(config, streams, rows, 1):
         merged.features[ids_rows] = block
     return references, merged
@@ -246,19 +241,23 @@ def run_point(
 ) -> SweepPoint:
     """Draw one dataset, score it, and condense the report to a point.
 
-    The values are those of `generate` scored by `build_score_matrix`, but
-    the (n, d) features are never held: after every machine's references,
-    the test vectors are drawn into one reused block of as many whole
-    machines as fit in half the kernel's block budget (at least one), the
-    half that its float32 screen of a block leaves, and each block is scored
-    against every machine before the next is drawn.
+    The report is `full_report` of `generate`'s values scored by
+    `build_score_matrix`, but no id is decoded and neither the (n, d)
+    features nor the (n, k) scores are held: after every machine's
+    references, the test vectors are drawn into one reused block of as many
+    whole machines as fit in half the kernel's block budget (at least one),
+    the half its float32 screen of a block leaves, and each block is scored
+    against every machine and reduced to the protocols' columns before the
+    next is drawn.
     """
     streams, references, merged, rows = _draw_setup(config)
     group = scorers._BLOCK_BYTES // 2 // (8 * rows.shape[1] * config.d)
     blocks = _test_blocks(config, streams, rows, min(config.k, max(1, group)))
     specs = {machine: (scorer, ref) for machine, ref in references.items()}
-    matrix = scorers._score_blocks(specs, merged.ids, len(merged.keys), blocks)
-    report = full_report(matrix, merged, eval_config)
+    machines = scorers._machines(specs)
+    columns, place = _placed_columns(machines, [merged], False)
+    scorers._score_blocks(specs, blocks, place)
+    report = _report(columns, merged, machines, eval_config)
     return SweepPoint(
         separation=config.separation,
         repeat=repeat,

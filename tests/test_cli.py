@@ -6,12 +6,15 @@ import sys
 import tracemalloc
 from dataclasses import asdict, fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import idfree_asd.cli as cli
 import idfree_asd.io as io_module
+import idfree_asd.simulate as simulate
+from idfree_asd import protocol
 from idfree_asd.cli import EXIT_DATA, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 from idfree_asd.io import (
     FORMAT_LINE,
@@ -38,6 +41,10 @@ from test_io_formats import (BLOCK_ROWS, JOIN_FAULTS, JOINS, small_chunks, stric
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
+# 3 machines of 8 references in d=3 and 36 recordings in two splits, the labels
+# shuffled and the features listed in reverse, with one manifest for each of
+# the reference-norm benchmark's scorer set-ups
+MANIFEST = DATA / "manifest"
 
 
 def run(capsys, *argv):
@@ -215,6 +222,22 @@ def test_evaluate_builds_no_recordings(tmp_path, capsys, monkeypatch, source):
     code, _, _ = run(capsys, "evaluate", f"--{source}", str(path), "--labels", str(labels))
     assert code == EXIT_OK
     assert built == []
+
+
+@pytest.mark.parametrize("libc", ["glibc", "no malloc_trim"])
+def test_evaluate_hands_freed_memory_back_before_the_digests(capsys, monkeypatch, libc):
+    # glibc keeps freed heap resident until asked; the first digest maps OpenSSL,
+    # so the released labels and columns are trimmed first, where that can be done
+    calls = []
+    libc_calls = {"malloc_trim": lambda pad: calls.append(("trim", pad))} if libc == "glibc" else {}
+    monkeypatch.setattr(cli, "ctypes", SimpleNamespace(pythonapi=SimpleNamespace(**libc_calls)))
+    digest = io_module.file_digest
+    monkeypatch.setattr(io_module, "file_digest",
+                        lambda path, role: calls.append(role) or digest(path, role))
+    code, out, _ = run(capsys, "evaluate", "--scores", str(GOLDEN / "scores.csv"),
+                       "--labels", str(GOLDEN / "labels.csv"))
+    assert code == EXIT_OK and out == (GOLDEN / "report.json").read_text()
+    assert calls == [("trim", 0)] * (libc == "glibc") + ["scores", "labels"]
 
 
 def test_evaluate_harmonic_pooling_with_inverted_scorer_is_zero(tmp_path, capsys):
@@ -784,6 +807,63 @@ def test_evaluate_manifest_epsilon_too_small_is_data_error(tmp_path, capsys, nor
     assert code == EXIT_DATA
     message = stderr_json(err)["message"]
     assert "'machine01'" in message and "epsilon=1e-30" in message
+
+
+def test_evaluate_manifest_scores_that_overflow_are_data_error(tmp_path, capsys):
+    # epsilon=1e-300 whitens fan's all-zero references by 1e150, so r1 scores
+    # past the float range against fan; r1 is valve's, and its finite valve
+    # score is its minimum, so neither protocol would read the non-finite cell
+    write_features(tmp_path / "ref_fan.csv", ["f0", "f1", "f2"], np.zeros((3, 2)))
+    write_features(tmp_path / "ref_valve.csv", ["v0", "v1", "v2", "v3"],
+                   [[0.0, 1.0], [2.0, 0.0], [1.0, 3.0], [3.0, 2.0]])
+    write_features(tmp_path / "features.csv", ["r1", "r2"], [[1e100, 0.0], [1.0, 1.0]])
+    labels = tmp_path / "labels.csv"
+    write_labels(labels, [Recording("r1", "valve", False), Recording("r2", "valve", True)])
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({
+        "format": FORMAT_VERSION, "scorer": {"kind": "mahalanobis", "epsilon": 1e-300},
+        "features": "features.csv",
+        "machines": [{"name": m, "reference": f"ref_{m}.csv"} for m in ("fan", "valve")],
+    }))
+    code, _, err = run(capsys, "evaluate", "--manifest", str(manifest), "--labels", str(labels))
+    assert code == EXIT_DATA
+    assert stderr_json(err)["message"] == ("scores against 'fan' overflow to non-finite values "
+                                           "(with mahalanobis, use a larger epsilon)")
+
+
+@pytest.mark.parametrize("setup", ["mahalanobis-zscore", "knn2-zscore", "knn2-density"])
+def test_evaluate_manifest_reproduces_the_frozen_report(tmp_path, capsys, setup):
+    out = tmp_path / f"manifest-{setup}.json"
+    code, _, _ = run(capsys, "evaluate", "--manifest", str(MANIFEST / f"{setup}.json"),
+                     "--labels", str(MANIFEST / "labels.csv"), "--out", str(out))
+    assert code == EXIT_OK
+    assert out.read_bytes() == (GOLDEN / out.name).read_bytes()
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep", "evaluate --manifest"])
+def test_commands_build_no_score_matrix_and_no_simulated_id(tmp_path, capsys, monkeypatch,
+                                                              command):
+    # each scored block is reduced to the protocols' columns as it is placed:
+    # no command builds a ScoreMatrix, and a simulated test set holds its ids'
+    # keys only, none given as ids or decoded
+    built, decoded, sets = [], [], []
+    post_init, ids, merged_set = ScoreMatrix.__post_init__, protocol._ids, simulate.MergedTestSet
+    monkeypatch.setattr(ScoreMatrix, "__post_init__",
+                        lambda matrix: built.append(matrix) or post_init(matrix))
+    monkeypatch.setattr(protocol, "_ids", lambda keys: decoded.append(keys) or ids(keys))
+    monkeypatch.setattr(simulate, "MergedTestSet",
+                        lambda *args, **kwargs: sets.append(merged_set(*args, **kwargs)) or sets[-1])
+    if command == "evaluate --manifest":
+        argv = ["evaluate", "--manifest", str(MANIFEST / "knn2-density.json"),
+                "--labels", str(MANIFEST / "labels.csv")]
+    else:
+        argv = [command, *SMALL_SIM, "--out", str(tmp_path / "out.json")]
+    code, _, _ = run(capsys, *argv, *(["--repeats", "2"] if command == "sweep" else []))
+    assert code == EXIT_OK
+    assert built == [] and decoded == []
+    assert len(sets) == {"simulate": 1, "sweep": 2 * len(simulate.DEFAULT_SEPARATIONS),
+                         "evaluate --manifest": 0}[command]
+    assert not any("ids" in vars(merged) for merged in sets)
 
 
 @pytest.mark.parametrize("field, value", [("epsilon", "0.1"), ("epsilon", 1e999),

@@ -958,6 +958,23 @@ def test_build_score_matrix_rejects_empty_config():
                            np.zeros((0, 2)))
 
 
+@pytest.mark.parametrize("call", ["scoring_function", "build_score_matrix"])
+def test_scores_that_overflow_are_a_scorer_error_naming_the_machine(call):
+    # epsilon=1e-300 whitens all-zero references by 1e150, so [1e100, 0] scores
+    # past the float range, and numpy warns of nothing; in the matrix, fan's
+    # column is neither r1's least nor, with r1 valve's, its true machine's
+    spec = ScorerSpec("mahalanobis", epsilon=1e-300)
+    fan = ReferenceSet("fan", np.zeros((3, 2)))
+    valve = ReferenceSet("valve", [[0.0, 1.0], [2.0, 0.0], [1.0, 3.0]])
+    x = np.array([[1e100, 0.0]])
+    with pytest.raises(ScorerError, match=r"^scores against 'fan' overflow to non-finite "
+                                          r"values \(with mahalanobis, use a larger epsilon\)$"):
+        if call == "scoring_function":
+            scoring_function(spec, fan)(x)
+        else:
+            build_score_matrix({"fan": (spec, fan), "valve": (spec, valve)}, ["r1"], x)
+
+
 def test_scoring_never_reads_hidden_labels():
     # the scoring stage takes ids and a feature block only: no labels reach it
     rng = np.random.default_rng(67)

@@ -367,11 +367,11 @@ def test_run_point_equals_the_library_path(config, scorer, group, monkeypatch):
 
 
 def test_run_point_memory_holds_one_feature_block():
-    # the knn-point benchmark config: the (n, d) features (14.6 MiB) are never
-    # held, only one block of whole machines in half the block budget (one
-    # here, 3.7 MiB) and one piece of anomaly noise. Peak 16.5 MiB against a
-    # 17.1 MiB bound; blocks of two machines in the whole budget and a whole
-    # machine's noise peak at 21.1 MiB, generate's whole features at 27.5 MiB
+    # the knn-point benchmark config: neither the (n, d) features (14.6 MiB)
+    # nor the (n, k) scores are held, only one block of whole machines in half
+    # the block budget (one here, 3.7 MiB), one piece of anomaly noise and the
+    # four columns the protocols read. Peak 16.4 MiB against a 16.6 MiB bound;
+    # holding the (n, k) scores and an id column beside the keys, it was 17.0 MiB
     config = SimConfig(k=4, d=64, n_ref=2000, n_norm=5625, n_anom=1875, seed=2)
     run_point(SimConfig())  # numpy's lazily imported string functions
     point, _, peak = traced(lambda: run_point(config))
@@ -382,9 +382,10 @@ def test_run_point_memory_holds_one_feature_block():
     block = scorers._BLOCK_BYTES // 2 + simulate._NOISE_ROWS * d * 8
     # the kernel's float32 screen, and its centred copy of one machine's references
     kernel = scorers._BLOCK_BYTES // 2 + config.n_ref * d * 8
-    # the (n, k) values, the ids (16-byte StringDType cells), and the id order,
-    # its inverse and the true machine codes
-    columns = n * config.k * 8 + n * 16 + 3 * n * 8
+    # the protocols' columns (protocol._Columns, 18 bytes a row below 256
+    # machines), the 15-byte keys, and the id order, its inverse and the true
+    # machine codes
+    columns = n * 18 + n * 15 + 3 * n * 8
     # the kernel's float64 work on one block of rows and the small arrays
     slack = 2 * 2**20
     assert peak < references + block + kernel + columns + slack
@@ -392,13 +393,15 @@ def test_run_point_memory_holds_one_feature_block():
 
 def test_cli_writes_the_same_bytes_under_1_and_2_blas_threads(tmp_path):
     # the distance kernel's float64 products go through BLAS, whose blocking
-    # follows its thread count; a point's scores must not
+    # follows its thread count; a point's scores must not, and each output is
+    # the frozen one in tests/data/golden
     root = Path(scorers.__file__).parents[1]
+    golden = Path(__file__).parent / "data" / "golden"
     path = os.pathsep.join(filter(None, [str(root), os.environ.get("PYTHONPATH")]))
     knn = ["--k", "4", "--d", "64", "--n-ref", "2000", "--n-norm", "5625", "--n-anom", "1875",
            "--separation", "8", "--seed", "3"]
-    for name, args in {"default": ["simulate"], "knn-point": ["simulate", *knn],
-                       "sweep": ["sweep"]}.items():
+    for name, args in {"simulate-default": ["simulate"], "simulate-knn-point": ["simulate", *knn],
+                       "sweep-default": ["sweep"]}.items():
         written = []
         for threads in ("1", "2"):
             out = tmp_path / f"{name}-{threads}.json"
@@ -410,6 +413,8 @@ def test_cli_writes_the_same_bytes_under_1_and_2_blas_threads(tmp_path):
             assert done.returncode == 0, done.stderr
             written.append((out.read_bytes(), out.with_suffix(".csv").read_bytes()))
         assert written[0] == written[1], name
+        assert written[0] == ((golden / f"{name}.json").read_bytes(),
+                              (golden / f"{name}.csv").read_bytes()), name
 
 
 # ---------------------------------------------------------------------------
