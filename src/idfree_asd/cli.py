@@ -130,9 +130,10 @@ def _split_reports(args, config: EvalConfig) -> tuple[dict, bool, list[tuple]]:
     else:
         higher = True
         manifest = formats.read_manifest(args.manifest)
-        _, vectors = formats.read_features(manifest.features, test_sets.order)
+        # the ids are matched as keys and never decoded
+        _, vectors = formats._feature_table(manifest.features, test_sets.order)
         references = sorted(manifest.references.items())
-        specs = {machine: (manifest.scorer, ReferenceSet(machine, formats.read_features(path)[1]))
+        specs = {machine: (manifest.scorer, ReferenceSet(machine, formats._feature_table(path)[1]))
                  for machine, path in references}
         inputs = [(args.manifest, "manifest"), (manifest.features, "features"),
                   (args.labels, "labels")] + [(path, f"reference:{m}") for m, path in references]

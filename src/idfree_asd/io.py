@@ -510,6 +510,12 @@ def read_labels(path) -> dict[str, MergedTestSet]:
 def read_features(path, index: _LabelOrder | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Read per-recording feature vectors as (ids, (n, d) array), in read_scores' row order
     and with its ids."""
+    keys, values = _feature_table(path, index)
+    return _ids(keys), values
+
+
+def _feature_table(path, index: _LabelOrder | None = None) -> tuple[np.ndarray, np.ndarray]:
+    # read_features with the ids' keys, not the ids
     path = Path(path)
     rows = _rows(path, chunked=True)
     header_no, header = next(rows)
@@ -517,8 +523,7 @@ def read_features(path, index: _LabelOrder | None = None) -> tuple[np.ndarray, n
     expected = ["recording_id"] + [f"f_{i}" for i in range(d)]
     if header != expected or d < 1:
         raise FormatError(f"{path.name}:{header_no}: header must be recording_id,f_0,...,f_{{d-1}}")
-    keys, values = _float_rows(path, rows, header, "feature", index)
-    return _ids(keys), values
+    return _float_rows(path, rows, header, "feature", index)
 
 
 @dataclass(frozen=True)

@@ -45,9 +45,11 @@ _LARGEST = 1e100
 
 # query rows go through the distance kernel in blocks whose float64 products
 # with every reference fit in this many bytes, the float32 screen values in
-# half of it, so memory per machine stays bounded as the number of scored
-# recordings grows; simulate.run_point draws its test vectors in blocks of
-# whole machines that fit in the other half, so it never holds all of them
+# half of it, and the Mahalanobis scorer's centred and whitened rows in all of
+# it, so memory per machine stays bounded as the number of scored recordings
+# grows; simulate.run_point draws its test vectors in blocks of an eighth of
+# it (or of one machine's anomalies, when they take more), so it never holds
+# all of them
 _BLOCK_BYTES = 8 * 2**20
 
 # the nearest-reference screen: unit roundoffs of float32 and float64; the
@@ -201,9 +203,16 @@ def _whitening(spec: ScorerSpec, machine: str, covariance: np.ndarray) -> np.nda
 
 
 def _mahalanobis(whitening: np.ndarray, mean: np.ndarray, batch: np.ndarray) -> np.ndarray:
-    # einsum whitens row by row, so a score does not depend on the rest of the batch
-    whitened = np.einsum("kj,ij->ik", whitening, batch - mean)
-    return np.sqrt(np.einsum("ij,ij->i", whitened, whitened))
+    # in blocks of rows whose two float64 temporaries, the centred and the
+    # whitened rows, fit in _BLOCK_BYTES; einsum whitens row by row, so a score
+    # does not depend on the rest of the batch or on the blocking
+    scores = np.empty(len(batch))
+    rows = max(1, _BLOCK_BYTES // (16 * batch.shape[1]))
+    for start in range(0, len(batch), rows):
+        whitened = np.einsum("kj,ij->ik", whitening, batch[start:start + rows] - mean)
+        np.sqrt(np.einsum("ij,ij->i", whitened, whitened), out=scores[start:start + rows])
+        del whitened  # freed before the next block is centred
+    return scores
 
 
 def _nearest(

@@ -164,51 +164,64 @@ def _draw_setup(config: SimConfig) -> tuple[list, dict[str, ReferenceSet], Merge
     return streams, references, merged, np.argsort(order).reshape(config.k, per_machine)
 
 
-def _test_blocks(config: SimConfig, streams: list, rows: np.ndarray, group: int):
-    """Every machine's test vectors, `group` whole machines at a time in draw
-    order, as (id-order rows, block) pairs; each block reuses one buffer.
+def _test_blocks(config: SimConfig, streams: list, rows: np.ndarray):
+    """Every machine's test vectors in draw order, as (id-order rows, block)
+    pairs; each block reuses one buffer of at most max(capacity, n_anom)
+    rows, where the capacity is as many rows as fit in an eighth of the
+    kernel's block budget (at least one).
 
     A machine draws its normals, then its anomalies: anomaly_offset along a
     uniform random direction, then cluster noise, _NOISE_ROWS rows at a time
-    into one small buffer. The draws are scaled and shifted in place, in the
-    operation order of `center + spread * noise`, so every value is bit for
-    bit what that expression gives.
+    into one small buffer. A block ends when the buffer is full, so it may end
+    inside a machine's normals, or before anomalies it cannot hold whole: all
+    of their directions come before their noise in the stream. The stream
+    gives the same values in pieces as in one draw. The draws are scaled and
+    shifted in place, in the operation order of `center + spread * noise`, so
+    every value is bit for bit what that expression gives.
     """
-    block = np.empty((group, rows.shape[1], config.d))
+    capacity = max(1, scorers._BLOCK_BYTES // 8 // (8 * config.d))
+    # no more rows than the point has: a buffer of the whole eighth raised
+    # the default sweep's peak RSS by 0.4 MB
+    block = np.empty((max(min(capacity, rows.size), config.n_anom), config.d))
     noise = np.empty((min(config.n_anom, _NOISE_ROWS), config.d))
-    for first in range(0, config.k, group):
-        machines = streams[first:first + group]
-        for (rng, center), out in zip(machines, block):
-            normals, anomalies = out[:config.n_norm], out[config.n_norm:]
-            rng.standard_normal(out=normals)
-            normals *= config.spread
-            normals += center
-            rng.standard_normal(out=anomalies)
-            norms = np.linalg.norm(anomalies, axis=1, keepdims=True)
-            anomalies /= np.where(norms == 0.0, 1.0, norms)
-            anomalies *= config.anomaly_offset
-            anomalies += center
-            # the stream gives the same values in pieces as in one draw
-            for start in range(0, config.n_anom, _NOISE_ROWS):
-                piece = anomalies[start:start + _NOISE_ROWS]
-                drawn = rng.standard_normal(out=noise[:len(piece)])
-                drawn *= config.spread
-                piece += drawn
-        yield rows[first:first + group].ravel(), block[:len(machines)].reshape(-1, config.d)
+    order, start, stop = rows.ravel(), 0, 0  # the block holds draw rows [start, stop)
+    for rng, center in streams:
+        for count, anomalous in ((config.n_norm, False), (config.n_anom, True)):
+            while count:
+                if stop - start + (count if anomalous else 1) > len(block):
+                    yield order[start:stop], block[:stop - start]
+                    start = stop
+                out = block[stop - start:][:count]
+                stop, count = stop + len(out), count - len(out)
+                rng.standard_normal(out=out)
+                if anomalous:
+                    norms = np.linalg.norm(out, axis=1, keepdims=True)
+                    out /= np.where(norms == 0.0, 1.0, norms)
+                    out *= config.anomaly_offset
+                    out += center
+                    for first in range(0, len(out), _NOISE_ROWS):
+                        piece = out[first:first + _NOISE_ROWS]
+                        drawn = rng.standard_normal(out=noise[:len(piece)])
+                        drawn *= config.spread
+                        piece += drawn
+                else:
+                    out *= config.spread
+                    out += center
+    yield order[start:stop], block[:stop - start]
 
 
 def generate(config: SimConfig) -> tuple[dict[str, ReferenceSet], MergedTestSet]:
     """Draw per-machine reference sets and a merged, featured test set.
 
-    Every machine's references are drawn first, then the test vectors, one
-    machine at a time into one reused buffer and from it to their rows of one
-    (n, d) array in id order; the test set holds its ids as keys, decoding
+    Every machine's references are drawn first, then the test vectors, in
+    `run_point`'s blocks into one reused buffer and from it to their rows of
+    one (n, d) array in id order; the test set holds its ids as keys, decoding
     `ids` on first read. `run_point` scores the same values without holding
     this array.
     """
     streams, references, merged, rows = _draw_setup(config)
     merged.features = np.empty((rows.size, config.d))  # its rows filled in place, in id order
-    for ids_rows, block in _test_blocks(config, streams, rows, 1):
+    for ids_rows, block in _test_blocks(config, streams, rows):
         merged.features[ids_rows] = block
     return references, merged
 
@@ -244,15 +257,15 @@ def run_point(
     The report is `full_report` of `generate`'s values scored by
     `build_score_matrix`, but no id is decoded and neither the (n, d)
     features nor the (n, k) scores are held: after every machine's
-    references, the test vectors are drawn into one reused block of as many
-    whole machines as fit in half the kernel's block budget (at least one),
-    the half its float32 screen of a block leaves, and each block is scored
-    against every machine and reduced to the protocols' columns before the
-    next is drawn.
+    references, the test vectors are drawn in draw order into one reused
+    block of at most an eighth of the kernel's block budget, or of one
+    machine's anomalies when they take more (`_test_blocks`), and each block
+    is scored against every machine and reduced to the protocols' columns
+    before the next is drawn. Small machines share a block, so a small point
+    makes one scoring call per machine.
     """
     streams, references, merged, rows = _draw_setup(config)
-    group = scorers._BLOCK_BYTES // 2 // (8 * rows.shape[1] * config.d)
-    blocks = _test_blocks(config, streams, rows, min(config.k, max(1, group)))
+    blocks = _test_blocks(config, streams, rows)
     specs = {machine: (scorer, ref) for machine, ref in references.items()}
     machines = scorers._machines(specs)
     columns, place = _placed_columns(machines, [merged], False)

@@ -844,13 +844,15 @@ def test_evaluate_manifest_reproduces_the_frozen_report(tmp_path, capsys, setup)
 def test_commands_build_no_score_matrix_and_no_simulated_id(tmp_path, capsys, monkeypatch,
                                                               command):
     # each scored block is reduced to the protocols' columns as it is placed:
-    # no command builds a ScoreMatrix, and a simulated test set holds its ids'
-    # keys only, none given as ids or decoded
+    # no command builds a ScoreMatrix, a simulated test set holds its ids'
+    # keys only, none given as ids or decoded, and no feature file's ids are
+    # decoded
     built, decoded, sets = [], [], []
     post_init, ids, merged_set = ScoreMatrix.__post_init__, protocol._ids, simulate.MergedTestSet
     monkeypatch.setattr(ScoreMatrix, "__post_init__",
                         lambda matrix: built.append(matrix) or post_init(matrix))
-    monkeypatch.setattr(protocol, "_ids", lambda keys: decoded.append(keys) or ids(keys))
+    for module in (protocol, io_module):
+        monkeypatch.setattr(module, "_ids", lambda keys: decoded.append(keys) or ids(keys))
     monkeypatch.setattr(simulate, "MergedTestSet",
                         lambda *args, **kwargs: sets.append(merged_set(*args, **kwargs)) or sets[-1])
     if command == "evaluate --manifest":

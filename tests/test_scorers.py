@@ -192,6 +192,34 @@ def test_mahalanobis_affine_invariance():
     assert after == pytest.approx(before, abs=1e-6)
 
 
+@pytest.mark.parametrize("rows", [1, 7])
+def test_mahalanobis_in_row_blocks_gives_the_unblocked_scores(rows, monkeypatch):
+    # 100 rows in one block, then in blocks of `rows` (7 leaves a ragged last
+    # block): einsum whitens row by row, so the scores are bit-equal
+    rng = np.random.default_rng(17)
+    ref = ReferenceSet("m", rng.normal(size=(50, 5)))
+    batch = rng.normal(size=(100, 5))
+    fn = scoring_function(ScorerSpec("mahalanobis"), ref)
+    whole = fn(batch)
+    monkeypatch.setattr(scorers, "_BLOCK_BYTES", 16 * 5 * rows)
+    assert fn(batch).tobytes() == whole.tobytes()
+
+
+def test_mahalanobis_memory_beyond_its_scores_does_not_grow_with_the_batch():
+    # 10,000 and 40,000 rows at d = 64: the centred and whitened rows of one
+    # block take the block budget (8 MiB) either way; unblocked, the two
+    # (n, d) temporaries took 9.7 and 38.8 MiB
+    rng = np.random.default_rng(19)
+    ref = ReferenceSet("m", rng.normal(size=(200, 64)))
+    whitening = scorers._whitening(ScorerSpec("mahalanobis"), "m", ref.covariance)
+    beyond = []
+    for n in (10_000, 40_000):
+        batch = rng.normal(size=(n, 64))
+        scores, _, peak = traced(lambda: scorers._mahalanobis(whitening, ref.mean, batch))
+        beyond.append(peak - scores.nbytes)
+    assert beyond[1] < beyond[0] + 2**16
+
+
 def test_score_rejects_bad_vectors():
     ref = ReferenceSet("m", [[0.0, 0.0], [1.0, 1.0]])
     with pytest.raises(ScorerError, match="dimension"):

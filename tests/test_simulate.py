@@ -232,14 +232,12 @@ def test_generate_memory_holds_one_copy_of_the_features():
     (references, merged), _, peak = traced(lambda: generate(config))
     n, d = merged.features.shape
     data = merged.features.nbytes + sum(ref.vectors.nbytes for ref in references.values())
-    # one machine's draws: the larger of its normal and anomaly blocks, and
-    # the anomaly noise
-    draws = (max(config.n_norm, config.n_anom) + config.n_anom) * d * 8
+    # the draw block, an eighth of the block budget, and one anomaly noise piece
+    draws = scorers._BLOCK_BYTES // 8 + simulate._NOISE_ROWS * d * 8
     # the id order and its inverse, and one machine's reference-sized
     # temporary. Every reference set, and the covariance copy each takes, is
-    # done before the test draws, where the peak lies; there the draw buffer
-    # holds a machine's normals and anomalies at once, n_anom rows more than
-    # `draws` (peak 25.2 MiB against a 25.6 MiB bound)
+    # done before the test draws, where the peak lies (peak 22.6 MiB against
+    # a 23.1 MiB bound; 25.3 MiB when a machine's tests were drawn whole)
     working = 2 * n * 8 + config.n_ref * d * 8
     # numpy's lazily imported string functions and the small arrays
     slack = 1.5 * 2**20
@@ -299,8 +297,9 @@ def test_run_point_records_config_coordinates():
 
 
 # k=101 sorts machine100 and machine101 between machine10 and machine11, so
-# the columns are not in draw order; half the unpatched block budget holds
-# three of three-of-five's five machines (1.38 MB each)
+# the columns are not in draw order; the unpatched budget (2,048 rows at
+# d = 64) ends three-of-five's blocks inside its machines' normals and before
+# their anomalies
 POINT_CONFIGS = {
     "default": SimConfig(),
     "k1": SimConfig(k=1, d=3, n_ref=4, n_norm=9, n_anom=5, seed=3),
@@ -335,22 +334,71 @@ def library_point(config, scorer):
     )
 
 
-@pytest.mark.parametrize("group", ["one", "two", "all", "budget"])
+def block_sizes(config, capacity):
+    # the rows of each test block, row by row: a block of at most
+    # max(capacity, n_anom) rows ends when full, or before a machine's
+    # anomalies that it cannot hold whole
+    size, sizes, used = max(capacity, config.n_anom), [], 0
+    for _ in range(config.k):
+        for _ in range(config.n_norm):
+            if used == size:
+                sizes.append(used)
+                used = 0
+            used += 1
+        if used + config.n_anom > size:
+            sizes.append(used)
+            used = 0
+        used += config.n_anom
+    return sizes + [used]
+
+
+# k = 3 machines of 5 normals (N) and 3 anomalies (A), 24 rows in draw order.
+# 7 rows: N5 | A3 N4 | N1 A3 N3 | N2 A3, ending inside normals and before
+# anomalies; 8 rows: one machine a block; 2 rows, fewer than n_anom: blocks of
+# n_anom rows, each machine's anomalies one of their own
+@pytest.mark.parametrize("capacity, sizes", [(7, [5, 7, 7, 5]), (8, [8, 8, 8]),
+                                             (2, [3, 2, 3] * 3)])
+def test_test_blocks_end_inside_normals_before_anomalies_and_at_machines(capacity, sizes,
+                                                                         monkeypatch):
+    config = SimConfig(k=3, d=2, n_ref=4, n_norm=5, n_anom=3, seed=1)
+    expected = generate(config)[1].features
+    monkeypatch.setattr(scorers, "_BLOCK_BYTES", 64 * config.d * capacity)
+    streams, _, _, rows = simulate._draw_setup(config)
+    features, drawn = np.full_like(expected, np.nan), []
+    for ids_rows, block in simulate._test_blocks(config, streams, rows):
+        drawn.append(len(block))
+        features[ids_rows] = block
+    assert drawn == sizes == block_sizes(config, capacity)
+    assert features.tobytes() == expected.tobytes()
+
+
+# the patched capacity in rows: one, two or all machines, one machine and half
+# the next one's normals, or half a machine's anomalies; "budget" leaves
+# scorers._BLOCK_BYTES unpatched
+BLOCK_ROWS = {
+    "one": lambda c: c.n_norm + c.n_anom,
+    "two": lambda c: 2 * (c.n_norm + c.n_anom),
+    "all": lambda c: c.k * (c.n_norm + c.n_anom),
+    "mid-normals": lambda c: c.n_norm + c.n_anom + (c.n_norm + 1) // 2,
+    "half-anomalies": lambda c: max(1, c.n_anom // 2),
+    "budget": None,
+}
+
+
+@pytest.mark.parametrize("group", BLOCK_ROWS)
 @pytest.mark.parametrize("scorer", POINT_SCORERS.values(), ids=POINT_SCORERS)
 @pytest.mark.parametrize("config", POINT_CONFIGS.values(), ids=POINT_CONFIGS)
 def test_run_point_equals_the_library_path(config, scorer, group, monkeypatch):
-    # run_point draws and scores blocks of whole machines, as many as fit in
-    # half the block budget: one, two, all, or what the unpatched budget holds
+    # run_point draws and scores blocks of at most an eighth of the block
+    # budget, 8 * d bytes a row, or of a machine's anomalies
     expected = library_point(config, scorer)
-    per_machine = config.n_norm + config.n_anom
-    machine_bytes = 8 * per_machine * config.d
-    if group == "budget":
-        machines = max(1, scorers._BLOCK_BYTES // 2 // machine_bytes)
+    if BLOCK_ROWS[group] is None:
+        capacity = max(1, scorers._BLOCK_BYTES // 8 // (8 * config.d))
     else:
-        machines = {"one": 1, "two": 2, "all": config.k}[group]
-        monkeypatch.setattr(scorers, "_BLOCK_BYTES", 2 * machine_bytes * machines)
+        capacity = BLOCK_ROWS[group](config)
+        monkeypatch.setattr(scorers, "_BLOCK_BYTES", 64 * config.d * capacity)
     if config is POINT_CONFIGS["three-of-five"] and group == "budget":
-        assert machines == 3
+        assert block_sizes(config, capacity)[:3] == [2025, 2048, 2048]
     sizes = []
     test_blocks = simulate._test_blocks
 
@@ -361,17 +409,21 @@ def test_run_point_equals_the_library_path(config, scorer, group, monkeypatch):
 
     monkeypatch.setattr(simulate, "_test_blocks", recording)
     assert run_point(config, scorer, repeat=2) == expected
-    size = min(machines, config.k)
-    assert sizes == [per_machine * min(size, config.k - first)
-                     for first in range(0, config.k, size)]
+    assert sizes == block_sizes(config, capacity)
+
+
+# the bytes a row of a simulated point holds to its end: the protocols'
+# columns (protocol._Columns, 18 bytes a row below 256 machines), the 15-byte
+# keys, and the id order, its inverse and the true machine codes
+POINT_ROW_BYTES = 18 + 15 + 3 * 8
 
 
 def test_run_point_memory_holds_one_feature_block():
     # the knn-point benchmark config: neither the (n, d) features (14.6 MiB)
-    # nor the (n, k) scores are held, only one block of whole machines in half
-    # the block budget (one here, 3.7 MiB), one piece of anomaly noise and the
-    # four columns the protocols read. Peak 16.4 MiB against a 16.6 MiB bound;
-    # holding the (n, k) scores and an id column beside the keys, it was 17.0 MiB
+    # nor the (n, k) scores are held, only one block of an eighth of the block
+    # budget (2,048 rows, 1 MiB), one piece of anomaly noise and the four
+    # columns the protocols read. Peak 13.4 MiB against a 13.6 MiB bound; with
+    # blocks of whole machines in half the budget (3.7 MiB here) it was 16.4 MiB
     config = SimConfig(k=4, d=64, n_ref=2000, n_norm=5625, n_anom=1875, seed=2)
     run_point(SimConfig())  # numpy's lazily imported string functions
     point, _, peak = traced(lambda: run_point(config))
@@ -379,16 +431,28 @@ def test_run_point_memory_holds_one_feature_block():
     n, d = config.k * (config.n_norm + config.n_anom), config.d
     references = config.k * config.n_ref * d * 8
     # the reused feature block and the anomaly noise piece beside it
-    block = scorers._BLOCK_BYTES // 2 + simulate._NOISE_ROWS * d * 8
+    block = scorers._BLOCK_BYTES // 8 + simulate._NOISE_ROWS * d * 8
     # the kernel's float32 screen, and its centred copy of one machine's references
     kernel = scorers._BLOCK_BYTES // 2 + config.n_ref * d * 8
-    # the protocols' columns (protocol._Columns, 18 bytes a row below 256
-    # machines), the 15-byte keys, and the id order, its inverse and the true
-    # machine codes
-    columns = n * 18 + n * 15 + 3 * n * 8
     # the kernel's float64 work on one block of rows and the small arrays
     slack = 2 * 2**20
-    assert peak < references + block + kernel + columns + slack
+    assert peak < references + block + kernel + n * POINT_ROW_BYTES + slack
+
+
+def test_run_point_memory_beyond_its_rows_does_not_grow_with_the_test_count():
+    # 7,000 and 25,000 test rows at d = 64 (3.4 and 12.2 MiB of features): the
+    # test block stays at 2,048 rows, so what a point holds beyond its
+    # references and POINT_ROW_BYTES a row stays 5.2-5.3 MiB; with blocks of
+    # whole machines it was 17.8 and 31.5 MiB
+    run_point(SimConfig())  # numpy's lazily imported string functions
+    beyond = []
+    for n_norm in (3000, 12_000):
+        config = SimConfig(k=2, d=64, n_ref=64, n_norm=n_norm, n_anom=500, seed=2)
+        point, _, peak = traced(lambda: run_point(config))
+        assert point.error is None
+        n = config.k * (config.n_norm + config.n_anom)
+        beyond.append(peak - config.k * config.n_ref * config.d * 8 - n * POINT_ROW_BYTES)
+    assert beyond[1] < beyond[0] + 2**18
 
 
 def test_cli_writes_the_same_bytes_under_1_and_2_blas_threads(tmp_path):
