@@ -17,7 +17,7 @@ from pathlib import Path
 from . import io as formats
 from .metrics import AVERAGING_MODES, MetricError, delta_norm
 from .protocol import EvalConfig, ProtocolError, _Columns, _placed_columns, _report
-from .scorers import ReferenceSet, ScorerError, _machines, _score_blocks
+from .scorers import ReferenceSet, ScorerError, _machines, _scorer
 
 # bench/spans.py traces through these names
 from .protocol import ScoreMatrix, full_report, merge_test_sets  # noqa: F401
@@ -116,11 +116,11 @@ def _cmd_evaluate(args) -> int:
 
 def _split_reports(args, config: EvalConfig) -> tuple[dict, bool, list[tuple]]:
     """evaluate's report of each split, its orientation and its (path, role) inputs."""
-    # the labels come first, so a label error is reported before any other
+    # the labels come first, so a label error is reported before any other, and
+    # each chunk of the score or feature table is reduced to the protocols'
+    # columns as it is joined to them; the ids are matched as keys, never decoded
     test_sets = formats.read_labels(args.labels)
     if args.scores is not None:
-        # each chunk of the score table is reduced to the protocols' columns as it
-        # is joined to the labels
         placement = (lambda machines, orientation: _placed_columns(machines, test_sets.values(),
                      not _resolve_orientation(args.higher_is_anomalous, orientation)))
         machines, _, columns, header_orientation = formats._score_table(
@@ -130,8 +130,8 @@ def _split_reports(args, config: EvalConfig) -> tuple[dict, bool, list[tuple]]:
     else:
         higher = True
         manifest = formats.read_manifest(args.manifest)
-        # the ids are matched as keys and never decoded
-        _, vectors = formats._feature_table(manifest.features, test_sets.order)
+        # the references come before the feature table, whose chunks are scored
+        # against every machine as they are joined
         references = sorted(manifest.references.items())
         specs = {machine: (manifest.scorer, ReferenceSet(machine, formats._feature_table(path)[1]))
                  for machine, path in references}
@@ -139,7 +139,7 @@ def _split_reports(args, config: EvalConfig) -> tuple[dict, bool, list[tuple]]:
                   (args.labels, "labels")] + [(path, f"reference:{m}") for m, path in references]
         machines = _machines(specs)
         columns, place = _placed_columns(machines, test_sets.values(), False)
-        _score_blocks(specs, [(slice(None), vectors)], place)
+        formats._feature_table(manifest.features, test_sets.order, (columns, _scorer(specs, place)))
     reports, stop = {}, 0
     for split, merged in test_sets.items():
         start, stop = stop, stop + len(merged.keys)

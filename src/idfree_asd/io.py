@@ -16,7 +16,6 @@ import tempfile
 import warnings
 from contextlib import closing
 from dataclasses import asdict, dataclass, fields
-from functools import partial
 from io import StringIO
 from itertools import chain
 from pathlib import Path
@@ -26,7 +25,7 @@ import numpy as np
 
 from .protocol import (_RAISED, SPLITS, EvalConfig, EvalReport, MergedTestSet, ModeResult,
                        ProtocolError, _ids, _key_order)
-from .scorers import NormalizerSpec, ScorerSpec
+from .scorers import _BLOCK_BYTES, NormalizerSpec, ScorerError, ScorerSpec
 from .simulate import SimConfig, SweepPoint
 
 __all__ = [
@@ -63,9 +62,11 @@ ORIENTATIONS = ("higher", "lower")
 
 _ORIENTATION_RE = re.compile(r"#\s*orientation:\s*(\S+)\s*$")
 _TRUTH = {"0": False, "1": True, "false": False, "true": True}
-# the fast path reads data lines about this many bytes at a time, so a
-# table's text is never held whole
+# the fast path reads data lines about this many bytes at a time, so a table's
+# text is never held whole, and on (within _BLOCK_BYTES) to this many lines, so
+# a block of wide rows still gives the scorers' kernel rows enough
 _CHUNK_CHARS = 2**17
+_CHUNK_LINES = 1024
 # a block holding one of these bytes fails the gate, as one outside ASCII does:
 # a quote has a csv meaning, and numpy reads \x1c-\x1f around a number as white
 # space, float() does not; a CR outside a CRLF line end is checked on its own
@@ -91,7 +92,8 @@ def _rows(path: Path, comments: list[tuple[int, str]] | None = None,
     never held whole: only LF, CRLF and CR end a line, a quoted field may
     span lines, and blank lines are skipped. With ``chunked``, the data
     after the header comes instead as bytes, whole lines of about
-    _CHUNK_CHARS bytes at a time, each block ending in LF.
+    _CHUNK_CHARS bytes, or of _CHUNK_LINES lines if fewer fit (up to about
+    _BLOCK_BYTES bytes), at a time, each block ending in LF.
     """
     # utf-8-sig drops a leading byte-order mark that some editors write
     with open(path, encoding="utf-8-sig", newline="") as handle:
@@ -113,6 +115,9 @@ def _rows(path: Path, comments: list[tuple[int, str]] | None = None,
                     if chunked:  # read on from where the text handle stands
                         (data := handle.buffer).seek(handle.tell())
                         while block := data.read(_CHUNK_CHARS) + data.readline():
+                            while (block.count(b"\n") < _CHUNK_LINES and len(block) < _BLOCK_BYTES
+                                   and (more := data.read(_CHUNK_CHARS))):
+                                block += more + data.readline()
                             yield block if block.endswith(b"\n") else block + b"\n"
                         return
                 start = skipped + 1 + reader.line_num
@@ -217,12 +222,15 @@ def _keyed_rows(path: Path, width: int, convert: Callable[[int, list[str]], tupl
 
 def _fast_or_strict(rows: Iterator, join: Callable, fast: Iterator, strict: Callable):
     # join(fast), the pieces that `fast` reads from `rows` in C, if all of that
-    # passes; a ValueError anywhere (a chunk that `fast` leaves to csv, a
+    # passes; a reader's ValueError (a chunk that `fast` leaves to csv, a
     # FormatError or a ProtocolError) drops it for join(strict()), which reads
-    # the whole file again through csv and so gives every error
+    # the whole file again through csv and so gives every error. A ScorerError,
+    # from a join that scores its rows, ends the read: csv would score them again
     with closing(rows):
         try:
             return join(fast)
+        except ScorerError:
+            raise
         except ValueError:
             pass
     return join(strict())
@@ -284,23 +292,20 @@ def _c_floats(blocks: Iterator[bytes], width: int) -> Iterator[tuple[np.ndarray,
 
 def _float_rows(path: Path, rows: Iterator, header: list[str], what: str,
                 index: _LabelOrder | None = None,
-                placement: Callable[[], tuple] | None = None) -> tuple[np.ndarray, object]:
+                placement: tuple | None = None) -> tuple[np.ndarray, object]:
     """The ids' keys, and every cell after the id as an (n, d) array, of keyed data rows.
 
     The fast path reads the byte blocks of ``rows`` through _c_floats; any
     block it turns down sends the whole file to the strict reader.
 
-    With an ``index``, read_labels' order of n ids, blocks land at their ids'
-    rows, found among the index's keys, and the keys returned are the index's
-    own. They land in an (n, d) array, or by ``placement()``: (the result, its
-    place(rows, block)). n rows that place every row hold each id once; an id
-    on one side only raises a ProtocolError. Else rows keep file order.
+    Joined to an ``index``, read_labels' order of n ids, the rows go instead
+    to ``placement``, a (result, place) pair: each block, as it is read, to
+    place(rows, block) at its ids' rows, found among the index's keys; the
+    index's own keys come back with the result. n rows that place every row
+    hold each id once; an id on one side only raises a ProtocolError. A csv
+    pass after a declined block places its rows again: a place that scores
+    them gives equal scores, as the scorers are pure.
     """
-    width = len(header) - 1
-    if index is not None:  # by default each block lands at its rows of an (n, width) array
-        result, place = placement() if placement else (
-            (values := np.empty((len(index.keys), width))), values.__setitem__)
-
     def join(pieces: Iterable[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, object]:
         keys, blocks, extra, stop = [], [], [], 0
         # the label rows this join placed: when _fast_or_strict joins again, the
@@ -316,7 +321,7 @@ def _float_rows(path: Path, rows: Iterator, header: list[str], what: str,
             if rows.min() < 0:  # ids without labels, named once the whole file is in
                 extra.append(chunk[rows < 0])
                 block, rows = block[rows >= 0], rows[rows >= 0]
-            place(rows, block)
+            placement[1](rows, block)
             placed[rows] = True
         if not stop:
             raise FormatError(f"{path.name}: no {what} rows")
@@ -330,7 +335,7 @@ def _float_rows(path: Path, rows: Iterator, header: list[str], what: str,
             if what == "feature":  # a feature mismatch names the labeled side first
                 sides.reverse()
             raise ProtocolError(f"{what}s/labels cross-reference mismatch: {', '.join(sides)}")
-        return index.keys, result
+        return index.keys, placement[0]
 
     def cells(line_no: int, row: list[str]) -> tuple[bytes, list[float]]:
         return row[0].encode().translate(_RAISED), [
@@ -340,7 +345,7 @@ def _float_rows(path: Path, rows: Iterator, header: list[str], what: str,
         for keys, cells_read in _keyed_rows(path, len(header), cells):
             yield np.array(keys, object), np.array(cells_read)
 
-    return _fast_or_strict(rows, join, _c_floats(rows, width), strict)
+    return _fast_or_strict(rows, join, _c_floats(rows, len(header) - 1), strict)
 
 
 def _table_text(header: Sequence[str], rows: Iterable[Sequence[str]],
@@ -356,24 +361,21 @@ def _table_text(header: Sequence[str], rows: Iterable[Sequence[str]],
     return buf.getvalue()
 
 
-def read_scores(path, index: _LabelOrder | None = None
-                ) -> tuple[list[str], np.ndarray, np.ndarray, str | None]:
+def read_scores(path) -> tuple[list[str], np.ndarray, np.ndarray, str | None]:
     """Read a wide per-machine score table.
 
     Returns (machine column names, recording ids as one StringDType array,
     (n, k) scores with row i for ids[i], declared orientation or None), rows
-    in file order or, given ``index``, the ``order`` of read_labels' result,
-    in its order, with the labels' ids, decoded from its keys, as the ids.
-    Scores are returned as stored; callers negate when the orientation says
-    lower means more anomalous.
+    in file order. Scores are returned as stored; callers negate when the
+    orientation says lower means more anomalous.
     """
-    machines, keys, values, orientation = _score_table(path, index)
+    machines, keys, values, orientation = _score_table(path)
     return machines, _ids(keys), values, orientation
 
 
-def _score_table(path, index, placement=None) -> tuple:
-    # read_scores with the ids' keys, not the ids, each chunk landing by
-    # placement(machines, orientation) if given
+def _score_table(path, index=None, placement=None) -> tuple:
+    # read_scores with the ids' keys, not the ids, or joined to `index` through
+    # the _float_rows placement that placement(machines, orientation) gives
     path = Path(path)
     comments: list[tuple[int, str]] = []
     rows = _rows(path, comments, chunked=True)
@@ -385,8 +387,7 @@ def _score_table(path, index, placement=None) -> tuple:
     if len(set(machines)) != len(machines) or any(not m for m in machines):
         raise FormatError(f"{path.name}:{header_no}: machine columns must be unique and nonempty")
     return (machines, *_float_rows(path, rows, header, "score", index,
-                                   placement and partial(placement, machines, orientation)),
-            orientation)
+                                   placement and placement(machines, orientation)), orientation)
 
 
 _LABEL_COLUMNS = ("recording_id", "true_machine", "is_anomaly", "split")
@@ -507,15 +508,16 @@ def read_labels(path) -> dict[str, MergedTestSet]:
     return _fast_or_strict(rows, join, _byte_labels(rows, len(header)), strict)
 
 
-def read_features(path, index: _LabelOrder | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Read per-recording feature vectors as (ids, (n, d) array), in read_scores' row order
-    and with its ids."""
-    keys, values = _feature_table(path, index)
+def read_features(path) -> tuple[np.ndarray, np.ndarray]:
+    """Read per-recording feature vectors as (ids, (n, d) array), in file order."""
+    keys, values = _feature_table(path)
     return _ids(keys), values
 
 
-def _feature_table(path, index: _LabelOrder | None = None) -> tuple[np.ndarray, np.ndarray]:
-    # read_features with the ids' keys, not the ids
+def _feature_table(path, index: _LabelOrder | None = None, placement: tuple | None = None
+                   ) -> tuple[np.ndarray, object]:
+    # read_features with the ids' keys, not the ids, or joined to `index`, each
+    # block going to _float_rows' placement, as evaluate --manifest scores it
     path = Path(path)
     rows = _rows(path, chunked=True)
     header_no, header = next(rows)
@@ -523,7 +525,7 @@ def _feature_table(path, index: _LabelOrder | None = None) -> tuple[np.ndarray, 
     expected = ["recording_id"] + [f"f_{i}" for i in range(d)]
     if header != expected or d < 1:
         raise FormatError(f"{path.name}:{header_no}: header must be recording_id,f_0,...,f_{{d-1}}")
-    return _float_rows(path, rows, header, "feature", index)
+    return _float_rows(path, rows, header, "feature", index, placement)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from numbers import Real
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -451,11 +451,11 @@ def build_score_matrix(
     `features` is an (n, d) array with row i for ids[i]; true machine labels
     never reach the scoring stage. Column order is sorted machine name.
     """
-    if specs and not len(ids):  # no specs: _score_blocks says so first
+    if specs and not len(ids):  # no specs: _scorer says so first
         raise ScorerError("no recordings to score")
     # one block of every row, whose scores are the values (ScoreMatrix checks their count)
     values = []
-    _score_blocks(specs, [(slice(None), features)], lambda _, scores: values.append(scores))
+    _scorer(specs, lambda _, scores: values.append(scores))(None, features)
     return ScoreMatrix(_machines(specs), ids, values[0])
 
 
@@ -466,18 +466,20 @@ def _machines(specs: Mapping[str, tuple[ScorerSpec, ReferenceSet]]) -> list[str]
     return sorted(specs)
 
 
-def _score_blocks(
+def _scorer(
     specs: Mapping[str, tuple[ScorerSpec, ReferenceSet]],
-    blocks: Iterable[tuple[np.ndarray | slice, np.ndarray]],
-    place: Callable[[np.ndarray | slice, np.ndarray], None],
-) -> None:
-    """Score each (rows, features) block against every machine and pass its
-    (b, k) scores, columns in _machines order, to place(rows, scores). Each
-    machine's scorer is built once; each block's scores are a new array."""
+    place: Callable[[np.ndarray | None, np.ndarray], None],
+) -> Callable[[np.ndarray | None, np.ndarray], None]:
+    """A score(rows, block) that passes the (b, k) scores of a block of features,
+    columns in _machines order, to place(rows, scores), each block's as a new
+    array. Each machine's scorer is built once, here."""
     batches = [scoring_function(*specs[machine]) for machine in _machines(specs)]
-    for rows, block in blocks:
+
+    def score(rows: np.ndarray | None, block: np.ndarray) -> None:
         # features of no dimension fail in the scorer
         scores = np.empty((len(block) if np.ndim(block) else 0, len(batches)))
         for j, batch in enumerate(batches):
             scores[:, j] = batch(block)
         place(rows, scores)
+
+    return score

@@ -265,11 +265,12 @@ def run_point(
     makes one scoring call per machine.
     """
     streams, references, merged, rows = _draw_setup(config)
-    blocks = _test_blocks(config, streams, rows)
     specs = {machine: (scorer, ref) for machine, ref in references.items()}
     machines = scorers._machines(specs)
     columns, place = _placed_columns(machines, [merged], False)
-    scorers._score_blocks(specs, blocks, place)
+    score = scorers._scorer(specs, place)
+    for block in _test_blocks(config, streams, rows):
+        score(*block)
     report = _report(columns, merged, machines, eval_config)
     return SweepPoint(
         separation=config.separation,

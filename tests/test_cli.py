@@ -35,9 +35,10 @@ from idfree_asd.protocol import (
 )
 from idfree_asd.scorers import ReferenceSet, ScorerSpec, build_score_matrix
 from idfree_asd.simulate import SimConfig, generate
+from manifest_probe import SCORERS, write_probe
 from tables import label_rows, traced, write_features, write_labels, write_scores
-from test_io_formats import (BLOCK_ROWS, JOIN_FAULTS, JOINS, small_chunks, strict_only,
-                             strict_reads)
+from test_io_formats import (BLOCK_ROWS, JOIN_FAULTS, JOINS, _with_cell, small_chunks,
+                             strict_only, strict_reads)
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
@@ -420,11 +421,11 @@ def golden_variant(tmp_path, variant):
 def library_splits(scores, labels=GOLDEN / "labels.csv"):
     """evaluate's splits for a table, through read_scores' whole matrix and full_report."""
     test_sets = read_labels(labels)
-    machines, _, values, orientation = read_scores(scores, test_sets.order)
-    reports, stop = {}, 0
+    machines, ids, values, orientation = read_scores(scores)
+    row = dict(zip(ids.tolist(), values * (-1.0 if orientation == "lower" else 1.0)))
+    reports = {}
     for split, merged in test_sets.items():
-        start, stop = stop, stop + len(merged.ids)
-        view = values[start:stop] * (-1.0 if orientation == "lower" else 1.0)
+        view = [row[rec_id] for rec_id in merged.ids.tolist()]
         reports[split] = full_report(ScoreMatrix(machines, merged.ids, view), merged)
     return evaluation_document(reports, [], EvalConfig(), True)["splits"]
 
@@ -840,6 +841,74 @@ def test_evaluate_manifest_reproduces_the_frozen_report(tmp_path, capsys, setup)
     assert out.read_bytes() == (GOLDEN / out.name).read_bytes()
 
 
+@pytest.mark.parametrize("setup", ["mahalanobis-zscore", "knn2-zscore", "knn2-density"])
+def test_evaluate_manifest_scores_blocks_of_a_few_rows_to_the_frozen_report(
+        tmp_path, capsys, monkeypatch, setup):
+    # the fixture's feature lines take about 30 bytes, so a block of 60 bytes and
+    # the rest of a line holds two or three: each is scored as it is joined, and
+    # the report keeps its bytes, as the scores do not depend on the blocking
+    blocks, scorer = [], cli._scorer
+    monkeypatch.setattr(cli, "_scorer", lambda specs, place: scorer(
+        specs, lambda rows, scores: blocks.append(len(rows)) or place(rows, scores)))
+    monkeypatch.setattr(io_module, "_CHUNK_CHARS", 60)
+    monkeypatch.setattr(io_module, "_CHUNK_LINES", 1)
+    strict = strict_reads(monkeypatch)
+    out = tmp_path / f"manifest-{setup}.json"
+    code, _, err = run(capsys, "evaluate", "--manifest", str(MANIFEST / f"{setup}.json"),
+                       "--labels", str(MANIFEST / "labels.csv"), "--out", str(out))
+    assert (code, err, strict) == (EXIT_OK, "", [])
+    assert out.read_bytes() == (GOLDEN / out.name).read_bytes()
+    assert sum(blocks) == 36 and max(blocks) <= 3 and len(blocks) >= 12
+
+
+def test_evaluate_manifest_peak_beyond_labels_and_references_holds_as_rows_grow(
+        tmp_path, capsys, monkeypatch):
+    # each block of the feature table is scored and reduced as it is joined, so
+    # the traced peak of the joined read, beyond the labels, the references and
+    # the protocols' columns held before it, is one block's transients (6.40 MB
+    # at 2,000 and at 8,000 rows of d = 64) and the join's mask of placed rows,
+    # one byte a row. Read whole before it was scored, the table grew it by
+    # 8 d = 512 bytes a row (from 2.02 MB to 5.11 MB)
+    d, machines = 64, ("fan", "pump")
+    rng = np.random.default_rng(64)
+
+    def vectors(rows):  # cells of 7 characters, so every block holds as many lines
+        return rng.integers(10_000, 100_000, (rows, d)) + 0.5
+
+    for machine in machines:
+        write_features(tmp_path / f"ref_{machine}.csv", [f"{machine}-ref{i}" for i in range(200)],
+                       vectors(200))
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({
+        "format": FORMAT_VERSION, "scorer": {"kind": "nearest_reference"},
+        "features": "features.csv",
+        "machines": [{"name": m, "reference": f"ref_{m}.csv"} for m in machines]}))
+    feature_table, peaks = io_module._feature_table, []
+
+    def traced_join(path, index=None, placement=None):
+        if index is None:  # a reference file
+            return feature_table(path)
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        joined = feature_table(path, index, placement)
+        peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        return joined
+
+    monkeypatch.setattr(io_module, "_feature_table", traced_join)
+    for n in (2_000, 8_000):
+        ids = [f"r{i:05d}" for i in range(n)]
+        write_labels(tmp_path / "labels.csv", [
+            Recording(rec_id, machines[i % 2], i % 5 == 0, SPLITS[i // 2 % 2])
+            for i, rec_id in enumerate(ids)])
+        order = rng.permutation(n)  # the table's rows shuffled against the labels
+        write_features(tmp_path / "features.csv", [ids[i] for i in order], vectors(n))
+        (code, _, err), _, _ = traced(lambda: run(
+            capsys, "evaluate", "--manifest", str(manifest), "--labels",
+            str(tmp_path / "labels.csv"), "--out", str(tmp_path / "report.json")))
+        assert (code, err) == (EXIT_OK, "")
+    assert peaks[1] - peaks[0] < 4 * (8_000 - 2_000)
+
+
 @pytest.mark.parametrize("command", ["simulate", "sweep", "evaluate --manifest"])
 def test_commands_build_no_score_matrix_and_no_simulated_id(tmp_path, capsys, monkeypatch,
                                                               command):
@@ -866,6 +935,22 @@ def test_commands_build_no_score_matrix_and_no_simulated_id(tmp_path, capsys, mo
     assert len(sets) == {"simulate": 1, "sweep": 2 * len(simulate.DEFAULT_SEPARATIONS),
                          "evaluate --manifest": 0}[command]
     assert not any("ids" in vars(merged) for merged in sets)
+
+
+def test_manifest_probe_writes_a_run_that_evaluates(tmp_path, capsys):
+    # tests/manifest_probe.py at a small size: both manifests evaluate, on a
+    # feature table whose rows are shuffled against the labels
+    write_probe(tmp_path, n=300, machines=3, n_ref=20, d=8)
+    labels = (tmp_path / "labels.csv").read_text().splitlines()[2:]
+    features = (tmp_path / "features.csv").read_text().splitlines()[2:]
+    assert sorted(line.split(",")[0] for line in features) == [line.split(",")[0]
+                                                               for line in labels]
+    assert features[0].split(",")[0] != labels[0].split(",")[0]
+    for name in SCORERS:
+        code, out, err = run(capsys, "evaluate", "--manifest", str(tmp_path / f"{name}.json"),
+                             "--labels", str(tmp_path / "labels.csv"))
+        assert (code, err) == (EXIT_OK, "")
+        assert sorted(json.loads(out)["splits"]) == ["dev", "eval"]
 
 
 @pytest.mark.parametrize("field, value", [("epsilon", "0.1"), ("epsilon", 1e999),
@@ -945,9 +1030,11 @@ def test_evaluate_manifest_empty_reference_path_is_data_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("scaled", ["reference", "features"])
-def test_evaluate_manifest_values_past_the_range_bound_are_data_error(tmp_path, capsys, scaled):
+def test_evaluate_manifest_values_past_the_range_bound_are_data_error(tmp_path, capsys,
+                                                                       monkeypatch, scaled):
     # squared distances between values near 1e200 overflow; the scorer names the
-    # machine instead of warning and reporting non-finite scores
+    # machine instead of warning and reporting non-finite scores. A scorer's
+    # error ends the read of the feature table: csv never reads it to score it again
     manifest, labels, references, merged = build_manifest_fixture(tmp_path)
     machine = sorted(references)[0]
     if scaled == "reference":
@@ -956,10 +1043,25 @@ def test_evaluate_manifest_values_past_the_range_bound_are_data_error(tmp_path, 
                        [f"{machine}-ref{i}" for i in range(ref.n)], 1e200 * ref.vectors)
     else:
         write_features(tmp_path / "features.csv", merged.ids, 1e200 * merged.features)
+    strict = strict_reads(monkeypatch)
     code, _, err = run(capsys, "evaluate", "--manifest", str(manifest), "--labels", str(labels))
-    assert code == EXIT_DATA
-    message = stderr_json(err)["message"]
-    assert f"{machine!r} has values beyond ±1e+100" in message
+    assert code == EXIT_DATA and strict == []
+    what = "reference set for" if scaled == "reference" else "feature batch scored against"
+    assert stderr_json(err)["message"] == (f"{what} {machine!r} has values beyond ±1e+100, "
+                                           "past which squared distances can overflow")
+
+
+def test_evaluate_manifest_reads_the_references_before_the_feature_table(tmp_path, capsys):
+    # a bad cell in both the last reference file and the feature table: the
+    # scorers are built from the references before the table is read and scored
+    manifest, labels, references, _ = build_manifest_fixture(tmp_path)
+    for path in (tmp_path / "features.csv", tmp_path / f"ref_{sorted(references)[-1]}.csv"):
+        lines = path.read_text().splitlines(keepends=True)
+        lines[3] = _with_cell(lines[3], 1, "oops")
+        path.write_text("".join(lines))
+    code, out, err = run(capsys, "evaluate", "--manifest", str(manifest), "--labels", str(labels))
+    assert (code, out) == (EXIT_DATA, "")
+    assert stderr_json(err)["message"] == "ref_machine02.csv:4: f_0 value 'oops' is not a number"
 
 
 def test_evaluate_inputs_that_are_not_utf8_or_overflow_a_field_are_data_errors(

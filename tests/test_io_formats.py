@@ -164,10 +164,26 @@ def _write_table(kind, path, ids, matrix):
 
 
 def _read_table(kind, path, index=None):
+    """A table's ids and values, in file order or joined to `index`, read_labels'
+    order: then the join's placement puts each block at its ids' rows of an
+    (n, width) array, and the ids are the labels'."""
+    if index is None:
+        if kind == "features":
+            return read_features(path)
+        _, ids, values, _ = read_scores(path)
+        return ids, values
+    values = []
+
+    def place(rows, block):
+        if not values:  # the width is the first block's
+            values.append(np.empty((len(index.keys), block.shape[1])))
+        values[0][rows] = block
+
     if kind == "features":
-        return read_features(path, index)
-    _, ids, values, _ = read_scores(path, index)
-    return ids, values
+        keys, _ = io_module._feature_table(path, index, (values, place))
+    else:
+        keys = io_module._score_table(path, index, lambda *_: (values, place))[1]
+    return protocol_module._ids(keys), values[0]
 
 
 def strict_reads(monkeypatch):
@@ -270,6 +286,7 @@ def _line(length, rec_id, *cells):
 def small_chunks(monkeypatch, line_length):
     """Make data lines of `line_length` characters come BLOCK_ROWS to a chunk."""
     monkeypatch.setattr(io_module, "_CHUNK_CHARS", BLOCK_ROWS * line_length - 1)
+    monkeypatch.setattr(io_module, "_CHUNK_LINES", 1)
 
 
 def _header(kind, width):
@@ -519,9 +536,8 @@ def test_label_blocks_hold_whole_lines_where_a_read_stops_mid_line(tmp_path, mon
     path = tmp_path / "labels.csv"
     path.write_text("\n".join(lines) + end)
     monkeypatch.setattr(io_module, "_CHUNK_CHARS", 5 * LINE + cut)
-    rows = io_module._rows(path, chunked=True)
-    next(rows)
-    blocks = list(rows)
+    monkeypatch.setattr(io_module, "_CHUNK_LINES", 1)
+    blocks = _blocks(path)
     assert all(block.endswith(b"\n") for block in blocks)
     assert b"".join(blocks).decode().split("\n") == lines[2:] + [""]
     assert len(blocks[0]) == (5 if cut < 0 else 6) * LINE
@@ -529,6 +545,53 @@ def test_label_blocks_hold_whole_lines_where_a_read_stops_mid_line(tmp_path, mon
     chunked, csv_reads = outcome(lambda: read_labels(path)), list(reads)
     assert csv_reads == []
     assert chunked == strict_outcome(monkeypatch, lambda: read_labels(path))
+
+
+def _blocks(path):
+    rows = io_module._rows(path, chunked=True)
+    next(rows)
+    return list(rows)
+
+
+@pytest.mark.parametrize("budget", [None, 4 * io_module._CHUNK_CHARS], ids=["floor", "budget"])
+def test_wide_rows_read_on_to_the_line_floor(tmp_path, monkeypatch, budget):
+    # a feature line of d = 64 float reprs takes about 1.2 KB, so _CHUNK_CHARS
+    # bytes hold about 100: a block reads on, _CHUNK_CHARS bytes and the rest of
+    # a line at a time, until it holds _CHUNK_LINES lines or _BLOCK_BYTES bytes
+    path = tmp_path / "features.csv"
+    write_features(path, [f"r{i:04d}" for i in range(3000)],
+                   np.random.default_rng(7).standard_normal((3000, 64)))
+    if budget:
+        monkeypatch.setattr(io_module, "_BLOCK_BYTES", budget)
+    blocks = _blocks(path)
+    assert b"".join(blocks) == path.read_bytes().split(b"\n", 2)[2]
+    lines = [block.count(b"\n") for block in blocks]
+    assert sum(lines) == 3000 and all(block.endswith(b"\n") for block in blocks)
+    if budget:  # four reads, each of _CHUNK_CHARS bytes and at most a line of 1.6 KB
+        assert all(budget <= len(block) < budget + 4 * 1_600 for block in blocks[:-1])
+        assert max(lines) < io_module._CHUNK_LINES
+    else:  # each line takes over 1 KB, so the last read added at most this many lines
+        limit = io_module._CHUNK_LINES + io_module._CHUNK_CHARS // 1_000
+        assert all(io_module._CHUNK_LINES <= count <= limit for count in lines[:-1])
+
+
+def test_score_rows_of_the_benchmark_width_keep_their_block_bounds(tmp_path):
+    # the score-table benchmark's lines take 88 bytes, so _CHUNK_CHARS bytes
+    # hold about 1,490 of them, past the floor: each block is _CHUNK_CHARS bytes
+    # and the rest of the line it stops in, as before the reader had a floor
+    rng = np.random.default_rng(88)
+    lines = [f"r{i:06d}," + ",".join(f"{x:.5f}" for x in row) + "\n"
+             for i, row in enumerate(rng.random((20_000, 10)).tolist())]
+    assert {len(line) for line in lines} == {88}
+    path = tmp_path / "scores.csv"
+    path.write_text(f"{FORMAT_LINE}\n{_header('scores', 10)}\n" + "".join(lines))
+    data, bounds, start = "".join(lines).encode(), [], 0
+    while start < len(data):
+        start = data.find(b"\n", start + io_module._CHUNK_CHARS) + 1 or len(data)
+        bounds.append(start)
+    blocks = _blocks(path)
+    assert np.cumsum([len(block) for block in blocks]).tolist() == bounds
+    assert len(bounds) == 14 and b"".join(blocks) == data
 
 
 @pytest.mark.parametrize("variant", ["CRLF", "BOM", "domain column", "true and false", "all"])
@@ -896,11 +959,11 @@ def test_fixtures_read_the_same_through_c_and_csv(tmp_path, monkeypatch):
     score_order, feature_order = score_sets.order, feature_sets.order
     reads = [
         lambda: read_scores(golden / "scores.csv"),
-        lambda: read_scores(golden / "scores.csv", score_order),
+        lambda: _read_table("scores", golden / "scores.csv", score_order),
         lambda: read_labels(labels),
         lambda: read_labels(tmp_path / "labels.csv"),
         lambda: read_features(tmp_path / "features.csv"),
-        lambda: read_features(tmp_path / "features.csv", feature_order),
+        lambda: _read_table("features", tmp_path / "features.csv", feature_order),
         lambda: read_features(tmp_path / "reference.csv"),
     ]
     strict = strict_reads(monkeypatch)
@@ -910,7 +973,7 @@ def test_fixtures_read_the_same_through_c_and_csv(tmp_path, monkeypatch):
     assert len(strict) == len(reads)  # and csv every one
     assert not any(result[0] in ("FormatError", "ProtocolError") for result in chunked)
     # oracle: a joined read is the file-order read, each row at its id's row of {id: row}
-    for sets, plain, joined in [(score_sets, chunked[0][1:3], chunked[1][1:3]),
+    for sets, plain, joined in [(score_sets, chunked[0][1:3], chunked[1]),
                                 (feature_sets, chunked[4], chunked[5])]:
         ids = [rec_id for merged in sets.values() for rec_id in merged.ids.tolist()]
         lookup = dict(zip(ids, count()))
@@ -950,8 +1013,8 @@ def test_read_labels_holds_at_most_14_bytes_per_id(tmp_path):
 @pytest.mark.parametrize("kind", ["scores", "features"])
 def test_label_order_read_returns_the_label_id_column(tmp_path, monkeypatch, kind):
     # the labels, and evaluate --scores on them, hold the ids' keys alone: on
-    # files that match, no id is decoded. read_scores and read_features, given
-    # the labels' order, return the labels' ids in label order
+    # files that match, no id is decoded. A score or feature table joined to
+    # the labels' order gives the labels' ids in label order
     labels, path = tmp_path / "labels.csv", tmp_path / f"{kind}.csv"
     write_labels(labels, [Recording(f"r{i:03d}", f"m{i % 3}", i % 4 < 2, SPLITS[i % 2])
                           for i in range(40)])
@@ -1001,7 +1064,7 @@ def test_ids_decoded_from_the_keys_read_as_written(tmp_path, monkeypatch, by_csv
     assert sets["dev"].ids.tolist() == sorted(ids)
     missing = sorted(set(ids) - {ids[1]})
     with pytest.raises(ProtocolError) as raised:
-        read_scores(scores, sets.order)
+        _read_table("scores", scores, sets.order)
     assert str(raised.value) == (
         f"scores/labels cross-reference mismatch: 0 score rows without labels [], "
         f"{len(missing)} labeled recordings without scores {missing}")
