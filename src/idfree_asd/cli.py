@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import io as formats
 from .metrics import AVERAGING_MODES, MetricError, delta_norm
-from .protocol import EvalConfig, ProtocolError, _Columns, _placed_columns, _report
+from .protocol import EvalConfig, ProtocolError, _placed_columns, _report
 from .scorers import ReferenceSet, ScorerError, _machines, _scorer
 
 # bench/spans.py traces through these names
@@ -123,8 +123,8 @@ def _split_reports(args, config: EvalConfig) -> tuple[dict, bool, list[tuple]]:
     if args.scores is not None:
         placement = (lambda machines, orientation: _placed_columns(machines, test_sets.values(),
                      not _resolve_orientation(args.higher_is_anomalous, orientation)))
-        machines, _, columns, header_orientation = formats._score_table(
-            args.scores, test_sets.order, placement)
+        machines, columns, header_orientation = formats._score_table(args.scores, test_sets,
+                                                                     placement)
         higher = _resolve_orientation(args.higher_is_anomalous, header_orientation)
         inputs = [(args.scores, "scores"), (args.labels, "labels")]
     else:
@@ -139,12 +139,9 @@ def _split_reports(args, config: EvalConfig) -> tuple[dict, bool, list[tuple]]:
                   (args.labels, "labels")] + [(path, f"reference:{m}") for m, path in references]
         machines = _machines(specs)
         columns, place = _placed_columns(machines, test_sets.values(), False)
-        formats._feature_table(manifest.features, test_sets.order, (columns, _scorer(specs, place)))
-    reports, stop = {}, 0
-    for split, merged in test_sets.items():
-        start, stop = stop, stop + len(merged.keys)
-        reports[split] = _report(_Columns(*(column[start:stop] for column in columns)), merged,
-                                 machines, config)
+        formats._feature_table(manifest.features, test_sets, _scorer(specs, place))
+    reports = {split: _report(split_columns, merged, machines, config)
+               for (split, merged), split_columns in zip(test_sets.items(), columns)}
     return reports, higher, inputs
 
 

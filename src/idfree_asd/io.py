@@ -74,8 +74,6 @@ _STRICT_BYTES = b'"\x1c\x1d\x1e\x1f'
 # a cross-reference error names at most this many ids per side, so a file
 # that matches nothing still gives a short message
 _LISTED_IDS = 10
-# the strict reader hands its rows on in batches of this many
-_BATCH_ROWS = 4096
 
 
 class FormatError(ValueError):
@@ -187,16 +185,16 @@ def _parse_float(path: Path, line_no: int, column: str, text: str) -> float:
     return value
 
 
-def _keyed_rows(path: Path, width: int, convert: Callable[[int, list[str]], tuple]
-                ) -> Iterator[list[list]]:
-    """The strict reader: ``convert(line, row)`` of each data row, read again through csv.
+def _keyed_rows(path: Path, width: int, convert: Callable[[int, list[str]], object]
+                ) -> Iterator[tuple[np.ndarray, list]]:
+    """The strict reader: the id keys, as objects, and ``convert(line, row)`` of
+    each data row, read again through csv, _CHUNK_LINES rows at a time.
 
-    The converted rows come as columns, _BATCH_ROWS rows at a time. A row
-    without ``width`` fields, with an empty id or with one seen before raises
-    at once; the first FormatError of ``convert`` (a bad cell) ends the rows
-    and is raised once the whole file's row structure has passed.
+    A row without ``width`` fields, with an empty id or with one seen before
+    raises at once; the first FormatError of ``convert`` (a bad cell) ends the
+    rows and is raised once the whole file's row structure has passed.
     """
-    rows, seen, problem, batch = _rows(path), set(), None, []
+    rows, seen, problem, keys, batch = _rows(path), set(), None, [], []
     next(rows)  # the header, checked before the fast path ran
     for line_no, row in rows:
         if len(row) != width:
@@ -207,25 +205,28 @@ def _keyed_rows(path: Path, width: int, convert: Callable[[int, list[str]], tupl
             raise FormatError(f"{path.name}:{line_no}: duplicate recording id {row[0]!r}")
         seen.add(row[0])
         if problem is None:
+            # the keys as objects, so one long id never pads a column
+            keys.append(row[0].encode().translate(_RAISED))
             try:
                 batch.append(convert(line_no, row))
             except FormatError as exc:
                 problem = exc
-            if len(batch) == _BATCH_ROWS:
-                yield list(map(list, zip(*batch)))
-                batch = []
+            if len(batch) == _CHUNK_LINES:
+                yield np.array(keys, object), batch
+                keys, batch = [], []
     if problem is not None:
         raise problem
     if batch:
-        yield list(map(list, zip(*batch)))
+        yield np.array(keys, object), batch
 
 
 def _fast_or_strict(rows: Iterator, join: Callable, fast: Iterator, strict: Callable):
     # join(fast), the pieces that `fast` reads from `rows` in C, if all of that
-    # passes; a reader's ValueError (a chunk that `fast` leaves to csv, a
-    # FormatError or a ProtocolError) drops it for join(strict()), which reads
-    # the whole file again through csv and so gives every error. A ScorerError,
-    # from a join that scores its rows, ends the read: csv would score them again
+    # passes; a reader's ValueError (a chunk that `fast` leaves to csv, or a
+    # repeated id, which csv names by its line) drops it for join(strict()),
+    # which reads the whole file again through csv and so gives every error. A
+    # ScorerError, from a join that scores its rows, ends the read: csv would
+    # score them again
     with closing(rows):
         try:
             return join(fast)
@@ -236,35 +237,27 @@ def _fast_or_strict(rows: Iterator, join: Callable, fast: Iterator, strict: Call
     return join(strict())
 
 
-def _unmatched(description: str, keys: Sequence[np.ndarray]) -> str:
+def _unmatched(description: str, keys: np.ndarray) -> str:
     # the count, then the first ids in sorted order, of the ids of the key
-    # columns `keys`: keys sort as their ids do, so only the ids named are decoded
-    keys = np.sort(np.concatenate(keys)) if keys else np.zeros(0, object)
+    # column `keys`: keys sort as their ids do, so only the ids named are decoded
+    keys = np.sort(keys)
     listed = _ids(keys[:_LISTED_IDS]).tolist()
     more = f" and {len(keys) - len(listed)} more" if len(keys) > len(listed) else ""
     return f"{len(keys)} {description} {listed}{more}"
 
 
-@dataclass(frozen=True, eq=False)
-class _LabelOrder:
-    """read_labels' ids as an index: ``keys`` holds their keys split by split in
-    SPLITS order, each split in id order, and ``spans`` each present split's
-    [start, stop) of them."""
-
-    keys: np.ndarray
-    spans: tuple[tuple[int, int], ...]
-
-    def find(self, keys: np.ndarray) -> np.ndarray:
-        """The index row of each of ``keys``, -1 for a key without a label."""
-        rows = np.full(len(keys), -1)
-        left = np.arange(len(keys))  # the keys no earlier split holds: a key lies in one at most
-        for lo, hi in self.spans:
-            # the keys in the labels' dtype, so the labels are never cast; a key cut short has no label
-            at = np.searchsorted(self.keys[lo:hi], keys.astype(self.keys.dtype, copy=False)) + lo
-            found = self.keys[np.minimum(at, hi - 1, out=at)] == keys
-            rows[left[found]] = at[found]
-            left, keys = left[~found], keys[~found]
-        return rows
+def _label_rows(sets: Mapping[str, MergedTestSet], keys: np.ndarray) -> np.ndarray:
+    """The joined row of each of ``keys`` among the rows of ``sets`` in turn,
+    each in its id order, -1 for a key without a label."""
+    rows, lo = np.full(len(keys), -1), 0
+    left = np.arange(len(keys))  # the keys no earlier set holds: a key lies in one at most
+    for labeled in (merged.keys for merged in sets.values()):
+        # the keys in the labels' dtype, so the labels are never cast; a key cut short has no label
+        at = np.searchsorted(labeled, keys.astype(labeled.dtype, copy=False))
+        found = labeled[np.minimum(at, len(labeled) - 1, out=at)] == keys
+        rows[left[found]] = at[found] + lo
+        left, keys, lo = left[~found], keys[~found], lo + len(labeled)
+    return rows
 
 
 def _c_floats(blocks: Iterator[bytes], width: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -291,61 +284,72 @@ def _c_floats(blocks: Iterator[bytes], width: int) -> Iterator[tuple[np.ndarray,
 
 
 def _float_rows(path: Path, rows: Iterator, header: list[str], what: str,
-                index: _LabelOrder | None = None,
-                placement: tuple | None = None) -> tuple[np.ndarray, object]:
+                sets: Mapping[str, MergedTestSet] | None = None,
+                place: Callable[[np.ndarray, np.ndarray], None] | None = None
+                ) -> tuple[np.ndarray, np.ndarray] | None:
     """The ids' keys, and every cell after the id as an (n, d) array, of keyed data rows.
 
     The fast path reads the byte blocks of ``rows`` through _c_floats; any
-    block it turns down sends the whole file to the strict reader.
+    block it turns down, or a repeated id, sends the whole file to the strict
+    reader, which names the line at fault.
 
-    Joined to an ``index``, read_labels' order of n ids, the rows go instead
-    to ``placement``, a (result, place) pair: each block, as it is read, to
-    place(rows, block) at its ids' rows, found among the index's keys; the
-    index's own keys come back with the result. n rows that place every row
-    hold each id once; an id on one side only raises a ProtocolError. A csv
-    pass after a declined block places its rows again: a place that scores
-    them gives equal scores, as the scorers are pure.
+    Joined to read_labels' ``sets`` instead, each block goes, as it is read,
+    to place(rows, block), at its ids' rows among the sets' n rows in turn,
+    and nothing is returned. An id on one side only raises a ProtocolError
+    once the pass that read the whole table ends, so a mismatch reads the
+    table once. A csv pass after a declined block places its rows again: a
+    place that scores them gives equal scores, as the scorers are pure.
     """
-    def join(pieces: Iterable[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, object]:
+    def join(pieces: Iterable[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
         keys, blocks, extra, stop = [], [], [], 0
-        # the label rows this join placed: when _fast_or_strict joins again, the
-        # csv pass must place every row itself, so the first pass's result is reused
-        placed = np.zeros(0 if index is None else len(index.keys), bool)
+        # the label rows this join placed: a csv pass after a declined block
+        # places every row again, so each pass starts from none
+        placed = np.zeros(0 if sets is None else sum(len(merged.keys) for merged in sets.values()),
+                          bool)
         for chunk, block in pieces:
             stop += len(chunk)
-            if index is None:
+            if sets is None:
                 keys.append(chunk)
                 blocks.append(block)
                 continue
-            rows = index.find(chunk)
+            rows = _label_rows(sets, chunk)
             if rows.min() < 0:  # ids without labels, named once the whole file is in
                 extra.append(chunk[rows < 0])
                 block, rows = block[rows >= 0], rows[rows >= 0]
-            placement[1](rows, block)
+            place(rows, block)
             placed[rows] = True
         if not stop:
             raise FormatError(f"{path.name}: no {what} rows")
-        if index is None:
+        if sets is None:
             keys, blocks = np.concatenate(keys), np.concatenate(blocks)
             _key_order(keys)  # a repeat raises; on the C path only, as csv names its line
             return keys, blocks
-        if extra or not placed.all() or stop != len(index.keys):
-            sides = [_unmatched(f"{what} rows without labels", extra),
-                     _unmatched(f"labeled recordings without {what}s", [index.keys[~placed]])]
-            if what == "feature":  # a feature mismatch names the labeled side first
-                sides.reverse()
-            raise ProtocolError(f"{what}s/labels cross-reference mismatch: {', '.join(sides)}")
-        return index.keys, placement[0]
+        extra = np.concatenate(extra) if extra else np.zeros(0, object)
+        found = np.count_nonzero(placed)
+        if found + len(extra) != stop:  # a labeled id read twice, on the C path only
+            raise ValueError("a repeated id left to csv")
+        _key_order(extra)  # raises for an id without labels read twice, so csv names it too
+        # the unlabeled keys and the labeled ones left unplaced
+        return extra, (np.concatenate([merged.keys for merged in sets.values()])[~placed]
+                       if found < len(placed) else extra[:0])
 
-    def cells(line_no: int, row: list[str]) -> tuple[bytes, list[float]]:
-        return row[0].encode().translate(_RAISED), [
-            _parse_float(path, line_no, column, cell) for column, cell in zip(header[1:], row[1:])]
+    def cells(line_no: int, row: list[str]) -> list[float]:
+        return [_parse_float(path, line_no, column, cell)
+                for column, cell in zip(header[1:], row[1:])]
 
     def strict() -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        for keys, cells_read in _keyed_rows(path, len(header), cells):
-            yield np.array(keys, object), np.array(cells_read)
+        return ((keys, np.array(batch)) for keys, batch in _keyed_rows(path, len(header), cells))
 
-    return _fast_or_strict(rows, join, _c_floats(rows, len(header) - 1), strict)
+    read = _fast_or_strict(rows, join, _c_floats(rows, len(header) - 1), strict)
+    if sets is None:
+        return read
+    extra, missing = read
+    if len(extra) or len(missing):
+        sides = [_unmatched(f"{what} rows without labels", extra),
+                 _unmatched(f"labeled recordings without {what}s", missing)]
+        if what == "feature":  # a feature mismatch names the labeled side first
+            sides.reverse()
+        raise ProtocolError(f"{what}s/labels cross-reference mismatch: {', '.join(sides)}")
 
 
 def _table_text(header: Sequence[str], rows: Iterable[Sequence[str]],
@@ -373,9 +377,9 @@ def read_scores(path) -> tuple[list[str], np.ndarray, np.ndarray, str | None]:
     return machines, _ids(keys), values, orientation
 
 
-def _score_table(path, index=None, placement=None) -> tuple:
-    # read_scores with the ids' keys, not the ids, or joined to `index` through
-    # the _float_rows placement that placement(machines, orientation) gives
+def _score_table(path, sets=None, placement=None) -> tuple:
+    # read_scores with the ids' keys, not the ids; or, joined to the label `sets`, (machines,
+    # result, orientation), with the (result, place) that placement(machines, orientation) gives
     path = Path(path)
     comments: list[tuple[int, str]] = []
     rows = _rows(path, comments, chunked=True)
@@ -386,16 +390,14 @@ def _score_table(path, index=None, placement=None) -> tuple:
     machines = header[1:]
     if len(set(machines)) != len(machines) or any(not m for m in machines):
         raise FormatError(f"{path.name}:{header_no}: machine columns must be unique and nonempty")
-    return (machines, *_float_rows(path, rows, header, "score", index,
-                                   placement and placement(machines, orientation)), orientation)
+    if sets is None:
+        return machines, *_float_rows(path, rows, header, "score"), orientation
+    result, place = placement(machines, orientation)
+    _float_rows(path, rows, header, "score", sets, place)
+    return machines, result, orientation
 
 
 _LABEL_COLUMNS = ("recording_id", "true_machine", "is_anomaly", "split")
-
-
-class _LabelSets(dict):
-    """read_labels' {split: MergedTestSet}, with its ids' _LabelOrder as ``order``;
-    the sets and the order share one key column, and no id column is built."""
 
 
 def _cells(data: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
@@ -441,9 +443,10 @@ def read_labels(path) -> dict[str, MergedTestSet]:
     """Read recording labels as one test set per split present, in SPLITS order.
 
     The sets share one `machines` list, in order of first appearance. Each
-    holds its ids' keys alone, and decodes its `ids` from them on first read. Row
-    structure (field count, empty or duplicate id) is checked over the whole
-    file before the first bad label value is reported.
+    holds its ids' keys alone, a slice of one column, and decodes its `ids` from
+    them on first read; the sets in turn are the rows that a score or feature
+    table is joined to. Row structure (field count, empty or duplicate id) is
+    checked over the whole file before the first bad label value is reported.
     """
     path = Path(path)
     rows = _rows(path, chunked=True)
@@ -454,7 +457,7 @@ def read_labels(path) -> dict[str, MergedTestSet]:
     if header[4:]:
         warnings.warn(f"{path.name}: ignoring unknown label columns {header[4:]}", stacklevel=2)
 
-    def join(blocks: Iterable[tuple]) -> _LabelSets:
+    def join(blocks: Iterable[tuple]) -> dict[str, MergedTestSet]:
         codes: dict[bytes, int] = {}  # machine name and comma -> code, in order of first appearance
         parts = []  # each block's columns, machines as codes
         for keys, names, labels, splits in blocks:
@@ -475,15 +478,13 @@ def read_labels(path) -> dict[str, MergedTestSet]:
         keys, machines, labels = keys[at], machines[at], labels[at]
         del at
         names = [name[:-1].decode() for name in codes]
-        sets, stop, spans = _LabelSets(), 0, []
+        sets, stop = {}, 0
         for j, split_rows in enumerate(np.bincount(splits, minlength=len(SPLITS)).tolist()):
             start, stop = stop, stop + split_rows
             if split_rows:
                 sets[SPLITS[j]] = MergedTestSet(None, names, machines[start:stop],
                                                 labels[start:stop], SPLITS[j],
                                                 keys=keys[start:stop])
-                spans.append((start, stop))
-        sets.order = _LabelOrder(keys, tuple(spans))
         return sets
 
     def cells(line_no: int, row: list[str]) -> tuple:
@@ -495,15 +496,15 @@ def read_labels(path) -> dict[str, MergedTestSet]:
         elif split not in SPLITS:
             problem = f"recording {rec_id!r}: unknown split {split!r}"
         else:
-            return (rec_id.encode().translate(_RAISED), machine.encode() + b",",
-                    _TRUTH[anomaly_text], SPLITS.index(split))
+            return machine.encode() + b",", _TRUTH[anomaly_text], SPLITS.index(split)
         raise FormatError(f"{path.name}:{line_no}: {problem}")
 
     def strict() -> Iterator[tuple]:
-        # csv's rows as _byte_labels' columns, keys and names as objects, so no
-        # column is padded to the longest
-        for keys, names, *columns in _keyed_rows(path, len(header), cells):
-            yield np.array(keys, object), np.array(names, object), *map(np.array, columns)
+        # csv's rows as _byte_labels' columns, names as objects, as the keys
+        # are, so no column is padded to the longest
+        for keys, batch in _keyed_rows(path, len(header), cells):
+            names, *columns = zip(*batch)
+            yield keys, np.array(names, object), *map(np.array, columns)
 
     return _fast_or_strict(rows, join, _byte_labels(rows, len(header)), strict)
 
@@ -514,10 +515,10 @@ def read_features(path) -> tuple[np.ndarray, np.ndarray]:
     return _ids(keys), values
 
 
-def _feature_table(path, index: _LabelOrder | None = None, placement: tuple | None = None
-                   ) -> tuple[np.ndarray, object]:
-    # read_features with the ids' keys, not the ids, or joined to `index`, each
-    # block going to _float_rows' placement, as evaluate --manifest scores it
+def _feature_table(path, sets: Mapping[str, MergedTestSet] | None = None,
+                   place: Callable | None = None) -> tuple[np.ndarray, np.ndarray] | None:
+    # read_features with the ids' keys, not the ids; or joined to the label
+    # `sets`, each block going to _float_rows' place, as evaluate --manifest scores it
     path = Path(path)
     rows = _rows(path, chunked=True)
     header_no, header = next(rows)
@@ -525,7 +526,7 @@ def _feature_table(path, index: _LabelOrder | None = None, placement: tuple | No
     expected = ["recording_id"] + [f"f_{i}" for i in range(d)]
     if header != expected or d < 1:
         raise FormatError(f"{path.name}:{header_no}: header must be recording_id,f_0,...,f_{{d-1}}")
-    return _float_rows(path, rows, header, "feature", index, placement)
+    return _float_rows(path, rows, header, "feature", sets, place)
 
 
 @dataclass(frozen=True)

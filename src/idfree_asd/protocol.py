@@ -376,14 +376,14 @@ def _reduce(block: np.ndarray, true_column: np.ndarray) -> _Columns:
 
 
 def _placed_columns(machines: Sequence[str], sets: Iterable[MergedTestSet], negate: bool) -> tuple:
-    """io's join placement of _Columns for the rows of ``sets`` in turn: the columns
-    and a place(rows, block) that reduces score rows (negated if ``negate``) in
-    columns ``machines`` into them. A machine without a column reads column 0;
-    _report turns it down."""
+    """io's join placement of _Columns for the rows of ``sets`` in turn: each
+    set's columns, and a place(rows, block) that reduces score rows (negated if
+    ``negate``) in columns ``machines`` into the sets' joined rows ``rows``. A
+    machine without a column reads column 0; _report turns it down."""
     column = {machine: j for j, machine in enumerate(machines)}
-    true_column = np.concatenate([
-        np.array([column.get(name, 0) for name in merged.machines],
-                 np.min_scalar_type(len(machines)))[merged.true_machine] for merged in sets])
+    per_set = [np.array([column.get(name, 0) for name in merged.machines],
+                        np.min_scalar_type(len(machines)))[merged.true_machine] for merged in sets]
+    true_column = np.concatenate(per_set)
     n = len(true_column)
     columns = _Columns(np.empty(n), np.empty(n), np.empty(n, true_column.dtype), np.empty(n, bool))
 
@@ -391,7 +391,8 @@ def _placed_columns(machines: Sequence[str], sets: Iterable[MergedTestSet], nega
         for column, values in zip(columns, _reduce(-block if negate else block, true_column[rows])):
             column[rows] = values
 
-    return columns, place
+    cuts = np.cumsum([len(codes) for codes in per_set[:-1]])
+    return [_Columns(*views) for views in zip(*(np.split(c, cuts) for c in columns))], place
 
 
 def _matrix_report(matrix: ScoreMatrix, merged: MergedTestSet, config: EvalConfig) -> EvalReport:
@@ -401,7 +402,7 @@ def _matrix_report(matrix: ScoreMatrix, merged: MergedTestSet, config: EvalConfi
         where = (f"{len(got)} rows for {len(ids)} recordings" if i is None
                  else f"row {i} is {got[i]!r}, not {ids[i]!r}")
         raise ProtocolError(f"score matrix rows must be the merged test set's: {where}")
-    columns, place = _placed_columns(matrix.machines, [merged], False)
+    (columns,), place = _placed_columns(matrix.machines, [merged], False)
     place(slice(None), matrix.values)
     return _report(columns, merged, matrix.machines, config)
 

@@ -267,7 +267,7 @@ def run_point(
     streams, references, merged, rows = _draw_setup(config)
     specs = {machine: (scorer, ref) for machine, ref in references.items()}
     machines = scorers._machines(specs)
-    columns, place = _placed_columns(machines, [merged], False)
+    (columns,), place = _placed_columns(machines, [merged], False)
     score = scorers._scorer(specs, place)
     for block in _test_blocks(config, streams, rows):
         score(*block)

@@ -159,6 +159,12 @@ def test_evaluate_splits_are_separated(tmp_path, capsys):
     # the dev scorer is perfect, the eval scorer is uninformative
     assert doc["splits"]["dev"]["known"]["per_machine"]["fan"]["auc"] == 1.0
     assert doc["splits"]["eval"]["known"]["per_machine"]["fan"]["auc"] == 0.5
+    # labels of the eval split alone: its set is the whole join, from row 0
+    write_labels(labels, recs[2:])
+    write_scores(scores, ["fan"], {"e-n": [0.5], "e-a": [0.5]})
+    code, out, _ = run(capsys, "evaluate", "--scores", str(scores), "--labels", str(labels))
+    assert code == EXIT_OK
+    assert json.loads(out)["splits"] == {"eval": doc["splits"]["eval"]}
 
 
 def write_nul_fixture(tmp_path):
@@ -339,6 +345,31 @@ def test_evaluate_repeated_table_id_is_a_duplicate_not_a_mismatch(
     code, message, name = evaluate_table(tmp_path, capsys, kind, ["a", "b"], rows)
     assert code == EXIT_DATA
     assert message == f"{name}:{line}: duplicate recording id {rec_id!r}"
+
+
+@pytest.mark.parametrize("kind", ["scores", "features"])
+def test_evaluate_mismatch_is_reported_from_the_one_read_of_the_table(
+        tmp_path, capsys, monkeypatch, kind):
+    # one more label row than the table has: the fast pass that read the whole
+    # table reports it, so no file goes to csv and each feature row is scored
+    # once per machine (36 rows, 3 machines)
+    source = (["--scores", str(GOLDEN / "scores.csv")] if kind == "scores"
+              else ["--manifest", str(MANIFEST / "knn2-zscore.json")])
+    labels = tmp_path / "labels.csv"
+    labels.write_text((GOLDEN if kind == "scores" else MANIFEST).joinpath("labels.csv").read_text()
+                      + "extra-01,fan,0,eval\n")
+    scored, scorer = [], cli._scorer
+    monkeypatch.setattr(cli, "_scorer", lambda specs, place: scorer(
+        specs, lambda rows, scores: scored.append(scores.size) or place(rows, scores)))
+    strict = strict_reads(monkeypatch)
+    code, _, err = run(capsys, "evaluate", *source, "--labels", str(labels))
+    sides = [f"0 {kind[:-1]} rows without labels []",
+             f"1 labeled recordings without {kind} ['extra-01']"]
+    sides = sides if kind == "scores" else sides[::-1]
+    assert (code, strict) == (EXIT_DATA, [])
+    assert stderr_json(err)["message"] == (f"{kind}/labels cross-reference mismatch: "
+                                           f"{sides[0]}, {sides[1]}")
+    assert sum(scored) == (0 if kind == "scores" else 36 * 3)
 
 
 @pytest.mark.parametrize("kind", ["scores", "features"])

@@ -163,26 +163,26 @@ def _write_table(kind, path, ids, matrix):
         write_features(path, ids, matrix)
 
 
-def _read_table(kind, path, index=None):
-    """A table's ids and values, in file order or joined to `index`, read_labels'
-    order: then the join's placement puts each block at its ids' rows of an
-    (n, width) array, and the ids are the labels'."""
-    if index is None:
+def _read_table(kind, path, sets=None):
+    """A table's ids and values, in file order or joined to read_labels' `sets`:
+    then the join's place puts each block at its ids' rows of an (n, width)
+    array, the sets' rows in turn, and the ids are the labels'."""
+    if sets is None:
         if kind == "features":
             return read_features(path)
         _, ids, values, _ = read_scores(path)
         return ids, values
-    values = []
+    keys, values = np.concatenate([merged.keys for merged in sets.values()]), []
 
     def place(rows, block):
         if not values:  # the width is the first block's
-            values.append(np.empty((len(index.keys), block.shape[1])))
+            values.append(np.empty((len(keys), block.shape[1])))
         values[0][rows] = block
 
     if kind == "features":
-        keys, _ = io_module._feature_table(path, index, (values, place))
+        io_module._feature_table(path, sets, place)
     else:
-        keys = io_module._score_table(path, index, lambda *_: (values, place))[1]
+        io_module._score_table(path, sets, lambda *_: (values, place))
     return protocol_module._ids(keys), values[0]
 
 
@@ -429,7 +429,7 @@ TABLES = [("scores", False), ("scores", True), ("scores", "order"), ("features",
 
 
 def _index(tmp_path, labeled, n):
-    """The index a table of rows r000, r001, ... is read with, if `labeled`."""
+    """The label sets a table of rows r000, r001, ... is read with, if `labeled`."""
     if not labeled:
         return None
     lines = _chunked_lines("labels", n)  # dev and eval rows alternate
@@ -437,7 +437,7 @@ def _index(tmp_path, labeled, n):
         lines[2:] = lines[2:][::-1]
     labels = tmp_path / "index-labels.csv"
     labels.write_text("\n".join(lines) + "\n")
-    return read_labels(labels).order
+    return read_labels(labels)
 
 
 # faults that keep the table valid with other ids; the label table alone has them
@@ -680,8 +680,8 @@ def test_label_order_join_reads_as_the_id_dict_reads(tmp_path, monkeypatch, kind
     path.write_text("\n".join([FORMAT_LINE, header, *table_rows_of(rows)]) + "\n")
     sets = read_labels(labels)
     small_chunks(monkeypatch, LINE)
-    joined = outcome(lambda: _read_table(kind, path, sets.order))
-    assert joined == strict_outcome(monkeypatch, lambda: _read_table(kind, path, sets.order))
+    joined = outcome(lambda: _read_table(kind, path, sets))
+    assert joined == strict_outcome(monkeypatch, lambda: _read_table(kind, path, sets))
     assert (joined[0] in ("FormatError", "ProtocolError")) == (case in JOIN_FAULTS)
     if case not in JOIN_FAULTS:  # oracle: each row at its id's row of a plain {id: row}
         order = [rec_id for merged in sets.values() for rec_id in merged.ids.tolist()]
@@ -794,9 +794,9 @@ def test_label_join_orders_and_matches_ids_as_python_strings(tmp_path_factory, l
             assert outcome(lambda: sets) == strict_outcome(monkeypatch,
                                                            lambda: read_labels(label_path))
         reads.clear()
-        ids, values = _read_table(kind, path, sets.order)
+        ids, values = _read_table(kind, path, sets)
         assert (reads == []) == texts[1].isascii()
-        strict = strict_outcome(monkeypatch, lambda: _read_table(kind, path, sets.order))
+        strict = strict_outcome(monkeypatch, lambda: _read_table(kind, path, sets))
     assert {split: merged.ids.tolist() for split, merged in sets.items()} == {
         split: split_ids for split, split_ids in expected.items() if split_ids}
     assert [(rec.id, rec.true_machine, rec.is_anomaly) for merged in sets.values()
@@ -824,7 +824,7 @@ def test_label_order_join_tells_apart_ids_numpy_calls_equal(tmp_path, kind, labe
     sides = sides if kind == "scores" else sides[::-1]
     with pytest.raises(ProtocolError, match=re.escape(f"{kind}/labels cross-reference mismatch: "
                                                       f"{sides[0]}, {sides[1]}")):
-        _read_table(kind, path, read_labels(labels).order)
+        _read_table(kind, path, read_labels(labels))
 
 
 def _quoted(line, column):
@@ -956,14 +956,13 @@ def test_fixtures_read_the_same_through_c_and_csv(tmp_path, monkeypatch):
                    next(iter(references.values())).vectors)
     write_labels(tmp_path / "labels.csv", merged.recordings)
     score_sets, feature_sets = read_labels(labels), read_labels(tmp_path / "labels.csv")
-    score_order, feature_order = score_sets.order, feature_sets.order
     reads = [
         lambda: read_scores(golden / "scores.csv"),
-        lambda: _read_table("scores", golden / "scores.csv", score_order),
+        lambda: _read_table("scores", golden / "scores.csv", score_sets),
         lambda: read_labels(labels),
         lambda: read_labels(tmp_path / "labels.csv"),
         lambda: read_features(tmp_path / "features.csv"),
-        lambda: _read_table("features", tmp_path / "features.csv", feature_order),
+        lambda: _read_table("features", tmp_path / "features.csv", feature_sets),
         lambda: read_features(tmp_path / "reference.csv"),
     ]
     strict = strict_reads(monkeypatch)
@@ -997,8 +996,8 @@ def test_read_scores_memory_is_bounded_by_the_block(tmp_path):
 
 
 def test_read_labels_holds_at_most_14_bytes_per_id(tmp_path):
-    # what stays is the ids' 9-byte keys, one column that the sets and the index
-    # share, a 1-byte machine code and a 1-byte label per id, 11.6 bytes
+    # what stays is the ids' 9-byte keys, one column of which each set holds a
+    # slice, a 1-byte machine code and a 1-byte label per id, 11.6 bytes
     # measured; no StringDType id column (16 bytes a slot, 27.7 bytes per id
     # with it) is built until an id is read. Ids held as str objects and lists
     # of them took about 100 (19.0 MiB at 200,000)
@@ -1033,7 +1032,7 @@ def test_label_order_read_returns_the_label_id_column(tmp_path, monkeypatch, kin
         assert main(["evaluate", "--scores", str(path), "--labels", str(labels),
                      "--out", str(tmp_path / "report.json")]) == 0
     assert decoded == []
-    ids, _ = _read_table(kind, path, sets.order)
+    ids, _ = _read_table(kind, path, sets)
     expected = [f"r{i:03d}" for split in (0, 1) for i in range(split, 40, 2)]
     assert ids.tolist() == [rec_id for merged in sets.values()
                             for rec_id in merged.ids.tolist()] == expected
@@ -1064,7 +1063,7 @@ def test_ids_decoded_from_the_keys_read_as_written(tmp_path, monkeypatch, by_csv
     assert sets["dev"].ids.tolist() == sorted(ids)
     missing = sorted(set(ids) - {ids[1]})
     with pytest.raises(ProtocolError) as raised:
-        _read_table("scores", scores, sets.order)
+        _read_table("scores", scores, sets)
     assert str(raised.value) == (
         f"scores/labels cross-reference mismatch: 0 score rows without labels [], "
         f"{len(missing)} labeled recordings without scores {missing}")
