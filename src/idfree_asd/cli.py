@@ -105,21 +105,29 @@ def _cmd_evaluate(args) -> int:
         raise UsageError("--higher-is-anomalous applies to --scores files only")
     config = EvalConfig(pauc_p=args.pauc_p, average=args.avg)
     reports, higher, inputs = _split_reports(args, config)
-    # hashed once the labels and scores are released and glibc, which keeps freed heap
-    # resident until asked, has handed it back: the digest maps OpenSSL (3.5 MB resident)
-    if trim := getattr(ctypes.pythonapi, "malloc_trim", None):
-        trim(0)
+    # hashed once the labels and scores are released and their heap handed back:
+    # the digest maps OpenSSL (3.5 MB resident)
+    _hand_back_freed_heap()
     inputs = [formats.file_digest(path, role) for path, role in inputs]
     _emit(formats.evaluation_document(reports, inputs, config, higher), args.out)
     return EXIT_OK
+
+
+def _hand_back_freed_heap() -> None:
+    # glibc keeps freed heap resident until asked (malloc_trim; skipped where the
+    # C library lacks it), so what a stage freed would stack under the next one
+    if trim := getattr(ctypes.pythonapi, "malloc_trim", None):
+        trim(0)
 
 
 def _split_reports(args, config: EvalConfig) -> tuple[dict, bool, list[tuple]]:
     """evaluate's report of each split, its orientation and its (path, role) inputs."""
     # the labels come first, so a label error is reported before any other, and
     # each chunk of the score or feature table is reduced to the protocols'
-    # columns as it is joined to them; the ids are matched as keys, never decoded
+    # columns as it is joined to them; the ids are matched as keys, never decoded.
+    # The label read's freed blocks are handed back before the columns are made
     test_sets = formats.read_labels(args.labels)
+    _hand_back_freed_heap()
     if args.scores is not None:
         placement = (lambda machines, orientation: _placed_columns(machines, test_sets.values(),
                      not _resolve_orientation(args.higher_is_anomalous, orientation)))

@@ -12,10 +12,12 @@ import json
 import math
 import os
 import re
+import sys
 import tempfile
 import warnings
 from contextlib import closing
 from dataclasses import asdict, dataclass, fields
+from functools import reduce
 from io import StringIO
 from itertools import chain
 from pathlib import Path
@@ -25,7 +27,7 @@ import numpy as np
 
 from .protocol import (_RAISED, SPLITS, EvalConfig, EvalReport, MergedTestSet, ModeResult,
                        ProtocolError, _ids, _key_order)
-from .scorers import _BLOCK_BYTES, NormalizerSpec, ScorerError, ScorerSpec
+from .scorers import _BLOCK_BYTES, _LARGEST, NormalizerSpec, ScorerError, ScorerSpec
 from .simulate import SimConfig, SweepPoint
 
 __all__ = [
@@ -74,6 +76,9 @@ _STRICT_BYTES = b'"\x1c\x1d\x1e\x1f'
 # a cross-reference error names at most this many ids per side, so a file
 # that matches nothing still gives a short message
 _LISTED_IDS = 10
+# every finite float lies within ±_FINITE, so a table read with this bound takes
+# any finite cell; evaluate --manifest reads its features within the scorers' bound
+_FINITE = sys.float_info.max
 
 
 class FormatError(ValueError):
@@ -174,7 +179,8 @@ def _parse_orientation(path: Path, comments: list[tuple[int, str]]) -> str | Non
     return orientation
 
 
-def _parse_float(path: Path, line_no: int, column: str, text: str) -> float:
+def _parse_float(path: Path, line_no: int, column: str, text: str,
+                 largest: float = _FINITE) -> float:
     try:
         value = float(text)
     except ValueError:
@@ -182,6 +188,9 @@ def _parse_float(path: Path, line_no: int, column: str, text: str) -> float:
                           ) from None
     if not math.isfinite(value):
         raise FormatError(f"{path.name}:{line_no}: {column} value {text!r} is not finite")
+    if abs(value) > largest:
+        raise FormatError(f"{path.name}:{line_no}: {column} value {text!r} is beyond "
+                          f"±{largest:g}, past which squared distances can overflow")
     return value
 
 
@@ -260,10 +269,12 @@ def _label_rows(sets: Mapping[str, MergedTestSet], keys: np.ndarray) -> np.ndarr
     return rows
 
 
-def _c_floats(blocks: Iterator[bytes], width: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _c_floats(blocks: Iterator[bytes], width: int, largest: float
+              ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The id keys and cells (by one loadtxt call) of each block of data lines that
-    passes the gate. A block with an empty id raises a ValueError, as does one after
-    which the keys, padded to the widest so far, would take 4 times the bytes read."""
+    passes the gate. A block with an empty id or a cell that is not finite or lies
+    beyond ±``largest`` raises a ValueError, as does one after which the keys,
+    padded to the widest so far, would take 4 times the bytes read."""
     rows = size = widest = 0
     for block in blocks:
         # the bounds of each line's id alone, so no array of every separator
@@ -277,21 +288,23 @@ def _c_floats(blocks: Iterator[bytes], width: int) -> Iterator[tuple[np.ndarray,
         lines = data.tobytes().decode("ascii").split("\n")[:-1]
         cells = np.loadtxt(lines, delimiter=",", comments=None, usecols=range(1, width + 1),
                            ndmin=2)
-        # loadtxt skips a blank line, which the gate turns down: one row a line
-        if len(cells) != len(keys) or not np.isfinite(cells).all():
+        # loadtxt skips a blank line, which the gate turns down: one row a line;
+        # nan fails both comparisons, so one pass each catches non-finite cells too
+        if len(cells) != len(keys) or not (-largest <= cells.min() and cells.max() <= largest):
             raise ValueError("a block left to csv")
         yield keys, cells
 
 
 def _float_rows(path: Path, rows: Iterator, header: list[str], what: str,
                 sets: Mapping[str, MergedTestSet] | None = None,
-                place: Callable[[np.ndarray, np.ndarray], None] | None = None
-                ) -> tuple[np.ndarray, np.ndarray] | None:
+                place: Callable[[np.ndarray, np.ndarray], None] | None = None,
+                largest: float = _FINITE) -> tuple[np.ndarray, np.ndarray] | None:
     """The ids' keys, and every cell after the id as an (n, d) array, of keyed data rows.
 
     The fast path reads the byte blocks of ``rows`` through _c_floats; any
-    block it turns down, or a repeated id, sends the whole file to the strict
-    reader, which names the line at fault.
+    block it turns down (a cell past ±``largest`` among them), or a repeated
+    id, sends the whole file to the strict reader, which names the line at
+    fault.
 
     Joined to read_labels' ``sets`` instead, each block goes, as it is read,
     to place(rows, block), at its ids' rows among the sets' n rows in turn,
@@ -334,13 +347,13 @@ def _float_rows(path: Path, rows: Iterator, header: list[str], what: str,
                        if found < len(placed) else extra[:0])
 
     def cells(line_no: int, row: list[str]) -> list[float]:
-        return [_parse_float(path, line_no, column, cell)
+        return [_parse_float(path, line_no, column, cell, largest)
                 for column, cell in zip(header[1:], row[1:])]
 
     def strict() -> Iterator[tuple[np.ndarray, np.ndarray]]:
         return ((keys, np.array(batch)) for keys, batch in _keyed_rows(path, len(header), cells))
 
-    read = _fast_or_strict(rows, join, _c_floats(rows, len(header) - 1), strict)
+    read = _fast_or_strict(rows, join, _c_floats(rows, len(header) - 1, largest), strict)
     if sets is None:
         return read
     extra, missing = read
@@ -447,6 +460,13 @@ def read_labels(path) -> dict[str, MergedTestSet]:
     them on first read; the sets in turn are the rows that a score or feature
     table is joined to. Row structure (field count, empty or duplicate id) is
     checked over the whole file before the first bad label value is reported.
+
+    Each column is allocated once, and each block's rows are placed in it,
+    grouped by split, as the block's parts are released; each split is then
+    put in id order by one order over its own rows. No column is concatenated
+    and no order over the whole file is built. On the fast path a repeated id
+    shows as keys not increasing within a set, or as one split's key found
+    among another's, and sends the file to csv, which names its line.
     """
     path = Path(path)
     rows = _rows(path, chunked=True)
@@ -469,22 +489,39 @@ def read_labels(path) -> dict[str, MergedTestSet]:
             parts.append((keys, machines, labels, splits))
         if not parts:
             raise FormatError(f"{path.name}: no label rows")
-        keys, machines, labels, splits = map(np.concatenate, zip(*parts))
-        del parts
-        # the keys split by split, each split in id order; a repeat in any split
-        # raises (on the C path only, as csv names its line)
-        at = _key_order(keys)
-        at = at[np.argsort(splits[at], kind="stable")]
-        keys, machines, labels = keys[at], machines[at], labels[at]
-        del at
+        counts = sum(np.bincount(part[3], minlength=len(SPLITS)) for part in parts)
+        columns = [np.empty(sum(counts), reduce(np.promote_types, (part[k].dtype for part in parts)))
+                   for k in range(3)]
+        fill = np.cumsum(counts) - counts  # where each split's next rows go
+        parts.reverse()  # popped from the end, so each split is filled in file order
+        while parts:
+            *block, splits = parts.pop()
+            for j in range(len(SPLITS)):
+                rows = splits == j
+                start, fill[j] = fill[j], fill[j] + np.count_nonzero(rows)
+                for column, part in zip(columns, block):
+                    column[start:fill[j]] = part[rows]
+        keys, machines, labels = columns
         names = [name[:-1].decode() for name in codes]
         sets, stop = {}, 0
-        for j, split_rows in enumerate(np.bincount(splits, minlength=len(SPLITS)).tolist()):
+        for j, split_rows in enumerate(counts.tolist()):
             start, stop = stop, stop + split_rows
             if split_rows:
+                # the split in id order, by one stable order over its own rows (a
+                # file in id order sorts in one pass); a repeat within the split
+                # fails the set's own check of increasing keys
+                order = np.argsort(keys[start:stop], kind="stable")
+                for column in columns:
+                    column[start:stop] = column[start:stop][order]
+                del order
                 sets[SPLITS[j]] = MergedTestSet(None, names, machines[start:stop],
                                                 labels[start:stop], SPLITS[j],
                                                 keys=keys[start:stop])
+        if len(sets) > 1:  # a repeat across the splits: the fewer keys searched for in the others
+            few, many = sorted((merged.keys for merged in sets.values()), key=len)
+            at = np.searchsorted(many, few)
+            if (many[np.minimum(at, len(many) - 1, out=at)] == few).any():
+                raise ValueError("a repeated id left to csv")
         return sets
 
     def cells(line_no: int, row: list[str]) -> tuple:
@@ -511,14 +548,16 @@ def read_labels(path) -> dict[str, MergedTestSet]:
 
 def read_features(path) -> tuple[np.ndarray, np.ndarray]:
     """Read per-recording feature vectors as (ids, (n, d) array), in file order."""
-    keys, values = _feature_table(path)
+    keys, values = _feature_table(path, largest=_FINITE)
     return _ids(keys), values
 
 
 def _feature_table(path, sets: Mapping[str, MergedTestSet] | None = None,
-                   place: Callable | None = None) -> tuple[np.ndarray, np.ndarray] | None:
+                   place: Callable | None = None, largest: float = _LARGEST
+                   ) -> tuple[np.ndarray, np.ndarray] | None:
     # read_features with the ids' keys, not the ids; or joined to the label
-    # `sets`, each block going to _float_rows' place, as evaluate --manifest scores it
+    # `sets`, each block going to _float_rows' place, as evaluate --manifest scores it.
+    # A cell past ±largest, by default the scorers' bound, is a data error of its line
     path = Path(path)
     rows = _rows(path, chunked=True)
     header_no, header = next(rows)
@@ -526,7 +565,7 @@ def _feature_table(path, sets: Mapping[str, MergedTestSet] | None = None,
     expected = ["recording_id"] + [f"f_{i}" for i in range(d)]
     if header != expected or d < 1:
         raise FormatError(f"{path.name}:{header_no}: header must be recording_id,f_0,...,f_{{d-1}}")
-    return _float_rows(path, rows, header, "feature", sets, place)
+    return _float_rows(path, rows, header, "feature", sets, place, largest)
 
 
 @dataclass(frozen=True)

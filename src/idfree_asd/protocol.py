@@ -413,25 +413,26 @@ def _report(columns: _Columns, merged: MergedTestSet, machines: Sequence[str],
     ``machines``: the one evaluation behind every entry point.
 
     Each machine's slice is scored in both modes at once; machines pool in
-    order of first appearance, slices keep recording order. Warns once per
-    single-class machine, to the caller of the entry point.
+    order of first appearance, slices keep recording order. A machine's rows
+    are found by comparing the true machine codes with its own, one byte a
+    row per machine, so no integer array over the whole set is built, neither
+    an index nor a count's cast of the codes. Warns once per single-class
+    machine, to the caller of the entry point.
     """
     column = {machine: j for j, machine in enumerate(machines)}
-    # one stable grouping by true machine: each machine's rows are one run
-    total = np.bincount(merged.true_machine, minlength=len(merged.machines))
-    anomalous = np.bincount(merged.true_machine[merged.is_anomaly], minlength=len(total))
-    grouped = np.argsort(merged.true_machine, kind="stable")
-    ends = np.cumsum(total)
-    starts = ends - total
-    codes = np.flatnonzero(total)
-    first = grouped[starts[codes]]
-    missing = sorted(m for m in (merged.machines[c] for c in codes) if m not in column)
+    codes = merged.true_machine
+    first = {code: int(np.argmax(codes == code)) for code in range(len(merged.machines))}
+    # the machines present, in order of their first rows
+    present = sorted((code for code, row in first.items() if codes[row] == code), key=first.get)
+    missing = sorted(m for m in (merged.machines[c] for c in present) if m not in column)
     if missing:
         raise ProtocolError(f"score matrix is missing machine columns {missing}")
     per_machine, pools, excluded, n_correct = ({}, {}), ([], []), [], 0
-    for code in codes[np.argsort(first)].tolist():
+    for code in present:
         machine = merged.machines[code]
-        n_normal, n_anomalous = int(total[code] - anomalous[code]), int(anomalous[code])
+        mine = np.flatnonzero(codes == code)
+        n_anomalous = int(np.count_nonzero(merged.is_anomaly[mine]))
+        n_normal = len(mine) - n_anomalous
         if not (n_normal and n_anomalous):
             warnings.warn(
                 f"machine {machine!r} has single-class test labels; "
@@ -439,7 +440,6 @@ def _report(columns: _Columns, merged: MergedTestSet, machines: Sequence[str],
                 stacklevel=4,
             )
             excluded.append(machine)
-        mine = grouped[starts[code] : ends[code]]
         n_correct += int(np.count_nonzero(columns.picked[mine] == column[machine]))
         for scores, results, pool in zip((columns.true_score[mine], columns.lowest[mine]),
                                          per_machine, pools):

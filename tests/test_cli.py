@@ -234,17 +234,21 @@ def test_evaluate_builds_no_recordings(tmp_path, capsys, monkeypatch, source):
 @pytest.mark.parametrize("libc", ["glibc", "no malloc_trim"])
 def test_evaluate_hands_freed_memory_back_before_the_digests(capsys, monkeypatch, libc):
     # glibc keeps freed heap resident until asked; the first digest maps OpenSSL,
-    # so the released labels and columns are trimmed first, where that can be done
+    # so the released labels and columns are trimmed first, where that can be done.
+    # The label read's freed blocks are trimmed too, before the columns are made
     calls = []
     libc_calls = {"malloc_trim": lambda pad: calls.append(("trim", pad))} if libc == "glibc" else {}
     monkeypatch.setattr(cli, "ctypes", SimpleNamespace(pythonapi=SimpleNamespace(**libc_calls)))
-    digest = io_module.file_digest
+    digest, read_labels = io_module.file_digest, io_module.read_labels
     monkeypatch.setattr(io_module, "file_digest",
                         lambda path, role: calls.append(role) or digest(path, role))
+    monkeypatch.setattr(io_module, "read_labels",
+                        lambda path: calls.append("read labels") or read_labels(path))
     code, out, _ = run(capsys, "evaluate", "--scores", str(GOLDEN / "scores.csv"),
                        "--labels", str(GOLDEN / "labels.csv"))
     assert code == EXIT_OK and out == (GOLDEN / "report.json").read_text()
-    assert calls == [("trim", 0)] * (libc == "glibc") + ["scores", "labels"]
+    trim = [("trim", 0)] * (libc == "glibc")
+    assert calls == ["read labels", *trim, *trim, "scores", "labels"]
 
 
 def test_evaluate_harmonic_pooling_with_inverted_scorer_is_zero(tmp_path, capsys):
@@ -1063,23 +1067,71 @@ def test_evaluate_manifest_empty_reference_path_is_data_error(tmp_path, capsys):
 @pytest.mark.parametrize("scaled", ["reference", "features"])
 def test_evaluate_manifest_values_past_the_range_bound_are_data_error(tmp_path, capsys,
                                                                        monkeypatch, scaled):
-    # squared distances between values near 1e200 overflow; the scorer names the
-    # machine instead of warning and reporting non-finite scores. A scorer's
-    # error ends the read of the feature table: csv never reads it to score it again
+    # squared distances between values near 1e200 overflow; a cell past the
+    # scorers' bound is a data error of its line, as a cell that is not a number
+    # is: the fast path turns its block down, and csv names the file, line and column
     manifest, labels, references, merged = build_manifest_fixture(tmp_path)
     machine = sorted(references)[0]
     if scaled == "reference":
         ref = references[machine]
-        write_features(tmp_path / f"ref_{machine}.csv",
-                       [f"{machine}-ref{i}" for i in range(ref.n)], 1e200 * ref.vectors)
+        path = tmp_path / f"ref_{machine}.csv"
+        write_features(path, [f"{machine}-ref{i}" for i in range(ref.n)], 1e200 * ref.vectors)
     else:
-        write_features(tmp_path / "features.csv", merged.ids, 1e200 * merged.features)
+        path = tmp_path / "features.csv"
+        write_features(path, merged.ids, 1e200 * merged.features)
     strict = strict_reads(monkeypatch)
     code, _, err = run(capsys, "evaluate", "--manifest", str(manifest), "--labels", str(labels))
-    assert code == EXIT_DATA and strict == []
-    what = "reference set for" if scaled == "reference" else "feature batch scored against"
-    assert stderr_json(err)["message"] == (f"{what} {machine!r} has values beyond ±1e+100, "
-                                           "past which squared distances can overflow")
+    assert code == EXIT_DATA and strict == [path.name]
+    cell = path.read_text().splitlines()[2].split(",")[1]
+    assert stderr_json(err)["message"] == (f"{path.name}:3: f_0 value {cell!r} is beyond "
+                                           "±1e+100, past which squared distances can overflow")
+
+
+# (rows of the feature table, {(file, data row, column): cell}, the error's file,
+# line and cell); data row i of a table is line i + 3
+BAD_CELLS = {
+    "reference past the bound": (40, {("ref_pump.csv", 7, 2): "-1e200"},
+                                 "ref_pump.csv:10: f_2 value '-1e200'"),
+    "features past the bound": (40, {("features.csv", 33, 63): "1e101"},
+                                "features.csv:36: f_63 value '1e101'"),
+    # csv used to hold back the rows of a batch cut short by the cell that is not
+    # a number, while the fast path scored the cell past the bound
+    "past the bound, then not a number": (3_000, {("features.csv", 10, 5): "1e200",
+                                                  ("features.csv", 1_500, 0): "oops"},
+                                          "features.csv:13: f_5 value '1e200'"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_CELLS)
+def test_evaluate_manifest_bad_cells_read_alike_fast_and_by_csv(tmp_path, capsys, monkeypatch,
+                                                                case):
+    n, cells, message = BAD_CELLS[case]
+    d, machines, rng = 64, ("fan", "pump"), np.random.default_rng(13)
+    write_labels(tmp_path / "labels.csv", [Recording(f"r{i:04d}", machines[i % 2], i % 4 == 0,
+                                                     SPLITS[i // 2 % 2]) for i in range(n)])
+    write_features(tmp_path / "features.csv", [f"r{i:04d}" for i in range(n)],
+                   rng.standard_normal((n, d)))
+    for machine in machines:
+        write_features(tmp_path / f"ref_{machine}.csv", [f"{machine}-ref{i}" for i in range(20)],
+                       rng.standard_normal((20, d)))
+    for (name, row, column), text in cells.items():
+        lines = (tmp_path / name).read_text().splitlines()
+        lines[row + 2] = _with_cell(lines[row + 2], column + 1, text)
+        (tmp_path / name).write_text("\n".join(lines) + "\n")
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({
+        "format": FORMAT_VERSION, "scorer": {"kind": "nearest_reference"},
+        "features": "features.csv",
+        "machines": [{"name": m, "reference": f"ref_{m}.csv"} for m in machines]}))
+    argv = ["evaluate", "--manifest", str(manifest), "--labels", str(tmp_path / "labels.csv")]
+    strict = strict_reads(monkeypatch)
+    code, _, err = run(capsys, *argv)
+    assert (code, strict) == (EXIT_DATA, [message.partition(":")[0]])
+    assert stderr_json(err)["message"] == (f"{message} is beyond ±1e+100, past which squared "
+                                           "distances can overflow")
+    with monkeypatch.context() as patch:  # csv alone gives the same error
+        strict_only(patch)
+        assert run(capsys, *argv) == (code, "", err)
 
 
 def test_evaluate_manifest_reads_the_references_before_the_feature_table(tmp_path, capsys):

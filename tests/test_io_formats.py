@@ -379,15 +379,24 @@ FAULTS = {
     "empty id": lambda line: [_with_id(line, "")],
     "duplicate in chunk": lambda line: [_with_id(line, f"r{2 * BLOCK_ROWS + 1:03d}")],
     "duplicate across chunks": lambda line: [_with_id(line, "r003")],
-    # label rows of even number are dev rows, of odd number eval rows
+    # label rows of even number are dev rows, of odd number eval rows; the
+    # faulty row r018 is a dev row. A repeat of its split's lowest or highest
+    # key, and, across splits, of the lowest key of both (the row moved to the
+    # eval split) or the highest of both
     "repeat in split": lambda line: [_with_id(line, "r002")],
+    "repeat in split of its lowest key": lambda line: [_with_id(line, "r000")],
+    "repeat in split of its highest key": lambda line: [_with_id(line, "r030")],
     "repeat across splits": lambda line: [_with_id(line, "r001")],
+    "repeat across splits of their lowest key": lambda line: ["r000,fan,1,eval"],
+    "repeat across splits of their highest key": lambda line: [_with_id(line, "r031")],
     # beside the id r016 of the same split; a bytes column holds both as b"r016"
     "id extended by NUL": lambda line: [_with_id(line, "r016\x00")],
     "long ids": lambda line: [_with_id(line, "r" * 40 + "018")],
     "unlabeled id": lambda line: [_with_id(line, "x018")],
     "bad cell": lambda line: [_with_cell(line, 2, "oops")],
     "non-finite cell": lambda line: [_with_cell(line, 2, "-inf")],
+    # past the scorers' bound: a data error where evaluate reads the features
+    "cell past the feature bound": lambda line: [_with_cell(line, 2, "1e200")],
     "bad label": lambda line: [_with_cell(line, 3, "test")],
     "blank line": lambda line: ["", line],
     "whitespace-only line": lambda line: ["  ", line],
@@ -412,9 +421,15 @@ MESSAGES = {
     "duplicate in chunk": "{name}:21: duplicate recording id 'r017'",
     "duplicate across chunks": "{name}:21: duplicate recording id 'r003'",
     "repeat in split": "{name}:21: duplicate recording id 'r002'",
+    "repeat in split of its lowest key": "{name}:21: duplicate recording id 'r000'",
+    "repeat in split of its highest key": "{name}:33: duplicate recording id 'r030'",
     "repeat across splits": "{name}:21: duplicate recording id 'r001'",
+    "repeat across splits of their lowest key": "{name}:21: duplicate recording id 'r000'",
+    "repeat across splits of their highest key": "{name}:34: duplicate recording id 'r031'",
     "bad cell": "{name}:21: m1 value 'oops' is not a number",
     "non-finite cell": "{name}:21: m1 value '-inf' is not finite",
+    "cell past the feature bound": ("{name}:21: m1 value '1e200' is beyond ±1e+100, past which "
+                                    "squared distances can overflow"),
     "bad label": "{name}:21: recording 'r018': unknown split 'test'",
     "whitespace-only line": "{name}:21: expected {width} fields, got 1",
     "extra and missing field": "{name}:21: expected {width} fields, got {wider}",
@@ -445,12 +460,14 @@ NEW_IDS = {"id extended by NUL": "r016\x00", "long ids": "r" * 40 + "018"}
 
 
 def _applies(fault, kind, labeled):
-    if fault in NEW_IDS or fault in ("repeat in split", "repeat across splits"):
+    if fault in NEW_IDS or fault.startswith("repeat"):
         # Python 3.10's csv refuses NUL, so there only the C path reads such an id
         return kind == "labels" and ("\x00" not in NEW_IDS.get(fault, "")
                                      or sys.version_info >= (3, 11))
     if fault == "unlabeled id":
         return labeled
+    if fault == "cell past the feature bound":  # read_features takes any finite value
+        return kind == "features" and labeled
     if fault in ("bad cell", "non-finite cell") or fault.endswith("before a cell"):
         return kind != "labels"
     return fault != "bad label" or kind == "labels"
@@ -485,6 +502,8 @@ def test_fault_in_the_third_chunk_reads_as_csv_reads_it(tmp_path, monkeypatch, k
         message = MESSAGES[fault].replace("m1", column)
         assert chunked == ("FormatError", message.format(name=path.name, width=width,
                                                          wider=width + 1, doubled=2 * width - 1))
+        if fault.startswith("repeat"):  # the fast path found it and left the file to csv
+            assert csv_reads == [path.name]
     elif fault == "unlabeled id" or fault == "quoted newline" and labeled:
         rec_id = "x018" if fault == "unlabeled id" else "r0\n18"
         sides = [f"1 {kind[:-1]} rows without labels [{rec_id!r}]",
@@ -505,6 +524,24 @@ def test_fault_in_the_third_chunk_reads_as_csv_reads_it(tmp_path, monkeypatch, k
         else:
             path.write_text("\n".join(_chunked_lines(kind, 4 * BLOCK_ROWS)) + "\n")
             assert chunked == outcome(read)
+
+
+@pytest.mark.parametrize("kind, labeled", [("scores", False), ("scores", True),
+                                            ("features", False)])
+def test_cells_past_the_feature_bound_read_in_c_where_nothing_scores_them(
+        tmp_path, monkeypatch, kind, labeled):
+    # a score may be any finite value, and read_features hands its vectors to
+    # the caller: only evaluate's own read of the features holds the bound
+    lines = _chunked_lines(kind, 4 * BLOCK_ROWS)
+    lines[FAULT_ROW] = _with_cell(lines[FAULT_ROW], 2, "-1e200")
+    path = tmp_path / f"{kind}.csv"
+    path.write_text("\n".join(lines) + "\n")
+    index = _index(tmp_path, labeled, 4 * BLOCK_ROWS)
+    small_chunks(monkeypatch, LINE)
+    reads = strict_reads(monkeypatch)
+    ids, values = _read_table(kind, path, index)
+    assert reads == []
+    assert values[ids.tolist().index("r018")].tolist() == [18.5, -1e200]
 
 
 @pytest.mark.parametrize("kind, labeled", TABLES)
@@ -1007,6 +1044,21 @@ def test_read_labels_holds_at_most_14_bytes_per_id(tmp_path):
     sets, held, _ = traced(lambda: read_labels(path))
     assert [len(merged.keys) for merged in sets.values()] == [25_000, 25_000]
     assert held <= 14 * 50_000
+
+
+def test_read_labels_peaks_at_26_bytes_per_id(tmp_path):
+    # at its peak the read holds the blocks' parts and the columns they are
+    # placed in, about 12 bytes an id each, and one block's transients: 23.7
+    # bytes per id measured. Concatenating the parts and gathering each column
+    # through one permutation over the whole file (8 bytes an id) took 28.5,
+    # and two whole-file argsorts with their gathers 36.4
+    n = 200_000
+    path = tmp_path / "labels.csv"
+    path.write_text(f"{FORMAT_LINE}\nrecording_id,true_machine,is_anomaly,split\n" + "".join(
+        f"rec{i:06d},m{i % 10},{int(i % 4 == 0)},{SPLITS[i % 2]}\n" for i in range(n)))
+    sets, _, peak = traced(lambda: read_labels(path))
+    assert [len(merged.keys) for merged in sets.values()] == [n // 2, n // 2]
+    assert peak <= 26 * n
 
 
 @pytest.mark.parametrize("kind", ["scores", "features"])

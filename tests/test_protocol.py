@@ -21,6 +21,7 @@ from idfree_asd.protocol import (
     merge_test_sets,
 )
 from oracles import brute_force_argmin, brute_force_auc, report_oracle
+from tables import traced
 
 # ---------------------------------------------------------------------------
 # helpers
@@ -850,3 +851,21 @@ def test_normalized_accuracy_handles_single_machine():
     assert IdentificationStats(1, 8, 8, 0).normalized_accuracy is None
     two = IdentificationStats(2, 8, 7, 0)
     assert two.normalized_accuracy == pytest.approx(0.75, abs=1e-12)
+
+
+def test_report_builds_no_integer_array_over_the_whole_set():
+    # each machine's rows are found by comparing the codes with its own, one
+    # byte a row at a time, so the peak is one machine's slices and metrics:
+    # 2.6 bytes a row at 100,000 rows of 40 machines. A stable argsort of the
+    # codes and the intp cast that counting them made took 10.4
+    n, k = 100_000, 40
+    rng = np.random.default_rng(7)
+    codes = rng.integers(0, k, n).astype(np.uint8)
+    merged = MergedTestSet(None, [f"m{j:02d}" for j in range(k)], codes, rng.random(n) < 0.25,
+                           keys=np.array([b"r%06d" % i for i in range(n)]))
+    columns = protocol_module._Columns(rng.random(n), rng.random(n),
+                                       rng.integers(0, k, n).astype(np.uint8), rng.random(n) < 0.1)
+    report, _, peak = traced(lambda: protocol_module._report(columns, merged, merged.machines,
+                                                             EvalConfig()))
+    assert list(report.known.per_machine) == [f"m{j:02d}" for j in dict.fromkeys(codes.tolist())]
+    assert peak < 4 * n
